@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"sora/internal/sim"
 )
@@ -25,37 +26,64 @@ func BenchmarkRequestVisit(b *testing.B) {
 	}
 }
 
+// steadyAllocsPerRequest returns the steady-state allocation count of one
+// request on c. Warm-up requests first grow the internal slices
+// (completion log, kernel heap, free lists) that steady state reuses or
+// amortizes.
+func steadyAllocsPerRequest(k *sim.Kernel, c *Cluster) float64 {
+	for i := 0; i < 64; i++ {
+		c.SubmitMix()
+		k.Run()
+	}
+	return testing.AllocsPerRun(200, func() {
+		c.SubmitMix()
+		k.Run()
+	})
+}
+
 // TestPhaseRecordingAllocFree pins the satellite guarantee that the span
 // phase decomposition added for latency attribution costs zero
 // allocations when no profiler is attached: recording Demand, on-CPU
 // time and drop/failure markers writes plain fields on spans the request
 // lifecycle allocates anyway. The budget below is the steady-state
-// allocation count of one two-tier request (request + 2 spans + events);
-// if phase recording ever starts allocating, the count rises and this
-// fails.
+// allocation count of one two-tier request over a direct edge; if phase
+// recording or the pooled call path ever starts allocating, the count
+// rises and this fails.
 func TestPhaseRecordingAllocFree(t *testing.T) {
 	k := sim.NewKernel(1)
 	c, err := New(k, twoTier(8, 8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up: first requests grow internal slices (completion log,
-	// kernel heap) that steady state reuses or amortizes.
-	for i := 0; i < 64; i++ {
-		c.SubmitMix()
-		k.Run()
+	avg := steadyAllocsPerRequest(k, c)
+	// With pooled visits, call records, timers and jobs and the span
+	// arena, one two-tier request allocates only the submit callback,
+	// the trace struct, and amortized slab/log growth (measured 3). The
+	// bound leaves slack for amortization jitter while still catching any
+	// per-visit, per-call, per-timer or per-quantum allocation.
+	if avg > 5 {
+		t.Fatalf("steady-state allocations per request = %.1f, want <= 5 (visit hot path regressed)", avg)
 	}
-	avg := testing.AllocsPerRun(200, func() {
-		c.SubmitMix()
-		k.Run()
-	})
-	// With pooled visits, pooled timers/jobs and the span arena, one
-	// two-tier request allocates only the trace struct, the RPC
-	// closures, amortized slab/log growth and per-request demand
-	// sampling — comfortably under 12 objects (measured ~8). The bound
-	// leaves slack for amortization jitter while still catching any
-	// per-visit, per-timer or per-quantum allocation regression.
-	if avg > 12 {
-		t.Fatalf("steady-state allocations per request = %.1f, want <= 12 (visit hot path regressed)", avg)
+}
+
+// TestPolicyEdgeAllocFree is the policy-edge sibling of
+// TestPhaseRecordingAllocFree: the same two-tier request over an edge
+// with a timeout, so every call runs through a pooled callState and
+// attempt whose deadline timer is armed and then cancelled by the
+// answer.
+func TestPolicyEdgeAllocFree(t *testing.T) {
+	k := sim.NewKernel(1)
+	c, err := New(k, twoTier(8, 8), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetCallPolicy("frontend", "backend", CallPolicy{Timeout: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	avg := steadyAllocsPerRequest(k, c)
+	// Same budget as the direct edge (measured 3): the call and attempt
+	// records and the timer all come from free lists.
+	if avg > 5 {
+		t.Fatalf("steady-state allocations per request = %.1f, want <= 5 (policy-edge call path regressed)", avg)
 	}
 }

@@ -267,6 +267,17 @@ type Cluster struct {
 	visitFree []*visit
 	spanChunk []trace.Span
 
+	// Call-record pools (see request.go): one directCall per call on a
+	// direct edge, one callState per call on a policy edge and one
+	// attempt per try. The *Made counters count pool misses, so once the
+	// kernel drains every record is back: len(free) == made.
+	directFree  []*directCall
+	callFree    []*callState
+	attemptFree []*attempt
+	directMade  int
+	callMade    int
+	attemptMade int
+
 	// Resilience / fault-injection state. resRNG is the deterministic
 	// stream behind backoff jitter and wire-loss decisions; edges holds
 	// per-edge policies, faults and breakers, with edgeOrder preserving
@@ -576,6 +587,103 @@ func (c *Cluster) freeVisit(v *visit) {
 	v.failed = false
 	v.degraded = false
 	c.visitFree = append(c.visitFree, v)
+}
+
+// newDirectCall hands out a recycled (or fresh) direct-call record. Its
+// continuations are bound once per struct and survive recycling;
+// freeDirectCall resets everything else.
+func (c *Cluster) newDirectCall() *directCall {
+	if n := len(c.directFree); n > 0 {
+		dc := c.directFree[n-1]
+		c.directFree[n-1] = nil
+		c.directFree = c.directFree[:n-1]
+		return dc
+	}
+	c.directMade++
+	dc := &directCall{}             //soravet:allow hotpath pool miss: allocates only while the in-flight direct-call high-water mark rises, then the free list serves every dispatch
+	dc.dbAcquiredFn = dc.dbAcquired //soravet:allow hotpath bound once per struct lifetime (pool miss only) and reused across recycles
+	dc.sendFn = dc.send             //soravet:allow hotpath bound once per struct lifetime (pool miss only) and reused across recycles
+	dc.arriveFn = dc.arrive         //soravet:allow hotpath bound once per struct lifetime (pool miss only) and reused across recycles
+	dc.doneFn = dc.done             //soravet:allow hotpath bound once per struct lifetime (pool miss only) and reused across recycles
+	dc.backFn = dc.back             //soravet:allow hotpath bound once per struct lifetime (pool miss only) and reused across recycles
+	return dc
+}
+
+// freeDirectCall recycles a direct-call record once the response has
+// been consumed.
+func (c *Cluster) freeDirectCall(dc *directCall) {
+	dc.v = nil
+	dc.child = nil
+	dc.cp = nil
+	dc.cv = nil
+	c.directFree = append(c.directFree, dc)
+}
+
+// newCallState hands out a recycled (or fresh) policy-edge call record
+// with its continuations bound once per struct.
+func (c *Cluster) newCallState() *callState {
+	if n := len(c.callFree); n > 0 {
+		cs := c.callFree[n-1]
+		c.callFree[n-1] = nil
+		c.callFree = c.callFree[:n-1]
+		return cs
+	}
+	c.callMade++
+	cs := &callState{}
+	cs.dbAcquiredFn = cs.dbAcquired
+	cs.sendFn = cs.send
+	cs.backoffDoneFn = cs.backoffDone
+	return cs
+}
+
+// freeCallState recycles a call record once the call has resolved.
+func (c *Cluster) freeCallState(cs *callState) {
+	cs.v = nil
+	cs.child = nil
+	cs.es = nil
+	cs.cp = nil
+	cs.attempts = 0
+	cs.isProbe = false
+	cs.brRejected = false
+	c.callFree = append(c.callFree, cs)
+}
+
+// newAttempt hands out a recycled (or fresh) attempt with its cluster
+// pointer and leg callbacks bound once per struct.
+func (c *Cluster) newAttempt() *attempt {
+	if n := len(c.attemptFree); n > 0 {
+		at := c.attemptFree[n-1]
+		c.attemptFree[n-1] = nil
+		c.attemptFree = c.attemptFree[:n-1]
+		return at
+	}
+	c.attemptMade++
+	at := &attempt{c: c}
+	at.arriveFn = at.arrive
+	at.timeoutFn = at.timeout
+	at.lostFn = at.lost
+	at.doneFn = at.done
+	at.answeredFn = at.answered
+	return at
+}
+
+// freeAttempt recycles an attempt once it is settled and its last leg
+// has closed.
+func (c *Cluster) freeAttempt(at *attempt) {
+	at.cs = nil
+	at.es = nil
+	at.node = nil
+	at.pspan = nil
+	at.depth = 0
+	at.dl = 0
+	at.cp = nil
+	at.timer = nil
+	at.child = nil
+	at.cv = nil
+	at.legs = 0
+	at.isProbe = false
+	at.settled = false
+	c.attemptFree = append(c.attemptFree, at)
 }
 
 // Dropped returns the number of requests rejected by full admission

@@ -163,16 +163,40 @@ func (v *visit) childrenPhase() {
 
 // startCall routes one downstream call: edges with a resilience policy
 // or an injected fault go through the callState attempt machinery;
-// everything else takes the original direct path, which allocates
-// nothing beyond the child visit itself.
+// everything else takes the direct path. Both run on pooled call
+// records whose continuations are bound once per struct, so once the
+// free lists warm a call allocates nothing beyond its child visit's
+// span.
 func (v *visit) startCall(child *CallNode) {
 	es := v.c.edge(v.node.Service, child.Service)
 	if es == nil || !es.active() {
 		v.dispatchDirect(child)
 		return
 	}
-	cs := &callState{v: v, child: child, es: es}
+	cs := v.c.newCallState()
+	cs.v = v
+	cs.child = child
+	cs.es = es
 	cs.dispatch()
+}
+
+// directCall is one downstream call over a direct edge, from slot
+// acquisition until the response reaches the caller. Its steps are
+// methods bound once per struct (the *Fn fields), so the pool wait lists
+// and the kernel are handed existing func values, never fresh closures.
+//
+//soravet:pool directCall invalidated-by Cluster.freeDirectCall record dead once freeDirectCall returns; back recycles it before advancing the caller, and a later dispatchDirect may reissue it
+type directCall struct {
+	v     *visit
+	child *CallNode
+	cp    *pool  // client-connection slot held; nil when the edge has no client pool
+	cv    *visit // answered child, held across the return hop
+
+	dbAcquiredFn func()
+	sendFn       func()
+	arriveFn     func()
+	doneFn       func(*visit)
+	backFn       func()
 }
 
 // dispatchDirect acquires this pod's downstream-connection slot and, if
@@ -180,55 +204,84 @@ func (v *visit) startCall(child *CallNode) {
 // call. Slot waits happen off-CPU but count toward this service's
 // processing time (the visit is not "blocked on downstream" until the
 // RPC is actually in flight).
+//
+//soravet:hotpath TestPhaseRecordingAllocFree per-call dispatch on direct edges: a recycled call record whose bound continuations go on the slot wait lists, allocation-free once the free list warms
 func (v *visit) dispatchDirect(child *CallNode) {
-	v.inst.db.acquire(func() {
-		cp, hasCP := v.inst.client[child.Service]
-		if !hasCP {
-			v.sendDirect(child, func() { v.inst.db.release() })
-			return
-		}
-		cp.acquire(func() {
-			v.sendDirect(child, func() {
-				cp.release()
-				v.inst.db.release()
-			})
-		})
-	})
+	dc := v.c.newDirectCall()
+	dc.v = v
+	dc.child = child
+	v.inst.db.acquire(dc.dbAcquiredFn)
 }
 
-// sendDirect performs the network round trip and child visit; release
-// runs when the response arrives back, before continuing the parent.
-func (v *visit) sendDirect(child *CallNode, release func()) {
+// dbAcquired runs once the downstream-connection slot is held.
+func (dc *directCall) dbAcquired() {
+	if cp, ok := dc.v.inst.client[dc.child.Service]; ok {
+		dc.cp = cp
+		cp.acquire(dc.sendFn)
+		return
+	}
+	dc.send()
+}
+
+// send puts the call on the wire once every slot is held.
+func (dc *directCall) send() {
+	v := dc.v
 	v.outstanding++
 	v.reWait()
-	v.c.withNetDelay(func() {
-		v.c.startVisit(child, v.span, v.span.Depth+1, v.deadline, func(cv *visit) {
-			v.c.withNetDelay(func() {
-				release()
-				v.outstanding--
-				v.reWait()
-				if cv.dropped || cv.failed {
-					v.failed = true
-				} else if cv.degraded {
-					v.degraded = true
-				}
-				// The child's outcome has been consumed; its span stays
-				// reachable through the trace tree, the struct recycles.
-				v.c.freeVisit(cv)
-				v.childAnswered()
-			})
-		})
-	})
+	v.c.withNetDelay(dc.arriveFn)
+}
+
+// arrive starts the child visit after the request hop.
+func (dc *directCall) arrive() {
+	v := dc.v
+	v.c.startVisit(dc.child, v.span, v.span.Depth+1, v.deadline, dc.doneFn)
+}
+
+// done is the child's completion signal; the response takes one hop
+// back.
+func (dc *directCall) done(cv *visit) {
+	dc.cv = cv
+	dc.v.c.withNetDelay(dc.backFn)
+}
+
+// back runs when the response reaches the caller. It frees the slots,
+// consumes the child's outcome, and recycles the child visit and the
+// record before the caller advances, so its next call can reuse both.
+func (dc *directCall) back() {
+	v, cv := dc.v, dc.cv
+	v.inst.releaseSlots(dc.cp)
+	v.outstanding--
+	v.reWait()
+	if cv.dropped || cv.failed {
+		v.failed = true
+	} else if cv.degraded {
+		v.degraded = true
+	}
+	// The child's outcome has been consumed; its span stays reachable
+	// through the trace tree, the struct recycles.
+	v.c.freeVisit(cv)
+	v.c.freeDirectCall(dc)
+	v.childAnswered()
 }
 
 // callState drives one downstream call over a policy- or fault-bearing
-// edge through its attempt budget.
+// edge through its attempt budget. At most one unsettled attempt or one
+// backoff wait refers to it at a time, and neither is left when the call
+// resolves, so resolve recycles it on the spot.
+//
+//soravet:pool callState invalidated-by resolve,Cluster.freeCallState record dead once the call resolves; resolve free-lists it before the caller advances, and settled attempts never refer back to it
 type callState struct {
-	v        *visit
-	child    *CallNode
-	es       *edgeState
-	attempts int // attempts consumed (dispatched or breaker-rejected)
-	done     bool
+	v          *visit
+	child      *CallNode
+	es         *edgeState
+	cp         *pool // client slot acquired for the attempt being sent; nil when none
+	attempts   int   // attempts consumed (dispatched or breaker-rejected)
+	isProbe    bool  // the attempt being dispatched is a half-open breaker probe
+	brRejected bool  // the pending backoff follows a breaker rejection
+
+	dbAcquiredFn  func()
+	sendFn        func()
+	backoffDoneFn func()
 }
 
 // dispatch consumes one attempt: deadline check, breaker admission,
@@ -246,148 +299,211 @@ func (cs *callState) dispatch() {
 		cs.afterFailure(true)
 		return
 	}
-	v.inst.db.acquire(func() {
-		cp, hasCP := v.inst.client[cs.child.Service]
-		if !hasCP {
-			cs.send(isProbe, func() { v.inst.db.release() })
-			return
-		}
-		cp.acquire(func() {
-			cs.send(isProbe, func() {
-				cp.release()
-				v.inst.db.release()
-			})
-		})
-	})
+	cs.isProbe = isProbe
+	v.inst.db.acquire(cs.dbAcquiredFn)
+}
+
+// dbAcquired runs once the downstream-connection slot is held.
+func (cs *callState) dbAcquired() {
+	if cp, ok := cs.v.inst.client[cs.child.Service]; ok {
+		cs.cp = cp
+		cp.acquire(cs.sendFn)
+		return
+	}
+	cs.send()
 }
 
 // attempt is one try of a callState: it owns the connection slots, the
 // timeout timer, and the settled flag that makes answer/timeout/loss
-// mutually exclusive.
+// mutually exclusive. Only settle touches the call: from then on the
+// call may resolve and recycle while a request hop or a late answer is
+// still pending, so the attempt carries its own copy of everything
+// those need. It is recycled once it is settled and all three of its
+// legs are closed:
+//
+//   - wire: the request hop's callback has run (it started the child or
+//     an orphan, or reported the loss);
+//   - timer: the deadline fired, or settle cancelled it;
+//   - answer: the child's response hop has landed (answered).
+//
+//soravet:pool attempt invalidated-by closeLeg,Cluster.freeAttempt record dead once closeLeg returns; closing the last leg of a settled attempt free-lists it, and a later send may reissue it
 type attempt struct {
-	cs      *callState
-	release func()
+	c       *Cluster
+	cs      *callState // nil once settled
+	es      *edgeState
+	node    *CallNode   // the callee
+	pspan   *trace.Span // caller's span: stays valid after the caller's visit recycles
+	depth   int
+	dl      sim.Time // attempt deadline; 0 = none
+	cp      *pool    // client-connection slot held; nil when none
 	timer   *sim.Timer
 	child   *trace.Span // child visit's span, for Abandoned marking
+	cv      *visit      // answered child, held across the return hop
+	legs    int8        // open legs: wire, timer, answer
 	isProbe bool
 	settled bool
+
+	arriveFn   func()
+	timeoutFn  func()
+	lostFn     func()
+	doneFn     func(*visit)
+	answeredFn func()
 }
 
 // send puts one attempt on the wire: computes the attempt deadline
 // (min of policy timeout and propagated deadline), applies the edge's
 // injected loss, and dispatches the child visit.
-func (cs *callState) send(isProbe bool, release func()) {
+func (cs *callState) send() {
 	v := cs.v
-	now := v.c.k.Now()
-	at := &attempt{cs: cs, release: release, isProbe: isProbe}
+	c := v.c
+	now := c.k.Now()
+	at := c.newAttempt()
+	at.cs = cs
+	at.es = cs.es
+	at.node = cs.child
+	// Capture the parent span before the wire delay: if the attempt
+	// times out in flight, v may finish and be recycled before the
+	// request lands, but the arena span stays valid for the trace.
+	at.pspan = v.span
+	at.depth = v.span.Depth + 1
+	at.cp = cs.cp
+	cs.cp = nil
+	at.isProbe = cs.isProbe
 	v.outstanding++
 	v.reWait()
-	var dl sim.Time
 	if t := cs.es.policy.Timeout; t > 0 {
-		dl = now + sim.Time(t)
+		at.dl = now + sim.Time(t)
 	}
-	if v.deadline > 0 && (dl == 0 || v.deadline < dl) {
-		dl = v.deadline
+	if v.deadline > 0 && (at.dl == 0 || v.deadline < at.dl) {
+		at.dl = v.deadline
 	}
-	if dl > 0 {
-		at.timer = v.c.k.At(dl, at.timeout)
+	if at.dl > 0 {
+		at.legs++
+		at.timer = c.k.At(at.dl, at.timeoutFn)
 	}
-	if f := cs.es.fault; f.LossProb > 0 && v.c.resRNG.Float64() < f.LossProb {
+	if f := cs.es.fault; f.LossProb > 0 && c.resRNG.Float64() < f.LossProb {
 		// Lost on the wire: the callee never sees the call. The caller
 		// learns nothing until its attempt deadline fires; with no
 		// timeout configured, model a connection reset after one hop.
-		v.c.lostCalls++
+		c.lostCalls++
 		if at.timer == nil {
-			v.c.withEdgeDelay(cs.es, at.lost)
+			at.legs++
+			c.withEdgeDelay(cs.es, at.lostFn)
 		}
 		return
 	}
-	// Capture the parent span before the wire delay: if the attempt
-	// times out in flight, v may finish and be recycled before the
-	// closure runs, but the arena span stays valid for the trace.
-	c, pspan, depth := v.c, v.span, v.span.Depth+1
-	c.withEdgeDelay(cs.es, func() {
-		if at.settled {
-			// The caller already timed this attempt out while the
-			// request was on the wire; the callee still executes it as
-			// an orphan.
-			orphan := c.startVisit(cs.child, pspan, depth, dl, nil)
-			orphan.span.Abandoned = true
-			return
-		}
-		cv := c.startVisit(cs.child, pspan, depth, dl, func(cv *visit) {
-			c.withEdgeDelay(cs.es, func() { at.answered(cv) })
-		})
-		at.child = cv.span
-	})
+	at.legs++
+	c.withEdgeDelay(cs.es, at.arriveFn)
 }
 
-// settle closes the attempt exactly once: cancels the timer, frees the
-// connection slots, and closes the visit's blocked window.
-func (at *attempt) settle() bool {
+// arrive runs when the request lands at the callee, closing the wire
+// leg. If the caller already timed the attempt out while the request
+// was on the wire, the callee still executes it as an orphan.
+func (at *attempt) arrive() {
 	if at.settled {
-		return false
+		orphan := at.c.startVisit(at.node, at.pspan, at.depth, at.dl, nil)
+		orphan.span.Abandoned = true
+	} else {
+		at.legs++ // the answer leg, opened first: a refused child answers inside startVisit
+		cv := at.c.startVisit(at.node, at.pspan, at.depth, at.dl, at.doneFn)
+		if !at.settled {
+			// Still pending, so cv has not answered and is live; its
+			// span is what a timeout marks Abandoned.
+			at.child = cv.span
+		}
+	}
+	at.closeLeg()
+}
+
+// done is the child's completion signal; the response takes one edge
+// hop back to the caller.
+func (at *attempt) done(cv *visit) {
+	at.cv = cv
+	at.c.withEdgeDelay(at.es, at.answeredFn)
+}
+
+// settle closes the attempt exactly once: cancels the timer (closing its
+// leg), frees the connection slots, and closes the visit's blocked
+// window. It hands the call over and forgets it; a nil result means the
+// attempt was already settled.
+func (at *attempt) settle() *callState {
+	if at.settled {
+		return nil
 	}
 	at.settled = true
 	if at.timer != nil {
 		at.timer.Cancel()
 		at.timer = nil
+		at.legs--
 	}
-	at.release()
-	at.cs.v.outstanding--
-	at.cs.v.reWait()
-	return true
+	cs := at.cs
+	at.cs = nil
+	v := cs.v
+	v.inst.releaseSlots(at.cp)
+	v.outstanding--
+	v.reWait()
+	return cs
 }
 
-// answered handles the child's response reaching the caller. The child
-// visit's flags are copied out and the struct recycled up front: in the
-// timed-out-earlier path the parent may itself have finished (and been
-// recycled) by the time the late response lands, so only the stable
-// Cluster pointer may be touched through at.cs.v there.
-func (at *attempt) answered(cv *visit) {
+// answered handles the child's response reaching the caller, closing
+// the answer leg. The child visit's flags are copied out and the struct
+// recycled up front. If the attempt timed out earlier, the late response
+// is discarded: its call may be long resolved and its caller recycled,
+// which is why nothing here reaches them except through settle.
+func (at *attempt) answered() {
+	cv := at.cv
+	at.cv = nil
 	failed := cv.dropped || cv.failed
 	degraded := cv.degraded
-	at.cs.v.c.freeVisit(cv)
-	if !at.settle() {
-		return // timed out earlier; the late response is discarded
+	at.c.freeVisit(cv)
+	if cs := at.settle(); cs != nil {
+		cs.es.breakerRecord(at.c, at.isProbe, !failed)
+		if failed {
+			cs.afterFailure(false)
+		} else {
+			if degraded {
+				cs.v.degraded = true
+			}
+			cs.resolve()
+		}
 	}
-	cs := at.cs
-	cs.es.breakerRecord(cs.v.c, at.isProbe, !failed)
-	if failed {
-		cs.afterFailure(false)
-		return
-	}
-	if degraded {
-		cs.v.degraded = true
-	}
-	cs.succeed()
+	at.closeLeg()
 }
 
-// timeout fires at the attempt deadline: the in-flight child (if it
-// started) becomes an orphan, and the attempt counts as failed.
+// timeout fires at the attempt deadline, closing the timer leg: the
+// in-flight child (if it started) becomes an orphan, and the attempt
+// counts as failed.
 func (at *attempt) timeout() {
 	at.timer = nil
-	if !at.settle() {
-		return
+	if cs := at.settle(); cs != nil {
+		if at.child != nil {
+			at.child.Abandoned = true
+		}
+		at.c.timedOut++
+		cs.es.breakerRecord(at.c, at.isProbe, false)
+		cs.afterFailure(false)
 	}
-	if at.child != nil {
-		at.child.Abandoned = true
-	}
-	cs := at.cs
-	cs.v.c.timedOut++
-	cs.es.breakerRecord(cs.v.c, at.isProbe, false)
-	cs.afterFailure(false)
+	at.closeLeg()
 }
 
 // lost handles a wire-lost attempt on an edge with no timeout: a
-// one-hop connection reset.
+// one-hop connection reset, closing the wire leg.
 func (at *attempt) lost() {
-	if !at.settle() {
-		return
+	if cs := at.settle(); cs != nil {
+		cs.es.breakerRecord(at.c, at.isProbe, false)
+		cs.afterFailure(false)
 	}
-	cs := at.cs
-	cs.es.breakerRecord(cs.v.c, at.isProbe, false)
-	cs.afterFailure(false)
+	at.closeLeg()
+}
+
+// closeLeg closes one of the attempt's legs and recycles the attempt
+// when that was the last one of a settled attempt. It must be the leg
+// callback's final use of the attempt.
+func (at *attempt) closeLeg() {
+	at.legs--
+	if at.legs == 0 && at.settled {
+		at.c.freeAttempt(at)
+	}
 }
 
 // afterFailure decides between another attempt (after backoff, charged
@@ -404,44 +520,44 @@ func (cs *callState) afterFailure(brRejected bool) {
 				v.c.noteRetry(cs.es.key)
 			}
 			v.reWait()
-			v.c.k.Schedule(backoff, func() {
-				if brRejected {
-					v.brWaits--
-				} else {
-					v.backoffs--
-				}
-				v.reWait()
-				cs.dispatch()
-			})
+			cs.brRejected = brRejected
+			v.c.k.Schedule(backoff, cs.backoffDoneFn)
 			return
 		}
 	}
 	cs.exhausted()
 }
 
+// backoffDone ends a backoff wait and dispatches the next attempt.
+func (cs *callState) backoffDone() {
+	v := cs.v
+	if cs.brRejected {
+		v.brWaits--
+	} else {
+		v.backoffs--
+	}
+	v.reWait()
+	cs.dispatch()
+}
+
 // exhausted resolves the call after the attempt budget (or deadline) is
 // spent: optional calls degrade the caller's response, essential calls
 // fail its subtree.
 func (cs *callState) exhausted() {
-	if cs.done {
-		return
-	}
-	cs.done = true
 	if cs.es.policy.Optional {
 		cs.v.degraded = true
 	} else {
 		cs.v.failed = true
 	}
-	cs.v.childAnswered()
+	cs.resolve()
 }
 
-// succeed resolves the call successfully.
-func (cs *callState) succeed() {
-	if cs.done {
-		return
-	}
-	cs.done = true
-	cs.v.childAnswered()
+// resolve ends the call and recycles the record before the caller
+// advances, so the caller's next sequential call can reuse it.
+func (cs *callState) resolve() {
+	v := cs.v
+	v.c.freeCallState(cs)
+	v.childAnswered()
 }
 
 // childAnswered advances sequential dispatch or the join after one

@@ -504,7 +504,7 @@ func (p *pool) acquire(cont func()) {
 		cont()
 		return
 	}
-	p.waiting = append(p.waiting, cont)
+	p.waiting = append(p.waiting, cont) //soravet:allow hotpath wait-list append reuses capacity at steady state; continuations are bound call-record methods, so no closure is allocated
 }
 
 func (p *pool) release() {
@@ -530,6 +530,16 @@ func (p *pool) setCap(n int) {
 		p.active++
 		next()
 	}
+}
+
+// releaseSlots frees one downstream call's connection slots: the
+// per-target client slot (nil when the edge has none), then the pod's
+// downstream-connection slot.
+func (in *Instance) releaseSlots(cp *pool) {
+	if cp != nil {
+		cp.release()
+	}
+	in.db.release()
 }
 
 // Stats reports per-instance lifetime counters.

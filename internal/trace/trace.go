@@ -189,23 +189,28 @@ func (t *Trace) CriticalPath() []*Span {
 		return nil
 	}
 	var path []*Span
-	cur := t.Root
-	for cur != nil {
+	for cur := t.Root; cur != nil; cur = criticalChild(cur) {
 		path = append(path, cur)
-		var next *Span
-		var nextDur time.Duration = -1
-		for _, c := range cur.Children {
-			if c.Abandoned {
-				continue
-			}
-			if d := c.Duration(); d > nextDur {
-				next = c
-				nextDur = d
-			}
-		}
-		cur = next
 	}
 	return path
+}
+
+// criticalChild returns the child the critical path descends into from
+// s — the longest non-abandoned child, earliest-dispatched on ties (see
+// CriticalPath) — or nil when s is the path's last span.
+func criticalChild(s *Span) *Span {
+	var next *Span
+	var nextDur time.Duration = -1
+	for _, c := range s.Children {
+		if c.Abandoned {
+			continue
+		}
+		if d := c.Duration(); d > nextDur {
+			next = c
+			nextDur = d
+		}
+	}
+	return next
 }
 
 // CriticalPathServices returns the service names along the critical path.
@@ -236,10 +241,12 @@ func (t *Trace) FindSpan(service string) *Span {
 // UpstreamProcessing returns the sum of processing times of all services
 // strictly above the given service on the trace's critical path, i.e.
 // Σ_{k<i} PT_sk from Eq. (3) of the paper. The second return value reports
-// whether the service appears on the critical path at all.
+// whether the service appears on the critical path at all. The path is
+// descended in place rather than materialized, so the SCG model's
+// per-trace call allocates nothing.
 func (t *Trace) UpstreamProcessing(service string) (time.Duration, bool) {
 	var sum time.Duration
-	for _, s := range t.CriticalPath() {
+	for s := t.Root; s != nil; s = criticalChild(s) {
 		if s.Service == service {
 			return sum, true
 		}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -126,6 +127,76 @@ func TestUpstreamProcessing(t *testing.T) {
 	}
 	if got, ok := tr.UpstreamProcessing("front-end"); !ok || got != 0 {
 		t.Errorf("front-end upstream = %v ok=%v, want 0 true", got, ok)
+	}
+}
+
+// randomSpanTree builds a random span tree below depth levels. Services
+// repeat across the tree, durations come from a handful of values so
+// equal-duration siblings are common, and some children are Abandoned.
+func randomSpanTree(rng *rand.Rand, depth int) *Span {
+	services := []string{"a", "b", "c", "d"}
+	arrival := sim.Time(rng.IntN(3)) * time.Millisecond
+	dur := time.Duration(1+rng.IntN(4)) * time.Millisecond
+	s := &Span{
+		Service: services[rng.IntN(len(services))],
+		Depth:   depth,
+		Arrival: arrival,
+		Start:   arrival,
+		End:     arrival + dur,
+		Blocked: time.Duration(rng.Int64N(int64(dur) + 1)),
+	}
+	if depth < 4 {
+		for i := rng.IntN(4); i > 0; i-- {
+			c := randomSpanTree(rng, depth+1)
+			c.Abandoned = rng.IntN(5) == 0
+			s.Children = append(s.Children, c)
+		}
+	}
+	return s
+}
+
+// TestUpstreamProcessingMatchesCriticalPath checks the in-place descent
+// against the sum over the materialized CriticalPath slice, including
+// tie-breaks, Abandoned skips and services that repeat along the path.
+func TestUpstreamProcessingMatchesCriticalPath(t *testing.T) {
+	viaSlice := func(tr *Trace, service string) (time.Duration, bool) {
+		var sum time.Duration
+		for _, s := range tr.CriticalPath() {
+			if s.Service == service {
+				return sum, true
+			}
+			sum += s.ProcessingTime()
+		}
+		return 0, false
+	}
+	rng := sim.NewKernel(0x7ace).Split(0x9a7)
+	trees := []*Trace{{}}
+	for i := 0; i < 500; i++ {
+		trees = append(trees, &Trace{ID: ID(i), Root: randomSpanTree(rng, 0)})
+	}
+	for _, tr := range trees {
+		for _, svc := range []string{"a", "b", "c", "d", "absent"} {
+			got, gotOK := tr.UpstreamProcessing(svc)
+			want, wantOK := viaSlice(tr, svc)
+			if got != want || gotOK != wantOK {
+				t.Fatalf("trace %d service %q: UpstreamProcessing = (%v, %v), critical-path sum = (%v, %v)",
+					tr.ID, svc, got, gotOK, want, wantOK)
+			}
+		}
+	}
+}
+
+var upstreamSink time.Duration
+
+// TestUpstreamProcessingAllocFree pins the SCG model's per-trace call at
+// zero allocations.
+func TestUpstreamProcessingAllocFree(t *testing.T) {
+	tr := chainTrace(3)
+	avg := testing.AllocsPerRun(100, func() {
+		upstreamSink, _ = tr.UpstreamProcessing("cart-db")
+	})
+	if avg != 0 {
+		t.Fatalf("UpstreamProcessing allocates %.1f objects per call, want 0", avg)
 	}
 }
 
