@@ -674,7 +674,7 @@ func (c *Cluster) freeAttempt(at *attempt) {
 	at.es = nil
 	at.node = nil
 	at.pspan = nil
-	at.depth = 0
+	at.fanout = 0
 	at.dl = 0
 	at.cp = nil
 	at.timer = nil

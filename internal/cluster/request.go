@@ -88,12 +88,14 @@ func (v *visit) reWait() {
 // parent is identified by its span, not its visit: spans are
 // arena-allocated and stable for the trace's lifetime, while the parent
 // visit may already be recycled when a timed-out attempt's orphan call
-// finally reaches the wire. The deadline is the caller's propagated
-// deadline (0 = none); visits that find every pod of the service down
-// are refused immediately.
+// finally reaches the wire. fanout is the caller's number of downstream
+// calls, the capacity the parent's child list is allocated with on its
+// first child. The deadline is the caller's propagated deadline
+// (0 = none); visits that find every pod of the service down are
+// refused immediately.
 //
 //soravet:hotpath BenchmarkRequestPath per-hop admission: one startVisit per service visit, allocation-free except the span arena and pool misses
-func (c *Cluster) startVisit(node *CallNode, parent *trace.Span, depth int, deadline sim.Time, onDone func(*visit)) *visit {
+func (c *Cluster) startVisit(node *CallNode, parent *trace.Span, fanout int, deadline sim.Time, onDone func(*visit)) *visit {
 	svc := c.services[node.Service]
 	if svc.flight != nil {
 		svc.flight.arrivals++
@@ -101,7 +103,6 @@ func (c *Cluster) startVisit(node *CallNode, parent *trace.Span, depth int, dead
 	inst := svc.pick()
 	span := c.newSpan()
 	span.Service = node.Service
-	span.Depth = depth
 	span.Arrival = c.k.Now()
 	v := c.newVisit()
 	v.inst = inst
@@ -110,7 +111,13 @@ func (c *Cluster) startVisit(node *CallNode, parent *trace.Span, depth int, dead
 	v.deadline = deadline
 	v.onDone = onDone
 	if parent != nil {
-		parent.Children = append(parent.Children, v.span) //soravet:allow hotpath child-span list append: fan-out degree is call-graph bounded and small; a per-span presized slice would pin worst-case capacity on every span
+		span.Depth = parent.Depth + 1
+		// A span with no children keeps a nil list, so exported and
+		// re-imported traces compare equal.
+		if parent.Children == nil {
+			parent.Children = make([]*trace.Span, 0, fanout) //soravet:allow hotpath one child list per span that gets a child, sized to the caller's fan-out
+		}
+		parent.Children = append(parent.Children, span) //soravet:allow hotpath fills the list presized to the fan-out; only retries and orphaned attempts grow it
 	}
 	if inst == nil {
 		v.refuse()
@@ -234,7 +241,7 @@ func (dc *directCall) send() {
 // arrive starts the child visit after the request hop.
 func (dc *directCall) arrive() {
 	v := dc.v
-	v.c.startVisit(dc.child, v.span, v.span.Depth+1, v.deadline, dc.doneFn)
+	v.c.startVisit(dc.child, v.span, len(v.node.Children), v.deadline, dc.doneFn)
 }
 
 // done is the child's completion signal; the response takes one hop
@@ -333,9 +340,9 @@ type attempt struct {
 	es      *edgeState
 	node    *CallNode   // the callee
 	pspan   *trace.Span // caller's span: stays valid after the caller's visit recycles
-	depth   int
-	dl      sim.Time // attempt deadline; 0 = none
-	cp      *pool    // client-connection slot held; nil when none
+	fanout  int         // the caller's downstream call count
+	dl      sim.Time    // attempt deadline; 0 = none
+	cp      *pool       // client-connection slot held; nil when none
 	timer   *sim.Timer
 	child   *trace.Span // child visit's span, for Abandoned marking
 	cv      *visit      // answered child, held across the return hop
@@ -365,7 +372,7 @@ func (cs *callState) send() {
 	// times out in flight, v may finish and be recycled before the
 	// request lands, but the arena span stays valid for the trace.
 	at.pspan = v.span
-	at.depth = v.span.Depth + 1
+	at.fanout = len(v.node.Children)
 	at.cp = cs.cp
 	cs.cp = nil
 	at.isProbe = cs.isProbe
@@ -401,11 +408,11 @@ func (cs *callState) send() {
 // was on the wire, the callee still executes it as an orphan.
 func (at *attempt) arrive() {
 	if at.settled {
-		orphan := at.c.startVisit(at.node, at.pspan, at.depth, at.dl, nil)
+		orphan := at.c.startVisit(at.node, at.pspan, at.fanout, at.dl, nil)
 		orphan.span.Abandoned = true
 	} else {
 		at.legs++ // the answer leg, opened first: a refused child answers inside startVisit
-		cv := at.c.startVisit(at.node, at.pspan, at.depth, at.dl, at.doneFn)
+		cv := at.c.startVisit(at.node, at.pspan, at.fanout, at.dl, at.doneFn)
 		if !at.settled {
 			// Still pending, so cv has not answered and is live; its
 			// span is what a timeout marks Abandoned.

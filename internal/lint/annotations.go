@@ -191,17 +191,20 @@ func assignTargetObj(info *types.Info, lhs ast.Expr) types.Object {
 // method it statically invokes, or nil for dynamic calls (function
 // values, interface methods resolve to their interface *types.Func,
 // which has no declaration in declOf and therefore also cuts the
-// graph), conversions, and builtins.
+// graph), conversions, and builtins. A method of an instantiated generic
+// type resolves to its generic declaration.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var fn *types.Func
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
+		fn, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
 	}
-	return nil
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 func (a *annotations) problem(p *Package, pos token.Pos, format string, args ...any) {

@@ -12,7 +12,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"sora/internal/sim"
@@ -26,86 +25,39 @@ type Point struct {
 }
 
 // Series is an append-only time series of gauge samples, appended in
-// nondecreasing time order (enforced). By default it grows without
-// limit; SetBound turns it into a ring keeping only the most recent
-// samples, which is what lets streaming million-user runs hold memory
-// flat while the online models still see their trailing window.
+// nondecreasing time order (enforced). Prune drops the samples behind a
+// retention cutoff without moving the survivors, which is what keeps the
+// monitor's gauges flat and cheap on long runs while the online models
+// still see their trailing window.
 type Series struct {
-	pts   []Point
-	bound int
-}
-
-// SetBound caps the series at the n most recent samples (0 restores
-// unbounded growth). Trimming is amortized: the slice is allowed to
-// reach 2n before the newest n samples are copied down in place, so a
-// bounded series costs O(1) amortized per Add and never holds more than
-// ~2n points regardless of run length.
-func (s *Series) SetBound(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.bound = n
-	s.trim()
-}
-
-// Bound returns the configured sample cap (0 = unbounded).
-func (s *Series) Bound() int { return s.bound }
-
-// trim enforces the bound once the slice has outgrown the slack that
-// amortizes the copy-down.
-func (s *Series) trim() {
-	if s.bound == 0 || len(s.pts) <= 2*s.bound {
-		return
-	}
-	keep := s.pts[len(s.pts)-s.bound:]
-	copy(s.pts, keep)
-	s.pts = s.pts[:s.bound]
+	pts blockLog[Point]
 }
 
 // Add appends an observation. Out-of-order appends panic: the simulator's
 // single-threaded kernel makes them impossible unless a component is
 // misusing the series.
 func (s *Series) Add(t sim.Time, v float64) {
-	if n := len(s.pts); n > 0 && t < s.pts[n-1].T {
-		panic(fmt.Sprintf("metrics: out-of-order sample at %v after %v", t, s.pts[n-1].T))
+	if last, ok := s.pts.last(); ok && t < last.T {
+		panic(fmt.Sprintf("metrics: out-of-order sample at %v after %v", t, last.T))
 	}
-	s.pts = append(s.pts, Point{T: t, V: v})
-	s.trim()
+	s.pts.push(Point{T: t, V: v})
 }
 
 // Len returns the number of stored samples.
-func (s *Series) Len() int { return len(s.pts) }
+func (s *Series) Len() int { return s.pts.n }
 
 // Window returns the samples with T in [since, until).
 func (s *Series) Window(since, until sim.Time) []Point {
-	lo := s.lowerBound(since)
-	hi := s.lowerBound(until)
-	if lo >= hi {
-		return nil
-	}
-	out := make([]Point, hi-lo)
-	copy(out, s.pts[lo:hi])
-	return out
+	return s.pts.slice(s.span(since, until))
 }
 
 // Last returns the most recent sample and true, or a zero Point and false
 // when the series is empty.
-func (s *Series) Last() (Point, bool) {
-	if len(s.pts) == 0 {
-		return Point{}, false
-	}
-	return s.pts[len(s.pts)-1], true
-}
+func (s *Series) Last() (Point, bool) { return s.pts.last() }
 
 // Prune discards samples older than the cutoff.
 func (s *Series) Prune(before sim.Time) {
-	i := s.lowerBound(before)
-	if i == 0 {
-		return
-	}
-	remaining := len(s.pts) - i
-	copy(s.pts, s.pts[i:])
-	s.pts = s.pts[:remaining]
+	s.pts.drop(s.lowerBound(before))
 }
 
 // BucketMeans partitions [since, until) into fixed buckets and returns the
@@ -118,14 +70,17 @@ func (s *Series) BucketMeans(since, until sim.Time, bucket time.Duration) []floa
 	}
 	sums := make([]float64, n)
 	counts := make([]int, n)
-	for _, p := range s.pts[s.lowerBound(since):s.lowerBound(until)] {
-		idx := int((p.T - since) / bucket)
-		if idx < 0 || idx >= n {
-			continue
+	lo, hi := s.span(since, until)
+	s.pts.each(lo, hi, func(run []Point) {
+		for _, p := range run {
+			idx := int((p.T - since) / bucket)
+			if idx < 0 || idx >= n {
+				continue
+			}
+			sums[idx] += p.V
+			counts[idx]++
 		}
-		sums[idx] += p.V
-		counts[idx]++
-	}
+	})
 	out := make([]float64, n)
 	for i := range out {
 		if counts[i] == 0 {
@@ -138,7 +93,14 @@ func (s *Series) BucketMeans(since, until sim.Time, bucket time.Duration) []floa
 }
 
 func (s *Series) lowerBound(t sim.Time) int {
-	return sort.Search(len(s.pts), func(i int) bool { return s.pts[i].T >= t })
+	return s.pts.search(func(p Point) bool { return p.T >= t })
+}
+
+// span returns the index range of the samples with T in [since, until);
+// an inverted window is empty.
+func (s *Series) span(since, until sim.Time) (lo, hi int) {
+	lo = s.lowerBound(since)
+	return lo, max(lo, s.lowerBound(until))
 }
 
 // Completion records one finished request.
@@ -157,7 +119,7 @@ type Completion struct {
 // counters) lets the SCG model re-derive goodput against any propagated
 // deadline after the fact — the crux of threshold-sensitive estimation.
 type CompletionLog struct {
-	completions []Completion
+	completions blockLog[Completion]
 }
 
 // Add appends a completion; out-of-order appends panic (see Series.Add).
@@ -167,36 +129,26 @@ func (l *CompletionLog) Add(at sim.Time, rt time.Duration) {
 
 // AddFlagged appends a completion carrying the degraded marker;
 // out-of-order appends panic (see Series.Add).
+//
+//soravet:hotpath TestCompletionLogRecycledAllocFree every completed request lands here; once the log has recycled a block, AddFlagged plus retention Prune allocate nothing
 func (l *CompletionLog) AddFlagged(at sim.Time, rt time.Duration, degraded bool) {
-	if n := len(l.completions); n > 0 && at < l.completions[n-1].At {
-		panic(fmt.Sprintf("metrics: out-of-order completion at %v after %v", at, l.completions[n-1].At))
+	if last, ok := l.completions.last(); ok && at < last.At {
+		panic(fmt.Sprintf("metrics: out-of-order completion at %v after %v", at, last.At))
 	}
-	l.completions = append(l.completions, Completion{At: at, RT: rt, Degraded: degraded})
+	l.completions.push(Completion{At: at, RT: rt, Degraded: degraded})
 }
 
 // Len returns the number of recorded completions.
-func (l *CompletionLog) Len() int { return len(l.completions) }
+func (l *CompletionLog) Len() int { return l.completions.n }
 
 // Prune discards completions older than the cutoff.
 func (l *CompletionLog) Prune(before sim.Time) {
-	i := l.lowerBound(before)
-	if i == 0 {
-		return
-	}
-	remaining := len(l.completions) - i
-	copy(l.completions, l.completions[i:])
-	l.completions = l.completions[:remaining]
+	l.completions.drop(l.lowerBound(before))
 }
 
 // Window returns completions with At in [since, until).
 func (l *CompletionLog) Window(since, until sim.Time) []Completion {
-	lo, hi := l.lowerBound(since), l.lowerBound(until)
-	if lo >= hi {
-		return nil
-	}
-	out := make([]Completion, hi-lo)
-	copy(out, l.completions[lo:hi])
-	return out
+	return l.completions.slice(l.span(since, until))
 }
 
 // Counts returns (goodput, badput) request counts in [since, until)
@@ -204,14 +156,15 @@ func (l *CompletionLog) Window(since, until sim.Time) []Completion {
 // badput whatever their latency: a fast partial answer does not meet
 // the SLA.
 func (l *CompletionLog) Counts(since, until sim.Time, threshold time.Duration) (good, bad int) {
-	for _, c := range l.completions[l.lowerBound(since):l.lowerBound(until)] {
-		if !c.Degraded && c.RT <= threshold {
-			good++
-		} else {
-			bad++
+	lo, hi := l.span(since, until)
+	l.completions.each(lo, hi, func(run []Completion) {
+		for _, c := range run {
+			if !c.Degraded && c.RT <= threshold {
+				good++
+			}
 		}
-	}
-	return good, bad
+	})
+	return good, hi - lo - good
 }
 
 // CountsByOutcome splits the completions of [since, until) three ways
@@ -219,16 +172,19 @@ func (l *CompletionLog) Counts(since, until sim.Time, threshold time.Duration) (
 // (partial response, any latency), violated (full response over the
 // SLA). The chaos experiments report these fractions per fault window.
 func (l *CompletionLog) CountsByOutcome(since, until sim.Time, threshold time.Duration) (good, degraded, violated int) {
-	for _, c := range l.completions[l.lowerBound(since):l.lowerBound(until)] {
-		switch {
-		case c.Degraded:
-			degraded++
-		case c.RT <= threshold:
-			good++
-		default:
-			violated++
+	lo, hi := l.span(since, until)
+	l.completions.each(lo, hi, func(run []Completion) {
+		for _, c := range run {
+			switch {
+			case c.Degraded:
+				degraded++
+			case c.RT <= threshold:
+				good++
+			default:
+				violated++
+			}
 		}
-	}
+	})
 	return good, degraded, violated
 }
 
@@ -263,16 +219,19 @@ func (l *CompletionLog) BucketRates(since, until sim.Time, bucket time.Duration,
 	goodput = make([]float64, n)
 	throughput = make([]float64, n)
 	perBucket := bucket.Seconds()
-	for _, c := range l.completions[l.lowerBound(since):l.lowerBound(until)] {
-		idx := int((c.At - since) / bucket)
-		if idx < 0 || idx >= n {
-			continue
+	lo, hi := l.span(since, until)
+	l.completions.each(lo, hi, func(run []Completion) {
+		for _, c := range run {
+			idx := int((c.At - since) / bucket)
+			if idx < 0 || idx >= n {
+				continue
+			}
+			throughput[idx]++
+			if !c.Degraded && c.RT <= threshold {
+				goodput[idx]++
+			}
 		}
-		throughput[idx]++
-		if !c.Degraded && c.RT <= threshold {
-			goodput[idx]++
-		}
-	}
+	})
 	for i := range goodput {
 		goodput[i] /= perBucket
 		throughput[i] /= perBucket
@@ -283,11 +242,13 @@ func (l *CompletionLog) BucketRates(since, until sim.Time, bucket time.Duration,
 // ResponseTimes returns the response times of completions in [since, until)
 // as float64 milliseconds (the unit used throughout the paper's figures).
 func (l *CompletionLog) ResponseTimes(since, until sim.Time) []float64 {
-	win := l.completions[l.lowerBound(since):l.lowerBound(until)]
-	out := make([]float64, len(win))
-	for i, c := range win {
-		out[i] = float64(c.RT) / float64(time.Millisecond)
-	}
+	lo, hi := l.span(since, until)
+	out := make([]float64, 0, hi-lo)
+	l.completions.each(lo, hi, func(run []Completion) {
+		for _, c := range run {
+			out = append(out, float64(c.RT)/float64(time.Millisecond))
+		}
+	})
 	return out
 }
 
@@ -302,7 +263,14 @@ func (l *CompletionLog) Percentile(p float64, since, until sim.Time) (time.Durat
 }
 
 func (l *CompletionLog) lowerBound(t sim.Time) int {
-	return sort.Search(len(l.completions), func(i int) bool { return l.completions[i].At >= t })
+	return l.completions.search(func(c Completion) bool { return c.At >= t })
+}
+
+// span returns the index range of the completions with At in
+// [since, until); an inverted window is empty.
+func (l *CompletionLog) span(since, until sim.Time) (lo, hi int) {
+	lo = l.lowerBound(since)
+	return lo, max(lo, l.lowerBound(until))
 }
 
 // Histogram is a fixed-bin latency histogram, used to regenerate the

@@ -357,85 +357,3 @@ func TestHistogramBoundaries(t *testing.T) {
 		t.Errorf("bins+overflow = %d, Total = %d; conservation violated", sum, h.Total())
 	}
 }
-
-// TestSeriesBoundMemory is the regression test for unbounded Series
-// growth on streaming runs: with a bound set, ten million samples must
-// leave both the length and the backing array capacity bounded by a
-// small multiple of the bound, not the sample count.
-func TestSeriesBoundMemory(t *testing.T) {
-	const bound = 10_000
-	const n = 10_000_000
-	var s Series
-	s.SetBound(bound)
-	for i := 0; i < n; i++ {
-		s.Add(ms(i), float64(i))
-	}
-	// The trim is amortized, so the live length oscillates within
-	// [bound, 2*bound] rather than pinning exactly at bound.
-	if s.Len() > 2*bound {
-		t.Fatalf("Len = %d, want <= %d", s.Len(), 2*bound)
-	}
-	// trim fires at len 2*bound+1, so append growth can at most double
-	// past that point before the length stops rising: cap stays O(bound).
-	if c := cap(s.pts); c > 5*bound {
-		t.Fatalf("cap = %d, want <= %d (memory not bounded)", c, 5*bound)
-	}
-	// The retained window is the most recent `bound` samples, intact and
-	// in order.
-	last, ok := s.Last()
-	if !ok || last.T != ms(n-1) || last.V != float64(n-1) {
-		t.Fatalf("Last = %+v ok=%v, want T=%v V=%v", last, ok, ms(n-1), float64(n-1))
-	}
-	first := s.pts[0]
-	if first.T != ms(n-s.Len()) {
-		t.Fatalf("oldest retained = %v, want %v", first.T, ms(n-s.Len()))
-	}
-}
-
-// TestSeriesBoundQueries: trimming must be invisible to the query
-// surface — Window, BucketMeans and Prune see a normal sorted series.
-func TestSeriesBoundQueries(t *testing.T) {
-	var s Series
-	s.SetBound(10)
-	for i := 0; i < 100; i++ {
-		s.Add(ms(i), float64(i))
-	}
-	if s.Len() > 20 {
-		t.Fatalf("Len = %d, want <= 20 (2x bound slack)", s.Len())
-	}
-	// All retained points are the newest and still sorted.
-	w := s.Window(0, ms(1000))
-	if len(w) != s.Len() {
-		t.Fatalf("Window returned %d of %d points", len(w), s.Len())
-	}
-	for i := 1; i < len(w); i++ {
-		if w[i].T <= w[i-1].T {
-			t.Fatalf("retained points out of order at %d: %v after %v", i, w[i].T, w[i-1].T)
-		}
-	}
-	if w[len(w)-1].V != 99 {
-		t.Fatalf("newest retained V = %v, want 99", w[len(w)-1].V)
-	}
-	// Prune still works on the trimmed slice.
-	cut := w[len(w)-3].T
-	s.Prune(cut)
-	if s.Len() != 3 {
-		t.Fatalf("Len after Prune = %d, want 3", s.Len())
-	}
-	// SetBound(0) restores unbounded growth.
-	s.SetBound(0)
-	for i := 100; i < 200; i++ {
-		s.Add(ms(i), float64(i))
-	}
-	if s.Len() != 103 {
-		t.Fatalf("Len after unbinding = %d, want 103", s.Len())
-	}
-	// Re-binding past the slack trims immediately.
-	s.SetBound(5)
-	if s.Len() != 5 {
-		t.Fatalf("Len after SetBound(5) = %d, want 5", s.Len())
-	}
-	if last, _ := s.Last(); last.V != 199 {
-		t.Fatalf("newest after re-bound V = %v, want 199", last.V)
-	}
-}

@@ -17,7 +17,8 @@
 # wallclock, globalrand, maporder, nilrecv, eventname, plus the
 # flow-aware poolsafe/hotpath analyses and the racelist drift check
 # (which parses this script's -race line, so the package list below can
-# never silently lag a package gaining concurrency). The soravet step
+# never silently lag a package gaining concurrency). The separate
+# benchmark module gets its own vet and test step. The soravet step
 # runs through scripts/lintstat.sh, which appends a one-line JSON scan
 # summary (files, findings per check, suppressions, wall ms) to the
 # output. The final smoke steps share one sorabench build: the kernel
@@ -47,6 +48,14 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+# The benchmark (benchmark/, BENCHMARK.json) is its own module with
+# `replace sora => ../`, so the root `./...` steps above never build it;
+# vetting and testing it here catches an internal API change that breaks
+# it. Its tests write only under t.TempDir, leaving the tree clean.
+echo "== go vet + go test (benchmark module)"
+go -C benchmark vet .
+go -C benchmark test .
 
 echo "== go test -race (concurrent packages)"
 go test -race -short ./internal/experiment ./internal/sim ./internal/telemetry ./internal/profile ./internal/cluster ./internal/trace ./internal/fault ./internal/metrics ./internal/stats ./internal/compare ./internal/lint ./internal/node
