@@ -58,7 +58,7 @@ func run() error {
 		psCores     = flag.Float64("ps-cores", 2, "social network: post-storage CPU limit")
 		heavy       = flag.Bool("heavy", false, "social network: heavy (10-post) reads")
 
-		nodes     = flag.Int("nodes", 0, "deploy on a simulated N-node control plane (0 = legacy instant-pod model)")
+		nodes     = flag.Int("nodes", 0, "deploy on a simulated N-node control plane (0 = instant pods, endpoint changes applied at once)")
 		nodeCores = flag.Float64("node-cores", 32, "control plane: CPU cores per node")
 		coldStart = flag.Duration("coldstart", time.Second, "control plane: pod cold-start budget (scheduling + image pull + warmup)")
 		epLag     = flag.Duration("endpoint-lag", 500*time.Millisecond, "control plane: endpoint-propagation delay before membership changes reach the balancers")

@@ -29,6 +29,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"sora/internal/compare"
 )
 
 func main() {
@@ -55,19 +57,15 @@ func run(argv []string) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("no *.timeline.jsonl files found")
 	}
-	var files []*fileData
+	var runs []*compare.Run
 	for _, p := range paths {
-		raw, err := os.ReadFile(p)
+		r, err := compare.LoadTimeline(p)
 		if err != nil {
 			return err
 		}
-		fd, err := parseTimeline(displayName(p), string(raw))
-		if err != nil {
-			return fmt.Errorf("%s: %w", p, err)
-		}
-		files = append(files, fd)
+		runs = append(runs, r)
 	}
-	html := render(*title, files)
+	html := render(*title, runs)
 	return os.WriteFile(*out, []byte(html), 0o644)
 }
 

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sora/internal/compare"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden dashboard")
@@ -19,11 +21,11 @@ func TestGoldenDashboard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := parseTimeline("sample", string(raw))
+	r, err := compare.ParseTimeline("sample", string(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := render("Sora flight recorder", []*fileData{fd})
+	got := render("Sora flight recorder", []*compare.Run{r})
 	goldenPath := filepath.Join("testdata", "golden.html")
 	if *update {
 		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
@@ -51,46 +53,27 @@ func firstDiffLine(a, b string) string {
 	return "<length differs>"
 }
 
-// TestParseLineDuplicateKind: fault lines carry the envelope kind and
-// the fault kind under the same JSON key; the first must win as the
-// event kind and the second must surface as the fault_kind attribute.
-func TestParseLineDuplicateKind(t *testing.T) {
-	ev, err := parseLine(`{"t_us":1500000,"unit":"u","kind":"fault.inject","kind":"crash","target":"backend"}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.kind != "fault.inject" {
-		t.Fatalf("kind = %q, want fault.inject", ev.kind)
-	}
-	if got := ev.str("fault_kind"); got != "crash" {
-		t.Fatalf("fault_kind = %q, want crash", got)
-	}
-	if ev.t != 1.5 {
-		t.Fatalf("t = %v, want 1.5", ev.t)
-	}
-}
-
-// TestParseTimelineModel checks the structural digest of the fixture:
-// unit order is first-seen, fault windows pair up, markers only carry
+// TestParseTimelineModel checks the drawing model of the fixture: unit
+// order is first-seen, fault windows pair up, markers only carry
 // annotation kinds.
 func TestParseTimelineModel(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "sample.timeline.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := parseTimeline("sample", string(raw))
+	r, err := compare.ParseTimeline("sample", string(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fd.units) != 2 {
-		t.Fatalf("units = %d, want 2", len(fd.units))
+	if len(r.Units) != 2 {
+		t.Fatalf("units = %d, want 2", len(r.Units))
 	}
-	if fd.units[0].name != "demo/runs/static" || fd.units[1].name != "demo/runs/sora" {
-		t.Fatalf("unit order = %s, %s", fd.units[0].name, fd.units[1].name)
+	static, sora := newPanel(r.Units[0]), newPanel(r.Units[1])
+	if static.Path != "demo/runs/static" || sora.Path != "demo/runs/sora" {
+		t.Fatalf("unit order = %s, %s", static.Path, sora.Path)
 	}
-	static, sora := fd.units[0], fd.units[1]
-	if len(static.cluster) != 3 || len(sora.cluster) != 3 {
-		t.Fatalf("cluster rows = %d/%d, want 3/3", len(static.cluster), len(sora.cluster))
+	if len(static.Cluster) != 3 || len(sora.Cluster) != 3 {
+		t.Fatalf("cluster rows = %d/%d, want 3/3", len(static.Cluster), len(sora.Cluster))
 	}
 	if len(static.faults) != 1 || static.faults[0].open {
 		t.Fatalf("static faults = %+v, want one closed window", static.faults)
@@ -107,18 +90,54 @@ func TestParseTimelineModel(t *testing.T) {
 	if !strings.Contains(sora.marks[0].label, "resource=frontend threads") {
 		t.Fatalf("marker label = %q", sora.marks[0].label)
 	}
-	if got := static.services; len(got) != 2 || got[0] != "frontend" || got[1] != "backend" {
+	if got := static.Services; len(got) != 2 || got[0] != "frontend" || got[1] != "backend" {
 		t.Fatalf("service order = %v", got)
+	}
+}
+
+// TestManifestNotDrawn: the run.manifest line chaos and ctrlplane
+// timelines open with is the unit's identity, not an annotation, so it
+// draws no marker; an open fault window closes at the unit's last line,
+// and marker labels print numbers in float64 form.
+func TestManifestNotDrawn(t *testing.T) {
+	const raw = `{"t_us":0,"unit":"u","kind":"run.manifest","id":"chaos","seed":7,"strategy":"sora"}
+{"t_us":1000000,"unit":"u","kind":"timeline.cluster","win_s":1,"p50_ms":5,"p95_ms":9,"p99_ms":12,"good":10,"degraded":0,"violated":0}
+{"t_us":1200000,"unit":"u","kind":"fault.inject","kind":"crash","target":"cart"}
+{"t_us":1500000,"unit":"u","kind":"autoscaler.scale","service":"cart","from":2,"to":3,"budget_us":1500000}
+{"t_us":2000000,"unit":"u","kind":"timeline.cluster","win_s":1,"p50_ms":6,"p95_ms":9,"p99_ms":14,"good":9,"degraded":1,"violated":0}
+`
+	r, err := compare.ParseTimeline("chaos", raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Units) != 1 {
+		t.Fatalf("units = %d, want 1", len(r.Units))
+	}
+	p := newPanel(r.Units[0])
+	if len(p.Identity) != 3 || p.Identity[0].Value != "chaos" {
+		t.Fatalf("identity = %+v", p.Identity)
+	}
+	if len(p.marks) != 1 || p.marks[0].kind != "autoscaler.scale" {
+		t.Fatalf("markers = %+v, want only the autoscaler move", p.marks)
+	}
+	if want := "autoscaler.scale budget_us=1.5e+06 from=2 service=cart to=3"; p.marks[0].label != want {
+		t.Fatalf("marker label = %q, want %q", p.marks[0].label, want)
+	}
+	if len(p.faults) != 1 || p.faults[0].t1 != 2 {
+		t.Fatalf("faults = %+v, want one window closed at 2s", p.faults)
+	}
+	if html := render("t", []*compare.Run{r}); strings.Contains(html, "run.manifest") {
+		t.Fatal("dashboard draws the run.manifest record")
 	}
 }
 
 // TestRenderEmpty: a timeline with no rows still renders a document.
 func TestRenderEmpty(t *testing.T) {
-	fd, err := parseTimeline("empty", "")
+	r, err := compare.ParseTimeline("empty", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := render("t", []*fileData{fd})
+	out := render("t", []*compare.Run{r})
 	if !strings.Contains(out, "<!DOCTYPE html>") {
 		t.Fatal("no document produced")
 	}

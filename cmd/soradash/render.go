@@ -5,6 +5,8 @@ import (
 	"html"
 	"strconv"
 	"strings"
+
+	"sora/internal/compare"
 )
 
 // The renderer. Hand-rolled SVG with fixed two-decimal coordinates and
@@ -33,28 +35,28 @@ type scales struct {
 	maxRate float64 // req/s (stacked goodput ceiling)
 }
 
-func computeScales(files []*fileData) scales {
+func computeScales(files [][]*panel) scales {
 	var s scales
-	for _, fd := range files {
-		for _, u := range fd.units {
+	for _, panels := range files {
+		for _, u := range panels {
 			if u.maxT > s.maxT {
 				s.maxT = u.maxT
 			}
-			for _, r := range u.cluster {
-				if r.p99 > s.maxLat {
-					s.maxLat = r.p99
+			for _, r := range u.Cluster {
+				if r.P99 > s.maxLat {
+					s.maxLat = r.P99
 				}
-				if r.winS > 0 {
-					rate := (r.good + r.degr + r.viol) / r.winS
+				if r.WinS > 0 {
+					rate := float64(r.Good+r.Degr+r.Viol) / r.WinS
 					if rate > s.maxRate {
 						s.maxRate = rate
 					}
 				}
 			}
-			for _, svc := range u.services {
-				for _, r := range u.svcRows[svc] {
-					if r.p99 > s.maxLat {
-						s.maxLat = r.p99
+			for _, svc := range u.Services {
+				for _, r := range u.SvcRows[svc] {
+					if r.P99 > s.maxLat {
+						s.maxLat = r.P99
 					}
 				}
 			}
@@ -177,7 +179,7 @@ func (c *chart) finish(title string) string {
 
 // overlays draws the shared annotations (fault windows, then decision
 // markers) onto a chart.
-func overlays(c *chart, u *unitData) {
+func overlays(c *chart, u *panel) {
 	for _, fw := range u.faults {
 		tip := fmt.Sprintf("fault %s on %s: %ss - %ss", fw.kind, fw.target, fAxis(fw.t0), fAxis(fw.t1))
 		c.rect(c.sc.x(fw.t0), c.sc.x(fw.t1), padT, chartH-padB, "rgba(214,39,40,0.10)", tip)
@@ -188,30 +190,30 @@ func overlays(c *chart, u *unitData) {
 }
 
 // latencyChart: p50-p99 band plus the three quantile lines.
-func latencyChart(sc scales, u *unitData) string {
+func latencyChart(sc scales, u *panel) string {
 	c := newChart(sc, sc.maxLat, "ms")
 	overlays(c, u)
 	var band []point
-	for _, r := range u.cluster {
-		band = append(band, point{sc.x(r.t), yOf(r.p99, sc.maxLat)})
+	for _, r := range u.Cluster {
+		band = append(band, point{sc.x(sec(r.TUs)), yOf(r.P99, sc.maxLat)})
 	}
-	for i := len(u.cluster) - 1; i >= 0; i-- {
-		r := u.cluster[i]
-		band = append(band, point{sc.x(r.t), yOf(r.p50, sc.maxLat)})
+	for i := len(u.Cluster) - 1; i >= 0; i-- {
+		r := u.Cluster[i]
+		band = append(band, point{sc.x(sec(r.TUs)), yOf(r.P50, sc.maxLat)})
 	}
 	c.polygon(band, "rgba(31,119,180,0.15)")
 	for _, q := range []struct {
-		pick  func(clusterRow) float64
+		pick  func(compare.ClusterWindow) float64
 		color string
 		width float64
 	}{
-		{func(r clusterRow) float64 { return r.p50 }, "#1f77b4", 1},
-		{func(r clusterRow) float64 { return r.p95 }, "#5a9bd4", 1},
-		{func(r clusterRow) float64 { return r.p99 }, "#08306b", 1.5},
+		{func(r compare.ClusterWindow) float64 { return r.P50 }, "#1f77b4", 1},
+		{func(r compare.ClusterWindow) float64 { return r.P95 }, "#5a9bd4", 1},
+		{func(r compare.ClusterWindow) float64 { return r.P99 }, "#08306b", 1.5},
 	} {
 		var pts []point
-		for _, r := range u.cluster {
-			pts = append(pts, point{sc.x(r.t), yOf(q.pick(r), sc.maxLat)})
+		for _, r := range u.Cluster {
+			pts = append(pts, point{sc.x(sec(r.TUs)), yOf(q.pick(r), sc.maxLat)})
 		}
 		c.polyline(pts, q.color, q.width)
 	}
@@ -221,19 +223,20 @@ func latencyChart(sc scales, u *unitData) string {
 // goodputChart: stacked per-window rates — good (green) at the bottom,
 // degraded (orange), violated (red) on top. Step-shaped: each window's
 // level spans [t-win, t].
-func goodputChart(sc scales, u *unitData) string {
+func goodputChart(sc scales, u *panel) string {
 	c := newChart(sc, sc.maxRate, "/s")
 	overlays(c, u)
-	layer := func(level func(clusterRow) float64, fill string) {
+	layer := func(level func(compare.ClusterWindow) int64, fill string) {
 		var pts []point
 		base := yOf(0, sc.maxRate)
 		first, last := 0.0, 0.0
-		for _, r := range u.cluster {
-			if r.winS <= 0 {
+		for _, r := range u.Cluster {
+			if r.WinS <= 0 {
 				continue
 			}
-			y := yOf(level(r)/r.winS, sc.maxRate)
-			x0, x1 := sc.x(r.t-r.winS), sc.x(r.t)
+			t := sec(r.TUs)
+			y := yOf(float64(level(r))/r.WinS, sc.maxRate)
+			x0, x1 := sc.x(t-r.WinS), sc.x(t)
 			if len(pts) == 0 {
 				first = x0
 			}
@@ -247,20 +250,20 @@ func goodputChart(sc scales, u *unitData) string {
 		c.polygon(pts, fill)
 	}
 	// Topmost stack level first so lower layers paint over it.
-	layer(func(r clusterRow) float64 { return r.good + r.degr + r.viol }, "#d62728")
-	layer(func(r clusterRow) float64 { return r.good + r.degr }, "#ff9d45")
-	layer(func(r clusterRow) float64 { return r.good }, "#74c476")
+	layer(func(r compare.ClusterWindow) int64 { return r.Good + r.Degr + r.Viol }, "#d62728")
+	layer(func(r compare.ClusterWindow) int64 { return r.Good + r.Degr }, "#ff9d45")
+	layer(func(r compare.ClusterWindow) int64 { return r.Good }, "#74c476")
 	return c.finish("goodput split: good / degraded / violated (req/s)")
 }
 
 // serviceChart: one p99 line per service.
-func serviceChart(sc scales, u *unitData) string {
+func serviceChart(sc scales, u *panel) string {
 	c := newChart(sc, sc.maxLat, "ms")
 	overlays(c, u)
-	for i, svc := range u.services {
+	for i, svc := range u.Services {
 		var pts []point
-		for _, r := range u.svcRows[svc] {
-			pts = append(pts, point{sc.x(r.t), yOf(r.p99, sc.maxLat)})
+		for _, r := range u.SvcRows[svc] {
+			pts = append(pts, point{sc.x(sec(r.TUs)), yOf(r.P99, sc.maxLat)})
 		}
 		c.polyline(pts, palette[i%len(palette)], 1)
 	}
@@ -268,10 +271,10 @@ func serviceChart(sc scales, u *unitData) string {
 }
 
 // legend renders the service color key under a panel.
-func legend(u *unitData) string {
+func legend(u *panel) string {
 	var b strings.Builder
 	b.WriteString(`<div class="legend">`)
-	for i, svc := range u.services {
+	for i, svc := range u.Services {
 		fmt.Fprintf(&b, `<span><i style="background:%s"></i>%s</span>`,
 			palette[i%len(palette)], html.EscapeString(svc))
 	}
@@ -279,7 +282,13 @@ func legend(u *unitData) string {
 	return b.String()
 }
 
-func render(title string, files []*fileData) string {
+func render(title string, runs []*compare.Run) string {
+	files := make([][]*panel, len(runs))
+	for i, r := range runs {
+		for _, u := range r.Units {
+			files[i] = append(files[i], newPanel(u))
+		}
+	}
 	sc := computeScales(files)
 	var b strings.Builder
 	b.WriteString("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n")
@@ -298,11 +307,11 @@ figure{margin:4px 0}figcaption{font-size:10px;color:#555}
 `)
 	fmt.Fprintf(&b, "<h1>%s</h1>\n", html.EscapeString(title))
 	b.WriteString(`<p class="note">Shaded red spans are fault windows; dashed lines are controller/autoscaler annotations (hover for detail). All panels share axis scales.</p>` + "\n")
-	for _, fd := range files {
-		fmt.Fprintf(&b, "<h2>%s</h2>\n<div class=\"units\">\n", html.EscapeString(fd.name))
-		for _, u := range fd.units {
-			fmt.Fprintf(&b, "<div class=\"unit\"><h3>%s</h3>\n", html.EscapeString(u.name))
-			if len(u.cluster) == 0 && len(u.services) == 0 {
+	for i, r := range runs {
+		fmt.Fprintf(&b, "<h2>%s</h2>\n<div class=\"units\">\n", html.EscapeString(displayName(r.Path)))
+		for _, u := range files[i] {
+			fmt.Fprintf(&b, "<div class=\"unit\"><h3>%s</h3>\n", html.EscapeString(u.Path))
+			if len(u.Cluster) == 0 && len(u.Services) == 0 {
 				b.WriteString("<p class=\"note\">no timeline rows</p>\n")
 			} else {
 				b.WriteString(latencyChart(sc, u))

@@ -231,9 +231,10 @@ type Options struct {
 	// ControlPlane, when non-nil, puts the deployment on a simulated
 	// multi-node control plane (see internal/node and ctrlplane.go):
 	// pods are scheduled onto finite worker nodes, cold-start before
-	// serving, and are routed to through lagged endpoint views with a
-	// replica-level load balancer. Nil keeps the legacy model — instant
-	// placement, immediate readiness, single-cursor round-robin — with
+	// serving, and reach the endpoint views one propagation lag after
+	// each membership change; Config.LB picks the balancer. Nil places
+	// pods instantly, makes them ready at once and applies membership
+	// changes to the views synchronously with round-robin balancing —
 	// byte-identical behaviour to clusters predating the control plane.
 	ControlPlane *node.Config
 }
@@ -306,10 +307,20 @@ type Cluster struct {
 	// the e2e completion path.
 	flight *FlightRecorder
 
-	// cp, when non-nil, is the control plane (see ctrlplane.go). Nil
-	// costs one pointer test per dispatch.
+	// cp, when non-nil, is the control plane (see ctrlplane.go): it
+	// decides when membership changes reach the endpoint views.
 	cp *ControlPlane
+
+	// lb is the replica-level balancer Service.pick applies (from
+	// node.Config.LB; round-robin without a control plane), and lbRNG the
+	// stream behind its power-of-two-choices draws.
+	lb    node.LBPolicy
+	lbRNG *rand.Rand
 }
+
+// lbLabel seeds the load balancer's power-of-two-choices stream; like
+// every cluster stream it is derived from (seed, label) only.
+const lbLabel = 0x10ad
 
 // New deploys app onto a fresh simulated cluster driven by kernel k.
 func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
@@ -335,6 +346,7 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 		rng:       k.Split(0xc1),
 		edges:     make(map[edgeKey]*edgeState),
 		resRNG:    k.Split(0x4e5),
+		lbRNG:     k.Split(lbLabel),
 		tel:       opts.Telemetry,
 		dropWins:  make(map[string]*dropWindow),
 		retryWins: make(map[edgeKey]*retryWindow),
@@ -347,6 +359,7 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 			return nil, err
 		}
 		c.cp = cp
+		c.lb = opts.ControlPlane.LB
 	}
 	for _, spec := range app.Services {
 		svc := newService(c, spec)

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math/rand/v2"
 	"strings"
 	"time"
 
@@ -10,39 +9,35 @@ import (
 )
 
 // This file wires the internal/node control plane into the cluster.
-// With Options.ControlPlane nil everything here is dormant and the
-// cluster behaves exactly as before: pods exist the instant a service
-// scales, every pod serves immediately, and dispatch is the legacy
-// round-robin in Service.pick — byte-identical artifacts with older
-// runs. With a control plane configured:
+// Dispatch itself does not depend on it: every service routes through
+// its endpoint view with one balancer (Service.pick). What the control
+// plane changes is how pods come and go and when the view learns of it.
+// Without one (Options.ControlPlane nil) pods exist the instant a
+// service scales, every pod serves immediately, and each membership
+// change is applied to the view synchronously — no timer, no event, so
+// artifacts are byte-identical with older runs. With a control plane:
 //
 //   - every pod (initial deployment, scale-up, crash replacement) is a
 //     node.Fleet pod: it reserves cores on a worker node chosen by the
 //     scheduling policy and cold-starts (scheduled → pulling → warming
 //     → ready) before it may serve;
-//   - routing uses a per-service *endpoint view* that trails the truth
-//     by Config.EndpointLag: a pod becoming ready, crashing, draining
-//     or terminating only (dis)appears from dispatch one lag later,
-//     so requests keep landing on dead endpoints (connection refused →
-//     the caller's retry/breaker policy) until propagation catches up;
-//   - the replica-level load balancer (round-robin / least-loaded /
-//     power-of-two-choices) replaces single-cursor dispatch, with the
-//     p2c draws on a dedicated Kernel.Split stream for determinism.
-
-// cpLBLabel seeds the load balancer's power-of-two-choices stream; like
-// every cluster stream it is derived from (seed, label) only.
-const cpLBLabel = 0x10ad
+//   - the endpoint view trails the truth by Config.EndpointLag: a pod
+//     becoming ready, crashing, draining or terminating only
+//     (dis)appears from dispatch one lag later, so requests keep
+//     landing on dead endpoints (connection refused → the caller's
+//     retry/breaker policy) until propagation catches up, and each
+//     applied change is published as endpoints.update;
+//   - Config.LB selects the balancer (round-robin / least-loaded /
+//     power-of-two-choices).
 
 // ControlPlane binds a node fleet to the cluster: placement, cold
-// start, endpoint propagation and replica-level load balancing. Obtain
-// it from Cluster.ControlPlane; it is nil unless the cluster was built
-// with Options.ControlPlane.
+// start and endpoint propagation (Service.pick balances over the views
+// it maintains). Obtain it from Cluster.ControlPlane; it is nil unless
+// the cluster was built with Options.ControlPlane.
 type ControlPlane struct {
 	c     *Cluster
 	fleet *node.Fleet
 	lag   time.Duration
-	lb    node.LBPolicy
-	rng   *rand.Rand
 
 	// pods maps fleet pods back to their instances for node-level fault
 	// handling (iteration is over the fleet's returned slices, never the
@@ -64,14 +59,13 @@ func newControlPlane(c *Cluster, cfg node.Config) (*ControlPlane, error) {
 		c:     c,
 		fleet: fleet,
 		lag:   cfg.EndpointLag,
-		lb:    cfg.LB,
-		rng:   c.k.Split(cpLBLabel),
 		pods:  make(map[*node.Pod]*Instance),
 	}, nil
 }
 
 // ControlPlane returns the cluster's control plane, or nil when the
-// cluster was built without one (instant placement, legacy dispatch).
+// cluster was built without one (instant placement, synchronous
+// endpoint views).
 func (c *Cluster) ControlPlane() *ControlPlane { return c.cp }
 
 // Fleet returns the underlying node fleet.
@@ -126,78 +120,18 @@ func (cp *ControlPlane) applyEndpoints(svc *Service) {
 		svc.epStale = true
 		return
 	}
-	eps := make([]*Instance, 0, len(svc.instances))
-	for _, in := range svc.instances {
-		if in.ready && !in.down && !in.draining {
-			eps = append(eps, in)
-		}
-	}
-	if endpointsEqual(eps, svc.endpoints) {
+	if !svc.refreshEndpoints() {
 		return
 	}
-	svc.endpoints = eps
 	if tel := cp.c.tel; tel != nil {
-		ids := make([]string, len(eps))
-		for i, in := range eps {
+		ids := make([]string, len(svc.endpoints))
+		for i, in := range svc.endpoints {
 			ids[i] = in.id
 		}
 		tel.Publish(cp.c.k.Now(), "endpoints.update",
 			telemetry.String("service", svc.name),
-			telemetry.Int("count", len(eps)),
+			telemetry.Int("count", len(svc.endpoints)),
 			telemetry.String("pods", strings.Join(ids, ",")))
-	}
-}
-
-func endpointsEqual(a, b []*Instance) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// pick is the replica-level load balancer: it chooses among the
-// service's *propagated* endpoints, which may still include pods that
-// just crashed or began draining (they refuse, and the caller's
-// resilience policy takes over) and not yet include pods that just
-// became ready. An empty view refuses the visit outright.
-func (cp *ControlPlane) pick(s *Service) *Instance {
-	eps := s.endpoints
-	n := len(eps)
-	if n == 0 {
-		return nil
-	}
-	switch cp.lb {
-	case node.LBLeastLoaded:
-		best := eps[0]
-		for _, in := range eps[1:] {
-			if in.active < best.active {
-				best = in
-			}
-		}
-		return best
-	case node.LBPowerOfTwo:
-		if n == 1 {
-			return eps[0]
-		}
-		i := cp.rng.IntN(n)
-		j := cp.rng.IntN(n - 1)
-		if j >= i {
-			j++
-		}
-		a, b := eps[i], eps[j]
-		if b.active < a.active {
-			return b
-		}
-		return a
-	default: // node.LBRoundRobin
-		in := eps[s.rr%n]
-		s.rr++
-		return in
 	}
 }
 

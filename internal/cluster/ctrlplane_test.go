@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -80,6 +81,86 @@ func TestControlPlaneLegacyPathUntouched(t *testing.T) {
 	if c.Completed() != 1 {
 		t.Fatalf("completed %d", c.Completed())
 	}
+}
+
+// TestEndpointViewWithoutControlPlane pins the synchronous view: with no
+// control plane every membership change (scale-up, drain, reap, crash,
+// restore) reaches the endpoint view at once, in instance creation
+// order, without scheduling an event or publishing endpoints.update, and
+// pick never returns a down or draining pod.
+func TestEndpointViewWithoutControlPlane(t *testing.T) {
+	k := sim.NewKernel(1)
+	rec := telemetry.NewRecorder("t")
+	c, err := New(k, twoTier(0, 0), Options{Telemetry: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, _ := c.Service("backend")
+	check := func(step string, wantPods int) {
+		t.Helper()
+		var want []*Instance
+		for _, in := range svc.instances {
+			if in.ready && !in.down && !in.draining {
+				want = append(want, in)
+			}
+		}
+		if !slices.Equal(svc.endpoints, want) || len(want) != wantPods {
+			t.Fatalf("%s: view %v, want %d pods %v", step, ids(svc.endpoints), wantPods, ids(want))
+		}
+		for i := 0; i <= 2*len(svc.instances); i++ {
+			in := svc.pick()
+			if (in == nil) != (len(want) == 0) || in != nil && (in.down || in.draining) {
+				t.Fatalf("%s: pick returned %v", step, in)
+			}
+		}
+	}
+	step := func(name string, wantPods int, change func()) {
+		t.Helper()
+		before := k.Pending()
+		change()
+		if k.Pending() != before {
+			t.Fatalf("%s: pending events %d -> %d", name, before, k.Pending())
+		}
+		check(name, wantPods)
+	}
+	check("initial", 1)
+	step("scale-up", 3, func() { c.SetReplicas("backend", 3) })
+	// One request per backend pod, caught mid-service.
+	for i := 0; i < 3; i++ {
+		c.SubmitMix()
+	}
+	k.RunUntil(sim.Time(3 * time.Millisecond))
+	step("scale-down with drain", 1, func() { c.SetReplicas("backend", 1) })
+	if len(svc.instances) != 3 {
+		t.Fatalf("busy pods reaped before draining: %d instances", len(svc.instances))
+	}
+	k.Run()
+	check("reap", 1)
+	if len(svc.instances) != 1 || c.Completed() != 3 {
+		t.Fatalf("after drain: %d instances, %d completed", len(svc.instances), c.Completed())
+	}
+	step("scale-up again", 3, func() { c.SetReplicas("backend", 3) })
+	first := svc.instances[0]
+	step("crash", 2, first.Crash)
+	step("restore", 3, first.Restore)
+	step("crash all", 0, func() {
+		for _, in := range svc.Instances() {
+			in.Crash()
+		}
+	})
+	for _, ev := range rec.Events() {
+		if ev.Kind == "endpoints.update" {
+			t.Fatalf("endpoints.update published without a control plane: %+v", ev.Attrs)
+		}
+	}
+}
+
+func ids(ins []*Instance) []string {
+	out := make([]string, len(ins))
+	for i, in := range ins {
+		out[i] = in.id
+	}
+	return out
 }
 
 // TestStaleEndpointCrashRefusals pins the endpoint-propagation window:
@@ -275,10 +356,10 @@ func TestEndpointStall(t *testing.T) {
 	}
 }
 
-// TestLoadBalancerPolicies pins each balancer's choice function over a
+// TestLoadBalancerPolicies pins each policy of Service.pick over a
 // two-replica endpoint view.
 func TestLoadBalancerPolicies(t *testing.T) {
-	build := func(lb node.LBPolicy, seed uint64) (*sim.Kernel, *Cluster, *Service) {
+	build := func(lb node.LBPolicy, seed uint64) *Service {
 		k := sim.NewKernel(seed)
 		app := twoTier(0, 0)
 		app.Services[1].Replicas = 2
@@ -288,42 +369,42 @@ func TestLoadBalancerPolicies(t *testing.T) {
 		if len(svc.endpoints) != 2 {
 			t.Fatalf("endpoints = %d, want 2", len(svc.endpoints))
 		}
-		return k, c, svc
+		return svc
 	}
 
 	t.Run("rr cycles", func(t *testing.T) {
-		_, c, svc := build(node.LBRoundRobin, 1)
-		a := c.cp.pick(svc)
-		b := c.cp.pick(svc)
+		svc := build(node.LBRoundRobin, 1)
+		a := svc.pick()
+		b := svc.pick()
 		if a == b {
 			t.Fatal("round-robin repeated an endpoint")
 		}
-		if c.cp.pick(svc) != a {
+		if svc.pick() != a {
 			t.Fatal("round-robin did not cycle back")
 		}
 	})
 	t.Run("least picks idler", func(t *testing.T) {
-		_, c, svc := build(node.LBLeastLoaded, 1)
+		svc := build(node.LBLeastLoaded, 1)
 		svc.endpoints[0].active = 5
-		if got := c.cp.pick(svc); got != svc.endpoints[1] {
+		if got := svc.pick(); got != svc.endpoints[1] {
 			t.Fatalf("least-loaded picked the busy pod")
 		}
 		svc.endpoints[1].active = 9
-		if got := c.cp.pick(svc); got != svc.endpoints[0] {
+		if got := svc.pick(); got != svc.endpoints[0] {
 			t.Fatalf("least-loaded ignored the load change")
 		}
 	})
 	t.Run("p2c deterministic and load-averse", func(t *testing.T) {
-		_, c1, s1 := build(node.LBPowerOfTwo, 7)
-		_, c2, s2 := build(node.LBPowerOfTwo, 7)
+		s1 := build(node.LBPowerOfTwo, 7)
+		s2 := build(node.LBPowerOfTwo, 7)
 		for i := 0; i < 32; i++ {
-			if c1.cp.pick(s1).id != c2.cp.pick(s2).id {
+			if s1.pick().id != s2.pick().id {
 				t.Fatalf("p2c pick %d differs between identical runs", i)
 			}
 		}
 		s1.endpoints[0].active = 100
 		for i := 0; i < 16; i++ {
-			if got := c1.cp.pick(s1); got != s1.endpoints[1] {
+			if got := s1.pick(); got != s1.endpoints[1] {
 				t.Fatal("p2c picked the overloaded pod")
 			}
 		}

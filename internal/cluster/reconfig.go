@@ -88,12 +88,10 @@ func (c *Cluster) SetReplicas(service string, n int) error {
 		}
 		svc.reap()
 	}
-	if c.cp != nil {
-		// Draining flips (and un-drains) change membership truth; new
-		// pods propagate on their own once ready. One recompute at +lag
-		// covers the whole batch.
-		c.cp.noteChange(svc)
-	}
+	// Draining flips (and un-drains) change membership truth; new pods
+	// reach the view on their own once ready. One recompute (at +lag
+	// with a control plane) covers the whole batch.
+	svc.noteChange()
 	return nil
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"sora/internal/metrics"
 	"sora/internal/node"
@@ -17,7 +18,7 @@ type Service struct {
 
 	instances []*Instance
 	nextID    int // monotonic pod id counter for unique names
-	rr        int // round-robin cursor
+	rr        int // round-robin cursor over endpoints
 
 	// spanLog records every service-visit completion (span departure,
 	// span duration) — the per-service MongoDB store of the paper.
@@ -28,10 +29,10 @@ type Service struct {
 	// Nil costs one pointer test per arrival/completion/drop.
 	flight *flightTrack
 
-	// endpoints is the propagated routing view in control-plane mode:
-	// the instances the load balancer may pick, trailing membership
-	// truth by the endpoint-propagation lag (see ctrlplane.go). Unused
-	// (nil) in the legacy instant-dispatch model. epStale marks a
+	// endpoints is the routing view: the instances pick may choose, in
+	// creation order. Without a control plane it always equals the
+	// ready, live, non-draining instances; with one it trails that truth
+	// by the endpoint-propagation lag (see ctrlplane.go). epStale marks a
 	// membership change swallowed by a propagation stall, applied when
 	// the stall lifts.
 	endpoints []*Instance
@@ -73,21 +74,13 @@ func (s *Service) Replicas() int {
 }
 
 // Instances returns all pods including draining ones.
-func (s *Service) Instances() []*Instance {
-	out := make([]*Instance, len(s.instances))
-	copy(out, s.instances)
-	return out
-}
+func (s *Service) Instances() []*Instance { return slices.Clone(s.instances) }
 
-// Endpoints returns the propagated routing view in control-plane mode:
-// the pods the load balancer currently routes to, which can trail the
-// membership truth by the endpoint lag. Empty (and unused) without a
-// control plane.
-func (s *Service) Endpoints() []*Instance {
-	out := make([]*Instance, len(s.endpoints))
-	copy(out, s.endpoints)
-	return out
-}
+// Endpoints returns the routing view: the pods the load balancer
+// currently routes to. With a control plane it can trail the
+// membership truth by the endpoint lag; without one it is exactly the
+// ready, live, non-draining pods.
+func (s *Service) Endpoints() []*Instance { return slices.Clone(s.endpoints) }
 
 func (s *Service) addInstance() *Instance {
 	in := newInstance(s, fmt.Sprintf("%s-%d", s.name, s.nextID))
@@ -98,74 +91,98 @@ func (s *Service) addInstance() *Instance {
 		// cold-start before it is ready, and its readiness must propagate
 		// before it receives traffic.
 		cp.launch(in)
+	} else {
+		s.refreshEndpoints()
 	}
 	return in
+}
+
+// noteChange brings a membership change (crash, restore, drain flips,
+// removal) to the endpoint view: at once without a control plane —
+// no timer, no event — and one propagation lag later with one.
+func (s *Service) noteChange() {
+	if cp := s.c.cp; cp != nil {
+		cp.noteChange(s)
+		return
+	}
+	s.refreshEndpoints()
+}
+
+// refreshEndpoints recomputes the endpoint view from membership truth
+// and reports whether it changed.
+func (s *Service) refreshEndpoints() bool {
+	eps := make([]*Instance, 0, len(s.instances))
+	for _, in := range s.instances {
+		if in.ready && !in.down && !in.draining {
+			eps = append(eps, in)
+		}
+	}
+	if slices.Equal(eps, s.endpoints) {
+		return false
+	}
+	s.endpoints = eps
+	return true
 }
 
 // removeInstance permanently deletes one instance (node-crash victims
 // in control-plane mode; replacement is a fresh pod, never a Restore).
 func (s *Service) removeInstance(in *Instance) {
-	kept := s.instances[:0]
-	for _, x := range s.instances {
-		if x != in {
-			kept = append(kept, x)
-		}
-	}
-	for i := len(kept); i < len(s.instances); i++ {
-		s.instances[i] = nil
-	}
-	s.instances = kept
+	s.instances = slices.DeleteFunc(s.instances, func(x *Instance) bool { return x == in })
 }
 
-// pick selects the pod for a new request. In control-plane mode the
-// replica-level load balancer chooses among the service's propagated
-// endpoints (see ControlPlane.pick) — possibly stale, possibly empty.
-// Otherwise: round-robin over non-draining live pods, matching the
-// default kube-proxy behaviour. Crashed pods are skipped; with every
-// pod down it returns nil and the call is refused.
+// pick is the replica-level load balancer: it chooses among the
+// service's endpoint view with the cluster's policy (node.Config.LB;
+// round-robin without a control plane). A lagged view may still include
+// pods that just crashed or began draining (they refuse, and the
+// caller's resilience policy takes over) and not yet include pods that
+// just became ready. An empty view returns nil and the visit is refused.
 func (s *Service) pick() *Instance {
-	if cp := s.c.cp; cp != nil {
-		return cp.pick(s)
+	eps := s.endpoints
+	n := len(eps)
+	if n == 0 {
+		return nil
 	}
-	n := len(s.instances)
-	for i := 0; i < n; i++ {
-		in := s.instances[s.rr%n]
+	switch s.c.lb {
+	case node.LBLeastLoaded:
+		best := eps[0]
+		for _, in := range eps[1:] {
+			if in.active < best.active {
+				best = in
+			}
+		}
+		return best
+	case node.LBPowerOfTwo:
+		if n == 1 {
+			return eps[0]
+		}
+		i := s.c.lbRNG.IntN(n)
+		j := s.c.lbRNG.IntN(n - 1)
+		if j >= i {
+			j++
+		}
+		a, b := eps[i], eps[j]
+		if b.active < a.active {
+			return b
+		}
+		return a
+	default: // node.LBRoundRobin
+		in := eps[s.rr%n]
 		s.rr++
-		if !in.draining && !in.down {
-			return in
-		}
+		return in
 	}
-	// All pods draining or down (replica count being reduced below
-	// in-flight work, or mid-crash): fall back to the least-loaded live
-	// pod so requests still finish.
-	var best *Instance
-	for _, in := range s.instances {
-		if in.down {
-			continue
-		}
-		if best == nil || in.active < best.active {
-			best = in
-		}
-	}
-	return best
 }
 
 // reap removes fully drained instances.
 func (s *Service) reap() {
-	kept := s.instances[:0]
-	for _, in := range s.instances {
-		if in.draining && in.idle() {
-			if cp := s.c.cp; cp != nil {
-				cp.terminate(in)
-			}
-			continue
+	s.instances = slices.DeleteFunc(s.instances, func(in *Instance) bool {
+		if !in.draining || !in.idle() {
+			return false
 		}
-		kept = append(kept, in)
-	}
-	for i := len(kept); i < len(s.instances); i++ {
-		s.instances[i] = nil
-	}
-	s.instances = kept
+		if cp := s.c.cp; cp != nil {
+			cp.terminate(in)
+		}
+		return true
+	})
 }
 
 func (s *Service) prune(cutoff sim.Time) {
@@ -286,11 +303,11 @@ type Instance struct {
 
 	draining bool
 
-	// Control-plane state. ready gates serving: always true in the
-	// legacy model; in control-plane mode it flips true when the pod
-	// finishes its cold start (requests routed to a not-yet-ready pod
-	// via a stale endpoint view are refused). pod is the fleet record
-	// backing this instance (nil in the legacy model).
+	// Control-plane state. ready gates serving: always true without a
+	// control plane; with one it flips true when the pod finishes its
+	// cold start (requests routed to a not-yet-ready pod via a stale
+	// endpoint view are refused). pod is the fleet record backing this
+	// instance (nil without a control plane).
 	ready bool
 	pod   *node.Pod
 
@@ -346,12 +363,12 @@ func (in *Instance) QueueLen() int { return len(in.queue) }
 // Draining reports whether the pod is being decommissioned.
 func (in *Instance) Draining() bool { return in.draining }
 
-// Ready reports whether the pod may serve traffic (always true without
-// a control plane; false while a control-plane pod cold-starts).
+// Ready reports whether the pod may serve traffic: false only while a
+// control-plane pod cold-starts, so always true without a control plane.
 func (in *Instance) Ready() bool { return in.ready }
 
-// Pod returns the control-plane fleet record backing this instance
-// (nil in the legacy instant-placement model).
+// Pod returns the control-plane fleet record backing this instance (nil
+// without a control plane, where pods are placed instantly).
 func (in *Instance) Pod() *node.Pod { return in.pod }
 
 func (in *Instance) idle() bool {
@@ -380,12 +397,10 @@ func (in *Instance) Crash() {
 	for _, v := range q {
 		v.refuse()
 	}
-	if cp := in.svc.c.cp; cp != nil {
-		// Readiness-probe failure: the crashed pod leaves the endpoint
-		// view one propagation lag later; until then the balancer keeps
-		// routing to it and requests are refused.
-		cp.noteChange(in.svc)
-	}
+	// Readiness-probe failure: the crashed pod leaves the endpoint view
+	// (one propagation lag later with a control plane; until then the
+	// balancer keeps routing to it and requests are refused).
+	in.svc.noteChange()
 }
 
 // Restore brings a crashed pod back into service with empty queues and
@@ -395,9 +410,7 @@ func (in *Instance) Restore() {
 		return
 	}
 	in.down = false
-	if cp := in.svc.c.cp; cp != nil {
-		cp.noteChange(in.svc)
-	}
+	in.svc.noteChange()
 }
 
 // Down reports whether the pod is crashed.

@@ -67,8 +67,9 @@ func TestParseTimeline(t *testing.T) {
 	if got := ua.SvcRows["cart"][0].P99; got != 12.5 {
 		t.Fatalf("cart window 1 p99 = %g, want 12.5", got)
 	}
-	// Identity comes from the run.manifest event, attrs in publish order.
-	if len(ua.Identity) != 4 || ua.Identity[0] != Str("id", "runA") || ua.Identity[2] != Str("seed", "7") {
+	// Identity comes from the run.manifest event, attrs in publish order;
+	// numeric values are marked as such.
+	if len(ua.Identity) != 4 || ua.Identity[0] != Str("id", "runA") || ua.Identity[2] != (KV{Key: "seed", Value: "7", Number: true}) {
 		t.Fatalf("identity = %+v", ua.Identity)
 	}
 	// Decision attrs stay byte-faithful: knee_x keeps its artifact form.

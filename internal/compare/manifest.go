@@ -35,6 +35,9 @@ const ManifestSchema = "sora-manifest/v1"
 type KV struct {
 	Key   string `json:"key"`
 	Value string `json:"value"`
+	// Number marks a value the timeline reader decoded from a JSON
+	// number; Value keeps the number's literal bytes. Not encoded.
+	Number bool `json:"-"`
 }
 
 // Str returns a string-valued pair.
@@ -48,6 +51,17 @@ func Int(key string, v int64) KV { return KV{Key: key, Value: strconv.FormatInt(
 // values in manifests match the .metrics.prom artifact.
 func Num(key string, v float64) KV {
 	return KV{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64)}
+}
+
+// Lookup returns the value of the first pair named key, and whether
+// there is one.
+func Lookup(kvs []KV, key string) (string, bool) {
+	for _, kv := range kvs {
+		if kv.Key == key {
+			return kv.Value, true
+		}
+	}
+	return "", false
 }
 
 // Artifact is one run output file recorded in the manifest: its name
@@ -77,12 +91,8 @@ type Manifest struct {
 
 // Param returns the value of the named param, or "" if absent.
 func (m *Manifest) Param(key string) string {
-	for _, kv := range m.Params {
-		if kv.Key == key {
-			return kv.Value
-		}
-	}
-	return ""
+	v, _ := Lookup(m.Params, key)
+	return v
 }
 
 // ArtifactBySuffix returns the name of the unique artifact whose name

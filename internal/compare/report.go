@@ -157,14 +157,6 @@ func writeDivergence(w io.Writer, d *DecisionDivergence) {
 	default:
 		fmt.Fprintf(w, "first divergence at decision #%d: A t=%s, B t=%s\n", d.Index, tSec(d.TUsA), tSec(d.TUsB))
 	}
-	get := func(attrs []KV, key string) (string, bool) {
-		for _, kv := range attrs {
-			if kv.Key == key {
-				return kv.Value, true
-			}
-		}
-		return "", false
-	}
 	var keys []string
 	seen := map[string]bool{}
 	for _, kv := range d.AttrsA {
@@ -181,8 +173,8 @@ func writeDivergence(w io.Writer, d *DecisionDivergence) {
 	}
 	fmt.Fprintf(w, "  %-18s %20s %20s\n", "attr", "A", "B")
 	for _, k := range keys {
-		va, okA := get(d.AttrsA, k)
-		vb, okB := get(d.AttrsB, k)
+		va, okA := Lookup(d.AttrsA, k)
+		vb, okB := Lookup(d.AttrsB, k)
 		if !okA {
 			va = "-"
 		}

@@ -8,13 +8,15 @@ import (
 	"strings"
 )
 
-// This file parses *.timeline.jsonl artifacts (telemetry.WriteTimeline
-// output) into a comparable model. Like cmd/soradash, lines are decoded
-// with a token scanner rather than Unmarshal: fault lines carry two
-// "kind" keys (envelope + fault kind) and map decoding would keep the
-// wrong one. Unlike soradash, attribute values are kept byte-faithful
-// (json.Number, original order) so decision divergences can be rendered
-// exactly as the run recorded them.
+// This file is the one reader of *.timeline.jsonl artifacts
+// (telemetry.WriteTimeline output): soradiff compares what it parses and
+// soradash draws it. Lines are decoded with a token scanner rather than
+// Unmarshal: fault lines carry two "kind" keys (envelope + fault kind)
+// and map decoding would keep the wrong one. Attribute values are kept
+// byte-faithful (json.Number, original order) so decision divergences
+// render exactly as the run recorded them. The envelope is strict: a
+// line whose t_us is not an integer, or whose unit or kind is not a
+// string, is an error rather than a silent zero.
 
 // Run is one parsed timeline artifact.
 type Run struct {
@@ -24,13 +26,15 @@ type Run struct {
 
 // Unit is the slice of one recorder-tree node's timeline rows.
 type Unit struct {
-	Path      string                 `json:"path"`
-	Identity  []KV                   `json:"identity,omitempty"` // attrs of the run.manifest event, if present
-	Cluster   []ClusterWindow        `json:"-"`
-	Services  []string               `json:"-"` // first-seen order
-	SvcRows   map[string][]SvcWindow `json:"-"`
-	Decisions []Decision             `json:"-"`
-	Faults    []Fault                `json:"-"`
+	Path        string                 `json:"path"`
+	Identity    []KV                   `json:"identity,omitempty"` // attrs of the run.manifest event, if present
+	Cluster     []ClusterWindow        `json:"-"`
+	Services    []string               `json:"-"` // first-seen order
+	SvcRows     map[string][]SvcWindow `json:"-"`
+	Decisions   []Decision             `json:"-"`
+	Annotations []Annotation           `json:"-"` // file order
+	Faults      []Fault                `json:"-"`
+	EndUs       int64                  `json:"-"` // latest t_us of any of the unit's lines (0 if none is later)
 }
 
 // ClusterWindow is one timeline.cluster row (TUs marks window end).
@@ -68,7 +72,16 @@ type Decision struct {
 	Attrs []KV  `json:"attrs"`
 }
 
-// Fault is one fault.inject / fault.recover annotation.
+// Annotation is one point-in-time controller.*, autoscaler.scale or
+// cluster.reconfig event with its attributes in publish order.
+type Annotation struct {
+	TUs   int64
+	Kind  string
+	Attrs []KV
+}
+
+// Fault is one fault.inject / fault.recover annotation. The fault kind
+// is the "kind" attribute (the line's second "kind" key).
 type Fault struct {
 	TUs     int64
 	Recover bool
@@ -85,12 +98,8 @@ type rawEvent struct {
 
 // attr returns the named attribute value or "".
 func (e *rawEvent) attr(key string) string {
-	for _, kv := range e.attrs {
-		if kv.Key == key {
-			return kv.Value
-		}
-	}
-	return ""
+	v, _ := Lookup(e.attrs, key)
+	return v
 }
 
 func (e *rawEvent) num(key string) float64 {
@@ -103,24 +112,19 @@ func (e *rawEvent) i64(key string) int64 {
 	return v
 }
 
-// renderToken converts one scalar JSON token into its KV string form:
-// numbers verbatim (json.Number preserves the artifact's bytes),
+// attrKV converts one scalar JSON token into a KV: numbers verbatim
+// (json.Number preserves the artifact's bytes) and marked Number,
 // strings unquoted, booleans and null as literals.
-func renderToken(tok json.Token) string {
+func attrKV(key string, tok json.Token) KV {
 	switch v := tok.(type) {
 	case json.Number:
-		return v.String()
+		return KV{Key: key, Value: v.String(), Number: true}
 	case string:
-		return v
+		return KV{Key: key, Value: v}
 	case bool:
-		if v {
-			return "true"
-		}
-		return "false"
-	case nil:
-		return "null"
+		return KV{Key: key, Value: strconv.FormatBool(v)}
 	default:
-		return fmt.Sprint(v)
+		return KV{Key: key, Value: "null"}
 	}
 }
 
@@ -154,24 +158,38 @@ func parseLine(line string) (*rawEvent, error) {
 		}
 		switch key {
 		case "t_us":
-			if n, ok := valTok.(json.Number); ok {
-				ev.tUs, _ = n.Int64()
+			n, ok := valTok.(json.Number)
+			if ok {
+				ev.tUs, err = n.Int64()
+			}
+			if !ok || err != nil {
+				return nil, fmt.Errorf("t_us %v is not an integer", valTok)
 			}
 		case "unit":
-			ev.unit, _ = valTok.(string)
+			if ev.unit, ok = valTok.(string); !ok {
+				return nil, fmt.Errorf("unit %v is not a string", valTok)
+			}
 		case "kind":
 			if ev.kind == "" {
-				ev.kind, _ = valTok.(string)
+				if ev.kind, ok = valTok.(string); !ok {
+					return nil, fmt.Errorf("kind %v is not a string", valTok)
+				}
 				continue
 			}
 			// Fault lines: the second "kind" key is the fault kind;
 			// keep it as an ordered attribute.
 			fallthrough
 		default:
-			ev.attrs = append(ev.attrs, KV{Key: key, Value: renderToken(valTok)})
+			ev.attrs = append(ev.attrs, attrKV(key, valTok))
 		}
 	}
 	return ev, nil
+}
+
+// annotationKind reports the point-in-time events a dashboard draws as
+// markers: controller audit events, autoscaler moves and reconfigs.
+func annotationKind(kind string) bool {
+	return strings.HasPrefix(kind, "controller.") || kind == "autoscaler.scale" || kind == "cluster.reconfig"
 }
 
 // ParseTimeline parses raw timeline JSONL content into a Run. Units
@@ -198,6 +216,12 @@ func ParseTimeline(path, raw string) (*Run, error) {
 			return nil, fmt.Errorf("compare: %s line %d: %w", path, i+1, err)
 		}
 		u := unitOf(ev.unit)
+		if ev.tUs > u.EndUs {
+			u.EndUs = ev.tUs
+		}
+		if annotationKind(ev.kind) {
+			u.Annotations = append(u.Annotations, Annotation{TUs: ev.tUs, Kind: ev.kind, Attrs: ev.attrs})
+		}
 		switch ev.kind {
 		case "run.manifest":
 			u.Identity = ev.attrs

@@ -78,7 +78,8 @@ type rigConfig struct {
 	// ctrl, when non-nil, deploys the cluster on a simulated multi-node
 	// control plane: pods are bin-packed onto nodes, cold-start before
 	// serving, and endpoint changes reach the balancers after a lag
-	// (see internal/node). Nil keeps the legacy instant-pod model.
+	// (see internal/node). Nil places pods instantly and applies
+	// endpoint changes synchronously.
 	ctrl *node.Config
 
 	// prof, when non-nil, receives every completed trace for latency
