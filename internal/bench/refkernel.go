@@ -1,10 +1,11 @@
 // Package bench is the kernel hot-path micro-benchmark suite behind
 // `sorabench -bench-json` and the BENCH_kernel.json artifact. It holds
-// the benchmark workloads (event-loop churn, timer reset/cancel churn,
-// PS-server submit churn, a Social Network end-to-end run), the
-// reference implementation they are compared against, and the JSON
-// report format that records the events/s, ns/op and allocs/op
-// trajectory across PRs (see EXPERIMENTS.md for the recording recipe).
+// the benchmark workloads (event-loop churn, a closed-loop-shaped event
+// queue, timer reset/cancel churn, PS-server submit churn, a Social
+// Network end-to-end run), the reference implementation they are
+// compared against, and the JSON report format that records the
+// events/s, ns/op and allocs/op trajectory across PRs (see
+// EXPERIMENTS.md for the recording recipe).
 package bench
 
 import (
@@ -13,12 +14,13 @@ import (
 )
 
 // RefKernel is the container/heap event queue the simulation kernel used
-// before the inlined 4-ary heap, frozen verbatim. It exists for two
-// jobs: the `kernel/eventloop/containerheap` benchmark entry (so every
-// BENCH_kernel.json records the before/after pair on the same machine),
-// and the ordering oracle for the heap property test in internal/sim —
-// the 4-ary heap must pop timers in exactly the (at, seq) order this
-// implementation does.
+// before the inlined 4-ary heaps, frozen verbatim. It exists for two
+// jobs: the `containerheap` twins of the event-loop benchmark entries
+// (so every BENCH_kernel.json records the before/after pair on the same
+// machine), and the ordering oracle for the heap-order test and
+// FuzzKernelOrder in internal/sim — the split-horizon kernel must pop
+// timers in exactly the (at, seq) order this single heap does, at any
+// near/far partition.
 //
 // Only the queue-relevant surface is kept (Schedule/At/Cancel/Step/Run);
 // RNG plumbing, tickers and stop semantics are irrelevant to either job.

@@ -70,51 +70,63 @@ func BenchmarkScheduleCancel(b *testing.B) {
 	}
 }
 
+// allocDelays are the delays the alloc pins run at: one on each side of
+// the near horizon, so both heaps are pinned.
+var allocDelays = []time.Duration{time.Microsecond, time.Second}
+
 // TestScheduleSteadyStateAllocFree pins the free-list guarantee: once
 // the pool is warm, schedule→fire churn performs zero allocations per
 // event.
 func TestScheduleSteadyStateAllocFree(t *testing.T) {
-	k := sim.NewKernel(1)
-	nop := func() {}
-	for i := 0; i < 64; i++ {
-		k.Schedule(benchDelays[i&7], nop)
-	}
-	k.Run()
-	if avg := testing.AllocsPerRun(1000, func() {
-		k.Schedule(time.Microsecond, nop)
-		k.Step()
-	}); avg != 0 {
-		t.Fatalf("schedule+fire allocates %.2f objects per event, want 0", avg)
+	for _, d := range allocDelays {
+		k := sim.NewKernel(1)
+		nop := func() {}
+		for i := 0; i < 64; i++ {
+			k.Schedule(benchDelays[i&7], nop)
+		}
+		k.Run()
+		if avg := testing.AllocsPerRun(1000, func() {
+			k.Schedule(d, nop)
+			k.Step()
+		}); avg != 0 {
+			t.Fatalf("schedule(%v)+fire allocates %.2f objects per event, want 0", d, avg)
+		}
 	}
 }
 
 // TestCancelSteadyStateAllocFree pins that the schedule→cancel round
 // trip recycles through the free list without allocating.
 func TestCancelSteadyStateAllocFree(t *testing.T) {
-	k := sim.NewKernel(1)
-	nop := func() {}
-	k.Schedule(time.Microsecond, nop).Cancel()
-	if avg := testing.AllocsPerRun(1000, func() {
-		k.Schedule(time.Microsecond, nop).Cancel()
-	}); avg != 0 {
-		t.Fatalf("schedule+cancel allocates %.2f objects per cycle, want 0", avg)
+	for _, d := range allocDelays {
+		k := sim.NewKernel(1)
+		nop := func() {}
+		k.Schedule(d, nop).Cancel()
+		if avg := testing.AllocsPerRun(1000, func() {
+			k.Schedule(d, nop).Cancel()
+		}); avg != 0 {
+			t.Fatalf("schedule(%v)+cancel allocates %.2f objects per cycle, want 0", d, avg)
+		}
 	}
 }
 
-// TestResetAllocFree pins that Reset never allocates: it re-keys the
-// timer in place with a single sift.
+// TestResetAllocFree pins that Reset does not allocate at steady state,
+// whether it re-keys a timer in place or moves it across the near
+// horizon into the other heap.
 func TestResetAllocFree(t *testing.T) {
-	k := sim.NewKernel(1)
-	nop := func() {}
-	for i := 0; i < 32; i++ {
-		k.Schedule(benchDelays[i&7], nop)
-	}
-	tm := k.Schedule(time.Hour, nop)
-	i := 0
-	if avg := testing.AllocsPerRun(1000, func() {
-		tm.Reset(benchDelays[i&7])
-		i++
-	}); avg != 0 {
-		t.Fatalf("Reset allocates %.2f objects per call, want 0", avg)
+	for _, start := range allocDelays {
+		k := sim.NewKernel(1)
+		nop := func() {}
+		for i := 0; i < 32; i++ {
+			k.Schedule(benchDelays[i&7], nop)
+			k.Schedule(time.Second+benchDelays[i&7], nop)
+		}
+		tm := k.Schedule(start, nop)
+		i := 0
+		if avg := testing.AllocsPerRun(1000, func() {
+			tm.Reset(benchDelays[i&7] + allocDelays[i&1])
+			i++
+		}); avg != 0 {
+			t.Fatalf("Reset of a timer first scheduled at %v allocates %.2f objects per call, want 0", start, avg)
+		}
 	}
 }

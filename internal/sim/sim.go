@@ -18,13 +18,20 @@
 //
 // # Hot-path design
 //
-// The event queue is an inlined 4-ary min-heap specialized to *Timer and
-// keyed on (at, seq) — no heap.Interface indirection, no interface
-// conversions, and half the tree depth of a binary heap, which matters
-// because sift costs are dominated by pointer-chasing comparisons. Fired
-// and cancelled Timer structs go on a per-kernel free list and are handed
-// out again by Schedule/At, so steady-state event churn allocates nothing.
-// Timer.Reset re-keys a pending timer in place (one sift, no queue
+// The event queue is two inlined 4-ary min-heaps specialized to *Timer
+// and keyed on (at, seq) — no heap.Interface indirection, no interface
+// conversions, and half the tree depth of a binary heap. Sift cost is
+// the depth a timer travels, so the queue is split by how far ahead a
+// timer was scheduled: the near heap holds timers due within
+// nearHorizon (network hops, PS completions), the far heap the rest
+// (think timers, control periods). Almost every event fired is a
+// near-term hop, and its pop now sifts through the few dozen in-flight
+// hops instead of every user's think timer. The next event is the
+// smaller of the two tops, so firing order is exactly the single-heap
+// order whatever the partition. Fired and cancelled Timer structs go on
+// a per-kernel free list and are handed out again by Schedule/At, so
+// steady-state event churn allocates nothing. Timer.Reset re-keys a
+// pending timer in place inside its heap (one sift, no queue
 // round-trip), which is what lets the PS-server model reschedule its
 // single completion timer on every state change without allocating.
 //
@@ -75,8 +82,9 @@ type Timer struct {
 	seq      uint64
 	fn       func()
 	k        *Kernel
-	index    int // position in the heap, -1 once fired/cancelled
+	index    int // position in its heap, -1 once fired/cancelled
 	canceled bool
+	far      bool // queued in Kernel.far rather than Kernel.near
 }
 
 // Cancel prevents the timer's callback from running and removes the timer
@@ -93,7 +101,7 @@ func (t *Timer) Cancel() {
 	t.canceled = true
 	t.fn = nil
 	k := t.k
-	k.heapRemove(t.index)
+	k.heapOf(t).remove(t.index)
 	k.releaseTimer(t)
 }
 
@@ -110,7 +118,9 @@ func (t *Timer) When() Time { return t.at }
 // by Schedule: the timer receives a fresh sequence number, so it fires
 // after events already queued for the same instant. Unlike
 // Cancel+Schedule it performs a single in-place sift and touches no free
-// list. A negative delay is treated as zero.
+// list, unless the new delay crosses the near horizon: then the timer
+// moves to the other queue half, as a fresh Schedule would place it.
+// A negative delay is treated as zero.
 //
 // Reset panics on a fired or cancelled timer: once the callback has run
 // or Cancel returned, the kernel may have recycled the struct, and
@@ -128,28 +138,52 @@ func (t *Timer) Reset(delay time.Duration) {
 	k.seq++
 	t.at = k.now + delay
 	t.seq = k.seq
-	k.heapFix(t.index)
+	if far := delay >= k.horizon; far != t.far {
+		// A timer re-keyed in place across the horizon would bounce
+		// between the root and the leaves of a heap whose keys all lie
+		// on the other side; moving it keeps both heaps homogeneous.
+		k.heapOf(t).remove(t.index)
+		t.far = far
+		k.heapOf(t).push(t)
+		return
+	}
+	k.heapOf(t).fix(t.index)
 }
 
 // Kernel is the discrete-event simulation core. The zero value is not
 // usable; construct with NewKernel.
 type Kernel struct {
-	now       Time
-	seq       uint64
-	seed      uint64
-	events    []*Timer // inlined 4-ary min-heap on (at, seq)
+	now  Time
+	seq  uint64
+	seed uint64
+	// The event queue, split by how far ahead each timer was scheduled:
+	// near holds timers due less than horizon after the moment they were
+	// scheduled or last reset, far holds the rest. The next event is the smaller of the
+	// two tops, so the split changes sift depth, never firing order.
+	near      timerHeap
+	far       timerHeap
+	horizon   Time
 	free      []*Timer // recycled Timer structs
 	rng       *rand.Rand
 	processed uint64
 	stopped   bool
 }
 
+// nearHorizon is the delay below which a timer goes into the near heap.
+// Measured scheduling delays cluster below 10 ms (network hops, PS
+// completions) and around 1 s (user think times, control periods), with
+// a sparse valley between; splitting in the valley leaves the hot near
+// heap a few dozen timers deep while the standing think timers sit in
+// the far heap untouched until their turn. See DESIGN.md §13.
+const nearHorizon = 10 * time.Millisecond
+
 // NewKernel returns a kernel with virtual time 0 and a deterministic RNG
 // derived from seed.
 func NewKernel(seed uint64) *Kernel {
 	return &Kernel{
-		seed: seed,
-		rng:  rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
+		seed:    seed,
+		horizon: nearHorizon,
+		rng:     rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
 	}
 }
 
@@ -185,7 +219,7 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of events currently scheduled. Cancelled
 // timers are removed from the queue eagerly, so they never count.
-func (k *Kernel) Pending() int { return len(k.events) }
+func (k *Kernel) Pending() int { return len(k.near) + len(k.far) }
 
 // Schedule runs fn after delay units of virtual time. A negative delay is
 // treated as zero (fire as soon as possible, after already-queued events at
@@ -223,8 +257,29 @@ func (k *Kernel) At(t Time, fn func()) *Timer {
 	} else {
 		tm = &Timer{at: t, seq: k.seq, fn: fn, k: k} //soravet:allow hotpath pool miss: allocates only while the live-timer high-water mark rises, then the free list serves every Schedule
 	}
-	k.heapPush(tm)
+	tm.far = t-k.now >= k.horizon
+	k.heapOf(tm).push(tm)
 	return tm
+}
+
+// heapOf returns the queue half that owns t.
+func (k *Kernel) heapOf(t *Timer) *timerHeap {
+	if t.far {
+		return &k.far
+	}
+	return &k.near
+}
+
+// next returns the queue half holding the earliest pending timer, or nil
+// when both are empty.
+func (k *Kernel) next() *timerHeap {
+	if len(k.far) > 0 && (len(k.near) == 0 || timerLess(k.far[0], k.near[0])) {
+		return &k.far
+	}
+	if len(k.near) > 0 {
+		return &k.near
+	}
+	return nil
 }
 
 // releaseTimer returns a fired or cancelled timer struct to the free list.
@@ -243,16 +298,25 @@ func (k *Kernel) releaseTimer(t *Timer) {
 //
 //soravet:hotpath BenchmarkEventLoop events/s headline: the pop-advance-dispatch loop runs once per simulated event
 func (k *Kernel) Step() bool {
-	if k.stopped || len(k.events) == 0 {
+	if k.stopped {
 		return false
 	}
-	tm := k.heapPop()
+	h := k.next()
+	if h == nil {
+		return false
+	}
+	k.fire(h)
+	return true
+}
+
+// fire pops the top of h, advances the clock to it and runs its callback.
+func (k *Kernel) fire(h *timerHeap) {
+	tm := h.pop()
 	k.now = tm.at
 	fn := tm.fn
 	k.releaseTimer(tm)
 	k.processed++
 	fn()
-	return true
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -275,8 +339,12 @@ func (k *Kernel) Run() {
 // the original window must Resume and call RunUntil with the same
 // absolute deadline again.
 func (k *Kernel) RunUntil(deadline Time) {
-	for !k.stopped && len(k.events) > 0 && k.events[0].at <= deadline {
-		k.Step()
+	for !k.stopped {
+		h := k.next()
+		if h == nil || (*h)[0].at > deadline {
+			break
+		}
+		k.fire(h)
 	}
 	if !k.stopped && k.now < deadline {
 		k.now = deadline
@@ -299,86 +367,88 @@ func (k *Kernel) Resume() { k.stopped = false }
 // Stopped reports whether the kernel is currently stopped.
 func (k *Kernel) Stopped() bool { return k.stopped }
 
-// The event queue: an inlined 4-ary min-heap over *Timer ordered by
-// (at, seq). Children of slot i live at 4i+1..4i+4; the parent of slot i
-// is (i-1)/4. Every slot's timer keeps its index field current so Cancel
-// and Reset can locate it in O(1).
+// The event queue is two timerHeaps (see Kernel.near/far) sharing one
+// set of routines. Each is an inlined 4-ary min-heap over *Timer ordered
+// by (at, seq): children of slot i live at 4i+1..4i+4, the parent of
+// slot i is (i-1)/4, and every slot's timer keeps its index field
+// current so Cancel and Reset can locate it in O(1).
+type timerHeap []*Timer
 
 // timerLess orders timers by firing time, FIFO within the same instant.
 func timerLess(a, b *Timer) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// heapPush appends t and sifts it up to its position.
-func (k *Kernel) heapPush(t *Timer) {
-	k.events = append(k.events, t) //soravet:allow hotpath heap append reuses capacity at steady state; grows only while the pending-timer high-water mark rises
-	k.siftUp(len(k.events) - 1)
+// push appends t and sifts it up to its position.
+func (h *timerHeap) push(t *Timer) {
+	*h = append(*h, t) //soravet:allow hotpath heap append reuses capacity at steady state; grows only while the pending-timer high-water mark rises
+	h.siftUp(len(*h) - 1)
 }
 
-// heapPop removes and returns the minimum timer, marking it detached.
-func (k *Kernel) heapPop() *Timer {
-	h := k.events
-	top := h[0]
+// pop removes and returns the minimum timer, marking it detached.
+func (h *timerHeap) pop() *Timer {
+	q := *h
+	top := q[0]
 	top.index = -1
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	k.events = h[:n]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	*h = q[:n]
 	if n > 0 {
-		h[0] = last
+		q[0] = last
 		last.index = 0
-		k.siftDown(0)
+		h.siftDown(0)
 	}
 	return top
 }
 
-// heapRemove detaches the timer at slot i, filling the hole with the last
+// remove detaches the timer at slot i, filling the hole with the last
 // element and re-sifting it.
-func (k *Kernel) heapRemove(i int) {
-	h := k.events
-	h[i].index = -1
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	k.events = h[:n]
+func (h *timerHeap) remove(i int) {
+	q := *h
+	q[i].index = -1
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	*h = q[:n]
 	if i < n {
-		h[i] = last
+		q[i] = last
 		last.index = i
-		k.heapFix(i)
+		h.fix(i)
 	}
 }
 
-// heapFix restores heap order for slot i after its key changed in place.
-func (k *Kernel) heapFix(i int) {
-	if !k.siftDown(i) {
-		k.siftUp(i)
+// fix restores heap order for slot i after its key changed in place.
+func (h *timerHeap) fix(i int) {
+	if !h.siftDown(i) {
+		h.siftUp(i)
 	}
 }
 
 // siftUp moves the timer at slot i toward the root until its parent is
 // not greater.
-func (k *Kernel) siftUp(i int) {
-	h := k.events
-	t := h[i]
+func (h *timerHeap) siftUp(i int) {
+	q := *h
+	t := q[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !timerLess(t, h[p]) {
+		if !timerLess(t, q[p]) {
 			break
 		}
-		h[i] = h[p]
-		h[i].index = i
+		q[i] = q[p]
+		q[i].index = i
 		i = p
 	}
-	h[i] = t
+	q[i] = t
 	t.index = i
 }
 
 // siftDown moves the timer at slot i toward the leaves until no child is
 // smaller, reporting whether it moved.
-func (k *Kernel) siftDown(i int) bool {
-	h := k.events
-	n := len(h)
-	t := h[i]
+func (h *timerHeap) siftDown(i int) bool {
+	q := *h
+	n := len(q)
+	t := q[i]
 	start := i
 	for {
 		c := i<<2 + 1
@@ -391,18 +461,18 @@ func (k *Kernel) siftDown(i int) bool {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if timerLess(h[j], h[m]) {
+			if timerLess(q[j], q[m]) {
 				m = j
 			}
 		}
-		if !timerLess(h[m], t) {
+		if !timerLess(q[m], t) {
 			break
 		}
-		h[i] = h[m]
-		h[i].index = i
+		q[i] = q[m]
+		q[i].index = i
 		i = m
 	}
-	h[i] = t
+	q[i] = t
 	t.index = i
 	return i != start
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -459,5 +460,13 @@ func BenchmarkScheduleRun(b *testing.B) {
 				k.Step()
 			}
 		}
+	}
+}
+
+// TestTimerSize pins the Timer struct at 48 bytes: the near/far flag
+// rides in the padding after canceled.
+func TestTimerSize(t *testing.T) {
+	if got := unsafe.Sizeof(Timer{}); got != 48 {
+		t.Fatalf("Timer is %d bytes, want 48", got)
 	}
 }

@@ -64,6 +64,11 @@ type ClosedLoop struct {
 	running bool
 	ticker  *sim.Ticker
 
+	// Bound once so the per-request cycle allocates nothing: cycleFn is
+	// cl.userCycle, thinkFn the completion callback that starts the
+	// next think period.
+	cycleFn, thinkFn func()
+
 	issued uint64
 }
 
@@ -109,6 +114,8 @@ func NewClosedLoop(k *sim.Kernel, cfg ClosedLoopConfig) (*ClosedLoop, error) {
 		submit: cfg.Submit,
 		rng:    k.Split(0xc105ed),
 	}
+	cl.cycleFn = cl.userCycle
+	cl.thinkFn = cl.rethink
 	period := cfg.ControlPeriod
 	if period <= 0 {
 		period = time.Second
@@ -173,10 +180,12 @@ func (cl *ClosedLoop) spawn() {
 		// Enter at a uniform point of the first think period.
 		t = time.Duration(cl.rng.Int64N(int64(t) + 1))
 	}
-	cl.k.Schedule(t, cl.userCycle)
+	cl.k.Schedule(t, cl.cycleFn)
 }
 
 // userCycle runs one think-request iteration for a user.
+//
+//soravet:hotpath TestClosedLoopCycleAllocFree once per simulated request: both callbacks are bound in NewClosedLoop, so the think-request cycle allocates nothing
 func (cl *ClosedLoop) userCycle() {
 	if cl.retire > 0 {
 		cl.retire--
@@ -184,7 +193,10 @@ func (cl *ClosedLoop) userCycle() {
 		return
 	}
 	cl.issued++
-	cl.submit(func() {
-		cl.k.Schedule(cl.think.Sample(cl.rng), cl.userCycle)
-	})
+	cl.submit(cl.thinkFn)
+}
+
+// rethink starts a user's next think period once its request completes.
+func (cl *ClosedLoop) rethink() {
+	cl.k.Schedule(cl.think.Sample(cl.rng), cl.cycleFn)
 }

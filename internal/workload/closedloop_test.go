@@ -247,3 +247,37 @@ func TestQuickClosedLoopTracksTarget(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestClosedLoopCycleAllocFree pins the steady-state user cycle at zero
+// allocations: the cycle and think-restart callbacks are bound once in
+// NewClosedLoop, and the kernel recycles the timers they schedule. The
+// stub submit parks the completion callback, so each measured run is
+// exactly one cycle: complete, think, issue the next request.
+func TestClosedLoopCycleAllocFree(t *testing.T) {
+	k := sim.NewKernel(3)
+	var done func()
+	cl, err := NewClosedLoop(k, ClosedLoopConfig{
+		Target: ConstantUsers(1),
+		Submit: func(d func()) { done = d },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		if d := done; d != nil {
+			done = nil
+			d()
+		}
+		for done == nil && k.Step() {
+		}
+	}
+	cl.Start()
+	cycle()
+	issued := cl.Issued()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("user cycle allocates %.2f objects, want 0", avg)
+	}
+	if got := cl.Issued() - issued; got != 101 {
+		t.Fatalf("issued %d requests over 101 cycles", got)
+	}
+}
