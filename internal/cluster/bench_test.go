@@ -3,8 +3,10 @@ package cluster
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"sora/internal/sim"
+	"sora/internal/trace"
 )
 
 // BenchmarkRequestVisit measures the full per-request cost of the visit
@@ -86,5 +88,16 @@ func TestPolicyEdgeAllocFree(t *testing.T) {
 	// records and the timer all come from free lists.
 	if avg > 4 {
 		t.Fatalf("steady-state allocations per request = %.1f, want <= 4 (policy-edge call path regressed)", avg)
+	}
+}
+
+// TestSpanSlabFillsWholePages pins the span arena slab at exactly 32 KiB,
+// the runtime's largest small-object size: one byte more and every slab
+// is rounded up to whole 8 KiB pages (a 136 B span made each 256-span
+// slab 40 KiB, 15% of it wasted). A field added to trace.Span has to
+// re-think spanChunkSize or the field layout.
+func TestSpanSlabFillsWholePages(t *testing.T) {
+	if got := unsafe.Sizeof(trace.Span{}) * spanChunkSize; got != 32<<10 {
+		t.Fatalf("span slab = %d B (%d B span x %d), want exactly %d B", got, unsafe.Sizeof(trace.Span{}), spanChunkSize, 32<<10)
 	}
 }

@@ -202,7 +202,7 @@ func (c *Cluster) FlushTelemetry() {
 				Type:     tr.Type,
 				Service:  s.Service,
 				Instance: s.Instance,
-				Depth:    s.Depth,
+				Depth:    int(s.Depth),
 				Start:    s.Start,
 				End:      s.End,
 			})

@@ -59,7 +59,7 @@ func toRecord(s *Span) SpanRecord {
 	rec := SpanRecord{
 		Service:   s.Service,
 		Instance:  s.Instance,
-		Depth:     s.Depth,
+		Depth:     int(s.Depth),
 		ArrivalNs: int64(s.Arrival),
 		StartNs:   int64(s.Start),
 		EndNs:     int64(s.End),
@@ -90,7 +90,7 @@ func fromRecord(rec SpanRecord) *Span {
 	s := &Span{
 		Service:     rec.Service,
 		Instance:    rec.Instance,
-		Depth:       rec.Depth,
+		Depth:       int32(rec.Depth),
 		Arrival:     time.Duration(rec.ArrivalNs),
 		Start:       time.Duration(rec.StartNs),
 		End:         time.Duration(rec.EndNs),

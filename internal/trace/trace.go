@@ -26,7 +26,6 @@ type ID uint64
 type Span struct {
 	Service  string // logical service name (e.g. "cart")
 	Instance string // pod identity (e.g. "cart-0")
-	Depth    int    // 0 for the front-end
 
 	Arrival sim.Time // request arrived at the service (queued for admission)
 	Start   sim.Time // processing began (admitted past the soft resource)
@@ -84,6 +83,11 @@ type Span struct {
 	// path — their End can postdate the parent's — while still being
 	// archived for wasted-work analysis.
 	Abandoned bool
+
+	// Depth is 0 for the front-end. It is an int32 packed beside the
+	// four flags so a Span is 128 B and the cluster's 256-span arena
+	// slab is exactly 32 KiB (DESIGN.md §13).
+	Depth int32
 
 	Children []*Span
 }

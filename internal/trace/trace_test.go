@@ -139,7 +139,7 @@ func randomSpanTree(rng *rand.Rand, depth int) *Span {
 	dur := time.Duration(1+rng.IntN(4)) * time.Millisecond
 	s := &Span{
 		Service: services[rng.IntN(len(services))],
-		Depth:   depth,
+		Depth:   int32(depth),
 		Arrival: arrival,
 		Start:   arrival,
 		End:     arrival + dur,
