@@ -11,7 +11,6 @@ import (
 	"sora/internal/metrics"
 	"sora/internal/sim"
 	"sora/internal/stats"
-	"sora/internal/trace"
 )
 
 // SCGConfig configures the Scatter-Concurrency-Goodput model.
@@ -101,6 +100,13 @@ func (m *SCGModel) SetSLA(sla time.Duration) error {
 	return nil
 }
 
+// scan gathers the trailing window's traces into one windowScan: each
+// decision reads the critical service, the deadline and the behind-pool
+// utilization from it instead of walking the window once per question.
+func (m *SCGModel) scan(now sim.Time) *windowScan {
+	return scanWindow(m.c.Warehouse().Window(now-m.cfg.Window, now), m.c.ServiceNames())
+}
+
 // CriticalService identifies the critical service over the trailing
 // window (phase 1 of the SCG workflow): services are screened by CPU
 // utilization, then ranked by the Pearson correlation of their per-trace
@@ -109,54 +115,36 @@ func (m *SCGModel) SetSLA(sla time.Duration) error {
 // the correlation ranking alone decides, mirroring the paper's
 // observation that the two steps agree most of the time.
 func (m *SCGModel) CriticalService(now sim.Time) (string, error) {
-	since := now - m.cfg.Window
-	traces := m.c.Warehouse().Window(since, now)
-	if len(traces) < 2 {
-		return "", fmt.Errorf("core: only %d traces in window, need >= 2", len(traces))
-	}
+	return m.criticalService(m.scan(now), now)
+}
 
-	// Assemble aligned per-trace samples: end-to-end RT and per-service
-	// processing time (0 when a trace does not visit a service).
-	type svcSamples struct {
-		pt      []float64
-		visited int
+// criticalService is CriticalService on a built scan.
+func (m *SCGModel) criticalService(w *windowScan, now sim.Time) (string, error) {
+	if w.traces < 2 {
+		return "", fmt.Errorf("core: only %d traces in window, need >= 2", w.traces)
 	}
-	perSvc := make(map[string]*svcSamples)
-	rts := make([]float64, 0, len(traces))
-	for ti, tr := range traces {
-		rts = append(rts, float64(tr.ResponseTime())/float64(time.Millisecond))
-		tr.Root.Walk(func(s *trace.Span) {
-			ss, ok := perSvc[s.Service]
-			if !ok {
-				ss = &svcSamples{pt: make([]float64, len(traces))}
-				perSvc[s.Service] = ss
-			}
-			ss.pt[ti] += float64(s.ProcessingTime()) / float64(time.Millisecond)
-			ss.visited++
-		})
-		_ = ti
-	}
-
 	type candidate struct {
 		name string
 		pcc  float64
 		util float64
 	}
+	since := now - m.cfg.Window
 	var candidates []candidate
-	for name, ss := range perSvc {
-		if ss.visited < 2 {
+	for i := range w.svc {
+		ss := &w.svc[i]
+		if ss.visits < 2 {
 			continue
 		}
-		pcc, err := stats.Pearson(ss.pt, rts)
+		pcc, err := stats.Pearson(ss.pt, w.rts)
 		if err != nil {
 			continue // constant processing time: carries no signal
 		}
+		name := w.names[i]
 		util := m.mon.MeanUtil(name, since, now)
 		candidates = append(candidates, candidate{name: name, pcc: pcc, util: util})
 	}
-	// perSvc is a map, so the collection order above is nondeterministic;
-	// sort by name so the strict-> argmax below breaks PCC ties toward
-	// the lexicographically smallest service on every run.
+	// Sort by name so the strict-> argmax below breaks PCC ties toward
+	// the lexicographically smallest service, whatever the index order.
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].name < candidates[j].name })
 	if len(candidates) == 0 {
 		return "", fmt.Errorf("core: no service produced a usable correlation over the window")
@@ -187,22 +175,16 @@ func (m *SCGModel) CriticalService(now sim.Time) (string, error) {
 // over the traces in the window whose critical path passes through s
 // (Eq. 3 of the paper). The result is floored at MinThreshold.
 func (m *SCGModel) PropagateDeadline(now sim.Time, service string) (time.Duration, error) {
-	since := now - m.cfg.Window
-	traces := m.c.Warehouse().Window(since, now)
-	var sum time.Duration
-	n := 0
-	for _, tr := range traces {
-		upstream, ok := tr.UpstreamProcessing(service)
-		if !ok {
-			continue
-		}
-		sum += upstream
-		n++
-	}
-	if n == 0 {
+	return m.propagateDeadline(m.scan(now), service)
+}
+
+// propagateDeadline is PropagateDeadline on a built scan.
+func (m *SCGModel) propagateDeadline(w *windowScan, service string) (time.Duration, error) {
+	i, ok := w.index[service]
+	if !ok || w.svc[i].upN == 0 {
 		return 0, fmt.Errorf("core: service %q never on a critical path in the window", service)
 	}
-	threshold := m.cfg.SLA - sum/time.Duration(n)
+	threshold := m.cfg.SLA - w.svc[i].upSum/time.Duration(w.svc[i].upN)
 	if threshold < m.cfg.MinThreshold {
 		threshold = m.cfg.MinThreshold
 	}
@@ -393,17 +375,18 @@ func (m *SCGModel) Recommend(now sim.Time, managed []ManagedResource) (Recommend
 	if len(managed) == 0 {
 		return Recommendation{}, fmt.Errorf("core: no managed resources")
 	}
-	critical, err := m.CriticalService(now)
+	w := m.scan(now)
+	critical, err := m.criticalService(w, now)
 	if err != nil {
 		return Recommendation{}, err
 	}
 	res := m.pickResource(critical, managed, now)
-	threshold, err := m.PropagateDeadline(now, res.MeasuredService())
+	threshold, err := m.propagateDeadline(w, res.MeasuredService())
 	if err != nil {
 		// The measured service may sit off the critical path this window
 		// (e.g. the knob's callee while the caller is critical): fall
 		// back to the critical service's own threshold.
-		threshold, err = m.PropagateDeadline(now, critical)
+		threshold, err = m.propagateDeadline(w, critical)
 		if err != nil {
 			return Recommendation{}, err
 		}
@@ -437,28 +420,25 @@ func (m *SCGModel) Recommend(now sim.Time, managed []ManagedResource) (Recommend
 		MaxQWindow:         maxWin,
 		MaxQRetention:      maxRet,
 		GoodFrac:           m.goodFraction(now, res.MeasuredService(), threshold),
-		BehindUtil:         m.behindUtil(now, res.MeasuredService()),
+		BehindUtil:         m.behindUtil(w, now, res.MeasuredService()),
 	}, nil
 }
 
 // behindUtil returns the highest mean utilization among the measured
-// service and the downstream services its spans called within the window.
-func (m *SCGModel) behindUtil(now sim.Time, measured string) float64 {
+// service and the downstream services its spans called within the
+// scanned window.
+func (m *SCGModel) behindUtil(w *windowScan, now sim.Time, measured string) float64 {
 	since := now - m.cfg.Window
 	best := m.mon.MeanUtil(measured, since, now)
-	children := make(map[string]bool)
-	for _, tr := range m.c.Warehouse().Window(since, now) {
-		tr.Root.Walk(func(s *trace.Span) {
-			if s.Service != measured {
-				return
-			}
-			for _, c := range s.Children {
-				children[c.Service] = true
-			}
-		})
+	caller, ok := w.index[measured]
+	if !ok {
+		return best
 	}
-	for child := range children {
-		if u := m.mon.MeanUtil(child, since, now); u > best {
+	for callee, name := range w.names {
+		if !w.calledBy(caller, callee) {
+			continue
+		}
+		if u := m.mon.MeanUtil(name, since, now); u > best {
 			best = u
 		}
 	}

@@ -71,7 +71,8 @@ func (m *SCTModel) Recommend(now sim.Time, managed []ManagedResource) (Recommend
 	if len(managed) == 0 {
 		return Recommendation{}, fmt.Errorf("core: no managed resources")
 	}
-	critical, err := m.CriticalService(now)
+	w := m.scg.scan(now)
+	critical, err := m.scg.criticalService(w, now)
 	if err != nil {
 		return Recommendation{}, err
 	}
@@ -105,7 +106,7 @@ func (m *SCTModel) Recommend(now sim.Time, managed []ManagedResource) (Recommend
 		MaxQWindow:         maxWin,
 		MaxQRetention:      maxRet,
 		GoodFrac:           1, // latency-agnostic: deadlines never trigger growth
-		BehindUtil:         m.scg.behindUtil(now, res.MeasuredService()),
+		BehindUtil:         m.scg.behindUtil(w, now, res.MeasuredService()),
 	}, nil
 }
 

@@ -193,16 +193,17 @@ func (t *Trace) CriticalPath() []*Span {
 		return nil
 	}
 	var path []*Span
-	for cur := t.Root; cur != nil; cur = criticalChild(cur) {
+	for cur := t.Root; cur != nil; cur = cur.CriticalChild() {
 		path = append(path, cur)
 	}
 	return path
 }
 
-// criticalChild returns the child the critical path descends into from
+// CriticalChild returns the child the critical path descends into from
 // s — the longest non-abandoned child, earliest-dispatched on ties (see
-// CriticalPath) — or nil when s is the path's last span.
-func criticalChild(s *Span) *Span {
+// CriticalPath) — or nil when s is the path's last span. It is the one
+// descent step every critical-path reader shares.
+func (s *Span) CriticalChild() *Span {
 	var next *Span
 	var nextDur time.Duration = -1
 	for _, c := range s.Children {
@@ -250,7 +251,7 @@ func (t *Trace) FindSpan(service string) *Span {
 // per-trace call allocates nothing.
 func (t *Trace) UpstreamProcessing(service string) (time.Duration, bool) {
 	var sum time.Duration
-	for s := t.Root; s != nil; s = criticalChild(s) {
+	for s := t.Root; s != nil; s = s.CriticalChild() {
 		if s.Service == service {
 			return sum, true
 		}
