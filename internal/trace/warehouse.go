@@ -13,8 +13,8 @@ import (
 // queries are simple prefix/suffix operations on a deque.
 //
 // The paper offloads this role to a Neo4j graph database plus per-service
-// MongoDB stores; an indexed in-process deque preserves the same queries
-// (traces in a window, spans of one service in a window) without the
+// MongoDB stores; an indexed in-process deque answers the one query the
+// estimator makes (the traces completing in a window) without the
 // storage substrate.
 type Warehouse struct {
 	retention time.Duration
@@ -152,36 +152,4 @@ func lowerBound(traces []*Trace, t sim.Time) int {
 		}
 	}
 	return lo
-}
-
-// ServiceSpans collects, from traces completing in [since, until), every
-// span belonging to the named service. Used to build per-service
-// processing-time profiles and goodput series.
-func (w *Warehouse) ServiceSpans(service string, since, until sim.Time) []*Span {
-	var spans []*Span
-	live := w.live()
-	lo, hi := lowerBound(live, since), lowerBound(live, until)
-	for _, t := range live[lo:hi] {
-		t.Root.Walk(func(s *Span) {
-			if s.Service == service {
-				spans = append(spans, s)
-			}
-		})
-	}
-	return spans
-}
-
-// Services returns the set of service names observed in retained traces.
-func (w *Warehouse) Services() []string {
-	seen := make(map[string]bool)
-	var names []string
-	for _, t := range w.live() {
-		t.Root.Walk(func(s *Span) {
-			if !seen[s.Service] {
-				seen[s.Service] = true
-				names = append(names, s.Service)
-			}
-		})
-	}
-	return names
 }
