@@ -2,15 +2,18 @@ package bench
 
 import (
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"time"
 
 	"sora/internal/cluster"
+	"sora/internal/core"
 	"sora/internal/psq"
 	"sora/internal/sim"
 	"sora/internal/stats"
 	"sora/internal/telemetry"
 	"sora/internal/topology"
+	"sora/internal/workload"
 )
 
 // Result is one benchmark's outcome in machine-comparable form.
@@ -67,6 +70,7 @@ func Run() []Result {
 		result("cluster/socialnetwork", testing.Benchmark(BenchmarkSocialNetworkRequest)),
 		result("stats/sketch/observe", testing.Benchmark(BenchmarkSketchObserve)),
 		result("cluster/request/flight", testing.Benchmark(BenchmarkRequestWithFlightRecorder)),
+		result("core/scg/recommend", testing.Benchmark(BenchmarkSCGRecommend)),
 	}
 }
 
@@ -378,5 +382,78 @@ func BenchmarkSocialNetworkRequest(b *testing.B) {
 	b.StopTimer()
 	if b.N > 0 {
 		b.ReportMetric(float64(k.Processed())/float64(b.N), "events/op")
+	}
+}
+
+// scgWindow is the warmed deployment BenchmarkSCGRecommend decides on:
+// Social Network home-timeline reads from 2000 closed-loop users, run
+// for scgWarm virtual seconds so the model's 45 s window is full. It is
+// built once per process, so repeated testing.Benchmark rounds and quick
+// runs time the decision, not the warm-up.
+var scgWindow struct {
+	once    sync.Once
+	err     error
+	model   *core.SCGModel
+	now     sim.Time
+	managed []core.ManagedResource
+}
+
+// scgWarm is the virtual warm-up of the decision benchmark's deployment.
+const scgWarm = time.Minute
+
+// warmSCGWindow builds scgWindow: the deployment, the monitor sampling
+// its concurrency and utilization, and an SCG model over a 45 s window.
+func warmSCGWindow() {
+	w := &scgWindow
+	k := sim.NewKernel(1)
+	c, err := cluster.New(k, topology.SocialNetwork(topology.DefaultSocialNetwork()), cluster.Options{})
+	if err != nil {
+		w.err = err
+		return
+	}
+	if w.err = c.SetMix(topology.HomeTimelineOnlyMix(false)); w.err != nil {
+		return
+	}
+	conns := cluster.ResourceRef{Service: topology.HomeTimeline, Kind: cluster.PoolClientConns, Target: topology.PostStorage}
+	mon, err := core.NewMonitor(c, 0, []cluster.ResourceRef{conns}, c.ServiceNames())
+	if err != nil {
+		w.err = err
+		return
+	}
+	loop, err := workload.NewClosedLoop(k, workload.ClosedLoopConfig{
+		Target: workload.ConstantUsers(2000),
+		Submit: func(done func()) { c.SubmitMixWith(done) },
+	})
+	if err != nil {
+		w.err = err
+		return
+	}
+	mon.Start()
+	loop.Start()
+	k.RunUntil(sim.Time(scgWarm))
+	w.model, w.err = core.NewSCG(c, mon, core.SCGConfig{SLA: 400 * time.Millisecond, Window: 45 * time.Second})
+	w.now = k.Now()
+	w.managed = []core.ManagedResource{{Ref: conns, Min: 4, Max: 300}}
+}
+
+// BenchmarkSCGRecommend measures one SCG decision — critical service,
+// deadline propagation, behind-pool check, scatter collection and knee
+// estimation — on a warmed 45 s Social Network window. One op = one
+// Recommend.
+func BenchmarkSCGRecommend(b *testing.B) {
+	scgWindow.once.Do(warmSCGWindow)
+	if scgWindow.err != nil {
+		b.Fatal(scgWindow.err)
+	}
+	m, now, managed := scgWindow.model, scgWindow.now, scgWindow.managed
+	if _, err := m.Recommend(now, managed); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Recommend(now, managed); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -58,7 +58,7 @@ go -C benchmark vet .
 go -C benchmark test .
 
 echo "== go test -race (concurrent packages)"
-go test -race -short ./internal/experiment ./internal/sim ./internal/telemetry ./internal/profile ./internal/cluster ./internal/trace ./internal/fault ./internal/metrics ./internal/stats ./internal/compare ./internal/lint ./internal/node
+go test -race -short ./internal/experiment ./internal/sim ./internal/telemetry ./internal/profile ./internal/cluster ./internal/trace ./internal/fault ./internal/metrics ./internal/stats ./internal/compare ./internal/lint ./internal/node ./internal/bench
 
 # The bench smoke and the regression sentinel both run sorabench; build
 # it once and share the binary instead of paying two `go run` compiles.
