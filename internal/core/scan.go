@@ -55,7 +55,7 @@ type scanService struct {
 }
 
 // scanKidHints is how many child positions per service keep a hint;
-// later children resolve through the name index alone.
+// later positions share them modulo scanKidHints.
 const scanKidHints = 8
 
 // scanWindow builds the scan of traces, indexing services in the order
@@ -94,13 +94,8 @@ func (w *windowScan) walk(s *trace.Span, si, ti int) {
 	st.pt[ti] += float64(s.ProcessingTime()) / float64(time.Millisecond)
 	st.visits++
 	for j, c := range s.Children {
-		var ci int
-		if j < scanKidHints {
-			ci = w.lookup(c.Service, w.svc[si].kids[j])
-			w.svc[si].kids[j] = ci
-		} else {
-			ci = w.lookup(c.Service, -1)
-		}
+		ci := w.lookup(c.Service, w.svc[si].kids[j%scanKidHints])
+		w.svc[si].kids[j%scanKidHints] = ci
 		w.calls[si*len(w.names)+ci] = true
 		w.walk(c, ci, ti)
 	}
