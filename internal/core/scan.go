@@ -17,15 +17,13 @@ import (
 // Services are indexed by the order of the names the scan was built
 // with (the cluster's service order); a span naming any other service
 // is appended in first-visit order. Every query ranges over indices,
-// never over a map, so results do not depend on map iteration order.
+// so results do not depend on map iteration order.
 type windowScan struct {
 	names []string
-	index map[string]int
 	svc   []scanService
-	// traces is the window size; rts holds each trace's end-to-end
-	// response time in ms, aligned with the per-service pt vectors.
-	traces int
-	rts    []float64
+	// rts holds each trace's end-to-end response time in ms, aligned
+	// with the per-service pt vectors.
+	rts []float64
 	// calls[caller*len(names)+callee] records a parent→child span edge
 	// between the two services anywhere in the window.
 	calls []bool
@@ -50,7 +48,7 @@ type scanService struct {
 	// kids[j] is the service index of the last j-th child seen under a
 	// span of this service. Call order is fixed per request type, so it
 	// almost always names the next span's j-th child too, and checking
-	// it first spares hashing the child's service name.
+	// it first spares searching the service names.
 	kids [scanKidHints]int
 }
 
@@ -64,15 +62,10 @@ const scanKidHints = 8
 func scanWindow(traces []*trace.Trace, names []string) *windowScan {
 	n := len(names)
 	w := &windowScan{
-		names:  names[:n:n], // appending unknown names never writes into the caller's array
-		index:  make(map[string]int, n),
-		svc:    make([]scanService, n),
-		traces: len(traces),
-		rts:    make([]float64, len(traces)),
-		calls:  make([]bool, n*n),
-	}
-	for i, name := range names {
-		w.index[name] = i
+		names: names[:n:n], // appending unknown names never writes into the caller's array
+		svc:   make([]scanService, n),
+		rts:   make([]float64, len(traces)),
+		calls: make([]bool, n*n),
 	}
 	root := -1
 	for ti, tr := range traces {
@@ -89,7 +82,7 @@ func scanWindow(traces []*trace.Trace, names []string) *windowScan {
 func (w *windowScan) walk(s *trace.Span, si, ti int) {
 	st := &w.svc[si]
 	if st.pt == nil {
-		st.pt = make([]float64, w.traces)
+		st.pt = make([]float64, len(w.rts))
 	}
 	st.pt[ti] += float64(s.ProcessingTime()) / float64(time.Millisecond)
 	st.visits++
@@ -124,15 +117,28 @@ func (w *windowScan) descend(root *trace.Span, si, ti int) {
 }
 
 // lookup returns the index of service name, trying hint first and
-// registering an unknown name at the end of the index.
+// registering an unknown name at the end.
 func (w *windowScan) lookup(name string, hint int) int {
 	if hint >= 0 && w.names[hint] == name {
 		return hint
 	}
-	if i, ok := w.index[name]; ok {
+	if i := w.find(name); i >= 0 {
 		return i
 	}
 	return w.add(name)
+}
+
+// find returns the index of service name, or -1 if the window never
+// visited it and the scan was not built with it. A linear search: the
+// hints resolve nearly every span, and a decision has a few dozen
+// services at most.
+func (w *windowScan) find(name string) int {
+	for i, n := range w.names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // lookupChild returns the index of name, the service of a child of a
@@ -158,7 +164,6 @@ func (w *windowScan) add(name string) int {
 	w.calls = calls
 	w.names = append(w.names, name)
 	w.svc = append(w.svc, scanService{})
-	w.index[name] = old
 	return old
 }
 

@@ -321,12 +321,9 @@ func FuzzWindowScan(f *testing.F) {
 		if fmt.Sprint(w.rts) != fmt.Sprint(o.rts) {
 			t.Fatalf("response times: scan %v, oracle %v", w.rts, o.rts)
 		}
-		if w.traces != len(traces) {
-			t.Fatalf("scan counted %d traces, window has %d", w.traces, len(traces))
-		}
 		for i, name := range w.names {
-			if j, ok := w.index[name]; !ok || j != i {
-				t.Fatalf("index[%q] = %d %v, want %d", name, j, ok, i)
+			if j := w.find(name); j != i {
+				t.Fatalf("find(%q) = %d, want %d", name, j, i)
 			}
 			st := w.svc[i]
 			if st.visits != o.visits[name] {
@@ -345,7 +342,7 @@ func FuzzWindowScan(f *testing.F) {
 			}
 		}
 		for name := range o.visits {
-			if _, ok := w.index[name]; !ok {
+			if w.find(name) < 0 {
 				t.Errorf("scan never indexed visited service %q", name)
 			}
 		}

@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"sora/internal/cluster"
@@ -120,8 +121,8 @@ func (m *SCGModel) CriticalService(now sim.Time) (string, error) {
 
 // criticalService is CriticalService on a built scan.
 func (m *SCGModel) criticalService(w *windowScan, now sim.Time) (string, error) {
-	if w.traces < 2 {
-		return "", fmt.Errorf("core: only %d traces in window, need >= 2", w.traces)
+	if len(w.rts) < 2 {
+		return "", fmt.Errorf("core: only %d traces in window, need >= 2", len(w.rts))
 	}
 	type candidate struct {
 		name string
@@ -129,7 +130,7 @@ func (m *SCGModel) criticalService(w *windowScan, now sim.Time) (string, error) 
 		util float64
 	}
 	since := now - m.cfg.Window
-	var candidates []candidate
+	candidates := make([]candidate, 0, len(w.svc))
 	for i := range w.svc {
 		ss := &w.svc[i]
 		if ss.visits < 2 {
@@ -145,7 +146,7 @@ func (m *SCGModel) criticalService(w *windowScan, now sim.Time) (string, error) 
 	}
 	// Sort by name so the strict-> argmax below breaks PCC ties toward
 	// the lexicographically smallest service, whatever the index order.
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].name < candidates[j].name })
+	slices.SortFunc(candidates, func(a, b candidate) int { return strings.Compare(a.name, b.name) })
 	if len(candidates) == 0 {
 		return "", fmt.Errorf("core: no service produced a usable correlation over the window")
 	}
@@ -180,8 +181,8 @@ func (m *SCGModel) PropagateDeadline(now sim.Time, service string) (time.Duratio
 
 // propagateDeadline is PropagateDeadline on a built scan.
 func (m *SCGModel) propagateDeadline(w *windowScan, service string) (time.Duration, error) {
-	i, ok := w.index[service]
-	if !ok || w.svc[i].upN == 0 {
+	i := w.find(service)
+	if i < 0 || w.svc[i].upN == 0 {
 		return 0, fmt.Errorf("core: service %q never on a critical path in the window", service)
 	}
 	threshold := m.cfg.SLA - w.svc[i].upSum/time.Duration(w.svc[i].upN)
@@ -430,8 +431,8 @@ func (m *SCGModel) Recommend(now sim.Time, managed []ManagedResource) (Recommend
 func (m *SCGModel) behindUtil(w *windowScan, now sim.Time, measured string) float64 {
 	since := now - m.cfg.Window
 	best := m.mon.MeanUtil(measured, since, now)
-	caller, ok := w.index[measured]
-	if !ok {
+	caller := w.find(measured)
+	if caller < 0 {
 		return best
 	}
 	for callee, name := range w.names {
