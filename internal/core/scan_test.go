@@ -157,7 +157,9 @@ func scanCtrlPlaneRig(t *testing.T, dur time.Duration) *scanRig {
 // oracle passes compute, on live windows from three deployments at
 // several decision times: the critical service, the propagated deadline
 // of every service and of an unknown one, the behind-pool utilization
-// of every service, and the whole SCG and SCT recommendations.
+// of every service, and the whole SCG and SCT recommendations, also
+// with the knob measured through an off-path service so the deadline
+// falls back to the critical service's.
 func TestWindowScanMatchesOracle(t *testing.T) {
 	const dur = 48 * time.Second
 	nows := []time.Duration{12 * time.Second, 24 * time.Second, 36 * time.Second, dur}
@@ -204,7 +206,7 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			services := append(r.c.ServiceNames(), "no-such-service")
-			decisions := 0
+			decisions, fallbacks := 0, 0
 			for _, at := range nows {
 				r.k.RunUntil(sim.Time(at))
 				now := r.k.Now()
@@ -220,9 +222,23 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 				}
 				same(t, at, "SCG recommendation", outcome(rec, err), outcome(oracleRecommend(scg, now, r.managed)))
 				same(t, at, "SCT recommendation", outcome(sct.Recommend(now, r.managed)), outcome(oracleSCTRecommend(sct, now, r.managed)))
+				// Measure the knob through a service that is on no critical
+				// path, so the deadline falls back to the critical service's.
+				for _, svc := range r.c.ServiceNames() {
+					if _, err := oraclePropagateDeadline(scg, now, svc); err == nil {
+						continue
+					}
+					off := []ManagedResource{{Ref: r.managed[0].Ref, Measured: svc}}
+					rec, err := scg.Recommend(now, off)
+					if err == nil {
+						fallbacks++
+					}
+					same(t, at, "SCG recommendation measured off-path at "+svc, outcome(rec, err), outcome(oracleRecommend(scg, now, off)))
+					break
+				}
 			}
-			if decisions == 0 {
-				t.Error("no decision time produced an SCG recommendation")
+			if decisions == 0 || fallbacks == 0 {
+				t.Errorf("recommendations: %d direct, %d through the deadline fallback; want both > 0", decisions, fallbacks)
 			}
 			tc.check(t, r)
 		})
