@@ -266,6 +266,7 @@ type Cluster struct {
 	// across spanChunkSize spans, and trace cohorts pruned together free
 	// whole slabs together.
 	visitFree []*visit
+	rootFree  []*rootCall
 	spanChunk []trace.Span
 
 	// Call-record pools (see request.go): one directCall per call on a
@@ -497,51 +498,81 @@ func (c *Cluster) SubmitWith(rt *RequestType, onDone func()) {
 		return
 	}
 	c.nextTraceID++
-	id := c.nextTraceID
+	rc := c.newRootCall()
+	rc.id = c.nextTraceID
+	rc.rt = rt
+	rc.onDone = onDone
 	c.inFlight++
-	c.startVisit(rt.Root, nil, 0, 0, func(root *visit) {
-		c.inFlight--
-		// The root visit is dead once this callback returns; copy what
-		// the bookkeeping below needs and recycle the struct up front
-		// (the span tree lives on independently).
-		span := root.span
-		dropped, failed, degraded := root.dropped, root.failed, root.degraded
-		c.freeVisit(root)
-		if onDone != nil {
-			defer onDone()
-		}
-		if dropped {
-			// Rejected at a full admission queue somewhere along the
-			// tree with no policy absorbing it: counted in Dropped(),
-			// never in the completion logs or warehouse.
-			return
-		}
-		if failed {
-			// An essential call was lost past its retry budget (or the
-			// root's own pod crashed): the user saw an error page.
-			// Counted in Failed(), excluded from the latency logs.
-			c.failed++
-			return
-		}
-		c.completed++
-		if degraded {
-			c.degraded++
-		}
-		if c.completed%pruneInterval == 0 {
-			c.housekeep()
-		}
-		tr := &trace.Trace{ID: id, Type: rt.Name, Root: span}
+	c.startVisit(rt.Root, nil, 0, 0, rc.doneFn)
+}
+
+// rootCall is one submitted request from its root visit's start until
+// its completion is booked. Its completion method is bound once per
+// struct, so submitting a request hands startVisit an existing func
+// value instead of a fresh closure.
+//
+//soravet:pool rootCall invalidated-by Cluster.freeRootCall record dead once freeRootCall returns; done copies its fields and recycles it before booking the completion, and a later SubmitWith may reissue it
+type rootCall struct {
+	id     trace.ID
+	rt     *RequestType
+	onDone func()
+	c      *Cluster
+	doneFn func(*visit)
+}
+
+// done books the root visit's completion: the counters, the completion
+// logs and — unless it was dropped or failed — the trace, added to the
+// warehouse as unsettled when a timed-out call under it left orphaned
+// work behind. The submitter's onDone runs last.
+func (rc *rootCall) done(root *visit) {
+	c := rc.c
+	id, rt, onDone := rc.id, rc.rt, rc.onDone
+	c.freeRootCall(rc)
+	c.inFlight--
+	// The root visit is dead once this callback returns; copy what the
+	// bookkeeping below needs and recycle the struct up front (the span
+	// tree lives on independently).
+	span := root.span
+	dropped, failed, degraded, unsettled := root.dropped, root.failed, root.degraded, root.unsettled
+	c.freeVisit(root)
+	if onDone != nil {
+		defer onDone()
+	}
+	if dropped {
+		// Rejected at a full admission queue somewhere along the
+		// tree with no policy absorbing it: counted in Dropped(),
+		// never in the completion logs or warehouse.
+		return
+	}
+	if failed {
+		// An essential call was lost past its retry budget (or the
+		// root's own pod crashed): the user saw an error page.
+		// Counted in Failed(), excluded from the latency logs.
+		c.failed++
+		return
+	}
+	c.completed++
+	if degraded {
+		c.degraded++
+	}
+	if c.completed%pruneInterval == 0 {
+		c.housekeep()
+	}
+	tr := &trace.Trace{ID: id, Type: rt.Name, Root: span}
+	if unsettled {
+		c.warehouse.AddUnsettled(tr)
+	} else {
 		c.warehouse.Add(tr)
-		rtime := tr.ResponseTime()
-		if c.flight != nil {
-			c.flight.noteE2E(rtime, degraded)
-		}
-		c.e2eLog.AddFlagged(c.k.Now(), rtime, degraded)
-		c.TypeCompletions(rt.Name).AddFlagged(c.k.Now(), rtime, degraded)
-		for _, fn := range c.onComplete {
-			fn(tr)
-		}
-	})
+	}
+	rtime := tr.ResponseTime()
+	if c.flight != nil {
+		c.flight.noteE2E(rtime, degraded)
+	}
+	c.e2eLog.AddFlagged(c.k.Now(), rtime, degraded)
+	c.TypeCompletions(rt.Name).AddFlagged(c.k.Now(), rtime, degraded)
+	for _, fn := range c.onComplete {
+		fn(tr)
+	}
 }
 
 // spanChunkSize is how many spans one arena slab holds. Spans are
@@ -599,7 +630,31 @@ func (c *Cluster) freeVisit(v *visit) {
 	v.dropped = false
 	v.failed = false
 	v.degraded = false
+	v.unsettled = false
 	c.visitFree = append(c.visitFree, v)
+}
+
+// newRootCall hands out a recycled (or fresh) root-completion record
+// with its completion method bound once per struct.
+func (c *Cluster) newRootCall() *rootCall {
+	if n := len(c.rootFree); n > 0 {
+		rc := c.rootFree[n-1]
+		c.rootFree[n-1] = nil
+		c.rootFree = c.rootFree[:n-1]
+		return rc
+	}
+	rc := &rootCall{c: c}
+	rc.doneFn = rc.done
+	return rc
+}
+
+// freeRootCall recycles a root-completion record once done has copied
+// its fields out.
+func (c *Cluster) freeRootCall(rc *rootCall) {
+	rc.id = 0
+	rc.rt = nil
+	rc.onDone = nil
+	c.rootFree = append(c.rootFree, rc)
 }
 
 // newDirectCall hands out a recycled (or fresh) direct-call record. Its

@@ -197,7 +197,8 @@ func TestFlightRecorderAllocFree(t *testing.T) {
 		c.SubmitMix()
 		k.RunUntil(k.Now() + step)
 	})
-	if avg > 12 {
-		t.Fatalf("steady-state allocations per request with flight recorder armed = %.1f, want <= 12", avg)
+	// Measured 2, as on the unarmed path.
+	if avg > 3 {
+		t.Fatalf("steady-state allocations per request with flight recorder armed = %.1f, want <= 3", avg)
 	}
 }

@@ -43,6 +43,7 @@ type visit struct {
 	dropped      bool     // rejected at this service's admission queue
 	failed       bool     // an essential descendant call was lost
 	degraded     bool     // an optional descendant call was degraded away
+	unsettled    bool     // a call under this visit timed out; its orphan may still change the trace
 
 	// reqDoneFn/resDoneFn are the CPU-phase completion callbacks, bound
 	// once when the struct is first allocated and reused across pool
@@ -264,6 +265,9 @@ func (dc *directCall) back() {
 	} else if cv.degraded {
 		v.degraded = true
 	}
+	if cv.unsettled {
+		v.unsettled = true
+	}
 	// The child's outcome has been consumed; its span stays reachable
 	// through the trace tree, the struct recycles.
 	v.c.freeVisit(cv)
@@ -461,9 +465,12 @@ func (at *attempt) answered() {
 	cv := at.cv
 	at.cv = nil
 	failed := cv.dropped || cv.failed
-	degraded := cv.degraded
+	degraded, unsettled := cv.degraded, cv.unsettled
 	at.c.freeVisit(cv)
 	if cs := at.settle(); cs != nil {
+		if unsettled {
+			cs.v.unsettled = true
+		}
 		cs.es.breakerRecord(at.c, at.isProbe, !failed)
 		if failed {
 			cs.afterFailure(false)
@@ -479,10 +486,14 @@ func (at *attempt) answered() {
 
 // timeout fires at the attempt deadline, closing the timer leg: the
 // in-flight child (if it started) becomes an orphan, and the attempt
-// counts as failed.
+// counts as failed. The orphan — or the request still on the wire,
+// which arrive starts as one — may change the trace after its root
+// completes, so the caller's visit is marked unsettled; the mark
+// travels up with each answer to the root (see rootCall.done).
 func (at *attempt) timeout() {
 	at.timer = nil
 	if cs := at.settle(); cs != nil {
+		cs.v.unsettled = true
 		if at.child != nil {
 			at.child.Abandoned = true
 		}

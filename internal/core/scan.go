@@ -27,6 +27,14 @@ type windowScan struct {
 	// calls[caller*len(names)+callee] records a parent→child span edge
 	// between the two services anywhere in the window.
 	calls []bool
+	// root is the service index of the last trace's root, the hint for
+	// the next one's.
+	root int
+	// rows, when set, owns the columns: rts and every pt are views of
+	// its rows from off on (see sealedScans). Otherwise the scan
+	// allocates its own.
+	rows *rowStore
+	off  int
 }
 
 // scanService is one service's statistics over the window.
@@ -56,25 +64,61 @@ type scanService struct {
 // later positions share them modulo scanKidHints.
 const scanKidHints = 8
 
-// scanWindow builds the scan of traces, indexing services in the order
-// of names. The traces must have non-nil roots (the warehouse stores no
-// others).
+// scanWindow builds the fresh scan of traces, indexing services in the
+// order of names. The traces must have non-nil roots (the warehouse
+// stores no others).
 func scanWindow(traces []*trace.Trace, names []string) *windowScan {
-	n := len(names)
-	w := &windowScan{
-		names: names[:n:n], // appending unknown names never writes into the caller's array
-		svc:   make([]scanService, n),
-		rts:   make([]float64, len(traces)),
-		calls: make([]bool, n*n),
-	}
-	root := -1
+	w := &windowScan{}
+	w.reset(names, nil, 0, len(traces))
 	for ti, tr := range traces {
-		w.rts[ti] = float64(tr.ResponseTime()) / float64(time.Millisecond)
-		root = w.lookup(tr.Root.Service, root)
-		w.walk(tr.Root, root, ti)
-		w.descend(tr.Root, root, ti)
+		w.addTrace(tr, ti)
 	}
 	return w
+}
+
+// reset empties the scan for a window of n traces indexed by names,
+// keeping its slices' arrays. With rows set, row ti of the scan is row
+// off+ti of the store, whose entries for the rows walked must be zero.
+func (w *windowScan) reset(names []string, rows *rowStore, off, n int) {
+	w.names = append(w.names[:0], names...)
+	w.svc = resize(w.svc, len(names))
+	clear(w.svc)
+	w.calls = resize(w.calls, len(names)*len(names))
+	clear(w.calls)
+	w.root = -1
+	w.rows, w.off = rows, off
+	if rows == nil {
+		w.rts = make([]float64, n)
+	} else {
+		w.rts = rows.rts[off : off+n]
+	}
+}
+
+// resize returns s with length n, reusing its array when large enough.
+// The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// addTrace walks trace tr into row ti of the scan.
+func (w *windowScan) addTrace(tr *trace.Trace, ti int) {
+	w.rts[ti] = float64(tr.ResponseTime()) / float64(time.Millisecond)
+	w.root = w.lookup(tr.Root.Service, w.root)
+	w.walk(tr.Root, w.root, ti)
+	w.descend(tr.Root, w.root, ti)
+}
+
+// column gives service si its processing-time column: the row store's
+// column for the name, or a fresh zeroed one.
+func (w *windowScan) column(si int) {
+	if w.rows == nil {
+		w.svc[si].pt = make([]float64, len(w.rts))
+		return
+	}
+	w.svc[si].pt = w.rows.column(w.names[si])[w.off : w.off+len(w.rts)]
 }
 
 // walk adds s and its subtree (pre-order) into trace ti's per-service
@@ -82,7 +126,7 @@ func scanWindow(traces []*trace.Trace, names []string) *windowScan {
 func (w *windowScan) walk(s *trace.Span, si, ti int) {
 	st := &w.svc[si]
 	if st.pt == nil {
-		st.pt = make([]float64, len(w.rts))
+		w.column(si)
 	}
 	st.pt[ti] += float64(s.ProcessingTime()) / float64(time.Millisecond)
 	st.visits++

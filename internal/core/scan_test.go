@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,6 +23,8 @@ type scanRig struct {
 	c       *cluster.Cluster
 	mon     *Monitor
 	managed []ManagedResource
+	// unsettled counts the traces the warehouse stored as unsettled.
+	unsettled int
 }
 
 // newScanRig wires a cluster, a monitor over refs and a closed loop of
@@ -47,9 +50,16 @@ func newScanRig(t *testing.T, seed uint64, app cluster.App, mix []cluster.Weight
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := &scanRig{k: k, c: c, mon: mon}
+	wh := c.Warehouse()
+	c.OnComplete(func(*trace.Trace) {
+		if seq := wh.Added() - 1; len(wh.Unsettled(seq, seq+1)) > 0 {
+			r.unsettled++
+		}
+	})
 	mon.Start()
 	loop.Start()
-	return &scanRig{k: k, c: c, mon: mon}
+	return r
 }
 
 var scanHomeTimelineConns = cluster.ResourceRef{Service: topology.HomeTimeline, Kind: cluster.PoolClientConns, Target: topology.PostStorage}
@@ -153,16 +163,23 @@ func scanCtrlPlaneRig(t *testing.T, dur time.Duration) *scanRig {
 }
 
 // TestWindowScanMatchesOracle checks that every answer the SCG decision
-// reads from the one-pass window scan is exactly what the separate
-// oracle passes compute, on live windows from three deployments at
-// several decision times: the critical service, the propagated deadline
+// reads from its window scan is exactly what the separate oracle passes
+// compute, on live windows from three deployments. The model decides
+// every 500 ms over a 10 s window, so consecutive windows overlap and
+// most of each scan is merged from sealed blocks; every merged scan
+// must equal a fresh scanWindow of the same traces. At each decision
+// the critical service and the whole SCG and SCT recommendations are
+// compared with the oracle's; every 12 s so are the propagated deadline
 // of every service and of an unknown one, the behind-pool utilization
-// of every service, and the whole SCG and SCT recommendations, also
-// with the knob measured through an off-path service so the deadline
-// falls back to the critical service's.
+// of every service, and an SCG decision with the knob measured through
+// an off-path service, so the deadline falls back to the critical
+// service's.
 func TestWindowScanMatchesOracle(t *testing.T) {
-	const dur = 48 * time.Second
-	nows := []time.Duration{12 * time.Second, 24 * time.Second, 36 * time.Second, dur}
+	const (
+		dur   = 48 * time.Second
+		step  = 500 * time.Millisecond
+		fully = 12 * time.Second
+	)
 	cases := []struct {
 		name  string
 		build func(*testing.T) *scanRig
@@ -182,9 +199,9 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 					}
 				})
 			}
-			if late == 0 || r.c.Retries() == 0 || r.c.BreakerRejections() == 0 {
-				t.Errorf("chaos run lacks a feature: %d orphans outliving their parent, %d retries, %d breaker rejections",
-					late, r.c.Retries(), r.c.BreakerRejections())
+			if late == 0 || r.c.Retries() == 0 || r.c.BreakerRejections() == 0 || r.unsettled == 0 {
+				t.Errorf("chaos run lacks a feature: %d orphans outliving their parent, %d retries, %d breaker rejections, %d unsettled traces",
+					late, r.c.Retries(), r.c.BreakerRejections(), r.unsettled)
 			}
 		}},
 		{"ctrlplane", func(t *testing.T) *scanRig { return scanCtrlPlaneRig(t, dur) }, func(t *testing.T, r *scanRig) {
@@ -207,21 +224,28 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 			}
 			services := append(r.c.ServiceNames(), "no-such-service")
 			decisions, fallbacks := 0, 0
-			for _, at := range nows {
+			for at := step; at <= dur; at += step {
 				r.k.RunUntil(sim.Time(at))
 				now := r.k.Now()
-				same(t, at, "critical service", outcome(scg.CriticalService(now)), outcome(oracleCriticalService(scg, now)))
-				for _, svc := range services {
-					same(t, at, "deadline of "+svc, outcome(scg.PropagateDeadline(now, svc)), outcome(oraclePropagateDeadline(scg, now, svc)))
-					same(t, at, "behind-pool utilization of "+svc,
-						fmt.Sprint(scg.behindUtil(scg.scan(now), now, svc)), fmt.Sprint(oracleBehindUtil(scg, now, svc)))
+				traces, _ := r.c.Warehouse().View(now-cfg.Window, now)
+				if d := scanDiff(scg.scan(now), scanWindow(traces, r.c.ServiceNames())); d != "" {
+					t.Fatalf("at %v, merged scan differs from a fresh one: %s", at, d)
 				}
+				same(t, at, "critical service", outcome(scg.CriticalService(now)), outcome(oracleCriticalService(scg, now)))
 				rec, err := scg.Recommend(now, r.managed)
 				if err == nil {
 					decisions++
 				}
 				same(t, at, "SCG recommendation", outcome(rec, err), outcome(oracleRecommend(scg, now, r.managed)))
 				same(t, at, "SCT recommendation", outcome(sct.Recommend(now, r.managed)), outcome(oracleSCTRecommend(sct, now, r.managed)))
+				if at%fully != 0 {
+					continue
+				}
+				for _, svc := range services {
+					same(t, at, "deadline of "+svc, outcome(scg.PropagateDeadline(now, svc)), outcome(oraclePropagateDeadline(scg, now, svc)))
+					same(t, at, "behind-pool utilization of "+svc,
+						fmt.Sprint(scg.behindUtil(scg.scan(now), now, svc)), fmt.Sprint(oracleBehindUtil(scg, now, svc)))
+				}
 				// Measure the knob through a service that is on no critical
 				// path, so the deadline falls back to the critical service's.
 				for _, svc := range r.c.ServiceNames() {
@@ -240,9 +264,44 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 			if decisions == 0 || fallbacks == 0 {
 				t.Errorf("recommendations: %d direct, %d through the deadline fallback; want both > 0", decisions, fallbacks)
 			}
+			if scg.blocks.reused == 0 || sct.scg.blocks.reused == 0 {
+				t.Errorf("sealed blocks reused: SCG %d, SCT %d; want both > 0", scg.blocks.reused, sct.scg.blocks.reused)
+			}
+			t.Logf("SCG sealed %d blocks and merged %d; %d unsettled traces", scg.blocks.sealed, scg.blocks.reused, r.unsettled)
 			tc.check(t, r)
 		})
 	}
+}
+
+// scanDiff describes the first difference between two scans, or
+// returns "" when they are identical: the same names in the same order,
+// bit-equal response times and processing-time columns, equal counts
+// and sums, and the same edges.
+func scanDiff(got, want *windowScan) string {
+	if !slices.Equal(got.names, want.names) {
+		return fmt.Sprintf("names %v, want %v", got.names, want.names)
+	}
+	if !bitsEqual(got.rts, want.rts) {
+		return fmt.Sprintf("response times %v, want %v", got.rts, want.rts)
+	}
+	for i, name := range want.names {
+		g, w := &got.svc[i], &want.svc[i]
+		if g.visits != w.visits || g.upSum != w.upSum || g.upN != w.upN {
+			return fmt.Sprintf("%s: %d visits, upstream %v over %d; want %d, %v over %d", name, g.visits, g.upSum, g.upN, w.visits, w.upSum, w.upN)
+		}
+		if !bitsEqual(g.pt, w.pt) {
+			return fmt.Sprintf("%s processing times %v, want %v", name, g.pt, w.pt)
+		}
+	}
+	if !slices.Equal(got.calls, want.calls) {
+		return fmt.Sprintf("edges %v, want %v", got.calls, want.calls)
+	}
+	return ""
+}
+
+// bitsEqual reports whether a and b hold the same float64 bit patterns.
+func bitsEqual(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // outcome renders a value-or-error result for exact comparison; %v

@@ -70,9 +70,10 @@ func (cfg *SCGConfig) fillDefaults() {
 // correlation of its fine-grained goodput (against a propagated deadline)
 // and request-processing concurrency.
 type SCGModel struct {
-	cfg SCGConfig
-	c   *cluster.Cluster
-	mon *Monitor
+	cfg    SCGConfig
+	c      *cluster.Cluster
+	mon    *Monitor
+	blocks sealedScans
 }
 
 // NewSCG returns an SCG model reading traces from the cluster's warehouse
@@ -85,7 +86,7 @@ func NewSCG(c *cluster.Cluster, mon *Monitor, cfg SCGConfig) (*SCGModel, error) 
 		return nil, fmt.Errorf("core: SCG needs a positive SLA, got %v", cfg.SLA)
 	}
 	cfg.fillDefaults()
-	return &SCGModel{cfg: cfg, c: c, mon: mon}, nil
+	return &SCGModel{cfg: cfg, c: c, mon: mon, blocks: sealedScans{shift: sealedBlockShift}}, nil
 }
 
 // Config returns the model's effective configuration (defaults filled).
@@ -104,8 +105,13 @@ func (m *SCGModel) SetSLA(sla time.Duration) error {
 // scan gathers the trailing window's traces into one windowScan: each
 // decision reads the critical service, the deadline and the behind-pool
 // utilization from it instead of walking the window once per question.
+// The traces a previous decision's window already covered are merged
+// from their sealed blocks, not walked again. The scan is valid until
+// the model's next one.
 func (m *SCGModel) scan(now sim.Time) *windowScan {
-	return scanWindow(m.c.Warehouse().Window(now-m.cfg.Window, now), m.c.ServiceNames())
+	wh := m.c.Warehouse()
+	traces, first := wh.View(now-m.cfg.Window, now)
+	return m.blocks.scan(traces, first, wh.Unsettled(first, first+uint64(len(traces))), m.c.ServiceNames())
 }
 
 // CriticalService identifies the critical service over the trailing

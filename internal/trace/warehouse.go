@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"time"
 
 	"sora/internal/sim"
@@ -22,6 +23,9 @@ type Warehouse struct {
 	head      int      // logical start; eviction advances it (amortized compaction)
 	added     uint64
 	evicted   uint64
+	// unsettled holds the ascending sequence numbers of retained traces
+	// stored with AddUnsettled; eviction drops its prefix with the deque's.
+	unsettled []uint64
 }
 
 // DefaultRetention bounds warehouse memory when the caller does not
@@ -46,9 +50,20 @@ func (w *Warehouse) Retention() time.Duration { return w.retention }
 // of the retention window relative to this trace's completion time.
 // Traces must be added in nondecreasing completion order (the simulator
 // guarantees this).
-func (w *Warehouse) Add(t *Trace) {
+func (w *Warehouse) Add(t *Trace) { w.add(t, false) }
+
+// AddUnsettled stores a completed trace that may still change: a call
+// under it timed out and the orphaned callee may yet append spans to it
+// or stamp the ones it has. Readers that cache what they derive from
+// traces must reread these; see Unsettled.
+func (w *Warehouse) AddUnsettled(t *Trace) { w.add(t, true) }
+
+func (w *Warehouse) add(t *Trace, unsettled bool) {
 	if t == nil || t.Root == nil {
 		return
+	}
+	if unsettled {
+		w.unsettled = append(w.unsettled, w.added)
 	}
 	w.traces = append(w.traces, t)
 	w.added++
@@ -71,6 +86,11 @@ func (w *Warehouse) evictBefore(cutoff sim.Time) {
 	}
 	w.evicted += uint64(i - w.head)
 	w.head = i
+	n := 0
+	for n < len(w.unsettled) && w.unsettled[n] < w.evicted {
+		n++
+	}
+	w.unsettled = w.unsettled[n:]
 	// Empty reset: when everything was evicted, rewind to the start of the
 	// backing array so it is reused instead of growing behind a dead
 	// prefix (a Prune after an idle window hits this path).
@@ -121,15 +141,35 @@ func (w *Warehouse) Stats() WarehouseStats {
 // [since, until). The result aliases the warehouse's internal order but is
 // a fresh slice; callers may not mutate the traces.
 func (w *Warehouse) Window(since, until sim.Time) []*Trace {
+	view, _ := w.View(since, until)
+	if len(view) == 0 {
+		return nil
+	}
+	return append([]*Trace(nil), view...)
+}
+
+// View is Window without the copy: it returns the retained traces
+// completing in [since, until) as a read-only view of the deque, plus
+// the sequence number of the first of them (the i-th has first+i). The
+// view is valid until the next Add, AddUnsettled or Prune.
+func (w *Warehouse) View(since, until sim.Time) (traces []*Trace, first uint64) {
 	live := w.live()
 	lo := lowerBound(live, since)
 	hi := lowerBound(live, until)
 	if lo >= hi {
-		return nil
+		return nil, w.evicted + uint64(lo)
 	}
-	out := make([]*Trace, hi-lo)
-	copy(out, live[lo:hi])
-	return out
+	return live[lo:hi:hi], w.evicted + uint64(lo)
+}
+
+// Unsettled returns, in ascending order, the sequence numbers in
+// [lo, hi) of retained traces stored with AddUnsettled. The result is a
+// read-only view, valid until the next Add, AddUnsettled or Prune.
+func (w *Warehouse) Unsettled(lo, hi uint64) []uint64 {
+	u := w.unsettled
+	i, _ := slices.BinarySearch(u, lo)
+	j, _ := slices.BinarySearch(u, hi)
+	return u[i:j:j]
 }
 
 // All returns every retained trace in completion order.
