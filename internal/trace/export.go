@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 )
 
@@ -86,7 +87,12 @@ func (rec *SpanRecord) legacy() bool {
 		(rec.ArrivalUs != 0 || rec.StartUs != 0 || rec.EndUs != 0)
 }
 
-func fromRecord(rec SpanRecord) *Span {
+// fromRecord rebuilds the span tree of rec. Span.Depth is an int32, so
+// a record whose depth does not fit is rejected rather than truncated.
+func fromRecord(rec SpanRecord) (*Span, error) {
+	if rec.Depth < math.MinInt32 || rec.Depth > math.MaxInt32 {
+		return nil, fmt.Errorf("span %q: depth %d out of range", rec.Service, rec.Depth)
+	}
 	s := &Span{
 		Service:     rec.Service,
 		Instance:    rec.Instance,
@@ -111,9 +117,13 @@ func fromRecord(rec SpanRecord) *Span {
 		s.Blocked = time.Duration(rec.BlockedUs) * time.Microsecond
 	}
 	for _, c := range rec.Children {
-		s.Children = append(s.Children, fromRecord(c))
+		child, err := fromRecord(c)
+		if err != nil {
+			return nil, err
+		}
+		s.Children = append(s.Children, child)
 	}
-	return s
+	return s, nil
 }
 
 // Export writes the trace as one JSON object with nanosecond virtual-time
@@ -149,7 +159,11 @@ func Import(r io.Reader) (*Trace, error) {
 	if rec.Root.Service == "" {
 		return nil, fmt.Errorf("trace: import: record has no root service")
 	}
-	return &Trace{ID: rec.ID, Type: rec.Type, Root: fromRecord(rec.Root)}, nil
+	root, err := fromRecord(rec.Root)
+	if err != nil {
+		return nil, fmt.Errorf("trace: import: %w", err)
+	}
+	return &Trace{ID: rec.ID, Type: rec.Type, Root: root}, nil
 }
 
 // ImportAll reads JSON Lines until EOF.
@@ -166,6 +180,10 @@ func ImportAll(r io.Reader) ([]*Trace, error) {
 		if rec.Root.Service == "" {
 			return nil, fmt.Errorf("trace: import %d: record has no root service", len(out))
 		}
-		out = append(out, &Trace{ID: rec.ID, Type: rec.Type, Root: fromRecord(rec.Root)})
+		root, err := fromRecord(rec.Root)
+		if err != nil {
+			return nil, fmt.Errorf("trace: import %d: %w", len(out), err)
+		}
+		out = append(out, &Trace{ID: rec.ID, Type: rec.Type, Root: root})
 	}
 }

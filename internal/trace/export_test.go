@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +87,89 @@ func TestImportRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ImportAll(strings.NewReader(`{"id":1,"type":"x","root":{"service":"a"}}` + "\ngarbage")); err == nil {
 		t.Error("trailing garbage: expected error")
+	}
+}
+
+// TestImportRejectsOutOfRangeDepth checks that a span depth an int32
+// Span.Depth cannot hold is an import error, not a silent truncation,
+// in a root and in a nested child, for Import and ImportAll.
+func TestImportRejectsOutOfRangeDepth(t *testing.T) {
+	for _, rec := range []string{
+		`{"id":1,"type":"x","root":{"service":"a","depth":2147483648}}`,
+		`{"id":1,"type":"x","root":{"service":"a","children":[{"service":"b","depth":-2147483649}]}}`,
+	} {
+		if _, err := Import(strings.NewReader(rec)); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("Import(%s): err = %v, want a depth out of range error", rec, err)
+		}
+		if _, err := ImportAll(strings.NewReader(rec + "\n")); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("ImportAll(%s): err = %v, want a depth out of range error", rec, err)
+		}
+	}
+	got, err := Import(strings.NewReader(`{"id":1,"type":"x","root":{"service":"a","depth":2147483647}}`))
+	if err != nil || got.Root.Depth != math.MaxInt32 {
+		t.Errorf("largest depth: got %v, %v; want depth %d", got, err, math.MaxInt32)
+	}
+}
+
+// FuzzImportTrace feeds arbitrary bytes to ImportAll and Import: neither
+// may panic, and any archive they accept must be a fixed point of
+// Export∘Import — exporting it, importing the export and exporting
+// again gives the same bytes. A trace Import accepts must also keep
+// every span depth of its record, so a truncated depth cannot pass.
+func FuzzImportTrace(f *testing.F) {
+	var buf bytes.Buffer
+	if err := ExportAll(&buf, []*Trace{chainTrace(1), forkTrace(2)}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"id":1,"type":"x","root":{"service":"a","depth":2147483648}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if tr, err := Import(bytes.NewReader(data)); err == nil {
+			checkFixedPoint(t, []*Trace{tr})
+			var rec TraceRecord
+			if err := json.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
+				t.Fatalf("Import accepted what the decoder rejects: %v", err)
+			}
+			if !sameDepths(rec.Root, tr.Root) {
+				t.Fatalf("depths changed on import: record %+v", rec.Root)
+			}
+		}
+		if traces, err := ImportAll(bytes.NewReader(data)); err == nil {
+			checkFixedPoint(t, traces)
+		}
+	})
+}
+
+// sameDepths reports whether span tree s has rec's shape and depths.
+func sameDepths(rec SpanRecord, s *Span) bool {
+	if int(s.Depth) != rec.Depth || len(s.Children) != len(rec.Children) {
+		return false
+	}
+	for i, c := range rec.Children {
+		if !sameDepths(c, s.Children[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkFixedPoint fails t unless exporting traces, importing that and
+// exporting again reproduces the first export byte for byte.
+func checkFixedPoint(t *testing.T, traces []*Trace) {
+	t.Helper()
+	var first, second bytes.Buffer
+	if err := ExportAll(&first, traces); err != nil {
+		t.Fatalf("export of an accepted archive: %v", err)
+	}
+	again, err := ImportAll(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("import of an export: %v\n%s", err, first.Bytes())
+	}
+	if err := ExportAll(&second, again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("export is not a fixed point:\n first  %s\n second %s", first.Bytes(), second.Bytes())
 	}
 }
 
