@@ -11,8 +11,7 @@ import (
 // response times and per-service processing times phase 1 correlates,
 // the Eq. (3) upstream sums phase 2 averages, and the caller→callee
 // edges the behind-pool check follows. Each trace is walked once in
-// pre-order and then, while its spans are still in cache, its critical
-// path is descended once.
+// pre-order, following its critical path on the way.
 //
 // Services are indexed by the order of the names the scan was built
 // with (the cluster's service order); a span naming any other service
@@ -107,8 +106,42 @@ func resize[T any](s []T, n int) []T {
 func (w *windowScan) addTrace(tr *trace.Trace, ti int) {
 	w.rts[ti] = float64(tr.ResponseTime()) / float64(time.Millisecond)
 	w.root = w.lookup(tr.Root.Service, w.root)
-	w.walk(tr.Root, w.root, ti)
-	w.descend(tr.Root, w.root, ti)
+	w.walk(tr.Root, w.root, ti, true, 0)
+}
+
+// walk adds s and its subtree (pre-order) into trace ti's per-service
+// processing times and visit counts, and marks every parent→child edge.
+// path tells whether s is on the trace's critical path, and up is then
+// the processing time above it on the path: each service of the path is
+// credited at its first occurrence — Trace.UpstreamProcessing for every
+// service of the path in the same pass.
+func (w *windowScan) walk(s *trace.Span, si, ti int, path bool, up time.Duration) {
+	st := &w.svc[si]
+	if st.pt == nil {
+		w.column(si)
+	}
+	pt := s.ProcessingTime()
+	st.pt[ti] += float64(pt) / float64(time.Millisecond)
+	st.visits++
+	var next *trace.Span
+	if path {
+		if st.onPath != ti+1 {
+			st.onPath = ti + 1
+			st.upSum += up
+			st.upN++
+		}
+		up += pt
+		next = s.CriticalChild()
+	}
+	for j, c := range s.Children {
+		ci := w.lookup(c.Service, w.svc[si].kids[j%scanKidHints])
+		w.svc[si].kids[j%scanKidHints] = ci
+		w.calls[si*len(w.names)+ci] = true
+		w.walk(c, ci, ti, c == next, up)
+		if c == next {
+			next = nil // the path continues through the first match only
+		}
+	}
 }
 
 // column gives service si its processing-time column: the row store's
@@ -119,45 +152,6 @@ func (w *windowScan) column(si int) {
 		return
 	}
 	w.svc[si].pt = w.rows.column(w.names[si])[w.off : w.off+len(w.rts)]
-}
-
-// walk adds s and its subtree (pre-order) into trace ti's per-service
-// processing times and visit counts, and marks every parent→child edge.
-func (w *windowScan) walk(s *trace.Span, si, ti int) {
-	st := &w.svc[si]
-	if st.pt == nil {
-		w.column(si)
-	}
-	st.pt[ti] += float64(s.ProcessingTime()) / float64(time.Millisecond)
-	st.visits++
-	for j, c := range s.Children {
-		ci := w.lookup(c.Service, w.svc[si].kids[j%scanKidHints])
-		w.svc[si].kids[j%scanKidHints] = ci
-		w.calls[si*len(w.names)+ci] = true
-		w.walk(c, ci, ti)
-	}
-}
-
-// descend walks trace ti's critical path from root (service index si),
-// crediting each service at its first occurrence with the processing
-// time accumulated above it — Trace.UpstreamProcessing for every service
-// of the path in one descent.
-func (w *windowScan) descend(root *trace.Span, si, ti int) {
-	var up time.Duration
-	for s := root; ; {
-		if st := &w.svc[si]; st.onPath != ti+1 {
-			st.onPath = ti + 1
-			st.upSum += up
-			st.upN++
-		}
-		up += s.ProcessingTime()
-		next := s.CriticalChild()
-		if next == nil {
-			return
-		}
-		si = w.lookupChild(si, next.Service)
-		s = next
-	}
 }
 
 // lookup returns the index of service name, trying hint first and
@@ -183,17 +177,6 @@ func (w *windowScan) find(name string) int {
 		}
 	}
 	return -1
-}
-
-// lookupChild returns the index of name, the service of a child of a
-// span of service parent, trying the parent's positional hints first.
-func (w *windowScan) lookupChild(parent int, name string) int {
-	for _, k := range &w.svc[parent].kids {
-		if w.names[k] == name {
-			return k
-		}
-	}
-	return w.lookup(name, -1)
 }
 
 // add appends a service the scan was not built with, widening the edge
