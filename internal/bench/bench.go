@@ -71,6 +71,7 @@ func Run() []Result {
 		result("stats/sketch/observe", testing.Benchmark(BenchmarkSketchObserve)),
 		result("cluster/request/flight", testing.Benchmark(BenchmarkRequestWithFlightRecorder)),
 		result("core/scg/recommend", testing.Benchmark(BenchmarkSCGRecommend)),
+		result("core/scg/recommend/slide", testing.Benchmark(BenchmarkSCGRecommendSlide)),
 	}
 }
 
@@ -385,7 +386,7 @@ func BenchmarkSocialNetworkRequest(b *testing.B) {
 	}
 }
 
-// scgWindow is the warmed deployment BenchmarkSCGRecommend decides on:
+// scgWindow is the warmed deployment the decision benchmarks decide on:
 // Social Network home-timeline reads from 2000 closed-loop users, run
 // for scgWarm virtual seconds so the model's 45 s window is full. It is
 // built once per process, so repeated testing.Benchmark rounds and quick
@@ -393,10 +394,18 @@ func BenchmarkSocialNetworkRequest(b *testing.B) {
 var scgWindow struct {
 	once    sync.Once
 	err     error
-	model   *core.SCGModel
+	c       *cluster.Cluster
+	mon     *core.Monitor
 	now     sim.Time
 	managed []core.ManagedResource
 }
+
+// scgConfig is the decision benchmarks' model configuration.
+var scgConfig = core.SCGConfig{SLA: 400 * time.Millisecond, Window: 45 * time.Second}
+
+// scgPeriod is the control period between the two decisions of
+// BenchmarkSCGRecommendSlide, the drift experiments' 15 s.
+const scgPeriod = 15 * time.Second
 
 // scgWarm is the virtual warm-up of the decision benchmark's deployment.
 const scgWarm = time.Minute
@@ -431,28 +440,58 @@ func warmSCGWindow() {
 	mon.Start()
 	loop.Start()
 	k.RunUntil(sim.Time(scgWarm))
-	w.model, w.err = core.NewSCG(c, mon, core.SCGConfig{SLA: 400 * time.Millisecond, Window: 45 * time.Second})
+	w.c, w.mon = c, mon
 	w.now = k.Now()
 	w.managed = []core.ManagedResource{{Ref: conns, Min: 4, Max: 300}}
 }
 
-// BenchmarkSCGRecommend measures one SCG decision — critical service,
-// deadline propagation, behind-pool check, scatter collection and knee
-// estimation — on a warmed 45 s Social Network window. One op = one
-// Recommend.
+// BenchmarkSCGRecommend measures one cold SCG decision — critical
+// service, deadline propagation, behind-pool check, scatter collection
+// and knee estimation — on a warmed 45 s Social Network window. Each op
+// decides on a fresh model, so the whole window is walked and sealed.
+// One op = one NewSCG and one Recommend.
 func BenchmarkSCGRecommend(b *testing.B) {
 	scgWindow.once.Do(warmSCGWindow)
 	if scgWindow.err != nil {
 		b.Fatal(scgWindow.err)
 	}
-	m, now, managed := scgWindow.model, scgWindow.now, scgWindow.managed
-	if _, err := m.Recommend(now, managed); err != nil {
-		b.Fatal(err)
-	}
+	w := &scgWindow
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Recommend(now, managed); err != nil {
+		m, err := core.NewSCG(w.c, w.mon, scgConfig)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Recommend(w.now, w.managed); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSCGRecommendSlide measures the steady-state decision of a
+// control loop: the window at now on a model that decided at
+// now−scgPeriod, so two thirds of it are merged from sealed blocks.
+// The earlier decision runs untimed. One op = one Recommend.
+func BenchmarkSCGRecommendSlide(b *testing.B) {
+	scgWindow.once.Do(warmSCGWindow)
+	if scgWindow.err != nil {
+		b.Fatal(scgWindow.err)
+	}
+	w := &scgWindow
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := core.NewSCG(w.c, w.mon, scgConfig)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Recommend(w.now-sim.Time(scgPeriod), w.managed); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := m.Recommend(w.now, w.managed); err != nil {
 			b.Fatal(err)
 		}
 	}
