@@ -29,9 +29,8 @@ type windowScan struct {
 	// root is the service index of the last trace's root, the hint for
 	// the next one's.
 	root int
-	// rows, when set, owns the columns: rts and every pt are views of
-	// its rows from off on (see sealedScans). Otherwise the scan
-	// allocates its own.
+	// rows owns the columns: rts and every pt are views of its rows
+	// from off on (see sealedScans).
 	rows *rowStore
 	off  int
 }
@@ -63,21 +62,9 @@ type scanService struct {
 // later positions share them modulo scanKidHints.
 const scanKidHints = 8
 
-// scanWindow builds the fresh scan of traces, indexing services in the
-// order of names. The traces must have non-nil roots (the warehouse
-// stores no others).
-func scanWindow(traces []*trace.Trace, names []string) *windowScan {
-	w := &windowScan{}
-	w.reset(names, nil, 0, len(traces))
-	for ti, tr := range traces {
-		w.addTrace(tr, ti)
-	}
-	return w
-}
-
 // reset empties the scan for a window of n traces indexed by names,
-// keeping its slices' arrays. With rows set, row ti of the scan is row
-// off+ti of the store, whose entries for the rows walked must be zero.
+// keeping its slices' arrays. Row ti of the scan is row off+ti of rows,
+// whose entries must be zero for the rows the scan walks.
 func (w *windowScan) reset(names []string, rows *rowStore, off, n int) {
 	w.names = append(w.names[:0], names...)
 	w.svc = resize(w.svc, len(names))
@@ -86,11 +73,7 @@ func (w *windowScan) reset(names []string, rows *rowStore, off, n int) {
 	clear(w.calls)
 	w.root = -1
 	w.rows, w.off = rows, off
-	if rows == nil {
-		w.rts = make([]float64, n)
-	} else {
-		w.rts = rows.rts[off : off+n]
-	}
+	w.rts = rows.rts[off : off+n]
 }
 
 // resize returns s with length n, reusing its array when large enough.
@@ -144,13 +127,9 @@ func (w *windowScan) walk(s *trace.Span, si, ti int, path bool, up time.Duration
 	}
 }
 
-// column gives service si its processing-time column: the row store's
-// column for the name, or a fresh zeroed one.
+// column gives service si its processing-time column, the row store's
+// column for the name.
 func (w *windowScan) column(si int) {
-	if w.rows == nil {
-		w.svc[si].pt = make([]float64, len(w.rts))
-		return
-	}
 	w.svc[si].pt = w.rows.column(w.names[si])[w.off : w.off+len(w.rts)]
 }
 

@@ -304,6 +304,20 @@ func bitsEqual(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
+// scanWindow is the fresh scan of traces, indexing services in the
+// order of names: every trace walked into a row store of its own. The
+// merged scans of sealedScans must equal it.
+func scanWindow(traces []*trace.Trace, names []string) *windowScan {
+	rows := &rowStore{}
+	rows.slide(0, len(traces))
+	w := &windowScan{}
+	w.reset(names, rows, 0, len(traces))
+	for ti, tr := range traces {
+		w.addTrace(tr, ti)
+	}
+	return w
+}
+
 // outcome renders a value-or-error result for exact comparison; %v
 // prints floats in their shortest round-tripping form, so equal strings
 // mean bit-equal values.

@@ -32,7 +32,6 @@ type sealedScans struct {
 	// block base+i. Scans seal blocks in order, so it has no gaps.
 	blocks []*sealedBlock
 	base   uint64
-	spare  []*sealedBlock // retired blocks, reused by the next sealed
 	rows   rowStore
 	// win is the merged scan handed out (valid until the next scan),
 	// seal the scan a block is walked into to be summarized.
@@ -140,41 +139,34 @@ func (s *sealedScans) block(b uint64, blk []*trace.Trace, unsettled []uint64, of
 		sw.addTrace(tr, ti)
 	}
 
-	var sb *sealedBlock
-	if n := len(s.spare); n > 0 {
-		sb = s.spare[n-1]
-		s.spare[n-1] = nil
-		s.spare = s.spare[:n-1]
-	} else {
-		sb = &sealedBlock{}
+	sb := &sealedBlock{
+		names:   s.names,
+		unknown: len(sw.names) - len(s.names),
+		svc:     make([]sealedService, len(sw.svc)),
+		calls:   slices.Clone(sw.calls),
 	}
-	sb.unknown = len(sw.names) - len(s.names)
-	sb.names = s.names
 	if sb.unknown > 0 {
 		sb.names = slices.Clone(sw.names)
 	}
-	sb.svc = sb.svc[:0]
 	for i := range sw.svc {
 		st := &sw.svc[i]
-		sb.svc = append(sb.svc, sealedService{visits: st.visits, upSum: st.upSum, upN: st.upN})
+		sb.svc[i] = sealedService{visits: st.visits, upSum: st.upSum, upN: st.upN}
 	}
-	sb.calls = append(sb.calls[:0], sw.calls...)
 	s.blocks = append(s.blocks, sb)
 	s.sealed++
 	return sb
 }
 
-// keep retires every block outside [lo, hi), keeping their storage for
-// the blocks sealed next. A deque that would have to grow at the front
-// is emptied instead.
+// keep retires every block outside [lo, hi). A deque that would have
+// to grow at the front is emptied instead.
 func (s *sealedScans) keep(lo, hi uint64) {
 	if lo < s.base {
-		s.retire(s.blocks)
+		clear(s.blocks)
 		s.blocks = s.blocks[:0]
 		s.base = lo
 	}
 	n := min(lo-s.base, uint64(len(s.blocks)))
-	s.retire(s.blocks[:n])
+	clear(s.blocks[:n])
 	s.blocks = s.blocks[n:]
 	s.base += n
 	if len(s.blocks) == 0 {
@@ -182,17 +174,8 @@ func (s *sealedScans) keep(lo, hi uint64) {
 	}
 	if hi < s.base+uint64(len(s.blocks)) {
 		n := max(hi, s.base) - s.base
-		s.retire(s.blocks[n:])
+		clear(s.blocks[n:])
 		s.blocks = s.blocks[:n]
-	}
-}
-
-// retire moves blocks to the spare list, clearing their deque slots.
-func (s *sealedScans) retire(blocks []*sealedBlock) {
-	for i, sb := range blocks {
-		blocks[i] = nil
-		sb.names = nil
-		s.spare = append(s.spare, sb)
 	}
 }
 
