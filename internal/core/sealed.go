@@ -21,8 +21,8 @@ const sealedBlockShift = 9
 // later scan covering the block finds its rows in place and adds its
 // summary instead of walking the traces again. Only the partial blocks
 // at the window's edges and the unsettled traces — those orphaned work
-// may still change — are walked live every time. A merged scan is
-// exactly the fresh scanWindow of the same traces.
+// may still change — are walked live every time. A merged scan equals
+// a fresh scan of the same traces bit for bit.
 type sealedScans struct {
 	shift uint
 	// names are the service names the blocks index by; a scan asking

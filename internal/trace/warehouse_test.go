@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -93,5 +94,48 @@ func TestWarehouseBackingStaysBounded(t *testing.T) {
 		if want := ID(n - len(all) + 1 + i); tr.ID != want {
 			t.Fatalf("All[%d].ID = %d, want %d", i, tr.ID, want)
 		}
+	}
+}
+
+// TestWarehouseViewSequenceAndUnsettled checks the add-order numbering a
+// cached reader keys on: View's first sequence number stays the add
+// index of its first trace across evictions and compactions, Unsettled
+// reports exactly the traces stored with AddUnsettled in a range, and
+// eviction drops them with their traces.
+func TestWarehouseViewSequenceAndUnsettled(t *testing.T) {
+	w := NewWarehouse(10 * time.Second)
+	const n = 3000
+	for i := 0; i < n; i++ {
+		tr := makeTraceAt(ID(i), time.Duration(i)*10*time.Millisecond)
+		if i%7 == 3 {
+			w.AddUnsettled(tr)
+		} else {
+			w.Add(tr)
+		}
+	}
+	view, first := w.View(sim.Time(20*time.Second), sim.Time(25*time.Second))
+	if len(view) == 0 {
+		t.Fatal("empty view")
+	}
+	for i, tr := range view {
+		if uint64(tr.ID) != first+uint64(i) {
+			t.Fatalf("view[%d] is trace %d, want sequence number %d", i, tr.ID, first+uint64(i))
+		}
+	}
+	got := w.Unsettled(first, first+uint64(len(view)))
+	var want []uint64
+	for seq := first; seq < first+uint64(len(view)); seq++ {
+		if seq%7 == 3 {
+			want = append(want, seq)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("Unsettled = %v, want %v", got, want)
+	}
+	if all := w.Unsettled(0, n); len(all) == 0 || all[0] < w.Evicted() {
+		t.Errorf("Unsettled(0, %d) starts at %v; evicted traces end at %d", n, all[:1], w.Evicted())
+	}
+	if _, first := w.View(sim.Time(time.Hour), sim.Time(2*time.Hour)); first != n {
+		t.Errorf("empty view past the end starts at %d, want %d", first, n)
 	}
 }
