@@ -20,38 +20,35 @@ const sealedBlockShift = 9
 // with the window, their counts, sums and edges to a sealedBlock. Every
 // later scan covering the block finds its rows in place and adds its
 // summary instead of walking the traces again. Only the partial blocks
-// at the window's edges and the unsettled traces — those orphaned work
-// may still change — are walked live every time. A merged scan equals
-// a fresh scan of the same traces bit for bit.
+// at the window's edges, the unsettled traces — those orphaned work may
+// still change — and blocks naming a service outside the base names are
+// walked live every time. A merged scan equals a fresh scan of the same
+// traces bit for bit.
 type sealedScans struct {
 	shift uint
 	// names are the service names the blocks index by; a scan asking
 	// for other names drops every block.
 	names []string
 	// blocks is a deque indexed by block number: blocks[i] summarizes
-	// block base+i. Scans seal blocks in order, so it has no gaps.
+	// block base+i, or is nil if that block is walked live. Scans seal
+	// blocks in order, so it has no gaps.
 	blocks []*sealedBlock
 	base   uint64
 	rows   rowStore
 	// win is the merged scan handed out (valid until the next scan),
 	// seal the scan a block is walked into to be summarized.
 	win, seal windowScan
-	idx       []int
 	// sealed and reused count blocks summarized and summaries merged.
 	sealed, reused int
 }
 
 // sealedBlock summarizes one block's settled traces: the per-service
-// counts and sums and the edges a windowScan keeps, without the
-// per-trace columns (those stay in the row store) and without the
-// hints and critical-path marks a walk needs.
+// counts and sums and the edges a windowScan keeps, both indexed by the
+// base names, without the per-trace columns (those stay in the row
+// store) and without the hints and critical-path marks a walk needs.
 type sealedBlock struct {
-	// names indexes svc: the base names, then names outside them in the
-	// block's first-visit order (unknown counts those).
-	names   []string
-	unknown int
-	svc     []sealedService
-	calls   []bool
+	svc   []sealedService
+	calls []bool
 }
 
 // sealedService is one service's statistics over a block.
@@ -93,11 +90,8 @@ func (s *sealedScans) scan(traces []*trace.Trace, first uint64, unsettled []uint
 		own := unsettled[:n]
 		unsettled = unsettled[n:]
 		blk := s.block(b, traces[off:off+int(size)], own, off)
-		if blk.unknown > 0 && n > 0 {
-			// The unsettled traces may visit names outside the base
-			// names ahead of the block's own: only a live walk keeps
-			// first-visit order.
-			next = off
+		if blk == nil {
+			next = off // walked live with the rows after it
 			continue
 		}
 		s.merge(blk)
@@ -121,10 +115,14 @@ func (s *sealedScans) live(traces []*trace.Trace, from, to int) {
 
 // block returns the summary of block b, whose traces blk sit at row off
 // and whose unsettled sequence numbers are unsettled, sealing it on
-// first use.
+// first use. It returns nil for a block whose traces name a service
+// outside the base names: such a block is always walked live, which
+// keeps the window's first-visit order of those names.
 func (s *sealedScans) block(b uint64, blk []*trace.Trace, unsettled []uint64, off int) *sealedBlock {
 	if i := int(b - s.base); i < len(s.blocks) {
-		s.reused++
+		if s.blocks[i] != nil {
+			s.reused++
+		}
 		return s.blocks[i]
 	}
 	sw := &s.seal
@@ -139,21 +137,19 @@ func (s *sealedScans) block(b uint64, blk []*trace.Trace, unsettled []uint64, of
 		sw.addTrace(tr, ti)
 	}
 
-	sb := &sealedBlock{
-		names:   s.names,
-		unknown: len(sw.names) - len(s.names),
-		svc:     make([]sealedService, len(sw.svc)),
-		calls:   slices.Clone(sw.calls),
-	}
-	if sb.unknown > 0 {
-		sb.names = slices.Clone(sw.names)
-	}
-	for i := range sw.svc {
-		st := &sw.svc[i]
-		sb.svc[i] = sealedService{visits: st.visits, upSum: st.upSum, upN: st.upN}
+	var sb *sealedBlock
+	if len(sw.names) == len(s.names) {
+		sb = &sealedBlock{
+			svc:   make([]sealedService, len(sw.svc)),
+			calls: slices.Clone(sw.calls),
+		}
+		for i := range sw.svc {
+			st := &sw.svc[i]
+			sb.svc[i] = sealedService{visits: st.visits, upSum: st.upSum, upN: st.upN}
+		}
+		s.sealed++
 	}
 	s.blocks = append(s.blocks, sb)
-	s.sealed++
 	return sb
 }
 
@@ -180,39 +176,27 @@ func (s *sealedScans) keep(lo, hi uint64) {
 }
 
 // merge adds block summary sb into the merged scan: counts and sums
-// added, edges ORed, and names outside the base names appended in the
-// block's first-visit order if the window has not visited them yet.
-// The block's rows are already in place.
+// added, edges ORed. The block's rows are already in place.
 func (s *sealedScans) merge(sb *sealedBlock) {
 	w := &s.win
-	base := len(sb.names) - sb.unknown
-	idx := s.idx[:0]
-	for i, name := range sb.names {
-		if i >= base {
-			i = w.lookup(name, -1)
-		}
-		idx = append(idx, i)
-	}
-	s.idx = idx
 	for i := range sb.svc {
 		ss := &sb.svc[i]
 		if ss.visits == 0 {
 			continue
 		}
-		si := idx[i]
-		if w.svc[si].pt == nil {
-			w.column(si)
+		if w.svc[i].pt == nil {
+			w.column(i)
 		}
-		st := &w.svc[si]
+		st := &w.svc[i]
 		st.visits += ss.visits
 		st.upSum += ss.upSum
 		st.upN += ss.upN
 	}
-	n, wn := len(sb.names), len(w.names)
+	n, wn := len(s.names), len(w.names)
 	for caller := range n {
 		for callee, called := range sb.calls[caller*n : (caller+1)*n] {
 			if called {
-				w.calls[idx[caller]*wn+idx[callee]] = true
+				w.calls[caller*wn+callee] = true
 			}
 		}
 	}

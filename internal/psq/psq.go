@@ -118,11 +118,6 @@ type Server struct {
 	free       []*Job // recycled terminal Job structs
 	doneFns    []func()
 	completeFn func() // bound once so arming the timer allocates nothing
-
-	// rateN is the runnable count the cached rates were computed for;
-	// -1 when the core count or the overhead changed since.
-	rateN                      int
-	rateTotal, ratePer, rateOn float64
 }
 
 // Option configures a Server.
@@ -156,7 +151,7 @@ func New(k *sim.Kernel, cores float64, opts ...Option) *Server {
 	if cores < 0 {
 		cores = 0
 	}
-	s := &Server{k: k, cores: cores, alpha: DefaultOverhead, last: k.Now(), rateN: -1}
+	s := &Server{k: k, cores: cores, alpha: DefaultOverhead, last: k.Now()}
 	s.completeFn = s.complete
 	for _, opt := range opts {
 		opt(s)
@@ -217,42 +212,17 @@ func (s *Server) perJobRate(n int) float64 {
 	return s.totalRate(n) / float64(n)
 }
 
-// rates returns totalRate, perJobRate and the cores in use,
-// min(n, cores), for the present runnable count n. They are recomputed
-// only when n, the core count or the overhead changed, since advance
-// and reschedule ask for them several times per operation.
-func (s *Server) rates() (total, perJob, onCPU float64) {
-	if n := len(s.runnable); n != s.rateN {
-		s.rateN = n
-		s.rateTotal = s.totalRate(n)
-		s.ratePer = s.perJobRate(n)
-		s.rateOn = math.Min(float64(n), s.cores)
-	}
-	return s.rateTotal, s.ratePer, s.rateOn
-}
-
-// seconds returns d.Seconds(). Below one second in magnitude that is
-// 0 + float64(d)/1e9, so the division alone gives the same bits without
-// Seconds' split into whole seconds and remainder.
-func seconds(d time.Duration) float64 {
-	if d < time.Second && d > -time.Second {
-		return float64(d) / 1e9
-	}
-	return d.Seconds()
-}
-
 // advance integrates attained service and work counters up to "now".
 func (s *Server) advance() {
 	now := s.k.Now()
 	if now <= s.last {
 		return
 	}
-	dt := seconds(now - s.last)
-	if len(s.runnable) > 0 {
-		total, perJob, onCPU := s.rates()
-		s.attained += perJob * dt
-		s.work += total * dt
-		s.busy += onCPU * dt
+	dt := (now - s.last).Seconds()
+	if n := len(s.runnable); n > 0 {
+		s.attained += s.perJobRate(n) * dt
+		s.work += s.totalRate(n) * dt
+		s.busy += math.Min(float64(n), s.cores) * dt
 	}
 	s.capacity += s.cores * dt
 	s.last = now
@@ -293,7 +263,7 @@ func (s *Server) reschedule() {
 		s.arm(0)
 		return
 	}
-	_, r, _ := s.rates()
+	r := s.perJobRate(len(s.runnable))
 	if r <= 0 {
 		s.disarm()
 		return // stalled (zero cores); re-armed on the next rate change
@@ -355,7 +325,7 @@ func (s *Server) Submit(demand time.Duration, onDone func()) *Job {
 	} else {
 		j = &Job{} //soravet:allow hotpath pool miss: allocates only while the live-job high-water mark rises, then the free list serves every Submit
 	}
-	j.doneKey = s.attained + seconds(demand)
+	j.doneKey = s.attained + demand.Seconds()
 	j.remaining = 0
 	j.onDone = onDone
 	j.state = StateRunnable
@@ -441,7 +411,6 @@ func (s *Server) SetCores(cores float64) {
 	}
 	s.advance()
 	s.cores = cores
-	s.rateN = -1
 	s.reschedule()
 }
 
@@ -452,7 +421,6 @@ func (s *Server) SetOverhead(alpha float64) {
 	}
 	s.advance()
 	s.alpha = alpha
-	s.rateN = -1
 	s.reschedule()
 }
 
