@@ -12,9 +12,9 @@ import (
 	"sora/internal/sim"
 )
 
-// refServer is a reference processor-sharing server that keeps the
-// rate formulas the Server started from: totalRate and perJobRate
-// recomputed at every use and Duration.Seconds for every conversion.
+// refServer is a reference processor-sharing server: totalRate and
+// perJobRate recomputed at every use and Duration.Seconds for every
+// conversion.
 // Its runnable set is a plain slice searched for the smallest doneKey,
 // so it shares no code with the Server it checks.
 type refServer struct {
