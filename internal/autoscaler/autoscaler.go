@@ -14,7 +14,6 @@
 //   - VPAScaler — a threshold-based vertical scaler in the spirit of
 //     the Kubernetes VPA used as ConScale's and Sora's substrate in
 //     section 5.2's second comparison.
-//   - NoOpScaler — no hardware scaling, for soft-resource-only runs.
 //
 // Every scaler implements the core.HardwareScaler interface implicitly:
 // Name() and Step(now) bool.
@@ -73,15 +72,6 @@ func (u *utilTracker) utilization() (float64, error) {
 	}
 	return dw / dc, nil
 }
-
-// NoOpScaler performs no hardware scaling.
-type NoOpScaler struct{}
-
-// Name implements core.HardwareScaler.
-func (NoOpScaler) Name() string { return "none" }
-
-// Step implements core.HardwareScaler.
-func (NoOpScaler) Step(sim.Time) bool { return false }
 
 // FIRMConfig configures the FIRM-style vertical scaler.
 type FIRMConfig struct {
@@ -164,9 +154,6 @@ func NewFIRM(c *cluster.Cluster, cfg FIRMConfig) (*FIRMScaler, error) {
 
 // Name implements core.HardwareScaler.
 func (s *FIRMScaler) Name() string { return "firm" }
-
-// Level returns the current ladder index.
-func (s *FIRMScaler) Level() int { return s.level }
 
 // Step implements core.HardwareScaler.
 func (s *FIRMScaler) Step(now sim.Time) bool {

@@ -76,8 +76,8 @@ func TestFIRMScalesUpUnderSLOViolation(t *testing.T) {
 	if changes == 0 {
 		t.Error("no scaling decisions recorded")
 	}
-	if firm.Level() != 1 {
-		t.Errorf("ladder level = %d, want 1", firm.Level())
+	if firm.level != 1 {
+		t.Errorf("ladder level = %d, want 1", firm.level)
 	}
 	r.shutdown()
 }
@@ -230,20 +230,9 @@ func TestVPAConfigValidation(t *testing.T) {
 	r.shutdown()
 }
 
-func TestNoOpScaler(t *testing.T) {
-	var s NoOpScaler
-	if s.Name() != "none" {
-		t.Errorf("Name = %q", s.Name())
-	}
-	if s.Step(0) {
-		t.Error("NoOp reported a change")
-	}
-}
-
 // Interface compliance with the core controller.
 var (
 	_ core.HardwareScaler = (*FIRMScaler)(nil)
 	_ core.HardwareScaler = (*HPAScaler)(nil)
 	_ core.HardwareScaler = (*VPAScaler)(nil)
-	_ core.HardwareScaler = NoOpScaler{}
 )

@@ -28,7 +28,7 @@ type RefKernel struct {
 	now       time.Duration
 	seq       uint64
 	events    refHeap
-	processed uint64
+	processed uint64 // counted, never read: mirrors sim.Kernel's per-event work so the benchmark twins stay like for like
 }
 
 // RefTimer is a handle for an event scheduled on a RefKernel. Unlike the
@@ -46,6 +46,8 @@ type RefTimer struct {
 
 // Cancel removes the timer from the event queue; it is safe to call
 // multiple times and after the timer has fired.
+//
+//soravet:allow deadcode (a) reference implementation: the heap-order oracle tests compare sim.Timer.Cancel against it
 func (t *RefTimer) Cancel() {
 	if t == nil {
 		return
@@ -96,12 +98,13 @@ func (h *refHeap) Pop() any {
 func NewRefKernel() *RefKernel { return &RefKernel{} }
 
 // Now returns the current virtual time.
+//
+//soravet:allow deadcode (a) reference implementation: the heap-order oracle tests compare sim.Kernel clocks against it
 func (k *RefKernel) Now() time.Duration { return k.now }
 
-// Processed returns the number of events executed so far.
-func (k *RefKernel) Processed() uint64 { return k.processed }
-
 // Pending returns the number of events currently scheduled.
+//
+//soravet:allow deadcode (a) reference implementation: the heap-order oracle tests compare sim.Kernel queue sizes against it
 func (k *RefKernel) Pending() int { return len(k.events) }
 
 // Schedule runs fn after delay units of virtual time; negative delays

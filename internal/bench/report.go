@@ -58,16 +58,6 @@ func (r *Report) Upsert(e Entry) {
 	r.Entries = append(r.Entries, e)
 }
 
-// Find returns the entry with the given label, if present.
-func (r *Report) Find(label string) (Entry, bool) {
-	for _, e := range r.Entries {
-		if e.Label == label {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
 // WriteReport writes the report as indented JSON with a trailing
 // newline, atomically enough for a checked-in artifact (write then
 // rename within the target directory).

@@ -487,10 +487,6 @@ func (c *Cluster) SubmitMixWith(onDone func()) {
 	c.SubmitWith(c.mix[len(c.mix)-1].Type, onDone)
 }
 
-// Submit injects one request of the given type at the current virtual
-// time.
-func (c *Cluster) Submit(rt *RequestType) { c.SubmitWith(rt, nil) }
-
 // SubmitWith injects one request and calls onDone at its completion
 // (successful or dropped).
 func (c *Cluster) SubmitWith(rt *RequestType, onDone func()) {

@@ -230,13 +230,3 @@ func (cp *ControlPlane) placement(svc *Service) string {
 	}
 	return b.String()
 }
-
-// Placement renders the pod→node assignment of the named service (see
-// placement); unknown services yield "".
-func (cp *ControlPlane) Placement(service string) string {
-	svc, ok := cp.c.services[service]
-	if !ok {
-		return ""
-	}
-	return cp.placement(svc)
-}

@@ -56,7 +56,7 @@ func TestControlPlaneColdStartGatesServing(t *testing.T) {
 	// Both services must be placed (2 nodes × 6 cores fit 4+2).
 	cp := c.ControlPlane()
 	for _, svc := range []string{"frontend", "backend"} {
-		if p := cp.Placement(svc); strings.Contains(p, "@-") || p == "" {
+		if p := cp.placement(cp.c.services[svc]); strings.Contains(p, "@-") || p == "" {
 			t.Errorf("service %s not placed: %q", svc, p)
 		}
 	}
@@ -72,8 +72,8 @@ func TestControlPlaneLegacyPathUntouched(t *testing.T) {
 	}
 	svc, _ := c.Service("backend")
 	for _, in := range svc.Instances() {
-		if !in.Ready() || in.Pod() != nil {
-			t.Fatalf("legacy instance %s: ready=%v pod=%v", in.ID(), in.Ready(), in.Pod())
+		if !in.Ready() || in.pod != nil {
+			t.Fatalf("legacy instance %s: ready=%v pod=%v", in.ID(), in.Ready(), in.pod)
 		}
 	}
 	c.SubmitMix()
@@ -232,7 +232,7 @@ func TestStaleEndpointRetryBreaker(t *testing.T) {
 	})
 	submit(3*time.Second, 20) // stale window + empty view: retried, then failed fast
 	k.At(sim.Time(4*time.Second), func() {
-		if st := c.BreakerState("frontend", "backend"); st != "open" {
+		if st := c.edge("frontend", "backend").state.String(); st != "open" {
 			t.Errorf("breaker %q after refusal storm, want open", st)
 		}
 	})
@@ -261,7 +261,7 @@ func TestStaleEndpointRetryBreaker(t *testing.T) {
 	if c.BreakerRejections() == 0 {
 		t.Fatal("breaker never rejected during the refusal storm")
 	}
-	if st := c.BreakerState("frontend", "backend"); st != "closed" {
+	if st := c.edge("frontend", "backend").state.String(); st != "closed" {
 		t.Fatalf("breaker %q at end, want closed (healed)", st)
 	}
 }
@@ -278,12 +278,12 @@ func TestControlPlaneNodeCrashReschedules(t *testing.T) {
 	oldID := svc.instances[0].id
 	crashIdx := -1
 	for i := 0; i < cp.NodeCount(); i++ {
-		if strings.Contains(cp.Placement("backend"), cp.Fleet().NodeName(i)) {
+		if strings.Contains(cp.placement(cp.c.services["backend"]), cp.Fleet().NodeName(i)) {
 			crashIdx = i
 		}
 	}
 	if crashIdx < 0 {
-		t.Fatalf("backend not placed: %q", cp.Placement("backend"))
+		t.Fatalf("backend not placed: %q", cp.placement(cp.c.services["backend"]))
 	}
 	cp.CrashNode(crashIdx)
 	k.Run() // replacement cold start + propagation
@@ -293,7 +293,7 @@ func TestControlPlaneNodeCrashReschedules(t *testing.T) {
 	if !svc.instances[0].ready || len(svc.endpoints) != 1 {
 		t.Fatalf("replacement not serving: ready=%v endpoints=%d", svc.instances[0].ready, len(svc.endpoints))
 	}
-	if p := cp.Placement("backend"); strings.Contains(p, cp.Fleet().NodeName(crashIdx)) {
+	if p := cp.placement(cp.c.services["backend"]); strings.Contains(p, cp.Fleet().NodeName(crashIdx)) {
 		t.Fatalf("replacement landed on the crashed node: %q", p)
 	}
 	c.SubmitMix()
@@ -313,7 +313,7 @@ func TestControlPlaneDrainGraceful(t *testing.T) {
 	k.Run()
 	drainIdx := -1
 	for i := 0; i < cp.NodeCount(); i++ {
-		if strings.Contains(cp.Placement("backend"), cp.Fleet().NodeName(i)) {
+		if strings.Contains(cp.placement(cp.c.services["backend"]), cp.Fleet().NodeName(i)) {
 			drainIdx = i
 		}
 	}

@@ -33,7 +33,6 @@ import (
 // alive.
 type FlightRecorder struct {
 	c      *Cluster
-	window time.Duration
 	sla    time.Duration
 	ticker *sim.Ticker
 
@@ -135,7 +134,6 @@ func (c *Cluster) ArmFlightRecorder(window, sla time.Duration) (*FlightRecorder,
 	}
 	f := &FlightRecorder{
 		c:        c,
-		window:   window,
 		sla:      sla,
 		winStart: c.k.Now(),
 		e2e:      stats.NewSketch(0),
@@ -158,9 +156,6 @@ func (c *Cluster) ArmFlightRecorder(window, sla time.Duration) (*FlightRecorder,
 	f.ticker = c.k.Every(window, f.tick)
 	return f, nil
 }
-
-// Window returns the configured window length.
-func (f *FlightRecorder) Window() time.Duration { return f.window }
 
 // noteE2E classifies one end-to-end completion into the current window.
 // Called from the submit completion path: field increments and one

@@ -298,15 +298,6 @@ func (c *Cluster) SetCallPolicy(caller, callee string, p CallPolicy) error {
 	return nil
 }
 
-// EdgePolicy returns the normalized policy installed on an edge.
-func (c *Cluster) EdgePolicy(caller, callee string) (CallPolicy, bool) {
-	es := c.edge(caller, callee)
-	if es == nil || !es.hasPolicy {
-		return CallPolicy{}, false
-	}
-	return es.policy, true
-}
-
 // SetEdgeFault installs (or, with the zero value, clears) the injected
 // fault on one caller→callee edge. Used by the chaos engine; calls in
 // flight keep the fault parameters they were dispatched under.
@@ -323,14 +314,4 @@ func (c *Cluster) SetEdgeFault(caller, callee string, f EdgeFault) error {
 	}
 	es.fault = f
 	return nil
-}
-
-// BreakerState reports the circuit breaker position of one edge
-// ("closed", "open", "half-open"), for tests and run reports.
-func (c *Cluster) BreakerState(caller, callee string) string {
-	es := c.edge(caller, callee)
-	if es == nil {
-		return breakerClosed.String()
-	}
-	return es.state.String()
 }

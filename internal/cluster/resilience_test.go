@@ -172,7 +172,7 @@ func TestBreakerFastFailsAndRecovers(t *testing.T) {
 		k.Schedule(time.Duration(i)*10*time.Millisecond, c.SubmitMix)
 	}
 	k.Run()
-	if got := c.BreakerState("frontend", "backend"); got != "open" {
+	if got := c.edge("frontend", "backend").state.String(); got != "open" {
 		t.Fatalf("breaker = %s, want open", got)
 	}
 	if c.Failed() != 6 || c.Completed() != 0 {
@@ -194,7 +194,7 @@ func TestBreakerFastFailsAndRecovers(t *testing.T) {
 	if c.Completed() != 1 {
 		t.Fatalf("post-recovery completed = %d, want 1", c.Completed())
 	}
-	if got := c.BreakerState("frontend", "backend"); got != "closed" {
+	if got := c.edge("frontend", "backend").state.String(); got != "closed" {
 		t.Errorf("breaker = %s, want closed after successful probe", got)
 	}
 }

@@ -55,10 +55,6 @@ func newService(c *Cluster, spec ServiceSpec) *Service {
 // Name returns the service name.
 func (s *Service) Name() string { return s.name }
 
-// Spec returns the service's current spec (pool sizes and cores reflect
-// runtime reconfiguration).
-func (s *Service) Spec() ServiceSpec { return s.spec }
-
 // SpanLog returns the per-service visit completion log.
 func (s *Service) SpanLog() *metrics.CompletionLog { return s.spanLog }
 
@@ -80,6 +76,8 @@ func (s *Service) Instances() []*Instance { return slices.Clone(s.instances) }
 // currently routes to. With a control plane it can trail the
 // membership truth by the endpoint lag; without one it is exactly the
 // ready, live, non-draining pods.
+//
+//soravet:allow deadcode (b) cross-package observer: fault tests observe the lagged routing view through it
 func (s *Service) Endpoints() []*Instance { return slices.Clone(s.endpoints) }
 
 func (s *Service) addInstance() *Instance {
@@ -209,15 +207,6 @@ func (s *Service) QueueLength() int {
 	return n
 }
 
-// Runnable returns the number of on-CPU jobs across pods.
-func (s *Service) Runnable() int {
-	n := 0
-	for _, in := range s.instances {
-		n += in.cpu.Runnable()
-	}
-	return n
-}
-
 // DBConnsInUse returns the number of busy downstream-connection slots
 // across pods.
 func (s *Service) DBConnsInUse() int {
@@ -238,15 +227,6 @@ func (s *Service) ClientConnsInUse(target string) int {
 		}
 	}
 	return n
-}
-
-// CumulativeWork returns total useful core-seconds delivered across pods.
-func (s *Service) CumulativeWork() float64 {
-	var w float64
-	for _, in := range s.instances {
-		w += in.cpu.CumulativeWork()
-	}
-	return w
 }
 
 // CumulativeBusy returns total busy core-seconds (including overhead)
@@ -351,25 +331,14 @@ func newInstance(s *Service, id string) *Instance {
 // ID returns the pod name (e.g. "cart-0").
 func (in *Instance) ID() string { return in.id }
 
-// CPU returns the pod's processor-sharing server.
-func (in *Instance) CPU() *psq.Server { return in.cpu }
-
-// Active returns the number of requests currently admitted.
-func (in *Instance) Active() int { return in.active }
-
-// QueueLen returns the admission queue length.
-func (in *Instance) QueueLen() int { return len(in.queue) }
-
 // Draining reports whether the pod is being decommissioned.
 func (in *Instance) Draining() bool { return in.draining }
 
 // Ready reports whether the pod may serve traffic: false only while a
 // control-plane pod cold-starts, so always true without a control plane.
+//
+//soravet:allow deadcode (b) cross-package observer: fault tests observe pod readiness through it
 func (in *Instance) Ready() bool { return in.ready }
-
-// Pod returns the control-plane fleet record backing this instance (nil
-// without a control plane, where pods are placed instantly).
-func (in *Instance) Pod() *node.Pod { return in.pod }
 
 func (in *Instance) idle() bool {
 	return in.active == 0 && len(in.queue) == 0
@@ -427,9 +396,6 @@ func (in *Instance) SetDegrade(f float64) {
 	}
 	in.applyCores()
 }
-
-// Degrade returns the pod's CPU-degradation factor (0 = none).
-func (in *Instance) Degrade() float64 { return in.degrade }
 
 // applyCores pushes the service's configured per-pod core limit through
 // this pod's degradation factor into the PS server.

@@ -228,7 +228,7 @@ func TestManifestRoundTripAndVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != "r" || got.Seed != 7 || got.Param("strategy") != "sora" {
+	if strategy, _ := Lookup(got.Params, "strategy"); got.ID != "r" || got.Seed != 7 || strategy != "sora" {
 		t.Fatalf("round-trip manifest = %+v", got)
 	}
 	if got.ArtifactBySuffix(".timeline.jsonl") != "r.timeline.jsonl" {

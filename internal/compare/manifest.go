@@ -89,12 +89,6 @@ type Manifest struct {
 	Artifacts []Artifact `json:"artifacts"`
 }
 
-// Param returns the value of the named param, or "" if absent.
-func (m *Manifest) Param(key string) string {
-	v, _ := Lookup(m.Params, key)
-	return v
-}
-
 // ArtifactBySuffix returns the name of the unique artifact whose name
 // ends with suffix, or "" if none or ambiguous.
 func (m *Manifest) ArtifactBySuffix(suffix string) string {

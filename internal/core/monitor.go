@@ -83,9 +83,6 @@ func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.Resou
 	return m, nil
 }
 
-// Interval returns the sampling interval.
-func (m *Monitor) Interval() time.Duration { return m.interval }
-
 // Start begins sampling. Idempotent.
 func (m *Monitor) Start() {
 	if m.running {
@@ -102,18 +99,6 @@ func (m *Monitor) Stop() {
 	}
 	m.running = false
 	m.ticker.Stop()
-}
-
-// Track adds a soft resource to the monitored set at runtime.
-func (m *Monitor) Track(ref cluster.ResourceRef) error {
-	if _, ok := m.conc[ref]; ok {
-		return nil
-	}
-	if _, err := m.c.PoolInUse(ref); err != nil {
-		return fmt.Errorf("core: cannot track %v: %w", ref, err)
-	}
-	m.conc[ref] = &metrics.Series{}
-	return nil
 }
 
 func (m *Monitor) sample() {
@@ -157,16 +142,6 @@ func (m *Monitor) Concurrency(ref cluster.ResourceRef) (*metrics.Series, error) 
 	s, ok := m.conc[ref]
 	if !ok {
 		return nil, fmt.Errorf("core: resource %v is not tracked", ref)
-	}
-	return s, nil
-}
-
-// CPUUtil returns the sampled utilization series of a service, or an
-// error if the service is not monitored.
-func (m *Monitor) CPUUtil(service string) (*metrics.Series, error) {
-	s, ok := m.util[service]
-	if !ok {
-		return nil, fmt.Errorf("core: utilization of %q is not monitored", service)
 	}
 	return s, nil
 }

@@ -92,16 +92,6 @@ func NewSCG(c *cluster.Cluster, mon *Monitor, cfg SCGConfig) (*SCGModel, error) 
 // Config returns the model's effective configuration (defaults filled).
 func (m *SCGModel) Config() SCGConfig { return m.cfg }
 
-// SetSLA changes the end-to-end deadline at runtime (SLA requirements of
-// critical services may change over time — section 5.2's discussion).
-func (m *SCGModel) SetSLA(sla time.Duration) error {
-	if sla <= 0 {
-		return fmt.Errorf("core: SLA must be positive, got %v", sla)
-	}
-	m.cfg.SLA = sla
-	return nil
-}
-
 // scan gathers the trailing window's traces into one windowScan: each
 // decision reads the critical service, the deadline and the behind-pool
 // utilization from it instead of walking the window once per question.

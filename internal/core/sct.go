@@ -33,12 +33,6 @@ func NewSCT(c *cluster.Cluster, mon *Monitor, cfg SCGConfig) (*SCTModel, error) 
 	return &SCTModel{scg: scg}, nil
 }
 
-// CriticalService reuses the SCG localizer: ConScale identifies key
-// servers through the same bottleneck analysis.
-func (m *SCTModel) CriticalService(now sim.Time) (string, error) {
-	return m.scg.CriticalService(now)
-}
-
 // CollectPairs builds <Q_n, TP_n> samples: concurrency against raw
 // throughput, with no response-time filtering.
 func (m *SCTModel) CollectPairs(now sim.Time, ref cluster.ResourceRef, measured string) (qs, tps []float64, err error) {

@@ -144,9 +144,6 @@ func (u *UnifiedController) Events() []AdaptationEvent {
 // HardwareChanges returns the number of CPU-ladder moves.
 func (u *UnifiedController) HardwareChanges() int { return u.hwChanges }
 
-// ModelErrors returns the failed-recommendation count and last error.
-func (u *UnifiedController) ModelErrors() (int, error) { return u.errs, u.lastErr }
-
 func (u *UnifiedController) step() {
 	now := u.c.Kernel().Now()
 	if now-u.started < sim.Time(u.cfg.Warmup) {

@@ -4,10 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"sora/internal/cluster"
-	"sora/internal/sim"
 	"sora/internal/topology"
-	"sora/internal/workload"
 )
 
 func TestUnifiedConstructorErrors(t *testing.T) {
@@ -114,93 +111,11 @@ func TestUnifiedEventsAndErrors(t *testing.T) {
 	u.Start()
 	r.runFor(20 * time.Second)
 	u.Stop()
-	n, last := u.ModelErrors()
-	if n == 0 || last == nil {
-		t.Errorf("errors = %d, last = %v", n, last)
+	if u.errs == 0 || u.lastErr == nil {
+		t.Errorf("errors = %d, last = %v", u.errs, u.lastErr)
 	}
 	if len(u.Events()) != 0 {
 		t.Errorf("events = %v, want none", u.Events())
-	}
-	r.shutdown()
-}
-
-func TestAutoIntervalPrefersInformativeGranularity(t *testing.T) {
-	// A 3-minute bursty run at 10ms monitor sampling: the auto selector
-	// must pick a workable interval (one that produces consistent
-	// estimates on both window halves) and return scores for every
-	// candidate.
-	k := sim.NewKernel(44)
-	cfg := topology.DefaultSockShop()
-	cfg.CartThreads = 60
-	cfg.CartCores = 2
-	app := topology.SockShop(cfg)
-	c, err := cluster.New(k, app, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetMix(topology.CartOnlyMix(app)); err != nil {
-		t.Fatal(err)
-	}
-	ref := cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}
-	mon, err := NewMonitor(c, 10*time.Millisecond, []cluster.ResourceRef{ref}, c.ServiceNames())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon.Start()
-	dur := 3 * time.Minute
-	loop, err := workload.NewClosedLoop(k, workload.ClosedLoopConfig{
-		Target: workload.TraceUsers(workload.LargeVariationTrace(), dur, 900),
-		Submit: func(done func()) { c.SubmitMixWith(done) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loop.Start()
-	k.RunUntil(sim.Time(dur))
-	loop.Stop()
-	mon.Stop()
-	k.Run()
-
-	scg, err := NewSCG(c, mon, SCGConfig{SLA: 250 * time.Millisecond, Window: dur})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, scores, err := scg.AutoInterval(sim.Time(dur), ref, topology.Cart, 30*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != len(DefaultIntervalCandidates()) {
-		t.Fatalf("scores for %d candidates, want %d", len(scores), len(DefaultIntervalCandidates()))
-	}
-	if best < 10*time.Millisecond || best > 500*time.Millisecond {
-		t.Errorf("best interval %v outside candidate range", best)
-	}
-	// The winner's disagreement must be the minimum of all finite scores.
-	for _, sc := range scores {
-		if sc.Interval == best {
-			for _, other := range scores {
-				if other.Disagreement < sc.Disagreement {
-					t.Errorf("winner %v (%.3f) beaten by %v (%.3f)",
-						best, sc.Disagreement, other.Interval, other.Disagreement)
-				}
-			}
-		}
-	}
-}
-
-func TestAutoIntervalErrors(t *testing.T) {
-	r := newCartRig(t, 45, 5, 10, 2)
-	scg, err := NewSCG(r.c, r.mon, SCGConfig{SLA: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unknown resource.
-	if _, _, err := scg.AutoInterval(r.k.Now(), cluster.ResourceRef{Service: "ghost", Kind: cluster.PoolThreads}, topology.Cart, time.Millisecond, nil); err == nil {
-		t.Error("unknown resource: expected error")
-	}
-	// Cold start: no samples at all.
-	if _, _, err := scg.AutoInterval(r.k.Now(), r.ref, topology.Cart, time.Millisecond, nil); err == nil {
-		t.Error("cold start: expected error")
 	}
 	r.shutdown()
 }

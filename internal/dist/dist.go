@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
 	"time"
 )
 
@@ -32,6 +31,8 @@ type Deterministic struct {
 }
 
 // NewDeterministic returns a point-mass distribution at v (clamped to >= 0).
+//
+//soravet:allow deadcode (b) cross-package fixture: tests in cluster, fault and workload build fixed demands and think times with it
 func NewDeterministic(v time.Duration) Deterministic {
 	if v < 0 {
 		v = 0
@@ -72,41 +73,6 @@ func (d Exponential) Sample(rng *rand.Rand) time.Duration {
 func (d Exponential) Mean() time.Duration { return d.MeanValue }
 
 func (d Exponential) String() string { return fmt.Sprintf("exp(%v)", d.MeanValue) }
-
-// Uniform draws uniformly from [Low, High].
-type Uniform struct {
-	Low  time.Duration
-	High time.Duration
-}
-
-// NewUniform returns a uniform distribution on [low, high]; the bounds are
-// swapped if given in the wrong order and clamped to >= 0.
-func NewUniform(low, high time.Duration) Uniform {
-	if low > high {
-		low, high = high, low
-	}
-	if low < 0 {
-		low = 0
-	}
-	if high < 0 {
-		high = 0
-	}
-	return Uniform{Low: low, High: high}
-}
-
-// Sample implements Distribution.
-func (d Uniform) Sample(rng *rand.Rand) time.Duration {
-	span := d.High - d.Low
-	if span <= 0 {
-		return d.Low
-	}
-	return d.Low + time.Duration(rng.Int64N(int64(span)+1))
-}
-
-// Mean implements Distribution.
-func (d Uniform) Mean() time.Duration { return (d.Low + d.High) / 2 }
-
-func (d Uniform) String() string { return fmt.Sprintf("uniform(%v,%v)", d.Low, d.High) }
 
 // LogNormal models service demands with a right-skewed body, the typical
 // shape of CPU demand in request processing. It is parameterised by its
@@ -160,154 +126,6 @@ func (d LogNormal) String() string {
 	return fmt.Sprintf("lognormal(mean=%v,sigma=%.2f)", d.MeanValue, d.Sigma)
 }
 
-// Pareto is a bounded Pareto distribution for heavy-tailed demands (e.g.
-// fan-out queries that occasionally touch a large dataset). The tail is
-// truncated at Max to keep simulated experiments finite.
-type Pareto struct {
-	Min   time.Duration
-	Max   time.Duration
-	Alpha float64
-}
-
-// NewPareto returns a bounded Pareto on [min, max] with shape alpha.
-// Alpha <= 1 has an unbounded theoretical mean, hence the bound.
-func NewPareto(min, max time.Duration, alpha float64) Pareto {
-	if min < 0 {
-		min = 0
-	}
-	if max < min {
-		max = min
-	}
-	if alpha <= 0 {
-		alpha = 1.5
-	}
-	return Pareto{Min: min, Max: max, Alpha: alpha}
-}
-
-// Sample implements Distribution.
-func (d Pareto) Sample(rng *rand.Rand) time.Duration {
-	if d.Min == d.Max {
-		return d.Min
-	}
-	l := float64(d.Min)
-	h := float64(d.Max)
-	u := rng.Float64()
-	// Inverse CDF of bounded Pareto.
-	la := math.Pow(l, d.Alpha)
-	ha := math.Pow(h, d.Alpha)
-	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/d.Alpha)
-	if x < l {
-		x = l
-	}
-	if x > h {
-		x = h
-	}
-	return time.Duration(x)
-}
-
-// Mean implements Distribution.
-func (d Pareto) Mean() time.Duration {
-	if d.Min == d.Max {
-		return d.Min
-	}
-	l := float64(d.Min)
-	h := float64(d.Max)
-	a := d.Alpha
-	if a == 1 {
-		la := math.Pow(l, a)
-		ha := math.Pow(h, a)
-		return time.Duration(ha * la / (ha - la) * math.Log(h/l))
-	}
-	la := math.Pow(l, a)
-	ha := math.Pow(h, a)
-	m := la / (1 - math.Pow(l/h, a)) * (a / (a - 1)) * (1/math.Pow(l, a-1) - 1/math.Pow(h, a-1))
-	_ = ha
-	return time.Duration(m)
-}
-
-func (d Pareto) String() string {
-	return fmt.Sprintf("pareto(%v,%v,alpha=%.2f)", d.Min, d.Max, d.Alpha)
-}
-
-// Erlang is the sum of K independent exponentials, giving a demand with a
-// coefficient of variation below 1 (more regular than exponential).
-type Erlang struct {
-	K         int
-	MeanValue time.Duration
-}
-
-// NewErlang returns an Erlang-k distribution with the given overall mean.
-func NewErlang(k int, mean time.Duration) Erlang {
-	if k < 1 {
-		k = 1
-	}
-	if mean < 0 {
-		mean = 0
-	}
-	return Erlang{K: k, MeanValue: mean}
-}
-
-// Sample implements Distribution.
-func (d Erlang) Sample(rng *rand.Rand) time.Duration {
-	if d.MeanValue == 0 {
-		return 0
-	}
-	phaseMean := float64(d.MeanValue) / float64(d.K)
-	var total float64
-	for i := 0; i < d.K; i++ {
-		total += rng.ExpFloat64() * phaseMean
-	}
-	return time.Duration(total)
-}
-
-// Mean implements Distribution.
-func (d Erlang) Mean() time.Duration { return d.MeanValue }
-
-func (d Erlang) String() string { return fmt.Sprintf("erlang(k=%d,mean=%v)", d.K, d.MeanValue) }
-
-// Empirical samples uniformly from a fixed set of observed values. It is
-// used to replay measured demand profiles.
-type Empirical struct {
-	values []time.Duration
-	mean   time.Duration
-}
-
-// NewEmpirical returns a distribution over the given observations. It
-// copies the slice (values sorted for reproducible summaries) and returns
-// an error if no observations are provided.
-func NewEmpirical(values []time.Duration) (Empirical, error) {
-	if len(values) == 0 {
-		return Empirical{}, fmt.Errorf("dist: empirical distribution requires at least one value")
-	}
-	vs := make([]time.Duration, len(values))
-	copy(vs, values)
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	var sum time.Duration
-	for i, v := range vs {
-		if v < 0 {
-			vs[i] = 0
-			v = 0
-		}
-		sum += v
-	}
-	return Empirical{values: vs, mean: sum / time.Duration(len(vs))}, nil
-}
-
-// Sample implements Distribution.
-func (d Empirical) Sample(rng *rand.Rand) time.Duration {
-	if len(d.values) == 0 {
-		return 0
-	}
-	return d.values[rng.IntN(len(d.values))]
-}
-
-// Mean implements Distribution.
-func (d Empirical) Mean() time.Duration { return d.mean }
-
-func (d Empirical) String() string {
-	return fmt.Sprintf("empirical(n=%d,mean=%v)", len(d.values), d.mean)
-}
-
 // Scaled wraps a distribution and multiplies every sample by Factor. It is
 // the mechanism behind "system state drifting": a request type whose
 // computation grows (e.g. 2 posts -> 10 posts) is the base demand scaled up.
@@ -340,10 +158,6 @@ func (d Scaled) String() string { return fmt.Sprintf("scaled(%v,x%.2f)", d.Base,
 var (
 	_ Distribution = Deterministic{}
 	_ Distribution = Exponential{}
-	_ Distribution = Uniform{}
 	_ Distribution = LogNormal{}
-	_ Distribution = Pareto{}
-	_ Distribution = Erlang{}
-	_ Distribution = Empirical{}
 	_ Distribution = Scaled{}
 )

@@ -36,13 +36,12 @@ func runFig3(p Params, w io.Writer) error {
 	connSizes := []int{5, 10, 15, 30, 80, 200}
 
 	type panel struct {
-		name       string
-		paperKnee  int
-		sweep      sweepCase
-		sizes      []int
-		threshold  time.Duration
-		utilOf     string
-		thresholds []time.Duration
+		name      string
+		paperKnee int
+		sweep     sweepCase
+		sizes     []int
+		threshold time.Duration
+		utilOf    string
 	}
 	panels := []panel{
 		{

@@ -132,21 +132,6 @@ func cartSweep(cores float64, users int) sweepCase {
 	}
 }
 
-// catalogueSweep builds the Catalogue DB-connection sweep case.
-func catalogueSweep(users int) sweepCase {
-	return sweepCase{
-		build: func(size int) (cluster.App, []cluster.WeightedRequest) {
-			cfg := topology.DefaultSockShop()
-			cfg.CatalogueConns = size
-			app := topology.SockShop(cfg)
-			return app, topology.BrowseOnlyMix(app)
-		},
-		users:    users,
-		duration: 3 * time.Minute,
-		warmup:   15 * time.Second,
-	}
-}
-
 // postStorageSweep builds the Post Storage request-connection sweep case
 // (light or heavy reads) against a 4-core Post Storage pod, the fixed
 // hardware of the Figure 3(e)/(f) panels.

@@ -304,66 +304,6 @@ func FindPlateauEnd(x, y []float64, opts PlateauOptions) (Result, error) {
 	}, nil
 }
 
-// FindPlateauEndAuto applies the incremental degree-tuning strategy to
-// FindPlateauEnd: degrees are tried low to high; the first whose smoothed
-// curve matches the data (RMSE guard) wins. Degree bounds default to the
-// paper's 5..8.
-func FindPlateauEndAuto(x, y []float64, opts AutoOptions) (Result, error) {
-	minDeg, maxDeg := opts.MinDegree, opts.MaxDegree
-	if minDeg <= 0 {
-		minDeg = 5
-	}
-	if maxDeg <= 0 {
-		maxDeg = 8
-	}
-	if maxDeg < minDeg {
-		maxDeg = minDeg
-	}
-	maxFrac := opts.MaxRMSEFraction
-	if maxFrac <= 0 {
-		maxFrac = 0.25
-	}
-	xs, ys := dedupe(x, y)
-	if len(xs) < 5 {
-		return Result{}, fmt.Errorf("%w, have %d", ErrTooFewPoints, len(xs))
-	}
-	yRange := stats.Max(ys) - stats.Min(ys)
-	var firstErr error
-	var fallback *Result
-	for deg := minDeg; deg <= maxDeg; deg++ {
-		if len(xs) < deg+1 {
-			break
-		}
-		res, err := FindPlateauEnd(xs, ys, PlateauOptions{Degree: deg})
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if yRange > 0 {
-			p, err := stats.PolyFit(xs, ys, deg)
-			if err == nil && stats.FitRMSE(p, xs, ys) > maxFrac*yRange {
-				continue
-			}
-		}
-		if !res.Fallback {
-			return res, nil
-		}
-		if fallback == nil {
-			f := res
-			fallback = &f
-		}
-	}
-	if fallback != nil {
-		return *fallback, nil
-	}
-	if firstErr != nil {
-		return Result{}, firstErr
-	}
-	return FindPlateauEnd(xs, ys, PlateauOptions{Degree: minDeg})
-}
-
 // dedupe sorts points by x and averages y values sharing the same x.
 func dedupe(x, y []float64) ([]float64, []float64) {
 	type pt struct{ x, y float64 }

@@ -12,8 +12,7 @@ import (
 // directly (rand.New, rand.NewPCG) bypasses the kernel's seed
 // derivation. Passing *rand.Rand values around is fine — only calls
 // into the rand packages themselves are restricted. internal/sim is
-// exempt: it is the single place PCG streams are minted (Kernel.Rand,
-// Kernel.Split).
+// exempt: it is the single place PCG streams are minted (Kernel.Split).
 func checkGlobalrand(m *Module, p *Package, report reporter) {
 	if p.ImportPath == m.Path+"/internal/sim" {
 		return

@@ -75,11 +75,12 @@ func Catalog() []Check {
 		{Name: "poolsafe", Doc: "flow-aware pool-lifetime analysis: no use of a //soravet:pool handle after an invalidating call on any CFG path, no escaping stores into fields/containers, and armed callbacks must nil their stored handle at fire entry", Run: checkPoolsafe},
 		{Name: "hotpath", Doc: "no allocation-inducing constructs (closures, fmt, string conversions, boxing, append/make/map literals) reachable from //soravet:hotpath-annotated AllocsPerRun-pinned roots via the static call graph", Run: checkHotpath},
 		{Name: "racelist", Doc: "every internal/... package with go statements or sync/atomic usage must appear in verify.sh's go test -race package list", Run: checkRacelist},
+		{Name: "deadcode", Doc: "every function and method must be reachable from main/init of some main package or a package-level initializer, via references in live bodies; methods of live types whose name matches any interface method count as live", Run: checkDeadcode},
 		{Name: directiveCheck, Doc: "validates //soravet:allow directives and //soravet:pool / //soravet:hotpath annotations: known check name, resolvable grammar, non-empty reason, and actually suppressing a finding (always on)", Run: nil},
 	}
 }
 
-// Options configures one Run.
+// Options configures one RunWithStats scan.
 type Options struct {
 	// Patterns restricts which packages findings are reported for, as
 	// go-tool-style patterns relative to the module root: "./...",
@@ -93,7 +94,7 @@ type Options struct {
 	Checks []string
 }
 
-// Stats summarizes one Run for the -stat flag and scripts/lintstat.sh.
+// Stats summarizes one RunWithStats scan for the -stat flag and scripts/lintstat.sh.
 // FindingsPerCheck is keyed by check name; encoding/json sorts map keys
 // so the one-line summary is deterministic.
 type Stats struct {
@@ -105,15 +106,10 @@ type Stats struct {
 	Timings          []PkgTiming    `json:"-"` // per-package type-check time, for -v
 }
 
-// Run loads the module rooted at root, applies the selected checks to
-// every package matching opts.Patterns, enforces directives, and
-// returns the surviving findings sorted by position.
-func Run(root string, opts Options) ([]Finding, error) {
-	findings, _, err := RunWithStats(root, opts)
-	return findings, err
-}
-
-// RunWithStats is Run plus a scan summary.
+// RunWithStats loads the module rooted at root, applies the selected
+// checks to every package matching opts.Patterns, enforces directives,
+// and returns the surviving findings sorted by position, plus a scan
+// summary.
 func RunWithStats(root string, opts Options) ([]Finding, *Stats, error) {
 	start := time.Now() //soravet:allow wallclock lint wall-time for the -stat summary, never in artifacts
 	m, err := LoadModule(root)

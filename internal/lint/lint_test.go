@@ -30,13 +30,14 @@ func TestFixtures(t *testing.T) {
 		{"hotpath", []string{"hotpath"}},
 		{"racelist", []string{"racelist"}},
 		{"directive", nil},
+		{"deadcode", nil}, // full suite, so the unused-directive rule runs
 	}
 	for _, tt := range tests {
 		t.Run(tt.fixture, func(t *testing.T) {
 			root := filepath.Join("testdata", tt.fixture)
-			findings, err := Run(root, Options{Checks: tt.checks})
+			findings, _, err := RunWithStats(root, Options{Checks: tt.checks})
 			if err != nil {
-				t.Fatalf("Run(%s): %v", root, err)
+				t.Fatalf("RunWithStats(%s): %v", root, err)
 			}
 			var buf bytes.Buffer
 			if err := WriteText(&buf, findings); err != nil {
@@ -66,9 +67,9 @@ func TestFixtures(t *testing.T) {
 // absent from the output.
 func TestFixtureSuppressionCounts(t *testing.T) {
 	for _, fixture := range []string{"wallclock", "globalrand", "maporder", "nilrecv", "eventname", "poolsafe", "hotpath", "racelist"} {
-		findings, err := Run(filepath.Join("testdata", fixture), Options{})
+		findings, _, err := RunWithStats(filepath.Join("testdata", fixture), Options{})
 		if err != nil {
-			t.Fatalf("Run(%s): %v", fixture, err)
+			t.Fatalf("RunWithStats(%s): %v", fixture, err)
 		}
 		for _, f := range findings {
 			if f.Check == directiveCheck {
@@ -82,12 +83,12 @@ func TestFixtureSuppressionCounts(t *testing.T) {
 // package pattern is a hard error rather than a silently-passing
 // no-op gate.
 func TestUnmatchedPatternErrors(t *testing.T) {
-	_, err := Run(filepath.Join("testdata", "wallclock"), Options{
+	_, _, err := RunWithStats(filepath.Join("testdata", "wallclock"), Options{
 		Patterns: []string{"./internal/...", "./no/such/dir"},
 		Checks:   []string{"wallclock"},
 	})
 	if err == nil || !strings.Contains(err.Error(), "matched no packages") {
-		t.Errorf("Run with unmatched pattern: err = %v, want 'matched no packages'", err)
+		t.Errorf("RunWithStats with unmatched pattern: err = %v, want 'matched no packages'", err)
 	}
 }
 
@@ -132,7 +133,7 @@ func TestMatchPatterns(t *testing.T) {
 }
 
 // TestCatalog pins the catalog shape the -list flag and DESIGN.md
-// document: eight analysis checks plus the directive validator, each
+// document: nine analysis checks plus the directive validator, each
 // with a doc line.
 func TestCatalog(t *testing.T) {
 	cat := Catalog()
@@ -143,17 +144,17 @@ func TestCatalog(t *testing.T) {
 			t.Errorf("check %s has no doc line", c.Name)
 		}
 	}
-	want := "wallclock globalrand maporder nilrecv eventname poolsafe hotpath racelist directive"
+	want := "wallclock globalrand maporder nilrecv eventname poolsafe hotpath racelist deadcode directive"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("catalog = %q, want %q", got, want)
 	}
 }
 
-// TestSeededBugs asserts the two regressions the deep checks exist to
+// TestSeededBugs asserts the regressions the deep checks exist to
 // catch are actually caught in the fixtures: the PR 6 class
 // stale-timer-handle bug (a re-arm callback that never nils its stored
-// handle) and an allocation inside a Timer.Reset-like AllocsPerRun-
-// pinned root. Goldens pin the full output; this test pins the intent,
+// handle), an allocation inside a Timer.Reset-like AllocsPerRun-pinned
+// root, and a helper only a dead function calls. Goldens pin the full output; this test pins the intent,
 // so a future message rewrite cannot silently drop the detection.
 func TestSeededBugs(t *testing.T) {
 	cases := []struct {
@@ -163,11 +164,12 @@ func TestSeededBugs(t *testing.T) {
 		{"poolsafe", "poolsafe", "internal/app/app.go", "used after"},
 		{"hotpath", "hotpath", "internal/kernel/kernel.go", "allocates a closure"},
 		{"hotpath", "hotpath", "internal/kernel/kernel.go", "kernel.Timer.Reset"},
+		{"deadcode", "deadcode", "internal/lib/lib.go", "lib.orphanHelper is unreachable"},
 	}
 	for _, c := range cases {
-		findings, err := Run(filepath.Join("testdata", c.fixture), Options{Checks: []string{c.check}})
+		findings, _, err := RunWithStats(filepath.Join("testdata", c.fixture), Options{Checks: []string{c.check}})
 		if err != nil {
-			t.Fatalf("Run(%s): %v", c.fixture, err)
+			t.Fatalf("RunWithStats(%s): %v", c.fixture, err)
 		}
 		hit := false
 		for _, f := range findings {

@@ -46,6 +46,7 @@ type Module struct {
 
 	anns     *annotations // lazily scanned //soravet:pool + hotpath annotations
 	hot      *hotResult   // lazily computed hotpath reachability (hotpath.go)
+	dead     *deadResult  // lazily computed main-package reachability (deadcode.go)
 	racePkgs map[string]bool
 	raceScan bool // racePkgs computed (nil map is a valid result: no verify.sh)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -652,12 +651,4 @@ func (ps *poolsafeRun) checkReturns() {
 			}
 		}
 	}
-}
-
-// sortedInvalidators renders a contract's invalidator list for docs and
-// tests.
-func (c *poolContract) sortedInvalidators() []string {
-	out := append([]string(nil), c.invalidatorNames...)
-	sort.Strings(out)
-	return out
 }

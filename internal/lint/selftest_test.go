@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -34,12 +35,40 @@ func TestSelfClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped under -short")
 	}
-	findings, err := Run(repoRoot(t), Options{})
+	root := repoRoot(t)
+	findings, _, err := RunWithStats(root, Options{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	for _, f := range findings {
 		t.Errorf("repository not lint-clean: %s", f)
+	}
+
+	// Root-set guard: deadcode must root at exactly the binaries, the
+	// nested benchmark module included. If the loader stopped loading
+	// benchmark/, everything only the benchmark calls would turn into
+	// findings, or worse, be deleted.
+	m, err := LoadModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{m.Path + "/benchmark"}
+	for _, glob := range []string{"cmd/*", "examples/*"} {
+		dirs, err := filepath.Glob(filepath.Join(root, glob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dirs {
+			rel, err := filepath.Rel(root, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, m.Path+"/"+filepath.ToSlash(rel))
+		}
+	}
+	sort.Strings(want)
+	if got := m.deadcode().rootPkgs; !slices.Equal(got, want) {
+		t.Errorf("deadcode roots = %v, want the main packages %v", got, want)
 	}
 }
 

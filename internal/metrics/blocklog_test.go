@@ -248,7 +248,7 @@ func TestBlockLogMatchesSliceReference(t *testing.T) {
 			if log.Len() != len(rl.cs) || series.Len() != len(rs.pts) {
 				t.Fatalf("seed %d step %d: Len = %d/%d, want %d/%d", seed, step, log.Len(), series.Len(), len(rl.cs), len(rs.pts))
 			}
-			last, ok := series.Last()
+			last, ok := series.pts.last()
 			if n := len(rs.pts); ok != (n > 0) || ok && last != rs.pts[n-1] {
 				t.Fatalf("seed %d step %d: Last = %+v, %v", seed, step, last, ok)
 			}

@@ -51,10 +51,6 @@ func (s *Series) Window(since, until sim.Time) []Point {
 	return s.pts.slice(s.span(since, until))
 }
 
-// Last returns the most recent sample and true, or a zero Point and false
-// when the series is empty.
-func (s *Series) Last() (Point, bool) { return s.pts.last() }
-
 // Prune discards samples older than the cutoff.
 func (s *Series) Prune(before sim.Time) {
 	s.pts.drop(s.lowerBound(before))
@@ -311,9 +307,6 @@ func (h *Histogram) Bins() []int {
 	copy(out, h.bins)
 	return out
 }
-
-// BinWidth returns the configured bin width.
-func (h *Histogram) BinWidth() time.Duration { return h.binWidth }
 
 // Overflow returns the count of observations beyond the last bin.
 func (h *Histogram) Overflow() int { return h.overflow }

@@ -26,12 +26,12 @@ func TestSeriesWindowAndLast(t *testing.T) {
 	if win[0].V != 2 || win[2].V != 4 {
 		t.Errorf("window = %v", win)
 	}
-	last, ok := s.Last()
+	last, ok := s.pts.last()
 	if !ok || last.V != 9 {
 		t.Errorf("Last = %v ok=%v", last, ok)
 	}
 	var empty Series
-	if _, ok := empty.Last(); ok {
+	if _, ok := empty.pts.last(); ok {
 		t.Error("empty series Last ok=true")
 	}
 }
@@ -196,8 +196,8 @@ func TestHistogram(t *testing.T) {
 	if got := h.FractionBelow(20 * time.Millisecond); got != 4.0/6 {
 		t.Errorf("FractionBelow(20ms) = %g, want %g", got, 4.0/6)
 	}
-	if h.BinWidth() != 10*time.Millisecond {
-		t.Errorf("BinWidth = %v", h.BinWidth())
+	if h.binWidth != 10*time.Millisecond {
+		t.Errorf("BinWidth = %v", h.binWidth)
 	}
 }
 

@@ -216,18 +216,6 @@ type Pod struct {
 	onReady func(*Pod)
 }
 
-// ID returns the pod name (the cluster uses its instance id).
-func (p *Pod) ID() string { return p.id }
-
-// Service returns the owning service name.
-func (p *Pod) Service() string { return p.service }
-
-// State returns the pod's lifecycle phase.
-func (p *Pod) State() State { return p.state }
-
-// Ready reports whether the pod finished its cold start and is alive.
-func (p *Pod) Ready() bool { return p.state == StateReady }
-
 // NodeName returns the resident node's name, or "-" while unscheduled.
 func (p *Pod) NodeName() string {
 	if p.n == nil {
@@ -284,9 +272,6 @@ func NewFleet(k *sim.Kernel, cfg Config, tel *telemetry.Recorder) (*Fleet, error
 	return f, nil
 }
 
-// Config returns the fleet's configuration.
-func (f *Fleet) Config() Config { return f.cfg }
-
 // NodeCount returns the fleet size.
 func (f *Fleet) NodeCount() int { return len(f.nodes) }
 
@@ -300,6 +285,8 @@ func (f *Fleet) NodeDown(i int) bool { return f.nodes[i].down }
 func (f *Fleet) NodeCordoned(i int) bool { return f.nodes[i].cordoned }
 
 // NodeLoad returns node i's reserved cores and resident pod count.
+//
+//soravet:allow deadcode (b) cross-package observer: cluster and fault tests observe per-node placement through it
 func (f *Fleet) NodeLoad(i int) (used float64, pods int) {
 	n := f.nodes[i]
 	return n.used, len(n.pods)

@@ -76,20 +76,20 @@ func TestPodLifecycle(t *testing.T) {
 	}
 	var readyAt sim.Time
 	p := f.Launch("svc", "svc-0", 2, func(*Pod) { readyAt = k.Now() })
-	if p.State() != StatePending {
-		t.Fatalf("state before scheduling = %v", p.State())
+	if p.state != StatePending {
+		t.Fatalf("state before scheduling = %v", p.state)
 	}
 	k.RunUntil(sim.Time(150 * time.Millisecond))
-	if p.State() != StateScheduled || p.NodeName() != "node-0" {
-		t.Fatalf("after sched delay: state %v on %s", p.State(), p.NodeName())
+	if p.state != StateScheduled || p.NodeName() != "node-0" {
+		t.Fatalf("after sched delay: state %v on %s", p.state, p.NodeName())
 	}
 	k.RunUntil(sim.Time(600 * time.Millisecond))
-	if p.State() != StatePulling {
-		t.Fatalf("after pull delay: state %v", p.State())
+	if p.state != StatePulling {
+		t.Fatalf("after pull delay: state %v", p.state)
 	}
 	k.Run()
-	if !p.Ready() {
-		t.Fatalf("final state %v", p.State())
+	if !(p.state == StateReady) {
+		t.Fatalf("final state %v", p.state)
 	}
 	want := sim.Time(1000 * time.Millisecond)
 	if readyAt != want {
@@ -158,16 +158,16 @@ func TestPendingQueue(t *testing.T) {
 	a := f.Launch("svc", "svc-0", 3, nil)
 	b := f.Launch("svc", "svc-1", 3, nil)
 	k.Run()
-	if !a.Ready() || b.State() != StatePending {
-		t.Fatalf("states a=%v b=%v, want ready/pending", a.State(), b.State())
+	if !(a.state == StateReady) || b.state != StatePending {
+		t.Fatalf("states a=%v b=%v, want ready/pending", a.state, b.state)
 	}
 	if f.PendingPods() != 1 {
 		t.Fatalf("pending = %d, want 1", f.PendingPods())
 	}
 	f.Forget(a)
 	k.Run()
-	if !b.Ready() {
-		t.Fatalf("b never placed after capacity freed: %v", b.State())
+	if !(b.state == StateReady) {
+		t.Fatalf("b never placed after capacity freed: %v", b.state)
 	}
 	if f.PendingPods() != 0 {
 		t.Fatalf("pending = %d after placement", f.PendingPods())
@@ -192,24 +192,24 @@ func TestCrashNodeKillsResidents(t *testing.T) {
 	if len(victims) != 2 {
 		t.Fatalf("crash returned %d victims, want 2", len(victims))
 	}
-	if ready.State() != StateDead || warming.State() != StateDead {
-		t.Fatalf("victims not dead: %v / %v", ready.State(), warming.State())
+	if ready.state != StateDead || warming.state != StateDead {
+		t.Fatalf("victims not dead: %v / %v", ready.state, warming.state)
 	}
 	k.Run() // any leftover lifecycle timer must be inert
-	if warming.State() != StateDead {
-		t.Fatalf("dead pod resurrected: %v", warming.State())
+	if warming.state != StateDead {
+		t.Fatalf("dead pod resurrected: %v", warming.state)
 	}
 	// The node accepts nothing while down…
 	p := f.Launch("svc", "svc-2", 1, nil)
 	k.Run()
-	if p.State() != StatePending {
-		t.Fatalf("placed on a crashed node: %v on %s", p.State(), p.NodeName())
+	if p.state != StatePending {
+		t.Fatalf("placed on a crashed node: %v on %s", p.state, p.NodeName())
 	}
 	// …and pending pods place on restore.
 	f.RestoreNode(0)
 	k.Run()
-	if !p.Ready() {
-		t.Fatalf("pod not placed after restore: %v", p.State())
+	if !(p.state == StateReady) {
+		t.Fatalf("pod not placed after restore: %v", p.state)
 	}
 	if f.CrashNode(0); f.NodeDown(0) != true {
 		t.Fatal("second crash should keep the node down")
@@ -232,23 +232,23 @@ func TestDrainNode(t *testing.T) {
 	if len(victims) != 1 || victims[0] != a {
 		t.Fatalf("drain returned %v", victims)
 	}
-	if !a.Ready() {
-		t.Fatalf("drain must not kill residents: %v", a.State())
+	if !(a.state == StateReady) {
+		t.Fatalf("drain must not kill residents: %v", a.state)
 	}
 	b := f.Launch("svc", "svc-1", 1, nil)
 	k.Run()
-	if b.State() != StatePending {
-		t.Fatalf("scheduled onto a cordoned node: %v", b.State())
+	if b.state != StatePending {
+		t.Fatalf("scheduled onto a cordoned node: %v", b.state)
 	}
 	f.Forget(a) // graceful eviction finished
 	k.Run()
-	if b.State() != StatePending {
+	if b.state != StatePending {
 		t.Fatal("cordoned node must stay closed even with capacity")
 	}
 	f.UncordonNode(0)
 	k.Run()
-	if !b.Ready() {
-		t.Fatalf("pod not placed after uncordon: %v", b.State())
+	if !(b.state == StateReady) {
+		t.Fatalf("pod not placed after uncordon: %v", b.state)
 	}
 	if f.DrainNode(0) == nil {
 		// second drain of an uncordoned node with residents returns them
@@ -276,8 +276,8 @@ func TestForgetPendingPod(t *testing.T) {
 	if fired {
 		t.Fatal("forgotten pending pod became ready")
 	}
-	if b.State() != StateDead || f.PendingPods() != 0 {
-		t.Fatalf("state %v, pending %d", b.State(), f.PendingPods())
+	if b.state != StateDead || f.PendingPods() != 0 {
+		t.Fatalf("state %v, pending %d", b.state, f.PendingPods())
 	}
 }
 

@@ -76,14 +76,6 @@ func NewAggregator(slo time.Duration) *Aggregator {
 	}
 }
 
-// SLO returns the configured objective (zero when disabled).
-func (a *Aggregator) SLO() time.Duration {
-	if a == nil {
-		return 0
-	}
-	return a.slo
-}
-
 // Add folds one completed trace into the profile. Nil-receiver safe, so
 // a disabled profiler costs callers only a pointer test.
 func (a *Aggregator) Add(t *trace.Trace) {

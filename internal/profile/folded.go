@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -37,7 +38,7 @@ func WriteFolded(w io.Writer, p *Profile) error {
 
 // ReadFolded parses a folded-stack file back into lines. Blank lines
 // are skipped; anything else must be "stack value" with an integer
-// microsecond value after the last space.
+// microsecond value after the last space, in [0, maxFoldedMicros].
 func ReadFolded(r io.Reader) ([]FoldedLine, error) {
 	var out []FoldedLine
 	sc := bufio.NewScanner(r)
@@ -57,6 +58,9 @@ func ReadFolded(r io.Reader) ([]FoldedLine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("profile: folded line %d: bad value: %w", lineNo, err)
 		}
+		if us < 0 || us > maxFoldedMicros {
+			return nil, fmt.Errorf("profile: folded line %d: value %d outside [0, %d] µs", lineNo, us, maxFoldedMicros)
+		}
 		out = append(out, FoldedLine{
 			Stack: line[:cut],
 			Dur:   time.Duration(us) * time.Microsecond,
@@ -67,6 +71,10 @@ func ReadFolded(r io.Reader) ([]FoldedLine, error) {
 	}
 	return out, nil
 }
+
+// maxFoldedMicros is the largest folded value whose microseconds fit in
+// a time.Duration.
+const maxFoldedMicros = math.MaxInt64 / int64(time.Microsecond)
 
 // ProfileFromFolded reconstructs an aggregate blame profile from folded
 // stacks alone (the innermost frame names the phase, the frame above it

@@ -114,11 +114,6 @@ func (p Phases) Get(ph Phase) time.Duration {
 	}
 }
 
-// Total returns the sum of all phases, which equals the span's wall time.
-func (p Phases) Total() time.Duration {
-	return p.Queue + p.CPU + p.Contend + p.ConnWait + p.Blocked + p.Retry + p.Breaker
-}
-
 // spanWall returns the span's wall time clamped to be non-negative.
 func spanWall(s *trace.Span) time.Duration {
 	d := time.Duration(s.End - s.Arrival)
@@ -179,6 +174,8 @@ type Charge struct {
 //
 // The charge order is deterministic: critical-path order (front-end
 // first), phases in canonical order within each span.
+//
+//soravet:allow deadcode (a) reference implementation: the aggregator tests compare the streaming Aggregator against this per-trace blame
 func Blame(t *trace.Trace) []Charge {
 	path := t.CriticalPath()
 	if len(path) == 0 {

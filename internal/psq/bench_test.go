@@ -32,10 +32,10 @@ func BenchmarkSubmitComplete(b *testing.B) {
 	k.Run()
 }
 
-// TestSubmitSteadyStateAllocFree pins the pooling guarantee: once the
-// job free list and the kernel timer pool are warm, a submit-and-run
-// cycle allocates nothing — the completion timer is re-keyed in place
-// and the Job struct is recycled.
+// TestSubmitSteadyStateAllocFree pins the zero-alloc guarantee: once the
+// runnable heap has grown to its high-water mark and the kernel timer
+// pool is warm, a submit-and-run cycle allocates nothing — jobs are heap
+// values and the completion timer is re-keyed in place.
 func TestSubmitSteadyStateAllocFree(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := psq.New(k, 2)
@@ -126,12 +126,12 @@ func TestZeroDemandCompletesOnStalledServer(t *testing.T) {
 	// A job with real demand still stalls until cores arrive.
 	served := false
 	s.Submit(time.Millisecond, func() { served = true })
-	k.RunFor(time.Second)
+	k.RunUntil(k.Now() + time.Second)
 	if served {
 		t.Fatal("nonzero-demand job completed on a zero-core server")
 	}
 	s.SetCores(1)
-	k.RunFor(time.Second)
+	k.RunUntil(k.Now() + time.Second)
 	if !served {
 		t.Fatal("job did not complete after the server was scaled up")
 	}

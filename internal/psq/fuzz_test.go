@@ -18,19 +18,18 @@ import (
 // Its runnable set is a plain slice searched for the smallest doneKey,
 // so it shares no code with the Server it checks.
 type refServer struct {
-	k                              *sim.Kernel
-	cores, alpha                   float64
-	attained, work, busy, capacity float64
-	last                           sim.Time
-	runnable                       []*refJob
-	timer                          *sim.Timer
-	onDone                         func(id int)
+	k                        *sim.Kernel
+	cores, alpha             float64
+	attained, busy, capacity float64
+	last                     sim.Time
+	runnable                 []*refJob
+	timer                    *sim.Timer
+	onDone                   func(id int)
 }
 
 type refJob struct {
-	id                 int
-	doneKey, remaining float64
-	runnable           bool
+	id      int
+	doneKey float64
 }
 
 func newRefServer(k *sim.Kernel, cores, alpha float64, onDone func(int)) *refServer {
@@ -65,7 +64,6 @@ func (s *refServer) advance() {
 	dt := (now - s.last).Seconds()
 	if n := len(s.runnable); n > 0 {
 		s.attained += s.perJobRate(n) * dt
-		s.work += s.totalRate(n) * dt
 		s.busy += math.Min(float64(n), s.cores) * dt
 	}
 	s.capacity += s.cores * dt
@@ -132,38 +130,11 @@ func (s *refServer) complete() {
 
 func (s *refServer) remove(j *refJob) {
 	s.runnable = slices.DeleteFunc(s.runnable, func(o *refJob) bool { return o == j })
-	j.runnable = false
 }
 
-func (s *refServer) submit(id int, demand time.Duration) *refJob {
+func (s *refServer) submit(id int, demand time.Duration) {
 	s.advance()
-	j := &refJob{id: id, doneKey: s.attained + demand.Seconds(), runnable: true}
-	s.runnable = append(s.runnable, j)
-	s.reschedule()
-	return j
-}
-
-func (s *refServer) suspend(j *refJob) {
-	s.advance()
-	s.remove(j)
-	j.remaining = max(j.doneKey-s.attained, 0)
-	s.reschedule()
-}
-
-func (s *refServer) resume(j *refJob) {
-	s.advance()
-	j.doneKey = s.attained + j.remaining
-	j.runnable = true
-	s.runnable = append(s.runnable, j)
-	s.reschedule()
-}
-
-func (s *refServer) abort(j *refJob) {
-	if !j.runnable {
-		return
-	}
-	s.advance()
-	s.remove(j)
+	s.runnable = append(s.runnable, &refJob{id: id, doneKey: s.attained + demand.Seconds()})
 	s.reschedule()
 }
 
@@ -173,35 +144,21 @@ func (s *refServer) setCores(c float64) {
 	s.reschedule()
 }
 
-func (s *refServer) setOverhead(a float64) {
-	s.advance()
-	s.alpha = a
-	s.reschedule()
-}
-
-// fuzzJob is one job alive on both servers.
-type fuzzJob struct {
-	id        int
-	job       *psq.Job
-	ref       *refJob
-	suspended bool
-}
-
 // completion is one job's completion as (time, id).
 type completion struct {
 	at sim.Time
 	id int
 }
 
-// FuzzPSQ decodes bytes into a sequence of Submit, Suspend, Resume,
-// Abort, SetCores, SetOverhead and time steps, applies it to a Server
-// and to refServer in lockstep, and requires the same completions at
-// the same instants and bit-equal work, busy and capacity integrals.
+// FuzzPSQ decodes bytes into a sequence of Submit, SetCores and time
+// steps, applies it to a Server and to refServer in lockstep, and
+// requires the same completions at the same instants and bit-equal busy
+// and capacity integrals.
 // Completions of one instant are compared as a set: the two runnable
 // sets break doneKey ties differently.
 func FuzzPSQ(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 10, 0, 20, 6, 5, 1, 0, 6, 5, 2, 0, 6, 40})
+	f.Add([]byte{0, 10, 0, 20, 3, 5, 1, 0, 3, 5, 2, 0, 3, 40})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -215,22 +172,10 @@ func FuzzPSQ(f *testing.F) {
 		alpha := float64(next()%8) * 0.01
 		k1, k2 := sim.NewKernel(1), sim.NewKernel(1)
 		var got, want []completion
-		live := map[int]*fuzzJob{}
-		var order []int // live ids in submission order
 		s := psq.New(k1, cores, psq.WithOverhead(alpha))
 		ref := newRefServer(k2, cores, alpha, func(id int) { want = append(want, completion{k2.Now(), id}) })
-		finish := func(id int) {
-			delete(live, id)
-			order = slices.DeleteFunc(order, func(o int) bool { return o == id })
-		}
-		pick := func() *fuzzJob {
-			if len(order) == 0 {
-				return nil
-			}
-			return live[order[next()%len(order)]]
-		}
 		for op, id := 0, 0; len(data) > 0 && op < 200; op++ {
-			switch next() % 7 {
+			switch next() % 4 {
 			case 0, 1: // submit
 				id++
 				demand := time.Duration(next()) * time.Duration(1+next()%4*333) * time.Microsecond
@@ -238,58 +183,31 @@ func FuzzPSQ(f *testing.F) {
 					demand += time.Duration(next()%3) * time.Second
 				}
 				jid := id
-				fj := &fuzzJob{id: jid}
-				fj.job = s.Submit(demand, func() {
-					got = append(got, completion{k1.Now(), jid})
-					finish(jid)
-				})
-				fj.ref = ref.submit(jid, demand)
-				live[jid] = fj
-				order = append(order, jid)
-			case 2: // suspend or resume
-				if fj := pick(); fj != nil {
-					if fj.suspended {
-						s.Resume(fj.job)
-						ref.resume(fj.ref)
-					} else {
-						s.Suspend(fj.job)
-						ref.suspend(fj.ref)
-					}
-					fj.suspended = !fj.suspended
-				}
-			case 3: // abort
-				if fj := pick(); fj != nil {
-					s.Abort(fj.job)
-					ref.abort(fj.ref)
-					finish(fj.id)
-				}
-			case 4:
+				s.Submit(demand, func() { got = append(got, completion{k1.Now(), jid}) })
+				ref.submit(jid, demand)
+			case 2:
 				c := float64(next()%9) * 0.5
 				s.SetCores(c)
 				ref.setCores(c)
-			case 5:
-				a := float64(next()%8) * 0.01
-				s.SetOverhead(a)
-				ref.setOverhead(a)
-			case 6: // time passes
+			case 3: // time passes
 				until := k1.Now() + sim.Time(next()*next())*sim.Time(time.Microsecond)
 				k1.RunUntil(until)
 				k2.RunUntil(until)
 			}
-			w := s.CumulativeWork()
+			b := s.CumulativeBusy()
 			ref.advance()
-			if math.Float64bits(w) != math.Float64bits(ref.work) {
-				t.Fatalf("op %d: work %v, reference %v", op, w, ref.work)
+			if math.Float64bits(b) != math.Float64bits(ref.busy) {
+				t.Fatalf("op %d: busy %v, reference %v", op, b, ref.busy)
 			}
 		}
 		k1.Run()
 		k2.Run()
-		s.CumulativeWork()
+		s.CumulativeBusy()
 		ref.advance()
 		if fmt.Sprint(byInstant(got)) != fmt.Sprint(byInstant(want)) {
 			t.Fatalf("completions differ:\n server    %v\n reference %v", got, want)
 		}
-		for _, p := range [][2]float64{{s.CumulativeWork(), ref.work}, {s.CumulativeBusy(), ref.busy}, {s.CumulativeCapacity(), ref.capacity}} {
+		for _, p := range [][2]float64{{s.CumulativeBusy(), ref.busy}, {s.CumulativeCapacity(), ref.capacity}} {
 			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
 				t.Fatalf("integrals differ: server %v, reference %v", p[0], p[1])
 			}

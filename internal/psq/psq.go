@@ -11,8 +11,7 @@
 // overhead (context switching, cache pressure): adding runnable threads
 // beyond the core count reduces the useful work the CPU delivers, which is
 // the mechanism that makes over-allocated thread pools hurt (Sora paper
-// section 2.3). Jobs blocked on downstream calls are suspended: they keep
-// their progress but receive no service and impose no overhead.
+// section 2.3).
 //
 // Implementation: because every runnable job progresses at the same rate,
 // a single cumulative "attained service" counter A(t) suffices. A job
@@ -20,69 +19,25 @@
 // A(t) = A0 + D, so completions pop from a min-heap keyed by A0 + D in
 // O(log n), independent of how often the rate changes.
 //
-// Hot-path notes: the runnable set is an inlined 4-ary min-heap
-// specialized to *Job (no heap.Interface indirection), the server keeps
-// one completion timer that is re-keyed in place with sim.Timer.Reset on
-// every state change, and terminal Job structs are recycled through a
-// per-server free list — steady-state Submit/complete churn allocates
-// nothing. Consequently a *Job handle is only valid until the job reaches
-// a terminal state (done or aborted): once terminal, the server may hand
-// the struct to a future Submit, so callers that keep handles must not
-// touch them after completion.
+// Hot-path notes: the runnable set is an inlined 4-ary min-heap of job
+// values (no heap.Interface indirection, no per-job allocation), and the
+// server keeps one completion timer that is re-keyed in place with
+// sim.Timer.Reset on every state change — steady-state Submit/complete
+// churn allocates nothing.
 package psq
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"sora/internal/sim"
 )
 
-// JobState describes a job's lifecycle stage.
-type JobState int
-
-// Job lifecycle states.
-const (
-	StateRunnable JobState = iota + 1
-	StateSuspended
-	StateDone
-	StateAborted
-)
-
-// String returns the state name.
-func (s JobState) String() string {
-	switch s {
-	case StateRunnable:
-		return "runnable"
-	case StateSuspended:
-		return "suspended"
-	case StateDone:
-		return "done"
-	case StateAborted:
-		return "aborted"
-	default:
-		return fmt.Sprintf("JobState(%d)", int(s))
-	}
+// job is one unit of CPU work in the runnable heap.
+type job struct {
+	doneKey float64 // attained-service value at which the job completes
+	onDone  func()
 }
-
-// Job is a unit of CPU work tracked by a Server. Jobs are created by
-// Server.Submit and must not be shared across servers. A handle is valid
-// until the job reaches a terminal state (done or aborted); after that the
-// server recycles the struct for future Submits, so terminal handles must
-// not be inspected once any later Submit has happened.
-//
-//soravet:pool Job invalidated-by Server.Abort handle dead at terminal state; Abort free-lists the struct immediately and completion recycles via the onDone callback
-type Job struct {
-	doneKey   float64 // attained-service value at which the job completes
-	remaining float64 // valid only while suspended
-	onDone    func()
-	state     JobState
-	index     int // heap index while runnable, -1 otherwise
-}
-
-// State returns the job's current lifecycle state.
-func (j *Job) State() JobState { return j.state }
 
 // completionMargin is the absolute attained-service slack (seconds of
 // core work) within which a job counts as complete. reschedule ceils the
@@ -107,15 +62,13 @@ type Server struct {
 	alpha float64
 
 	attained float64 // per-job attained service, seconds of core work
-	work     float64 // cumulative useful core-seconds delivered
 	busy     float64 // cumulative busy core-seconds (including overhead)
 	capacity float64 // cumulative core-seconds of configured capacity
 	last     sim.Time
 
-	runnable []*Job // inlined 4-ary min-heap on doneKey
+	runnable []job // inlined 4-ary min-heap on doneKey
 	timer    *sim.Timer
 
-	free       []*Job // recycled terminal Job structs
 	doneFns    []func()
 	completeFn func() // bound once so arming the timer allocates nothing
 }
@@ -162,20 +115,9 @@ func New(k *sim.Kernel, cores float64, opts ...Option) *Server {
 // Cores returns the configured core count.
 func (s *Server) Cores() float64 { return s.cores }
 
-// Runnable returns the number of runnable (on-CPU) jobs.
-func (s *Server) Runnable() int { return len(s.runnable) }
-
-// CumulativeWork returns the total useful core-seconds delivered so far,
-// advanced to the current virtual time.
-func (s *Server) CumulativeWork() float64 {
-	s.advance()
-	return s.work
-}
-
 // CumulativeBusy returns the total core-seconds the CPU spent occupied,
 // including the share burned on multithreading overhead — what a
-// cadvisor-style monitor reports as CPU usage. Busy is always >= useful
-// work; the gap is the overhead tax.
+// cadvisor-style monitor reports as CPU usage.
 func (s *Server) CumulativeBusy() float64 {
 	s.advance()
 	return s.busy
@@ -183,8 +125,7 @@ func (s *Server) CumulativeBusy() float64 {
 
 // CumulativeCapacity returns the integral over time of the configured core
 // count, i.e. the core-seconds that were available. Raw (cadvisor-style)
-// utilization over a window is delta(CumulativeBusy)/delta(CumulativeCapacity);
-// efficiency-adjusted utilization uses CumulativeWork instead.
+// utilization over a window is delta(CumulativeBusy)/delta(CumulativeCapacity).
 func (s *Server) CumulativeCapacity() float64 {
 	s.advance()
 	return s.capacity
@@ -212,7 +153,7 @@ func (s *Server) perJobRate(n int) float64 {
 	return s.totalRate(n) / float64(n)
 }
 
-// advance integrates attained service and work counters up to "now".
+// advance integrates the attained-service and busy counters up to "now".
 func (s *Server) advance() {
 	now := s.k.Now()
 	if now <= s.last {
@@ -221,7 +162,6 @@ func (s *Server) advance() {
 	dt := (now - s.last).Seconds()
 	if n := len(s.runnable); n > 0 {
 		s.attained += s.perJobRate(n) * dt
-		s.work += s.totalRate(n) * dt
 		s.busy += math.Min(float64(n), s.cores) * dt
 	}
 	s.capacity += s.cores * dt
@@ -256,8 +196,7 @@ func (s *Server) reschedule() {
 	}
 	remaining := s.runnable[0].doneKey - s.attained
 	if remaining <= 0 {
-		// Already attained (zero-demand submits, resumed jobs with no
-		// work left): complete via a zero-delay event regardless of the
+		// Already attained (zero-demand submits): complete via a zero-delay event regardless of the
 		// service rate, so a stalled (zero-core) server still finishes
 		// jobs that need no CPU at all.
 		s.arm(0)
@@ -286,13 +225,9 @@ func (s *Server) complete() {
 	fns := s.doneFns[:0]
 	s.doneFns = nil // reentrancy guard: a nested complete gets its own
 	for len(s.runnable) > 0 && s.runnable[0].doneKey <= s.attained+completionMargin {
-		j := s.jobPop()
-		j.state = StateDone
-		if j.onDone != nil {
-			fns = append(fns, j.onDone) //soravet:allow hotpath fns reuses the doneFns scratch buffer; grows only while the per-instant completion batch high-water mark rises
-			j.onDone = nil
+		if onDone := s.jobPop(); onDone != nil {
+			fns = append(fns, onDone) //soravet:allow hotpath fns reuses the doneFns scratch buffer; grows only while the per-instant completion batch high-water mark rises
 		}
-		s.free = append(s.free, j) //soravet:allow hotpath free-list append reuses capacity at steady state; grows only while the live-job high-water mark rises
 	}
 	s.reschedule()
 	for i, fn := range fns {
@@ -308,99 +243,16 @@ func (s *Server) complete() {
 // time) and invokes onDone when the demand has been served. A zero demand
 // completes at the current instant (via a zero-delay event, preserving
 // event ordering) even when the server has no cores. Demand below zero is
-// clamped to zero. The Job struct may be one recycled from an earlier
-// terminal job; see the handle-validity note on Job.
+// clamped to zero.
 //
-//soravet:hotpath BenchmarkRequestPath admission side of the psq pin: one Submit per simulated request hop, zero-alloc once the free list warms
-func (s *Server) Submit(demand time.Duration, onDone func()) *Job {
+//soravet:hotpath BenchmarkRequestPath admission side of the psq pin: one Submit per simulated request hop, zero-alloc once the runnable heap has grown to its high-water mark
+func (s *Server) Submit(demand time.Duration, onDone func()) {
 	if demand < 0 {
 		demand = 0
 	}
 	s.advance()
-	var j *Job
-	if n := len(s.free); n > 0 {
-		j = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	} else {
-		j = &Job{} //soravet:allow hotpath pool miss: allocates only while the live-job high-water mark rises, then the free list serves every Submit
-	}
-	j.doneKey = s.attained + demand.Seconds()
-	j.remaining = 0
-	j.onDone = onDone
-	j.state = StateRunnable
-	j.index = -1
-	s.jobPush(j)
+	s.jobPush(job{doneKey: s.attained + demand.Seconds(), onDone: onDone})
 	s.reschedule()
-	return j
-}
-
-// Suspend removes a runnable job from the CPU (e.g. it blocked on a
-// downstream RPC). The job keeps its progress and stops accruing service
-// or imposing overhead until Resume. Suspending a non-runnable job panics:
-// it indicates a simulation logic bug.
-func (s *Server) Suspend(j *Job) {
-	if j.state != StateRunnable {
-		panic(fmt.Sprintf("psq: Suspend on %v job", j.state))
-	}
-	s.advance()
-	s.jobRemove(j.index)
-	j.remaining = j.doneKey - s.attained
-	if j.remaining < 0 {
-		j.remaining = 0
-	}
-	j.state = StateSuspended
-	s.reschedule()
-}
-
-// Resume returns a suspended job to the runnable set.
-func (s *Server) Resume(j *Job) {
-	if j.state != StateSuspended {
-		panic(fmt.Sprintf("psq: Resume on %v job", j.state))
-	}
-	s.advance()
-	j.doneKey = s.attained + j.remaining
-	j.state = StateRunnable
-	s.jobPush(j)
-	s.reschedule()
-}
-
-// Abort cancels a job in any non-terminal state. Its onDone callback will
-// never run. Aborting a done or already-aborted job is a no-op. The
-// struct is recycled; the handle is dead once Abort returns.
-func (s *Server) Abort(j *Job) {
-	switch j.state {
-	case StateRunnable:
-		s.advance()
-		s.jobRemove(j.index)
-		j.state = StateAborted
-		j.onDone = nil
-		s.free = append(s.free, j)
-		s.reschedule()
-	case StateSuspended:
-		j.state = StateAborted
-		j.onDone = nil
-		s.free = append(s.free, j)
-	case StateDone, StateAborted:
-		// no-op
-	}
-}
-
-// Remaining returns the unserved CPU demand of a job.
-func (s *Server) Remaining(j *Job) time.Duration {
-	switch j.state {
-	case StateRunnable:
-		s.advance()
-		rem := j.doneKey - s.attained
-		if rem < 0 {
-			rem = 0
-		}
-		return time.Duration(rem * float64(time.Second))
-	case StateSuspended:
-		return time.Duration(j.remaining * float64(time.Second))
-	default:
-		return 0
-	}
 }
 
 // SetCores changes the CPU limit at the current instant (vertical scaling).
@@ -414,73 +266,30 @@ func (s *Server) SetCores(cores float64) {
 	s.reschedule()
 }
 
-// SetOverhead changes the efficiency penalty at the current instant.
-func (s *Server) SetOverhead(alpha float64) {
-	if alpha < 0 {
-		alpha = 0
-	}
-	s.advance()
-	s.alpha = alpha
-	s.reschedule()
-}
-
-// Efficiency returns the current efficiency factor 1/(1+alpha*excess) for
-// the present runnable count — 1.0 means no multithreading overhead.
-func (s *Server) Efficiency() float64 {
-	n := len(s.runnable)
-	if n == 0 {
-		return 1
-	}
-	excess := float64(n) - s.cores
-	if excess < 0 {
-		excess = 0
-	}
-	return 1 / (1 + s.alpha*excess)
-}
-
-// The runnable set: an inlined 4-ary min-heap over *Job ordered by
+// The runnable set: an inlined 4-ary min-heap of jobs ordered by
 // doneKey, mirroring the sim kernel's timer heap (children of slot i at
-// 4i+1..4i+4, parent at (i-1)/4). Each job's index field tracks its slot
-// so Suspend/Abort can detach in O(1).
+// 4i+1..4i+4, parent at (i-1)/4).
 
 // jobPush adds j to the runnable heap.
-func (s *Server) jobPush(j *Job) {
+func (s *Server) jobPush(j job) {
 	s.runnable = append(s.runnable, j) //soravet:allow hotpath heap append reuses capacity at steady state; grows only while the runnable-set high-water mark rises
 	s.jobSiftUp(len(s.runnable) - 1)
 }
 
-// jobPop removes and returns the job with the smallest doneKey.
-func (s *Server) jobPop() *Job {
+// jobPop removes the job with the smallest doneKey and returns its
+// callback.
+func (s *Server) jobPop() func() {
 	h := s.runnable
-	top := h[0]
-	top.index = -1
+	onDone := h[0].onDone
 	n := len(h) - 1
 	last := h[n]
-	h[n] = nil
+	h[n] = job{}
 	s.runnable = h[:n]
 	if n > 0 {
 		h[0] = last
-		last.index = 0
 		s.jobSiftDown(0)
 	}
-	return top
-}
-
-// jobRemove detaches the job at slot i.
-func (s *Server) jobRemove(i int) {
-	h := s.runnable
-	h[i].index = -1
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	s.runnable = h[:n]
-	if i < n {
-		h[i] = last
-		last.index = i
-		if !s.jobSiftDown(i) {
-			s.jobSiftUp(i)
-		}
-	}
+	return onDone
 }
 
 func (s *Server) jobSiftUp(i int) {
@@ -492,18 +301,15 @@ func (s *Server) jobSiftUp(i int) {
 			break
 		}
 		h[i] = h[p]
-		h[i].index = i
 		i = p
 	}
 	h[i] = j
-	j.index = i
 }
 
-func (s *Server) jobSiftDown(i int) bool {
+func (s *Server) jobSiftDown(i int) {
 	h := s.runnable
 	n := len(h)
 	j := h[i]
-	start := i
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -523,10 +329,7 @@ func (s *Server) jobSiftDown(i int) bool {
 			break
 		}
 		h[i] = h[m]
-		h[i].index = i
 		i = m
 	}
 	h[i] = j
-	j.index = i
-	return i != start
 }

@@ -91,79 +91,6 @@ func TestOverheadSlowsExcessThreads(t *testing.T) {
 	approxDur(t, "with overhead", withOverhead, 240*time.Millisecond, time.Microsecond)
 }
 
-func TestSuspendResumePreservesProgress(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := New(k, 1, WithOverhead(0))
-	var doneAt sim.Time = -1
-	j := s.Submit(100*time.Millisecond, func() { doneAt = k.Now() })
-	k.Schedule(40*time.Millisecond, func() { s.Suspend(j) })
-	k.Schedule(300*time.Millisecond, func() { s.Resume(j) })
-	k.Run()
-	// 40ms served, suspended 260ms, then 60ms remaining: done at 360ms.
-	approxDur(t, "done", doneAt, 360*time.Millisecond, time.Microsecond)
-}
-
-func TestSuspendedJobImposesNoOverhead(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := New(k, 1, WithOverhead(0.5))
-	var aDone sim.Time = -1
-	a := s.Submit(100*time.Millisecond, func() { aDone = k.Now() })
-	_ = a
-	b := s.Submit(10*time.Hour, nil)
-	s.Suspend(b)
-	k.Run()
-	// b suspended immediately: a runs alone at full efficiency.
-	approxDur(t, "a done", aDone, 100*time.Millisecond, time.Microsecond)
-}
-
-func TestRemaining(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := New(k, 1, WithOverhead(0))
-	j := s.Submit(100*time.Millisecond, nil)
-	k.RunUntil(30 * time.Millisecond)
-	approxDur(t, "remaining", s.Remaining(j), 70*time.Millisecond, time.Microsecond)
-	s.Suspend(j)
-	k.RunUntil(500 * time.Millisecond)
-	approxDur(t, "remaining suspended", s.Remaining(j), 70*time.Millisecond, time.Microsecond)
-	s.Resume(j)
-	k.Run()
-	if s.Remaining(j) != 0 {
-		t.Errorf("remaining after done = %v, want 0", s.Remaining(j))
-	}
-	if j.State() != StateDone {
-		t.Errorf("state = %v, want done", j.State())
-	}
-}
-
-func TestAbort(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := New(k, 1)
-	fired := false
-	j := s.Submit(100*time.Millisecond, func() { fired = true })
-	k.RunUntil(10 * time.Millisecond)
-	s.Abort(j)
-	k.Run()
-	if fired {
-		t.Error("aborted job's onDone fired")
-	}
-	if j.State() != StateAborted {
-		t.Errorf("state = %v, want aborted", j.State())
-	}
-	s.Abort(j) // idempotent
-}
-
-func TestAbortSuspended(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := New(k, 1)
-	j := s.Submit(100*time.Millisecond, func() { t.Error("onDone fired") })
-	s.Suspend(j)
-	s.Abort(j)
-	k.Run()
-	if j.State() != StateAborted {
-		t.Errorf("state = %v, want aborted", j.State())
-	}
-}
-
 func TestZeroDemandCompletesImmediately(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := New(k, 1)
@@ -205,65 +132,25 @@ func TestUtilizationAccounting(t *testing.T) {
 	s := New(k, 2, WithOverhead(0))
 	s.Submit(100*time.Millisecond, nil) // one job on 2 cores: 50% util
 	k.RunUntil(100 * time.Millisecond)
-	work := s.CumulativeWork()
+	busy := s.CumulativeBusy()
 	capacity := s.CumulativeCapacity()
-	if math.Abs(work-0.1) > 1e-6 {
-		t.Errorf("work = %g core-s, want 0.1", work)
+	if math.Abs(busy-0.1) > 1e-6 {
+		t.Errorf("busy = %g core-s, want 0.1", busy)
 	}
 	if math.Abs(capacity-0.2) > 1e-6 {
 		t.Errorf("capacity = %g core-s, want 0.2", capacity)
 	}
 }
 
-func TestEfficiencyReporting(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := New(k, 2, WithOverhead(0.1))
-	if got := s.Efficiency(); got != 1 {
-		t.Errorf("idle efficiency = %g, want 1", got)
-	}
-	for i := 0; i < 4; i++ {
-		s.Submit(time.Hour, nil)
-	}
-	want := 1 / (1 + 0.1*2)
-	if got := s.Efficiency(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("efficiency = %g, want %g", got, want)
-	}
-}
-
-func TestSuspendPanicsOnDoneJob(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := New(k, 1)
-	j := s.Submit(0, nil)
-	k.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic suspending a done job")
-		}
-	}()
-	s.Suspend(j)
-}
-
-func TestResumePanicsOnRunnableJob(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := New(k, 1)
-	j := s.Submit(time.Second, nil)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic resuming a runnable job")
-		}
-	}()
-	s.Resume(j)
-}
-
-// Property: work is conserved — total completion-weighted demand equals
-// cumulative useful work delivered, for arbitrary demands.
+// Property: work is conserved — without overhead, the busy core-seconds
+// a drained server reports equal the total demand, for arbitrary demands.
 func TestQuickWorkConservation(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 || len(raw) > 64 {
 			return true
 		}
 		k := sim.NewKernel(9)
-		s := New(k, 2, WithOverhead(0.02))
+		s := New(k, 2, WithOverhead(0))
 		var totalDemand float64
 		for _, r := range raw {
 			d := time.Duration(r) * time.Microsecond
@@ -271,7 +158,7 @@ func TestQuickWorkConservation(t *testing.T) {
 			s.Submit(d, nil)
 		}
 		k.Run()
-		return math.Abs(s.CumulativeWork()-totalDemand) < 1e-6+1e-9*totalDemand
+		return math.Abs(s.CumulativeBusy()-totalDemand) < 1e-6+1e-9*totalDemand
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -346,7 +233,7 @@ func BenchmarkSubmitComplete(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Submit(time.Duration(i%1000+1)*time.Microsecond, nil)
-		if s.Runnable() > 256 {
+		if len(s.runnable) > 256 {
 			k.Run()
 		}
 	}

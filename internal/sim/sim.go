@@ -1,7 +1,7 @@
 // Package sim provides the discrete-event simulation kernel that drives the
 // entire Sora reproduction: a virtual clock, an event queue with
 // deterministic FIFO tie-breaking, cancellable and resettable timers,
-// periodic tickers and a seeded random number generator.
+// periodic tickers and seeded random number streams (Split).
 //
 // All simulated components (cluster instances, workload generators,
 // controllers, samplers) schedule callbacks on a single Kernel. Events fire
@@ -78,13 +78,12 @@ type Time = time.Duration
 //
 //soravet:pool Timer invalidated-by Cancel,Kernel.releaseTimer handle dead once Cancel returns or the callback starts; the kernel free-lists the struct and a later Schedule may reissue it
 type Timer struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	k        *Kernel
-	index    int // position in its heap, -1 once fired/cancelled
-	canceled bool
-	far      bool // queued in Kernel.far rather than Kernel.near
+	at    Time
+	seq   uint64
+	fn    func()
+	k     *Kernel
+	index int  // position in its heap, -1 once fired/cancelled
+	far   bool // queued in Kernel.far rather than Kernel.near
 }
 
 // Cancel prevents the timer's callback from running and removes the timer
@@ -98,20 +97,11 @@ func (t *Timer) Cancel() {
 	if t == nil || t.index < 0 {
 		return
 	}
-	t.canceled = true
 	t.fn = nil
 	k := t.k
 	k.heapOf(t).remove(t.index)
 	k.releaseTimer(t)
 }
-
-// Canceled reports whether Cancel removed this timer before it fired.
-// Only meaningful while the handle is live or before the struct is
-// reissued.
-func (t *Timer) Canceled() bool { return t.canceled }
-
-// When returns the virtual time the timer is (or was) scheduled to fire at.
-func (t *Timer) When() Time { return t.at }
 
 // Reset re-arms a pending timer to fire delay units of virtual time from
 // now, keeping its callback. Ordering is exactly that of Cancel followed
@@ -164,9 +154,7 @@ type Kernel struct {
 	far       timerHeap
 	horizon   Time
 	free      []*Timer // recycled Timer structs
-	rng       *rand.Rand
 	processed uint64
-	stopped   bool
 }
 
 // nearHorizon is the delay below which a timer goes into the near heap.
@@ -177,23 +165,14 @@ type Kernel struct {
 // the far heap untouched until their turn. See DESIGN.md §13.
 const nearHorizon = 10 * time.Millisecond
 
-// NewKernel returns a kernel with virtual time 0 and a deterministic RNG
-// derived from seed.
+// NewKernel returns a kernel with virtual time 0 whose random streams
+// (Split) derive from seed.
 func NewKernel(seed uint64) *Kernel {
-	return &Kernel{
-		seed:    seed,
-		horizon: nearHorizon,
-		rng:     rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
-	}
+	return &Kernel{seed: seed, horizon: nearHorizon}
 }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Rand returns the kernel's deterministic random source. All stochastic
-// decisions in a simulation must come from this source (or a child source
-// created via Split) to preserve reproducibility.
-func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // Split derives an independent deterministic RNG stream from the kernel
 // seed and the given label. The child stream depends only on (seed, label)
@@ -253,7 +232,6 @@ func (k *Kernel) At(t Time, fn func()) *Timer {
 		tm.at = t
 		tm.seq = k.seq
 		tm.fn = fn
-		tm.canceled = false
 	} else {
 		tm = &Timer{at: t, seq: k.seq, fn: fn, k: k} //soravet:allow hotpath pool miss: allocates only while the live-timer high-water mark rises, then the free list serves every Schedule
 	}
@@ -292,15 +270,12 @@ func (k *Kernel) releaseTimer(t *Timer) {
 
 // Step executes the next pending event, advancing virtual time to its
 // timestamp. It reports whether an event was executed (false when the queue
-// is empty or the kernel has been stopped). The fired timer struct is
+// is empty). The fired timer struct is
 // recycled before the callback runs, so a Schedule inside the callback
 // reuses it immediately.
 //
 //soravet:hotpath BenchmarkEventLoop events/s headline: the pop-advance-dispatch loop runs once per simulated event
 func (k *Kernel) Step() bool {
-	if k.stopped {
-		return false
-	}
 	h := k.next()
 	if h == nil {
 		return false
@@ -319,7 +294,7 @@ func (k *Kernel) fire(h *timerHeap) {
 	fn()
 }
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (k *Kernel) Run() {
 	for k.Step() {
 	}
@@ -328,44 +303,18 @@ func (k *Kernel) Run() {
 // RunUntil executes events with timestamps <= deadline and then advances
 // the clock to exactly deadline. Events scheduled for after deadline remain
 // queued.
-//
-// If Stop fires mid-run (or the kernel was already stopped), RunUntil
-// returns with the clock frozen at the timestamp of the last executed
-// event — it is NOT advanced to deadline. This is deliberate: events in
-// (now, deadline] are still queued, and advancing past them would make
-// the clock run backwards when they eventually fire after Resume. A
-// subsequent Resume + RunFor(d) therefore measures d from the stop
-// point, not from the abandoned deadline; callers that want to finish
-// the original window must Resume and call RunUntil with the same
-// absolute deadline again.
 func (k *Kernel) RunUntil(deadline Time) {
-	for !k.stopped {
+	for {
 		h := k.next()
 		if h == nil || (*h)[0].at > deadline {
 			break
 		}
 		k.fire(h)
 	}
-	if !k.stopped && k.now < deadline {
+	if k.now < deadline {
 		k.now = deadline
 	}
 }
-
-// RunFor advances the simulation by d units of virtual time, measured
-// from the current clock — after a mid-run Stop, that is the stop point
-// (see RunUntil for the stop semantics).
-func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now + d) }
-
-// Stop halts Run/RunUntil after the currently executing event returns,
-// freezing the clock at that event's timestamp. Subsequent Step calls
-// return false until the kernel is resumed with Resume.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Resume clears a previous Stop.
-func (k *Kernel) Resume() { k.stopped = false }
-
-// Stopped reports whether the kernel is currently stopped.
-func (k *Kernel) Stopped() bool { return k.stopped }
 
 // The event queue is two timerHeaps (see Kernel.near/far) sharing one
 // set of routines. Each is an inlined 4-ary min-heap over *Timer ordered

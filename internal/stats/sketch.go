@@ -80,29 +80,8 @@ func NewSketch(alpha float64) *Sketch {
 	}
 }
 
-// Alpha returns the sketch's relative-error target.
-func (s *Sketch) Alpha() float64 { return s.alpha }
-
 // Count returns the number of observed values.
 func (s *Sketch) Count() uint64 { return s.count }
-
-// Min returns the exact smallest observed value (clamped into the
-// indexable range), or 0 on an empty sketch.
-func (s *Sketch) Min() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the exact largest observed value (clamped into the
-// indexable range), or 0 on an empty sketch.
-func (s *Sketch) Max() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.max
-}
 
 // Observe records one value. NaN is ignored; values outside
 // [SketchMinValue, SketchMaxValue] are clamped to the range boundary

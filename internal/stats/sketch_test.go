@@ -127,8 +127,8 @@ func TestSketchExactEndpoints(t *testing.T) {
 		if got, _ := s.Quantile(100); got != wantMax {
 			t.Errorf("%s: Quantile(100) = %g, want exact max %g", name, got, wantMax)
 		}
-		if s.Min() != wantMin || s.Max() != wantMax {
-			t.Errorf("%s: Min/Max = %g/%g, want %g/%g", name, s.Min(), s.Max(), wantMin, wantMax)
+		if s.min != wantMin || s.max != wantMax {
+			t.Errorf("%s: Min/Max = %g/%g, want %g/%g", name, s.min, s.max, wantMin, wantMax)
 		}
 	}
 }
@@ -207,7 +207,7 @@ func TestSketchMergeAssociativity(t *testing.T) {
 		if pair.s.Count() != left.Count() {
 			t.Fatalf("%s Count = %d, want %d", pair.name, pair.s.Count(), left.Count())
 		}
-		if pair.s.Min() != left.Min() || pair.s.Max() != left.Max() {
+		if pair.s.min != left.min || pair.s.max != left.max {
 			t.Fatalf("%s min/max mismatch", pair.name)
 		}
 		for i := range left.buckets {
@@ -216,7 +216,7 @@ func TestSketchMergeAssociativity(t *testing.T) {
 			}
 		}
 	}
-	checkQuantileBounds(t, left, all, left.Alpha())
+	checkQuantileBounds(t, left, all, left.alpha)
 }
 
 // TestSketchParallelMergeDeterminism: partition a dataset across
@@ -291,8 +291,8 @@ func TestSketchMergeIncompatible(t *testing.T) {
 	if a.Count() != 1 {
 		t.Fatalf("failed Merge mutated the destination: count = %d, want 1", a.Count())
 	}
-	if got, _ := a.Quantile(50); got != a.Max() {
-		t.Fatalf("failed Merge perturbed quantiles: p50 = %g, want %g", got, a.Max())
+	if got, _ := a.Quantile(50); got != a.max {
+		t.Fatalf("failed Merge perturbed quantiles: p50 = %g, want %g", got, a.max)
 	}
 	if err := a.Merge(nil); err != nil {
 		t.Fatalf("Merge(nil) = %v, want no-op", err)
@@ -313,9 +313,6 @@ func TestSketchEdgeCases(t *testing.T) {
 	if got := s.QuantileOr(50, -1); got != -1 {
 		t.Fatalf("empty QuantileOr = %g, want fallback -1", got)
 	}
-	if s.Min() != 0 || s.Max() != 0 {
-		t.Fatalf("empty Min/Max = %g/%g, want 0/0", s.Min(), s.Max())
-	}
 
 	s.Observe(math.NaN())
 	if s.Count() != 0 {
@@ -327,11 +324,11 @@ func TestSketchEdgeCases(t *testing.T) {
 	if s.Count() != 3 {
 		t.Fatalf("Count = %d, want 3", s.Count())
 	}
-	if s.Min() != SketchMinValue {
-		t.Fatalf("Min = %g, want clamp %g", s.Min(), SketchMinValue)
+	if s.min != SketchMinValue {
+		t.Fatalf("Min = %g, want clamp %g", s.min, SketchMinValue)
 	}
-	if s.Max() != SketchMaxValue {
-		t.Fatalf("Max = %g, want clamp %g", s.Max(), SketchMaxValue)
+	if s.max != SketchMaxValue {
+		t.Fatalf("Max = %g, want clamp %g", s.max, SketchMaxValue)
 	}
 	if _, err := s.Quantile(-1); err == nil {
 		t.Fatal("Quantile(-1) succeeded")

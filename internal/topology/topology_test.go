@@ -43,14 +43,7 @@ func TestSockShopRequestsComplete(t *testing.T) {
 	}
 	types := map[string]int{}
 	c.OnComplete(func(tr *trace.Trace) { types[tr.Type]++ })
-	gen, err := workload.NewGenerator(k, workload.ConstantRate(200), 200, c.SubmitMix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	k.RunUntil(sim.Time(10 * time.Second))
-	gen.Stop()
-	k.Run()
+	runUsers(t, k, c, 200, 10*time.Second)
 	if c.InFlight() != 0 {
 		t.Errorf("in-flight = %d after drain", c.InFlight())
 	}
@@ -90,14 +83,7 @@ func TestSockShopCriticalPathThroughCartOrCatalogue(t *testing.T) {
 			}
 		}
 	})
-	gen, err := workload.NewGenerator(k, workload.ConstantRate(300), 300, c.SubmitMix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	k.RunUntil(sim.Time(20 * time.Second))
-	gen.Stop()
-	k.Run()
+	runUsers(t, k, c, 300, 20*time.Second)
 	// Figure 5's point: either branch can dominate depending on runtime
 	// conditions. Both must appear across many requests.
 	if !seenCart || !seenCatalogue {
@@ -114,14 +100,7 @@ func TestSocialNetworkRequestsComplete(t *testing.T) {
 	}
 	types := map[string]int{}
 	c.OnComplete(func(tr *trace.Trace) { types[tr.Type]++ })
-	gen, err := workload.NewGenerator(k, workload.ConstantRate(300), 300, c.SubmitMix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen.Start()
-	k.RunUntil(sim.Time(10 * time.Second))
-	gen.Stop()
-	k.Run()
+	runUsers(t, k, c, 300, 10*time.Second)
 	for _, want := range []string{ReqReadHomeTimeline, ReqReadUserTimeline, ReqComposePost, ReqSearch} {
 		if types[want] == 0 {
 			t.Errorf("request type %q never completed", want)
@@ -151,14 +130,7 @@ func TestHeavyReadsBlockLongerOnPostStorage(t *testing.T) {
 				n++
 			}
 		})
-		gen, err := workload.NewGenerator(k, workload.ConstantRate(50), 50, c.SubmitMix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen.Start()
-		k.RunUntil(sim.Time(10 * time.Second))
-		gen.Stop()
-		k.Run()
+		runUsers(t, k, c, 50, 10*time.Second)
 		if n == 0 {
 			t.Fatal("no post-storage spans")
 		}
@@ -242,4 +214,22 @@ func TestLightVsHeavyPostCount(t *testing.T) {
 	if countMongo(heavy) != HeavyReadPosts {
 		t.Errorf("heavy mongo fetches = %d, want %d", countMongo(heavy), HeavyReadPosts)
 	}
+}
+
+// runUsers drives c with a closed population of users (1 s mean think
+// time, so roughly that many requests per second) for d of virtual
+// time, then drains the cluster.
+func runUsers(t *testing.T, k *sim.Kernel, c *cluster.Cluster, users int, d time.Duration) {
+	t.Helper()
+	loop, err := workload.NewClosedLoop(k, workload.ClosedLoopConfig{
+		Target: workload.ConstantUsers(users),
+		Submit: func(done func()) { c.SubmitMixWith(done) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop.Start()
+	k.RunUntil(k.Now() + d)
+	loop.Stop()
+	k.Run()
 }

@@ -12,7 +12,7 @@ import (
 // shape, standing in for the paper's "Request Tracing Management" layer
 // (OpenTracing-compliant collection into a trace warehouse). Exported
 // traces can be archived, diffed across runs, or fed to external
-// analysis tooling (cmd/tracedig); Import round-trips them back into
+// analysis tooling (cmd/tracedig); ImportAll round-trips them back into
 // Trace values.
 //
 // Timestamps are nanoseconds of virtual time: the latency-attribution
@@ -41,7 +41,7 @@ type SpanRecord struct {
 	Abandoned bool         `json:"abandoned,omitempty"`
 	Children  []SpanRecord `json:"children,omitempty"`
 
-	// Legacy microsecond fields: read by Import for archives produced
+	// Legacy microsecond fields: read by ImportAll for archives produced
 	// before the nanosecond format, never written by Export.
 	ArrivalUs int64 `json:"arrival_us,omitempty"`
 	StartUs   int64 `json:"start_us,omitempty"`
@@ -146,24 +146,6 @@ func ExportAll(w io.Writer, traces []*Trace) error {
 		}
 	}
 	return nil
-}
-
-// Import reads one JSON trace produced by Export (either timestamp
-// format).
-func Import(r io.Reader) (*Trace, error) {
-	var rec TraceRecord
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rec); err != nil {
-		return nil, fmt.Errorf("trace: import: %w", err)
-	}
-	if rec.Root.Service == "" {
-		return nil, fmt.Errorf("trace: import: record has no root service")
-	}
-	root, err := fromRecord(rec.Root)
-	if err != nil {
-		return nil, fmt.Errorf("trace: import: %w", err)
-	}
-	return &Trace{ID: rec.ID, Type: rec.Type, Root: root}, nil
 }
 
 // ImportAll reads JSON Lines until EOF.

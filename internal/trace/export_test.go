@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -15,7 +17,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if err := Export(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Import(&buf)
+	got, err := importOne(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +81,10 @@ func TestExportEmptyTraceErrors(t *testing.T) {
 }
 
 func TestImportRejectsGarbage(t *testing.T) {
-	if _, err := Import(strings.NewReader("not json")); err == nil {
+	if _, err := importOne(strings.NewReader("not json")); err == nil {
 		t.Error("garbage: expected error")
 	}
-	if _, err := Import(strings.NewReader(`{"id":1,"type":"x","root":{}}`)); err == nil {
+	if _, err := importOne(strings.NewReader(`{"id":1,"type":"x","root":{}}`)); err == nil {
 		t.Error("empty root: expected error")
 	}
 	if _, err := ImportAll(strings.NewReader(`{"id":1,"type":"x","root":{"service":"a"}}` + "\ngarbage")); err == nil {
@@ -92,30 +94,27 @@ func TestImportRejectsGarbage(t *testing.T) {
 
 // TestImportRejectsOutOfRangeDepth checks that a span depth an int32
 // Span.Depth cannot hold is an import error, not a silent truncation,
-// in a root and in a nested child, for Import and ImportAll.
+// in a root and in a nested child.
 func TestImportRejectsOutOfRangeDepth(t *testing.T) {
 	for _, rec := range []string{
 		`{"id":1,"type":"x","root":{"service":"a","depth":2147483648}}`,
 		`{"id":1,"type":"x","root":{"service":"a","children":[{"service":"b","depth":-2147483649}]}}`,
 	} {
-		if _, err := Import(strings.NewReader(rec)); err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("Import(%s): err = %v, want a depth out of range error", rec, err)
-		}
 		if _, err := ImportAll(strings.NewReader(rec + "\n")); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("ImportAll(%s): err = %v, want a depth out of range error", rec, err)
 		}
 	}
-	got, err := Import(strings.NewReader(`{"id":1,"type":"x","root":{"service":"a","depth":2147483647}}`))
+	got, err := importOne(strings.NewReader(`{"id":1,"type":"x","root":{"service":"a","depth":2147483647}}`))
 	if err != nil || got.Root.Depth != math.MaxInt32 {
 		t.Errorf("largest depth: got %v, %v; want depth %d", got, err, math.MaxInt32)
 	}
 }
 
-// FuzzImportTrace feeds arbitrary bytes to ImportAll and Import: neither
-// may panic, and any archive they accept must be a fixed point of
-// Export∘Import — exporting it, importing the export and exporting
-// again gives the same bytes. A trace Import accepts must also keep
-// every span depth of its record, so a truncated depth cannot pass.
+// FuzzImportTrace feeds arbitrary bytes to ImportAll: it may not panic,
+// and any archive it accepts must be a fixed point of Export∘ImportAll —
+// exporting it, importing the export and exporting again gives the same
+// bytes. Every accepted trace must also keep each span depth of its
+// record, so a truncated depth cannot pass.
 func FuzzImportTrace(f *testing.F) {
 	var buf bytes.Buffer
 	if err := ExportAll(&buf, []*Trace{chainTrace(1), forkTrace(2)}); err != nil {
@@ -124,18 +123,20 @@ func FuzzImportTrace(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte(`{"id":1,"type":"x","root":{"service":"a","depth":2147483648}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if tr, err := Import(bytes.NewReader(data)); err == nil {
-			checkFixedPoint(t, []*Trace{tr})
+		traces, err := ImportAll(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkFixedPoint(t, traces)
+		dec := json.NewDecoder(bytes.NewReader(data))
+		for i, tr := range traces {
 			var rec TraceRecord
-			if err := json.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-				t.Fatalf("Import accepted what the decoder rejects: %v", err)
+			if err := dec.Decode(&rec); err != nil {
+				t.Fatalf("ImportAll accepted what the decoder rejects: %v", err)
 			}
 			if !sameDepths(rec.Root, tr.Root) {
-				t.Fatalf("depths changed on import: record %+v", rec.Root)
+				t.Fatalf("trace %d: depths changed on import: record %+v", i, rec.Root)
 			}
-		}
-		if traces, err := ImportAll(bytes.NewReader(data)); err == nil {
-			checkFixedPoint(t, traces)
 		}
 	})
 }
@@ -200,7 +201,7 @@ func TestExportTimestampPrecision(t *testing.T) {
 	if err := Export(&buf, &Trace{ID: 9, Type: "t", Root: s}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Import(&buf)
+	got, err := importOne(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestExportRoundTripsPhaseMarkers(t *testing.T) {
 	if err := Export(&buf, &Trace{ID: 1, Type: "t", Root: root}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Import(&buf)
+	got, err := importOne(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestExportRoundTripsResilienceMarkers(t *testing.T) {
 	if err := Export(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Import(&buf)
+	got, err := importOne(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +292,11 @@ func TestExportRoundTripsResilienceMarkers(t *testing.T) {
 
 func TestImportLegacyMicrosecondArchive(t *testing.T) {
 	// Archives written before the nanosecond format carry *_us fields;
-	// Import must still understand them.
+	// ImportAll must still understand them.
 	legacy := `{"id":3,"type":"getCart","root":{"service":"front-end","depth":0,` +
 		`"arrival_us":0,"start_us":1000,"end_us":100000,"blocked_us":80000,` +
 		`"children":[{"service":"cart","depth":1,"arrival_us":5000,"start_us":8000,"end_us":85000}]}}`
-	got, err := Import(strings.NewReader(legacy))
+	got, err := importOne(strings.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,4 +310,16 @@ func TestImportLegacyMicrosecondArchive(t *testing.T) {
 	if cart == nil || cart.Arrival != 5*time.Millisecond {
 		t.Errorf("legacy child timestamps wrong: %+v", cart)
 	}
+}
+
+// importOne decodes a single-record archive through ImportAll.
+func importOne(r io.Reader) (*Trace, error) {
+	traces, err := ImportAll(r)
+	if err != nil {
+		return nil, err
+	}
+	if len(traces) != 1 {
+		return nil, fmt.Errorf("archive holds %d traces, want 1", len(traces))
+	}
+	return traces[0], nil
 }

@@ -70,11 +70,6 @@ func (w *Warehouse) add(t *Trace, unsettled bool) {
 	w.evictBefore(t.CompletedAt() - w.retention)
 }
 
-// Prune drops all traces that completed before now-retention.
-func (w *Warehouse) Prune(now sim.Time) {
-	w.evictBefore(now - w.retention)
-}
-
 func (w *Warehouse) evictBefore(cutoff sim.Time) {
 	i := w.head
 	for i < len(w.traces) && w.traces[i].CompletedAt() < cutoff {
@@ -119,10 +114,9 @@ func (w *Warehouse) live() []*Trace { return w.traces[w.head:] }
 func (w *Warehouse) Len() int { return len(w.traces) - w.head }
 
 // Added returns the total number of traces ever stored.
+//
+//soravet:allow deadcode (b) cross-package observer: core scan tests observe the warehouse add count through it
 func (w *Warehouse) Added() uint64 { return w.added }
-
-// Evicted returns the total number of traces evicted so far.
-func (w *Warehouse) Evicted() uint64 { return w.evicted }
 
 // WarehouseStats is a point-in-time summary of warehouse churn, exposed
 // for telemetry counters and capacity diagnostics.

@@ -44,12 +44,12 @@ func TestWarehouseEmptyReset(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		w.Add(makeTraceAt(ID(i), time.Duration(i)*time.Second))
 	}
-	w.Prune(sim.Time(time.Hour))
+	w.evictBefore(sim.Time(time.Hour))
 	if w.Len() != 0 {
-		t.Fatalf("Len after full prune = %d, want 0", w.Len())
+		t.Fatalf("Len after full eviction = %d, want 0", w.Len())
 	}
 	if w.head != 0 || len(w.traces) != 0 {
-		t.Fatalf("after full prune head=%d len=%d, want 0/0 (empty reset)", w.head, len(w.traces))
+		t.Fatalf("after full eviction head=%d len=%d, want 0/0 (empty reset)", w.head, len(w.traces))
 	}
 	if cap(w.traces) == 0 {
 		t.Fatal("empty reset discarded the backing array instead of reusing it")
@@ -85,8 +85,8 @@ func TestWarehouseBackingStaysBounded(t *testing.T) {
 	if w.Added() != n {
 		t.Errorf("Added = %d, want %d", w.Added(), n)
 	}
-	if want := uint64(n - w.Len()); w.Evicted() != want {
-		t.Errorf("Evicted = %d, want %d", w.Evicted(), want)
+	if want := uint64(n - w.Len()); w.evicted != want {
+		t.Errorf("Evicted = %d, want %d", w.evicted, want)
 	}
 	// Surviving traces are the newest ones, still in completion order.
 	all := w.All()
@@ -132,8 +132,8 @@ func TestWarehouseViewSequenceAndUnsettled(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("Unsettled = %v, want %v", got, want)
 	}
-	if all := w.Unsettled(0, n); len(all) == 0 || all[0] < w.Evicted() {
-		t.Errorf("Unsettled(0, %d) starts at %v; evicted traces end at %d", n, all[:1], w.Evicted())
+	if all := w.Unsettled(0, n); len(all) == 0 || all[0] < w.evicted {
+		t.Errorf("Unsettled(0, %d) starts at %v; evicted traces end at %d", n, all[:1], w.evicted)
 	}
 	if _, first := w.View(sim.Time(time.Hour), sim.Time(2*time.Hour)); first != n {
 		t.Errorf("empty view past the end starts at %d, want %d", first, n)

@@ -13,10 +13,6 @@ const (
 	TraceSteepTriPhase  = "steep_tri_phase"
 )
 
-// DefaultDuration is the length of each trace-driven experiment in the
-// paper: 12 minutes.
-const DefaultDuration = 12 * 60 * 1_000_000_000 // 12 min in ns, avoids importing time for a const
-
 // LargeVariationTrace returns the "Large Variation" profile: repeated
 // wide swings between roughly a third of peak demand and full peak, with
 // the two major overload phases (around 25-36% and 69-79% of the run)

@@ -1,6 +1,6 @@
-// Package workload provides the request-arrival machinery: an open-loop
-// Poisson generator with a time-varying rate, and synthetic re-creations
-// of the six real-world bursty workload traces the Sora paper evaluates
+// Package workload provides the request-arrival machinery: a closed
+// population of users with think time (ClosedLoop), and synthetic
+// re-creations of the six real-world bursty workload traces the Sora paper evaluates
 // with (from Gandhi et al., "AutoScale", TOCS 2012): Large Variation,
 // Quick Varying, Slowly Varying, Big Spike, Dual Phase and Steep Tri
 // Phase.
@@ -14,37 +14,7 @@
 // and phase structure.
 package workload
 
-import (
-	"fmt"
-	"math/rand/v2"
-	"sort"
-	"time"
-
-	"sora/internal/sim"
-)
-
-// RateFunc returns the target arrival rate (requests/second) at virtual
-// time t.
-type RateFunc func(t sim.Time) float64
-
-// ConstantRate returns a RateFunc with a fixed rate.
-func ConstantRate(rps float64) RateFunc {
-	if rps < 0 {
-		rps = 0
-	}
-	return func(sim.Time) float64 { return rps }
-}
-
-// StepRate returns a RateFunc that is `before` until the step time and
-// `after` from then on — used for the Figure 1 scale-out scenario.
-func StepRate(stepAt sim.Time, before, after float64) RateFunc {
-	return func(t sim.Time) float64 {
-		if t < stepAt {
-			return before
-		}
-		return after
-	}
-}
+import "sort"
 
 // TracePoint is one control point of a normalized trace profile.
 type TracePoint struct {
@@ -79,154 +49,4 @@ func (tr Trace) Intensity(f float64) float64 {
 	}
 	w := (f - a.Frac) / span
 	return a.Intensity*(1-w) + b.Intensity*w
-}
-
-// Rate converts the trace into a RateFunc over the given duration with
-// the given peak rate (requests/second at intensity 1.0).
-func (tr Trace) Rate(duration time.Duration, peakRPS float64) RateFunc {
-	if duration <= 0 || peakRPS <= 0 {
-		return ConstantRate(0)
-	}
-	return func(t sim.Time) float64 {
-		f := float64(t) / float64(duration)
-		if f < 0 {
-			f = 0
-		}
-		if f > 1 {
-			f = 1
-		}
-		return tr.Intensity(f) * peakRPS
-	}
-}
-
-// Validate checks that the profile is well-formed: nonempty, fractions
-// nondecreasing in [0,1], intensities in [0,1].
-func (tr Trace) Validate() error {
-	if len(tr.Points) == 0 {
-		return fmt.Errorf("workload: trace %q has no points", tr.Name)
-	}
-	prev := -1.0
-	for i, p := range tr.Points {
-		if p.Frac < 0 || p.Frac > 1 {
-			return fmt.Errorf("workload: trace %q point %d frac %g outside [0,1]", tr.Name, i, p.Frac)
-		}
-		if p.Frac < prev {
-			return fmt.Errorf("workload: trace %q point %d frac %g decreases", tr.Name, i, p.Frac)
-		}
-		if p.Intensity < 0 || p.Intensity > 1 {
-			return fmt.Errorf("workload: trace %q point %d intensity %g outside [0,1]", tr.Name, i, p.Intensity)
-		}
-		prev = p.Frac
-	}
-	return nil
-}
-
-// Generator produces open-loop Poisson arrivals whose instantaneous rate
-// follows a RateFunc. Arrivals are generated by thinning (Lewis-Shedler):
-// candidate events are drawn at the profile's peak rate and accepted with
-// probability rate(t)/peak, which is exact for any bounded rate function.
-type Generator struct {
-	k       *sim.Kernel
-	rate    RateFunc
-	peak    float64 // upper bound on rate for thinning
-	emit    func()
-	fireFn  func() // bound g.fire, so the arrival loop allocates no closures
-	rng     *rand.Rand
-	running bool
-	timer   *sim.Timer
-	emitted uint64
-}
-
-// NewGenerator returns a generator that calls emit for every arrival.
-// peakRPS must bound rate(t) for all t; candidates above the bound are
-// clamped (and counted — see Clamped). The generator draws from its own
-// split RNG stream so workload sampling does not perturb service-time
-// sampling.
-func NewGenerator(k *sim.Kernel, rate RateFunc, peakRPS float64, emit func()) (*Generator, error) {
-	if k == nil {
-		return nil, fmt.Errorf("workload: nil kernel")
-	}
-	if rate == nil {
-		return nil, fmt.Errorf("workload: nil rate function")
-	}
-	if emit == nil {
-		return nil, fmt.Errorf("workload: nil emit callback")
-	}
-	if peakRPS <= 0 {
-		return nil, fmt.Errorf("workload: peak rate %g must be positive", peakRPS)
-	}
-	g := &Generator{
-		k:    k,
-		rate: rate,
-		peak: peakRPS,
-		emit: emit,
-		rng:  k.Split(0x0a77),
-	}
-	g.fireFn = g.fire
-	return g, nil
-}
-
-// Start begins generating arrivals. Calling Start on a running generator
-// is a no-op.
-func (g *Generator) Start() {
-	if g.running {
-		return
-	}
-	g.running = true
-	g.scheduleNext()
-}
-
-// Stop halts arrival generation.
-func (g *Generator) Stop() {
-	g.running = false
-	if g.timer != nil {
-		g.timer.Cancel()
-		g.timer = nil
-	}
-}
-
-// Emitted returns the number of arrivals generated so far.
-func (g *Generator) Emitted() uint64 { return g.emitted }
-
-func (g *Generator) scheduleNext() {
-	// Exponential gap at the bounding rate.
-	gap := time.Duration(g.rng.ExpFloat64() / g.peak * float64(time.Second))
-	if gap < time.Nanosecond {
-		gap = time.Nanosecond
-	}
-	g.timer = g.k.Schedule(gap, g.fireFn)
-}
-
-// fire handles one arrival candidate. The timer handle is cleared first:
-// a fired timer is recycled by the kernel, and a later Stop must not
-// Cancel through the stale handle.
-func (g *Generator) fire() {
-	g.timer = nil
-	if !g.running {
-		return
-	}
-	r := g.rate(g.k.Now())
-	if r < 0 {
-		r = 0
-	}
-	if r > g.peak {
-		r = g.peak
-	}
-	// Thinning: accept with probability r/peak.
-	if g.rng.Float64() < r/g.peak {
-		g.emitted++
-		g.emit()
-	}
-	g.scheduleNext()
-}
-
-// UsersToRate converts the paper's "# concurrent users" workload knob
-// into an open-loop arrival rate, assuming each simulated user issues one
-// request per think time (the classic closed-loop equivalence N = X * Z
-// when response time is small relative to think time).
-func UsersToRate(users int, thinkTime time.Duration) float64 {
-	if users <= 0 || thinkTime <= 0 {
-		return 0
-	}
-	return float64(users) / thinkTime.Seconds()
 }

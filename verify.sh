@@ -15,9 +15,10 @@
 # internal/ package; `soravet` (see internal/lint and DESIGN.md §Static
 # analysis) machine-checks the repo-specific invariants vet cannot:
 # wallclock, globalrand, maporder, nilrecv, eventname, plus the
-# flow-aware poolsafe/hotpath analyses and the racelist drift check
+# flow-aware poolsafe/hotpath analyses, the racelist drift check
 # (which parses this script's -race line, so the package list below can
-# never silently lag a package gaining concurrency). The separate
+# never silently lag a package gaining concurrency) and the deadcode
+# reachability check rooted at every binary. The separate
 # benchmark module gets its own vet and test step. The soravet step
 # runs through scripts/lintstat.sh, which appends a one-line JSON scan
 # summary (files, findings per check, suppressions, wall ms) to the
