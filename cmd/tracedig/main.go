@@ -2,7 +2,7 @@
 // trace archives exported by the simulator (JSONL, written by
 // `simrun -trace-archive` or trace.ExportAll) or folded-stack profiles
 // (written by `sorabench -slo` into the telemetry directory, or by
-// `tracegen -profile`) and prints where end-to-end response time went.
+// `simrun -folded`) and prints where end-to-end response time went.
 //
 // For trace archives it recomputes critical-path blame per trace — the
 // same integer-nanosecond attribution the in-process profiler performs,

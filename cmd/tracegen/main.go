@@ -1,14 +1,9 @@
 // Command tracegen emits the six bursty workload traces as CSV time
 // series (time fraction or absolute seconds vs intensity or user count),
-// for plotting or for replay against external systems.
+// for plotting or for replay against external systems. To see where a
+// trace's load spends its time, drive it through simrun instead:
 //
-// With -profile FILE it additionally drives a short Sock Shop
-// simulation with the selected trace as the user-count shape and writes
-// the latency-attribution folded stacks of the run to FILE — a
-// one-command way to see where a bursty workload spends its time
-// (feed FILE to `tracedig` or flamegraph.pl). -profile requires -trace;
-// -duration and -peak keep their meaning and default to 2m / 900 users
-// in profile mode.
+//	simrun -app sockshop -cart-threads 5 -trace big_spike -peak 900 -duration 2m -folded big_spike.folded
 //
 // Usage:
 //
@@ -16,7 +11,6 @@
 //	tracegen -trace big_spike             # one trace
 //	tracegen -duration 12m -peak 3500     # absolute seconds and user counts
 //	tracegen -points 720 -out traces/     # one CSV per trace
-//	tracegen -trace big_spike -profile big_spike.folded
 package main
 
 import (
@@ -27,10 +21,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"sora/internal/cluster"
-	"sora/internal/profile"
-	"sora/internal/sim"
-	"sora/internal/topology"
 	"sora/internal/workload"
 )
 
@@ -48,24 +38,11 @@ func run() error {
 		duration = flag.Duration("duration", 0, "emit absolute time in seconds over this duration (0 = normalized fraction)")
 		peak     = flag.Int("peak", 0, "emit user counts at this peak (0 = normalized intensity)")
 		out      = flag.String("out", "", "directory for per-trace CSV files (empty = stdout)")
-		profOut  = flag.String("profile", "", "simulate the selected -trace on Sock Shop and write folded latency stacks to this file")
-		seed     = flag.Uint64("seed", 1, "simulation seed for -profile")
 	)
 	flag.Parse()
 
 	if *points < 2 {
 		return fmt.Errorf("need at least 2 points, got %d", *points)
-	}
-
-	if *profOut != "" {
-		if *name == "" {
-			return fmt.Errorf("-profile requires -trace (one trace drives the simulation)")
-		}
-		tr, err := workload.TraceByName(*name)
-		if err != nil {
-			return err
-		}
-		return profileTrace(tr, *profOut, *duration, *peak, *seed)
 	}
 
 	var traces []workload.Trace
@@ -104,50 +81,6 @@ func run() error {
 			return err
 		}
 	}
-	return nil
-}
-
-// profileTrace replays one workload trace against the default Sock Shop
-// deployment and writes the run's latency-attribution folded stacks,
-// exercising the same profiling pipeline as `sorabench -telemetry-dir`.
-func profileTrace(tr workload.Trace, path string, duration time.Duration, peak int, seed uint64) error {
-	if duration <= 0 {
-		duration = 2 * time.Minute
-	}
-	if peak <= 0 {
-		peak = 900
-	}
-	k := sim.NewKernel(seed)
-	c, err := cluster.New(k, topology.SockShop(topology.DefaultSockShop()), cluster.Options{})
-	if err != nil {
-		return err
-	}
-	agg := profile.NewAggregator(0)
-	c.OnComplete(agg.Add)
-	loop, err := workload.NewClosedLoop(k, workload.ClosedLoopConfig{
-		Target: workload.TraceUsers(tr, duration, peak),
-		Submit: func(done func()) { c.SubmitMixWith(done) },
-	})
-	if err != nil {
-		return err
-	}
-	loop.Start()
-	k.RunUntil(sim.Time(duration))
-	loop.Stop()
-	k.Run()
-	p := agg.Snapshot()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := profile.WriteFolded(f, p); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("profiled %s: %d traces, %d folded stacks -> %s\n", tr.Name, p.Traces, len(p.Folded), path)
 	return nil
 }
 

@@ -49,23 +49,53 @@ func LoadBaseline(path string) (*Baseline, error) {
 	if err != nil {
 		return nil, err
 	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
+	b, err := ParseBaseline(data)
+	if err != nil {
 		return nil, fmt.Errorf("compare: %s: %w", path, err)
 	}
+	return b, nil
+}
+
+// ParseBaseline decodes and validates a baseline. Every entry must name
+// a known kind and direction exactly: Check reads any direction but
+// "lower" as higher-is-better, and quick mode skips any kind but "sim",
+// so a misspelling would flip a bound or drop an entry silently.
+func ParseBaseline(data []byte) (*Baseline, error) {
+	var b Baseline
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, err
+	}
 	if b.Schema != BaselineSchema {
-		return nil, fmt.Errorf("compare: %s: schema %q, want %q", path, b.Schema, BaselineSchema)
+		return nil, fmt.Errorf("schema %q, want %q", b.Schema, BaselineSchema)
+	}
+	for _, e := range b.Entries {
+		switch e.Kind {
+		case KindSim, KindAlloc, KindTiming:
+		default:
+			return nil, fmt.Errorf("entry %q: kind %q, want sim, alloc or timing", e.Name, e.Kind)
+		}
+		if e.Direction != "higher" && e.Direction != "lower" {
+			return nil, fmt.Errorf("entry %q: direction %q, want higher or lower", e.Name, e.Direction)
+		}
 	}
 	return &b, nil
 }
 
 // WriteBaseline writes the baseline as indented JSON.
 func WriteBaseline(path string, b *Baseline) error {
-	data, err := json.MarshalIndent(b, "", "  ")
+	data, err := encodeBaseline(b)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return os.WriteFile(path, data, 0o644)
+}
+
+func encodeBaseline(b *Baseline) ([]byte, error) {
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // Violation is one failed baseline check.

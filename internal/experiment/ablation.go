@@ -10,6 +10,7 @@ import (
 	"sora/internal/dist"
 	"sora/internal/knee"
 	"sora/internal/metrics"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/stats"
 	"sora/internal/topology"
@@ -126,20 +127,17 @@ func runAblationDeadline(p Params, w io.Writer) error {
 	ref := cluster.ResourceRef{Service: "worker", Kind: cluster.PoolThreads}
 
 	dur := p.scale(3 * time.Minute)
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          buildChain(60),
-		refs:         []cluster.ResourceRef{ref},
-		target:       workload.TraceUsers(workload.LargeVariationTrace(), dur, 1250),
-		tel:          p.Telemetry.Group("profile"),
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
-	})
+	r, err := simulate(p.unitParams(p.Telemetry.Group("profile")).observe(scenario.Scenario{
+		Seed:     p.Seed,
+		App:      buildChain(60),
+		Refs:     []cluster.ResourceRef{ref},
+		Target:   workload.TraceUsers(workload.LargeVariationTrace(), dur, 1250),
+		Duration: dur,
+	}))
 	if err != nil {
 		return err
 	}
-	r.run(dur)
-	scg, err := core.NewSCG(r.c, r.mon, core.SCGConfig{SLA: sla, Window: dur, PlateauTolerance: 0.05})
+	scg, err := core.NewSCG(r.C, r.Mon, core.SCGConfig{SLA: sla, Window: dur, PlateauTolerance: 0.05})
 	if err != nil {
 		return err
 	}
@@ -174,20 +172,17 @@ func runAblationDeadline(p Params, w io.Writer) error {
 	// Score both settings by end-to-end goodput against the SLA.
 	valGrp := p.Telemetry.Group("validate")
 	score := func(i, size int) (float64, error) {
-		vr, err := newRig(rigConfig{
-			seed:         p.Seed + 999,
-			app:          buildChain(size),
-			target:       workload.ConstantUsers(900),
-			tel:          valGrp.Unit(i, fmt.Sprintf("pool-%d", size)),
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
-		})
+		vdur := p.scale(100 * time.Second)
+		vr, err := simulate(p.unitParams(valGrp.Unit(i, fmt.Sprintf("pool-%d", size))).observe(scenario.Scenario{
+			Seed:     p.Seed + 999,
+			App:      buildChain(size),
+			Target:   workload.ConstantUsers(900),
+			Duration: vdur,
+		}))
 		if err != nil {
 			return 0, err
 		}
-		vdur := p.scale(100 * time.Second)
-		vr.run(vdur)
-		return vr.e2e.GoodputRate(sim.Time(10*time.Second), sim.Time(vdur), sla), nil
+		return vr.E2E.GoodputRate(sim.Time(10*time.Second), sim.Time(vdur), sla), nil
 	}
 	// Score both settings (two independent validation runs) on the pool;
 	// identical settings need only one run.
@@ -219,25 +214,22 @@ func runAblationDegree(p Params, w io.Writer) error {
 	fc := fig9Cases()[0]
 	dur := p.scale(3 * time.Minute)
 	app, mix := fc.build(fc.estPool)
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          app,
-		mix:          mix,
-		refs:         []cluster.ResourceRef{fc.ref},
-		target:       workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
-	})
+	r, err := simulate(p.observe(scenario.Scenario{
+		Seed:     p.Seed,
+		App:      app,
+		Mix:      mix,
+		Refs:     []cluster.ResourceRef{fc.ref},
+		Target:   workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
+		Duration: dur,
+	}))
 	if err != nil {
 		return err
 	}
-	r.run(dur)
-	conc, err := r.mon.Concurrency(fc.ref)
+	conc, err := r.Mon.Concurrency(fc.ref)
 	if err != nil {
 		return err
 	}
-	svc, err := r.c.Service(fc.measured)
+	svc, err := r.C.Service(fc.measured)
 	if err != nil {
 		return err
 	}
@@ -281,21 +273,18 @@ func runAblationLocalize(p Params, w io.Writer) error {
 			mix = append(mix, cluster.WeightedRequest{Type: wr.Type, Weight: 1})
 		}
 	}
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          app,
-		mix:          mix,
-		target:       workload.ConstantUsers(900),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
-	})
+	r, err := simulate(p.observe(scenario.Scenario{
+		Seed:     p.Seed,
+		App:      app,
+		Mix:      mix,
+		Target:   workload.ConstantUsers(900),
+		Duration: dur,
+	}))
 	if err != nil {
 		return err
 	}
-	r.run(dur)
 
-	scg, err := core.NewSCG(r.c, r.mon, core.SCGConfig{SLA: goodputRTT, Window: dur})
+	scg, err := core.NewSCG(r.C, r.Mon, core.SCGConfig{SLA: goodputRTT, Window: dur})
 	if err != nil {
 		return err
 	}
@@ -305,14 +294,14 @@ func runAblationLocalize(p Params, w io.Writer) error {
 	}
 	// Utilization-only: rank monitored services by mean utilization.
 	utilOnly, bestUtil := "", -1.0
-	for _, name := range r.c.ServiceNames() {
-		if u := r.mon.MeanUtil(name, 0, sim.Time(dur)); u > bestUtil {
+	for _, name := range r.C.ServiceNames() {
+		if u := r.Mon.MeanUtil(name, 0, sim.Time(dur)); u > bestUtil {
 			utilOnly, bestUtil = name, u
 		}
 	}
 	// Report the PCC table for transparency.
 	fmt.Fprintf(w, "\n%-16s %10s %10s\n", "service", "meanUtil", "PCC(PT,RT)")
-	traces := r.c.Warehouse().Window(0, sim.Time(dur))
+	traces := r.C.Warehouse().Window(0, sim.Time(dur))
 	rts := make([]float64, len(traces))
 	pts := map[string][]float64{}
 	for ti, tr := range traces {
@@ -326,7 +315,7 @@ func runAblationLocalize(p Params, w io.Writer) error {
 			arr[ti] += float64(s.ProcessingTime()) / float64(time.Millisecond)
 		})
 	}
-	for _, name := range r.c.ServiceNames() {
+	for _, name := range r.C.ServiceNames() {
 		arr, ok := pts[name]
 		if !ok {
 			continue
@@ -335,7 +324,7 @@ func runAblationLocalize(p Params, w io.Writer) error {
 		if err != nil {
 			continue
 		}
-		fmt.Fprintf(w, "%-16s %10.2f %10.2f\n", name, r.mon.MeanUtil(name, 0, sim.Time(dur)), pcc)
+		fmt.Fprintf(w, "%-16s %10.2f %10.2f\n", name, r.Mon.MeanUtil(name, 0, sim.Time(dur)), pcc)
 	}
 	fmt.Fprintf(w, "\nfull localizer (util screen + PCC): %s\n", full)
 	fmt.Fprintf(w, "utilization-only localizer:        %s\n", utilOnly)

@@ -5,10 +5,8 @@ import (
 	"io"
 	"time"
 
-	"sora/internal/autoscaler"
-	"sora/internal/cluster"
-	"sora/internal/core"
 	"sora/internal/fault"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/telemetry"
 	"sora/internal/topology"
@@ -43,6 +41,17 @@ const (
 	// bottleneck pool on top of the same hardware autoscaler.
 	chaosSora
 )
+
+// apply strips the scenario down to the strategy: static drops the
+// scaler and the model, autoscaler drops the model.
+func (s chaosStrategy) apply(sc *scenario.Scenario) {
+	switch s {
+	case chaosStatic:
+		sc.Scaler, sc.Model = nil, nil
+	case chaosAuto:
+		sc.Model = nil
+	}
+}
 
 func (s chaosStrategy) String() string {
 	switch s {
@@ -119,15 +128,7 @@ func runChaosUnit(p Params, appName string, strat chaosStrategy, planName string
 			telemetry.Float("dur_s", dur.Seconds()),
 		)
 	}
-	var (
-		r        *rig
-		targets  fault.Targets
-		policies []topology.EdgePolicy
-		hw       core.HardwareScaler
-		managed  []core.ManagedResource
-		err      error
-	)
-
+	var s scenario.Scenario
 	switch appName {
 	case "sockshop":
 		// The Cart scenario of Figures 10-11: 2-core Cart with the
@@ -135,154 +136,54 @@ func runChaosUnit(p Params, appName string, strat chaosStrategy, planName string
 		cfg := topology.DefaultSockShop()
 		cfg.CartCores = 2
 		cfg.CartThreads = 10
-		app := topology.SockShop(cfg)
-		ref := cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}
-		r, err = newRig(rigConfig{
-			seed:         p.Seed,
-			app:          app,
-			mix:          topology.CartOnlyMix(app),
-			refs:         []cluster.ResourceRef{ref},
-			target:       workload.ConstantUsers(900),
-			tel:          p.Telemetry,
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
-		})
-		if err != nil {
-			return nil, err
-		}
-		policies = topology.SockShopResilience()
-		targets = fault.Targets{
-			CrashService: topology.Cart,
-			SlowService:  topology.CartDB,
-			EdgeCaller:   topology.FrontEnd,
-			EdgeCallee:   topology.Cart,
-			ClampRef:     ref,
-			ClampSize:    4,
-		}
-		if strat != chaosStatic {
-			firm, ferr := autoscaler.NewFIRM(r.c, autoscaler.FIRMConfig{
-				Service: topology.Cart,
-				SLO:     goodputRTT,
-				Ladder:  []float64{2, 4},
-			})
-			if ferr != nil {
-				return nil, ferr
-			}
-			hw = firm
-		}
-		managed = []core.ManagedResource{{Ref: ref, Min: 2, Max: 200}}
-
+		s = scenario.SockShopCart(cfg, goodputRTT)
+		s.Target = workload.ConstantUsers(900)
 	case "socialnet":
 		// The Figure-12 read path: Home Timeline fanning out to Post
 		// Storage over a statically sized connection pool.
 		cfg := topology.DefaultSocialNetwork()
 		cfg.PostStorageConns = 15
 		cfg.PostStorageCores = 2
-		app := topology.SocialNetwork(cfg)
-		ref := cluster.ResourceRef{
-			Service: topology.HomeTimeline,
-			Kind:    cluster.PoolClientConns,
-			Target:  topology.PostStorage,
-		}
-		r, err = newRig(rigConfig{
-			seed:         p.Seed,
-			app:          app,
-			mix:          topology.HomeTimelineOnlyMix(false),
-			refs:         []cluster.ResourceRef{ref},
-			target:       workload.ConstantUsers(1500),
-			tel:          p.Telemetry,
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
-		})
-		if err != nil {
-			return nil, err
-		}
-		policies = topology.SocialNetworkResilience()
-		targets = fault.Targets{
-			CrashService: topology.SocialGraph, // optional edge: degrades, not fails
-			SlowService:  topology.PostStorage,
-			EdgeCaller:   topology.HomeTimeline,
-			EdgeCallee:   topology.PostStorage,
-			ClampRef:     ref,
-			ClampSize:    4,
-		}
-		if strat != chaosStatic {
-			hpa, herr := autoscaler.NewHPA(r.c, autoscaler.HPAConfig{
-				Service:     topology.PostStorage,
-				MaxReplicas: 6,
-			})
-			if herr != nil {
-				return nil, herr
-			}
-			hw = hpa
-		}
-		managed = []core.ManagedResource{{Ref: ref, Min: 4, Max: 300}}
-
+		s = scenario.SocialNetworkReadPath(cfg)
+		s.Target = workload.ConstantUsers(1500)
 	default:
 		return nil, fmt.Errorf("chaos: unknown app %q", appName)
 	}
-
-	if err := topology.ApplyResilience(r.c, policies); err != nil {
-		return nil, err
-	}
-
-	switch strat {
-	case chaosStatic:
-		// Nothing to drive.
-	case chaosAuto:
-		r.every(core.DefaultControlPeriod, func() { hw.Step(r.k.Now()) })
-	case chaosSora:
-		scg, serr := core.NewSCG(r.c, r.mon, core.SCGConfig{SLA: goodputRTT, Window: 45 * time.Second})
-		if serr != nil {
-			return nil, serr
-		}
-		if err := r.attachController(core.ControllerConfig{
-			Model:   scg,
-			Scaler:  hw,
-			Managed: managed,
-			Warmup:  30 * time.Second,
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	plan, err := fault.NamedPlan(planName, targets, dur)
+	s.Seed = p.Seed
+	s.Duration = dur
+	s.FaultPlan = planName
+	strat.apply(&s)
+	r, err := simulate(p.observe(s))
 	if err != nil {
 		return nil, err
 	}
-	eng, err := fault.New(r.c, plan)
-	if err != nil {
-		return nil, err
-	}
-	eng.Start()
-	r.run(dur)
 
 	warm := sim.Time(10 * time.Second)
 	end := sim.Time(dur)
 	res := &chaosResult{
 		app:       appName,
 		strategy:  strat,
-		goodput:   r.e2e.GoodputRate(warm, end, goodputRTT),
-		completed: r.c.Completed(),
-		failed:    r.c.Failed(),
-		dropped:   r.c.Dropped(),
-		refused:   r.c.Refused(),
-		lost:      r.c.LostCalls(),
-		timedOut:  r.c.TimedOut(),
-		retries:   r.c.Retries(),
-		rejected:  r.c.BreakerRejections(),
-		degraded:  r.c.Degraded(),
+		goodput:   r.E2E.GoodputRate(warm, end, goodputRTT),
+		completed: r.C.Completed(),
+		failed:    r.C.Failed(),
+		dropped:   r.C.Dropped(),
+		refused:   r.C.Refused(),
+		lost:      r.C.LostCalls(),
+		timedOut:  r.C.TimedOut(),
+		retries:   r.C.Retries(),
+		rejected:  r.C.BreakerRejections(),
+		degraded:  r.C.Degraded(),
 	}
-	if p99, err := r.e2e.Percentile(99, warm, end); err == nil {
+	if p99, err := r.E2E.Percentile(99, warm, end); err == nil {
 		res.p99 = p99
 	}
-	if good, degraded, violated := r.e2e.CountsByOutcome(warm, end, goodputRTT); good+degraded+violated > 0 {
+	if good, degraded, violated := r.E2E.CountsByOutcome(warm, end, goodputRTT); good+degraded+violated > 0 {
 		total := float64(good + degraded + violated)
 		res.goodFrac = float64(good) / total
 		res.degradedFrac = float64(degraded) / total
 		res.violatedFrac = float64(violated) / total
 	}
-	for _, win := range eng.Windows() {
+	for _, win := range r.Faults.Windows() {
 		res.rows = append(res.rows, chaosWindows(r, win, end)...)
 	}
 	return res, nil
@@ -291,7 +192,7 @@ func runChaosUnit(p Params, appName string, strat chaosStrategy, planName string
 // chaosWindows slices one fault window into before/during/after rows.
 // The flanking intervals are as long as the window itself, clamped to
 // the measured run.
-func chaosWindows(r *rig, win fault.Window, end sim.Time) []chaosWindowRow {
+func chaosWindows(r *scenario.Rig, win fault.Window, end sim.Time) []chaosWindowRow {
 	winEnd := win.End
 	if winEnd == 0 || winEnd > end {
 		winEnd = end // permanent fault: "during" runs to the end
@@ -316,12 +217,12 @@ func chaosWindows(r *rig, win fault.Window, end sim.Time) []chaosWindowRow {
 			phase:   iv.phase,
 			from:    iv.from,
 			to:      iv.to,
-			goodput: r.e2e.GoodputRate(iv.from, iv.to, goodputRTT),
+			goodput: r.E2E.GoodputRate(iv.from, iv.to, goodputRTT),
 		}
-		if p99, err := r.e2e.Percentile(99, iv.from, iv.to); err == nil {
+		if p99, err := r.E2E.Percentile(99, iv.from, iv.to); err == nil {
 			row.p99 = p99
 		}
-		good, degraded, violated := r.e2e.CountsByOutcome(iv.from, iv.to, goodputRTT)
+		good, degraded, violated := r.E2E.CountsByOutcome(iv.from, iv.to, goodputRTT)
 		if total := good + degraded + violated; total > 0 {
 			row.goodFrac = float64(good) / float64(total)
 			row.degradedFrac = float64(degraded) / float64(total)
@@ -334,8 +235,8 @@ func chaosWindows(r *rig, win fault.Window, end sim.Time) []chaosWindowRow {
 
 // RunChaos executes the named fault plan over both applications and all
 // three strategies (six independent deterministic runs) and prints the
-// per-window comparison. It backs both the registered "chaos"
-// experiment (plan "combo") and the sorabench/simrun -chaos flags.
+// per-window comparison. It backs the registered "chaos" experiment
+// (plan "combo") and sorabench's -chaos flag.
 func RunChaos(p Params, w io.Writer, planName string) error {
 	dur := p.scale(3 * time.Minute)
 	strategies := []chaosStrategy{chaosStatic, chaosAuto, chaosSora}

@@ -5,9 +5,8 @@ import (
 	"io"
 	"time"
 
-	"sora/internal/autoscaler"
-	"sora/internal/cluster"
 	"sora/internal/core"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/topology"
 	"sora/internal/workload"
@@ -75,7 +74,10 @@ type cartRunResult struct {
 
 // goodputRTT is the end-to-end goodput threshold of Table 2/Figures
 // 10-12 ("Goodput (RTT=400ms)").
-const goodputRTT = 400 * time.Millisecond
+const goodputRTT = scenario.SLA
+
+// vpa is the Kubernetes-VPA hardware scaler of the VPA strategies.
+var vpa = scenario.VPA{Service: topology.Cart, MinCores: 2, MaxCores: 6}
 
 // runCartStrategy executes one 12-minute (scaled) trace-driven run of the
 // Cart scenario under the given strategy and returns tail latency,
@@ -88,87 +90,33 @@ func runCartStrategy(p Params, rc cartRunConfig) (*cartRunResult, error) {
 	cfg := topology.DefaultSockShop()
 	cfg.CartCores = 2
 	cfg.CartThreads = rc.initThreads
-	app := topology.SockShop(cfg)
-	ref := cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}
-
-	r, err := newRig(rigConfig{
-		seed:         rc.seed,
-		app:          app,
-		mix:          topology.CartOnlyMix(app),
-		refs:         []cluster.ResourceRef{ref},
-		target:       workload.TraceUsers(rc.trace, dur, rc.peakUsers),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
-	})
+	s := scenario.SockShopCart(cfg, rc.sla)
+	s.Seed = rc.seed
+	s.Target = workload.TraceUsers(rc.trace, dur, rc.peakUsers)
+	s.Duration = dur
+	s.Model.Config.Window = 60 * time.Second
+	switch rc.strategy {
+	case stratFIRM:
+		s.Model = nil
+	case stratConScale:
+		s.Model.SCT = true
+		s.Scaler = vpa
+	case stratVPASora:
+		s.Scaler = vpa
+	}
+	r, err := p.observe(s).Build()
 	if err != nil {
 		return nil, err
 	}
-
-	// Hardware scaler per strategy.
-	var hw core.HardwareScaler
-	switch rc.strategy {
-	case stratFIRM, stratFIRMSora:
-		firm, err := autoscaler.NewFIRM(r.c, autoscaler.FIRMConfig{
-			Service: topology.Cart,
-			SLO:     rc.sla,
-			Ladder:  []float64{2, 4},
-		})
-		if err != nil {
-			return nil, err
-		}
-		hw = firm
-	case stratConScale, stratVPASora:
-		vpa, err := autoscaler.NewVPA(r.c, autoscaler.VPAConfig{
-			Service:  topology.Cart,
-			MinCores: 2,
-			MaxCores: 6,
-		})
-		if err != nil {
-			return nil, err
-		}
-		hw = vpa
-	}
-
-	// Concurrency model per strategy (nil = hardware-only).
-	managed := []core.ManagedResource{{Ref: ref, Min: 2, Max: 200}}
-	var model core.Model
-	modelCfg := core.SCGConfig{SLA: rc.sla, Window: 60 * time.Second}
-	switch rc.strategy {
-	case stratFIRMSora, stratVPASora:
-		scg, err := core.NewSCG(r.c, r.mon, modelCfg)
-		if err != nil {
-			return nil, err
-		}
-		model = scg
-	case stratConScale:
-		sct, err := core.NewSCT(r.c, r.mon, modelCfg)
-		if err != nil {
-			return nil, err
-		}
-		model = sct
-	}
-
-	if model != nil {
-		if err := r.attachController(core.ControllerConfig{
-			Model:   model,
-			Scaler:  hw,
-			Managed: managed,
-			Warmup:  30 * time.Second,
-		}); err != nil {
-			return nil, err
-		}
-	} else if hw != nil {
-		// Hardware-only: drive the scaler on its own control loop.
-		r.every(core.DefaultControlPeriod, func() { hw.Step(r.k.Now()) })
-	}
+	ref := s.Refs[0]
+	res := &cartRunResult{}
 
 	// Timeline: response time (mean per tick), goodput, CPU util and
 	// limit, running threads — the four panes of Figures 10-11.
 	if rc.timelineInt > 0 {
-		tl := newTimeline(rc.timelineInt)
-		ws := newWindowStat(r.k)
-		cartSvc, err := r.c.Service(topology.Cart)
+		tl := newTimeline(r.K, rc.timelineInt)
+		ws := newWindowStat(r.K)
+		cartSvc, err := r.C.Service(topology.Cart)
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +124,7 @@ func runCartStrategy(p Params, rc cartRunConfig) (*cartRunResult, error) {
 		var lastCapacity float64
 		tl.column("rt_ms", func() float64 {
 			since, until := ws.window()
-			rts := r.c.Completions().ResponseTimes(since, until)
+			rts := r.C.Completions().ResponseTimes(since, until)
 			if len(rts) == 0 {
 				return 0
 			}
@@ -187,8 +135,8 @@ func runCartStrategy(p Params, rc cartRunConfig) (*cartRunResult, error) {
 			return sum / float64(len(rts))
 		})
 		tl.column("goodput_rps", func() float64 {
-			now := r.k.Now()
-			return r.c.Completions().GoodputRate(now-sim.Time(rc.timelineInt), now, rc.gpThreshold)
+			now := r.K.Now()
+			return r.C.Completions().GoodputRate(now-sim.Time(rc.timelineInt), now, rc.gpThreshold)
 		})
 		tl.column("cart_cpu_util_pct", func() float64 {
 			busy := cartSvc.CumulativeBusy()
@@ -203,38 +151,37 @@ func runCartStrategy(p Params, rc cartRunConfig) (*cartRunResult, error) {
 		})
 		tl.column("cart_cpu_limit_pct", func() float64 { return cartSvc.TotalCores() * 100 })
 		tl.column("threads_limit", func() float64 {
-			size, err := r.c.PoolSize(ref)
+			size, err := r.C.PoolSize(ref)
 			if err != nil {
 				return 0
 			}
 			return float64(size)
 		})
 		tl.column("threads_running", func() float64 {
-			n, err := r.c.PoolInUse(ref)
+			n, err := r.C.PoolInUse(ref)
 			if err != nil {
 				return 0
 			}
 			return float64(n)
 		})
-		r.timeline = tl
+		r.Attach(tl)
+		res.timeline = tl
 	}
-
-	r.run(dur)
+	execute(r)
 
 	warm := sim.Time(10 * time.Second)
 	end := sim.Time(dur)
-	res := &cartRunResult{timeline: r.timeline}
-	if r.ctl != nil {
-		res.events = r.ctl.Events()
+	if r.Ctl != nil {
+		res.events = r.Ctl.Events()
 	}
-	if p95, err := r.e2e.Percentile(95, warm, end); err == nil {
+	if p95, err := r.E2E.Percentile(95, warm, end); err == nil {
 		res.p95 = p95
 	}
-	if p99, err := r.e2e.Percentile(99, warm, end); err == nil {
+	if p99, err := r.E2E.Percentile(99, warm, end); err == nil {
 		res.p99 = p99
 	}
-	res.goodput = r.e2e.GoodputRate(warm, end, rc.gpThreshold)
-	res.thru = r.e2e.ThroughputRate(warm, end)
+	res.goodput = r.E2E.GoodputRate(warm, end, rc.gpThreshold)
+	res.thru = r.E2E.ThroughputRate(warm, end)
 	return res, nil
 }
 

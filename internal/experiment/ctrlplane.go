@@ -6,11 +6,9 @@ import (
 	"math"
 	"time"
 
-	"sora/internal/autoscaler"
 	"sora/internal/cluster"
-	"sora/internal/core"
-	"sora/internal/fault"
 	"sora/internal/node"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/telemetry"
 	"sora/internal/topology"
@@ -50,10 +48,6 @@ var ctrlPlaneProfiles = []cpProfile{
 	{name: "slow", coldStart: 15 * time.Second, lag: 5 * time.Second},
 }
 
-// ctrlPlaneMaxReplicas bounds the HPA on Post Storage, matching the
-// chaos experiment's socialnet unit.
-const ctrlPlaneMaxReplicas = 6
-
 // ctrlPlaneFleet sizes the node fleet for an app: enough capacity that
 // the deployment plus full HPA headroom survives one node loss, spread
 // over four nodes. Pure arithmetic over the spec, so the fleet tracks
@@ -63,7 +57,7 @@ func ctrlPlaneFleet(app cluster.App, prof cpProfile) *node.Config {
 	for _, s := range app.Services {
 		total += float64(s.Replicas) * s.Cores
 	}
-	headroom := float64(ctrlPlaneMaxReplicas-1) * 2 // HPA surge on the 2-core Post Storage
+	headroom := float64(scenario.PostStorageMaxReplicas-1) * 2 // HPA surge on the 2-core Post Storage
 	const nodes = 4
 	cores := math.Ceil((total + headroom) / (nodes - 1))
 	sched, pull, warm := node.SplitColdStart(prof.coldStart)
@@ -105,104 +99,48 @@ func runCtrlPlaneUnit(p Params, prof cpProfile, strat chaosStrategy, dur time.Du
 	cfg.PostStorageConns = 4
 	cfg.PostStorageCores = 2
 	cfg.PostStorageReplicas = 2
-	app := topology.SocialNetwork(cfg)
-	ref := cluster.ResourceRef{
-		Service: topology.HomeTimeline,
-		Kind:    cluster.PoolClientConns,
-		Target:  topology.PostStorage,
-	}
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          app,
-		mix:          topology.HomeTimelineOnlyMix(false),
-		refs:         []cluster.ResourceRef{ref},
-		target:       workload.ConstantUsers(1500),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
-		ctrl:         ctrlPlaneFleet(app, prof),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := topology.ApplyResilience(r.c, topology.SocialNetworkResilience()); err != nil {
-		return nil, err
-	}
-
-	var hw core.HardwareScaler
-	if strat != chaosStatic {
-		hpa, herr := autoscaler.NewHPA(r.c, autoscaler.HPAConfig{
-			Service:     topology.PostStorage,
-			MaxReplicas: ctrlPlaneMaxReplicas,
-		})
-		if herr != nil {
-			return nil, herr
-		}
-		hw = hpa
-	}
-	switch strat {
-	case chaosStatic:
-		// Nothing to drive.
-	case chaosAuto:
-		r.every(core.DefaultControlPeriod, func() { hw.Step(r.k.Now()) })
-	case chaosSora:
-		scg, serr := core.NewSCG(r.c, r.mon, core.SCGConfig{SLA: goodputRTT, Window: 45 * time.Second})
-		if serr != nil {
-			return nil, serr
-		}
-		if err := r.attachController(core.ControllerConfig{
-			Model:   scg,
-			Scaler:  hw,
-			Managed: []core.ManagedResource{{Ref: ref, Min: 4, Max: 300}},
-			Warmup:  30 * time.Second,
-		}); err != nil {
-			return nil, err
-		}
-	}
-
+	s := scenario.SocialNetworkReadPath(cfg)
+	s.Seed = p.Seed
+	s.Target = workload.ConstantUsers(1500)
+	s.Duration = dur
+	s.ControlPlane = ctrlPlaneFleet(s.App, prof)
 	// The crash hidden inside the stall window hits Post Storage itself:
 	// with propagation frozen, the balancers keep routing to the corpse
 	// and the resilience layer has to absorb the refusals.
-	plan, err := fault.NamedPlan("nodechaos", fault.Targets{
-		CrashService: topology.PostStorage,
-		NodeFaults:   true,
-	}, dur)
+	s.FaultPlan = "nodechaos"
+	s.FaultTargets.CrashService = topology.PostStorage
+	strat.apply(&s)
+	r, err := simulate(p.observe(s))
 	if err != nil {
 		return nil, err
 	}
-	eng, err := fault.New(r.c, plan)
-	if err != nil {
-		return nil, err
-	}
-	eng.Start()
-	r.run(dur)
 
 	warm := sim.Time(prof.coldStart + prof.lag + 10*time.Second)
 	end := sim.Time(dur)
 	res := &chaosResult{
 		app:       prof.name,
 		strategy:  strat,
-		goodput:   r.e2e.GoodputRate(warm, end, goodputRTT),
-		completed: r.c.Completed(),
-		failed:    r.c.Failed(),
-		dropped:   r.c.Dropped(),
-		refused:   r.c.Refused(),
-		lost:      r.c.LostCalls(),
-		timedOut:  r.c.TimedOut(),
-		retries:   r.c.Retries(),
-		rejected:  r.c.BreakerRejections(),
-		degraded:  r.c.Degraded(),
+		goodput:   r.E2E.GoodputRate(warm, end, goodputRTT),
+		completed: r.C.Completed(),
+		failed:    r.C.Failed(),
+		dropped:   r.C.Dropped(),
+		refused:   r.C.Refused(),
+		lost:      r.C.LostCalls(),
+		timedOut:  r.C.TimedOut(),
+		retries:   r.C.Retries(),
+		rejected:  r.C.BreakerRejections(),
+		degraded:  r.C.Degraded(),
 	}
-	if p99, err := r.e2e.Percentile(99, warm, end); err == nil {
+	if p99, err := r.E2E.Percentile(99, warm, end); err == nil {
 		res.p99 = p99
 	}
-	if good, degraded, violated := r.e2e.CountsByOutcome(warm, end, goodputRTT); good+degraded+violated > 0 {
+	if good, degraded, violated := r.E2E.CountsByOutcome(warm, end, goodputRTT); good+degraded+violated > 0 {
 		total := float64(good + degraded + violated)
 		res.goodFrac = float64(good) / total
 		res.degradedFrac = float64(degraded) / total
 		res.violatedFrac = float64(violated) / total
 	}
-	for _, win := range eng.Windows() {
+	for _, win := range r.Faults.Windows() {
 		res.rows = append(res.rows, chaosWindows(r, win, end)...)
 	}
 	return res, nil

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"sora/internal/profile"
+	"sora/internal/scenario"
 	"sora/internal/telemetry"
 )
 
@@ -70,6 +71,13 @@ type Params struct {
 func (p Params) unitParams(rec *telemetry.Recorder) Params {
 	p.Telemetry = rec
 	return p
+}
+
+// observe routes a scenario's telemetry, flight recorder and profile to
+// p's sinks.
+func (p Params) observe(s scenario.Scenario) scenario.Scenario {
+	s.Telemetry, s.FlightWindow, s.Profile = p.Telemetry, p.Timeline, p.Profile
+	return s
 }
 
 func (p Params) scale(d time.Duration) time.Duration {

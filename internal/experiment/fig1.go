@@ -5,9 +5,9 @@ import (
 	"io"
 	"time"
 
-	"sora/internal/autoscaler"
 	"sora/internal/cluster"
 	"sora/internal/core"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/telemetry"
 	"sora/internal/topology"
@@ -59,53 +59,37 @@ func runFig1(p Params, w io.Writer) error {
 			}
 			return 2400
 		}
-		r, err := newRig(rigConfig{
-			seed:         p.Seed,
-			app:          app,
-			mix:          topology.BrowseOnlyMix(app),
-			refs:         []cluster.ResourceRef{ref},
-			target:       target,
-			tel:          tel,
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
-		})
-		if err != nil {
-			return nil, err
-		}
-		hpa, err := autoscaler.NewHPA(r.c, autoscaler.HPAConfig{
-			Service:     topology.Catalogue,
-			MaxReplicas: 4,
-		})
-		if err != nil {
-			return nil, err
+		s := scenario.Scenario{
+			Seed:     p.Seed,
+			App:      app,
+			Mix:      topology.BrowseOnlyMix(app),
+			Refs:     []cluster.ResourceRef{ref},
+			Target:   target,
+			Duration: dur,
+			Scaler:   scenario.HPA{Service: topology.Catalogue, MaxReplicas: 4},
 		}
 		if withSora {
-			scg, err := core.NewSCG(r.c, r.mon, core.SCGConfig{SLA: goodputRTT, Window: 30 * time.Second})
-			if err != nil {
-				return nil, err
-			}
-			if err := r.attachController(core.ControllerConfig{
-				Model:   scg,
-				Scaler:  hpa,
+			s.Model = &scenario.Model{
+				Config:  core.SCGConfig{SLA: goodputRTT, Window: 30 * time.Second},
 				Managed: []core.ManagedResource{{Ref: ref, Min: 2, Max: 100}},
 				Warmup:  20 * time.Second,
-			}); err != nil {
-				return nil, err
 			}
-		} else {
-			r.every(core.DefaultControlPeriod, func() { hpa.Step(r.k.Now()) })
 		}
-
-		catalogue, err := r.c.Service(topology.Catalogue)
+		r, err := p.unitParams(tel).observe(s).Build()
 		if err != nil {
 			return nil, err
 		}
-		tl := newTimeline(time.Second)
-		ws := newWindowStat(r.k)
+
+		catalogue, err := r.C.Service(topology.Catalogue)
+		if err != nil {
+			return nil, err
+		}
+		tl := newTimeline(r.K, time.Second)
+		ws := newWindowStat(r.K)
 		var lastBusy, lastCapacity float64
 		tl.column("rt_ms", func() float64 {
 			since, until := ws.window()
-			rts := r.c.Completions().ResponseTimes(since, until)
+			rts := r.C.Completions().ResponseTimes(since, until)
 			if len(rts) == 0 {
 				return 0
 			}
@@ -126,31 +110,31 @@ func runFig1(p Params, w io.Writer) error {
 			return db / dc * catalogue.TotalCores() * 100
 		})
 		tl.column("established_db_conns", func() float64 {
-			n, err := r.c.PoolInUse(ref)
+			n, err := r.C.PoolInUse(ref)
 			if err != nil {
 				return 0
 			}
 			return float64(n)
 		})
 		tl.column("db_conn_pool_total", func() float64 {
-			size, err := r.c.PoolSize(ref)
+			size, err := r.C.PoolSize(ref)
 			if err != nil {
 				return 0
 			}
 			return float64(size * catalogue.Replicas())
 		})
 		tl.column("replicas", func() float64 { return float64(catalogue.Replicas()) })
-		r.timeline = tl
-		r.run(dur)
+		r.Attach(tl)
+		execute(r)
 
 		o := &outcome{tl: tl}
 		warm := sim.Time(5 * time.Second)
-		if p99, err := r.e2e.Percentile(99, warm, sim.Time(dur)); err == nil {
+		if p99, err := r.E2E.Percentile(99, warm, sim.Time(dur)); err == nil {
 			o.p99 = p99
 		}
-		o.goodput = r.e2e.GoodputRate(warm, sim.Time(dur), goodputRTT)
-		if r.ctl != nil {
-			o.events = r.ctl.Events()
+		o.goodput = r.E2E.GoodputRate(warm, sim.Time(dur), goodputRTT)
+		if r.Ctl != nil {
+			o.events = r.Ctl.Events()
 		}
 		o.replicas = float64(catalogue.Replicas())
 		return o, nil

@@ -5,9 +5,8 @@ import (
 	"io"
 	"time"
 
-	"sora/internal/autoscaler"
-	"sora/internal/cluster"
 	"sora/internal/core"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/telemetry"
 	"sora/internal/topology"
@@ -47,65 +46,35 @@ func runFig12(p Params, w io.Writer) error {
 		cfg := topology.DefaultSocialNetwork()
 		cfg.PostStorageConns = 15 // the static allocation of the baseline case
 		cfg.PostStorageCores = 2
-		app := topology.SocialNetwork(cfg)
-		ref := cluster.ResourceRef{
-			Service: topology.HomeTimeline,
-			Kind:    cluster.PoolClientConns,
-			Target:  topology.PostStorage,
+		s := scenario.SocialNetworkReadPath(cfg)
+		s.Seed = p.Seed
+		s.Target = workload.TraceUsers(workload.LargeVariationTrace(), dur, 3200)
+		s.Duration = dur
+		if !withSora {
+			s.Model = nil
 		}
-		r, err := newRig(rigConfig{
-			seed:         p.Seed,
-			app:          app,
-			mix:          topology.HomeTimelineOnlyMix(false),
-			refs:         []cluster.ResourceRef{ref},
-			target:       workload.TraceUsers(workload.LargeVariationTrace(), dur, 3200),
-			tel:          tel,
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
-		})
+		r, err := p.unitParams(tel).observe(s).Build()
 		if err != nil {
 			return nil, err
 		}
+		ref := s.Refs[0]
 		// Request-type drift at 450s (scaled).
-		r.k.At(sim.Time(driftAt), func() {
-			if err := r.c.SetMix(topology.HomeTimelineOnlyMix(true)); err != nil {
+		r.K.At(sim.Time(driftAt), func() {
+			if err := r.C.SetMix(topology.HomeTimelineOnlyMix(true)); err != nil {
 				panic(err) // static mixes validated at build time
 			}
 		})
-		hpa, err := autoscaler.NewHPA(r.c, autoscaler.HPAConfig{
-			Service:     topology.PostStorage,
-			MaxReplicas: 6,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if withSora {
-			scg, err := core.NewSCG(r.c, r.mon, core.SCGConfig{SLA: goodputRTT, Window: 45 * time.Second})
-			if err != nil {
-				return nil, err
-			}
-			if err := r.attachController(core.ControllerConfig{
-				Model:   scg,
-				Scaler:  hpa,
-				Managed: []core.ManagedResource{{Ref: ref, Min: 4, Max: 300}},
-				Warmup:  30 * time.Second,
-			}); err != nil {
-				return nil, err
-			}
-		} else {
-			r.every(core.DefaultControlPeriod, func() { hpa.Step(r.k.Now()) })
-		}
 
-		ps, err := r.c.Service(topology.PostStorage)
+		ps, err := r.C.Service(topology.PostStorage)
 		if err != nil {
 			return nil, err
 		}
-		tl := newTimeline(time.Second)
-		ws := newWindowStat(r.k)
+		tl := newTimeline(r.K, time.Second)
+		ws := newWindowStat(r.K)
 		var lastBusy, lastCapacity float64
 		tl.column("rt_ms", func() float64 {
 			since, until := ws.window()
-			rts := r.c.Completions().ResponseTimes(since, until)
+			rts := r.C.Completions().ResponseTimes(since, until)
 			if len(rts) == 0 {
 				return 0
 			}
@@ -116,8 +85,8 @@ func runFig12(p Params, w io.Writer) error {
 			return sum / float64(len(rts))
 		})
 		tl.column("goodput_rps", func() float64 {
-			now := r.k.Now()
-			return r.c.Completions().GoodputRate(now-sim.Time(time.Second), now, goodputRTT)
+			now := r.K.Now()
+			return r.C.Completions().GoodputRate(now-sim.Time(time.Second), now, goodputRTT)
 		})
 		tl.column("ps_cpu_util_pct", func() float64 {
 			busy := ps.CumulativeBusy()
@@ -130,33 +99,33 @@ func runFig12(p Params, w io.Writer) error {
 			return db / dc * ps.TotalCores() * 100
 		})
 		tl.column("connections_pool", func() float64 {
-			size, err := r.c.PoolSize(ref)
+			size, err := r.C.PoolSize(ref)
 			if err != nil {
 				return 0
 			}
 			return float64(size)
 		})
 		tl.column("connections_running", func() float64 {
-			n, err := r.c.PoolInUse(ref)
+			n, err := r.C.PoolInUse(ref)
 			if err != nil {
 				return 0
 			}
 			return float64(n)
 		})
 		tl.column("ps_replicas", func() float64 { return float64(ps.Replicas()) })
-		r.timeline = tl
-		r.run(dur)
+		r.Attach(tl)
+		execute(r)
 
 		o := &outcome{tl: tl, replicas: ps.Replicas()}
 		warm := sim.Time(10 * time.Second)
-		if p99, err := r.e2e.Percentile(99, warm, sim.Time(dur)); err == nil {
+		if p99, err := r.E2E.Percentile(99, warm, sim.Time(dur)); err == nil {
 			o.p99 = p99
 		}
-		o.goodput = r.e2e.GoodputRate(warm, sim.Time(dur), goodputRTT)
-		if r.ctl != nil {
-			o.events = r.ctl.Events()
+		o.goodput = r.E2E.GoodputRate(warm, sim.Time(dur), goodputRTT)
+		if r.Ctl != nil {
+			o.events = r.Ctl.Events()
 		}
-		if size, err := r.c.PoolSize(ref); err == nil {
+		if size, err := r.C.PoolSize(ref); err == nil {
 			o.conns = size
 		}
 		return o, nil

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sora/internal/metrics"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/topology"
 	"sora/internal/workload"
@@ -57,24 +58,21 @@ func runFig4(p Params, w io.Writer) error {
 		cfg.CartCores = 2
 		cfg.CartThreads = threads
 		app := topology.SockShop(cfg)
-		r, err := newRig(rigConfig{
-			seed:         p.Seed,
-			app:          app,
-			mix:          topology.CartOnlyMix(app),
-			target:       workload.ConstantUsers(users),
-			tel:          grp.Unit(i, fmt.Sprintf("threads-%d", threads)),
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
-		})
+		r, err := simulate(p.unitParams(grp.Unit(i, fmt.Sprintf("threads-%d", threads))).observe(scenario.Scenario{
+			Seed:     p.Seed,
+			App:      app,
+			Mix:      topology.CartOnlyMix(app),
+			Target:   workload.ConstantUsers(users),
+			Duration: dur,
+		}))
 		if err != nil {
 			return result{}, err
 		}
-		r.run(dur)
 		hist, err := metrics.NewHistogram(binWidth, numBins)
 		if err != nil {
 			return result{}, err
 		}
-		for _, c := range r.e2e.Window(warm, sim.Time(dur)) {
+		for _, c := range r.E2E.Window(warm, sim.Time(dur)) {
 			hist.Observe(c.RT)
 		}
 		res := result{threads: threads, hist: hist, total: hist.Total(), below: map[time.Duration]float64{}}

@@ -10,6 +10,7 @@ import (
 	"sora/internal/core"
 	"sora/internal/knee"
 	"sora/internal/metrics"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/topology"
 	"sora/internal/workload"
@@ -37,26 +38,23 @@ func runFig7(p Params, w io.Writer) error {
 	cfg.CartThreads = 40 // roomy pool so concurrency roams across the range
 	app := topology.SockShop(cfg)
 	ref := cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          app,
-		mix:          topology.CartOnlyMix(app),
-		refs:         []cluster.ResourceRef{ref},
-		target:       workload.TraceUsers(workload.LargeVariationTrace(), dur, 1100),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
-	})
+	r, err := simulate(p.observe(scenario.Scenario{
+		Seed:     p.Seed,
+		App:      app,
+		Mix:      topology.CartOnlyMix(app),
+		Refs:     []cluster.ResourceRef{ref},
+		Target:   workload.TraceUsers(workload.LargeVariationTrace(), dur, 1100),
+		Duration: dur,
+	}))
 	if err != nil {
 		return err
 	}
-	r.run(dur)
 
-	conc, err := r.mon.Concurrency(ref)
+	conc, err := r.Mon.Concurrency(ref)
 	if err != nil {
 		return err
 	}
-	cart, err := r.c.Service(topology.Cart)
+	cart, err := r.C.Service(topology.Cart)
 	if err != nil {
 		return err
 	}

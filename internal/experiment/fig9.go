@@ -7,6 +7,7 @@ import (
 
 	"sora/internal/cluster"
 	"sora/internal/core"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/topology"
 	"sora/internal/workload"
@@ -200,21 +201,18 @@ func runFig9(p Params, w io.Writer) error {
 func fig9Estimate(p Params, fc fig9Case) (int, error) {
 	dur := p.scale(3 * time.Minute)
 	app, mix := fc.build(fc.estPool)
-	r, err := newRig(rigConfig{
-		seed:         p.Seed,
-		app:          app,
-		mix:          mix,
-		refs:         []cluster.ResourceRef{fc.ref},
-		target:       workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
-	})
+	r, err := simulate(p.observe(scenario.Scenario{
+		Seed:     p.Seed,
+		App:      app,
+		Mix:      mix,
+		Refs:     []cluster.ResourceRef{fc.ref},
+		Target:   workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
+		Duration: dur,
+	}))
 	if err != nil {
 		return 0, err
 	}
-	r.run(dur)
-	scg, err := core.NewSCG(r.c, r.mon, core.SCGConfig{
+	scg, err := core.NewSCG(r.C, r.Mon, core.SCGConfig{
 		SLA:              fc.sloEndToEnd,
 		Window:           dur,
 		PlateauTolerance: 0.05,
@@ -242,20 +240,17 @@ func fig9Estimate(p Params, fc fig9Case) (int, error) {
 func fig9Validate(p Params, fc fig9Case, size, users int) (float64, error) {
 	dur := p.scale(100 * time.Second)
 	app, mix := fc.build(size)
-	r, err := newRig(rigConfig{
-		seed:         p.Seed + uint64(size)*17 + uint64(users),
-		app:          app,
-		mix:          mix,
-		target:       workload.ConstantUsers(users),
-		tel:          p.Telemetry,
-		flightWindow: p.Timeline,
-		prof:         p.Profile,
-	})
+	r, err := simulate(p.observe(scenario.Scenario{
+		Seed:     p.Seed + uint64(size)*17 + uint64(users),
+		App:      app,
+		Mix:      mix,
+		Target:   workload.ConstantUsers(users),
+		Duration: dur,
+	}))
 	if err != nil {
 		return 0, err
 	}
-	r.run(dur)
-	svc, err := r.c.Service(fc.measured)
+	svc, err := r.C.Service(fc.measured)
 	if err != nil {
 		return 0, err
 	}

@@ -98,7 +98,7 @@ var runTally struct {
 }
 
 // noteKernelRun records a finished kernel's event count in the global
-// tally. rig.run calls it after the post-run drain.
+// tally. execute calls it after the post-run drain.
 func noteKernelRun(k *sim.Kernel) {
 	runTally.runs.Add(1)
 	runTally.events.Add(k.Processed())

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sora/internal/cluster"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/topology"
 	"sora/internal/workload"
@@ -50,24 +51,21 @@ func runSweep(p Params, sc sweepCase, sizes []int, thresholds []time.Duration, u
 	return parMap(p, len(sizes), func(i int) (sweepPoint, error) {
 		size := sizes[i]
 		app, mix := sc.build(size)
-		r, err := newRig(rigConfig{
-			seed:         p.Seed + uint64(size)*1000003,
-			app:          app,
-			mix:          mix,
-			target:       workload.ConstantUsers(sc.users),
-			tel:          grp.Unit(i, fmt.Sprintf("size-%d", size)),
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
-		})
+		r, err := simulate(p.unitParams(grp.Unit(i, fmt.Sprintf("size-%d", size))).observe(scenario.Scenario{
+			Seed:     p.Seed + uint64(size)*1000003,
+			App:      app,
+			Mix:      mix,
+			Target:   workload.ConstantUsers(sc.users),
+			Duration: dur,
+		}))
 		if err != nil {
 			return sweepPoint{}, err
 		}
-		r.run(dur)
 		end := sim.Time(dur)
 		pt := sweepPoint{size: size, goodput: make(map[time.Duration]float64, len(thresholds))}
-		log := r.e2e
+		log := r.E2E
 		if sc.service != "" {
-			svc, err := r.c.Service(sc.service)
+			svc, err := r.C.Service(sc.service)
 			if err != nil {
 				return sweepPoint{}, err
 			}
@@ -76,11 +74,11 @@ func runSweep(p Params, sc sweepCase, sizes []int, thresholds []time.Duration, u
 		for _, th := range thresholds {
 			pt.goodput[th] = log.GoodputRate(sim.Time(warm), end, th)
 		}
-		if p95, err := r.e2e.Percentile(95, sim.Time(warm), end); err == nil {
+		if p95, err := r.E2E.Percentile(95, sim.Time(warm), end); err == nil {
 			pt.p95 = p95
 		}
 		if utilService != "" {
-			if svc, err := r.c.Service(utilService); err == nil {
+			if svc, err := r.C.Service(utilService); err == nil {
 				capacity := svc.CumulativeCapacity()
 				if capacity > 0 {
 					pt.util = svc.CumulativeBusy() / capacity

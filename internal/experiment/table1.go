@@ -8,6 +8,7 @@ import (
 	"sora/internal/cluster"
 	"sora/internal/core"
 	"sora/internal/metrics"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/stats"
 	"sora/internal/workload"
@@ -169,26 +170,23 @@ func table1Runs(p Params, fc fig9Case) []*estimateRun {
 		seed := p.Seed + uint64(rep)*7919
 		dur := p.scale(3 * time.Minute)
 		app, mix := fc.build(fc.estPool)
-		r, err := newRig(rigConfig{
-			seed:           seed,
-			app:            app,
-			mix:            mix,
-			refs:           []cluster.ResourceRef{fc.ref},
-			target:         workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
-			sampleInterval: 10 * time.Millisecond,
-			tel:            p.Telemetry.Unit(rep, fmt.Sprintf("rep-%d", rep)),
-			flightWindow:   p.Timeline,
-			prof:           p.Profile,
-		})
+		r, err := simulate(p.unitParams(p.Telemetry.Unit(rep, fmt.Sprintf("rep-%d", rep))).observe(scenario.Scenario{
+			Seed:           seed,
+			App:            app,
+			Mix:            mix,
+			Refs:           []cluster.ResourceRef{fc.ref},
+			Target:         workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
+			SampleInterval: 10 * time.Millisecond,
+			Duration:       dur,
+		}))
 		if err != nil {
 			return nil, nil
 		}
-		r.run(dur)
-		conc, err := r.mon.Concurrency(fc.ref)
+		conc, err := r.Mon.Concurrency(fc.ref)
 		if err != nil {
 			return nil, nil
 		}
-		svc, err := r.c.Service(fc.measured)
+		svc, err := r.C.Service(fc.measured)
 		if err != nil {
 			return nil, nil
 		}

@@ -5,9 +5,8 @@ import (
 	"io"
 	"time"
 
-	"sora/internal/autoscaler"
-	"sora/internal/cluster"
 	"sora/internal/core"
+	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/telemetry"
 	"sora/internal/topology"
@@ -41,93 +40,68 @@ func runUnifiedExt(p Params, w io.Writer) error {
 		hwChanges int
 		events    int
 	}
-	measure := func(r *rig, hw int, events int) *outcome {
+	measure := func(r *scenario.Rig, hw int, events int) *outcome {
 		warm := sim.Time(10 * time.Second)
 		end := sim.Time(dur)
 		o := &outcome{hwChanges: hw, events: events}
-		if p95, err := r.e2e.Percentile(95, warm, end); err == nil {
+		if p95, err := r.E2E.Percentile(95, warm, end); err == nil {
 			o.p95 = p95
 		}
-		if p99, err := r.e2e.Percentile(99, warm, end); err == nil {
+		if p99, err := r.E2E.Percentile(99, warm, end); err == nil {
 			o.p99 = p99
 		}
-		o.goodput = r.e2e.GoodputRate(warm, end, goodputRTT)
+		o.goodput = r.E2E.GoodputRate(warm, end, goodputRTT)
 		return o
 	}
-	build := func(tel *telemetry.Recorder) (*rig, cluster.ResourceRef, error) {
+	// The Cart scenario under the steep tri-phase trace, as the
+	// independent design runs it: FIRM wrapped by Sora's controller.
+	cart := func() scenario.Scenario {
 		cfg := topology.DefaultSockShop()
 		cfg.CartCores = 2
 		cfg.CartThreads = initThreads
-		app := topology.SockShop(cfg)
-		ref := cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}
-		r, err := newRig(rigConfig{
-			seed:         p.Seed,
-			app:          app,
-			mix:          topology.CartOnlyMix(app),
-			refs:         []cluster.ResourceRef{ref},
-			target:       workload.TraceUsers(workload.SteepTriPhaseTrace(), dur, peakUsers),
-			tel:          tel,
-			flightWindow: p.Timeline,
-			prof:         p.Profile,
-		})
-		return r, ref, err
+		s := scenario.SockShopCart(cfg, goodputRTT)
+		s.Seed = p.Seed
+		s.Target = workload.TraceUsers(workload.SteepTriPhaseTrace(), dur, peakUsers)
+		s.Duration = dur
+		s.Model.Config.Window = 60 * time.Second
+		return s
 	}
 
-	// Independent: FIRM hardware scaler wrapped by the Sora controller.
 	runIndependent := func(tel *telemetry.Recorder) (*outcome, error) {
-		rInd, ref, err := build(tel)
+		r, err := simulate(p.unitParams(tel).observe(cart()))
 		if err != nil {
 			return nil, err
 		}
-		firm, err := autoscaler.NewFIRM(rInd.c, autoscaler.FIRMConfig{
-			Service: topology.Cart,
-			SLO:     goodputRTT,
-			Ladder:  []float64{2, 4},
-		})
-		if err != nil {
-			return nil, err
-		}
-		scgInd, err := core.NewSCG(rInd.c, rInd.mon, core.SCGConfig{SLA: goodputRTT})
-		if err != nil {
-			return nil, err
-		}
-		if err := rInd.attachController(core.ControllerConfig{
-			Model:   scgInd,
-			Scaler:  firm,
-			Managed: []core.ManagedResource{{Ref: ref, Min: 2, Max: 200}},
-			Warmup:  30 * time.Second,
-		}); err != nil {
-			return nil, err
-		}
-		rInd.run(dur)
-		return measure(rInd, rInd.ctl.HardwareChanges(), len(rInd.ctl.Events())), nil
+		return measure(r, r.Ctl.HardwareChanges(), len(r.Ctl.Events())), nil
 	}
 
-	// Unified: one joint loop.
+	// Unified: one joint loop over the same model and pool bounds.
 	runUnified := func(tel *telemetry.Recorder) (*outcome, error) {
-		rUni, refU, err := build(tel)
+		s := cart()
+		m := s.Model
+		s.Scaler, s.Model = nil, nil
+		r, err := p.unitParams(tel).observe(s).Build()
 		if err != nil {
 			return nil, err
 		}
-		scgUni, err := core.NewSCG(rUni.c, rUni.mon, core.SCGConfig{SLA: goodputRTT})
+		scg, err := core.NewSCG(r.C, r.Mon, m.Config)
 		if err != nil {
 			return nil, err
 		}
-		uni, err := core.NewUnified(rUni.c, core.UnifiedConfig{
-			Model:   scgUni,
-			Managed: []core.ManagedResource{{Ref: refU, Min: 2, Max: 200}},
+		uni, err := core.NewUnified(r.C, core.UnifiedConfig{
+			Model:   scg,
+			Managed: m.Managed,
 			Service: topology.Cart,
 			Ladder:  []float64{2, 4},
 			SLO:     goodputRTT,
-			Warmup:  30 * time.Second,
+			Warmup:  m.Warmup,
 		})
 		if err != nil {
 			return nil, err
 		}
-		uni.Start()
-		rUni.onStop(uni.Stop)
-		rUni.run(dur)
-		return measure(rUni, uni.HardwareChanges(), len(uni.Events())), nil
+		r.Attach(uni)
+		execute(r)
+		return measure(r, uni.HardwareChanges(), len(uni.Events())), nil
 	}
 
 	// Both controller designs simulate independently; run them on the

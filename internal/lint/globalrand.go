@@ -26,7 +26,7 @@ func checkGlobalrand(m *Module, p *Package, report reporter) {
 			pkgPath, name, ok := pkgFuncCallee(p.Info, call)
 			if ok && (pkgPath == "math/rand" || pkgPath == "math/rand/v2") {
 				report(call.Pos(), fmt.Sprintf(
-					"call to %s.%s outside internal/sim; derive randomness from the kernel's seeded PCG streams (sim.Kernel.Rand / Split)", pkgPath, name))
+					"call to %s.%s outside internal/sim; derive randomness from the kernel's seeded PCG streams (sim.Kernel.Split)", pkgPath, name))
 			}
 			return true
 		})
