@@ -86,6 +86,12 @@ func simulate(args []string, w io.Writer) (*scenario.Rig, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	if *manOut != "" {
+		// Refuse a layout the manifest cannot describe before running.
+		if _, _, err := manifestLayout(*manOut, artifactPaths(*telDir, *runID, *tlFile, *foldedOut, *archive)); err != nil {
+			return nil, fmt.Errorf("manifest: %w", err)
+		}
+	}
 
 	var s scenario.Scenario
 	switch *appName {
@@ -362,20 +368,35 @@ func artifactPaths(telDir, id, tlFile, foldedOut, archive string) []string {
 	return files
 }
 
-// writeRunManifest digests the artifacts relative to the manifest's own
-// directory and writes the manifest file.
-func writeRunManifest(path, id string, seed int64, rec *telemetry.Recorder, params []compare.KV, files []string) error {
+// manifestLayout returns the absolute directory of the manifest at path
+// and the absolute paths of files, refusing a file outside that
+// directory: a manifest names its artifacts by paths inside its own
+// directory (compare.ArtifactName).
+func manifestLayout(path string, files []string) (string, []string, error) {
 	dir, err := filepath.Abs(filepath.Dir(path))
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	abs := make([]string, 0, len(files))
 	for _, f := range files {
 		a, err := filepath.Abs(f)
 		if err != nil {
-			return err
+			return "", nil, err
+		}
+		if _, err := compare.ArtifactName(dir, a); err != nil {
+			return "", nil, err
 		}
 		abs = append(abs, a)
+	}
+	return dir, abs, nil
+}
+
+// writeRunManifest digests the artifacts relative to the manifest's own
+// directory and writes the manifest file.
+func writeRunManifest(path, id string, seed int64, rec *telemetry.Recorder, params []compare.KV, files []string) error {
+	dir, abs, err := manifestLayout(path, files)
+	if err != nil {
+		return err
 	}
 	var counters []compare.KV
 	for _, m := range rec.CounterTotals() {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -58,5 +60,21 @@ func TestSimrunMatchesSentinel(t *testing.T) {
 				t.Errorf("%s: %s = %v, BASELINE.json pins %v", tc.args, metric, got[metric], want)
 			}
 		}
+	}
+}
+
+// TestManifestOutsideArtifactRefused: a manifest names its artifacts
+// by paths inside its own directory, so simrun refuses an artifact
+// outside it before the run starts and writes nothing.
+func TestManifestOutsideArtifactRefused(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-duration", "1s",
+		"-manifest", filepath.Join(dir, "run", "r.manifest.json"),
+		"-timeline", filepath.Join(dir, "r.timeline.jsonl")}
+	if _, err := simulate(args, io.Discard); err == nil || !strings.Contains(err.Error(), "outside the manifest directory") {
+		t.Fatalf("err = %v, want the timeline refused", err)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Errorf("a refused run wrote %d entries", len(ents))
 	}
 }

@@ -42,6 +42,12 @@
 // (-timeline-window, default 1s), interleaved with controller decisions
 // and fault markers. Feed the directory to soradash for an offline HTML
 // dashboard. Timelines are byte-identical at any -parallel setting.
+//
+// With either flag every experiment also writes <id>.manifest.json
+// (soradiff input), which names each artifact by its path inside the
+// manifest's directory. With both flags the manifests go to whichever
+// directory holds the other (-telemetry-dir out -timeline out/tl);
+// two directories side by side are refused.
 package main
 
 import (
@@ -63,38 +69,41 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "sorabench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("sorabench", flag.ExitOnError)
 	var (
-		exp      = flag.String("exp", "", "comma-separated experiment ids, or 'all'")
-		list     = flag.Bool("list", false, "list available experiments")
-		seed     = flag.Uint64("seed", 1, "simulation seed (same seed = identical output)")
-		out      = flag.String("out", "", "directory for CSV output (optional)")
-		scale    = flag.Float64("scale", 1.0, "duration scale in (0,1] for quick runs")
-		quiet    = flag.Bool("quiet", false, "suppress ASCII charts")
-		parallel = flag.Int("parallel", 0, "worker pool size for independent simulations (0 = GOMAXPROCS)")
-		serial   = flag.Bool("serial", false, "force serial execution (same as -parallel 1)")
-		telDir   = flag.String("telemetry-dir", "", "directory for per-experiment telemetry artifacts (optional)")
-		tlDir    = flag.String("timeline", "", "directory for per-experiment flight-recorder timelines (<id>.timeline.jsonl — soradash input)")
-		tlWindow = flag.Duration("timeline-window", time.Second, "flight-recorder window length for -timeline")
-		slo      = flag.Duration("slo", 0, "SLO for the profile artifacts' violation breakdown (0 = disabled)")
-		chaos    = flag.String("chaos", "", "run the chaos comparison under the named fault plan (see internal/fault.Names)")
+		exp      = fs.String("exp", "", "comma-separated experiment ids, or 'all'")
+		list     = fs.Bool("list", false, "list available experiments")
+		seed     = fs.Uint64("seed", 1, "simulation seed (same seed = identical output)")
+		out      = fs.String("out", "", "directory for CSV output (optional)")
+		scale    = fs.Float64("scale", 1.0, "duration scale in (0,1] for quick runs")
+		quiet    = fs.Bool("quiet", false, "suppress ASCII charts")
+		parallel = fs.Int("parallel", 0, "worker pool size for independent simulations (0 = GOMAXPROCS)")
+		serial   = fs.Bool("serial", false, "force serial execution (same as -parallel 1)")
+		telDir   = fs.String("telemetry-dir", "", "directory for per-experiment telemetry artifacts (optional)")
+		tlDir    = fs.String("timeline", "", "directory for per-experiment flight-recorder timelines (<id>.timeline.jsonl — soradash input)")
+		tlWindow = fs.Duration("timeline-window", time.Second, "flight-recorder window length for -timeline")
+		slo      = fs.Duration("slo", 0, "SLO for the profile artifacts' violation breakdown (0 = disabled)")
+		chaos    = fs.String("chaos", "", "run the chaos comparison under the named fault plan (see internal/fault.Names)")
 
-		benchJSON  = flag.String("bench-json", "", "run the kernel micro-benchmark suite and record the results into FILE")
-		benchQuick = flag.Bool("bench-quick", false, "shrink the bench measurement window to a smoke check (numbers not meaningful)")
-		benchLabel = flag.String("bench-label", "current", "label for the recorded bench entry (same label = refresh in place)")
-		benchNote  = flag.String("bench-note", "", "free-form note stored with the bench entry")
+		benchJSON  = fs.String("bench-json", "", "run the kernel micro-benchmark suite and record the results into FILE")
+		benchQuick = fs.Bool("bench-quick", false, "shrink the bench measurement window to a smoke check (numbers not meaningful)")
+		benchLabel = fs.String("bench-label", "current", "label for the recorded bench entry (same label = refresh in place)")
+		benchNote  = fs.String("bench-note", "", "free-form note stored with the bench entry")
 
-		baseline       = flag.String("baseline", "", "replay the pinned regression-sentinel suite and check it against the baseline FILE (see scripts/regress.sh)")
-		baselineQuick  = flag.Bool("baseline-quick", false, "check only the deterministic sim metrics (skips the machine-sensitive bench numbers)")
-		baselineUpdate = flag.Bool("baseline-update", false, "regenerate the baseline FILE from the fresh run instead of checking")
+		baseline       = fs.String("baseline", "", "replay the pinned regression-sentinel suite and check it against the baseline FILE (see scripts/regress.sh)")
+		baselineQuick  = fs.Bool("baseline-quick", false, "check only the deterministic sim metrics (skips the machine-sensitive bench numbers)")
+		baselineUpdate = fs.Bool("baseline-update", false, "regenerate the baseline FILE from the fresh run instead of checking")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *benchJSON != "" {
 		return runBenchSuite(*benchJSON, *benchLabel, *benchNote, *benchQuick)
@@ -116,6 +125,11 @@ func run() error {
 			return fmt.Errorf("pass -exp <id>[,<id>...], -exp all, or -chaos <plan>")
 		}
 		return nil
+	}
+
+	manDir, err := manifestDir(*telDir, *tlDir)
+	if err != nil {
+		return err
 	}
 
 	workers := *parallel
@@ -256,12 +270,7 @@ func run() error {
 				written = append(written, filepath.Join(*tlDir, id+".timeline.jsonl"))
 			}
 		}
-		// The manifest goes next to the telemetry artifacts (timeline dir
-		// when that's all we have) and digests everything just written.
-		manDir := *telDir
-		if manDir == "" {
-			manDir = *tlDir
-		}
+		// The manifest digests everything just written.
 		if err := writeExpManifest(manDir, id, *seed, *scale, rec, written); err != nil {
 			fmt.Fprintf(os.Stderr, "sorabench: manifest for %s: %v\n", id, err)
 			if firstErr == nil {
@@ -331,8 +340,34 @@ func runBenchSuite(path, label, note string, quick bool) error {
 	return nil
 }
 
-// writeExpManifest digests one experiment's freshly written artifacts
-// into <id>.manifest.json next to them — the soradiff input (see
+// manifestDir returns the directory the experiment manifests go to:
+// whichever of telDir and tlDir holds the other (telDir when they are
+// the same), or the one that is set. A manifest names its artifacts by
+// paths inside its own directory, so two directories side by side
+// leave no place for it and are refused before anything runs.
+func manifestDir(telDir, tlDir string) (string, error) {
+	if telDir == "" || tlDir == "" {
+		return telDir + tlDir, nil
+	}
+	tel, err := filepath.Abs(telDir)
+	if err != nil {
+		return "", err
+	}
+	tl, err := filepath.Abs(tlDir)
+	if err != nil {
+		return "", err
+	}
+	if _, err := compare.ArtifactName(tel, tl); err == nil {
+		return telDir, nil
+	}
+	if _, err := compare.ArtifactName(tl, tel); err == nil {
+		return tlDir, nil
+	}
+	return "", fmt.Errorf("-telemetry-dir %s and -timeline %s: one must hold the other, so each experiment's manifest can name every artifact (e.g. -telemetry-dir out -timeline out/tl)", telDir, tlDir)
+}
+
+// writeExpManifest digests one experiment's freshly written artifacts,
+// all inside dir, into <id>.manifest.json in dir — the soradiff input (see
 // DESIGN.md §15). Parallelism is deliberately absent from the params:
 // artifacts are byte-identical at any -parallel setting, and the
 // manifest must be too.

@@ -3,10 +3,8 @@ package cluster
 import (
 	"testing"
 	"time"
-	"unsafe"
 
 	"sora/internal/sim"
-	"sora/internal/trace"
 )
 
 // BenchmarkRequestVisit measures the full per-request cost of the visit
@@ -58,15 +56,15 @@ func TestPhaseRecordingAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	avg := steadyAllocsPerRequest(k, c)
-	// With pooled visits, root and call records, timers and jobs, the
-	// span arena and block-allocated completion logs, one two-tier
-	// request allocates only the trace struct and the root span's child
-	// list (measured 2). The bound leaves one allocation of slack for
-	// amortized slab and block refills while still catching any
+	// With pooled visits, root and call records, timers, jobs and
+	// spans (child lists included) and block-allocated completion logs,
+	// one two-tier request allocates only the trace struct and its
+	// record array (measured 2). AllocsPerRun truncates the mean, so a
+	// block refill every few hundred requests does not show; any
 	// per-request, per-visit, per-call, per-timer or per-quantum
-	// allocation.
-	if avg > 3 {
-		t.Fatalf("steady-state allocations per request = %.1f, want <= 3 (visit hot path regressed)", avg)
+	// allocation does.
+	if avg > 2 {
+		t.Fatalf("steady-state allocations per request = %.1f, want <= 2 (visit hot path regressed)", avg)
 	}
 }
 
@@ -87,18 +85,7 @@ func TestPolicyEdgeAllocFree(t *testing.T) {
 	avg := steadyAllocsPerRequest(k, c)
 	// Same budget as the direct edge (measured 2): the call and attempt
 	// records and the timer all come from free lists.
-	if avg > 3 {
-		t.Fatalf("steady-state allocations per request = %.1f, want <= 3 (policy-edge call path regressed)", avg)
-	}
-}
-
-// TestSpanSlabFillsWholePages pins the span arena slab at exactly 32 KiB,
-// the runtime's largest small-object size: one byte more and every slab
-// is rounded up to whole 8 KiB pages (a 136 B span made each 256-span
-// slab 40 KiB, 15% of it wasted). A field added to trace.Span has to
-// re-think spanChunkSize or the field layout.
-func TestSpanSlabFillsWholePages(t *testing.T) {
-	if got := unsafe.Sizeof(trace.Span{}) * spanChunkSize; got != 32<<10 {
-		t.Fatalf("span slab = %d B (%d B span x %d), want exactly %d B", got, unsafe.Sizeof(trace.Span{}), spanChunkSize, 32<<10)
+	if avg > 2 {
+		t.Fatalf("steady-state allocations per request = %.1f, want <= 2 (policy-edge call path regressed)", avg)
 	}
 }

@@ -260,14 +260,19 @@ type Cluster struct {
 	onComplete  []func(*trace.Trace)
 
 	// Request-path scratch pools. visitFree recycles visit structs (the
-	// per-span execution state); spanChunk is the slab the next spans are
-	// carved from. Spans are never reused — completed traces keep theirs
-	// in the warehouse — but slab allocation amortizes one heap object
-	// across spanChunkSize spans, and trace cohorts pruned together free
-	// whole slabs together.
-	visitFree []*visit
-	rootFree  []*rootCall
-	spanChunk []trace.Span
+	// per-span execution state) and spanFree the spans of settled
+	// traces, each with its child list's capacity, once their records
+	// are compacted (see rootCall.done). recScratch is the buffer a
+	// trace is compacted into before its records are copied out.
+	visitFree  []*visit
+	rootFree   []*rootCall
+	spanFree   []*trace.Span
+	recScratch []trace.Record
+
+	// names is the table the records of every trace this cluster
+	// completes index: services in declaration order, then instances as
+	// compaction first meets them.
+	names *trace.Names
 
 	// Call-record pools (see request.go): one directCall per call on a
 	// direct edge, one callState per call on a policy edge and one
@@ -367,6 +372,7 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 		c.services[spec.Name] = svc
 		c.order = append(c.order, spec.Name)
 	}
+	c.names = trace.NewNames(c.order)
 	if err := c.SetMix(app.Mix); err != nil {
 		return nil, err
 	}
@@ -429,7 +435,15 @@ func (c *Cluster) ServiceNames() []string {
 	return out
 }
 
+// TraceNames returns the name table the records of this cluster's traces
+// index; its first service ids are the positions in ServiceNames.
+func (c *Cluster) TraceNames() *trace.Names { return c.names }
+
 // OnComplete registers a callback invoked for every completed trace.
+// The trace's Root is valid only during the callback: once every
+// callback has returned, a settled trace is compacted into records and
+// its spans are reused. A callback that keeps the trace must read it
+// later through Trace.Records or Trace.Tree, or export it.
 func (c *Cluster) OnComplete(fn func(*trace.Trace)) {
 	if fn != nil {
 		c.onComplete = append(c.onComplete, fn)
@@ -519,32 +533,37 @@ type rootCall struct {
 // done books the root visit's completion: the counters, the completion
 // logs and — unless it was dropped or failed — the trace, added to the
 // warehouse as unsettled when a timed-out call under it left orphaned
-// work behind. The submitter's onDone runs last.
+// work behind. A settled trace is compacted into records once the
+// OnComplete callbacks have run, and its spans go back on the free
+// list; so do those of a settled dropped or failed root, which is
+// never stored. An unsettled trace keeps its live tree, which orphaned
+// work may still change. The submitter's onDone runs last.
 func (rc *rootCall) done(root *visit) {
 	c := rc.c
 	id, rt, onDone := rc.id, rc.rt, rc.onDone
 	c.freeRootCall(rc)
 	c.inFlight--
 	// The root visit is dead once this callback returns; copy what the
-	// bookkeeping below needs and recycle the struct up front (the span
-	// tree lives on independently).
+	// bookkeeping below needs and recycle the struct up front.
 	span := root.span
 	dropped, failed, degraded, unsettled := root.dropped, root.failed, root.degraded, root.unsettled
 	c.freeVisit(root)
 	if onDone != nil {
 		defer onDone()
 	}
-	if dropped {
-		// Rejected at a full admission queue somewhere along the
-		// tree with no policy absorbing it: counted in Dropped(),
-		// never in the completion logs or warehouse.
-		return
-	}
-	if failed {
-		// An essential call was lost past its retry budget (or the
-		// root's own pod crashed): the user saw an error page.
-		// Counted in Failed(), excluded from the latency logs.
-		c.failed++
+	if dropped || failed {
+		// A root rejected at a full admission queue somewhere along
+		// the tree, with no policy absorbing it, is counted in
+		// Dropped(). One that lost an essential call past its retry
+		// budget (or whose own pod crashed) showed the user an error
+		// page and is counted in Failed(). Neither reaches the
+		// completion logs or the warehouse.
+		if !dropped {
+			c.failed++
+		}
+		if !unsettled {
+			c.freeSpans(span)
+		}
 		return
 	}
 	c.completed++
@@ -554,7 +573,7 @@ func (rc *rootCall) done(root *visit) {
 	if c.completed%pruneInterval == 0 {
 		c.housekeep()
 	}
-	tr := &trace.Trace{ID: id, Type: rt.Name, Root: span}
+	tr := &trace.Trace{ID: id, Type: rt.Name, Root: span, Names: c.names}
 	if unsettled {
 		c.warehouse.AddUnsettled(tr)
 	} else {
@@ -569,22 +588,36 @@ func (rc *rootCall) done(root *visit) {
 	for _, fn := range c.onComplete {
 		fn(tr)
 	}
+	if !unsettled {
+		tr.Compact(&c.recScratch)
+		c.freeSpans(span)
+	}
 }
 
-// spanChunkSize is how many spans one arena slab holds. Spans are
-// trace-retention-scoped (a slab is collected once every trace whose
-// spans it backs is pruned), so the slab size trades allocation
-// amortization against worst-case retention of already-dead spans.
-const spanChunkSize = 256
-
-// newSpan carves one zeroed span from the arena.
+// newSpan hands out a recycled (or fresh) zeroed span. A recycled span
+// keeps the capacity of its empty child list.
 func (c *Cluster) newSpan() *trace.Span {
-	if len(c.spanChunk) == 0 {
-		c.spanChunk = make([]trace.Span, spanChunkSize) //soravet:allow hotpath arena slab refill: one make per spanChunkSize spans amortizes span allocation on the request path
+	if n := len(c.spanFree); n > 0 {
+		s := c.spanFree[n-1]
+		c.spanFree[n-1] = nil
+		c.spanFree = c.spanFree[:n-1]
+		return s
 	}
-	s := &c.spanChunk[0]
-	c.spanChunk = c.spanChunk[1:]
-	return s
+	return &trace.Span{} //soravet:allow hotpath pool miss: allocates only while the live-span high-water mark rises or unsettled traces keep theirs, then the free list serves every newSpan
+}
+
+// freeSpans returns the tree under s to the span free list: every span
+// zeroed, its child list emptied but kept. The caller guarantees that
+// nothing refers to the tree any more: its trace was compacted or
+// never stored, and it is settled, so no orphaned call can reach it.
+func (c *Cluster) freeSpans(s *trace.Span) {
+	kids := s.Children
+	for _, k := range kids {
+		c.freeSpans(k)
+	}
+	clear(kids)
+	*s = trace.Span{Children: kids[:0]}
+	c.spanFree = append(c.spanFree, s)
 }
 
 // newVisit hands out a recycled (or fresh) visit struct. The cluster

@@ -65,7 +65,7 @@ func TestSingleRequestLifecycle(t *testing.T) {
 		t.Errorf("critical path = %v", cp)
 	}
 	// Frontend blocked on the backend for ~8ms.
-	fe := done.Root
+	fe := done.Tree()
 	if fe.Blocked < 7*time.Millisecond || fe.Blocked > 9*time.Millisecond {
 		t.Errorf("frontend blocked = %v, want ~8ms", fe.Blocked)
 	}
@@ -361,13 +361,14 @@ func TestBlockedTimeUnionForParallelCalls(t *testing.T) {
 	}
 	k := sim.NewKernel(10)
 	c := mustCluster(t, k, app)
-	var root *trace.Span
-	c.OnComplete(func(tr *trace.Trace) { root = tr.Root })
+	var done *trace.Trace
+	c.OnComplete(func(tr *trace.Trace) { done = tr })
 	c.SubmitMix()
 	k.Run()
-	if root == nil {
+	if done == nil {
 		t.Fatal("no completion")
 	}
+	root := done.Tree()
 	if root.Blocked < 9*time.Millisecond || root.Blocked > 11*time.Millisecond {
 		t.Errorf("blocked = %v, want ~10ms (union)", root.Blocked)
 	}

@@ -198,7 +198,7 @@ func TestFlightRecorderAllocFree(t *testing.T) {
 		k.RunUntil(k.Now() + step)
 	})
 	// Measured 2, as on the unarmed path.
-	if avg > 3 {
-		t.Fatalf("steady-state allocations per request with flight recorder armed = %.1f, want <= 3", avg)
+	if avg > 2 {
+		t.Fatalf("steady-state allocations per request with flight recorder armed = %.1f, want <= 2", avg)
 	}
 }

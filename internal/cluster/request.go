@@ -86,16 +86,16 @@ func (v *visit) reWait() {
 // startVisit routes a call-tree node to a pod of its service and begins
 // the visit lifecycle. The parent span (if any) has already recorded the
 // dispatch; onDone fires when the response leaves this service. The
-// parent is identified by its span, not its visit: spans are
-// arena-allocated and stable for the trace's lifetime, while the parent
-// visit may already be recycled when a timed-out attempt's orphan call
-// finally reaches the wire. fanout is the caller's number of downstream
-// calls, the capacity the parent's child list is allocated with on its
-// first child. The deadline is the caller's propagated deadline
-// (0 = none); visits that find every pod of the service down are
-// refused immediately.
+// parent is identified by its span, not its visit: a span stays put
+// until its trace is compacted, which an unsettled trace never is,
+// while the parent visit may already be recycled when a timed-out
+// attempt's orphan call finally reaches the wire. fanout is the
+// caller's number of downstream calls, the capacity the parent's child
+// list needs at its first child. The deadline is the caller's
+// propagated deadline (0 = none); visits that find every pod of the
+// service down are refused immediately.
 //
-//soravet:hotpath BenchmarkRequestPath per-hop admission: one startVisit per service visit, allocation-free except the span arena and pool misses
+//soravet:hotpath BenchmarkRequestPath per-hop admission: one startVisit per service visit, allocation-free except pool misses and child lists too short for the fan-out
 func (c *Cluster) startVisit(node *CallNode, parent *trace.Span, fanout int, deadline sim.Time, onDone func(*visit)) *visit {
 	svc := c.services[node.Service]
 	if svc.flight != nil {
@@ -113,10 +113,10 @@ func (c *Cluster) startVisit(node *CallNode, parent *trace.Span, fanout int, dea
 	v.onDone = onDone
 	if parent != nil {
 		span.Depth = parent.Depth + 1
-		// A span with no children keeps a nil list, so exported and
-		// re-imported traces compare equal.
-		if parent.Children == nil {
-			parent.Children = make([]*trace.Span, 0, fanout) //soravet:allow hotpath one child list per span that gets a child, sized to the caller's fan-out
+		// A recycled span brings its old child list; only one too
+		// short for the fan-out is replaced.
+		if len(parent.Children) == 0 && cap(parent.Children) < fanout {
+			parent.Children = make([]*trace.Span, 0, fanout) //soravet:allow hotpath child list sized to the caller's fan-out, made only when the recycled span's list is shorter
 		}
 		parent.Children = append(parent.Children, span) //soravet:allow hotpath fills the list presized to the fan-out; only retries and orphaned attempts grow it
 	}
@@ -268,8 +268,8 @@ func (dc *directCall) back() {
 	if cv.unsettled {
 		v.unsettled = true
 	}
-	// The child's outcome has been consumed; its span stays reachable
-	// through the trace tree, the struct recycles.
+	// The child's outcome has been consumed; its span stays in the
+	// trace tree, the struct recycles.
 	v.c.freeVisit(cv)
 	v.c.freeDirectCall(dc)
 	v.childAnswered()
@@ -374,7 +374,8 @@ func (cs *callState) send() {
 	at.node = cs.child
 	// Capture the parent span before the wire delay: if the attempt
 	// times out in flight, v may finish and be recycled before the
-	// request lands, but the arena span stays valid for the trace.
+	// request lands, but the span stays valid: the timeout leaves the
+	// trace unsettled, and an unsettled trace's spans are never freed.
 	at.pspan = v.span
 	at.fanout = len(v.node.Children)
 	at.cp = cs.cp

@@ -219,17 +219,18 @@ func TestRetryRecoversFromTransientCrash(t *testing.T) {
 	if done == nil {
 		t.Fatalf("request did not complete (failed=%d)", c.Failed())
 	}
-	if done.Root.Failed || done.Root.Degraded {
-		t.Errorf("root failed=%v degraded=%v, want clean completion", done.Root.Failed, done.Root.Degraded)
+	root := done.Tree()
+	if root.Failed || root.Degraded {
+		t.Errorf("root failed=%v degraded=%v, want clean completion", root.Failed, root.Degraded)
 	}
 	if c.Retries() == 0 {
 		t.Error("no retries recorded")
 	}
-	if done.Root.RetryWait == 0 {
+	if root.RetryWait == 0 {
 		t.Error("root span charged no RetryWait")
 	}
 	// Retry waits are excluded from processing time.
-	if pt := done.Root.ProcessingTime(); pt > 5*time.Millisecond {
+	if pt := root.ProcessingTime(); pt > 5*time.Millisecond {
 		t.Errorf("root PT = %v, want ~2ms (retry wait must be excluded)", pt)
 	}
 }
@@ -265,10 +266,10 @@ func TestOptionalCallDegrades(t *testing.T) {
 	if c.Degraded() != 1 {
 		t.Errorf("degraded = %d, want 1", c.Degraded())
 	}
-	if done == nil || !done.Root.Degraded {
+	if done == nil || !done.Tree().Degraded {
 		t.Fatal("completion trace not marked degraded")
 	}
-	if len(done.Root.Children) != 1 || !done.Root.Children[0].Abandoned {
+	if root := done.Tree(); len(root.Children) != 1 || !root.Children[0].Abandoned {
 		t.Error("timed-out child span not marked Abandoned")
 	}
 	for _, svc := range done.CriticalPathServices() {

@@ -194,17 +194,20 @@ func (c *Cluster) FlushTelemetry() {
 	if len(traces) > chromeTraceSampleCap {
 		stride = (len(traces) + chromeTraceSampleCap - 1) / chromeTraceSampleCap
 	}
+	var buf []trace.Record
 	for i := 0; i < len(traces); i += stride {
 		tr := traces[i]
-		tr.Root.Walk(func(s *trace.Span) {
+		recs := tr.Records(&buf)
+		trace.Depths(recs, func(j, depth int) {
+			r := &recs[j]
 			tel.AddSpan(telemetry.SpanSample{
 				Trace:    uint64(tr.ID),
 				Type:     tr.Type,
-				Service:  s.Service,
-				Instance: s.Instance,
-				Depth:    int(s.Depth),
-				Start:    s.Start,
-				End:      s.End,
+				Service:  tr.Names.Service(r.Service),
+				Instance: tr.Names.Instance(r.Instance),
+				Depth:    depth,
+				Start:    r.Start,
+				End:      r.End,
 			})
 		})
 	}

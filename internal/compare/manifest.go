@@ -113,26 +113,38 @@ func DigestBytes(b []byte) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// ArtifactName returns the manifest name of the artifact at path
+// (absolute, or relative to dir): its slash-separated path relative to
+// dir. A path outside dir has no name, since ParseManifest refuses any
+// name that is not filepath.IsLocal, so it is an error. Tools call it
+// before a run to refuse an artifact layout no manifest can describe.
+func ArtifactName(dir, path string) (string, error) {
+	if !filepath.IsAbs(path) {
+		path = filepath.Join(dir, path)
+	}
+	rel, err := filepath.Rel(dir, path)
+	if err != nil || !filepath.IsLocal(rel) {
+		return "", fmt.Errorf("compare: artifact %s lies outside the manifest directory %s", path, dir)
+	}
+	return filepath.ToSlash(rel), nil
+}
+
 // DigestFiles stats and digests the named files (paths relative to
-// dir or absolute) and returns artifact records sorted by name, where
-// each name is the slash-separated path relative to dir.
+// dir or absolute, inside dir) and returns artifact records sorted by
+// name, where each name is the ArtifactName of the file.
 func DigestFiles(dir string, files []string) ([]Artifact, error) {
 	out := make([]Artifact, 0, len(files))
 	for _, f := range files {
-		path := f
-		if !filepath.IsAbs(path) {
-			path = filepath.Join(dir, f)
+		name, err := ArtifactName(dir, f)
+		if err != nil {
+			return nil, err
 		}
-		data, err := os.ReadFile(path)
+		data, err := os.ReadFile(filepath.Join(dir, filepath.FromSlash(name)))
 		if err != nil {
 			return nil, fmt.Errorf("compare: digest %s: %w", f, err)
 		}
-		rel, err := filepath.Rel(dir, path)
-		if err != nil {
-			rel = filepath.Base(path)
-		}
 		out = append(out, Artifact{
-			Name:   filepath.ToSlash(rel),
+			Name:   name,
 			Bytes:  int64(len(data)),
 			Digest: DigestBytes(data),
 		})
@@ -188,18 +200,36 @@ func WriteManifest(dir string, m *Manifest) (string, error) {
 	return path, os.WriteFile(path, b, 0o644)
 }
 
-// LoadManifest reads and validates a manifest file.
+// LoadManifest reads and validates a manifest file (see ParseManifest).
 func LoadManifest(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, err := ParseManifest(data)
+	if err != nil {
 		return nil, fmt.Errorf("compare: %s: %w", path, err)
 	}
+	return m, nil
+}
+
+// ParseManifest decodes and validates a manifest. Every artifact name
+// must be a local slash-separated path (filepath.IsLocal: not empty,
+// not absolute, no ".." escaping the directory): Verify and LoadSide
+// join the names onto the manifest's directory, so any other name
+// would make them read a file outside it.
+func ParseManifest(data []byte) (*Manifest, error) {
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, err
+	}
 	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("compare: %s: schema %q, want %q", path, m.Schema, ManifestSchema)
+		return nil, fmt.Errorf("schema %q, want %q", m.Schema, ManifestSchema)
+	}
+	for _, a := range m.Artifacts {
+		if !filepath.IsLocal(filepath.FromSlash(a.Name)) {
+			return nil, fmt.Errorf("artifact %q is not a path inside the manifest directory", a.Name)
+		}
 	}
 	return &m, nil
 }

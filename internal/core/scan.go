@@ -10,14 +10,16 @@ import (
 // gathered in a single pass over its spans: the per-trace end-to-end
 // response times and per-service processing times phase 1 correlates,
 // the Eq. (3) upstream sums phase 2 averages, and the caller→callee
-// edges the behind-pool check follows. Each trace is walked once in
-// pre-order, following its critical path on the way.
+// edges the behind-pool check follows. Each trace is read as its
+// pre-order records in one linear pass, following its critical path
+// on the way.
 //
-// Services are indexed by the order of the names the scan was built
-// with (the cluster's service order); a span naming any other service
-// is appended in first-visit order. Every query ranges over indices,
-// so results do not depend on map iteration order.
+// Services are indexed by their id in the name table the window's
+// traces share (for the cluster's traces, the order of
+// Cluster.ServiceNames). Every query ranges over indices, so results do
+// not depend on map iteration order.
 type windowScan struct {
+	table *trace.Names
 	names []string
 	svc   []scanService
 	// rts holds each trace's end-to-end response time in ms, aligned
@@ -26,13 +28,20 @@ type windowScan struct {
 	// calls[caller*len(names)+callee] records a parent→child span edge
 	// between the two services anywhere in the window.
 	calls []bool
-	// root is the service index of the last trace's root, the hint for
-	// the next one's.
-	root int
 	// rows owns the columns: rts and every pt are views of its rows
 	// from off on (see sealedScans).
 	rows *rowStore
 	off  int
+	// buf receives the records of traces held as live trees, open the
+	// ancestors of the record being read.
+	buf  []trace.Record
+	open []openSpan
+}
+
+// openSpan is an ancestor of the record a scan is reading: its
+// service and the index one past its subtree.
+type openSpan struct {
+	svc, end int
 }
 
 // scanService is one service's statistics over the window.
@@ -51,27 +60,18 @@ type scanService struct {
 	// path counted the service, so a service repeated on one path counts
 	// once, at its first occurrence.
 	onPath int
-	// kids[j] is the service index of the last j-th child seen under a
-	// span of this service. Call order is fixed per request type, so it
-	// almost always names the next span's j-th child too, and checking
-	// it first spares searching the service names.
-	kids [scanKidHints]int
 }
 
-// scanKidHints is how many child positions per service keep a hint;
-// later positions share them modulo scanKidHints.
-const scanKidHints = 8
-
-// reset empties the scan for a window of n traces indexed by names,
-// keeping its slices' arrays. Row ti of the scan is row off+ti of rows,
-// whose entries must be zero for the rows the scan walks.
-func (w *windowScan) reset(names []string, rows *rowStore, off, n int) {
-	w.names = append(w.names[:0], names...)
-	w.svc = resize(w.svc, len(names))
+// reset empties the scan for a window of n traces whose records index
+// names, keeping its slices' arrays. Row ti of the scan is row off+ti
+// of rows, whose entries must be zero for the rows the scan walks.
+func (w *windowScan) reset(names *trace.Names, rows *rowStore, off, n int) {
+	w.table = names
+	w.names = names.Services()
+	w.svc = resize(w.svc, len(w.names))
 	clear(w.svc)
-	w.calls = resize(w.calls, len(names)*len(names))
+	w.calls = resize(w.calls, len(w.names)*len(w.names))
 	clear(w.calls)
-	w.root = -1
 	w.rows, w.off = rows, off
 	w.rts = rows.rts[off : off+n]
 }
@@ -85,70 +85,60 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// addTrace walks trace tr into row ti of the scan.
+// addTrace reads trace tr, whose records index the scan's name table,
+// into row ti of the scan: its processing times and visit counts per
+// service in pre-order, every parent→child edge, and for each service
+// of its critical path, at the service's first occurrence there, the
+// processing time above it on the path — Trace.UpstreamProcessing for
+// every service of the path in the same pass.
 func (w *windowScan) addTrace(tr *trace.Trace, ti int) {
-	w.rts[ti] = float64(tr.ResponseTime()) / float64(time.Millisecond)
-	w.root = w.lookup(tr.Root.Service, w.root)
-	w.walk(tr.Root, w.root, ti, true, 0)
-}
-
-// walk adds s and its subtree (pre-order) into trace ti's per-service
-// processing times and visit counts, and marks every parent→child edge.
-// path tells whether s is on the trace's critical path, and up is then
-// the processing time above it on the path: each service of the path is
-// credited at its first occurrence — Trace.UpstreamProcessing for every
-// service of the path in the same pass.
-func (w *windowScan) walk(s *trace.Span, si, ti int, path bool, up time.Duration) {
-	st := &w.svc[si]
-	if st.pt == nil {
-		w.column(si)
-	}
-	pt := s.ProcessingTime()
-	st.pt[ti] += float64(pt) / float64(time.Millisecond)
-	st.visits++
-	var next *trace.Span
-	if path {
-		if st.onPath != ti+1 {
-			st.onPath = ti + 1
-			st.upSum += up
-			st.upN++
+	recs := tr.Records(&w.buf)
+	w.grow()
+	w.rts[ti] = float64(recs[0].Duration()) / float64(time.Millisecond)
+	n := len(w.names)
+	path := 0 // the next record on the critical path
+	var up time.Duration
+	open := w.open[:0]
+	for i := range recs {
+		r := &recs[i]
+		for len(open) > 0 && open[len(open)-1].end <= i {
+			open = open[:len(open)-1]
 		}
-		up += pt
-		next = s.CriticalChild()
-	}
-	for j, c := range s.Children {
-		ci := w.lookup(c.Service, w.svc[si].kids[j%scanKidHints])
-		w.svc[si].kids[j%scanKidHints] = ci
-		w.calls[si*len(w.names)+ci] = true
-		w.walk(c, ci, ti, c == next, up)
-		if c == next {
-			next = nil // the path continues through the first match only
+		si := int(r.Service)
+		if len(open) > 0 {
+			w.calls[open[len(open)-1].svc*n+si] = true
+		}
+		st := &w.svc[si]
+		if st.pt == nil {
+			w.column(si)
+		}
+		pt := r.ProcessingTime()
+		st.pt[ti] += float64(pt) / float64(time.Millisecond)
+		st.visits++
+		if i == path {
+			if st.onPath != ti+1 {
+				st.onPath = ti + 1
+				st.upSum += up
+				st.upN++
+			}
+			up += pt
+			path = trace.CriticalChildAt(recs, i)
+		}
+		if r.Size > 1 {
+			open = append(open, openSpan{svc: si, end: i + int(r.Size)})
 		}
 	}
+	w.open = open
 }
 
 // column gives service si its processing-time column, the row store's
-// column for the name.
+// column for the service.
 func (w *windowScan) column(si int) {
-	w.svc[si].pt = w.rows.column(w.names[si])[w.off : w.off+len(w.rts)]
+	w.svc[si].pt = w.rows.column(si)[w.off : w.off+len(w.rts)]
 }
 
-// lookup returns the index of service name, trying hint first and
-// registering an unknown name at the end.
-func (w *windowScan) lookup(name string, hint int) int {
-	if hint >= 0 && w.names[hint] == name {
-		return hint
-	}
-	if i := w.find(name); i >= 0 {
-		return i
-	}
-	return w.add(name)
-}
-
-// find returns the index of service name, or -1 if the window never
-// visited it and the scan was not built with it. A linear search: the
-// hints resolve nearly every span, and a decision has a few dozen
-// services at most.
+// find returns the index of service name, or -1 if the name table does
+// not hold it.
 func (w *windowScan) find(name string) int {
 	for i, n := range w.names {
 		if n == name {
@@ -158,19 +148,22 @@ func (w *windowScan) find(name string) int {
 	return -1
 }
 
-// add appends a service the scan was not built with, widening the edge
-// matrix to the new service count.
-func (w *windowScan) add(name string) int {
-	old := len(w.names)
-	n := old + 1
+// grow widens the scan to the services its name table has gained since
+// the scan last looked: reading a live tree interns the names it meets
+// for the first time.
+func (w *windowScan) grow() {
+	names := w.table.Services()
+	old, n := len(w.names), len(names)
+	if n == old {
+		return
+	}
 	calls := make([]bool, n*n)
 	for r := 0; r < old; r++ {
 		copy(calls[r*n:r*n+old], w.calls[r*old:(r+1)*old])
 	}
 	w.calls = calls
-	w.names = append(w.names, name)
-	w.svc = append(w.svc, scanService{})
-	return old
+	w.names = names
+	w.svc = append(w.svc, make([]scanService, n-old)...)
 }
 
 // calledBy reports whether a span of service caller had a child span of

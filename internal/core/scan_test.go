@@ -191,7 +191,7 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 		{"chaos", func(t *testing.T) *scanRig { return scanChaosRig(t, dur) }, func(t *testing.T, r *scanRig) {
 			late := 0
 			for _, tr := range r.c.Warehouse().All() {
-				tr.Root.Walk(func(s *trace.Span) {
+				tr.Tree().Walk(func(s *trace.Span) {
 					for _, c := range s.Children {
 						if c.Abandoned && c.End > s.End {
 							late++
@@ -228,7 +228,7 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 				r.k.RunUntil(sim.Time(at))
 				now := r.k.Now()
 				traces, _ := r.c.Warehouse().View(now-cfg.Window, now)
-				if d := scanDiff(scg.scan(now), scanWindow(traces, r.c.ServiceNames())); d != "" {
+				if d := scanDiff(scg.scan(now), scanWindow(traces, r.c.TraceNames())); d != "" {
 					t.Fatalf("at %v, merged scan differs from a fresh one: %s", at, d)
 				}
 				same(t, at, "critical service", outcome(scg.CriticalService(now)), outcome(oracleCriticalService(scg, now)))
@@ -304,10 +304,10 @@ func bitsEqual(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-// scanWindow is the fresh scan of traces, indexing services in the
-// order of names: every trace walked into a row store of its own. The
-// merged scans of sealedScans must equal it.
-func scanWindow(traces []*trace.Trace, names []string) *windowScan {
+// scanWindow is the fresh scan of traces, whose records index names:
+// every trace walked into a row store of its own. The merged scans of
+// sealedScans must equal it.
+func scanWindow(traces []*trace.Trace, names *trace.Names) *windowScan {
 	rows := &rowStore{}
 	rows.slide(0, len(traces))
 	w := &windowScan{}
@@ -336,8 +336,8 @@ func same(t *testing.T, at time.Duration, what, got, want string) {
 }
 
 // fuzzServices are the names a decoded window draws its spans from: the
-// first four are the names the scan is built with, the last two are
-// unknown to it and must be appended on first visit.
+// first four are the names the window's name table starts with, the
+// last two are unknown to it and must be appended on first visit.
 var fuzzServices = []string{"a", "b", "c", "d", "x", "y"}
 
 // fuzzReader hands out bytes, then zeros once the input is exhausted.
@@ -363,13 +363,14 @@ const fuzzMaxSpans = 256
 // service (mod 6, indexing fuzzServices), duration (1–4 ms, so equal
 // sibling durations are common) and arrival offset from the parent,
 // blocked share of the duration and the Abandoned flag, and child count
-// (0–3, at most four levels deep).
-func decodeWindow(data []byte) []*trace.Trace {
+// (0–3, at most four levels deep). The traces share the name table
+// names.
+func decodeWindow(data []byte, names *trace.Names) []*trace.Trace {
 	r := &fuzzReader{data: data}
 	n := r.next() % 6
 	traces := make([]*trace.Trace, n)
 	for i := range traces {
-		traces[i] = &trace.Trace{ID: trace.ID(i + 1), Root: decodeSpan(r, 0, 0)}
+		traces[i] = &trace.Trace{ID: trace.ID(i + 1), Root: decodeSpan(r, 0, 0), Names: names}
 	}
 	return traces
 }
@@ -404,8 +405,9 @@ func FuzzWindowScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		traces := decodeWindow(data)
-		w := scanWindow(traces, fuzzServices[:4])
+		names := trace.NewNames(fuzzServices[:4])
+		traces := decodeWindow(data, names)
+		w := scanWindow(traces, names)
 		o := oracleWindowStats(traces)
 		if fmt.Sprint(w.rts) != fmt.Sprint(o.rts) {
 			t.Fatalf("response times: scan %v, oracle %v", w.rts, o.rts)

@@ -101,7 +101,7 @@ func (m *SCGModel) Config() SCGConfig { return m.cfg }
 func (m *SCGModel) scan(now sim.Time) *windowScan {
 	wh := m.c.Warehouse()
 	traces, first := wh.View(now-m.cfg.Window, now)
-	return m.blocks.scan(traces, first, wh.Unsettled(first, first+uint64(len(traces))), m.c.ServiceNames())
+	return m.blocks.scan(traces, first, wh.Unsettled(first, first+uint64(len(traces))), m.c.TraceNames())
 }
 
 // CriticalService identifies the critical service over the trailing

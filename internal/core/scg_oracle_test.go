@@ -45,7 +45,7 @@ func oracleCriticalService(m *SCGModel, now sim.Time) (string, error) {
 	rts := make([]float64, 0, len(traces))
 	for ti, tr := range traces {
 		rts = append(rts, float64(tr.ResponseTime())/float64(time.Millisecond))
-		tr.Root.Walk(func(s *trace.Span) {
+		tr.Tree().Walk(func(s *trace.Span) {
 			ss, ok := perSvc[s.Service]
 			if !ok {
 				ss = &svcSamples{pt: make([]float64, len(traces))}
@@ -200,7 +200,7 @@ func oracleBehindUtil(m *SCGModel, now sim.Time, measured string) float64 {
 	best := m.mon.MeanUtil(measured, since, now)
 	children := make(map[string]bool)
 	for _, tr := range m.c.Warehouse().Window(since, now) {
-		tr.Root.Walk(func(s *trace.Span) {
+		tr.Tree().Walk(func(s *trace.Span) {
 			if s.Service != measured {
 				return
 			}
@@ -289,7 +289,7 @@ func oracleWindowStats(traces []*trace.Trace) oracleStats {
 	}
 	for ti, tr := range traces {
 		o.rts = append(o.rts, float64(tr.ResponseTime())/float64(time.Millisecond))
-		tr.Root.Walk(func(s *trace.Span) {
+		tr.Tree().Walk(func(s *trace.Span) {
 			if o.pt[s.Service] == nil {
 				o.pt[s.Service] = make([]float64, len(traces))
 			}
@@ -306,7 +306,7 @@ func oracleWindowStats(traces []*trace.Trace) oracleStats {
 		}
 	}
 	for _, tr := range traces {
-		tr.Root.Walk(func(s *trace.Span) {
+		tr.Tree().Walk(func(s *trace.Span) {
 			for _, c := range s.Children {
 				if o.children[s.Service] == nil {
 					o.children[s.Service] = make(map[string]bool)

@@ -20,18 +20,16 @@ const sealedBlockShift = 9
 // with the window, their counts, sums and edges to a sealedBlock. Every
 // later scan covering the block finds its rows in place and adds its
 // summary instead of walking the traces again. Only the partial blocks
-// at the window's edges, the unsettled traces — those orphaned work may
-// still change — and blocks naming a service outside the base names are
-// walked live every time. A merged scan equals a fresh scan of the same
-// traces bit for bit.
+// at the window's edges and the unsettled traces — those orphaned work
+// may still change — are walked live every time. A merged scan equals a
+// fresh scan of the same traces bit for bit.
 type sealedScans struct {
 	shift uint
-	// names are the service names the blocks index by; a scan asking
-	// for other names drops every block.
-	names []string
+	// names is the name table the blocks index by; a scan over another
+	// table drops every block.
+	names *trace.Names
 	// blocks is a deque indexed by block number: blocks[i] summarizes
-	// block base+i, or is nil if that block is walked live. Scans seal
-	// blocks in order, so it has no gaps.
+	// block base+i. Scans seal blocks in order, so it has no gaps.
 	blocks []*sealedBlock
 	base   uint64
 	rows   rowStore
@@ -43,9 +41,10 @@ type sealedScans struct {
 }
 
 // sealedBlock summarizes one block's settled traces: the per-service
-// counts and sums and the edges a windowScan keeps, both indexed by the
-// base names, without the per-trace columns (those stay in the row
-// store) and without the hints and critical-path marks a walk needs.
+// counts and sums and the edges a windowScan keeps, both indexed by
+// service id over the services the table held when the block was
+// sealed, without the per-trace columns (those stay in the row store)
+// and without the critical-path marks a walk needs.
 type sealedBlock struct {
 	svc   []sealedService
 	calls []bool
@@ -60,13 +59,14 @@ type sealedService struct {
 
 // scan returns the scan of the window traces, where traces[i] has
 // warehouse sequence number first+i and unsettled lists the sequence
-// numbers of the window's unsettled traces in ascending order. The
-// result is owned by s and valid until its next scan.
-func (s *sealedScans) scan(traces []*trace.Trace, first uint64, unsettled []uint64, names []string) *windowScan {
-	if !slices.Equal(s.names, names) {
+// numbers of the window's unsettled traces in ascending order, and
+// every trace's records index names. The result is owned by s and valid
+// until its next scan.
+func (s *sealedScans) scan(traces []*trace.Trace, first uint64, unsettled []uint64, names *trace.Names) *windowScan {
+	if s.names != names {
 		s.keep(0, 0)
 		s.rows = rowStore{}
-		s.names = append(s.names[:0], names...)
+		s.names = names
 	}
 	size := uint64(1) << s.shift
 	end := first + uint64(len(traces))
@@ -89,12 +89,7 @@ func (s *sealedScans) scan(traces []*trace.Trace, first uint64, unsettled []uint
 		}
 		own := unsettled[:n]
 		unsettled = unsettled[n:]
-		blk := s.block(b, traces[off:off+int(size)], own, off)
-		if blk == nil {
-			next = off // walked live with the rows after it
-			continue
-		}
-		s.merge(blk)
+		s.merge(s.block(b, traces[off:off+int(size)], own, off))
 		for _, seq := range own {
 			ti := int(seq - first)
 			s.live(traces, ti, ti+1)
@@ -115,14 +110,10 @@ func (s *sealedScans) live(traces []*trace.Trace, from, to int) {
 
 // block returns the summary of block b, whose traces blk sit at row off
 // and whose unsettled sequence numbers are unsettled, sealing it on
-// first use. It returns nil for a block whose traces name a service
-// outside the base names: such a block is always walked live, which
-// keeps the window's first-visit order of those names.
+// first use.
 func (s *sealedScans) block(b uint64, blk []*trace.Trace, unsettled []uint64, off int) *sealedBlock {
 	if i := int(b - s.base); i < len(s.blocks) {
-		if s.blocks[i] != nil {
-			s.reused++
-		}
+		s.reused++
 		return s.blocks[i]
 	}
 	sw := &s.seal
@@ -137,18 +128,15 @@ func (s *sealedScans) block(b uint64, blk []*trace.Trace, unsettled []uint64, of
 		sw.addTrace(tr, ti)
 	}
 
-	var sb *sealedBlock
-	if len(sw.names) == len(s.names) {
-		sb = &sealedBlock{
-			svc:   make([]sealedService, len(sw.svc)),
-			calls: slices.Clone(sw.calls),
-		}
-		for i := range sw.svc {
-			st := &sw.svc[i]
-			sb.svc[i] = sealedService{visits: st.visits, upSum: st.upSum, upN: st.upN}
-		}
-		s.sealed++
+	sb := &sealedBlock{
+		svc:   make([]sealedService, len(sw.svc)),
+		calls: slices.Clone(sw.calls),
 	}
+	for i := range sw.svc {
+		st := &sw.svc[i]
+		sb.svc[i] = sealedService{visits: st.visits, upSum: st.upSum, upN: st.upN}
+	}
+	s.sealed++
 	s.blocks = append(s.blocks, sb)
 	return sb
 }
@@ -179,6 +167,7 @@ func (s *sealedScans) keep(lo, hi uint64) {
 // added, edges ORed. The block's rows are already in place.
 func (s *sealedScans) merge(sb *sealedBlock) {
 	w := &s.win
+	w.grow() // sealing the block may have interned names
 	for i := range sb.svc {
 		ss := &sb.svc[i]
 		if ss.visits == 0 {
@@ -192,7 +181,7 @@ func (s *sealedScans) merge(sb *sealedBlock) {
 		st.upSum += ss.upSum
 		st.upN += ss.upN
 	}
-	n, wn := len(s.names), len(w.names)
+	n, wn := len(sb.svc), len(w.names)
 	for caller := range n {
 		for callee, called := range sb.calls[caller*n : (caller+1)*n] {
 			if called {
@@ -210,30 +199,29 @@ func (s *sealedScans) merge(sb *sealedBlock) {
 type rowStore struct {
 	first uint64
 	rts   []float64
-	// cols[i] is the processing-time column of service names[i],
-	// created zeroed the first time a scan visits the service.
-	names []string
-	cols  [][]float64
+	// cols[i] is the processing-time column of service id i, created
+	// zeroed the first time a scan visits the service; nil before.
+	cols [][]float64
 }
 
-// column returns the processing-time column of service name.
-func (r *rowStore) column(name string) []float64 {
-	for i, n := range r.names {
-		if n == name {
-			return r.cols[i]
-		}
+// column returns the processing-time column of service id si.
+func (r *rowStore) column(si int) []float64 {
+	if si >= len(r.cols) {
+		r.cols = append(r.cols, make([][]float64, si+1-len(r.cols))...)
 	}
-	col := make([]float64, len(r.rts), cap(r.rts))
-	r.names = append(r.names, name)
-	r.cols = append(r.cols, col)
-	return col
+	if r.cols[si] == nil {
+		r.cols[si] = make([]float64, len(r.rts), cap(r.rts))
+	}
+	return r.cols[si]
 }
 
 // zero clears rows [from, to) of every column.
 func (r *rowStore) zero(from, to int) {
 	clear(r.rts[from:to])
 	for _, col := range r.cols {
-		clear(col[from:to])
+		if col != nil {
+			clear(col[from:to])
+		}
 	}
 }
 
@@ -252,7 +240,9 @@ func (r *rowStore) slide(first uint64, n int) {
 	}
 	r.rts = move(r.rts)
 	for i, col := range r.cols {
-		r.cols[i] = move(col)
+		if col != nil {
+			r.cols[i] = move(col)
+		}
 	}
 	r.first = first
 }

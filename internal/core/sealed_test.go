@@ -9,7 +9,7 @@ import (
 )
 
 // scanView scans the warehouse window [since, until) through s.
-func scanView(s *sealedScans, wh *trace.Warehouse, since, until sim.Time, names []string) (*windowScan, []*trace.Trace) {
+func scanView(s *sealedScans, wh *trace.Warehouse, since, until sim.Time, names *trace.Names) (*windowScan, []*trace.Trace) {
 	traces, first := wh.View(since, until)
 	return s.scan(traces, first, wh.Unsettled(first, first+uint64(len(traces))), names), traces
 }
@@ -19,7 +19,7 @@ func scanView(s *sealedScans, wh *trace.Warehouse, since, until sim.Time, names 
 // orphan appended to it and finished later must show in the next scan,
 // which must again equal a fresh one.
 func TestSealedScanRereadsUnsettled(t *testing.T) {
-	names := fuzzServices[:4]
+	names := trace.NewNames(fuzzServices[:4])
 	wh := trace.NewWarehouse(time.Hour)
 	var orphaned *trace.Trace
 	for i := 0; i < 8; i++ {
@@ -27,7 +27,7 @@ func TestSealedScanRereadsUnsettled(t *testing.T) {
 		child := &trace.Span{Service: "b", Depth: 1, Arrival: at + sim.Time(time.Millisecond), End: at + sim.Time(3*time.Millisecond)}
 		child.Start = child.Arrival
 		root := &trace.Span{Service: "a", Arrival: at, Start: at, End: at + sim.Time(5*time.Millisecond), Blocked: 2 * time.Millisecond, Children: []*trace.Span{child}}
-		tr := &trace.Trace{ID: trace.ID(i + 1), Root: root}
+		tr := &trace.Trace{ID: trace.ID(i + 1), Root: root, Names: names}
 		if i == 5 {
 			wh.AddUnsettled(tr)
 			orphaned = tr
@@ -77,7 +77,7 @@ func FuzzSealedScan(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 3, 0, 2, 1, 4, 7, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
-		names := fuzzServices[:4]
+		names := trace.NewNames(fuzzServices[:4])
 		s := &sealedScans{shift: uint(1 + r.next()%3)}
 		wh := trace.NewWarehouse(time.Hour)
 		var all, unsettled []*trace.Trace
@@ -90,7 +90,7 @@ func FuzzSealedScan(f *testing.F) {
 				d := end - root.Arrival + sim.Time(r.next()%3)*sim.Time(time.Millisecond)
 				root.Walk(func(s *trace.Span) { s.Arrival, s.Start, s.End = s.Arrival+d, s.Start+d, s.End+d })
 				end = root.End
-				tr := &trace.Trace{ID: trace.ID(len(all) + 1), Root: root}
+				tr := &trace.Trace{ID: trace.ID(len(all) + 1), Root: root, Names: names}
 				all = append(all, tr)
 				if r.next()%2 == 1 {
 					wh.AddUnsettled(tr)

@@ -303,21 +303,24 @@ func runAblationLocalize(p Params, w io.Writer) error {
 	fmt.Fprintf(w, "\n%-16s %10s %10s\n", "service", "meanUtil", "PCC(PT,RT)")
 	traces := r.C.Warehouse().Window(0, sim.Time(dur))
 	rts := make([]float64, len(traces))
-	pts := map[string][]float64{}
+	// pts[id] holds service id's per-trace processing times; nil until
+	// a span of the service is seen.
+	pts := make([][]float64, len(r.C.ServiceNames()))
+	var buf []trace.Record
 	for ti, tr := range traces {
 		rts[ti] = float64(tr.ResponseTime()) / float64(time.Millisecond)
-		tr.Root.Walk(func(s *trace.Span) {
-			arr, ok := pts[s.Service]
-			if !ok {
+		for _, rec := range tr.Records(&buf) {
+			arr := pts[rec.Service]
+			if arr == nil {
 				arr = make([]float64, len(traces))
-				pts[s.Service] = arr
+				pts[rec.Service] = arr
 			}
-			arr[ti] += float64(s.ProcessingTime()) / float64(time.Millisecond)
-		})
+			arr[ti] += float64(rec.ProcessingTime()) / float64(time.Millisecond)
+		}
 	}
-	for _, name := range r.C.ServiceNames() {
-		arr, ok := pts[name]
-		if !ok {
+	for id, name := range r.C.ServiceNames() {
+		arr := pts[id]
+		if arr == nil {
 			continue
 		}
 		pcc, err := stats.Pearson(arr, rts)

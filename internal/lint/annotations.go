@@ -20,9 +20,10 @@ import (
 // are either a bare method name on the pooled type itself (Cancel) or
 // Owner.Method for a method of another type in the same package that
 // takes the handle as receiver-adjacent argument (Kernel.releaseTimer).
-// "none" declares a documentation-only contract: the type is pooled or
-// arena-allocated but handles are never invalidated while reachable
-// (e.g. span slabs), so poolsafe applies no hazard rules to it.
+// "none" declares a documentation-only contract: the type is pooled,
+// but its handles are kept and recycled by another package (e.g.
+// trace.Span, free-listed by the cluster), so poolsafe applies no
+// hazard rules to it.
 //
 // A hotpath annotation must sit in the doc comment of a function or
 // method declaration; that function becomes a root for the hotpath

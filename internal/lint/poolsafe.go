@@ -35,8 +35,8 @@ import (
 //     assigned exactly one method — and verifies the clearing
 //     assignment dominates every call in its body.
 //
-// Contracts declared "invalidated-by none" (arena-allocated span slabs)
-// opt out of all three rules; they exist as machine-checked
+// Contracts declared "invalidated-by none" (trace.Span, recycled by
+// the cluster) opt out of all three rules; they exist as machine-checked
 // documentation that the type is pool-managed.
 //
 // Function literals are analyzed as separate functions with a fresh

@@ -79,14 +79,15 @@ func NewAggregator(slo time.Duration) *Aggregator {
 // Add folds one completed trace into the profile. Nil-receiver safe, so
 // a disabled profiler costs callers only a pointer test.
 func (a *Aggregator) Add(t *trace.Trace) {
-	if a == nil || t == nil || t.Root == nil {
+	if a == nil || t == nil {
 		return
 	}
 	path := t.CriticalPath()
 	if len(path) == 0 {
 		return
 	}
-	rt := spanWall(t.Root)
+	root := path[0]
+	rt := spanWall(root)
 	slow := a.slo > 0 && rt > a.slo
 
 	a.mu.Lock()
@@ -128,7 +129,7 @@ func (a *Aggregator) Add(t *trace.Trace) {
 			a.folded[stack+";"+phaseNames[p]] += d
 		}
 	}
-	t.Root.Walk(func(s *trace.Span) {
+	root.Walk(func(s *trace.Span) {
 		if s.Dropped {
 			a.droppedSpans++
 		}

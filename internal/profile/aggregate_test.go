@@ -53,7 +53,7 @@ func TestBlameInvariantOnSimulatedTraces(t *testing.T) {
 				tr.ID, tr.Type, sum, tr.ResponseTime(), sum-tr.ResponseTime())
 		}
 		// And every span's five phases tile its wall time exactly.
-		tr.Root.Walk(func(s *trace.Span) {
+		tr.Tree().Walk(func(s *trace.Span) {
 			ph := profile.SpanPhases(s)
 			var got time.Duration
 			for i := 0; i < profile.NumPhases; i++ {
@@ -74,7 +74,7 @@ func TestSimulatedPhasesAreConsistent(t *testing.T) {
 	traces := runSockShop(t, 11, 200)
 	spans, contended, connWaited := 0, 0, 0
 	for _, tr := range traces {
-		tr.Root.Walk(func(s *trace.Span) {
+		tr.Tree().Walk(func(s *trace.Span) {
 			spans++
 			if s.Demand > s.CPU {
 				t.Fatalf("span %s: demand %v > cpu %v", s.Service, s.Demand, s.CPU)

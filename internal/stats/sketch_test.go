@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -381,4 +382,57 @@ func TestSketchObserveAllocFree(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("Merge allocates %.1f objects per call, want 0", avg)
 	}
+}
+
+// FuzzSketchMerge decodes bytes into values inside the indexable range,
+// deals them to shards, and merges the shard sketches in a tree the
+// bytes choose. The merged sketch must be bit-identical to the serial
+// sketch of the same values (count, min, max and every bucket), and
+// every quantile must stay within alpha of the exact Percentile oracle
+// (checkQuantileBounds).
+func FuzzSketchMerge(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 0, 10, 0, 1, 200, 9, 2, 255, 255, 0, 0, 0, 0, 1, 128, 3, 4, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		shards := make([]*Sketch, 1+next()%8)
+		for i := range shards {
+			shards[i] = NewSketch(0)
+		}
+		serial := NewSketch(0)
+		var xs []float64
+		// Each value takes three bytes: its decade (1e-5 to 1e7), its
+		// mantissa and its shard.
+		for len(data) >= 3 && len(xs) < 2048 {
+			v := math.Pow(10, float64(next()%13)-5) * (1 + float64(next())/32)
+			xs = append(xs, v)
+			serial.Observe(v)
+			shards[next()%len(shards)].Observe(v)
+		}
+		// Merge two sketches the bytes pick until one is left.
+		for len(shards) > 1 {
+			i := next() % len(shards)
+			j := (i + 1 + next()%(len(shards)-1)) % len(shards)
+			if err := shards[i].Merge(shards[j]); err != nil {
+				t.Fatal(err)
+			}
+			shards = append(shards[:j], shards[j+1:]...)
+		}
+		merged := shards[0]
+		if merged.Count() != serial.Count() || math.Float64bits(merged.min) != math.Float64bits(serial.min) ||
+			math.Float64bits(merged.max) != math.Float64bits(serial.max) || !slices.Equal(merged.buckets, serial.buckets) {
+			t.Fatalf("merged sketch (count %d, min %g, max %g) differs from the serial one (count %d, min %g, max %g)",
+				merged.Count(), merged.min, merged.max, serial.Count(), serial.min, serial.max)
+		}
+		if len(xs) > 0 {
+			checkQuantileBounds(t, merged, xs, merged.alpha)
+		}
+	})
 }

@@ -127,12 +127,17 @@ func fromRecord(rec SpanRecord) (*Span, error) {
 }
 
 // Export writes the trace as one JSON object with nanosecond virtual-time
-// fields.
+// fields. A compacted trace is exported from the tree its records
+// materialize, so the bytes do not depend on the form the trace is in.
 func Export(w io.Writer, t *Trace) error {
-	if t == nil || t.Root == nil {
+	var root *Span
+	if t != nil {
+		root = t.Tree()
+	}
+	if root == nil {
 		return fmt.Errorf("trace: cannot export empty trace")
 	}
-	rec := TraceRecord{ID: t.ID, Type: t.Type, Root: toRecord(t.Root)}
+	rec := TraceRecord{ID: t.ID, Type: t.Type, Root: toRecord(root)}
 	enc := json.NewEncoder(w)
 	return enc.Encode(rec)
 }

@@ -1,0 +1,249 @@
+package trace
+
+import (
+	"slices"
+	"time"
+
+	"sora/internal/sim"
+)
+
+// Record is one span of a retained trace in its pointer-free form. A
+// settled trace keeps its spans as one []Record in pre-order: the
+// record of a span is followed by the records of its subtree, children
+// in call order, so Size replaces the child list and the depth follows
+// from the walk. Service and Instance index the trace's Names table.
+// A Record holds no pointer, so the garbage collector never scans a
+// retained trace's spans.
+type Record struct {
+	Arrival sim.Time
+	Start   sim.Time
+	End     sim.Time
+
+	Blocked     time.Duration
+	Demand      time.Duration
+	CPU         time.Duration
+	RetryWait   time.Duration
+	BreakerWait time.Duration
+
+	Service  int32 // index into Names.Services
+	Instance int32 // index into Names.Instances
+	Size     int32 // records in the subtree rooted here, this one included
+
+	Dropped   bool
+	Failed    bool
+	Degraded  bool
+	Abandoned bool
+}
+
+// Duration is Span.Duration of the recorded span.
+func (r *Record) Duration() time.Duration {
+	return time.Duration(r.End - r.Arrival)
+}
+
+// ProcessingTime is Span.ProcessingTime of the recorded span.
+func (r *Record) ProcessingTime() time.Duration {
+	return processingTime(r.Duration(), r.Blocked, r.RetryWait, r.BreakerWait)
+}
+
+// CriticalChildAt returns the index of the record the critical path
+// descends into from recs[i], a pre-order record array — the longest
+// non-abandoned child, earliest-dispatched on ties, as
+// Span.CriticalChild — or -1 when recs[i] is the path's last span.
+func CriticalChildAt(recs []Record, i int) int {
+	next, nextDur := -1, time.Duration(-1)
+	for c, end := i+1, i+int(recs[i].Size); c < end; c += int(recs[c].Size) {
+		if recs[c].Abandoned {
+			continue
+		}
+		if d := recs[c].Duration(); d > nextDur {
+			next, nextDur = c, d
+		}
+	}
+	return next
+}
+
+// Names is the append-only table of service and instance names that
+// Record ids index. An id never changes once handed out, so records
+// compacted earlier stay valid while the table grows. The cluster owns
+// one table for its run and every trace it completes points to it.
+type Names struct {
+	services  []string
+	instances []string
+	instID    map[string]int32
+}
+
+// NewNames returns a table whose first service ids are the positions of
+// services, which must be distinct.
+func NewNames(services []string) *Names {
+	return &Names{
+		services: slices.Clone(services),
+		instID:   make(map[string]int32),
+	}
+}
+
+// Services returns the service names in id order. The result is a
+// read-only view; later interning appends to the table, never rewrites.
+func (n *Names) Services() []string { return n.services[:len(n.services):len(n.services)] }
+
+// Service returns the name of service id.
+func (n *Names) Service(id int32) string { return n.services[id] }
+
+// Instance returns the name of instance id.
+func (n *Names) Instance(id int32) string { return n.instances[id] }
+
+// service returns the id of service name, assigning the next one on
+// first use. A linear search: a table holds a few dozen services.
+func (n *Names) service(name string) int32 {
+	for id, s := range n.services {
+		if s == name {
+			return int32(id)
+		}
+	}
+	n.services = append(n.services, name)
+	return int32(len(n.services) - 1)
+}
+
+// instance returns the id of instance name, assigning the next one on
+// first use.
+func (n *Names) instance(name string) int32 {
+	id, ok := n.instID[name]
+	if !ok {
+		id = int32(len(n.instances))
+		n.instances = append(n.instances, name)
+		n.instID[name] = id
+	}
+	return id
+}
+
+// appendRecords appends the pre-order records of the tree under s to
+// dst, interning its names.
+func (n *Names) appendRecords(dst []Record, s *Span) []Record {
+	i := len(dst)
+	// Write the fields in place: appending a Record literal builds it
+	// on the stack and copies it over, which costs a third of the walk.
+	dst = slices.Grow(dst, 1)[:i+1]
+	r := &dst[i]
+	r.Arrival, r.Start, r.End = s.Arrival, s.Start, s.End
+	r.Blocked, r.Demand, r.CPU = s.Blocked, s.Demand, s.CPU
+	r.RetryWait, r.BreakerWait = s.RetryWait, s.BreakerWait
+	r.Service, r.Instance = n.service(s.Service), n.instance(s.Instance)
+	r.Dropped, r.Failed, r.Degraded, r.Abandoned = s.Dropped, s.Failed, s.Degraded, s.Abandoned
+	for _, c := range s.Children {
+		dst = n.appendRecords(dst, c)
+	}
+	dst[i].Size = int32(len(dst) - i)
+	return dst
+}
+
+// tree materializes the span tree recs encode, its root at depth 0.
+// All spans share one allocation; a leaf keeps a nil child list.
+func (n *Names) tree(recs []Record) *Span {
+	if len(recs) == 0 {
+		return nil
+	}
+	spans := make([]Span, len(recs))
+	n.fill(spans, recs, 0, 0)
+	return &spans[0]
+}
+
+// fill materializes recs[i] and its subtree into spans[i:] at depth.
+func (n *Names) fill(spans []Span, recs []Record, i int, depth int32) {
+	r := &recs[i]
+	s := &spans[i]
+	*s = Span{
+		Service:     n.services[r.Service],
+		Instance:    n.instances[r.Instance],
+		Arrival:     r.Arrival,
+		Start:       r.Start,
+		End:         r.End,
+		Blocked:     r.Blocked,
+		Demand:      r.Demand,
+		CPU:         r.CPU,
+		RetryWait:   r.RetryWait,
+		BreakerWait: r.BreakerWait,
+		Dropped:     r.Dropped,
+		Failed:      r.Failed,
+		Degraded:    r.Degraded,
+		Abandoned:   r.Abandoned,
+		Depth:       depth,
+	}
+	end := i + int(r.Size)
+	for c := i + 1; c < end; c += int(recs[c].Size) {
+		s.Children = append(s.Children, &spans[c])
+		n.fill(spans, recs, c, depth+1)
+	}
+}
+
+// names returns the trace's name table, giving a trace built without
+// one a table of its own.
+func (t *Trace) names() *Names {
+	if t.Names == nil {
+		t.Names = NewNames(nil)
+	}
+	return t.Names
+}
+
+// Records returns the trace's spans as pre-order records whose ids index
+// t.Names. This is how every reader after completion sees a trace. A
+// compacted trace returns its stored records, which the caller must not
+// modify. A trace still holding its live tree — one stored unsettled,
+// or built outside the cluster — is compacted afresh into *scratch,
+// which is grown as needed and kept for the next call (a nil scratch
+// allocates), interning any new names; a trace built without a table
+// gets one of its own.
+func (t *Trace) Records(scratch *[]Record) []Record {
+	if t.Root == nil {
+		return t.recs
+	}
+	var buf []Record
+	if scratch != nil {
+		buf = (*scratch)[:0]
+	}
+	buf = t.names().appendRecords(buf, t.Root)
+	if scratch != nil {
+		*scratch = buf
+	}
+	return buf
+}
+
+// Depths calls fn for every record of recs, a pre-order record array,
+// with the record's index and its depth below recs[0].
+func Depths(recs []Record, fn func(i, depth int)) {
+	var ends []int // subtree ends of the open ancestors
+	for i := range recs {
+		for len(ends) > 0 && ends[len(ends)-1] <= i {
+			ends = ends[:len(ends)-1]
+		}
+		fn(i, len(ends))
+		if recs[i].Size > 1 {
+			ends = append(ends, i+int(recs[i].Size))
+		}
+	}
+}
+
+// Compact replaces the trace's live tree with its records: it compacts
+// the tree into *scratch (see Records), stores a copy sized to fit and
+// drops Root. The caller owns the released spans; the trace no longer
+// refers to any of them. Only a trace that can no longer change may be
+// compacted.
+func (t *Trace) Compact(scratch *[]Record) {
+	if t.Root == nil {
+		return
+	}
+	// Clone allocates without zeroing: Record holds no pointer.
+	t.recs = slices.Clone(t.Records(scratch))
+	t.Root = nil
+}
+
+// Tree returns the trace's span tree: the live Root, or for a compacted
+// trace a tree materialized from its records, fresh on every call.
+// Depths in a materialized tree count from 0 at the root.
+func (t *Trace) Tree() *Span {
+	if t.Root != nil {
+		return t.Root
+	}
+	if len(t.recs) == 0 {
+		return nil
+	}
+	return t.Names.tree(t.recs)
+}

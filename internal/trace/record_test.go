@@ -1,0 +1,167 @@
+package trace
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+	"time"
+
+	"sora/internal/sim"
+)
+
+// compactReader hands out fuzz bytes, then zeros once they run out.
+type compactReader struct {
+	data  []byte
+	spans int
+}
+
+func (r *compactReader) next() int {
+	if len(r.data) == 0 {
+		return 0
+	}
+	b := r.data[0]
+	r.data = r.data[1:]
+	return int(b)
+}
+
+// compactMaxSpans bounds a decoded tree.
+const compactMaxSpans = 256
+
+// decodeTree turns bytes into a span tree with the coverage of
+// randomSpanTree and more: each span takes five bytes — service (four
+// names, so services repeat), instance (none, as for a refused visit, or
+// one of two replicas), timing (1–4 ms, so equal-duration siblings are
+// common, and the arrival offset), flags (Abandoned on a child,
+// Dropped, Failed or Degraded, and the blocked share) and children
+// (0–3, at most four levels deep). With the children byte's high bit
+// set the first call is retried: a failed attempt of the same service,
+// then the attempt that answered.
+func decodeTree(r *compactReader, arrival sim.Time, depth int32) *Span {
+	r.spans++
+	services := []string{"a", "b", "c", "d"}
+	svc, inst, timing, flags, kids := r.next(), r.next(), r.next(), r.next(), r.next()
+	dur := time.Duration(1+timing%4) * time.Millisecond
+	s := &Span{
+		Service:     services[svc%len(services)],
+		Depth:       depth,
+		Arrival:     arrival + sim.Time(timing/4%3)*sim.Time(time.Millisecond),
+		Blocked:     dur * time.Duration(flags>>4%4) / 4,
+		Demand:      time.Duration(timing) * time.Microsecond,
+		CPU:         time.Duration(svc) * time.Microsecond,
+		RetryWait:   time.Duration(flags>>6) * time.Microsecond,
+		BreakerWait: time.Duration(inst>>4) * time.Microsecond,
+		Abandoned:   depth > 0 && flags&1 != 0,
+		Dropped:     flags&2 != 0,
+		Failed:      flags&6 == 4,
+		Degraded:    flags&6 == 6,
+	}
+	if k := inst % 3; k > 0 {
+		s.Instance = s.Service + "-" + string(rune('0'+k-1))
+	}
+	s.Start = s.Arrival + sim.Time(timing%2)*sim.Time(time.Millisecond)
+	s.End = s.Arrival + sim.Time(dur)
+	if depth < 4 {
+		for k := kids % 4; k > 0 && r.spans < compactMaxSpans; k-- {
+			c := decodeTree(r, s.Arrival, depth+1)
+			if kids&0x80 != 0 && len(s.Children) == 0 {
+				// A retried call: the failed first attempt, then its retry.
+				failed := *c
+				failed.Children = nil
+				failed.Failed = true
+				s.Children = append(s.Children, &failed)
+				r.spans++
+			}
+			s.Children = append(s.Children, c)
+		}
+	}
+	return s
+}
+
+// FuzzCompactTrace decodes bytes into a span tree and compacts it:
+// materializing the records must give back the original tree — same
+// child order, same Depth, nil leaf lists — and every Trace accessor
+// and the export bytes must agree between the live and the compacted
+// form.
+func FuzzCompactTrace(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		root := decodeTree(&compactReader{data: data}, 0, 0)
+		live := &Trace{ID: 7, Type: "t", Root: root}
+		compact := &Trace{ID: 7, Type: "t", Root: root}
+		var scratch []Record
+		compact.Compact(&scratch)
+		if compact.Root != nil {
+			t.Fatal("Compact kept the live tree")
+		}
+		if got := compact.Tree(); !reflect.DeepEqual(got, root) {
+			t.Fatalf("materialized tree differs from the original:\n got %+v\nwant %+v", got, root)
+		}
+		if got, want := compact.SpanCount(), live.SpanCount(); got != want || len(compact.Records(nil)) != want {
+			t.Errorf("SpanCount = %d (%d records), live %d", got, len(compact.Records(nil)), want)
+		}
+		if got, want := compact.ResponseTime(), live.ResponseTime(); got != want {
+			t.Errorf("ResponseTime = %v, live %v", got, want)
+		}
+		if got, want := compact.CompletedAt(), live.CompletedAt(); got != want {
+			t.Errorf("CompletedAt = %v, live %v", got, want)
+		}
+		if got, want := compact.CriticalPath(), live.CriticalPath(); !reflect.DeepEqual(got, want) {
+			t.Errorf("CriticalPath = %v, live %v", got, want)
+		}
+		for _, svc := range []string{"a", "b", "c", "d", "absent"} {
+			gotUp, gotOK := compact.UpstreamProcessing(svc)
+			wantUp, wantOK := live.UpstreamProcessing(svc)
+			if gotUp != wantUp || gotOK != wantOK {
+				t.Errorf("UpstreamProcessing(%q) = (%v, %v), live (%v, %v)", svc, gotUp, gotOK, wantUp, wantOK)
+			}
+			if got, want := compact.FindSpan(svc), live.FindSpan(svc); !reflect.DeepEqual(got, want) {
+				t.Errorf("FindSpan(%q) = %v, live %v", svc, got, want)
+			}
+		}
+		var a, b bytes.Buffer
+		if err := Export(&a, live); err != nil {
+			t.Fatal(err)
+		}
+		if err := Export(&b, compact); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("export differs:\n live    %s compact %s", a.Bytes(), b.Bytes())
+		}
+		// The live form read as records matches the stored ones, and the
+		// depths the walk derives are the spans' own.
+		if got, want := live.Records(&scratch), compact.Records(nil); !reflect.DeepEqual(got, want) {
+			t.Errorf("live records %v, stored %v", got, want)
+		}
+		var depths []int32
+		root.Walk(func(s *Span) { depths = append(depths, s.Depth) })
+		Depths(compact.Records(nil), func(i, depth int) {
+			if int32(depth) != depths[i] {
+				t.Errorf("record %d at depth %d, span depth %d", i, depth, depths[i])
+			}
+		})
+	})
+}
+
+// TestNamesKeepIDs checks that a name's id never changes: the table
+// starts with the given services in order, appends names it has not
+// seen at first use, and hands the same id back on every later use.
+func TestNamesKeepIDs(t *testing.T) {
+	n := NewNames([]string{"a", "b"})
+	for range 2 {
+		for i, name := range []string{"b", "x", "a"} {
+			if got, want := n.service(name), []int32{1, 2, 0}[i]; got != want {
+				t.Fatalf("service %q = %d, want %d", name, got, want)
+			}
+		}
+		for i, name := range []string{"a-0", "a-1", "", "a-0"} {
+			if got, want := n.instance(name), []int32{0, 1, 2, 0}[i]; got != want {
+				t.Fatalf("instance %q = %d, want %d", name, got, want)
+			}
+		}
+	}
+	if got := n.Services(); !reflect.DeepEqual(got, []string{"a", "b", "x"}) {
+		t.Errorf("Services() = %v", got)
+	}
+}

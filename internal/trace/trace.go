@@ -22,7 +22,7 @@ type ID uint64
 // Span records one service visit within a request's execution tree. All
 // timestamps are virtual times.
 //
-//soravet:pool Span invalidated-by none spans are carved from cluster arena slabs and never recycled individually; a handle stays valid for the trace's retention window, after which the whole slab is collected
+//soravet:pool Span invalidated-by none spans recycle through the cluster's free list: once a settled trace's OnComplete callbacks return, Trace.Compact copies its tree into records and Cluster.freeSpans hands every span back for a later visit to reissue, so a handle is valid only while its trace holds the live tree (an unsettled trace always does); the cluster keeps span handles in visits and attempts by design, so no invalidator is declared here
 type Span struct {
 	Service  string // logical service name (e.g. "cart")
 	Instance string // pod identity (e.g. "cart-0")
@@ -85,8 +85,7 @@ type Span struct {
 	Abandoned bool
 
 	// Depth is 0 for the front-end. It is an int32 packed beside the
-	// four flags so a Span is 128 B and the cluster's 256-span arena
-	// slab is exactly 32 KiB (DESIGN.md §13).
+	// four flags so a Span is 128 B.
 	Depth int32
 
 	Children []*Span
@@ -104,7 +103,13 @@ func (s *Span) Duration() time.Duration {
 // blocked on downstream services and time waiting out retry or breaker
 // backoff (which is downstream-recovery wait, not local work).
 func (s *Span) ProcessingTime() time.Duration {
-	pt := s.Duration() - s.Blocked - s.RetryWait - s.BreakerWait
+	return processingTime(s.Duration(), s.Blocked, s.RetryWait, s.BreakerWait)
+}
+
+// processingTime is the PT_s of a visit of wall time d: d minus its
+// blocked and backoff waits, floored at zero.
+func processingTime(d, blocked, retry, breaker time.Duration) time.Duration {
+	pt := d - blocked - retry - breaker
 	if pt < 0 {
 		pt = 0
 	}
@@ -123,27 +128,46 @@ func (s *Span) String() string {
 	return fmt.Sprintf("%s@%s [%v,%v] pt=%v", s.Service, s.Instance, s.Arrival, s.End, s.ProcessingTime())
 }
 
-// Trace is the complete execution record of one user request.
+// Trace is the complete execution record of one user request. It holds
+// its spans in one of two forms: the live tree under Root, or once
+// compacted (see Compact) the pre-order records that Records returns.
 type Trace struct {
 	ID   ID
 	Type string // request type (e.g. "getCatalogue")
+
+	// Root is the live span tree. For a trace the cluster stores as
+	// settled it is valid only during the cluster's OnComplete
+	// callbacks: the cluster then compacts the trace, Root becomes nil
+	// and its spans are reused by later requests. After the callbacks,
+	// read a trace through Records or Tree, or export it.
 	Root *Span
+
+	// Names is the table the records' service and instance ids index.
+	Names *Names
+
+	recs []Record // the compacted spans; nil while Root is set
 }
 
 // ResponseTime returns the end-to-end response time of the request.
 func (t *Trace) ResponseTime() time.Duration {
-	if t.Root == nil {
-		return 0
+	if t.Root != nil {
+		return t.Root.Duration()
 	}
-	return t.Root.Duration()
+	if len(t.recs) > 0 {
+		return t.recs[0].Duration()
+	}
+	return 0
 }
 
 // CompletedAt returns the virtual time the response left the system.
 func (t *Trace) CompletedAt() sim.Time {
-	if t.Root == nil {
-		return 0
+	if t.Root != nil {
+		return t.Root.End
 	}
-	return t.Root.End
+	if len(t.recs) > 0 {
+		return t.recs[0].End
+	}
+	return 0
 }
 
 // SpanCount returns the number of spans in the trace.
@@ -151,8 +175,8 @@ func (t *Trace) CompletedAt() sim.Time {
 //soravet:allow deadcode (b) cross-package observer: cluster tests observe recorded span counts through it
 func (t *Trace) SpanCount() int {
 	n := 0
-	if t.Root != nil {
-		t.Root.Walk(func(*Span) { n++ })
+	if root := t.Tree(); root != nil {
+		root.Walk(func(*Span) { n++ })
 	}
 	return n
 }
@@ -177,11 +201,12 @@ func (t *Trace) SpanCount() int {
 // starts with the user request and ends with the final response") and the
 // parent-child chain used by the deadline-propagation phase.
 func (t *Trace) CriticalPath() []*Span {
-	if t.Root == nil {
+	root := t.Tree()
+	if root == nil {
 		return nil
 	}
 	var path []*Span
-	for cur := t.Root; cur != nil; cur = cur.CriticalChild() {
+	for cur := root; cur != nil; cur = cur.CriticalChild() {
 		path = append(path, cur)
 	}
 	return path
@@ -223,11 +248,12 @@ func (t *Trace) CriticalPathServices() []string {
 //
 //soravet:allow deadcode (b) cross-package observer: topology tests look up spans by service through it
 func (t *Trace) FindSpan(service string) *Span {
-	if t.Root == nil {
+	root := t.Tree()
+	if root == nil {
 		return nil
 	}
 	var found *Span
-	t.Root.Walk(func(s *Span) {
+	root.Walk(func(s *Span) {
 		if found == nil && s.Service == service {
 			found = s
 		}
@@ -239,13 +265,13 @@ func (t *Trace) FindSpan(service string) *Span {
 // strictly above the given service on the trace's critical path, i.e.
 // Σ_{k<i} PT_sk from Eq. (3) of the paper. The second return value reports
 // whether the service appears on the critical path at all. The path is
-// descended in place rather than materialized, so the SCG model's
-// per-trace call allocates nothing.
+// descended in place rather than materialized, so on a live tree a call
+// allocates nothing.
 //
 //soravet:allow deadcode (a) reference implementation: the SCG oracle tests compare the scan's per-span upstream time against it
 func (t *Trace) UpstreamProcessing(service string) (time.Duration, bool) {
 	var sum time.Duration
-	for s := t.Root; s != nil; s = s.CriticalChild() {
+	for s := t.Tree(); s != nil; s = s.CriticalChild() {
 		if s.Service == service {
 			return sum, true
 		}

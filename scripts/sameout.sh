@@ -1,13 +1,15 @@
 #!/bin/sh
-# sameout.sh — check that two sorabench builds produce byte-identical
-# output (EXPERIMENTS.md § Byte-identity of two builds).
+# sameout.sh — check that two builds produce byte-identical output
+# (EXPERIMENTS.md § Byte-identity of two builds).
 #
 # Usage:
-#   scripts/sameout.sh PARENT_SORABENCH CHANGE_SORABENCH
+#   scripts/sameout.sh PARENT_SORABENCH CHANGE_SORABENCH PARENT_SIMRUN CHANGE_SIMRUN
 #
-# PARENT_SORABENCH and CHANGE_SORABENCH are sorabench binaries built
-# from the two trees (go build -o BIN ./cmd/sorabench). Each binary runs
-# two command sets with -quiet -telemetry-dir -timeline -out:
+# The four binaries are sorabench and simrun built from the two trees
+# (go build -o BIN ./cmd/sorabench, go build -o BIN ./cmd/simrun). Each
+# sorabench runs two command sets with -quiet -telemetry-dir DIR
+# -timeline DIR/tl -out (timelines under the telemetry directory, so the
+# manifests there name every artifact):
 #
 #   all:    -exp all -scale 0.1 -seed 1
 #           every experiment; at this scale no controller gets past its
@@ -15,33 +17,58 @@
 #   ctrl:   -exp fig12,chaos,ctrlplane -scale 0.5 -seed 5
 #           runs long enough for the controllers to decide.
 #
-# The script compares stdout with cmp and the telemetry, timeline and
-# CSV trees with diff -r, and exits non-zero on any difference.
-# Diagnostics (wall time, events/s) go to stderr and are not compared.
+# Each simrun runs one more set with -profile -trace-archive
+# -telemetry-dir:
+#
+#   simrun: -app sockshop -fault-plan combo -seed 5 -duration 60s
+#           the combo plan's timeouts leave traces unsettled, so the
+#           archive covers both the compacted and the live trace form,
+#           and the telemetry span sample reads both.
+#
+# The script compares stdout with cmp (simrun's wall-time figure and
+# output directory blanked) and the artifact trees with diff -r, and exits non-zero on
+# any difference. Diagnostics (wall time, events/s) go to stderr and
+# are not compared.
 set -eu
 
-if [ $# -ne 2 ]; then
-	echo "usage: $0 PARENT_SORABENCH CHANGE_SORABENCH" >&2
+if [ $# -ne 4 ]; then
+	echo "usage: $0 PARENT_SORABENCH CHANGE_SORABENCH PARENT_SIMRUN CHANGE_SIMRUN" >&2
 	exit 2
 fi
 parent=$1
 change=$2
+parent_simrun=$3
+change_simrun=$4
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/sameout.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
 trap 'exit 1' INT TERM
 
 status=0
-for set in all ctrl; do
+for set in all ctrl simrun; do
 	case $set in
-	all) args="-exp all -scale 0.1 -seed 1" ;;
-	ctrl) args="-exp fig12,chaos,ctrlplane -scale 0.5 -seed 5" ;;
+	all) args="-exp all -scale 0.1 -seed 1" trees="tel csv" ;;
+	ctrl) args="-exp fig12,chaos,ctrlplane -scale 0.5 -seed 5" trees="tel csv" ;;
+	simrun) args="-app sockshop -fault-plan combo -seed 5 -duration 60s -profile" trees="tel archive" ;;
 	esac
 	for side in parent change; do
-		if [ "$side" = parent ]; then bin=$parent; else bin=$change; fi
 		d="$tmp/$set/$side"
 		mkdir -p "$d"
+		if [ "$set" = simrun ]; then
+			if [ "$side" = parent ]; then bin=$parent_simrun; else bin=$change_simrun; fi
+			mkdir -p "$d/archive"
+			# shellcheck disable=SC2086 # args is a word list on purpose
+			if "$bin" $args -telemetry-dir "$d/tel" -trace-archive "$d/archive/traces.jsonl" >"$d/raw" 2>"$d/stderr"; then
+				sed -e 's/(wall [^,]*,/(wall -,/' -e "s|$d/||g" "$d/raw" >"$d/stdout"
+			else
+				echo "sameout: $side run of set $set failed:" >&2
+				cat "$d/stderr" >&2
+				exit 1
+			fi
+			continue
+		fi
+		if [ "$side" = parent ]; then bin=$parent; else bin=$change; fi
 		# shellcheck disable=SC2086 # args is a word list on purpose
-		if ! "$bin" $args -quiet -telemetry-dir "$d/tel" -timeline "$d/tl" -out "$d/csv" \
+		if ! "$bin" $args -quiet -telemetry-dir "$d/tel" -timeline "$d/tel/tl" -out "$d/csv" \
 			>"$d/stdout" 2>"$d/stderr"; then
 			echo "sameout: $side run of set $set failed:" >&2
 			cat "$d/stderr" >&2
@@ -55,7 +82,7 @@ for set in all ctrl; do
 		diff "$tmp/$set/parent/stdout" "$tmp/$set/change/stdout" | head -20
 		status=1
 	fi
-	for tree in tel tl csv; do
+	for tree in $trees; do
 		if diff -r "$tmp/$set/parent/$tree" "$tmp/$set/change/$tree" >"$tmp/$set/$tree.diff"; then
 			echo "sameout: $set: $tree identical ($(find "$tmp/$set/change/$tree" -type f | wc -l) files)"
 		else
