@@ -83,18 +83,21 @@ type FIRMConfig struct {
 	// Ladder is the ordered set of CPU limits the scaler moves through;
 	// empty selects {2, 4} (the paper's Cart scenario scales 2 <-> 4).
 	Ladder []float64
-	// UpUtil is the utilization above which a violation triggers scale-up;
-	// zero selects 0.7.
-	UpUtil float64
-	// DownUtil is the utilization below which sustained calm triggers
-	// scale-down; zero selects 0.35.
-	DownUtil float64
-	// DownAfter is how many consecutive calm periods precede scale-down;
-	// zero selects 4.
-	DownAfter int
-	// Window is the telemetry window for the p99; zero selects 15 s.
-	Window time.Duration
 }
+
+const (
+	// firmUpUtil is the utilization at or above which a violation
+	// triggers scale-up.
+	firmUpUtil = 0.7
+	// firmDownUtil is the utilization at or below which sustained calm
+	// triggers scale-down.
+	firmDownUtil = 0.35
+	// firmDownAfter is how many consecutive calm periods precede
+	// scale-down.
+	firmDownAfter = 4
+	// firmWindow is the telemetry window of the p99.
+	firmWindow = 15 * time.Second
+)
 
 // FIRMScaler scales one service's per-pod CPU limit up the ladder when
 // the end-to-end p99 violates the SLO while the service runs hot, and
@@ -128,18 +131,6 @@ func NewFIRM(c *cluster.Cluster, cfg FIRMConfig) (*FIRMScaler, error) {
 			return nil, fmt.Errorf("autoscaler: FIRM ladder must be strictly increasing, got %v", cfg.Ladder)
 		}
 	}
-	if cfg.UpUtil <= 0 {
-		cfg.UpUtil = 0.7
-	}
-	if cfg.DownUtil <= 0 {
-		cfg.DownUtil = 0.35
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 4
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 15 * time.Second
-	}
 	s := &FIRMScaler{cfg: cfg, c: c, util: utilTracker{c: c, service: cfg.Service}}
 	// Locate the current core limit on the ladder (closest entry).
 	cores := svc.Cores()
@@ -161,13 +152,13 @@ func (s *FIRMScaler) Step(now sim.Time) bool {
 	if err != nil {
 		return false
 	}
-	p99, err := s.c.Completions().Percentile(99, now-sim.Time(s.cfg.Window), now)
+	p99, err := s.c.Completions().Percentile(99, now-sim.Time(firmWindow), now)
 	if err != nil {
 		return false // quiet window
 	}
 	violating := p99 > s.cfg.SLO
 	switch {
-	case violating && util >= s.cfg.UpUtil && s.level < len(s.cfg.Ladder)-1:
+	case violating && util >= firmUpUtil && s.level < len(s.cfg.Ladder)-1:
 		s.level++
 		s.calm = 0
 		if err := s.c.SetCores(s.cfg.Service, s.cfg.Ladder[s.level]); err != nil {
@@ -176,9 +167,9 @@ func (s *FIRMScaler) Step(now sim.Time) bool {
 		}
 		publishScale(s.c, now, s.Name(), s.cfg.Service, "cores", s.cfg.Ladder[s.level-1], s.cfg.Ladder[s.level], util)
 		return true
-	case !violating && util <= s.cfg.DownUtil && s.level > 0:
+	case !violating && util <= firmDownUtil && s.level > 0:
 		s.calm++
-		if s.calm >= s.cfg.DownAfter {
+		if s.calm >= firmDownAfter {
 			s.calm = 0
 			s.level--
 			if err := s.c.SetCores(s.cfg.Service, s.cfg.Ladder[s.level]); err != nil {
@@ -198,18 +189,25 @@ func (s *FIRMScaler) Step(now sim.Time) bool {
 type HPAConfig struct {
 	// Service is the scaled service (required).
 	Service string
-	// TargetUtil is the per-pod CPU utilization target; zero selects 0.8
-	// (the "CPU utilization > 80%" rule the paper cites).
-	TargetUtil float64
-	// MinReplicas/MaxReplicas bound the pod count; zeros select 1 and 8.
-	MinReplicas, MaxReplicas int
-	// ScaleDownStabilization is how long utilization must stay below
-	// target before pods are removed; zero selects 60 s.
-	ScaleDownStabilization time.Duration
-	// Tolerance suppresses rescaling when |util/target - 1| is within
-	// it; zero selects 0.1 (the Kubernetes default).
-	Tolerance float64
+	// MaxReplicas bounds the pod count from above; zero selects 8. The
+	// floor is hpaMinReplicas.
+	MaxReplicas int
 }
+
+const (
+	// hpaTargetUtil is the per-pod CPU utilization target: the "CPU
+	// utilization > 80%" rule the paper cites.
+	hpaTargetUtil = 0.8
+	// hpaMinReplicas is the fewest pods the HPA scales down to.
+	hpaMinReplicas = 1
+	// hpaScaleDownStabilization is how long utilization must stay below
+	// target before pods are removed.
+	hpaScaleDownStabilization = 60 * time.Second
+	// hpaTolerance suppresses rescaling when |util/target - 1| is within
+	// it (the Kubernetes default). 1±hpaTolerance folds to the same
+	// float64 as the run-time sum: the nearest double to 0.9 and to 1.1.
+	hpaTolerance = 0.1
+)
 
 // HPAScaler reproduces the Kubernetes HPA control law.
 type HPAScaler struct {
@@ -228,23 +226,8 @@ func NewHPA(c *cluster.Cluster, cfg HPAConfig) (*HPAScaler, error) {
 	if _, err := c.Service(cfg.Service); err != nil {
 		return nil, err
 	}
-	if cfg.TargetUtil <= 0 {
-		cfg.TargetUtil = 0.8
-	}
-	if cfg.MinReplicas <= 0 {
-		cfg.MinReplicas = 1
-	}
 	if cfg.MaxReplicas <= 0 {
 		cfg.MaxReplicas = 8
-	}
-	if cfg.MaxReplicas < cfg.MinReplicas {
-		return nil, fmt.Errorf("autoscaler: HPA max replicas %d below min %d", cfg.MaxReplicas, cfg.MinReplicas)
-	}
-	if cfg.ScaleDownStabilization <= 0 {
-		cfg.ScaleDownStabilization = 60 * time.Second
-	}
-	if cfg.Tolerance <= 0 {
-		cfg.Tolerance = 0.1
 	}
 	return &HPAScaler{cfg: cfg, c: c, util: utilTracker{c: c, service: cfg.Service}}, nil
 }
@@ -263,14 +246,14 @@ func (s *HPAScaler) Step(now sim.Time) bool {
 		return false
 	}
 	current := svc.Replicas()
-	ratio := util / s.cfg.TargetUtil
-	if ratio > 1-s.cfg.Tolerance && ratio < 1+s.cfg.Tolerance {
+	ratio := util / hpaTargetUtil
+	if ratio > 1-hpaTolerance && ratio < 1+hpaTolerance {
 		s.hasLow = false
 		return false
 	}
 	desired := int(float64(current)*ratio + 0.999999) // ceil
-	if desired < s.cfg.MinReplicas {
-		desired = s.cfg.MinReplicas
+	if desired < hpaMinReplicas {
+		desired = hpaMinReplicas
 	}
 	if desired > s.cfg.MaxReplicas {
 		desired = s.cfg.MaxReplicas
@@ -290,7 +273,7 @@ func (s *HPAScaler) Step(now sim.Time) bool {
 			s.lowSince = now
 			return false
 		}
-		if now-s.lowSince < sim.Time(s.cfg.ScaleDownStabilization) {
+		if now-s.lowSince < sim.Time(hpaScaleDownStabilization) {
 			return false
 		}
 		s.hasLow = false
@@ -309,19 +292,20 @@ func (s *HPAScaler) Step(now sim.Time) bool {
 type VPAConfig struct {
 	// Service is the scaled service (required).
 	Service string
-	// UpUtil scales cores up when exceeded; zero selects 0.8.
-	UpUtil float64
-	// DownUtil scales down when underrun for DownAfter periods; zero
-	// selects 0.3.
-	DownUtil float64
-	// DownAfter is the consecutive calm periods before scale-down; zero
-	// selects 4.
-	DownAfter int
-	// Step is the core increment per decision; zero selects 1.
-	Step float64
 	// MinCores/MaxCores bound the per-pod limit; zeros select 1 and 8.
 	MinCores, MaxCores float64
 }
+
+const (
+	// vpaUpUtil is the utilization at or above which cores step up.
+	vpaUpUtil = 0.8
+	// vpaDownUtil is the utilization at or below which vpaDownAfter
+	// consecutive calm periods step cores down.
+	vpaDownUtil  = 0.3
+	vpaDownAfter = 4
+	// vpaStep is the core increment per decision.
+	vpaStep = 1
+)
 
 // VPAScaler is a simple threshold-based vertical scaler (Kubernetes
 // VPA-style): cores step up under high utilization and down after
@@ -340,18 +324,6 @@ func NewVPA(c *cluster.Cluster, cfg VPAConfig) (*VPAScaler, error) {
 	}
 	if _, err := c.Service(cfg.Service); err != nil {
 		return nil, err
-	}
-	if cfg.UpUtil <= 0 {
-		cfg.UpUtil = 0.8
-	}
-	if cfg.DownUtil <= 0 {
-		cfg.DownUtil = 0.3
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 4
-	}
-	if cfg.Step <= 0 {
-		cfg.Step = 1
 	}
 	if cfg.MinCores <= 0 {
 		cfg.MinCores = 1
@@ -380,9 +352,9 @@ func (s *VPAScaler) Step(now sim.Time) bool {
 	}
 	cores := svc.Cores()
 	switch {
-	case util >= s.cfg.UpUtil && cores < s.cfg.MaxCores:
+	case util >= vpaUpUtil && cores < s.cfg.MaxCores:
 		s.calm = 0
-		next := cores + s.cfg.Step
+		next := cores + vpaStep
 		if next > s.cfg.MaxCores {
 			next = s.cfg.MaxCores
 		}
@@ -391,11 +363,11 @@ func (s *VPAScaler) Step(now sim.Time) bool {
 		}
 		publishScale(s.c, now, s.Name(), s.cfg.Service, "cores", cores, next, util)
 		return true
-	case util <= s.cfg.DownUtil && cores > s.cfg.MinCores:
+	case util <= vpaDownUtil && cores > s.cfg.MinCores:
 		s.calm++
-		if s.calm >= s.cfg.DownAfter {
+		if s.calm >= vpaDownAfter {
 			s.calm = 0
-			next := cores - s.cfg.Step
+			next := cores - vpaStep
 			if next < s.cfg.MinCores {
 				next = s.cfg.MinCores
 			}

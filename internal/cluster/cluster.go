@@ -215,14 +215,12 @@ func (a App) Validate() error {
 }
 
 // Options configures a Cluster beyond the App definition.
+//
+// Messages between services take no time, the paper's "network latency
+// is negligible" assumption; only a fault's ExtraDelay delays one (see
+// withEdgeDelay). Completion and trace history is kept for
+// trace.DefaultRetention.
 type Options struct {
-	// NetworkDelay is the one-way latency added to every inter-service
-	// message. Nil models the paper's "network latency is negligible"
-	// assumption (zero delay).
-	NetworkDelay dist.Distribution
-	// Retention bounds how much completion/trace history is kept; zero
-	// selects trace.DefaultRetention.
-	Retention time.Duration
 	// Telemetry, when non-nil, receives structured events (reconfig,
 	// admission drops) and end-of-run counters from this cluster. Nil
 	// disables telemetry at zero cost (every publish site is a nil
@@ -250,11 +248,9 @@ type Cluster struct {
 	e2eLog    *metrics.CompletionLog
 	perType   map[string]*metrics.CompletionLog
 
-	netDelay  dist.Distribution
-	retention time.Duration
-	rng       *rand.Rand
-	mix       []WeightedRequest
-	mixTotal  float64
+	rng      *rand.Rand
+	mix      []WeightedRequest
+	mixTotal float64
 
 	nextTraceID trace.ID
 	onComplete  []func(*trace.Trace)
@@ -336,19 +332,13 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
-	retention := opts.Retention
-	if retention <= 0 {
-		retention = trace.DefaultRetention
-	}
 	c := &Cluster{
 		k:         k,
 		app:       app,
 		services:  make(map[string]*Service, len(app.Services)),
-		warehouse: trace.NewWarehouse(retention),
+		warehouse: trace.NewWarehouse(trace.DefaultRetention),
 		e2eLog:    &metrics.CompletionLog{},
 		perType:   make(map[string]*metrics.CompletionLog),
-		netDelay:  opts.NetworkDelay,
-		retention: retention,
 		rng:       k.Split(0xc1),
 		edges:     make(map[edgeKey]*edgeState),
 		resRNG:    k.Split(0x4e5),
@@ -387,7 +377,7 @@ const pruneInterval = 4096
 
 // housekeep drops metric history beyond the retention window.
 func (c *Cluster) housekeep() {
-	cutoff := c.k.Now() - c.retention
+	cutoff := c.k.Now() - trace.DefaultRetention
 	c.e2eLog.Prune(cutoff)
 	for _, l := range c.perType {
 		l.Prune(cutoff)
@@ -700,9 +690,7 @@ func (c *Cluster) newDirectCall() *directCall {
 	dc := &directCall{}             //soravet:allow hotpath pool miss: allocates only while the in-flight direct-call high-water mark rises, then the free list serves every dispatch
 	dc.dbAcquiredFn = dc.dbAcquired //soravet:allow hotpath bound once per struct lifetime (pool miss only) and reused across recycles
 	dc.sendFn = dc.send             //soravet:allow hotpath bound once per struct lifetime (pool miss only) and reused across recycles
-	dc.arriveFn = dc.arrive         //soravet:allow hotpath bound once per struct lifetime (pool miss only) and reused across recycles
 	dc.doneFn = dc.done             //soravet:allow hotpath bound once per struct lifetime (pool miss only) and reused across recycles
-	dc.backFn = dc.back             //soravet:allow hotpath bound once per struct lifetime (pool miss only) and reused across recycles
 	return dc
 }
 
@@ -712,7 +700,6 @@ func (c *Cluster) freeDirectCall(dc *directCall) {
 	dc.v = nil
 	dc.child = nil
 	dc.cp = nil
-	dc.cv = nil
 	c.directFree = append(c.directFree, dc)
 }
 
@@ -826,28 +813,10 @@ func (c *Cluster) sampleDemand(d dist.Distribution) time.Duration {
 	return d.Sample(c.rng)
 }
 
-// withNetDelay runs fn after one network hop of latency (immediately when
-// no delay distribution is configured, avoiding event overhead).
-func (c *Cluster) withNetDelay(fn func()) {
-	if c.netDelay == nil {
-		fn()
-		return
-	}
-	d := c.netDelay.Sample(c.rng)
-	if d <= 0 {
-		fn()
-		return
-	}
-	c.k.Schedule(d, fn)
-}
-
 // withEdgeDelay runs fn after one network hop over a policy-bearing
-// edge: the base network latency plus the edge's injected ExtraDelay.
+// edge: at once, unless the edge's fault injects an ExtraDelay.
 func (c *Cluster) withEdgeDelay(es *edgeState, fn func()) {
 	d := es.fault.ExtraDelay
-	if c.netDelay != nil {
-		d += c.netDelay.Sample(c.rng)
-	}
 	if d <= 0 {
 		fn()
 		return

@@ -427,22 +427,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-func TestNetworkDelayAddsLatency(t *testing.T) {
-	k := sim.NewKernel(13)
-	c, err := New(k, twoTier(0, 0), Options{NetworkDelay: dist.NewDeterministic(time.Millisecond)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rtime time.Duration
-	c.OnComplete(func(tr *trace.Trace) { rtime = tr.ResponseTime() })
-	c.SubmitMix()
-	k.Run()
-	// Base 10ms + 2 hops x 1ms = 12ms.
-	if rtime < 11*time.Millisecond || rtime > 13*time.Millisecond {
-		t.Errorf("RT with network delay = %v, want ~12ms", rtime)
-	}
-}
-
 func TestMixWeights(t *testing.T) {
 	light := &RequestType{Name: "light", Root: &CallNode{Service: "frontend", ReqWork: dist.NewDeterministic(time.Millisecond)}}
 	heavy := &RequestType{Name: "heavy", Root: &CallNode{Service: "frontend", ReqWork: dist.NewDeterministic(time.Millisecond)}}

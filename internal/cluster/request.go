@@ -193,18 +193,15 @@ func (v *visit) startCall(child *CallNode) {
 // methods bound once per struct (the *Fn fields), so the pool wait lists
 // and the kernel are handed existing func values, never fresh closures.
 //
-//soravet:pool directCall invalidated-by Cluster.freeDirectCall record dead once freeDirectCall returns; back recycles it before advancing the caller, and a later dispatchDirect may reissue it
+//soravet:pool directCall invalidated-by Cluster.freeDirectCall record dead once freeDirectCall returns; done recycles it before advancing the caller, and a later dispatchDirect may reissue it
 type directCall struct {
 	v     *visit
 	child *CallNode
-	cp    *pool  // client-connection slot held; nil when the edge has no client pool
-	cv    *visit // answered child, held across the return hop
+	cp    *pool // client-connection slot held; nil when the edge has no client pool
 
 	dbAcquiredFn func()
 	sendFn       func()
-	arriveFn     func()
 	doneFn       func(*visit)
-	backFn       func()
 }
 
 // dispatchDirect acquires this pod's downstream-connection slot and, if
@@ -231,32 +228,21 @@ func (dc *directCall) dbAcquired() {
 	dc.send()
 }
 
-// send puts the call on the wire once every slot is held.
+// send starts the child visit once every slot is held; a direct edge's
+// hops take no time.
 func (dc *directCall) send() {
 	v := dc.v
 	v.outstanding++
 	v.reWait()
-	v.c.withNetDelay(dc.arriveFn)
-}
-
-// arrive starts the child visit after the request hop.
-func (dc *directCall) arrive() {
-	v := dc.v
 	v.c.startVisit(dc.child, v.span, len(v.node.Children), v.deadline, dc.doneFn)
 }
 
-// done is the child's completion signal; the response takes one hop
-// back.
+// done is the child's completion signal, the response reaching the
+// caller. It frees the slots, consumes the child's outcome, and recycles
+// the child visit and the record before the caller advances, so its next
+// call can reuse both.
 func (dc *directCall) done(cv *visit) {
-	dc.cv = cv
-	dc.v.c.withNetDelay(dc.backFn)
-}
-
-// back runs when the response reaches the caller. It frees the slots,
-// consumes the child's outcome, and recycles the child visit and the
-// record before the caller advances, so its next call can reuse both.
-func (dc *directCall) back() {
-	v, cv := dc.v, dc.cv
+	v := dc.v
 	v.inst.releaseSlots(dc.cp)
 	v.outstanding--
 	v.reWait()

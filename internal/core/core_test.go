@@ -352,10 +352,6 @@ func TestManagedResourceHelpers(t *testing.T) {
 	if got := res2.MeasuredService(); got != "cart" {
 		t.Errorf("measured service = %q, want cart", got)
 	}
-	res3 := ManagedResource{Ref: res2.Ref, Measured: "cart-db"}
-	if got := res3.MeasuredService(); got != "cart-db" {
-		t.Errorf("explicit measured = %q", got)
-	}
 	clamp := ManagedResource{Min: 5, Max: 50}
 	for _, tt := range []struct{ in, want int }{{1, 5}, {5, 5}, {30, 30}, {50, 50}, {99, 50}} {
 		if got := clamp.Clamp(tt.in); got != tt.want {
@@ -404,7 +400,6 @@ func TestControllerAppliesRecommendation(t *testing.T) {
 	ctl, err := NewController(r.c, ControllerConfig{
 		Model:   model,
 		Managed: []ManagedResource{{Ref: r.ref}},
-		Period:  5 * time.Second,
 		Warmup:  time.Second,
 	})
 	if err != nil {
@@ -439,7 +434,6 @@ func TestControllerWarmupSuppressesAdaptation(t *testing.T) {
 	ctl, err := NewController(r.c, ControllerConfig{
 		Model:   model,
 		Managed: []ManagedResource{{Ref: r.ref}},
-		Period:  5 * time.Second,
 		Warmup:  time.Hour,
 	})
 	if err != nil {
@@ -464,7 +458,6 @@ func TestControllerHysteresis(t *testing.T) {
 	ctl, err := NewController(r.c, ControllerConfig{
 		Model:   model,
 		Managed: []ManagedResource{{Ref: r.ref}},
-		Period:  5 * time.Second,
 		Warmup:  time.Second,
 	})
 	if err != nil {
@@ -492,14 +485,13 @@ func TestControllerAppliesAfterHardwareChange(t *testing.T) {
 		Model:   model,
 		Scaler:  scaler,
 		Managed: []ManagedResource{{Ref: r.ref}},
-		Period:  5 * time.Second,
 		Warmup:  time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl.Start()
-	r.runFor(6 * time.Second)
+	r.runFor(16 * time.Second)
 	ctl.Stop()
 	if size, _ := r.c.PoolSize(r.ref); size != 22 {
 		t.Errorf("pool = %d, want 22 applied right after hardware change", size)
@@ -516,7 +508,6 @@ func TestControllerRecordsModelErrors(t *testing.T) {
 	ctl, err := NewController(r.c, ControllerConfig{
 		Model:   model,
 		Managed: []ManagedResource{{Ref: r.ref}},
-		Period:  5 * time.Second,
 		Warmup:  time.Second,
 	})
 	if err != nil {

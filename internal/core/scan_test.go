@@ -171,9 +171,8 @@ func scanCtrlPlaneRig(t *testing.T, dur time.Duration) *scanRig {
 // the critical service and the whole SCG and SCT recommendations are
 // compared with the oracle's; every 12 s so are the propagated deadline
 // of every service and of an unknown one, the behind-pool utilization
-// of every service, and an SCG decision with the knob measured through
-// an off-path service, so the deadline falls back to the critical
-// service's.
+// of every service, and an SCG decision measured through an off-path
+// service, so the deadline falls back to the critical service's.
 func TestWindowScanMatchesOracle(t *testing.T) {
 	const (
 		dur   = 48 * time.Second
@@ -246,18 +245,23 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 					same(t, at, "behind-pool utilization of "+svc,
 						fmt.Sprint(scg.behindUtil(scg.scan(now), now, svc)), fmt.Sprint(oracleBehindUtil(scg, now, svc)))
 				}
-				// Measure the knob through a service that is on no critical
-				// path, so the deadline falls back to the critical service's.
+				// Measure the decision through a service that is on no
+				// critical path, so the deadline falls back to the critical
+				// service's. The service's own pool is idle, so for this one
+				// decision it reads the managed knob's concurrency series.
 				for _, svc := range r.c.ServiceNames() {
 					if _, err := oraclePropagateDeadline(scg, now, svc); err == nil {
 						continue
 					}
-					off := []ManagedResource{{Ref: r.managed[0].Ref, Measured: svc}}
+					offRef := cluster.ResourceRef{Service: svc, Kind: cluster.PoolThreads}
+					off := []ManagedResource{{Ref: offRef}}
+					r.mon.conc[offRef] = r.mon.conc[r.managed[0].Ref]
 					rec, err := scg.Recommend(now, off)
 					if err == nil {
 						fallbacks++
 					}
 					same(t, at, "SCG recommendation measured off-path at "+svc, outcome(rec, err), outcome(oracleRecommend(scg, now, off)))
+					delete(r.mon.conc, offRef)
 					break
 				}
 			}

@@ -14,7 +14,11 @@ import (
 	"sora/internal/stats"
 )
 
-// SCGConfig configures the Scatter-Concurrency-Goodput model.
+// SCGConfig configures the Scatter-Concurrency-Goodput model. The rest
+// of its settings are fixed: pairs are sampled every
+// DefaultSampleInterval, utilizationFloor screens critical-service
+// candidates, minPairs gates an estimate and minThreshold floors the
+// propagated deadline.
 type SCGConfig struct {
 	// SLA is the end-to-end response-time objective deadlines are
 	// propagated from (required).
@@ -23,21 +27,6 @@ type SCGConfig struct {
 	// paper's choice: 600 samples at 100 ms cover the knee while staying
 	// agile).
 	Window time.Duration
-	// SampleInterval is the concurrency/goodput sampling granularity;
-	// zero selects DefaultSampleInterval (100 ms).
-	SampleInterval time.Duration
-	// UtilizationFloor screens critical-service candidates: services
-	// below this mean CPU utilization are not considered bottlenecks.
-	// Zero selects 0.5.
-	UtilizationFloor float64
-	// MinPairs is the minimum number of <Q, GP> samples required before
-	// an estimate is attempted; zero selects 50.
-	MinPairs int
-	// Knee configures the Kneedle estimator (degree range, sensitivity).
-	Knee knee.AutoOptions
-	// MinThreshold floors the propagated per-service deadline so that a
-	// slow upstream cannot drive it to zero; zero selects 1 ms.
-	MinThreshold time.Duration
 	// PlateauTolerance is how far below peak goodput the plateau may sag
 	// before the optimal concurrency is declared (phase 4); zero selects
 	// 0.08. Tighter values bias the estimate toward the peak itself.
@@ -48,22 +37,22 @@ func (cfg *SCGConfig) fillDefaults() {
 	if cfg.Window <= 0 {
 		cfg.Window = 60 * time.Second
 	}
-	if cfg.SampleInterval <= 0 {
-		cfg.SampleInterval = DefaultSampleInterval
-	}
-	if cfg.UtilizationFloor <= 0 {
-		cfg.UtilizationFloor = 0.5
-	}
-	if cfg.MinPairs <= 0 {
-		cfg.MinPairs = 50
-	}
-	if cfg.MinThreshold <= 0 {
-		cfg.MinThreshold = time.Millisecond
-	}
 	if cfg.PlateauTolerance <= 0 {
 		cfg.PlateauTolerance = defaultPlateauTolerance
 	}
 }
+
+const (
+	// utilizationFloor screens critical-service candidates: services
+	// below this mean CPU utilization are not considered bottlenecks.
+	utilizationFloor = 0.5
+	// minPairs is the minimum number of <Q, GP> samples required before
+	// an estimate is attempted.
+	minPairs = 50
+	// minThreshold floors the propagated per-service deadline so that a
+	// slow upstream cannot drive it to zero.
+	minThreshold = time.Millisecond
+)
 
 // SCGModel is the paper's Scatter-Concurrency-Goodput model: it estimates
 // the optimal concurrency setting of the critical microservice from the
@@ -151,7 +140,7 @@ func (m *SCGModel) criticalService(w *windowScan, now sim.Time) (string, error) 
 	bestPCC := math.Inf(-1)
 	// First pass: only services past the utilization screen.
 	for _, c := range candidates {
-		if c.util >= m.cfg.UtilizationFloor && c.pcc > bestPCC {
+		if c.util >= utilizationFloor && c.pcc > bestPCC {
 			best, bestPCC = c.name, c.pcc
 		}
 	}
@@ -170,7 +159,7 @@ func (m *SCGModel) criticalService(w *windowScan, now sim.Time) (string, error) 
 // PropagateDeadline computes the response-time threshold of the given
 // service (phase 2): RTT_s = SLA - Σ_{k upstream of s} PT_k, averaged
 // over the traces in the window whose critical path passes through s
-// (Eq. 3 of the paper). The result is floored at MinThreshold.
+// (Eq. 3 of the paper). The result is floored at minThreshold.
 func (m *SCGModel) PropagateDeadline(now sim.Time, service string) (time.Duration, error) {
 	return m.propagateDeadline(m.scan(now), service)
 }
@@ -182,14 +171,14 @@ func (m *SCGModel) propagateDeadline(w *windowScan, service string) (time.Durati
 		return 0, fmt.Errorf("core: service %q never on a critical path in the window", service)
 	}
 	threshold := m.cfg.SLA - w.svc[i].upSum/time.Duration(w.svc[i].upN)
-	if threshold < m.cfg.MinThreshold {
-		threshold = m.cfg.MinThreshold
+	if threshold < minThreshold {
+		threshold = minThreshold
 	}
 	return threshold, nil
 }
 
 // CollectPairs builds the <Q_n, GP_n> scatter samples for a soft resource
-// (phase 3): the tracked concurrency series is aligned at SampleInterval
+// (phase 3): the tracked concurrency series is aligned at DefaultSampleInterval
 // buckets with the goodput of the measured service's span completions
 // against the propagated threshold.
 func (m *SCGModel) CollectPairs(now sim.Time, ref cluster.ResourceRef, measured string, threshold time.Duration) (qs, gps []float64, err error) {
@@ -202,7 +191,7 @@ func (m *SCGModel) CollectPairs(now sim.Time, ref cluster.ResourceRef, measured 
 		return nil, nil, err
 	}
 	since := now - m.cfg.Window
-	qs, gps = metrics.ConcurrencyGoodputPairs(conc, svc.SpanLog(), since, now, m.cfg.SampleInterval, threshold)
+	qs, gps = metrics.ConcurrencyGoodputPairs(conc, svc.SpanLog(), since, now, DefaultSampleInterval, threshold)
 	return qs, gps, nil
 }
 
@@ -220,8 +209,8 @@ func (m *SCGModel) CollectPairs(now sim.Time, ref cluster.ResourceRef, measured 
 // resource optimum, and Runge oscillation of a high-degree fit at the
 // sparsely sampled high-concurrency end.
 func (m *SCGModel) Estimate(qs, gps []float64) (knee.Result, error) {
-	if len(qs) < m.cfg.MinPairs {
-		return knee.Result{}, fmt.Errorf("core: %d pairs, need >= %d", len(qs), m.cfg.MinPairs)
+	if len(qs) < minPairs {
+		return knee.Result{}, fmt.Errorf("core: %d pairs, need >= %d", len(qs), minPairs)
 	}
 	return EstimateOptimal(qs, gps, m.cfg.PlateauTolerance)
 }
@@ -327,20 +316,14 @@ type Recommendation struct {
 // service is the callee (Home-Timeline's pool vs Post Storage's load).
 type ManagedResource struct {
 	Ref cluster.ResourceRef
-	// Measured is the service whose spans and concurrency drive the
-	// model; empty defaults to Ref.Service.
-	Measured string
 	// Min and Max clamp recommendations; zero Max means no upper clamp,
 	// Min is floored at 1.
 	Min, Max int
 }
 
 // MeasuredService returns the service the model observes for this
-// resource.
+// resource: the callee of a client-side pool, else the pool's owner.
 func (r ManagedResource) MeasuredService() string {
-	if r.Measured != "" {
-		return r.Measured
-	}
 	if r.Ref.Kind == cluster.PoolClientConns {
 		return r.Ref.Target
 	}
@@ -401,7 +384,7 @@ func (m *SCGModel) Recommend(now sim.Time, managed []ManagedResource) (Recommend
 		// blurs the knee" case — so surface a fallback recommendation at
 		// the observed edge and let the adapter's exploration rule act,
 		// instead of stalling the control loop with an error.
-		if len(qs) < m.cfg.MinPairs || maxWin <= 0 {
+		if len(qs) < minPairs || maxWin <= 0 {
 			return Recommendation{}, err
 		}
 		kr = knee.Result{X: maxWin, Fallback: true}

@@ -86,7 +86,7 @@ func oracleCriticalService(m *SCGModel, now sim.Time) (string, error) {
 	bestPCC := math.Inf(-1)
 	// First pass: only services past the utilization screen.
 	for _, c := range candidates {
-		if c.util >= m.cfg.UtilizationFloor && c.pcc > bestPCC {
+		if c.util >= utilizationFloor && c.pcc > bestPCC {
 			best, bestPCC = c.name, c.pcc
 		}
 	}
@@ -125,8 +125,8 @@ func oraclePropagateDeadline(m *SCGModel, now sim.Time, service string) (time.Du
 		return 0, fmt.Errorf("core: service %q never on a critical path in the window", service)
 	}
 	threshold := m.cfg.SLA - sum/time.Duration(n)
-	if threshold < m.cfg.MinThreshold {
-		threshold = m.cfg.MinThreshold
+	if threshold < minThreshold {
+		threshold = minThreshold
 	}
 	return threshold, nil
 }
@@ -171,7 +171,7 @@ func oracleRecommend(m *SCGModel, now sim.Time, managed []ManagedResource) (Reco
 		// blurs the knee" case — so surface a fallback recommendation at
 		// the observed edge and let the adapter's exploration rule act,
 		// instead of stalling the control loop with an error.
-		if len(qs) < m.cfg.MinPairs || maxWin <= 0 {
+		if len(qs) < minPairs || maxWin <= 0 {
 			return Recommendation{}, err
 		}
 		kr = knee.Result{X: maxWin, Fallback: true}
@@ -240,7 +240,7 @@ func oracleSCTRecommend(m *SCTModel, now sim.Time, managed []ManagedResource) (R
 		// Same degenerate-scatter escape as SCG: a pinned pool yields no
 		// curve; recommend the observed edge as a fallback so the
 		// adapter's exploration rule can widen the range.
-		if len(qs) < m.scg.cfg.MinPairs || maxWin <= 0 {
+		if len(qs) < minPairs || maxWin <= 0 {
 			return Recommendation{}, err
 		}
 		kr = knee.Result{X: maxWin, Fallback: true}

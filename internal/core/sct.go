@@ -45,18 +45,19 @@ func (m *SCTModel) CollectPairs(now sim.Time, ref cluster.ResourceRef, measured 
 		return nil, nil, err
 	}
 	since := now - m.scg.cfg.Window
-	qs, tps = metrics.ConcurrencyThroughputPairs(conc, svc.SpanLog(), since, now, m.scg.cfg.SampleInterval)
+	qs, tps = metrics.ConcurrencyThroughputPairs(conc, svc.SpanLog(), since, now, DefaultSampleInterval)
 	return qs, tps, nil
 }
 
 // Estimate finds the knee of the concurrency-throughput curve — the
 // classic Kneedle knee where throughput saturates (ConScale's published
-// model), not the goodput plateau end SCG uses.
+// model, with the estimator's default options), not the goodput plateau
+// end SCG uses.
 func (m *SCTModel) Estimate(qs, tps []float64) (knee.Result, error) {
-	if len(qs) < m.scg.cfg.MinPairs {
-		return knee.Result{}, fmt.Errorf("core: %d pairs, need >= %d", len(qs), m.scg.cfg.MinPairs)
+	if len(qs) < minPairs {
+		return knee.Result{}, fmt.Errorf("core: %d pairs, need >= %d", len(qs), minPairs)
 	}
-	return knee.FindAuto(qs, tps, m.scg.cfg.Knee)
+	return knee.FindAuto(qs, tps, knee.AutoOptions{})
 }
 
 // Recommend runs the full SCT pipeline. The recommendation's Threshold is
@@ -81,7 +82,7 @@ func (m *SCTModel) Recommend(now sim.Time, managed []ManagedResource) (Recommend
 		// Same degenerate-scatter escape as SCG: a pinned pool yields no
 		// curve; recommend the observed edge as a fallback so the
 		// adapter's exploration rule can widen the range.
-		if len(qs) < m.scg.cfg.MinPairs || maxWin <= 0 {
+		if len(qs) < minPairs || maxWin <= 0 {
 			return Recommendation{}, err
 		}
 		kr = knee.Result{X: maxWin, Fallback: true}

@@ -36,7 +36,9 @@ func (e AdaptationEvent) String() string {
 		e.At, e.Resource, e.From, e.To, e.CriticalService, fmtThreshold(e.Threshold), e.Pairs)
 }
 
-// ControllerConfig configures the Sora controller.
+// ControllerConfig configures the Sora controller. It decides every
+// DefaultControlPeriod and ignores recommendations within
+// controllerHysteresis of the current setting.
 type ControllerConfig struct {
 	// Model is the concurrency model driving adaptation (SCG for Sora,
 	// SCT for the ConScale baseline). Required.
@@ -46,22 +48,19 @@ type ControllerConfig struct {
 	Scaler HardwareScaler
 	// Managed lists the adaptable soft resources. Required (non-empty).
 	Managed []ManagedResource
-	// Period is the control period; zero selects 15 s (the Kubernetes
-	// HPA default the paper cites).
-	Period time.Duration
 	// Warmup suppresses adaptations until enough metric history exists;
 	// zero selects one model window (60 s).
 	Warmup time.Duration
-	// Hysteresis suppresses reallocations smaller than this fraction of
-	// the current setting to avoid thrashing on estimation noise; zero
-	// selects 0.15 (a recommendation within ±15% of the current value is
-	// ignored). Negative disables hysteresis entirely.
-	Hysteresis float64
 }
 
 // DefaultControlPeriod matches the Kubernetes HPA control loop the paper
 // configures its autoscalers with.
 const DefaultControlPeriod = 15 * time.Second
+
+// controllerHysteresis suppresses reallocations smaller than this
+// fraction of the current setting to avoid thrashing on estimation
+// noise: a recommendation within ±15% of the current value is ignored.
+const controllerHysteresis = 0.15
 
 // Controller is the Sora framework's Reallocation Module: each control
 // period it steps the hardware autoscaler, queries the concurrency model
@@ -108,14 +107,8 @@ func NewController(c *cluster.Cluster, cfg ControllerConfig) (*Controller, error
 			return nil, fmt.Errorf("core: managed resource %v: %w", res.Ref, err)
 		}
 	}
-	if cfg.Period <= 0 {
-		cfg.Period = DefaultControlPeriod
-	}
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = 60 * time.Second
-	}
-	if cfg.Hysteresis == 0 {
-		cfg.Hysteresis = 0.15
 	}
 	return &Controller{c: c, cfg: cfg}, nil
 }
@@ -127,7 +120,7 @@ func (ctl *Controller) Start() {
 	}
 	ctl.running = true
 	ctl.started = ctl.c.Kernel().Now()
-	ctl.ticker = ctl.c.Kernel().Every(ctl.cfg.Period, ctl.step)
+	ctl.ticker = ctl.c.Kernel().Every(DefaultControlPeriod, ctl.step)
 }
 
 // Stop halts the control loop.
@@ -217,7 +210,7 @@ func (ctl *Controller) adapt(now sim.Time, afterHWChange bool) {
 		publishControllerError(ctl.c, now, "recommend", err)
 		return
 	}
-	ev, applied, err := runAdapter(ctl.c, now, rec, ctl.cfg.Managed, &ctl.shrinkStreak, afterHWChange, ctl.cfg.Hysteresis)
+	ev, applied, err := runAdapter(ctl.c, now, rec, ctl.cfg.Managed, &ctl.shrinkStreak, afterHWChange, controllerHysteresis)
 	if err != nil {
 		ctl.errs++
 		ctl.lastErr = err

@@ -84,7 +84,6 @@ func TestControllerDecisionAudit(t *testing.T) {
 	ctl, err := NewController(r.c, ControllerConfig{
 		Model:   model,
 		Managed: []ManagedResource{{Ref: r.ref}},
-		Period:  5 * time.Second,
 		Warmup:  time.Second,
 	})
 	if err != nil {
@@ -159,7 +158,6 @@ func TestControllerErrorAudit(t *testing.T) {
 	ctl, err := NewController(r.c, ControllerConfig{
 		Model:   model,
 		Managed: []ManagedResource{{Ref: r.ref}},
-		Period:  5 * time.Second,
 		Warmup:  time.Second,
 	})
 	if err != nil {

@@ -45,7 +45,9 @@ type UnifiedController struct {
 	shrinkStreak int
 }
 
-// UnifiedConfig configures the unified controller.
+// UnifiedConfig configures the unified controller. It decides every
+// DefaultControlPeriod and steps the ladder down after unifiedDownAfter
+// calm periods at or below unifiedDownUtil.
 type UnifiedConfig struct {
 	// Model drives estimation (SCG in practice). Required.
 	Model Model
@@ -58,14 +60,17 @@ type UnifiedConfig struct {
 	Ladder []float64
 	// SLO is the end-to-end objective that defines violation (required).
 	SLO time.Duration
-	// DownUtil and DownAfter gate hardware scale-down; zeros select 0.35
-	// and 4 calm periods.
-	DownUtil  float64
-	DownAfter int
-	// Period and Warmup as in ControllerConfig.
-	Period time.Duration
+	// Warmup as in ControllerConfig.
 	Warmup time.Duration
 }
+
+// unifiedDownUtil and unifiedDownAfter gate the unified controller's
+// hardware scale-down: that many consecutive calm periods at or below
+// that utilization.
+const (
+	unifiedDownUtil  = 0.35
+	unifiedDownAfter = 4
+)
 
 // NewUnified wires a unified controller to the cluster.
 func NewUnified(c *cluster.Cluster, cfg UnifiedConfig) (*UnifiedController, error) {
@@ -93,15 +98,6 @@ func NewUnified(c *cluster.Cluster, cfg UnifiedConfig) (*UnifiedController, erro
 			return nil, fmt.Errorf("core: ladder must be strictly increasing, got %v", cfg.Ladder)
 		}
 	}
-	if cfg.DownUtil <= 0 {
-		cfg.DownUtil = 0.35
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 4
-	}
-	if cfg.Period <= 0 {
-		cfg.Period = DefaultControlPeriod
-	}
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = 60 * time.Second
 	}
@@ -122,7 +118,7 @@ func (u *UnifiedController) Start() {
 	}
 	u.running = true
 	u.started = u.c.Kernel().Now()
-	u.ticker = u.c.Kernel().Every(u.cfg.Period, u.step)
+	u.ticker = u.c.Kernel().Every(DefaultControlPeriod, u.step)
 }
 
 // Stop halts the loop.
@@ -162,7 +158,7 @@ func (u *UnifiedController) step() {
 		u.lastErr = err
 		return
 	}
-	p99, perr := u.c.Completions().Percentile(99, now-sim.Time(u.cfg.Period), now)
+	p99, perr := u.c.Completions().Percentile(99, now-sim.Time(DefaultControlPeriod), now)
 	violating := perr == nil && p99 > u.cfg.SLO
 
 	util := rec.BehindUtil
@@ -184,9 +180,9 @@ func (u *UnifiedController) step() {
 		u.publishHardwareMove(now, "up", oldCores, newCores, violating, util, p99)
 		u.scalePoolBy(now, rec, newCores/oldCores)
 		return
-	case !violating && util <= u.cfg.DownUtil && u.level > 0:
+	case !violating && util <= unifiedDownUtil && u.level > 0:
 		u.calm++
-		if u.calm >= u.cfg.DownAfter {
+		if u.calm >= unifiedDownAfter {
 			u.calm = 0
 			oldCores := u.cfg.Ladder[u.level]
 			u.level--

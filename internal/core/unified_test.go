@@ -103,7 +103,6 @@ func TestUnifiedEventsAndErrors(t *testing.T) {
 		Service: topology.Cart,
 		SLO:     time.Second,
 		Warmup:  time.Second,
-		Period:  5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ type Deterministic struct {
 
 // NewDeterministic returns a point-mass distribution at v (clamped to >= 0).
 //
-//soravet:allow deadcode (b) cross-package fixture: tests in cluster, fault and workload build fixed demands and think times with it
+//soravet:allow deadcode (b) cross-package fixture: tests in cluster and fault build fixed demands with it
 func NewDeterministic(v time.Duration) Deterministic {
 	if v < 0 {
 		v = 0
@@ -126,38 +126,9 @@ func (d LogNormal) String() string {
 	return fmt.Sprintf("lognormal(mean=%v,sigma=%.2f)", d.MeanValue, d.Sigma)
 }
 
-// Scaled wraps a distribution and multiplies every sample by Factor. It is
-// the mechanism behind "system state drifting": a request type whose
-// computation grows (e.g. 2 posts -> 10 posts) is the base demand scaled up.
-type Scaled struct {
-	Base   Distribution
-	Factor float64
-}
-
-// NewScaled returns d scaled by factor (clamped to >= 0).
-func NewScaled(d Distribution, factor float64) Scaled {
-	if factor < 0 {
-		factor = 0
-	}
-	return Scaled{Base: d, Factor: factor}
-}
-
-// Sample implements Distribution.
-func (d Scaled) Sample(rng *rand.Rand) time.Duration {
-	return time.Duration(float64(d.Base.Sample(rng)) * d.Factor)
-}
-
-// Mean implements Distribution.
-func (d Scaled) Mean() time.Duration {
-	return time.Duration(float64(d.Base.Mean()) * d.Factor)
-}
-
-func (d Scaled) String() string { return fmt.Sprintf("scaled(%v,x%.2f)", d.Base, d.Factor) }
-
 // Verify interface compliance at compile time.
 var (
 	_ Distribution = Deterministic{}
 	_ Distribution = Exponential{}
 	_ Distribution = LogNormal{}
-	_ Distribution = Scaled{}
 )

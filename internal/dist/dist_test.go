@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -44,7 +43,6 @@ func TestMeansConvergeToDeclaredMean(t *testing.T) {
 		{"deterministic", NewDeterministic(10 * time.Millisecond), 0.0},
 		{"exponential", NewExponential(5 * time.Millisecond), 0.05},
 		{"lognormal", NewLogNormal(20*time.Millisecond, 0.5), 0.05},
-		{"scaled", NewScaled(NewExponential(4*time.Millisecond), 2.5), 0.05},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -58,7 +56,6 @@ func TestNonNegativeSamples(t *testing.T) {
 		NewDeterministic(-time.Second),
 		NewExponential(time.Millisecond),
 		NewLogNormal(time.Millisecond, 2.0),
-		NewScaled(NewExponential(time.Millisecond), 0.001),
 	}
 	rng := newRNG()
 	for _, d := range dists {
@@ -84,13 +81,6 @@ func TestZeroMeanDistributions(t *testing.T) {
 	}
 }
 
-func TestScaledFactorClamp(t *testing.T) {
-	d := NewScaled(NewDeterministic(time.Second), -2)
-	if v := d.Sample(newRNG()); v != 0 {
-		t.Errorf("negative factor sample = %v, want 0", v)
-	}
-}
-
 func TestLogNormalSigmaZeroIsDeterministic(t *testing.T) {
 	d := NewLogNormal(7*time.Millisecond, 0)
 	rng := newRNG()
@@ -106,26 +96,10 @@ func TestStringsNonEmpty(t *testing.T) {
 		NewDeterministic(time.Second),
 		NewExponential(time.Second),
 		NewLogNormal(time.Second, 1),
-		NewScaled(NewDeterministic(time.Second), 2),
 	} {
 		if d.String() == "" {
 			t.Errorf("%T has empty String()", d)
 		}
-	}
-}
-
-// Property: scaling by f multiplies the mean by f (within sampling noise).
-func TestQuickScaledMean(t *testing.T) {
-	f := func(rawMean uint16, rawFactor uint8) bool {
-		mean := time.Duration(rawMean) * time.Microsecond
-		factor := float64(rawFactor%50) / 10.0
-		d := NewScaled(NewDeterministic(mean), factor)
-		want := time.Duration(float64(mean) * factor)
-		got := d.Sample(newRNG())
-		return got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

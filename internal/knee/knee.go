@@ -240,16 +240,15 @@ func FindAuto(x, y []float64, opts AutoOptions) (Result, error) {
 
 // PlateauOptions configures FindPlateauEnd.
 type PlateauOptions struct {
-	// Degree is the smoothing-polynomial degree (0 disables smoothing).
-	Degree int
 	// Tolerance is the fraction of the peak the curve may sag before the
 	// plateau is considered over; zero selects 0.08.
 	Tolerance float64
 }
 
 // FindPlateauEnd locates the *end* of the curve's peak plateau: the
-// largest x whose (smoothed) y still reaches within Tolerance of the
-// maximum. This is the estimator the goodput main-sequence curve needs:
+// largest x whose y still reaches within Tolerance of the maximum.
+// Smoothing is the caller's: core averages the curve before it calls
+// here. This is the estimator the goodput main-sequence curve needs:
 // past the optimal concurrency goodput *declines* (deadline misses and
 // multithreading overhead), so the optimum is the last concurrency that
 // sustains peak goodput — the right edge of the plateau — rather than the
@@ -272,34 +271,22 @@ func FindPlateauEnd(x, y []float64, opts PlateauOptions) (Result, error) {
 	if tol <= 0 {
 		tol = 0.08
 	}
-	smooth := ys
-	if opts.Degree > 0 && len(xs) >= opts.Degree+1 {
-		p, err := stats.PolyFit(xs, ys, opts.Degree)
-		if err != nil {
-			return Result{}, fmt.Errorf("knee: smoothing failed: %w", err)
-		}
-		smooth = make([]float64, len(xs))
-		for i, v := range xs {
-			smooth[i] = p.Eval(v)
-		}
-	}
-	peakIdx := argmax(smooth)
-	peak := smooth[peakIdx]
+	peakIdx := argmax(ys)
+	peak := ys[peakIdx]
 	if peak <= 0 {
-		return Result{X: xs[peakIdx], Y: peak, Index: peakIdx, Degree: opts.Degree, Fallback: true}, nil
+		return Result{X: xs[peakIdx], Y: peak, Index: peakIdx, Fallback: true}, nil
 	}
 	end := peakIdx
-	for i := peakIdx + 1; i < len(smooth); i++ {
-		if smooth[i] < (1-tol)*peak {
+	for i := peakIdx + 1; i < len(ys); i++ {
+		if ys[i] < (1-tol)*peak {
 			break
 		}
 		end = i
 	}
 	return Result{
 		X:        xs[end],
-		Y:        smooth[end],
+		Y:        ys[end],
 		Index:    end,
-		Degree:   opts.Degree,
 		Fallback: end == len(xs)-1,
 	}, nil
 }

@@ -110,22 +110,6 @@ func TestFindPlateauEndAllZeroFallsBack(t *testing.T) {
 	}
 }
 
-func TestFindPlateauEndWithSmoothing(t *testing.T) {
-	xs := stats.Linspace(1, 50, 100)
-	ys := plateauShape(xs, 10, 28, 800)
-	// Add deterministic ripple the smoother must absorb.
-	for i := range ys {
-		ys[i] += 15 * math.Sin(float64(i))
-	}
-	res, err := FindPlateauEnd(xs, ys, PlateauOptions{Degree: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.X < 22 || res.X > 38 {
-		t.Errorf("smoothed plateau end %g, want ~28", res.X)
-	}
-}
-
 // Property: the plateau end never precedes the curve's maximum.
 func TestQuickPlateauEndAtOrAfterPeak(t *testing.T) {
 	f := func(riseRaw, dropRaw uint8) bool {
@@ -172,7 +156,7 @@ func BenchmarkFindPlateauEnd(b *testing.B) {
 	ys := plateauShape(xs, 12, 35, 1500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FindPlateauEnd(xs, ys, PlateauOptions{Degree: 6}); err != nil {
+		if _, err := FindPlateauEnd(xs, ys, PlateauOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

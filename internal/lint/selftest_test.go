@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -24,6 +25,27 @@ func repoRoot(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return root
+}
+
+var (
+	selfOnce sync.Once
+	selfMod  *Module
+	selfErr  error
+)
+
+// selfModule loads the repository's own module once for every test
+// that inspects it.
+func selfModule(t *testing.T) *Module {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks the whole module; skipped under -short")
+	}
+	root := repoRoot(t)
+	selfOnce.Do(func() { selfMod, selfErr = LoadModule(root) })
+	if selfErr != nil {
+		t.Fatal(selfErr)
+	}
+	return selfMod
 }
 
 // TestSelfClean runs the full check suite over the repository itself
@@ -48,10 +70,7 @@ func TestSelfClean(t *testing.T) {
 	// nested benchmark module included. If the loader stopped loading
 	// benchmark/, everything only the benchmark calls would turn into
 	// findings, or worse, be deleted.
-	m, err := LoadModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := selfModule(t)
 	want := []string{m.Path + "/benchmark"}
 	for _, glob := range []string{"cmd/*", "examples/*"} {
 		dirs, err := filepath.Glob(filepath.Join(root, glob))

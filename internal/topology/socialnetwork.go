@@ -61,9 +61,6 @@ type SocialNetworkConfig struct {
 	PostStorageCores float64
 	// PostStorageReplicas is Post Storage's initial pod count.
 	PostStorageReplicas int
-	// HeavyReads switches the default mix to heavy (10-post) home
-	// timeline reads, the paper's "system state drifting" condition.
-	HeavyReads bool
 }
 
 // DefaultSocialNetwork returns the baseline: 10 connections to a 2-core
@@ -167,7 +164,6 @@ func SocialNetwork(cfg SocialNetworkConfig) cluster.App {
 	}
 
 	readLight := ReadHomeTimelineType(ReqReadHomeTimeline, LightReadPosts)
-	readHeavy := ReadHomeTimelineType(ReqReadHomeTimelineHeavy, HeavyReadPosts)
 
 	readUserTimeline := &cluster.RequestType{
 		Name: ReqReadUserTimeline,
@@ -249,9 +245,6 @@ func SocialNetwork(cfg SocialNetworkConfig) cluster.App {
 		{Type: readUserTimeline, Weight: 2},
 		{Type: composePost, Weight: 1},
 		{Type: search, Weight: 0.5},
-	}
-	if cfg.HeavyReads {
-		mix[0] = cluster.WeightedRequest{Type: readHeavy, Weight: 6}
 	}
 
 	return cluster.App{

@@ -56,11 +56,6 @@ type SockShopConfig struct {
 	// CatalogueConns is Catalogue's database connection pool size per pod
 	// (concurrent calls to catalogue-db).
 	CatalogueConns int
-	// CartDemandScale multiplies Cart's CPU demand (1.0 = calibrated
-	// default); used by state-drift style sensitivity experiments.
-	CartDemandScale float64
-	// Mix weights; zero selects the default mix.
-	GetCartWeight, GetCatalogueWeight, BrowseWeight, PlaceOrderWeight float64
 }
 
 // DefaultSockShop returns the baseline configuration used across the
@@ -68,16 +63,19 @@ type SockShopConfig struct {
 // starting point in section 5.2) and a 15-connection Catalogue pool.
 func DefaultSockShop() SockShopConfig {
 	return SockShopConfig{
-		CartCores:          2,
-		CartThreads:        5,
-		CatalogueConns:     15,
-		CartDemandScale:    1.0,
-		GetCartWeight:      1,
-		GetCatalogueWeight: 1,
-		BrowseWeight:       1,
-		PlaceOrderWeight:   0.3,
+		CartCores:      2,
+		CartThreads:    5,
+		CatalogueConns: 15,
 	}
 }
+
+// Sock Shop's request mix weights.
+const (
+	getCartWeight      = 1
+	getCatalogueWeight = 1
+	browseWeight       = 1
+	placeOrderWeight   = 0.3
+)
 
 // Calibrated per-visit demand parameters for Sock Shop. Cart spends
 // cartReqCPU+cartResCPU on CPU per request and blocks on cart-db for
@@ -118,21 +116,15 @@ const (
 
 // SockShop builds the Sock Shop application with the given configuration.
 func SockShop(cfg SockShopConfig) cluster.App {
-	if cfg.CartDemandScale <= 0 {
-		cfg.CartDemandScale = 1
-	}
 	ln := func(mean time.Duration) dist.Distribution {
 		return dist.NewLogNormal(mean, demandSigma)
-	}
-	scaled := func(mean time.Duration) dist.Distribution {
-		return dist.NewScaled(ln(mean), cfg.CartDemandScale)
 	}
 
 	cartNode := func() *cluster.CallNode {
 		return &cluster.CallNode{
 			Service: Cart,
-			ReqWork: scaled(cartReqCPU),
-			ResWork: scaled(cartResCPU),
+			ReqWork: ln(cartReqCPU),
+			ResWork: ln(cartResCPU),
 			Children: []*cluster.CallNode{{
 				Service: CartDB,
 				ReqWork: ln(cartDBCPU),
@@ -184,12 +176,6 @@ func SockShop(cfg SockShopConfig) cluster.App {
 		}}, false),
 	}
 
-	w := func(v, def float64) float64 {
-		if v > 0 {
-			return v
-		}
-		return def
-	}
 	return cluster.App{
 		Name: "sock-shop",
 		Services: []cluster.ServiceSpec{
@@ -207,10 +193,10 @@ func SockShop(cfg SockShopConfig) cluster.App {
 			{Name: Payment, Replicas: 1, Cores: 2, Overhead: lightSvcOverhead},
 		},
 		Mix: []cluster.WeightedRequest{
-			{Type: getCart, Weight: w(cfg.GetCartWeight, 1)},
-			{Type: getCatalogue, Weight: w(cfg.GetCatalogueWeight, 1)},
-			{Type: browse, Weight: w(cfg.BrowseWeight, 1)},
-			{Type: placeOrder, Weight: w(cfg.PlaceOrderWeight, 0.3)},
+			{Type: getCart, Weight: getCartWeight},
+			{Type: getCatalogue, Weight: getCatalogueWeight},
+			{Type: browse, Weight: browseWeight},
+			{Type: placeOrder, Weight: placeOrderWeight},
 		},
 	}
 }

@@ -28,7 +28,8 @@ func TestSocialNetworkValidates(t *testing.T) {
 	if len(app.Services) < 20 {
 		t.Errorf("social network has %d services, want >= 20", len(app.Services))
 	}
-	heavy := SocialNetwork(SocialNetworkConfig{HeavyReads: true})
+	heavy := SocialNetwork(SocialNetworkConfig{})
+	heavy.Mix = HomeTimelineOnlyMix(true)
 	if err := heavy.Validate(); err != nil {
 		t.Fatal(err)
 	}

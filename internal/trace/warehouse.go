@@ -9,9 +9,9 @@ import (
 
 // Warehouse is the in-memory trace store the Concurrency Estimator pulls
 // from. It keeps completed traces for a bounded retention window of
-// virtual time and evicts older ones lazily on Add and explicitly on
-// Prune. Traces are appended in completion order, so eviction and range
-// queries are simple prefix/suffix operations on a deque.
+// virtual time and evicts older ones lazily on Add. Traces are appended
+// in completion order, so eviction and range queries are simple
+// prefix/suffix operations on a deque.
 //
 // The paper offloads this role to a Neo4j graph database plus per-service
 // MongoDB stores; an indexed in-process deque answers the one query the
@@ -34,7 +34,7 @@ type Warehouse struct {
 const DefaultRetention = 3 * time.Minute
 
 // NewWarehouse returns a warehouse retaining traces whose completion time
-// is within the given window of the most recent Prune/Add. A non-positive
+// is within the given window of the most recent Add. A non-positive
 // retention selects DefaultRetention.
 func NewWarehouse(retention time.Duration) *Warehouse {
 	if retention <= 0 {
@@ -70,6 +70,9 @@ func (w *Warehouse) add(t *Trace, unsettled bool) {
 	w.evictBefore(t.CompletedAt() - w.retention)
 }
 
+// evictBefore drops the traces completing before cutoff. Its one caller
+// is add, whose cutoff lies a positive retention before the trace it just
+// stored, so that trace always survives and the deque never empties.
 func (w *Warehouse) evictBefore(cutoff sim.Time) {
 	i := w.head
 	for i < len(w.traces) && w.traces[i].CompletedAt() < cutoff {
@@ -86,14 +89,6 @@ func (w *Warehouse) evictBefore(cutoff sim.Time) {
 		n++
 	}
 	w.unsettled = w.unsettled[n:]
-	// Empty reset: when everything was evicted, rewind to the start of the
-	// backing array so it is reused instead of growing behind a dead
-	// prefix (a Prune after an idle window hits this path).
-	if w.head == len(w.traces) {
-		w.traces = w.traces[:0]
-		w.head = 0
-		return
-	}
 	// Amortized compaction: only shift the surviving suffix once the dead
 	// prefix dominates, keeping per-Add eviction O(1) amortized.
 	if w.head > len(w.traces)/2 && w.head > 1024 {
@@ -145,7 +140,7 @@ func (w *Warehouse) Window(since, until sim.Time) []*Trace {
 // View is Window without the copy: it returns the retained traces
 // completing in [since, until) as a read-only view of the deque, plus
 // the sequence number of the first of them (the i-th has first+i). The
-// view is valid until the next Add, AddUnsettled or Prune.
+// view is valid until the next Add or AddUnsettled.
 func (w *Warehouse) View(since, until sim.Time) (traces []*Trace, first uint64) {
 	live := w.live()
 	lo := lowerBound(live, since)
@@ -158,7 +153,7 @@ func (w *Warehouse) View(since, until sim.Time) (traces []*Trace, first uint64) 
 
 // Unsettled returns, in ascending order, the sequence numbers in
 // [lo, hi) of retained traces stored with AddUnsettled. The result is a
-// read-only view, valid until the next Add, AddUnsettled or Prune.
+// read-only view, valid until the next Add or AddUnsettled.
 func (w *Warehouse) Unsettled(lo, hi uint64) []uint64 {
 	u := w.unsettled
 	i, _ := slices.BinarySearch(u, lo)

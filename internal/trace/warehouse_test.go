@@ -36,34 +36,6 @@ func TestWarehouseEvictionUnpinsTraces(t *testing.T) {
 	}
 }
 
-// TestWarehouseEmptyReset checks that evicting everything rewinds the
-// deque to the start of its backing array instead of leaving a dead
-// prefix that would grow on the next fill cycle.
-func TestWarehouseEmptyReset(t *testing.T) {
-	w := NewWarehouse(5 * time.Second)
-	for i := 1; i <= 8; i++ {
-		w.Add(makeTraceAt(ID(i), time.Duration(i)*time.Second))
-	}
-	w.evictBefore(sim.Time(time.Hour))
-	if w.Len() != 0 {
-		t.Fatalf("Len after full eviction = %d, want 0", w.Len())
-	}
-	if w.head != 0 || len(w.traces) != 0 {
-		t.Fatalf("after full eviction head=%d len=%d, want 0/0 (empty reset)", w.head, len(w.traces))
-	}
-	if cap(w.traces) == 0 {
-		t.Fatal("empty reset discarded the backing array instead of reusing it")
-	}
-	// The warehouse must keep working after the reset.
-	w.Add(makeTraceAt(100, 2*time.Hour))
-	if w.Len() != 1 {
-		t.Fatalf("Len after re-add = %d, want 1", w.Len())
-	}
-	if got := w.All(); len(got) != 1 || got[0].ID != 100 {
-		t.Fatalf("All after re-add = %v", got)
-	}
-}
-
 // TestWarehouseBackingStaysBounded drives a long steady stream through a
 // short retention window and asserts amortized compaction keeps the
 // backing slice proportional to the live set, not to the total traces

@@ -72,25 +72,26 @@ type ClosedLoop struct {
 	issued uint64
 }
 
-// ClosedLoopConfig configures NewClosedLoop.
+// ClosedLoopConfig configures NewClosedLoop. Users think for an
+// exponential time of mean thinkTime between requests, and the
+// population is reconciled against Target every reconcilePeriod.
 type ClosedLoopConfig struct {
-	// Think is the per-cycle think-time distribution. Nil selects an
-	// exponential think time with DefaultThinkTime mean.
-	Think dist.Distribution
 	// Target is the user population over time (required).
 	Target TargetFunc
 	// Submit issues one request and must invoke done exactly once when
 	// the request completes (required). Typically
 	// func(done func()) { c.SubmitMixWith(done) }.
 	Submit func(done func())
-	// ControlPeriod is how often the population is reconciled against
-	// Target; zero selects 1s.
-	ControlPeriod time.Duration
 }
 
-// DefaultThinkTime is the mean user think time when none is configured,
-// chosen to match RUBBoS-style browsing behaviour.
-const DefaultThinkTime = time.Second
+const (
+	// thinkTime is the mean user think time, chosen to match
+	// RUBBoS-style browsing behaviour.
+	thinkTime = time.Second
+	// reconcilePeriod is how often the population is reconciled against
+	// the target.
+	reconcilePeriod = time.Second
+)
 
 // NewClosedLoop returns a stopped closed-loop generator; call Start.
 func NewClosedLoop(k *sim.Kernel, cfg ClosedLoopConfig) (*ClosedLoop, error) {
@@ -103,24 +104,16 @@ func NewClosedLoop(k *sim.Kernel, cfg ClosedLoopConfig) (*ClosedLoop, error) {
 	if cfg.Submit == nil {
 		return nil, fmt.Errorf("workload: nil submit function")
 	}
-	think := cfg.Think
-	if think == nil {
-		think = dist.NewExponential(DefaultThinkTime)
-	}
 	cl := &ClosedLoop{
 		k:      k,
-		think:  think,
+		think:  dist.NewExponential(thinkTime),
 		target: cfg.Target,
 		submit: cfg.Submit,
 		rng:    k.Split(0xc105ed),
 	}
 	cl.cycleFn = cl.userCycle
 	cl.thinkFn = cl.rethink
-	period := cfg.ControlPeriod
-	if period <= 0 {
-		period = time.Second
-	}
-	cl.ticker = k.Every(period, cl.reconcile)
+	cl.ticker = k.Every(reconcilePeriod, cl.reconcile)
 	return cl, nil
 }
 

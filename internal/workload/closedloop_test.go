@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"sora/internal/dist"
 	"sora/internal/sim"
 )
 
@@ -42,7 +41,6 @@ func TestClosedLoopThroughputMatchesLittlesLaw(t *testing.T) {
 	count := 0
 	cl, err := NewClosedLoop(k, ClosedLoopConfig{
 		Target: ConstantUsers(400),
-		Think:  dist.NewExponential(time.Second),
 		Submit: func(done func()) {
 			count++
 			k.Schedule(time.Millisecond, done)
@@ -67,7 +65,6 @@ func TestClosedLoopSelfThrottlesUnderSlowService(t *testing.T) {
 	count := 0
 	cl, err := NewClosedLoop(k, ClosedLoopConfig{
 		Target: ConstantUsers(200),
-		Think:  dist.NewDeterministic(time.Second),
 		Submit: func(done func()) {
 			count++
 			k.Schedule(time.Second, done)
@@ -228,7 +225,6 @@ func TestQuickClosedLoopTracksTarget(t *testing.T) {
 		}
 		cl, err := NewClosedLoop(k, ClosedLoopConfig{
 			Target: target,
-			Think:  dist.NewDeterministic(time.Second),
 			Submit: func(done func()) { k.Schedule(time.Millisecond, done) },
 		})
 		if err != nil {

@@ -7,7 +7,7 @@
 #
 # The four binaries are sorabench and simrun built from the two trees
 # (go build -o BIN ./cmd/sorabench, go build -o BIN ./cmd/simrun). Each
-# sorabench runs two command sets with -quiet -telemetry-dir DIR
+# sorabench runs three command sets with -quiet -telemetry-dir DIR
 # -timeline DIR/tl -out (timelines under the telemetry directory, so the
 # manifests there name every artifact):
 #
@@ -16,6 +16,10 @@
 #           30 s warm-up, so it covers the wiring but not the decisions.
 #   ctrl:   -exp fig12,chaos,ctrlplane -scale 0.5 -seed 5
 #           runs long enough for the controllers to decide.
+#   decide: -exp table3,ablation-model,ext-unified -scale 0.3 -seed 5
+#           reaches the apply-knee branch of ConScale's SCT model, the
+#           unified controller and the VPA-driven Sora, which the two
+#           sets above rarely or never do.
 #
 # Each simrun runs one more set with -profile -trace-archive
 # -telemetry-dir:
@@ -44,10 +48,11 @@ trap 'rm -rf "$tmp"' EXIT
 trap 'exit 1' INT TERM
 
 status=0
-for set in all ctrl simrun; do
+for set in all ctrl decide simrun; do
 	case $set in
 	all) args="-exp all -scale 0.1 -seed 1" trees="tel csv" ;;
 	ctrl) args="-exp fig12,chaos,ctrlplane -scale 0.5 -seed 5" trees="tel csv" ;;
+	decide) args="-exp table3,ablation-model,ext-unified -scale 0.3 -seed 5" trees="tel csv" ;;
 	simrun) args="-app sockshop -fault-plan combo -seed 5 -duration 60s -profile" trees="tel archive" ;;
 	esac
 	for side in parent change; do
