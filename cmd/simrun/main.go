@@ -298,8 +298,8 @@ func simulate(args []string, w io.Writer) (*scenario.Rig, error) {
 		fmt.Fprintf(w, "control plane: %d nodes × %g cores, coldstart=%v endpoint-lag=%v lb=%s sched=%s\n",
 			*nodes, *nodeCores, *coldStart, *epLag, *lbName, *schedName)
 	}
-	fmt.Fprintf(w, "completed=%d dropped=%d throughput=%.0f req/s\n",
-		c.Completed(), c.Dropped(), r.E2E.ThroughputRate(warm, end))
+	fmt.Fprintf(w, "completed=%d throughput=%.0f req/s\n",
+		c.Completed(), r.E2E.ThroughputRate(warm, end))
 	if r.Faults != nil {
 		fmt.Fprintf(w, "failed=%d degraded=%d refused=%d lost=%d timedout=%d retries=%d breaker_rejected=%d\n",
 			c.Failed(), c.Degraded(), c.Refused(), c.LostCalls(), c.TimedOut(),

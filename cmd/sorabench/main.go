@@ -28,7 +28,7 @@
 // verify.sh); -bench-label/-bench-note control the recorded entry.
 //
 // -telemetry-dir DIR enables the structured event log: every experiment
-// writes <id>.events.jsonl (controller decisions, reconfigs, drops),
+// writes <id>.events.jsonl (controller decisions, reconfigs, faults),
 // <id>.metrics.prom (Prometheus text snapshot, including per-service
 // per-phase latency histograms), <id>.trace.json (Chrome trace format —
 // load at ui.perfetto.dev), <id>.profile.txt (latency-attribution blame

@@ -125,6 +125,6 @@ func run() error {
 	for _, e := range ctl.Events() {
 		fmt.Println(" ", e)
 	}
-	fmt.Printf("\ntotal requests completed: %d (dropped: %d)\n", c.Completed(), c.Dropped())
+	fmt.Printf("\ntotal requests completed: %d\n", c.Completed())
 	return nil
 }

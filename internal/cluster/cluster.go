@@ -142,9 +142,6 @@ type ServiceSpec struct {
 	// ClientPools bounds outstanding RPCs per pod per downstream service;
 	// services absent from the map are unlimited.
 	ClientPools map[string]int
-	// QueueCap bounds the per-pod admission queue for PoolThreads;
-	// zero means unbounded. Requests arriving at a full queue are dropped.
-	QueueCap int
 }
 
 // App bundles the services and workload mix of one benchmark application
@@ -175,7 +172,7 @@ func (a App) Validate() error {
 		if s.Cores <= 0 {
 			return fmt.Errorf("cluster: service %q needs a positive core limit", s.Name)
 		}
-		if s.ThreadPool < 0 || s.DBPool < 0 || s.QueueCap < 0 {
+		if s.ThreadPool < 0 || s.DBPool < 0 {
 			return fmt.Errorf("cluster: service %q has a negative pool size", s.Name)
 		}
 		for target, size := range s.ClientPools {
@@ -222,9 +219,9 @@ func (a App) Validate() error {
 // trace.DefaultRetention.
 type Options struct {
 	// Telemetry, when non-nil, receives structured events (reconfig,
-	// admission drops) and end-of-run counters from this cluster. Nil
-	// disables telemetry at zero cost (every publish site is a nil
-	// check).
+	// retries, breaker transitions) and end-of-run counters from this
+	// cluster. Nil disables telemetry at zero cost (every publish site
+	// is a nil check).
 	Telemetry *telemetry.Recorder
 	// ControlPlane, when non-nil, puts the deployment on a simulated
 	// multi-node control plane (see internal/node and ctrlplane.go):
@@ -289,7 +286,6 @@ type Cluster struct {
 	edgeOrder []edgeKey
 	resRNG    *rand.Rand
 
-	dropped   uint64
 	completed uint64
 	failed    uint64 // roots that completed but lost an essential call
 	degraded  uint64 // roots that completed with a degraded response
@@ -301,7 +297,6 @@ type Cluster struct {
 	inFlight  int
 
 	tel       *telemetry.Recorder
-	dropWins  map[string]*dropWindow
 	retryWins map[edgeKey]*retryWindow
 
 	// flight, when armed, samples windowed time-series rows onto the
@@ -344,7 +339,6 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 		resRNG:    k.Split(0x4e5),
 		lbRNG:     k.Split(lbLabel),
 		tel:       opts.Telemetry,
-		dropWins:  make(map[string]*dropWindow),
 		retryWins: make(map[edgeKey]*retryWindow),
 	}
 	if opts.ControlPlane != nil {
@@ -476,7 +470,7 @@ func (c *Cluster) SetMix(mix []WeightedRequest) error {
 func (c *Cluster) SubmitMix() { c.SubmitMixWith(nil) }
 
 // SubmitMixWith injects one request drawn from the workload mix and calls
-// onDone when it completes or is dropped (closed-loop generators need the
+// onDone when it completes or fails (closed-loop generators need the
 // per-request completion signal to model user think cycles).
 func (c *Cluster) SubmitMixWith(onDone func()) {
 	r := c.rng.Float64() * c.mixTotal
@@ -492,7 +486,7 @@ func (c *Cluster) SubmitMixWith(onDone func()) {
 }
 
 // SubmitWith injects one request and calls onDone at its completion
-// (successful or dropped).
+// (successful or failed).
 func (c *Cluster) SubmitWith(rt *RequestType, onDone func()) {
 	if rt == nil || rt.Root == nil {
 		return
@@ -521,11 +515,11 @@ type rootCall struct {
 }
 
 // done books the root visit's completion: the counters, the completion
-// logs and — unless it was dropped or failed — the trace, added to the
+// logs and — unless it failed — the trace, added to the
 // warehouse as unsettled when a timed-out call under it left orphaned
 // work behind. A settled trace is compacted into records once the
 // OnComplete callbacks have run, and its spans go back on the free
-// list; so do those of a settled dropped or failed root, which is
+// list; so do those of a settled failed root, which is
 // never stored. An unsettled trace keeps its live tree, which orphaned
 // work may still change. The submitter's onDone runs last.
 func (rc *rootCall) done(root *visit) {
@@ -536,21 +530,17 @@ func (rc *rootCall) done(root *visit) {
 	// The root visit is dead once this callback returns; copy what the
 	// bookkeeping below needs and recycle the struct up front.
 	span := root.span
-	dropped, failed, degraded, unsettled := root.dropped, root.failed, root.degraded, root.unsettled
+	failed, degraded, unsettled := root.failed, root.degraded, root.unsettled
 	c.freeVisit(root)
 	if onDone != nil {
 		defer onDone()
 	}
-	if dropped || failed {
-		// A root rejected at a full admission queue somewhere along
-		// the tree, with no policy absorbing it, is counted in
-		// Dropped(). One that lost an essential call past its retry
-		// budget (or whose own pod crashed) showed the user an error
-		// page and is counted in Failed(). Neither reaches the
-		// completion logs or the warehouse.
-		if !dropped {
-			c.failed++
-		}
+	if failed {
+		// A root that lost an essential call past its retry budget (or
+		// whose own pod crashed) showed the user an error page and is
+		// counted in Failed(). It reaches neither the completion logs
+		// nor the warehouse.
+		c.failed++
 		if !unsettled {
 			c.freeSpans(span)
 		}
@@ -646,7 +636,6 @@ func (c *Cluster) freeVisit(v *visit) {
 	v.cpuSince = 0
 	v.deadline = 0
 	v.epoch = 0
-	v.dropped = false
 	v.failed = false
 	v.degraded = false
 	v.unsettled = false
@@ -769,10 +758,6 @@ func (c *Cluster) freeAttempt(at *attempt) {
 	at.settled = false
 	c.attemptFree = append(c.attemptFree, at)
 }
-
-// Dropped returns the number of requests rejected by full admission
-// queues.
-func (c *Cluster) Dropped() uint64 { return c.dropped }
 
 // Completed returns the number of end-to-end completed requests
 // (degraded responses included).

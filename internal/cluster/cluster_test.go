@@ -179,27 +179,6 @@ func TestUnlimitedPoolSharesCPU(t *testing.T) {
 	}
 }
 
-func TestQueueCapDropsExcess(t *testing.T) {
-	k := sim.NewKernel(6)
-	app := twoTier(1, 0)
-	app.Services[1].QueueCap = 2
-	c := mustCluster(t, k, app)
-	for i := 0; i < 10; i++ {
-		c.SubmitMix()
-	}
-	k.Run()
-	// Pool 1 + queue 2 = 3 make it; 7 dropped.
-	if c.Dropped() != 7 {
-		t.Errorf("dropped = %d, want 7", c.Dropped())
-	}
-	if c.Completions().Len() != 3 {
-		t.Errorf("completions = %d, want 3", c.Completions().Len())
-	}
-	if c.InFlight() != 0 {
-		t.Errorf("in-flight = %d, want 0", c.InFlight())
-	}
-}
-
 func TestDBPoolLimitsDownstreamCalls(t *testing.T) {
 	// Async frontend-like service with DBPool 2 calling a slow backend:
 	// downstream concurrency must never exceed 2.

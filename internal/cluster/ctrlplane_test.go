@@ -243,10 +243,10 @@ func TestStaleEndpointRetryBreaker(t *testing.T) {
 	submit(6*time.Second+500*time.Millisecond, 5) // healed: probe closes the breaker, traffic completes
 	k.Run()
 
-	total := c.Completed() + c.Failed() + c.Dropped()
+	total := c.Completed() + c.Failed()
 	if total != uint64(submitted) {
-		t.Fatalf("accounting: completed %d + failed %d + dropped %d = %d, want %d submitted (hang or double-complete)",
-			c.Completed(), c.Failed(), c.Dropped(), total, submitted)
+		t.Fatalf("accounting: completed %d + failed %d = %d, want %d submitted (hang or double-complete)",
+			c.Completed(), c.Failed(), total, submitted)
 	}
 	if c.InFlight() != 0 {
 		t.Fatalf("in-flight %d after drain", c.InFlight())

@@ -20,7 +20,7 @@ import (
 // with "what happened next" on a single virtual-time axis.
 //
 // The request-path hooks are deliberately branch-plus-increment cheap:
-// per-arrival, per-completion and per-drop bookkeeping writes plain
+// per-arrival and per-completion bookkeeping writes plain
 // uint64 fields and one stats.Sketch bucket — zero steady-state
 // allocations (TestFlightRecorderAllocFree pins this, mirroring the PR 6
 // visit-pool pin). All allocation happens once per window inside the
@@ -60,14 +60,13 @@ type FlightRecorder struct {
 
 // flightCounters snapshots the cluster's lifetime counters.
 type flightCounters struct {
-	completed, dropped, failed, refused uint64
-	retries, rejected, timedOut, lost   uint64
+	completed, failed, refused        uint64
+	retries, rejected, timedOut, lost uint64
 }
 
 func (c *Cluster) flightCounters() flightCounters {
 	return flightCounters{
 		completed: c.completed,
-		dropped:   c.dropped,
 		failed:    c.failed,
 		refused:   c.refused,
 		retries:   c.retries,
@@ -88,7 +87,6 @@ type flightTrack struct {
 	sketch      *stats.Sketch // span durations (ms) completing this window
 	arrivals    uint64
 	completions uint64
-	drops       uint64
 
 	// prevBusy/prevCap are cumulative core-seconds at the previous window
 	// boundary; their deltas give the window's behind-pool utilization.
@@ -227,7 +225,6 @@ func (f *FlightRecorder) flush(now sim.Time) {
 			telemetry.Float("p99_ms", t.sketch.QuantileOr(99, 0)),
 			telemetry.Int64("arrivals", int64(t.arrivals)),
 			telemetry.Int64("completions", int64(t.completions)),
-			telemetry.Int64("drops", int64(t.drops)),
 			telemetry.Int("queue", svc.QueueLength()),
 			telemetry.Int("conc", svc.Concurrency()),
 			telemetry.Int("replicas", svc.Replicas()),
@@ -245,7 +242,7 @@ func (f *FlightRecorder) flush(now sim.Time) {
 		}
 		tel.Publish(now, "timeline.window", attrs...)
 		t.sketch.Reset()
-		t.arrivals, t.completions, t.drops = 0, 0, 0
+		t.arrivals, t.completions = 0, 0
 		t.prevBusy, t.prevCap = busy, capacity
 	}
 	cur := c.flightCounters()
@@ -265,7 +262,6 @@ func (f *FlightRecorder) flush(now sim.Time) {
 		telemetry.Int64("degraded", int64(f.degradedN)),
 		telemetry.Int64("violated", int64(f.violated)),
 		telemetry.Int64("completed", int64(cur.completed-f.prev.completed)),
-		telemetry.Int64("dropped", int64(cur.dropped-f.prev.dropped)),
 		telemetry.Int64("failed", int64(cur.failed-f.prev.failed)),
 		telemetry.Int64("refused", int64(cur.refused-f.prev.refused)),
 		telemetry.Int64("retries", int64(cur.retries-f.prev.retries)),

@@ -40,7 +40,6 @@ type visit struct {
 	cpuSince     sim.Time // valid while a CPU work phase is in flight
 	deadline     sim.Time // propagated deadline; 0 = none
 	epoch        uint64   // pod epoch at admission; mismatch = crashed under us
-	dropped      bool     // rejected at this service's admission queue
 	failed       bool     // an essential descendant call was lost
 	degraded     bool     // an optional descendant call was degraded away
 	unsettled    bool     // a call under this visit timed out; its orphan may still change the trace
@@ -95,7 +94,7 @@ func (v *visit) reWait() {
 // propagated deadline (0 = none); visits that find every pod of the
 // service down are refused immediately.
 //
-//soravet:hotpath BenchmarkRequestPath per-hop admission: one startVisit per service visit, allocation-free except pool misses and child lists too short for the fan-out
+//soravet:hotpath TestPhaseRecordingAllocFree per-hop admission: one startVisit per service visit, allocation-free except pool misses and child lists too short for the fan-out
 func (c *Cluster) startVisit(node *CallNode, parent *trace.Span, fanout int, deadline sim.Time, onDone func(*visit)) *visit {
 	svc := c.services[node.Service]
 	if svc.flight != nil {
@@ -246,7 +245,7 @@ func (dc *directCall) done(cv *visit) {
 	v.inst.releaseSlots(dc.cp)
 	v.outstanding--
 	v.reWait()
-	if cv.dropped || cv.failed {
+	if cv.failed {
 		v.failed = true
 	} else if cv.degraded {
 		v.degraded = true
@@ -451,8 +450,7 @@ func (at *attempt) settle() *callState {
 func (at *attempt) answered() {
 	cv := at.cv
 	at.cv = nil
-	failed := cv.dropped || cv.failed
-	degraded, unsettled := cv.degraded, cv.unsettled
+	failed, degraded, unsettled := cv.failed, cv.degraded, cv.unsettled
 	at.c.freeVisit(cv)
 	if cs := at.settle(); cs != nil {
 		if unsettled {
@@ -621,28 +619,11 @@ func (v *visit) finish() {
 	}
 }
 
-// drop rejects the visit at a full admission queue. The span is stamped
-// with zero service time; the request is accounted as dropped, and the
-// parent (or trace completion) continues so upstream slots are not
-// leaked. Dropped root requests never reach the completion log.
-func (v *visit) drop() {
-	v.dropped = true
-	now := v.c.k.Now()
-	v.span.Start = now
-	v.span.End = now
-	v.span.Dropped = true
-	if v.onDone != nil {
-		fn := v.onDone
-		v.onDone = nil
-		fn(v)
-	}
-}
-
 // refuse fails the visit at arrival: the pod it was routed to is down
 // (or the whole service is), so the connection is refused before any
-// work happens. Distinct from drop — the caller's retry policy treats
-// both as failures, but refusals are counted separately and marked
-// Failed, not Dropped.
+// work happens. The span is stamped with zero service time and marked
+// Failed; the refusal is counted in Refused(), and the parent (or trace
+// completion) continues so upstream slots are not leaked.
 func (v *visit) refuse() {
 	v.failed = true
 	now := v.c.k.Now()

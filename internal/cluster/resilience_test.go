@@ -407,49 +407,6 @@ func TestSetDegradeScalesServiceTime(t *testing.T) {
 	}
 }
 
-// TestDropFlushEmitsClosingSummary: a run that ends mid-window must
-// still surface its drops — FlushTelemetry emits a final cluster.drop
-// summary whose count and cumulative total match Dropped() exactly.
-func TestDropFlushEmitsClosingSummary(t *testing.T) {
-	k := sim.NewKernel(11)
-	app := twoTier(1, 0)
-	app.Services[1].QueueCap = 1
-	rec := telemetry.NewRecorder("test")
-	c, err := New(k, app, Options{Telemetry: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A burst far beyond one thread + one queue slot: most are dropped.
-	for i := 0; i < 20; i++ {
-		c.SubmitMix()
-	}
-	k.RunUntil(sim.Time(100 * time.Millisecond)) // well inside the first window
-	c.FlushTelemetry()
-	dropped := c.Dropped()
-	if dropped == 0 {
-		t.Fatal("burst produced no drops; test premise broken")
-	}
-	var count, total int64
-	var found bool
-	for _, ev := range rec.Events() {
-		if ev.Kind != "cluster.drop" {
-			continue
-		}
-		found = true
-		count += attrInt(ev, "count")
-		total = attrInt(ev, "total")
-	}
-	if !found {
-		t.Fatal("no cluster.drop event flushed")
-	}
-	if uint64(count) != dropped {
-		t.Errorf("summed drop counts = %d, want %d", count, dropped)
-	}
-	if uint64(total) != dropped {
-		t.Errorf("closing cumulative total = %d, want %d", total, dropped)
-	}
-}
-
 // TestRetryAndBreakerEventsPublished: the throttled resilience.retry
 // window summaries and resilience.breaker transitions reach the
 // recorder with the edge attributes.

@@ -26,7 +26,7 @@ type Service struct {
 
 	// flight, when the cluster's flight recorder is armed, accumulates
 	// this service's window counters and latency sketch (see flight.go).
-	// Nil costs one pointer test per arrival/completion/drop.
+	// Nil costs one pointer test per arrival/completion.
 	flight *flightTrack
 
 	// endpoints is the routing view: the instances pick may choose, in
@@ -274,7 +274,6 @@ type Instance struct {
 	threadCap int
 	active    int
 	queue     []*visit
-	queueCap  int
 
 	// db limits concurrent downstream calls from this pod.
 	db pool
@@ -303,7 +302,6 @@ type Instance struct {
 type instanceMeta struct {
 	admitted  uint64
 	completed uint64
-	dropped   uint64
 }
 
 func newInstance(s *Service, id string) *Instance {
@@ -317,7 +315,6 @@ func newInstance(s *Service, id string) *Instance {
 		id:        id,
 		cpu:       psq.New(s.c.k, s.spec.Cores, opts...),
 		threadCap: s.spec.ThreadPool,
-		queueCap:  s.spec.QueueCap,
 		db:        pool{cap: s.spec.DBPool},
 		client:    make(map[string]*pool, len(s.spec.ClientPools)),
 		ready:     true, // control-plane launch flips this off until the cold start completes
@@ -419,17 +416,7 @@ func (in *Instance) enqueue(v *visit) {
 		in.admit(v)
 		return
 	}
-	if in.queueCap > 0 && len(in.queue) >= in.queueCap {
-		in.meta.dropped++
-		in.svc.c.dropped++
-		if in.svc.flight != nil {
-			in.svc.flight.drops++
-		}
-		in.svc.c.noteDrop(in.svc.name)
-		v.drop()
-		return
-	}
-	in.queue = append(in.queue, v) //soravet:allow hotpath admission queue append reuses capacity at steady state; queueCap bounds growth when configured
+	in.queue = append(in.queue, v) //soravet:allow hotpath admission queue append reuses capacity at steady state
 }
 
 // admit moves the visit into service.
@@ -525,7 +512,6 @@ func (in *Instance) releaseSlots(cp *pool) {
 type Stats struct {
 	Admitted  uint64
 	Completed uint64
-	Dropped   uint64
 }
 
 // Stats returns the pod's lifetime counters.
@@ -533,6 +519,5 @@ func (in *Instance) Stats() Stats {
 	return Stats{
 		Admitted:  in.meta.admitted,
 		Completed: in.meta.completed,
-		Dropped:   in.meta.dropped,
 	}
 }

@@ -44,8 +44,8 @@ type ClusterWindow struct {
 	P50, P95, P99          float64
 	SpanP99                float64
 	Good, Degr, Viol       int64
-	Completed, Dropped     int64
-	Failed, Refused        int64
+	Completed, Failed      int64
+	Refused                int64
 	Retries, Rejected      int64
 	Timedout, Lost         int64
 	Inflight, BreakersOpen int64
@@ -56,7 +56,7 @@ type SvcWindow struct {
 	TUs                int64
 	P50, P95, P99      float64
 	Arrivals           int64
-	Completions, Drops int64
+	Completions        int64
 	Queue, Conc        int64
 	Replicas           int64
 	Pool               string
@@ -231,8 +231,7 @@ func ParseTimeline(path, raw string) (*Run, error) {
 				P50: ev.num("p50_ms"), P95: ev.num("p95_ms"), P99: ev.num("p99_ms"),
 				SpanP99: ev.num("span_p99_ms"),
 				Good:    ev.i64("good"), Degr: ev.i64("degraded"), Viol: ev.i64("violated"),
-				Completed: ev.i64("completed"), Dropped: ev.i64("dropped"),
-				Failed: ev.i64("failed"), Refused: ev.i64("refused"),
+				Completed: ev.i64("completed"), Failed: ev.i64("failed"), Refused: ev.i64("refused"),
 				Retries: ev.i64("retries"), Rejected: ev.i64("rejected"),
 				Timedout: ev.i64("timedout"), Lost: ev.i64("lost"),
 				Inflight: ev.i64("inflight"), BreakersOpen: ev.i64("breakers_open"),
@@ -249,7 +248,7 @@ func ParseTimeline(path, raw string) (*Run, error) {
 				TUs: ev.tUs,
 				P50: ev.num("p50_ms"), P95: ev.num("p95_ms"), P99: ev.num("p99_ms"),
 				Arrivals: ev.i64("arrivals"), Completions: ev.i64("completions"),
-				Drops: ev.i64("drops"), Queue: ev.i64("queue"), Conc: ev.i64("conc"),
+				Queue: ev.i64("queue"), Conc: ev.i64("conc"),
 				Replicas: ev.i64("replicas"), Pool: ev.attr("pool"),
 				PoolSize: ev.i64("pool_size"), PoolUsed: ev.i64("pool_used"),
 				Util: ev.num("util"), Placement: ev.attr("placement"),

@@ -217,17 +217,15 @@ func (m *SCGModel) Estimate(qs, gps []float64) (knee.Result, error) {
 
 // EstimateOptimal is the standalone form of the SCG estimation phase for
 // callers outside a live model (offline analysis, the Table 1 harness):
-// bin, smooth, plateau-end.
+// bin, smooth, plateau-end. tolerance must be positive (see
+// knee.FindPlateauEnd).
 func EstimateOptimal(qs, gps []float64, tolerance float64) (knee.Result, error) {
 	bx, by, err := binPairs(qs, gps, minBinSamples)
 	if err != nil {
 		return knee.Result{}, err
 	}
-	if tolerance <= 0 {
-		tolerance = defaultPlateauTolerance
-	}
 	smooth := stats.MovingAverage(by, 3)
-	return knee.FindPlateauEnd(bx, smooth, knee.PlateauOptions{Tolerance: tolerance})
+	return knee.FindPlateauEnd(bx, smooth, tolerance)
 }
 
 // minBinSamples is the minimum sample count for a concurrency bin to

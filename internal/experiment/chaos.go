@@ -100,7 +100,6 @@ type chaosResult struct {
 	violatedFrac float64
 	completed    uint64
 	failed       uint64
-	dropped      uint64
 	refused      uint64
 	lost         uint64
 	timedOut     uint64
@@ -158,15 +157,20 @@ func runChaosUnit(p Params, appName string, strat chaosStrategy, planName string
 		return nil, err
 	}
 
-	warm := sim.Time(10 * time.Second)
-	end := sim.Time(dur)
+	return collectChaos(r, appName, strat, sim.Time(10*time.Second), sim.Time(dur)), nil
+}
+
+// collectChaos gathers one finished run's whole-run counters, its
+// outcome statistics over [warm, end) and the before/during/after rows
+// of every fault window. label names the run in the report (the app, or
+// the control-plane profile).
+func collectChaos(r *scenario.Rig, label string, strat chaosStrategy, warm, end sim.Time) *chaosResult {
 	res := &chaosResult{
-		app:       appName,
+		app:       label,
 		strategy:  strat,
 		goodput:   r.E2E.GoodputRate(warm, end, goodputRTT),
 		completed: r.C.Completed(),
 		failed:    r.C.Failed(),
-		dropped:   r.C.Dropped(),
 		refused:   r.C.Refused(),
 		lost:      r.C.LostCalls(),
 		timedOut:  r.C.TimedOut(),
@@ -186,7 +190,7 @@ func runChaosUnit(p Params, appName string, strat chaosStrategy, planName string
 	for _, win := range r.Faults.Windows() {
 		res.rows = append(res.rows, chaosWindows(r, win, end)...)
 	}
-	return res, nil
+	return res
 }
 
 // chaosWindows slices one fault window into before/during/after rows.
@@ -270,27 +274,7 @@ func RunChaos(p Params, w io.Writer, planName string) error {
 	for _, res := range results {
 		fmt.Fprintf(w, "\n=== %s / %s — p99 %.0f ms, goodput %.0f req/s, completed %d, failed %d, degraded %d\n",
 			res.app, res.strategy, res.p99.Seconds()*1000, res.goodput, res.completed, res.failed, res.degraded)
-		fmt.Fprintf(w, "    refused %d, lost %d, timed out %d, retries %d, breaker-rejected %d, dropped %d\n",
-			res.refused, res.lost, res.timedOut, res.retries, res.rejected, res.dropped)
-		fmt.Fprintf(w, "%-12s %-24s %-8s %10s %10s %8s %8s %8s %8s\n",
-			"fault", "target", "phase", "t[s]", "p99[ms]", "gput", "good%", "degr%", "viol%")
-		for _, row := range res.rows {
-			fmt.Fprintf(w, "%-12s %-24s %-8s %4.0f-%-5.0f %10.0f %8.0f %7.1f%% %7.1f%% %7.1f%%\n",
-				row.fault, row.target, row.phase,
-				row.from.Seconds(), row.to.Seconds(),
-				row.p99.Seconds()*1000, row.goodput,
-				row.goodFrac*100, row.degradedFrac*100, row.violatedFrac*100)
-			csv = append(csv, []string{
-				res.app, sanitize(res.strategy.String()), row.fault, sanitize(row.target), string(row.phase),
-				fmt.Sprintf("%g", row.from.Seconds()),
-				fmt.Sprintf("%g", row.to.Seconds()),
-				fmt.Sprintf("%g", row.p99.Seconds()*1000),
-				fmt.Sprintf("%g", row.goodput),
-				fmt.Sprintf("%.4f", row.goodFrac),
-				fmt.Sprintf("%.4f", row.degradedFrac),
-				fmt.Sprintf("%.4f", row.violatedFrac),
-			})
-		}
+		csv = append(csv, writeChaosWindows(w, res, 12, 24)...)
 	}
 	fmt.Fprintf(w, "\n(during a fault window Sora should hold the highest good fraction: the\n")
 	fmt.Fprintf(w, " resilience layer converts outages into degraded or fast-failed requests\n")
@@ -299,4 +283,33 @@ func RunChaos(p Params, w io.Writer, planName string) error {
 	return writeCSVStrings(p, "chaos_"+sanitize(planName),
 		[]string{"app", "strategy", "fault", "target", "phase",
 			"from_s", "to_s", "p99_ms", "goodput_rps", "good_frac", "degraded_frac", "violated_frac"}, csv)
+}
+
+// writeChaosWindows prints one result's whole-run counters and its
+// window table, the fault and target columns padded to faultW and
+// targetW, and returns the table's CSV rows.
+func writeChaosWindows(w io.Writer, res *chaosResult, faultW, targetW int) [][]string {
+	fmt.Fprintf(w, "    refused %d, lost %d, timed out %d, retries %d, breaker-rejected %d\n",
+		res.refused, res.lost, res.timedOut, res.retries, res.rejected)
+	fmt.Fprintf(w, "%-*s %-*s %-8s %10s %10s %8s %8s %8s %8s\n",
+		faultW, "fault", targetW, "target", "phase", "t[s]", "p99[ms]", "gput", "good%", "degr%", "viol%")
+	var csv [][]string
+	for _, row := range res.rows {
+		fmt.Fprintf(w, "%-*s %-*s %-8s %4.0f-%-5.0f %10.0f %8.0f %7.1f%% %7.1f%% %7.1f%%\n",
+			faultW, row.fault, targetW, row.target, row.phase,
+			row.from.Seconds(), row.to.Seconds(),
+			row.p99.Seconds()*1000, row.goodput,
+			row.goodFrac*100, row.degradedFrac*100, row.violatedFrac*100)
+		csv = append(csv, []string{
+			res.app, sanitize(res.strategy.String()), row.fault, sanitize(row.target), string(row.phase),
+			fmt.Sprintf("%g", row.from.Seconds()),
+			fmt.Sprintf("%g", row.to.Seconds()),
+			fmt.Sprintf("%g", row.p99.Seconds()*1000),
+			fmt.Sprintf("%g", row.goodput),
+			fmt.Sprintf("%.4f", row.goodFrac),
+			fmt.Sprintf("%.4f", row.degradedFrac),
+			fmt.Sprintf("%.4f", row.violatedFrac),
+		})
+	}
+	return csv
 }

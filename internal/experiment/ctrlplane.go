@@ -116,34 +116,7 @@ func runCtrlPlaneUnit(p Params, prof cpProfile, strat chaosStrategy, dur time.Du
 	}
 
 	warm := sim.Time(prof.coldStart + prof.lag + 10*time.Second)
-	end := sim.Time(dur)
-	res := &chaosResult{
-		app:       prof.name,
-		strategy:  strat,
-		goodput:   r.E2E.GoodputRate(warm, end, goodputRTT),
-		completed: r.C.Completed(),
-		failed:    r.C.Failed(),
-		dropped:   r.C.Dropped(),
-		refused:   r.C.Refused(),
-		lost:      r.C.LostCalls(),
-		timedOut:  r.C.TimedOut(),
-		retries:   r.C.Retries(),
-		rejected:  r.C.BreakerRejections(),
-		degraded:  r.C.Degraded(),
-	}
-	if p99, err := r.E2E.Percentile(99, warm, end); err == nil {
-		res.p99 = p99
-	}
-	if good, degraded, violated := r.E2E.CountsByOutcome(warm, end, goodputRTT); good+degraded+violated > 0 {
-		total := float64(good + degraded + violated)
-		res.goodFrac = float64(good) / total
-		res.degradedFrac = float64(degraded) / total
-		res.violatedFrac = float64(violated) / total
-	}
-	for _, win := range r.Faults.Windows() {
-		res.rows = append(res.rows, chaosWindows(r, win, end)...)
-	}
-	return res, nil
+	return collectChaos(r, prof.name, strat, warm, sim.Time(dur)), nil
 }
 
 // RunCtrlPlane sweeps both control-plane profiles across all three
@@ -185,27 +158,7 @@ func RunCtrlPlane(p Params, w io.Writer) error {
 	for _, res := range results {
 		fmt.Fprintf(w, "\n=== %s plane / %s — p99 %.0f ms, goodput %.0f req/s, completed %d, failed %d, degraded %d\n",
 			res.app, res.strategy, res.p99.Seconds()*1000, res.goodput, res.completed, res.failed, res.degraded)
-		fmt.Fprintf(w, "    refused %d, lost %d, timed out %d, retries %d, breaker-rejected %d, dropped %d\n",
-			res.refused, res.lost, res.timedOut, res.retries, res.rejected, res.dropped)
-		fmt.Fprintf(w, "%-15s %-12s %-8s %10s %10s %8s %8s %8s %8s\n",
-			"fault", "target", "phase", "t[s]", "p99[ms]", "gput", "good%", "degr%", "viol%")
-		for _, row := range res.rows {
-			fmt.Fprintf(w, "%-15s %-12s %-8s %4.0f-%-5.0f %10.0f %8.0f %7.1f%% %7.1f%% %7.1f%%\n",
-				row.fault, row.target, row.phase,
-				row.from.Seconds(), row.to.Seconds(),
-				row.p99.Seconds()*1000, row.goodput,
-				row.goodFrac*100, row.degradedFrac*100, row.violatedFrac*100)
-			csv = append(csv, []string{
-				res.app, sanitize(res.strategy.String()), row.fault, sanitize(row.target), string(row.phase),
-				fmt.Sprintf("%g", row.from.Seconds()),
-				fmt.Sprintf("%g", row.to.Seconds()),
-				fmt.Sprintf("%g", row.p99.Seconds()*1000),
-				fmt.Sprintf("%g", row.goodput),
-				fmt.Sprintf("%.4f", row.goodFrac),
-				fmt.Sprintf("%.4f", row.degradedFrac),
-				fmt.Sprintf("%.4f", row.violatedFrac),
-			})
-		}
+		csv = append(csv, writeChaosWindows(w, res, 15, 12)...)
 	}
 	fmt.Fprintf(w, "\n(every replica the autoscaler adds pays the full cold start plus the\n")
 	fmt.Fprintf(w, " endpoint lag before it serves; Sora's pool retuning is an immediate\n")

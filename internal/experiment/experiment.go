@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"time"
 
 	"sora/internal/profile"
@@ -130,52 +131,21 @@ func ByID(id string) (Experiment, error) {
 }
 
 // writeCSV writes rows (with a header) to OutDir/name.csv when OutDir is
-// set; it is a no-op otherwise.
+// set, each value formatted with %g; it is a no-op otherwise.
 func writeCSV(p Params, name string, header []string, rows [][]float64) error {
-	if p.OutDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(p.OutDir, 0o755); err != nil {
-		return fmt.Errorf("experiment: %w", err)
-	}
-	path := filepath.Join(p.OutDir, name+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("experiment: %w", err)
-	}
-	defer f.Close()
-	for i, h := range header {
-		if i > 0 {
-			if _, err := io.WriteString(f, ","); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(f, h); err != nil {
-			return err
+	cells := make([][]string, len(rows))
+	for i, row := range rows {
+		cells[i] = make([]string, len(row))
+		for j, v := range row {
+			cells[i][j] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 	}
-	if _, err := io.WriteString(f, "\n"); err != nil {
-		return err
-	}
-	for _, row := range rows {
-		for i, v := range row {
-			sep := ""
-			if i > 0 {
-				sep = ","
-			}
-			if _, err := fmt.Fprintf(f, "%s%g", sep, v); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(f, "\n"); err != nil {
-			return err
-		}
-	}
-	return f.Sync()
+	return writeCSVStrings(p, name, header, cells)
 }
 
-// writeCSVStrings is writeCSV for rows with non-numeric cells (labels,
-// phases). Cells are written verbatim; callers keep them comma-free.
+// writeCSVStrings writes rows (with a header) to OutDir/name.csv when
+// OutDir is set; it is a no-op otherwise. Cells are written verbatim;
+// callers keep them comma-free.
 func writeCSVStrings(p Params, name string, header []string, rows [][]string) error {
 	if p.OutDir == "" {
 		return nil

@@ -238,15 +238,10 @@ func FindAuto(x, y []float64, opts AutoOptions) (Result, error) {
 	return Find(xs, ys, Options{Sensitivity: opts.Sensitivity, Degree: minDeg})
 }
 
-// PlateauOptions configures FindPlateauEnd.
-type PlateauOptions struct {
-	// Tolerance is the fraction of the peak the curve may sag before the
-	// plateau is considered over; zero selects 0.08.
-	Tolerance float64
-}
-
 // FindPlateauEnd locates the *end* of the curve's peak plateau: the
-// largest x whose y still reaches within Tolerance of the maximum.
+// largest x whose y still reaches within tol of the maximum, tol being
+// the fraction of the peak the curve may sag before the plateau is
+// considered over. A non-positive tol is an error.
 // Smoothing is the caller's: core averages the curve before it calls
 // here. This is the estimator the goodput main-sequence curve needs:
 // past the optimal concurrency goodput *declines* (deadline misses and
@@ -259,17 +254,16 @@ type PlateauOptions struct {
 // curve never declined within the observed range, so the true optimum may
 // lie beyond it (the "blurred knee" case the paper resolves by gradually
 // increasing the allocation).
-func FindPlateauEnd(x, y []float64, opts PlateauOptions) (Result, error) {
+func FindPlateauEnd(x, y []float64, tol float64) (Result, error) {
+	if tol <= 0 {
+		return Result{}, fmt.Errorf("knee: plateau tolerance %g must be positive", tol)
+	}
 	if len(x) != len(y) {
 		return Result{}, fmt.Errorf("knee: input lengths differ: %d vs %d", len(x), len(y))
 	}
 	xs, ys := dedupe(x, y)
 	if len(xs) < 5 {
 		return Result{}, fmt.Errorf("%w, have %d", ErrTooFewPoints, len(xs))
-	}
-	tol := opts.Tolerance
-	if tol <= 0 {
-		tol = 0.08
 	}
 	peakIdx := argmax(ys)
 	peak := ys[peakIdx]

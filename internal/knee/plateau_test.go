@@ -29,7 +29,7 @@ func plateauShape(xs []float64, rise, drop, peak float64) []float64 {
 func TestFindPlateauEndLocatesCliffEdge(t *testing.T) {
 	xs := stats.Linspace(1, 50, 50)
 	ys := plateauShape(xs, 8, 30, 1000)
-	res, err := FindPlateauEnd(xs, ys, PlateauOptions{})
+	res, err := FindPlateauEnd(xs, ys, 0.08)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestFindPlateauEndRisingCurveFallsBack(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 10 * x // never declines
 	}
-	res, err := FindPlateauEnd(xs, ys, PlateauOptions{})
+	res, err := FindPlateauEnd(xs, ys, 0.08)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestFindPlateauEndToleranceMovesEdge(t *testing.T) {
 			ys[i] = 100 - (x - 10) // sag of 1 per unit
 		}
 	}
-	tight, err := FindPlateauEnd(xs, ys, PlateauOptions{Tolerance: 0.03})
+	tight, err := FindPlateauEnd(xs, ys, 0.03)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := FindPlateauEnd(xs, ys, PlateauOptions{Tolerance: 0.20})
+	loose, err := FindPlateauEnd(xs, ys, 0.20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,22 +86,32 @@ func TestFindPlateauEndToleranceMovesEdge(t *testing.T) {
 }
 
 func TestFindPlateauEndTooFewPoints(t *testing.T) {
-	_, err := FindPlateauEnd([]float64{1, 2, 3}, []float64{1, 2, 3}, PlateauOptions{})
+	_, err := FindPlateauEnd([]float64{1, 2, 3}, []float64{1, 2, 3}, 0.08)
 	if !errors.Is(err, ErrTooFewPoints) {
 		t.Errorf("got %v, want ErrTooFewPoints", err)
 	}
 }
 
 func TestFindPlateauEndLengthMismatch(t *testing.T) {
-	if _, err := FindPlateauEnd([]float64{1, 2, 3, 4, 5}, []float64{1}, PlateauOptions{}); err == nil {
+	if _, err := FindPlateauEnd([]float64{1, 2, 3, 4, 5}, []float64{1}, 0.08); err == nil {
 		t.Error("expected error for mismatched lengths")
+	}
+}
+
+func TestFindPlateauEndRejectsNonPositiveTolerance(t *testing.T) {
+	xs := stats.Linspace(1, 10, 10)
+	ys := plateauShape(xs, 3, 6, 100)
+	for _, tol := range []float64{0, -0.08} {
+		if _, err := FindPlateauEnd(xs, ys, tol); err == nil {
+			t.Errorf("tolerance %g: expected an error", tol)
+		}
 	}
 }
 
 func TestFindPlateauEndAllZeroFallsBack(t *testing.T) {
 	xs := stats.Linspace(1, 10, 10)
 	ys := make([]float64, len(xs))
-	res, err := FindPlateauEnd(xs, ys, PlateauOptions{})
+	res, err := FindPlateauEnd(xs, ys, 0.08)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +127,7 @@ func TestQuickPlateauEndAtOrAfterPeak(t *testing.T) {
 		drop := rise + float64(dropRaw%20) + 2
 		xs := stats.Linspace(1, drop+15, int(drop+15))
 		ys := plateauShape(xs, rise, drop, 500)
-		res, err := FindPlateauEnd(xs, ys, PlateauOptions{})
+		res, err := FindPlateauEnd(xs, ys, 0.08)
 		if err != nil {
 			return false
 		}
@@ -139,8 +149,8 @@ func TestQuickPlateauScaleInvariant(t *testing.T) {
 		for i, v := range ys {
 			ys2[i] = v * scale
 		}
-		a, err1 := FindPlateauEnd(xs, ys, PlateauOptions{})
-		b, err2 := FindPlateauEnd(xs, ys2, PlateauOptions{})
+		a, err1 := FindPlateauEnd(xs, ys, 0.08)
+		b, err2 := FindPlateauEnd(xs, ys2, 0.08)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -156,7 +166,7 @@ func BenchmarkFindPlateauEnd(b *testing.B) {
 	ys := plateauShape(xs, 12, 35, 1500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FindPlateauEnd(xs, ys, PlateauOptions{}); err != nil {
+		if _, err := FindPlateauEnd(xs, ys, 0.08); err != nil {
 			b.Fatal(err)
 		}
 	}

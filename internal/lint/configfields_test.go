@@ -27,17 +27,10 @@ var configTypes = []string{
 	"core.ManagedResource",
 	"core.SCGConfig",
 	"core.UnifiedConfig",
-	"knee.PlateauOptions",
 	"node.Config",
 	"topology.SocialNetworkConfig",
 	"topology.SockShopConfig",
 	"workload.ClosedLoopConfig",
-}
-
-// configFieldExempt names the fields of configTypes that stay without an
-// outside writer, each with the reason it stays.
-var configFieldExempt = map[string]string{
-	"cluster.ServiceSpec.QueueCap": "gates the admission-drop path whose counts simrun and the quickstart example print and the trace format carries",
 }
 
 // TestConfigFieldsHaveWriters fails when an exported field of a
@@ -47,7 +40,6 @@ var configFieldExempt = map[string]string{
 func TestConfigFieldsHaveWriters(t *testing.T) {
 	m := selfModule(t)
 	written := outsideFieldWrites(m)
-	exempted := make(map[string]bool)
 	for _, name := range configTypes {
 		pkgName, typeName, _ := strings.Cut(name, ".")
 		st := lookupStruct(t, m, m.Path+"/internal/"+pkgName, typeName)
@@ -56,22 +48,9 @@ func TestConfigFieldsHaveWriters(t *testing.T) {
 			if !f.Exported() {
 				continue
 			}
-			key := name + "." + f.Name()
-			if _, ok := configFieldExempt[key]; ok {
-				exempted[key] = true
-				if written[f] {
-					t.Errorf("%s is exempt but now has an outside writer; drop the exemption", key)
-				}
-				continue
-			}
 			if !written[f] {
-				t.Errorf("%s is set only by its own package: delete it and name its default as a constant", key)
+				t.Errorf("%s.%s is set only by its own package: delete it and name its default as a constant", name, f.Name())
 			}
-		}
-	}
-	for key := range configFieldExempt {
-		if !exempted[key] {
-			t.Errorf("exemption %s names no exported field of configTypes", key)
 		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 // event means adding it here and documenting it there. Keep sorted.
 var EventNames = []string{
 	"autoscaler.scale",
-	"cluster.drop",
 	"cluster.reconfig",
 	"controller.decision",
 	"controller.error",
@@ -35,7 +34,7 @@ var EventNames = []string{
 }
 
 // eventNameRE is the shape every event kind must have: lowercase
-// dotted, subsystem first ("controller.decision", "cluster.drop").
+// dotted, subsystem first ("controller.decision", "cluster.reconfig").
 var eventNameRE = regexp.MustCompile(`^[a-z]+(\.[a-z_]+)+$`)
 
 // checkEventname validates the event-kind argument of every

@@ -56,7 +56,6 @@ type Aggregator struct {
 	slo            time.Duration
 	traces         uint64
 	violations     uint64
-	droppedSpans   uint64
 	failedSpans    uint64
 	degradedSpans  uint64
 	abandonedSpans uint64
@@ -130,9 +129,6 @@ func (a *Aggregator) Add(t *trace.Trace) {
 		}
 	}
 	root.Walk(func(s *trace.Span) {
-		if s.Dropped {
-			a.droppedSpans++
-		}
 		if s.Failed {
 			a.failedSpans++
 		}
@@ -213,7 +209,6 @@ type Profile struct {
 	SLO            time.Duration
 	Traces         uint64
 	Violations     uint64
-	DroppedSpans   uint64
 	FailedSpans    uint64
 	DegradedSpans  uint64
 	AbandonedSpans uint64
@@ -235,7 +230,6 @@ func (a *Aggregator) Snapshot() *Profile {
 		SLO:            a.slo,
 		Traces:         a.traces,
 		Violations:     a.violations,
-		DroppedSpans:   a.droppedSpans,
 		FailedSpans:    a.failedSpans,
 		DegradedSpans:  a.degradedSpans,
 		AbandonedSpans: a.abandonedSpans,
@@ -314,9 +308,9 @@ func (p *Profile) WriteTable(w io.Writer) error {
 			return err
 		}
 	}
-	if p.DroppedSpans > 0 || p.FailedSpans > 0 || p.DegradedSpans > 0 || p.AbandonedSpans > 0 {
-		if _, err := fmt.Fprintf(w, "markers: %d dropped visits, %d failed subtrees, %d degraded responses, %d abandoned calls\n",
-			p.DroppedSpans, p.FailedSpans, p.DegradedSpans, p.AbandonedSpans); err != nil {
+	if p.FailedSpans > 0 || p.DegradedSpans > 0 || p.AbandonedSpans > 0 {
+		if _, err := fmt.Fprintf(w, "markers: %d failed subtrees, %d degraded responses, %d abandoned calls\n",
+			p.FailedSpans, p.DegradedSpans, p.AbandonedSpans); err != nil {
 			return err
 		}
 	}

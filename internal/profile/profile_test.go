@@ -57,7 +57,7 @@ func TestSpanPhasesExactSumUnderSkew(t *testing.T) {
 		{"cpu exceeds processing", trace.Span{Start: dms(1), End: dms(10), Blocked: dms(4), CPU: dms(50), Demand: dms(1)}},
 		{"demand exceeds cpu", trace.Span{Start: dms(1), End: dms(10), Blocked: dms(4), CPU: dms(3), Demand: dms(50)}},
 		{"start after end", trace.Span{Start: dms(20), End: dms(10)}},
-		{"zero-width drop", trace.Span{Start: dms(5), End: dms(5), Dropped: true}},
+		{"zero-width drop", trace.Span{Start: dms(5), End: dms(5), Failed: true}},
 		{"negative blocked", trace.Span{Start: dms(1), End: dms(10), Blocked: -dms(3)}},
 	}
 	for _, tc := range cases {

@@ -216,7 +216,7 @@ func (s *Server) reschedule() {
 // complete pops every job whose demand has been attained (to within
 // completionMargin) and invokes their callbacks after rescheduling.
 //
-//soravet:hotpath BenchmarkRequestPath completion side of the psq pin: runs once per batch of attained jobs, zero-alloc at steady state
+//soravet:hotpath TestSubmitSteadyStateAllocFree completion side of the psq pin: runs once per batch of attained jobs, zero-alloc at steady state
 func (s *Server) complete() {
 	// The fired timer struct is already back on the kernel free list;
 	// drop the handle before anything below can schedule and reuse it.
@@ -245,7 +245,7 @@ func (s *Server) complete() {
 // event ordering) even when the server has no cores. Demand below zero is
 // clamped to zero.
 //
-//soravet:hotpath BenchmarkRequestPath admission side of the psq pin: one Submit per simulated request hop, zero-alloc once the runnable heap has grown to its high-water mark
+//soravet:hotpath TestSubmitSteadyStateAllocFree admission side of the psq pin: one Submit per simulated request hop, zero-alloc once the runnable heap has grown to its high-water mark
 func (s *Server) Submit(demand time.Duration, onDone func()) {
 	if demand < 0 {
 		demand = 0

@@ -226,16 +226,3 @@ func TestQuickNoInterferenceUnderCoreCount(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkSubmitComplete(b *testing.B) {
-	k := sim.NewKernel(1)
-	s := New(k, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Submit(time.Duration(i%1000+1)*time.Microsecond, nil)
-		if len(s.runnable) > 256 {
-			k.Run()
-		}
-	}
-	k.Run()
-}

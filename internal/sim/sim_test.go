@@ -407,20 +407,6 @@ func TestProcessedCount(t *testing.T) {
 	}
 }
 
-func BenchmarkScheduleRun(b *testing.B) {
-	k := NewKernel(1)
-	rng := rand.New(rand.NewPCG(1, 2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Schedule(time.Duration(rng.Int64N(int64(time.Second))), func() {})
-		if k.Pending() > 1024 {
-			for k.Pending() > 0 {
-				k.Step()
-			}
-		}
-	}
-}
-
 // TestTimerSize pins the Timer struct at 48 bytes: the near/far flag
 // rides in the padding after canceled.
 func TestTimerSize(t *testing.T) {

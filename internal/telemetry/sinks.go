@@ -115,7 +115,7 @@ type metricSample struct {
 
 // WriteMetrics writes the end-of-run counter/gauge state of the whole
 // tree in Prometheus text exposition format. Metric names may embed
-// label syntax (e.g. `sora_service_dropped_total{service="cart"}`); the
+// label syntax (e.g. `sora_service_completed_total{service="cart"}`); the
 // writer appends a `unit` label carrying the node path. Families are
 // grouped under one `# TYPE` line each, in first-seen export order.
 func (r *Recorder) WriteMetrics(w io.Writer) error {

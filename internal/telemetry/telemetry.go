@@ -21,7 +21,7 @@
 // site to keep the disabled path allocation-free:
 //
 //	if tel := c.Telemetry(); tel != nil {
-//		tel.Publish(now, "cluster.drop", telemetry.String("service", name))
+//		tel.Publish(now, "cluster.reconfig", telemetry.String("service", name))
 //	}
 //
 // All methods are mutex-guarded per node, so concurrent publishers
@@ -210,7 +210,7 @@ func (r *Recorder) Publish(at sim.Time, kind string, attrs ...Attr) {
 		return
 	}
 	r.mu.Lock()
-	r.events = append(r.events, Event{At: at, Kind: kind, Attrs: attrs}) //soravet:allow hotpath event log append: reachable from the request path only via rate-limited publishers (see cluster.noteDrop), never per request
+	r.events = append(r.events, Event{At: at, Kind: kind, Attrs: attrs})
 	r.mu.Unlock()
 }
 

@@ -35,7 +35,6 @@ type SpanRecord struct {
 	CPUNs     int64        `json:"cpu_ns,omitempty"`
 	RetryNs   int64        `json:"retry_wait_ns,omitempty"`
 	BreakerNs int64        `json:"breaker_wait_ns,omitempty"`
-	Dropped   bool         `json:"dropped,omitempty"`
 	Failed    bool         `json:"failed,omitempty"`
 	Degraded  bool         `json:"degraded,omitempty"`
 	Abandoned bool         `json:"abandoned,omitempty"`
@@ -69,7 +68,6 @@ func toRecord(s *Span) SpanRecord {
 		CPUNs:     int64(s.CPU),
 		RetryNs:   int64(s.RetryWait),
 		BreakerNs: int64(s.BreakerWait),
-		Dropped:   s.Dropped,
 		Failed:    s.Failed,
 		Degraded:  s.Degraded,
 		Abandoned: s.Abandoned,
@@ -105,7 +103,6 @@ func fromRecord(rec SpanRecord) (*Span, error) {
 		CPU:         time.Duration(rec.CPUNs),
 		RetryWait:   time.Duration(rec.RetryNs),
 		BreakerWait: time.Duration(rec.BreakerNs),
-		Dropped:     rec.Dropped,
 		Failed:      rec.Failed,
 		Degraded:    rec.Degraded,
 		Abandoned:   rec.Abandoned,

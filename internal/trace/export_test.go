@@ -214,10 +214,10 @@ func TestExportTimestampPrecision(t *testing.T) {
 }
 
 func TestExportRoundTripsPhaseMarkers(t *testing.T) {
-	dropped := &Span{Service: "cart-db", Depth: 1, Arrival: 5 * time.Millisecond,
-		Start: 5 * time.Millisecond, End: 5 * time.Millisecond, Dropped: true}
+	refused := &Span{Service: "cart-db", Depth: 1, Arrival: 5 * time.Millisecond,
+		Start: 5 * time.Millisecond, End: 5 * time.Millisecond, Failed: true}
 	root := &Span{Service: "cart", Arrival: 0, Start: time.Millisecond,
-		End: 10 * time.Millisecond, Failed: true, Children: []*Span{dropped}}
+		End: 10 * time.Millisecond, Failed: true, Children: []*Span{refused}}
 	var buf bytes.Buffer
 	if err := Export(&buf, &Trace{ID: 1, Type: "t", Root: root}); err != nil {
 		t.Fatal(err)
@@ -229,8 +229,8 @@ func TestExportRoundTripsPhaseMarkers(t *testing.T) {
 	if !got.Root.Failed {
 		t.Error("Failed marker lost in round trip")
 	}
-	if len(got.Root.Children) != 1 || !got.Root.Children[0].Dropped {
-		t.Error("Dropped marker lost in round trip")
+	if len(got.Root.Children) != 1 || !got.Root.Children[0].Failed {
+		t.Error("refused child's Failed marker lost in round trip")
 	}
 }
 

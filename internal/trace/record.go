@@ -29,7 +29,6 @@ type Record struct {
 	Instance int32 // index into Names.Instances
 	Size     int32 // records in the subtree rooted here, this one included
 
-	Dropped   bool
 	Failed    bool
 	Degraded  bool
 	Abandoned bool
@@ -127,7 +126,7 @@ func (n *Names) appendRecords(dst []Record, s *Span) []Record {
 	r.Blocked, r.Demand, r.CPU = s.Blocked, s.Demand, s.CPU
 	r.RetryWait, r.BreakerWait = s.RetryWait, s.BreakerWait
 	r.Service, r.Instance = n.service(s.Service), n.instance(s.Instance)
-	r.Dropped, r.Failed, r.Degraded, r.Abandoned = s.Dropped, s.Failed, s.Degraded, s.Abandoned
+	r.Failed, r.Degraded, r.Abandoned = s.Failed, s.Degraded, s.Abandoned
 	for _, c := range s.Children {
 		dst = n.appendRecords(dst, c)
 	}
@@ -161,7 +160,6 @@ func (n *Names) fill(spans []Span, recs []Record, i int, depth int32) {
 		CPU:         r.CPU,
 		RetryWait:   r.RetryWait,
 		BreakerWait: r.BreakerWait,
-		Dropped:     r.Dropped,
 		Failed:      r.Failed,
 		Degraded:    r.Degraded,
 		Abandoned:   r.Abandoned,

@@ -32,7 +32,7 @@ const compactMaxSpans = 256
 // names, so services repeat), instance (none, as for a refused visit, or
 // one of two replicas), timing (1–4 ms, so equal-duration siblings are
 // common, and the arrival offset), flags (Abandoned on a child,
-// Dropped, Failed or Degraded, and the blocked share) and children
+// Failed or Degraded, and the blocked share) and children
 // (0–3, at most four levels deep). With the children byte's high bit
 // set the first call is retried: a failed attempt of the same service,
 // then the attempt that answered.
@@ -51,7 +51,6 @@ func decodeTree(r *compactReader, arrival sim.Time, depth int32) *Span {
 		RetryWait:   time.Duration(flags>>6) * time.Microsecond,
 		BreakerWait: time.Duration(inst>>4) * time.Microsecond,
 		Abandoned:   depth > 0 && flags&1 != 0,
-		Dropped:     flags&2 != 0,
 		Failed:      flags&6 == 4,
 		Degraded:    flags&6 == 6,
 	}

@@ -61,14 +61,11 @@ type Span struct {
 	// caller). Disjoint from Blocked and RetryWait.
 	BreakerWait time.Duration
 
-	// Dropped marks a visit rejected at a full admission queue. Dropped
-	// spans carry Start == End == rejection time and no phase data.
-	Dropped bool
-
-	// Failed marks a visit that ran to completion but lost a downstream
-	// call in its subtree to an admission drop, or whose pod crashed
-	// (or was already down) so the response was lost with the
-	// connection.
+	// Failed marks a visit that ran to completion but lost an essential
+	// downstream call in its subtree past its retry budget, or whose pod
+	// crashed (or was already down) so the response was lost with the
+	// connection. A visit refused at arrival carries Start == End ==
+	// refusal time and no phase data.
 	Failed bool
 
 	// Degraded marks a visit that completed with a partial response: an
