@@ -256,11 +256,14 @@ type Cluster struct {
 	// per-span execution state) and spanFree the spans of settled
 	// traces, each with its child list's capacity, once their records
 	// are compacted (see rootCall.done). recScratch is the buffer a
-	// trace is compacted into before its records are copied out.
+	// trace is compacted into before its records are copied onto the
+	// end of recChunk, the append-only record chunk settled traces
+	// share (see trace.Trace.Compact).
 	visitFree  []*visit
 	rootFree   []*rootCall
 	spanFree   []*trace.Span
 	recScratch []trace.Record
+	recChunk   []trace.Record
 
 	// names is the table the records of every trace this cluster
 	// completes index: services in declaration order, then instances as
@@ -569,7 +572,7 @@ func (rc *rootCall) done(root *visit) {
 		fn(tr)
 	}
 	if !unsettled {
-		tr.Compact(&c.recScratch)
+		tr.Compact(&c.recScratch, &c.recChunk)
 		c.freeSpans(span)
 	}
 }

@@ -2,9 +2,9 @@ package metrics
 
 import "sort"
 
-// blockSize is the record count of one retention-log block. A block of
-// Completion (24 B) is 24 KiB and one of Point (16 B) is 16 KiB, both
-// under the runtime's 32 KiB large-object threshold, so a block is an
+// blockSize is the record count of one retention-log block. A
+// CompletionLog entry and a Point are both 16 B, so a block is 16 KiB,
+// under the runtime's 32 KiB large-object threshold: a block is an
 // ordinary size-classed allocation rather than a fresh, zeroed large
 // span. A power of two keeps the index split a shift and a mask.
 const blockSize = 1024

@@ -115,7 +115,28 @@ type Completion struct {
 // counters) lets the SCG model re-derive goodput against any propagated
 // deadline after the fact — the crux of threshold-sensitive estimation.
 type CompletionLog struct {
-	completions blockLog[Completion]
+	completions blockLog[completion]
+}
+
+// completion is the 16-B form a CompletionLog stores a Completion in:
+// rt holds RT for a full response and ^RT, which is negative, for a
+// degraded one, so the flag costs no third word.
+type completion struct {
+	at sim.Time
+	rt time.Duration
+}
+
+// responseTime returns the completion's RT.
+func (c completion) responseTime() time.Duration {
+	if c.rt < 0 {
+		return ^c.rt
+	}
+	return c.rt
+}
+
+// good reports whether c is a full response within threshold.
+func (c completion) good(threshold time.Duration) bool {
+	return c.rt >= 0 && c.rt <= threshold
 }
 
 // Add appends a completion; out-of-order appends panic (see Series.Add).
@@ -124,14 +145,21 @@ func (l *CompletionLog) Add(at sim.Time, rt time.Duration) {
 }
 
 // AddFlagged appends a completion carrying the degraded marker;
-// out-of-order appends panic (see Series.Add).
+// out-of-order appends panic (see Series.Add), and so does a negative
+// response time, which the simulator never produces.
 //
 //soravet:hotpath TestCompletionLogRecycledAllocFree every completed request lands here; once the log has recycled a block, AddFlagged plus retention Prune allocate nothing
 func (l *CompletionLog) AddFlagged(at sim.Time, rt time.Duration, degraded bool) {
-	if last, ok := l.completions.last(); ok && at < last.At {
-		panic(fmt.Sprintf("metrics: out-of-order completion at %v after %v", at, last.At))
+	if last, ok := l.completions.last(); ok && at < last.at {
+		panic(fmt.Sprintf("metrics: out-of-order completion at %v after %v", at, last.at))
 	}
-	l.completions.push(Completion{At: at, RT: rt, Degraded: degraded})
+	if rt < 0 {
+		panic(fmt.Sprintf("metrics: negative response time %v at %v", rt, at))
+	}
+	if degraded {
+		rt = ^rt
+	}
+	l.completions.push(completion{at: at, rt: rt})
 }
 
 // Len returns the number of recorded completions.
@@ -144,7 +172,17 @@ func (l *CompletionLog) Prune(before sim.Time) {
 
 // Window returns completions with At in [since, until).
 func (l *CompletionLog) Window(since, until sim.Time) []Completion {
-	return l.completions.slice(l.span(since, until))
+	lo, hi := l.span(since, until)
+	if lo >= hi {
+		return nil
+	}
+	out := make([]Completion, 0, hi-lo)
+	l.completions.each(lo, hi, func(run []completion) {
+		for _, c := range run {
+			out = append(out, Completion{At: c.at, RT: c.responseTime(), Degraded: c.rt < 0})
+		}
+	})
+	return out
 }
 
 // Counts returns (goodput, badput) request counts in [since, until)
@@ -153,9 +191,9 @@ func (l *CompletionLog) Window(since, until sim.Time) []Completion {
 // the SLA.
 func (l *CompletionLog) Counts(since, until sim.Time, threshold time.Duration) (good, bad int) {
 	lo, hi := l.span(since, until)
-	l.completions.each(lo, hi, func(run []Completion) {
+	l.completions.each(lo, hi, func(run []completion) {
 		for _, c := range run {
-			if !c.Degraded && c.RT <= threshold {
+			if c.good(threshold) {
 				good++
 			}
 		}
@@ -169,12 +207,12 @@ func (l *CompletionLog) Counts(since, until sim.Time, threshold time.Duration) (
 // SLA). The chaos experiments report these fractions per fault window.
 func (l *CompletionLog) CountsByOutcome(since, until sim.Time, threshold time.Duration) (good, degraded, violated int) {
 	lo, hi := l.span(since, until)
-	l.completions.each(lo, hi, func(run []Completion) {
+	l.completions.each(lo, hi, func(run []completion) {
 		for _, c := range run {
 			switch {
-			case c.Degraded:
+			case c.rt < 0:
 				degraded++
-			case c.RT <= threshold:
+			case c.rt <= threshold:
 				good++
 			default:
 				violated++
@@ -216,14 +254,14 @@ func (l *CompletionLog) BucketRates(since, until sim.Time, bucket time.Duration,
 	throughput = make([]float64, n)
 	perBucket := bucket.Seconds()
 	lo, hi := l.span(since, until)
-	l.completions.each(lo, hi, func(run []Completion) {
+	l.completions.each(lo, hi, func(run []completion) {
 		for _, c := range run {
-			idx := int((c.At - since) / bucket)
+			idx := int((c.at - since) / bucket)
 			if idx < 0 || idx >= n {
 				continue
 			}
 			throughput[idx]++
-			if !c.Degraded && c.RT <= threshold {
+			if c.good(threshold) {
 				goodput[idx]++
 			}
 		}
@@ -240,9 +278,9 @@ func (l *CompletionLog) BucketRates(since, until sim.Time, bucket time.Duration,
 func (l *CompletionLog) ResponseTimes(since, until sim.Time) []float64 {
 	lo, hi := l.span(since, until)
 	out := make([]float64, 0, hi-lo)
-	l.completions.each(lo, hi, func(run []Completion) {
+	l.completions.each(lo, hi, func(run []completion) {
 		for _, c := range run {
-			out = append(out, float64(c.RT)/float64(time.Millisecond))
+			out = append(out, float64(c.responseTime())/float64(time.Millisecond))
 		}
 	})
 	return out
@@ -259,7 +297,7 @@ func (l *CompletionLog) Percentile(p float64, since, until sim.Time) (time.Durat
 }
 
 func (l *CompletionLog) lowerBound(t sim.Time) int {
-	return l.completions.search(func(c Completion) bool { return c.At >= t })
+	return l.completions.search(func(c completion) bool { return c.at >= t })
 }
 
 // span returns the index range of the completions with At in

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -170,6 +171,34 @@ func TestCompletionLogOutOfOrderPanics(t *testing.T) {
 		}
 	}()
 	l.Add(ms(99), time.Millisecond)
+}
+
+// TestCompletionLogRoundTrip checks that the packed entry loses
+// nothing: Window returns exactly the (At, RT, Degraded) appended, at
+// both ends of the response-time range and either way flagged.
+func TestCompletionLogRoundTrip(t *testing.T) {
+	var l CompletionLog
+	var want []Completion
+	for i, rt := range []time.Duration{0, 1, 1 << 62, math.MaxInt64} {
+		for _, degraded := range []bool{true, false} {
+			at := ms(i)
+			l.AddFlagged(at, rt, degraded)
+			want = append(want, Completion{At: at, RT: rt, Degraded: degraded})
+		}
+	}
+	if got := l.Window(0, ms(len(want))); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Window = %+v\nwant %+v", got, want)
+	}
+}
+
+func TestCompletionLogNegativeRTPanics(t *testing.T) {
+	var l CompletionLog
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic")
+		}
+	}()
+	l.AddFlagged(ms(1), -1, false)
 }
 
 func TestHistogram(t *testing.T) {

@@ -74,10 +74,8 @@ type Names struct {
 // NewNames returns a table whose first service ids are the positions of
 // services, which must be distinct.
 func NewNames(services []string) *Names {
-	return &Names{
-		services: slices.Clone(services),
-		instID:   make(map[string]int32),
-	}
+	//soravet:allow hotpath once per table: the cluster builds its table in New and every trace it compacts shares it; only a trace built without one gets its own
+	return &Names{services: slices.Clone(services), instID: make(map[string]int32)}
 }
 
 // Services returns the service names in id order. The result is a
@@ -98,7 +96,7 @@ func (n *Names) service(name string) int32 {
 			return int32(id)
 		}
 	}
-	n.services = append(n.services, name)
+	n.services = append(n.services, name) //soravet:allow hotpath first use of a service name only: the table holds a few dozen
 	return int32(len(n.services) - 1)
 }
 
@@ -108,7 +106,7 @@ func (n *Names) instance(name string) int32 {
 	id, ok := n.instID[name]
 	if !ok {
 		id = int32(len(n.instances))
-		n.instances = append(n.instances, name)
+		n.instances = append(n.instances, name) //soravet:allow hotpath first use of an instance name only: one per pod the run starts
 		n.instID[name] = id
 	}
 	return id
@@ -219,17 +217,37 @@ func Depths(recs []Record, fn func(i, depth int)) {
 	}
 }
 
+// chunkRecords is the record count of a fresh record chunk (see
+// Compact): 4096 records are 320 KiB, so one chunk holds the records of
+// a few hundred settled traces.
+const chunkRecords = 4096
+
 // Compact replaces the trace's live tree with its records: it compacts
-// the tree into *scratch (see Records), stores a copy sized to fit and
-// drops Root. The caller owns the released spans; the trace no longer
-// refers to any of them. Only a trace that can no longer change may be
-// compacted.
-func (t *Trace) Compact(scratch *[]Record) {
+// the tree into *scratch (see Records), copies the records onto the end
+// of *chunk and drops Root. The trace keeps a full-slice-capped view of
+// the chunk, so no later append to the chunk can reach its records.
+// When the chunk has no room for the trace, *chunk becomes a fresh
+// chunk of chunkRecords records, or of the trace's size if that is
+// larger; the old chunk is never written again and the garbage
+// collector frees it once no trace refers to it. The caller owns the
+// released spans; the trace no longer refers to any of them. Only a
+// trace that can no longer change may be compacted.
+//
+//soravet:hotpath TestCompactIntoChunkAllocFree once per settled request: compacting into a chunk with room allocates nothing once the scratch buffer has grown and the names are interned
+func (t *Trace) Compact(scratch, chunk *[]Record) {
 	if t.Root == nil {
 		return
 	}
-	// Clone allocates without zeroing: Record holds no pointer.
-	t.recs = slices.Clone(t.Records(scratch))
+	recs := t.Records(scratch)
+	a := *chunk
+	if cap(a)-len(a) < len(recs) {
+		a = make([]Record, 0, max(chunkRecords, len(recs))) //soravet:allow hotpath chunk refill: once per chunkRecords records, never for a trace that fits the chunk (TestCompactIntoChunkAllocFree)
+	}
+	n := len(a)
+	a = a[:n+len(recs)]
+	copy(a[n:], recs)
+	t.recs = a[n:len(a):len(a)]
+	*chunk = a
 	t.Root = nil
 }
 

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sora/internal/sim"
 )
@@ -88,8 +90,8 @@ func FuzzCompactTrace(f *testing.F) {
 		root := decodeTree(&compactReader{data: data}, 0, 0)
 		live := &Trace{ID: 7, Type: "t", Root: root}
 		compact := &Trace{ID: 7, Type: "t", Root: root}
-		var scratch []Record
-		compact.Compact(&scratch)
+		var scratch, chunk []Record
+		compact.Compact(&scratch, &chunk)
 		if compact.Root != nil {
 			t.Fatal("Compact kept the live tree")
 		}
@@ -141,6 +143,86 @@ func FuzzCompactTrace(f *testing.F) {
 			}
 		})
 	})
+}
+
+// TestCompactSharedChunk compacts a run of trees into shared chunks,
+// starting short of a full chunk so the third tree crosses into a
+// fresh one, then compacts one tree larger than a chunk and one more
+// after it. After the last compaction every trace must still hold
+// exactly its own records, in a view capped at its length so that no
+// later append to the chunk can reach them.
+func TestCompactSharedChunk(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 25))
+	names := NewNames(nil)
+	var trees []*Span
+	for range 12 {
+		data := make([]byte, 5*rng.IntN(20))
+		for i := range data {
+			data[i] = byte(rng.Uint32())
+		}
+		trees = append(trees, decodeTree(&compactReader{data: data}, 0, 0))
+	}
+	wide := &Span{Service: "a"}
+	for range chunkRecords {
+		wide.Children = append(wide.Children, &Span{Service: "b", Instance: "b-0", Depth: 1})
+	}
+	trees = append(trees, wide, trees[0])
+
+	// Leave room for the first two trees and all but one record of the
+	// third, which then starts the second chunk.
+	room := -1
+	for _, root := range trees[:3] {
+		room += len((&Trace{Root: root, Names: names}).Records(nil))
+	}
+	var scratch []Record
+	chunk := make([]Record, chunkRecords-room, chunkRecords)
+	perChunk := map[*Record]int{}
+	traces := make([]*Trace, len(trees))
+	for i, root := range trees {
+		traces[i] = &Trace{Root: root, Names: names}
+		traces[i].Compact(&scratch, &chunk)
+		perChunk[unsafe.SliceData(chunk)]++
+	}
+	if len(perChunk) != 4 {
+		t.Fatalf("the run filled %d chunks, want 4 (the first, a fresh one, the oversized tree's, one after it)", len(perChunk))
+	}
+	shared := false
+	for _, n := range perChunk {
+		shared = shared || n > 1
+	}
+	if !shared {
+		t.Fatal("no chunk holds more than one trace")
+	}
+	for i, tr := range traces {
+		got := tr.Records(nil)
+		want := (&Trace{Root: trees[i], Names: names}).Records(nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("trace %d: stored records differ from a fresh compaction of its tree", i)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("trace %d: %d records with capacity %d; a later append could overwrite a neighbour", i, len(got), cap(got))
+		}
+	}
+}
+
+// TestCompactIntoChunkAllocFree pins Trace.Compact on the cluster's
+// completion path: once the scratch buffer has grown and the names are
+// interned, compacting a settled tree into a chunk with room allocates
+// nothing.
+func TestCompactIntoChunkAllocFree(t *testing.T) {
+	root := decodeTree(&compactReader{data: []byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2}}, 0, 0)
+	tr := &Trace{Root: root, Names: NewNames(nil)}
+	var scratch []Record
+	chunk := make([]Record, 0, chunkRecords)
+	tr.Compact(&scratch, &chunk)
+	avg := testing.AllocsPerRun(100, func() {
+		tr.Root = root
+		chunk = chunk[:0] // keep room; the compacted copies are not read
+		tr.Compact(&scratch, &chunk)
+	})
+	if avg != 0 {
+		t.Fatalf("Compact into a chunk with room allocates %.1f objects, want 0", avg)
+	}
 }
 
 // TestNamesKeepIDs checks that a name's id never changes: the table

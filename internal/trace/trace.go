@@ -82,7 +82,7 @@ type Span struct {
 	Abandoned bool
 
 	// Depth is 0 for the front-end. It is an int32 packed beside the
-	// four flags so a Span is 128 B.
+	// three flags so a Span is 128 B.
 	Depth int32
 
 	Children []*Span
@@ -142,7 +142,7 @@ type Trace struct {
 	// Names is the table the records' service and instance ids index.
 	Names *Names
 
-	recs []Record // the compacted spans; nil while Root is set
+	recs []Record // the compacted spans, a capped view of a shared chunk (see Compact); nil while Root is set
 }
 
 // ResponseTime returns the end-to-end response time of the request.

@@ -3,7 +3,7 @@
 # (EXPERIMENTS.md § Byte-identity of two builds).
 #
 # Usage:
-#   scripts/sameout.sh PARENT_SORABENCH CHANGE_SORABENCH PARENT_SIMRUN CHANGE_SIMRUN
+#   scripts/sameout.sh [-keep DIR] PARENT_SORABENCH CHANGE_SORABENCH PARENT_SIMRUN CHANGE_SIMRUN
 #
 # The four binaries are sorabench and simrun built from the two trees
 # (go build -o BIN ./cmd/sorabench, go build -o BIN ./cmd/simrun). Each
@@ -33,18 +33,43 @@
 # output directory blanked) and the artifact trees with diff -r, and exits non-zero on
 # any difference. Diagnostics (wall time, events/s) go to stderr and
 # are not compared.
+#
+# The outputs go to a temporary directory that is deleted on exit. With
+# -keep DIR they go to DIR/SET/parent and DIR/SET/change instead and
+# are kept, so a change that removes an output on purpose can be
+# checked by filtering the parent's trees and comparing them by hand.
+# DIR must not exist or be empty.
 set -eu
 
+usage="usage: $0 [-keep DIR] PARENT_SORABENCH CHANGE_SORABENCH PARENT_SIMRUN CHANGE_SIMRUN"
+keep=
+if [ $# -ge 1 ] && [ "$1" = -keep ]; then
+	if [ $# -lt 2 ]; then
+		echo "$usage" >&2
+		exit 2
+	fi
+	keep=$2
+	shift 2
+fi
 if [ $# -ne 4 ]; then
-	echo "usage: $0 PARENT_SORABENCH CHANGE_SORABENCH PARENT_SIMRUN CHANGE_SIMRUN" >&2
+	echo "$usage" >&2
 	exit 2
 fi
 parent=$1
 change=$2
 parent_simrun=$3
 change_simrun=$4
-tmp=$(mktemp -d "${TMPDIR:-/tmp}/sameout.XXXXXX")
-trap 'rm -rf "$tmp"' EXIT
+if [ -n "$keep" ]; then
+	mkdir -p "$keep"
+	if [ -n "$(ls -A "$keep")" ]; then
+		echo "sameout: -keep directory $keep is not empty" >&2
+		exit 2
+	fi
+	tmp=$(cd "$keep" && pwd)
+else
+	tmp=$(mktemp -d "${TMPDIR:-/tmp}/sameout.XXXXXX")
+	trap 'rm -rf "$tmp"' EXIT
+fi
 trap 'exit 1' INT TERM
 
 status=0
