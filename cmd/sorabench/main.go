@@ -16,7 +16,7 @@
 // (sweep points, strategy pairs, whole figures) fan out across cores, one
 // sim.Kernel per run, and results merge in deterministic order — stdout
 // is byte-identical to a serial run for the same seed. -parallel N sets
-// the pool size (default GOMAXPROCS); -serial forces one worker. Timing
+// the pool size (default GOMAXPROCS; 1 runs serially). Timing
 // and event-throughput diagnostics go to stderr so they never perturb the
 // experiment output.
 //
@@ -84,8 +84,7 @@ func run(args []string) error {
 		out      = fs.String("out", "", "directory for CSV output (optional)")
 		scale    = fs.Float64("scale", 1.0, "duration scale in (0,1] for quick runs")
 		quiet    = fs.Bool("quiet", false, "suppress ASCII charts")
-		parallel = fs.Int("parallel", 0, "worker pool size for independent simulations (0 = GOMAXPROCS)")
-		serial   = fs.Bool("serial", false, "force serial execution (same as -parallel 1)")
+		parallel = fs.Int("parallel", 0, "worker pool size for independent simulations (0 = GOMAXPROCS, 1 = serial)")
 		telDir   = fs.String("telemetry-dir", "", "directory for per-experiment telemetry artifacts (optional)")
 		tlDir    = fs.String("timeline", "", "directory for per-experiment flight-recorder timelines (<id>.timeline.jsonl — soradash input)")
 		tlWindow = fs.Duration("timeline-window", time.Second, "flight-recorder window length for -timeline")
@@ -109,11 +108,7 @@ func run(args []string) error {
 		return runBenchSuite(*benchJSON, *benchLabel, *benchNote, *benchQuick)
 	}
 	if *baseline != "" {
-		workers := *parallel
-		if *serial {
-			workers = 1
-		}
-		return runBaselineCheck(*baseline, workers, *baselineQuick, *baselineUpdate)
+		return runBaselineCheck(*baseline, *parallel, *baselineQuick, *baselineUpdate)
 	}
 
 	if *list || (*exp == "" && *chaos == "") {
@@ -132,16 +127,12 @@ func run(args []string) error {
 		return err
 	}
 
-	workers := *parallel
-	if *serial {
-		workers = 1
-	}
 	params := experiment.Params{
 		Seed:          *seed,
 		OutDir:        *out,
 		DurationScale: *scale,
 		Quiet:         *quiet,
-		Parallelism:   workers,
+		Parallelism:   *parallel,
 	}
 	if *tlDir != "" {
 		params.Timeline = *tlWindow

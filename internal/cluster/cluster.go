@@ -283,10 +283,11 @@ type Cluster struct {
 
 	// Resilience / fault-injection state. resRNG is the deterministic
 	// stream behind backoff jitter and wire-loss decisions; edges holds
-	// per-edge policies, faults and breakers, with edgeOrder preserving
-	// creation order for deterministic reporting.
+	// per-edge policies, faults, breakers and retry windows, with
+	// edgeOrder listing the same records in creation order for
+	// deterministic reporting.
 	edges     map[edgeKey]*edgeState
-	edgeOrder []edgeKey
+	edgeOrder []*edgeState
 	resRNG    *rand.Rand
 
 	completed uint64
@@ -299,8 +300,7 @@ type Cluster struct {
 	rejected  uint64 // attempts rejected by an open circuit breaker
 	inFlight  int
 
-	tel       *telemetry.Recorder
-	retryWins map[edgeKey]*retryWindow
+	tel *telemetry.Recorder
 
 	// flight, when armed, samples windowed time-series rows onto the
 	// telemetry recorder (see flight.go). Nil costs one pointer test on
@@ -342,7 +342,6 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 		resRNG:    k.Split(0x4e5),
 		lbRNG:     k.Split(lbLabel),
 		tel:       opts.Telemetry,
-		retryWins: make(map[edgeKey]*retryWindow),
 	}
 	if opts.ControlPlane != nil {
 		// Build the control plane before the services: every initial pod

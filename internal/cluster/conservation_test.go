@@ -89,7 +89,7 @@ func TestCallRecordConservation(t *testing.T) {
 			name: "timeout on the wire",
 			setup: func(t *testing.T, k *sim.Kernel) *cluster.Cluster {
 				c := mustNew(t, k, cluster.TwoTier(0, 0))
-				setPolicy(t, c, cluster.CallPolicy{Timeout: 5 * time.Millisecond, MaxAttempts: 2, BaseBackoff: time.Millisecond})
+				setPolicy(t, c, cluster.CallPolicy{Timeout: 5 * time.Millisecond, MaxAttempts: 2})
 				if err := c.SetEdgeFault("frontend", "backend", cluster.EdgeFault{ExtraDelay: 10 * time.Millisecond}); err != nil {
 					t.Fatal(err)
 				}

@@ -209,12 +209,7 @@ func TestStaleEndpointRetryBreaker(t *testing.T) {
 	k := sim.NewKernel(3)
 	lag := 400 * time.Millisecond
 	c := mustCPCluster(t, k, twoTier(0, 0), cpConfig(2, 6, time.Second, lag, node.LBRoundRobin))
-	if err := c.SetCallPolicy("frontend", "backend", CallPolicy{
-		Timeout:     20 * time.Millisecond,
-		MaxAttempts: 3,
-		BaseBackoff: 5 * time.Millisecond,
-		Breaker:     &BreakerPolicy{Threshold: 5, Cooldown: 800 * time.Millisecond, ProbeSuccesses: 1},
-	}); err != nil {
+	if err := c.SetCallPolicy("frontend", "backend", CallPolicy{Timeout: 20 * time.Millisecond, MaxAttempts: 3}); err != nil {
 		t.Fatal(err)
 	}
 	submitted := 0
@@ -240,7 +235,7 @@ func TestStaleEndpointRetryBreaker(t *testing.T) {
 		svc, _ := c.Service("backend")
 		svc.instances[0].Restore()
 	})
-	submit(6*time.Second+500*time.Millisecond, 5) // healed: probe closes the breaker, traffic completes
+	submit(9*time.Second, 5) // healed, and the 5 s cooldown has passed: probe closes the breaker, traffic completes
 	k.Run()
 
 	total := c.Completed() + c.Failed()

@@ -247,8 +247,8 @@ func (f *FlightRecorder) flush(now sim.Time) {
 	}
 	cur := c.flightCounters()
 	open := 0
-	for _, key := range c.edgeOrder {
-		if c.edges[key].state == breakerOpen {
+	for _, es := range c.edgeOrder {
+		if es.state == breakerOpen {
 			open++
 		}
 	}

@@ -514,13 +514,13 @@ func (at *attempt) closeLeg() {
 func (cs *callState) afterFailure(brRejected bool) {
 	v := cs.v
 	if cs.attempts < cs.es.maxAttempts() {
-		backoff := cs.es.backoffFor(v.c, cs.attempts)
+		backoff := v.c.backoffFor(cs.attempts)
 		if v.deadline == 0 || v.c.k.Now()+sim.Time(backoff) < v.deadline {
 			if brRejected {
 				v.brWaits++
 			} else {
 				v.backoffs++
-				v.c.noteRetry(cs.es.key)
+				v.c.noteRetry(cs.es)
 			}
 			v.reWait()
 			cs.brRejected = brRejected

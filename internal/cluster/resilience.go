@@ -23,7 +23,9 @@ type edgeKey struct {
 
 func (k edgeKey) String() string { return k.caller + "->" + k.callee }
 
-// CallPolicy configures resilience for every call over one edge.
+// CallPolicy configures resilience for every call over one edge. Every
+// policy edge also gets exponential backoff between attempts and a
+// circuit breaker, both on the fixed parameters below.
 type CallPolicy struct {
 	// Timeout bounds each attempt; the effective attempt deadline is
 	// the minimum of now+Timeout and the caller's propagated deadline.
@@ -32,43 +34,25 @@ type CallPolicy struct {
 	// MaxAttempts is the total number of tries (first call included).
 	// Zero and one both mean a single attempt.
 	MaxAttempts int
-	// BaseBackoff is the wait before the first retry; it doubles per
-	// subsequent retry up to MaxBackoff. Zero selects 10ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff. Zero selects 1s.
-	MaxBackoff time.Duration
-	// Jitter subtracts up to this fraction of each backoff, drawn from
-	// the cluster's deterministic resilience stream. Must be in [0,1].
-	Jitter float64
 	// Optional marks the call non-essential: when all attempts are
 	// exhausted the caller completes with a degraded response instead
 	// of failing its whole subtree.
 	Optional bool
-	// Breaker, when non-nil, adds a circuit breaker shared by all pods
-	// of the caller service for this edge.
-	Breaker *BreakerPolicy
 }
 
-// BreakerPolicy configures one edge's circuit breaker.
-type BreakerPolicy struct {
-	// Threshold is the number of consecutive failures that opens the
-	// breaker. Zero selects 5.
-	Threshold int
-	// Cooldown is the open→half-open wait measured in virtual time.
-	// Zero selects 5s.
-	Cooldown time.Duration
-	// ProbeSuccesses is the number of successful half-open probes
-	// required to close. Zero selects 1.
-	ProbeSuccesses int
-}
-
-// Defaults applied by SetCallPolicy for zero-valued policy fields.
+// Retry backoff and circuit-breaker parameters shared by every policy
+// edge. The wait before the first retry is baseBackoff, doubling per
+// subsequent retry up to maxBackoff, minus up to backoffJitter of itself
+// drawn from the cluster's deterministic resilience stream. The breaker
+// opens after breakerThreshold consecutive failures and admits one
+// half-open probe once breakerCooldown of virtual time has passed; that
+// probe's success closes it.
 const (
-	defaultBaseBackoff    = 10 * time.Millisecond
-	defaultMaxBackoff     = time.Second
-	defaultBreakerThresh  = 5
-	defaultBreakerCool    = 5 * time.Second
-	defaultProbeSuccesses = 1
+	baseBackoff      = 5 * time.Millisecond
+	maxBackoff       = 100 * time.Millisecond
+	backoffJitter    = 0.2
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
 )
 
 // EdgeFault is the chaos engine's handle on one edge: extra one-way
@@ -107,8 +91,9 @@ func (s breakerState) String() string {
 }
 
 // edgeState is the runtime state of one configured edge: its policy,
-// its injected fault, and the circuit breaker shared by every caller
-// pod (matching a service-mesh sidecar's per-destination view).
+// its injected fault, the circuit breaker shared by every caller pod
+// (matching a service-mesh sidecar's per-destination view) when it has
+// a policy, and the window throttling its resilience.retry events.
 type edgeState struct {
 	key       edgeKey
 	hasPolicy bool
@@ -119,7 +104,10 @@ type edgeState struct {
 	consecFails int
 	openedAt    sim.Time
 	probing     bool // a half-open probe is in flight
-	probeOKs    int
+
+	retried      bool     // the retry window has opened (at the first retry)
+	retryWinFrom sim.Time // start of the current retry window
+	retryCount   int      // retries since the last resilience.retry event
 }
 
 // active reports whether calls over this edge need the policy path.
@@ -134,21 +122,17 @@ func (es *edgeState) maxAttempts() int {
 }
 
 // backoffFor returns the wait before re-dispatching after the given
-// 1-based attempt failed: exponential from BaseBackoff, capped at
-// MaxBackoff, minus deterministic jitter.
-func (es *edgeState) backoffFor(c *Cluster, attempt int) time.Duration {
-	p := es.policy
-	d := p.BaseBackoff
-	for i := 1; i < attempt && d < p.MaxBackoff; i++ {
+// 1-based attempt failed: exponential from baseBackoff, capped at
+// maxBackoff, minus deterministic jitter.
+func (c *Cluster) backoffFor(attempt int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
-	if p.Jitter > 0 {
-		d -= time.Duration(p.Jitter * c.resRNG.Float64() * float64(d))
-	}
-	return d
+	return d - time.Duration(backoffJitter*c.resRNG.Float64()*float64(d))
 }
 
 // transition moves the breaker and publishes the change.
@@ -163,17 +147,17 @@ func (es *edgeState) transition(c *Cluster, to breakerState) {
 
 // breakerAllow decides whether an attempt may leave the caller.
 // isProbe marks the single attempt admitted through a half-open
-// breaker; its result alone decides the half-open outcome.
+// breaker; its result alone decides the half-open outcome. Fault-only
+// edges have no breaker.
 func (es *edgeState) breakerAllow(c *Cluster) (allowed, isProbe bool) {
-	if es.policy.Breaker == nil {
+	if !es.hasPolicy {
 		return true, false
 	}
 	switch es.state {
 	case breakerOpen:
-		if c.k.Now()-es.openedAt >= sim.Time(es.policy.Breaker.Cooldown) {
+		if c.k.Now()-es.openedAt >= sim.Time(breakerCooldown) {
 			es.transition(c, breakerHalfOpen)
 			es.probing = true
-			es.probeOKs = 0
 			return true, true
 		}
 		return false, false
@@ -192,8 +176,7 @@ func (es *edgeState) breakerAllow(c *Cluster) (allowed, isProbe bool) {
 // attempts that were in flight when the breaker opened (stale,
 // non-probe results in the open or half-open states) are ignored.
 func (es *edgeState) breakerRecord(c *Cluster, isProbe, success bool) {
-	b := es.policy.Breaker
-	if b == nil {
+	if !es.hasPolicy {
 		return
 	}
 	switch es.state {
@@ -203,7 +186,7 @@ func (es *edgeState) breakerRecord(c *Cluster, isProbe, success bool) {
 			return
 		}
 		es.consecFails++
-		if es.consecFails >= b.Threshold {
+		if es.consecFails >= breakerThreshold {
 			es.openedAt = c.k.Now()
 			es.transition(c, breakerOpen)
 		}
@@ -217,11 +200,8 @@ func (es *edgeState) breakerRecord(c *Cluster, isProbe, success bool) {
 			es.transition(c, breakerOpen)
 			return
 		}
-		es.probeOKs++
-		if es.probeOKs >= b.ProbeSuccesses {
-			es.consecFails = 0
-			es.transition(c, breakerClosed)
-		}
+		es.consecFails = 0
+		es.transition(c, breakerClosed)
 	}
 }
 
@@ -247,43 +227,16 @@ func (c *Cluster) ensureEdge(caller, callee string) (*edgeState, error) {
 	if !ok {
 		es = &edgeState{key: key}
 		c.edges[key] = es
-		c.edgeOrder = append(c.edgeOrder, key)
+		c.edgeOrder = append(c.edgeOrder, es)
 	}
 	return es, nil
 }
 
 // SetCallPolicy installs (or replaces) the resilience policy of one
-// caller→callee edge. Zero-valued backoff and breaker fields are
-// normalized to the package defaults; the installed breaker starts
-// closed.
+// caller→callee edge; the edge's breaker starts closed.
 func (c *Cluster) SetCallPolicy(caller, callee string, p CallPolicy) error {
-	if p.Timeout < 0 || p.MaxAttempts < 0 || p.BaseBackoff < 0 || p.MaxBackoff < 0 {
+	if p.Timeout < 0 || p.MaxAttempts < 0 {
 		return fmt.Errorf("cluster: SetCallPolicy(%s->%s): negative field", caller, callee)
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		return fmt.Errorf("cluster: SetCallPolicy(%s->%s): jitter %g outside [0,1]", caller, callee, p.Jitter)
-	}
-	if p.BaseBackoff == 0 {
-		p.BaseBackoff = defaultBaseBackoff
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = defaultMaxBackoff
-	}
-	if b := p.Breaker; b != nil {
-		if b.Threshold < 0 || b.Cooldown < 0 || b.ProbeSuccesses < 0 {
-			return fmt.Errorf("cluster: SetCallPolicy(%s->%s): negative breaker field", caller, callee)
-		}
-		nb := *b
-		if nb.Threshold == 0 {
-			nb.Threshold = defaultBreakerThresh
-		}
-		if nb.Cooldown == 0 {
-			nb.Cooldown = defaultBreakerCool
-		}
-		if nb.ProbeSuccesses == 0 {
-			nb.ProbeSuccesses = defaultProbeSuccesses
-		}
-		p.Breaker = &nb
 	}
 	es, err := c.ensureEdge(caller, callee)
 	if err != nil {
@@ -294,7 +247,6 @@ func (c *Cluster) SetCallPolicy(caller, callee string, p CallPolicy) error {
 	es.state = breakerClosed
 	es.consecFails = 0
 	es.probing = false
-	es.probeOKs = 0
 	return nil
 }
 

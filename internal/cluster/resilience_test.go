@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -46,6 +47,14 @@ func policyCluster(t *testing.T, k *sim.Kernel, p CallPolicy) *Cluster {
 	return c
 }
 
+// The breaker parameters every policy edge runs with, spelled out so
+// the tests pin them: opening on the 5th consecutive failure and a 5 s
+// cooldown are part of every chaos run's trajectory.
+const (
+	wantThreshold = 5
+	wantCooldown  = 5 * time.Second
+)
+
 // TestBreakerStateMachine drives the breaker through its transitions as
 // a table of (outcome, probe) steps with explicit virtual-time advances.
 func TestBreakerStateMachine(t *testing.T) {
@@ -62,77 +71,94 @@ func TestBreakerStateMachine(t *testing.T) {
 
 		want breakerState
 	}
+	// fails is n consecutive non-probe failures, all but the last
+	// leaving the breaker closed and the last leaving it in last.
+	fails := func(n int, last breakerState) []step {
+		steps := make([]step, n)
+		for i := range steps {
+			steps[i] = step{record: true, want: breakerClosed}
+		}
+		steps[n-1].want = last
+		return steps
+	}
+	trip := fails(wantThreshold, breakerOpen)
 	cases := []struct {
-		name  string
-		b     BreakerPolicy
-		steps []step
+		name      string
+		faultOnly bool // the edge has an injected fault and no policy
+		steps     []step
 	}{
 		{
 			name: "closed stays closed under threshold and success resets",
-			b:    BreakerPolicy{Threshold: 3, Cooldown: time.Second, ProbeSuccesses: 1},
-			steps: []step{
-				{record: true, success: false, want: breakerClosed},
-				{record: true, success: false, want: breakerClosed},
-				{record: true, success: true, want: breakerClosed}, // resets consecFails
-				{record: true, success: false, want: breakerClosed},
-				{record: true, success: false, want: breakerClosed},
-			},
+			steps: slices.Concat(
+				fails(wantThreshold-1, breakerClosed),
+				[]step{{record: true, success: true, want: breakerClosed}}, // resets consecFails
+				fails(wantThreshold-1, breakerClosed),
+			),
 		},
 		{
 			name: "opens at threshold and rejects until cooldown",
-			b:    BreakerPolicy{Threshold: 2, Cooldown: time.Second, ProbeSuccesses: 1},
-			steps: []step{
-				{record: true, success: false, want: breakerClosed},
-				{record: true, success: false, want: breakerOpen},
+			steps: slices.Concat(trip, []step{
 				{allow: true, wantAllow: false, want: breakerOpen},
-				{advance: 999 * time.Millisecond, allow: true, wantAllow: false, want: breakerOpen},
+				{advance: wantCooldown - time.Millisecond, allow: true, wantAllow: false, want: breakerOpen},
 				{advance: time.Millisecond, allow: true, wantAllow: true, wantProbe: true, want: breakerHalfOpen},
-			},
+			}),
 		},
 		{
 			name: "half-open admits one probe; probe failure reopens",
-			b:    BreakerPolicy{Threshold: 1, Cooldown: time.Second, ProbeSuccesses: 1},
-			steps: []step{
-				{record: true, success: false, want: breakerOpen},
-				{advance: time.Second, allow: true, wantAllow: true, wantProbe: true, want: breakerHalfOpen},
+			steps: slices.Concat(trip, []step{
+				{advance: wantCooldown, allow: true, wantAllow: true, wantProbe: true, want: breakerHalfOpen},
 				{allow: true, wantAllow: false, want: breakerHalfOpen}, // second call while probing
 				{record: true, isProbe: true, success: false, want: breakerOpen},
 				// The new open window starts at the probe failure.
-				{advance: 999 * time.Millisecond, allow: true, wantAllow: false, want: breakerOpen},
+				{advance: wantCooldown - time.Millisecond, allow: true, wantAllow: false, want: breakerOpen},
 				{advance: time.Millisecond, allow: true, wantAllow: true, wantProbe: true, want: breakerHalfOpen},
-			},
+			}),
 		},
 		{
-			name: "closes after the configured probe successes",
-			b:    BreakerPolicy{Threshold: 1, Cooldown: time.Second, ProbeSuccesses: 2},
-			steps: []step{
-				{record: true, success: false, want: breakerOpen},
-				{advance: time.Second, allow: true, wantAllow: true, wantProbe: true, want: breakerHalfOpen},
-				{record: true, isProbe: true, success: true, want: breakerHalfOpen}, // 1 of 2
-				{allow: true, wantAllow: true, wantProbe: true, want: breakerHalfOpen},
+			name: "one successful probe closes",
+			steps: slices.Concat(trip, []step{
+				{advance: wantCooldown, allow: true, wantAllow: true, wantProbe: true, want: breakerHalfOpen},
 				{record: true, isProbe: true, success: true, want: breakerClosed},
+				{allow: true, wantAllow: true, wantProbe: false, want: breakerClosed},
 			},
+				// Closing reset the failure count: a full run is needed
+				// to open again.
+				fails(wantThreshold, breakerOpen),
+			),
 		},
 		{
 			name: "stale non-probe results are ignored while half-open",
-			b:    BreakerPolicy{Threshold: 1, Cooldown: time.Second, ProbeSuccesses: 1},
-			steps: []step{
-				{record: true, success: false, want: breakerOpen},
-				{advance: time.Second, allow: true, wantAllow: true, wantProbe: true, want: breakerHalfOpen},
+			steps: slices.Concat(trip, []step{
+				{advance: wantCooldown, allow: true, wantAllow: true, wantProbe: true, want: breakerHalfOpen},
 				// A result from an attempt sent before the breaker opened
 				// arrives now; it must not decide the half-open outcome.
 				{record: true, isProbe: false, success: false, want: breakerHalfOpen},
 				{record: true, isProbe: true, success: true, want: breakerClosed},
-			},
+			}),
+		},
+		{
+			name:      "fault-only edge never opens",
+			faultOnly: true,
+			steps: slices.Concat(fails(3*wantThreshold, breakerClosed), []step{
+				{allow: true, wantAllow: true, wantProbe: false, want: breakerClosed},
+			}),
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.NewKernel(1)
-			c := policyCluster(t, k, CallPolicy{MaxAttempts: 1, Breaker: &tc.b})
+			var c *Cluster
+			if tc.faultOnly {
+				c = mustCluster(t, k, twoTier(0, 0))
+				if err := c.SetEdgeFault("frontend", "backend", EdgeFault{ExtraDelay: time.Millisecond}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				c = policyCluster(t, k, CallPolicy{MaxAttempts: 1})
+			}
 			es := c.edge("frontend", "backend")
 			if es == nil {
-				t.Fatal("edge state missing after SetCallPolicy")
+				t.Fatal("edge state missing after configuring the edge")
 			}
 			for i, s := range tc.steps {
 				if s.advance > 0 {
@@ -156,39 +182,62 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
+// TestBackoffDoublesToCapWithinJitter pins the retry schedule of every
+// policy edge: the waits after attempts 1..7 are 5, 10, 20, 40, 80, 100
+// and 100 ms, each shortened by less than 20% jitter, and the jitter
+// spans that band.
+func TestBackoffDoublesToCapWithinJitter(t *testing.T) {
+	k := sim.NewKernel(13)
+	c := policyCluster(t, k, CallPolicy{MaxAttempts: 8})
+	ms := time.Millisecond
+	want := []time.Duration{5 * ms, 10 * ms, 20 * ms, 40 * ms, 80 * ms, 100 * ms, 100 * ms}
+	maxFrac := 0.0
+	for draw := 0; draw < 50; draw++ {
+		for i, nominal := range want {
+			d := c.backoffFor(i + 1)
+			if d > nominal || d < nominal-nominal/5 {
+				t.Fatalf("draw %d: backoff after attempt %d = %v, want in [%v, %v]",
+					draw, i+1, d, nominal-nominal/5, nominal)
+			}
+			maxFrac = max(maxFrac, float64(nominal-d)/float64(nominal))
+		}
+	}
+	if maxFrac < 0.18 {
+		t.Errorf("largest jitter = %.3f of the nominal wait over 350 draws, want near 0.2", maxFrac)
+	}
+}
+
 // TestBreakerFastFailsAndRecovers exercises the breaker end to end: a
 // crashed backend opens it, open calls fast-fail without touching the
 // backend, and after restore+cooldown a probe closes it again.
 func TestBreakerFastFailsAndRecovers(t *testing.T) {
 	k := sim.NewKernel(2)
-	c := policyCluster(t, k, CallPolicy{
-		MaxAttempts: 1,
-		Breaker:     &BreakerPolicy{Threshold: 3, Cooldown: time.Second, ProbeSuccesses: 1},
-	})
+	c := policyCluster(t, k, CallPolicy{MaxAttempts: 1})
 	be, _ := c.Service("backend")
 	be.Instances()[0].Crash()
 
-	for i := 0; i < 6; i++ {
+	const n = wantThreshold + 3
+	for i := 0; i < n; i++ {
 		k.Schedule(time.Duration(i)*10*time.Millisecond, c.SubmitMix)
 	}
 	k.Run()
 	if got := c.edge("frontend", "backend").state.String(); got != "open" {
 		t.Fatalf("breaker = %s, want open", got)
 	}
-	if c.Failed() != 6 || c.Completed() != 0 {
-		t.Fatalf("failed=%d completed=%d, want 6/0", c.Failed(), c.Completed())
+	if c.Failed() != n || c.Completed() != 0 {
+		t.Fatalf("failed=%d completed=%d, want %d/0", c.Failed(), c.Completed(), n)
 	}
-	// Three refusals tripped the breaker; the remaining calls never left
-	// the frontend.
+	// Five refusals tripped the breaker; the remaining three calls never
+	// left the frontend.
 	if c.BreakerRejections() != 3 {
 		t.Errorf("breaker rejections = %d, want 3", c.BreakerRejections())
 	}
-	if c.Refused() != 3 {
-		t.Errorf("refused = %d, want 3", c.Refused())
+	if c.Refused() != wantThreshold {
+		t.Errorf("refused = %d, want %d", c.Refused(), wantThreshold)
 	}
 
 	be.Instances()[0].Restore()
-	k.RunUntil(k.Now() + sim.Time(time.Second)) // cooldown elapses
+	k.RunUntil(k.Now() + sim.Time(wantCooldown)) // cooldown elapses
 	c.SubmitMix()
 	k.Run()
 	if c.Completed() != 1 {
@@ -204,11 +253,7 @@ func TestBreakerFastFailsAndRecovers(t *testing.T) {
 // must complete with the wait charged to RetryWait.
 func TestRetryRecoversFromTransientCrash(t *testing.T) {
 	k := sim.NewKernel(3)
-	c := policyCluster(t, k, CallPolicy{
-		MaxAttempts: 5,
-		BaseBackoff: 20 * time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
-	})
+	c := policyCluster(t, k, CallPolicy{MaxAttempts: 5})
 	var done *trace.Trace
 	c.OnComplete(func(tr *trace.Trace) { done = tr })
 	be, _ := c.Service("backend")
@@ -290,12 +335,7 @@ func TestLossyEdgeTimesOutAndRetries(t *testing.T) {
 	k := sim.NewKernel(6)
 	// The timeout comfortably covers the backend's 8ms of work, so only
 	// lost calls ever hit it.
-	c := policyCluster(t, k, CallPolicy{
-		Timeout:     20 * time.Millisecond,
-		MaxAttempts: 2,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  time.Millisecond,
-	})
+	c := policyCluster(t, k, CallPolicy{Timeout: 20 * time.Millisecond, MaxAttempts: 2})
 	if err := c.SetEdgeFault("frontend", "backend", EdgeFault{LossProb: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -418,12 +458,7 @@ func TestRetryAndBreakerEventsPublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetCallPolicy("frontend", "backend", CallPolicy{
-		MaxAttempts: 2,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  time.Millisecond,
-		Breaker:     &BreakerPolicy{Threshold: 2, Cooldown: time.Second, ProbeSuccesses: 1},
-	}); err != nil {
+	if err := c.SetCallPolicy("frontend", "backend", CallPolicy{MaxAttempts: 2}); err != nil {
 		t.Fatal(err)
 	}
 	be, _ := c.Service("backend")
@@ -453,5 +488,46 @@ func TestRetryAndBreakerEventsPublished(t *testing.T) {
 	}
 	if !sawBreaker {
 		t.Error("no resilience.breaker event published")
+	}
+}
+
+// TestRetryWindowOpensAtFirstRetry pins the resilience.retry throttle:
+// an edge's first window opens at its first retry, not when its policy
+// was installed, so a retry 2 s after installation publishes nothing;
+// the retry a window later publishes the count of both, and the flush
+// skips the then-empty window.
+func TestRetryWindowOpensAtFirstRetry(t *testing.T) {
+	k := sim.NewKernel(14)
+	rec := telemetry.NewRecorder("test")
+	c, err := New(k, twoTier(0, 0), Options{Telemetry: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetCallPolicy("frontend", "backend", CallPolicy{MaxAttempts: 2}); err != nil {
+		t.Fatal(err)
+	}
+	be, _ := c.Service("backend")
+	be.Instances()[0].Crash()
+	k.At(sim.Time(2*time.Second), c.SubmitMix)
+	k.At(sim.Time(3500*time.Millisecond), c.SubmitMix)
+	k.Run()
+	c.FlushTelemetry()
+	var got []telemetry.Event
+	for _, ev := range rec.Events() {
+		if ev.Kind == "resilience.retry" {
+			got = append(got, ev)
+		}
+	}
+	if c.Retries() != 2 {
+		t.Fatalf("retries = %d, want 2", c.Retries())
+	}
+	if len(got) != 1 {
+		t.Fatalf("%d resilience.retry events, want 1", len(got))
+	}
+	if at := time.Duration(got[0].At); at < 3500*time.Millisecond || at > 3600*time.Millisecond {
+		t.Errorf("retry event at %v, want at the second retry (~3.5s)", at)
+	}
+	if n := attrInt(got[0], "count"); n != 2 {
+		t.Errorf("retry event count = %d, want 2", n)
 	}
 }

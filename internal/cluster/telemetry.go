@@ -21,39 +21,37 @@ import (
 func (c *Cluster) Telemetry() *telemetry.Recorder { return c.tel }
 
 // retryWindowLen is the minimum virtual-time spacing between two
-// resilience.retry events of the same edge.
+// resilience.retry events of the same edge: retry storms publish at
+// most one event per edge per virtual second, carrying the accumulated
+// count. An edge's first window opens at its first retry.
 const retryWindowLen = sim.Time(time.Second)
 
-// retryWindow throttles resilience.retry events of one edge: retry
-// storms publish at most one event per edge per virtual second,
-// carrying the accumulated count.
-type retryWindow struct {
-	winStart sim.Time
-	count    int
-}
-
-// noteRetry records one retry for the counters and, throttled, for the
-// event log.
-func (c *Cluster) noteRetry(key edgeKey) {
+// noteRetry records one retry over es for the counters and, throttled,
+// for the event log.
+func (c *Cluster) noteRetry(es *edgeState) {
 	c.retries++
 	if c.tel == nil {
 		return
 	}
 	now := c.k.Now()
-	win, ok := c.retryWins[key]
-	if !ok {
-		win = &retryWindow{winStart: now}
-		c.retryWins[key] = win
+	if !es.retried {
+		es.retried = true
+		es.retryWinFrom = now
 	}
-	win.count++
-	if now-win.winStart >= retryWindowLen {
-		c.tel.Publish(now, "resilience.retry",
-			telemetry.String("caller", key.caller),
-			telemetry.String("callee", key.callee),
-			telemetry.Int("count", win.count))
-		win.winStart = now
-		win.count = 0
+	es.retryCount++
+	if now-es.retryWinFrom >= retryWindowLen {
+		c.publishRetries(now, es)
+		es.retryWinFrom = now
 	}
+}
+
+// publishRetries emits es's accumulated retry count and resets it.
+func (c *Cluster) publishRetries(now sim.Time, es *edgeState) {
+	c.tel.Publish(now, "resilience.retry",
+		telemetry.String("caller", es.key.caller),
+		telemetry.String("callee", es.key.callee),
+		telemetry.Int("count", es.retryCount))
+	es.retryCount = 0
 }
 
 // noteBreakerTransition publishes one circuit-breaker state change.
@@ -86,13 +84,9 @@ func (c *Cluster) FlushTelemetry() {
 		return
 	}
 	now := c.k.Now()
-	for _, key := range c.edgeOrder {
-		if win, ok := c.retryWins[key]; ok && win.count > 0 {
-			tel.Publish(now, "resilience.retry",
-				telemetry.String("caller", key.caller),
-				telemetry.String("callee", key.callee),
-				telemetry.Int("count", win.count))
-			win.count = 0
+	for _, es := range c.edgeOrder {
+		if es.retryCount > 0 {
+			c.publishRetries(now, es)
 		}
 	}
 	tel.AddCounter("sora_requests_completed_total", float64(c.completed))

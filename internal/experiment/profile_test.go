@@ -28,7 +28,7 @@ func renderProfile(t *testing.T, agg *profile.Aggregator) string {
 // serial/parallel guardrail: one shared Aggregator collects blame from
 // every sweep point, and the rendered table + folded stacks must be
 // byte-identical whether the points ran on one worker or four. This is
-// the package-level enforcement of the `sorabench -serial` vs
+// the package-level enforcement of the `sorabench -parallel 1` vs
 // `-parallel N` acceptance criterion for <id>.profile.txt/<id>.folded.
 // Runs under -short and therefore under the -race gate of verify.sh.
 func TestProfileArtifactEquivalence(t *testing.T) {

@@ -154,7 +154,7 @@ func TestRunManyOrderAndIsolation(t *testing.T) {
 
 // TestExperimentOutputEquivalence runs full experiment drivers serially
 // and on a multi-worker pool and requires byte-identical output — the
-// package-level form of the cmd/sorabench -parallel vs -serial guarantee.
+// package-level form of the cmd/sorabench -parallel N vs -parallel 1 guarantee.
 func TestExperimentOutputEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-driver equivalence runs take ~a minute; skipped in -short")

@@ -21,6 +21,8 @@ var configTypes = []string{
 	"autoscaler.FIRMConfig",
 	"autoscaler.HPAConfig",
 	"autoscaler.VPAConfig",
+	"cluster.CallPolicy",
+	"cluster.EdgeFault",
 	"cluster.Options",
 	"cluster.ServiceSpec",
 	"core.ControllerConfig",

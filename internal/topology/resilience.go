@@ -7,11 +7,13 @@ import (
 )
 
 // This file carries the default resilience configuration of the two
-// benchmark applications: per-edge call policies (timeouts, bounded
-// retries with backoff, circuit breakers, optional-call degradation)
-// matching what a service mesh would install in the paper's testbed.
-// Policies are opt-in — plain experiments run the raw topologies; the
-// chaos experiments apply these before injecting faults.
+// benchmark applications: per-edge call policies (attempt timeouts,
+// bounded retries, optional-call degradation) matching what a service
+// mesh would install in the paper's testbed. Every policy edge also
+// gets the cluster's fixed jittered exponential backoff and circuit
+// breaker. Policies are opt-in — plain experiments run the raw
+// topologies; the chaos experiments apply these before injecting
+// faults.
 
 // EdgePolicy pairs one caller→callee edge with its resilience policy.
 type EdgePolicy struct {
@@ -31,27 +33,16 @@ func ApplyResilience(c *cluster.Cluster, policies []EdgePolicy) error {
 }
 
 // essential is the default policy for edges whose failure fails the
-// request: tight attempt timeout, three tries with jittered exponential
-// backoff, and a circuit breaker so a dead callee fails fast.
+// request: tight attempt timeout and three tries.
 func essential(timeout time.Duration) cluster.CallPolicy {
-	return cluster.CallPolicy{
-		Timeout:     timeout,
-		MaxAttempts: 3,
-		BaseBackoff: 5 * time.Millisecond,
-		MaxBackoff:  100 * time.Millisecond,
-		Jitter:      0.2,
-		Breaker:     &cluster.BreakerPolicy{Threshold: 5, Cooldown: 5 * time.Second, ProbeSuccesses: 1},
-	}
+	return cluster.CallPolicy{Timeout: timeout, MaxAttempts: 3}
 }
 
 // optional is the default policy for edges the caller can degrade away:
 // fewer tries, and exhaustion produces a degraded response instead of a
 // failure.
 func optional(timeout time.Duration) cluster.CallPolicy {
-	p := essential(timeout)
-	p.MaxAttempts = 2
-	p.Optional = true
-	return p
+	return cluster.CallPolicy{Timeout: timeout, MaxAttempts: 2, Optional: true}
 }
 
 // SockShopResilience returns the default Sock Shop mesh configuration:
