@@ -43,23 +43,6 @@ type CallNode struct {
 	Parallel bool
 }
 
-// Validate checks the subtree for structural problems against the given
-// service set.
-func (n *CallNode) Validate(services map[string]bool) error {
-	if n == nil {
-		return fmt.Errorf("cluster: nil call node")
-	}
-	if !services[n.Service] {
-		return fmt.Errorf("cluster: call node references unknown service %q", n.Service)
-	}
-	for _, c := range n.Children {
-		if err := c.Validate(services); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RequestType names one kind of user request and its execution tree.
 type RequestType struct {
 	Name string
@@ -152,7 +135,8 @@ type App struct {
 	Mix      []WeightedRequest
 }
 
-// Validate checks the app definition for consistency.
+// Validate checks the service declarations. The mix is checked when a
+// cluster compiles it against the services it deploys (New, SetMix).
 func (a App) Validate() error {
 	if len(a.Services) == 0 {
 		return fmt.Errorf("cluster: app %q has no services", a.Name)
@@ -179,7 +163,6 @@ func (a App) Validate() error {
 			if size < 0 {
 				return fmt.Errorf("cluster: service %q client pool to %q is negative", s.Name, target)
 			}
-			_ = target
 		}
 	}
 	for _, s := range a.Services {
@@ -188,25 +171,6 @@ func (a App) Validate() error {
 				return fmt.Errorf("cluster: service %q has a client pool to unknown service %q", s.Name, target)
 			}
 		}
-	}
-	if len(a.Mix) == 0 {
-		return fmt.Errorf("cluster: app %q has no request mix", a.Name)
-	}
-	var totalWeight float64
-	for _, wr := range a.Mix {
-		if wr.Type == nil || wr.Type.Root == nil {
-			return fmt.Errorf("cluster: app %q mix contains a nil request type", a.Name)
-		}
-		if wr.Weight < 0 {
-			return fmt.Errorf("cluster: request type %q has negative weight", wr.Type.Name)
-		}
-		totalWeight += wr.Weight
-		if err := wr.Type.Root.Validate(names); err != nil {
-			return fmt.Errorf("request type %q: %w", wr.Type.Name, err)
-		}
-	}
-	if totalWeight <= 0 {
-		return fmt.Errorf("cluster: app %q mix has zero total weight", a.Name)
 	}
 	return nil
 }
@@ -239,14 +203,17 @@ type Cluster struct {
 	k        *sim.Kernel
 	app      App
 	services map[string]*Service
-	order    []string // service names in App order, for deterministic iteration
+	svcs     []*Service // in App order: a service's id is its position
 
 	warehouse *trace.Warehouse
 	e2eLog    *metrics.CompletionLog
-	perType   map[string]*metrics.CompletionLog
 
+	// plans holds every request type this cluster has compiled, in
+	// compile order (see plan.go), and mix the current workload mix
+	// over them.
+	plans    []*planNode
 	rng      *rand.Rand
-	mix      []WeightedRequest
+	mix      []mixEntry
 	mixTotal float64
 
 	nextTraceID trace.ID
@@ -282,11 +249,12 @@ type Cluster struct {
 	attemptMade int
 
 	// Resilience / fault-injection state. resRNG is the deterministic
-	// stream behind backoff jitter and wire-loss decisions; edges holds
-	// per-edge policies, faults, breakers and retry windows, with
-	// edgeOrder listing the same records in creation order for
-	// deterministic reporting.
-	edges     map[edgeKey]*edgeState
+	// stream behind backoff jitter and wire-loss decisions; edgeTab
+	// holds per-edge policies, faults, breakers and retry windows,
+	// indexed by caller id × service count + callee id (nil until the
+	// first edge is configured, see ensureEdge), with edgeOrder listing
+	// the same records in creation order for deterministic reporting.
+	edgeTab   []*edgeState
 	edgeOrder []*edgeState
 	resRNG    *rand.Rand
 
@@ -334,11 +302,10 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 		k:         k,
 		app:       app,
 		services:  make(map[string]*Service, len(app.Services)),
+		svcs:      make([]*Service, len(app.Services)),
 		warehouse: trace.NewWarehouse(trace.DefaultRetention),
 		e2eLog:    &metrics.CompletionLog{},
-		perType:   make(map[string]*metrics.CompletionLog),
 		rng:       k.Split(0xc1),
-		edges:     make(map[edgeKey]*edgeState),
 		resRNG:    k.Split(0x4e5),
 		lbRNG:     k.Split(lbLabel),
 		tel:       opts.Telemetry,
@@ -353,12 +320,21 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 		c.cp = cp
 		c.lb = opts.ControlPlane.LB
 	}
-	for _, spec := range app.Services {
-		svc := newService(c, spec)
+	names := make([]string, len(app.Services))
+	for i, spec := range app.Services {
+		svc := &Service{c: c, id: int32(i), name: spec.Name, spec: spec, spanLog: &metrics.CompletionLog{}}
 		c.services[spec.Name] = svc
-		c.order = append(c.order, spec.Name)
+		c.svcs[i] = svc
+		names[i] = spec.Name
 	}
-	c.names = trace.NewNames(c.order)
+	c.names = trace.NewNames(names)
+	// Pods are added once every service has its id, since a pod's
+	// client pools are indexed by their targets' ids.
+	for _, svc := range c.svcs {
+		for range svc.spec.Replicas {
+			svc.addInstance()
+		}
+	}
 	if err := c.SetMix(app.Mix); err != nil {
 		return nil, err
 	}
@@ -375,11 +351,11 @@ const pruneInterval = 4096
 func (c *Cluster) housekeep() {
 	cutoff := c.k.Now() - trace.DefaultRetention
 	c.e2eLog.Prune(cutoff)
-	for _, l := range c.perType {
-		l.Prune(cutoff)
+	for _, p := range c.plans {
+		p.log.Prune(cutoff) // types that share a name share a log; a second prune is a no-op
 	}
-	for _, name := range c.order {
-		c.services[name].prune(cutoff)
+	for _, svc := range c.svcs {
+		svc.prune(cutoff)
 	}
 }
 
@@ -394,17 +370,6 @@ func (c *Cluster) Warehouse() *trace.Warehouse { return c.warehouse }
 // types.
 func (c *Cluster) Completions() *metrics.CompletionLog { return c.e2eLog }
 
-// TypeCompletions returns the completion log for one request type,
-// creating it on first use.
-func (c *Cluster) TypeCompletions(requestType string) *metrics.CompletionLog {
-	l, ok := c.perType[requestType]
-	if !ok {
-		l = &metrics.CompletionLog{}
-		c.perType[requestType] = l
-	}
-	return l
-}
-
 // Service returns the named service.
 func (c *Cluster) Service(name string) (*Service, error) {
 	s, ok := c.services[name]
@@ -416,8 +381,10 @@ func (c *Cluster) Service(name string) (*Service, error) {
 
 // ServiceNames returns all service names in declaration order.
 func (c *Cluster) ServiceNames() []string {
-	out := make([]string, len(c.order))
-	copy(out, c.order)
+	out := make([]string, len(c.svcs))
+	for i, svc := range c.svcs {
+		out[i] = svc.name
+	}
 	return out
 }
 
@@ -436,36 +403,40 @@ func (c *Cluster) OnComplete(fn func(*trace.Trace)) {
 	}
 }
 
-// SetMix replaces the workload mix used by SubmitMix. Used by the
-// system-state-drifting experiments to switch request weights (e.g. light
-// to heavy Post Storage reads) mid-run.
+// SetMix replaces the workload mix used by SubmitMix, compiling each
+// request type the cluster has not run before (see plan). Used by
+// the system-state-drifting experiments to switch request weights (e.g.
+// light to heavy Post Storage reads) mid-run.
 func (c *Cluster) SetMix(mix []WeightedRequest) error {
 	if len(mix) == 0 {
 		return fmt.Errorf("cluster: empty mix")
 	}
-	names := make(map[string]bool, len(c.services))
-	for name := range c.services {
-		names[name] = true
-	}
+	entries := make([]mixEntry, len(mix))
 	var total float64
-	for _, wr := range mix {
-		if wr.Type == nil || wr.Type.Root == nil {
-			return fmt.Errorf("cluster: mix contains nil request type")
-		}
-		if wr.Weight < 0 {
+	for i, wr := range mix {
+		if wr.Type != nil && wr.Weight < 0 {
 			return fmt.Errorf("cluster: request type %q has negative weight", wr.Type.Name)
 		}
-		if err := wr.Type.Root.Validate(names); err != nil {
+		p, err := c.plan(wr.Type)
+		if err != nil {
 			return err
 		}
+		entries[i] = mixEntry{p: p, weight: wr.Weight}
 		total += wr.Weight
 	}
 	if total <= 0 {
 		return fmt.Errorf("cluster: mix has zero total weight")
 	}
-	c.mix = mix
+	c.mix = entries
 	c.mixTotal = total
 	return nil
+}
+
+// mixEntry is one compiled request type of the workload mix and its
+// weight.
+type mixEntry struct {
+	p      *planNode
+	weight float64
 }
 
 // SubmitMix injects one request drawn from the workload mix.
@@ -476,30 +447,40 @@ func (c *Cluster) SubmitMix() { c.SubmitMixWith(nil) }
 // per-request completion signal to model user think cycles).
 func (c *Cluster) SubmitMixWith(onDone func()) {
 	r := c.rng.Float64() * c.mixTotal
-	for _, wr := range c.mix {
-		r -= wr.Weight
+	for _, e := range c.mix {
+		r -= e.weight
 		if r < 0 {
-			c.SubmitWith(wr.Type, onDone)
+			c.submit(e.p, onDone)
 			return
 		}
 	}
 	// Floating-point residue: fall through to the last type.
-	c.SubmitWith(c.mix[len(c.mix)-1].Type, onDone)
+	c.submit(c.mix[len(c.mix)-1].p, onDone)
 }
 
-// SubmitWith injects one request and calls onDone at its completion
-// (successful or failed).
-func (c *Cluster) SubmitWith(rt *RequestType, onDone func()) {
-	if rt == nil || rt.Root == nil {
-		return
+// SubmitWith injects one request of type rt, compiling it on first use,
+// and calls onDone at its completion (successful or failed). It fails,
+// submitting nothing, when rt cannot be compiled.
+//
+//soravet:allow deadcode (b) fixture: cluster tests submit a request type outside the mix through it
+func (c *Cluster) SubmitWith(rt *RequestType, onDone func()) error {
+	p, err := c.plan(rt)
+	if err != nil {
+		return err
 	}
+	c.submit(p, onDone)
+	return nil
+}
+
+// submit injects one request of the compiled type whose root is p.
+func (c *Cluster) submit(p *planNode, onDone func()) {
 	c.nextTraceID++
 	rc := c.newRootCall()
 	rc.id = c.nextTraceID
-	rc.rt = rt
+	rc.p = p
 	rc.onDone = onDone
 	c.inFlight++
-	c.startVisit(rt.Root, nil, 0, 0, rc.doneFn)
+	c.startVisit(p, nil, 0, 0, rc.doneFn)
 }
 
 // rootCall is one submitted request from its root visit's start until
@@ -510,7 +491,7 @@ func (c *Cluster) SubmitWith(rt *RequestType, onDone func()) {
 //soravet:pool rootCall invalidated-by Cluster.freeRootCall record dead once freeRootCall returns; done copies its fields and recycles it before booking the completion, and a later SubmitWith may reissue it
 type rootCall struct {
 	id     trace.ID
-	rt     *RequestType
+	p      *planNode // the request type's root
 	onDone func()
 	c      *Cluster
 	doneFn func(*visit)
@@ -526,7 +507,7 @@ type rootCall struct {
 // work may still change. The submitter's onDone runs last.
 func (rc *rootCall) done(root *visit) {
 	c := rc.c
-	id, rt, onDone := rc.id, rc.rt, rc.onDone
+	id, p, onDone := rc.id, rc.p, rc.onDone
 	c.freeRootCall(rc)
 	c.inFlight--
 	// The root visit is dead once this callback returns; copy what the
@@ -555,7 +536,7 @@ func (rc *rootCall) done(root *visit) {
 	if c.completed%pruneInterval == 0 {
 		c.housekeep()
 	}
-	tr := &trace.Trace{ID: id, Type: rt.Name, Root: span, Names: c.names}
+	tr := &trace.Trace{ID: id, Type: p.rt.Name, Root: span, Names: c.names}
 	if unsettled {
 		c.warehouse.AddUnsettled(tr)
 	} else {
@@ -566,7 +547,7 @@ func (rc *rootCall) done(root *visit) {
 		c.flight.noteE2E(rtime, degraded)
 	}
 	c.e2eLog.AddFlagged(c.k.Now(), rtime, degraded)
-	c.TypeCompletions(rt.Name).AddFlagged(c.k.Now(), rtime, degraded)
+	p.log.AddFlagged(c.k.Now(), rtime, degraded)
 	for _, fn := range c.onComplete {
 		fn(tr)
 	}
@@ -662,7 +643,7 @@ func (c *Cluster) newRootCall() *rootCall {
 // its fields out.
 func (c *Cluster) freeRootCall(rc *rootCall) {
 	rc.id = 0
-	rc.rt = nil
+	rc.p = nil
 	rc.onDone = nil
 	c.rootFree = append(c.rootFree, rc)
 }

@@ -90,8 +90,8 @@ func TestWarehouseAndLogsPopulated(t *testing.T) {
 	if c.Completions().Len() != 10 {
 		t.Errorf("e2e log has %d, want 10", c.Completions().Len())
 	}
-	if c.TypeCompletions("get").Len() != 10 {
-		t.Errorf("per-type log has %d, want 10", c.TypeCompletions("get").Len())
+	if typeLog(c, "get").Len() != 10 {
+		t.Errorf("per-type log has %d, want 10", typeLog(c, "get").Len())
 	}
 	be, err := c.Service("backend")
 	if err != nil {

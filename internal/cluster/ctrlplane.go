@@ -198,8 +198,7 @@ func (cp *ControlPlane) SetEndpointStall(on bool) {
 	if on {
 		return
 	}
-	for _, name := range cp.c.order {
-		svc := cp.c.services[name]
+	for _, svc := range cp.c.svcs {
 		if svc.epStale {
 			svc.epStale = false
 			cp.applyEndpoints(svc)

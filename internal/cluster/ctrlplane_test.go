@@ -227,7 +227,7 @@ func TestStaleEndpointRetryBreaker(t *testing.T) {
 	})
 	submit(3*time.Second, 20) // stale window + empty view: retried, then failed fast
 	k.At(sim.Time(4*time.Second), func() {
-		if st := c.edge("frontend", "backend").state.String(); st != "open" {
+		if st := edgeOf(c, "frontend", "backend").state.String(); st != "open" {
 			t.Errorf("breaker %q after refusal storm, want open", st)
 		}
 	})
@@ -256,7 +256,7 @@ func TestStaleEndpointRetryBreaker(t *testing.T) {
 	if c.BreakerRejections() == 0 {
 		t.Fatal("breaker never rejected during the refusal storm")
 	}
-	if st := c.edge("frontend", "backend").state.String(); st != "closed" {
+	if st := edgeOf(c, "frontend", "backend").state.String(); st != "closed" {
 		t.Fatalf("breaker %q at end, want closed (healed)", st)
 	}
 }

@@ -138,8 +138,7 @@ func (c *Cluster) ArmFlightRecorder(window, sla time.Duration) (*FlightRecorder,
 		merged:   stats.NewSketch(0),
 		prev:     c.flightCounters(),
 	}
-	for _, name := range c.order {
-		svc := c.services[name]
+	for _, svc := range c.svcs {
 		t := &flightTrack{
 			svc:      svc,
 			sketch:   stats.NewSketch(0),

@@ -131,7 +131,8 @@ func (c *Cluster) SetPoolSize(ref ResourceRef, size int) error {
 		if ref.Target == "" {
 			return fmt.Errorf("cluster: SetPoolSize(%v): client pool needs a target", ref)
 		}
-		if _, err := c.Service(ref.Target); err != nil {
+		target, err := c.Service(ref.Target)
+		if err != nil {
 			return err
 		}
 		if svc.spec.ClientPools == nil {
@@ -139,12 +140,7 @@ func (c *Cluster) SetPoolSize(ref ResourceRef, size int) error {
 		}
 		svc.spec.ClientPools[ref.Target] = size
 		for _, in := range svc.instances {
-			p, ok := in.client[ref.Target]
-			if !ok {
-				p = &pool{}
-				in.client[ref.Target] = p
-			}
-			p.setCap(size)
+			in.setClientPool(target.id, size)
 		}
 	default:
 		return fmt.Errorf("cluster: SetPoolSize(%v): unknown pool kind", ref)

@@ -24,7 +24,7 @@ const (
 type visit struct {
 	c    *Cluster
 	inst *Instance
-	node *CallNode
+	node *planNode
 	span *trace.Span
 
 	onDone func(*visit)
@@ -95,14 +95,14 @@ func (v *visit) reWait() {
 // service down are refused immediately.
 //
 //soravet:hotpath TestPhaseRecordingAllocFree per-hop admission: one startVisit per service visit, allocation-free except pool misses and child lists too short for the fan-out
-func (c *Cluster) startVisit(node *CallNode, parent *trace.Span, fanout int, deadline sim.Time, onDone func(*visit)) *visit {
-	svc := c.services[node.Service]
+func (c *Cluster) startVisit(node *planNode, parent *trace.Span, fanout int, deadline sim.Time, onDone func(*visit)) *visit {
+	svc := node.svc
 	if svc.flight != nil {
 		svc.flight.arrivals++
 	}
 	inst := svc.pick()
 	span := c.newSpan()
-	span.Service = node.Service
+	span.Service = svc.name
 	span.Arrival = c.k.Now()
 	v := c.newVisit()
 	v.inst = inst
@@ -120,10 +120,11 @@ func (c *Cluster) startVisit(node *CallNode, parent *trace.Span, fanout int, dea
 		parent.Children = append(parent.Children, span) //soravet:allow hotpath fills the list presized to the fan-out; only retries and orphaned attempts grow it
 	}
 	if inst == nil {
+		span.SetIDs(node.sid, -1)
 		v.refuse()
 		return v
 	}
-	v.span.Instance = inst.id
+	span.SetIDs(node.sid, inst.nameID)
 	inst.enqueue(v)
 	return v
 }
@@ -135,7 +136,7 @@ func (c *Cluster) startVisit(node *CallNode, parent *trace.Span, fanout int, dea
 func (v *visit) begin() {
 	now := v.c.k.Now()
 	v.span.Start = now
-	demand := v.c.sampleDemand(v.node.ReqWork)
+	demand := v.c.sampleDemand(v.node.req)
 	v.span.Demand += demand
 	v.cpuSince = now
 	v.inst.cpu.Submit(demand, v.reqDoneFn)
@@ -150,21 +151,22 @@ func (v *visit) reqWorkDone() {
 
 // childrenPhase dispatches downstream calls after request-side work.
 func (v *visit) childrenPhase() {
-	v.childrenLeft = len(v.node.Children)
+	kids := v.node.kids
+	v.childrenLeft = len(kids)
 	if v.childrenLeft == 0 {
 		v.responsePhase()
 		return
 	}
-	if v.node.Parallel {
+	if v.node.parallel {
 		// Dispatch all children now. Each dispatch may still wait on a
 		// connection slot independently.
-		for _, child := range v.node.Children {
-			v.startCall(child)
+		for i := range kids {
+			v.startCall(&kids[i])
 		}
 		return
 	}
 	v.seqNext = 0
-	v.startCall(v.node.Children[v.seqNext])
+	v.startCall(&kids[v.seqNext])
 	v.seqNext++
 }
 
@@ -173,9 +175,13 @@ func (v *visit) childrenPhase() {
 // everything else takes the direct path. Both run on pooled call
 // records whose continuations are bound once per struct, so once the
 // free lists warm a call allocates nothing beyond its child visit's
-// span.
-func (v *visit) startCall(child *CallNode) {
-	es := v.c.edge(v.node.Service, child.Service)
+// span. The edge is found by the child's slot in the dense edge table,
+// which stays nil until the first policy or fault is set.
+func (v *visit) startCall(child *planNode) {
+	var es *edgeState
+	if t := v.c.edgeTab; t != nil {
+		es = t[child.edge]
+	}
 	if es == nil || !es.active() {
 		v.dispatchDirect(child)
 		return
@@ -195,7 +201,7 @@ func (v *visit) startCall(child *CallNode) {
 //soravet:pool directCall invalidated-by Cluster.freeDirectCall record dead once freeDirectCall returns; done recycles it before advancing the caller, and a later dispatchDirect may reissue it
 type directCall struct {
 	v     *visit
-	child *CallNode
+	child *planNode
 	cp    *pool // client-connection slot held; nil when the edge has no client pool
 
 	dbAcquiredFn func()
@@ -210,7 +216,7 @@ type directCall struct {
 // RPC is actually in flight).
 //
 //soravet:hotpath TestPhaseRecordingAllocFree per-call dispatch on direct edges: a recycled call record whose bound continuations go on the slot wait lists, allocation-free once the free list warms
-func (v *visit) dispatchDirect(child *CallNode) {
+func (v *visit) dispatchDirect(child *planNode) {
 	dc := v.c.newDirectCall()
 	dc.v = v
 	dc.child = child
@@ -219,7 +225,7 @@ func (v *visit) dispatchDirect(child *CallNode) {
 
 // dbAcquired runs once the downstream-connection slot is held.
 func (dc *directCall) dbAcquired() {
-	if cp, ok := dc.v.inst.client[dc.child.Service]; ok {
+	if cp := dc.v.inst.clientPool(dc.child.sid); cp != nil {
 		dc.cp = cp
 		cp.acquire(dc.sendFn)
 		return
@@ -233,7 +239,7 @@ func (dc *directCall) send() {
 	v := dc.v
 	v.outstanding++
 	v.reWait()
-	v.c.startVisit(dc.child, v.span, len(v.node.Children), v.deadline, dc.doneFn)
+	v.c.startVisit(dc.child, v.span, len(v.node.kids), v.deadline, dc.doneFn)
 }
 
 // done is the child's completion signal, the response reaching the
@@ -268,7 +274,7 @@ func (dc *directCall) done(cv *visit) {
 //soravet:pool callState invalidated-by resolve,Cluster.freeCallState record dead once the call resolves; resolve free-lists it before the caller advances, and settled attempts never refer back to it
 type callState struct {
 	v          *visit
-	child      *CallNode
+	child      *planNode
 	es         *edgeState
 	cp         *pool // client slot acquired for the attempt being sent; nil when none
 	attempts   int   // attempts consumed (dispatched or breaker-rejected)
@@ -301,7 +307,7 @@ func (cs *callState) dispatch() {
 
 // dbAcquired runs once the downstream-connection slot is held.
 func (cs *callState) dbAcquired() {
-	if cp, ok := cs.v.inst.client[cs.child.Service]; ok {
+	if cp := cs.v.inst.clientPool(cs.child.sid); cp != nil {
 		cs.cp = cp
 		cp.acquire(cs.sendFn)
 		return
@@ -327,7 +333,7 @@ type attempt struct {
 	c       *Cluster
 	cs      *callState // nil once settled
 	es      *edgeState
-	node    *CallNode   // the callee
+	node    *planNode   // the callee
 	pspan   *trace.Span // caller's span: stays valid after the caller's visit recycles
 	fanout  int         // the caller's downstream call count
 	dl      sim.Time    // attempt deadline; 0 = none
@@ -362,7 +368,7 @@ func (cs *callState) send() {
 	// request lands, but the span stays valid: the timeout leaves the
 	// trace unsettled, and an unsettled trace's spans are never freed.
 	at.pspan = v.span
-	at.fanout = len(v.node.Children)
+	at.fanout = len(v.node.kids)
 	at.cp = cs.cp
 	cs.cp = nil
 	at.isProbe = cs.isProbe
@@ -571,15 +577,15 @@ func (v *visit) childAnswered() {
 		v.responsePhase()
 		return
 	}
-	if !v.node.Parallel && v.seqNext < len(v.node.Children) {
-		v.startCall(v.node.Children[v.seqNext])
+	if kids := v.node.kids; !v.node.parallel && v.seqNext < len(kids) {
+		v.startCall(&kids[v.seqNext])
 		v.seqNext++
 	}
 }
 
 // responsePhase runs response-side CPU work and finishes the visit.
 func (v *visit) responsePhase() {
-	demand := v.c.sampleDemand(v.node.ResWork)
+	demand := v.c.sampleDemand(v.node.res)
 	v.span.Demand += demand
 	v.cpuSince = v.c.k.Now()
 	v.inst.cpu.Submit(demand, v.resDoneFn)

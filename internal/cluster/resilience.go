@@ -15,7 +15,7 @@ import (
 // and faults attach to caller→callee edges; edges with neither stay on
 // the zero-overhead direct dispatch path in request.go.
 
-// edgeKey identifies one caller→callee call edge.
+// edgeKey names one caller→callee call edge in reports.
 type edgeKey struct {
 	caller string
 	callee string
@@ -205,28 +205,28 @@ func (es *edgeState) breakerRecord(c *Cluster, isProbe, success bool) {
 	}
 }
 
-// edge returns the configured state for one caller→callee edge, or nil.
-func (c *Cluster) edge(caller, callee string) *edgeState {
-	if len(c.edges) == 0 {
-		return nil
-	}
-	return c.edges[edgeKey{caller, callee}]
-}
-
-// ensureEdge returns the edge state, creating and registering it in
-// deterministic creation order on first use.
+// ensureEdge returns the edge state, creating it on first use: it is
+// registered in deterministic creation order and in its slot of the
+// dense edge table the request path indexes, which the first edge
+// allocates.
 func (c *Cluster) ensureEdge(caller, callee string) (*edgeState, error) {
-	if _, err := c.Service(caller); err != nil {
+	from, err := c.Service(caller)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := c.Service(callee); err != nil {
+	to, err := c.Service(callee)
+	if err != nil {
 		return nil, err
 	}
-	key := edgeKey{caller, callee}
-	es, ok := c.edges[key]
-	if !ok {
-		es = &edgeState{key: key}
-		c.edges[key] = es
+	n := len(c.svcs)
+	if c.edgeTab == nil {
+		c.edgeTab = make([]*edgeState, n*n)
+	}
+	slot := int(from.id)*n + int(to.id)
+	es := c.edgeTab[slot]
+	if es == nil {
+		es = &edgeState{key: edgeKey{caller, callee}}
+		c.edgeTab[slot] = es
 		c.edgeOrder = append(c.edgeOrder, es)
 	}
 	return es, nil

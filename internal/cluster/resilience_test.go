@@ -156,7 +156,7 @@ func TestBreakerStateMachine(t *testing.T) {
 			} else {
 				c = policyCluster(t, k, CallPolicy{MaxAttempts: 1})
 			}
-			es := c.edge("frontend", "backend")
+			es := edgeOf(c, "frontend", "backend")
 			if es == nil {
 				t.Fatal("edge state missing after configuring the edge")
 			}
@@ -221,7 +221,7 @@ func TestBreakerFastFailsAndRecovers(t *testing.T) {
 		k.Schedule(time.Duration(i)*10*time.Millisecond, c.SubmitMix)
 	}
 	k.Run()
-	if got := c.edge("frontend", "backend").state.String(); got != "open" {
+	if got := edgeOf(c, "frontend", "backend").state.String(); got != "open" {
 		t.Fatalf("breaker = %s, want open", got)
 	}
 	if c.Failed() != n || c.Completed() != 0 {
@@ -243,7 +243,7 @@ func TestBreakerFastFailsAndRecovers(t *testing.T) {
 	if c.Completed() != 1 {
 		t.Fatalf("post-recovery completed = %d, want 1", c.Completed())
 	}
-	if got := c.edge("frontend", "backend").state.String(); got != "closed" {
+	if got := edgeOf(c, "frontend", "backend").state.String(); got != "closed" {
 		t.Errorf("breaker = %s, want closed after successful probe", got)
 	}
 }

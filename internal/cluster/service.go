@@ -13,6 +13,7 @@ import (
 // Service is a logical microservice with one or more pod instances.
 type Service struct {
 	c    *Cluster
+	id   int32 // position in the App's service list, and the service's trace name id
 	name string
 	spec ServiceSpec
 
@@ -37,19 +38,6 @@ type Service struct {
 	// the stall lifts.
 	endpoints []*Instance
 	epStale   bool
-}
-
-func newService(c *Cluster, spec ServiceSpec) *Service {
-	s := &Service{
-		c:       c,
-		name:    spec.Name,
-		spec:    spec,
-		spanLog: &metrics.CompletionLog{},
-	}
-	for i := 0; i < spec.Replicas; i++ {
-		s.addInstance()
-	}
-	return s
 }
 
 // Name returns the service name.
@@ -220,9 +208,13 @@ func (s *Service) DBConnsInUse() int {
 // ClientConnsInUse returns the busy outstanding-RPC slots towards target
 // across pods.
 func (s *Service) ClientConnsInUse(target string) int {
+	t, ok := s.c.services[target]
+	if !ok {
+		return 0
+	}
 	n := 0
 	for _, in := range s.instances {
-		if p, ok := in.client[target]; ok {
+		if p := in.clientPool(t.id); p != nil {
 			n += p.active
 		}
 	}
@@ -268,6 +260,9 @@ type Instance struct {
 	id   string
 	cpu  *psq.Server
 	meta instanceMeta
+	// nameID is the pod's instance id in the cluster's trace name
+	// table, stamped on the span of every visit it serves.
+	nameID int32
 
 	// Thread pool: bounded by cap (0 = unlimited); queue holds visits
 	// waiting for admission.
@@ -277,8 +272,10 @@ type Instance struct {
 
 	// db limits concurrent downstream calls from this pod.
 	db pool
-	// client limits outstanding RPCs per downstream service.
-	client map[string]*pool
+	// client limits outstanding RPCs per downstream service: indexed by
+	// the target's service id, nil where the target has no pool. Nil
+	// when this pod has no client pool at all.
+	client []*pool
 
 	draining bool
 
@@ -314,15 +311,38 @@ func newInstance(s *Service, id string) *Instance {
 		svc:       s,
 		id:        id,
 		cpu:       psq.New(s.c.k, s.spec.Cores, opts...),
+		nameID:    s.c.names.AddInstance(id),
 		threadCap: s.spec.ThreadPool,
 		db:        pool{cap: s.spec.DBPool},
-		client:    make(map[string]*pool, len(s.spec.ClientPools)),
 		ready:     true, // control-plane launch flips this off until the cold start completes
 	}
 	for target, size := range s.spec.ClientPools {
-		in.client[target] = &pool{cap: size}
+		in.setClientPool(s.c.services[target].id, size)
 	}
 	return in
+}
+
+// clientPool returns the pod's client pool towards the service with id
+// target, or nil when it has none.
+func (in *Instance) clientPool(target int32) *pool {
+	if int(target) < len(in.client) {
+		return in.client[target]
+	}
+	return nil
+}
+
+// setClientPool resizes the pod's client pool towards the service with
+// id target, creating it if the pod has none yet.
+func (in *Instance) setClientPool(target int32, size int) {
+	if int(target) >= len(in.client) {
+		in.client = append(in.client, make([]*pool, int(target)+1-len(in.client))...)
+	}
+	p := in.client[target]
+	if p == nil {
+		p = &pool{}
+		in.client[target] = p
+	}
+	p.setCap(size)
 }
 
 // ID returns the pod name (e.g. "cart-0").

@@ -116,15 +116,14 @@ func (c *Cluster) FlushTelemetry() {
 	tel.AddCounter("sora_warehouse_evicted_total", float64(ws.Evicted))
 	tel.SetGauge("sora_warehouse_retained", float64(ws.Retained))
 	tel.SetGauge("sora_inflight", float64(c.inFlight))
-	for _, name := range c.order {
-		svc := c.services[name]
+	for _, svc := range c.svcs {
 		var st Stats
 		for _, in := range svc.instances {
 			s := in.Stats()
 			st.Admitted += s.Admitted
 			st.Completed += s.Completed
 		}
-		label := `{service="` + name + `"}`
+		label := `{service="` + svc.name + `"}`
 		tel.AddCounter("sora_service_admitted_total"+label, float64(st.Admitted))
 		tel.AddCounter("sora_service_completed_total"+label, float64(st.Completed))
 		tel.SetGauge("sora_service_replicas"+label, float64(svc.Replicas()))

@@ -33,9 +33,12 @@ import (
 // bound method values, fmt calls, string conversions and concatenation,
 // map/slice composite literals, make/new/&T{}, append (may grow its
 // backing array), variadic calls (argument-slice allocation), and
-// interface boxing at call sites. Deliberate, amortized, or cold-path
-// allocations are annotated //soravet:allow hotpath with the reason
-// (pool-miss path, free-list append at steady-state capacity, ...).
+// interface boxing at call sites. Besides allocations it flags a map
+// index whose key holds a string: the key's bytes are hashed on every
+// call, where an id resolved once would index a slice. Deliberate,
+// amortized, or cold-path allocations are annotated //soravet:allow
+// hotpath with the reason (pool-miss path, free-list append at
+// steady-state capacity, ...).
 func checkHotpath(m *Module, p *Package, report reporter) {
 	hot := m.hotpath()
 	for _, f := range hot.findingsByPkg[p] {
@@ -172,6 +175,14 @@ func scanHotBody(p *Package, body *ast.BlockStmt, root string, report reporter) 
 					emit(n.Pos(), "&composite literal", "escapes to the heap")
 				}
 			}
+		case *ast.IndexExpr:
+			if m, ok := underlyingOf(info.Types[n.X].Type).(*types.Map); ok && holdsString(m.Key()) {
+				key := types.TypeString(m.Key(), func(p *types.Package) string { return p.Name() })
+				if !isStringType(m.Key()) {
+					key += ", which holds a string,"
+				}
+				emit(n.Pos(), "map index keyed by "+key, "hashes the key on every call")
+			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isStringType(info.Types[n.X].Type) {
 				emit(n.Pos(), "string concatenation", "allocates the result")
@@ -183,6 +194,25 @@ func scanHotBody(p *Package, body *ast.BlockStmt, root string, report reporter) 
 		}
 		return true
 	})
+}
+
+// holdsString reports whether hashing a value of type t hashes string
+// bytes: t is a string, or an array or struct with one inside (neither
+// can contain itself by value, so the recursion ends).
+func holdsString(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return u.Info()&types.IsString != 0
+	case *types.Array:
+		return holdsString(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if holdsString(u.Field(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func underlyingOf(t types.Type) types.Type {

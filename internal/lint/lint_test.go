@@ -154,7 +154,8 @@ func TestCatalog(t *testing.T) {
 // catch are actually caught in the fixtures: the PR 6 class
 // stale-timer-handle bug (a re-arm callback that never nils its stored
 // handle), an allocation inside a Timer.Reset-like AllocsPerRun-pinned
-// root, and a helper only a dead function calls. Goldens pin the full output; this test pins the intent,
+// root, a name-keyed map lookup on a hot path, and a helper only a dead
+// function calls. Goldens pin the full output; this test pins the intent,
 // so a future message rewrite cannot silently drop the detection.
 func TestSeededBugs(t *testing.T) {
 	cases := []struct {
@@ -164,6 +165,7 @@ func TestSeededBugs(t *testing.T) {
 		{"poolsafe", "poolsafe", "internal/app/app.go", "used after"},
 		{"hotpath", "hotpath", "internal/kernel/kernel.go", "allocates a closure"},
 		{"hotpath", "hotpath", "internal/kernel/kernel.go", "kernel.Timer.Reset"},
+		{"hotpath", "hotpath", "internal/kernel/kernel.go", "map index keyed by kernel.edge, which holds a string, hashes the key on every call"},
 		{"deadcode", "deadcode", "internal/lib/lib.go", "lib.orphanHelper is unreachable"},
 	}
 	for _, c := range cases {

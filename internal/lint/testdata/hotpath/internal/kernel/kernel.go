@@ -120,3 +120,33 @@ func (r *ring[T]) put(x T) {
 func (k *Kernel) Record(r *ring[int], v int) {
 	r.put(v)
 }
+
+// edge names a caller→callee pair; its fields make it a string-bearing
+// map key.
+type edge struct {
+	from, to string
+}
+
+// Directory resolves names: by pod name, by edge, and by a numeric id.
+type Directory struct {
+	pods  map[string]int
+	edges map[edge]int
+	ids   map[uint64]int
+	slots [][2]int
+}
+
+// Route is a root that hashes names per call: the string and the
+// string-bearing struct keys are flagged, wherever the index sits; the
+// integer key, a slice index, and an allowed name lookup are not.
+//
+//soravet:hotpath fixture pin: Route must not hash a name per call
+func (d *Directory) Route(pod, from, to string, id uint64) int {
+	n := d.pods[pod]
+	if v, ok := d.edges[edge{from, to}]; ok {
+		n += v
+	}
+	d.pods[pod] = n
+	n += d.ids[id] + d.slots[id][0]
+	n += d.pods["fallback"] //soravet:allow hotpath fixture demonstrates an annotated name-keyed fallback
+	return n
+}

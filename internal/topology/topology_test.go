@@ -10,11 +10,21 @@ import (
 	"sora/internal/workload"
 )
 
-func TestSockShopValidates(t *testing.T) {
-	app := SockShop(DefaultSockShop())
+// compiles checks app's services and has a cluster compile its mix,
+// which checks every request type's tree.
+func compiles(t *testing.T, app cluster.App) {
+	t.Helper()
 	if err := app.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := cluster.New(sim.NewKernel(1), app, cluster.Options{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSockShopValidates(t *testing.T) {
+	app := SockShop(DefaultSockShop())
+	compiles(t, app)
 	if len(app.Services) != 12 {
 		t.Errorf("sock shop has %d services, want 12", len(app.Services))
 	}
@@ -22,17 +32,13 @@ func TestSockShopValidates(t *testing.T) {
 
 func TestSocialNetworkValidates(t *testing.T) {
 	app := SocialNetwork(DefaultSocialNetwork())
-	if err := app.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	compiles(t, app)
 	if len(app.Services) < 20 {
 		t.Errorf("social network has %d services, want >= 20", len(app.Services))
 	}
 	heavy := SocialNetwork(SocialNetworkConfig{})
 	heavy.Mix = HomeTimelineOnlyMix(true)
-	if err := heavy.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	compiles(t, heavy)
 }
 
 func TestSockShopRequestsComplete(t *testing.T) {

@@ -55,10 +55,11 @@ type TraceRecord struct {
 	Root SpanRecord `json:"root"`
 }
 
-func toRecord(s *Span) SpanRecord {
+// toRecord serializes the tree under s, whose ids index names.
+func toRecord(s *Span, names *Names) SpanRecord {
 	rec := SpanRecord{
 		Service:   s.Service,
-		Instance:  s.Instance,
+		Instance:  s.Instance(names),
 		Depth:     int(s.Depth),
 		ArrivalNs: int64(s.Arrival),
 		StartNs:   int64(s.Start),
@@ -73,7 +74,7 @@ func toRecord(s *Span) SpanRecord {
 		Abandoned: s.Abandoned,
 	}
 	for _, c := range s.Children {
-		rec.Children = append(rec.Children, toRecord(c))
+		rec.Children = append(rec.Children, toRecord(c, names))
 	}
 	return rec
 }
@@ -85,15 +86,16 @@ func (rec *SpanRecord) legacy() bool {
 		(rec.ArrivalUs != 0 || rec.StartUs != 0 || rec.EndUs != 0)
 }
 
-// fromRecord rebuilds the span tree of rec. Span.Depth is an int32, so
-// a record whose depth does not fit is rejected rather than truncated.
-func fromRecord(rec SpanRecord) (*Span, error) {
+// fromRecord rebuilds the span tree of rec, stamping each span with its
+// ids in names; pods maps the pod names met so far to their ids.
+// Span.Depth is an int32, so a record whose depth does not fit is
+// rejected rather than truncated.
+func fromRecord(rec SpanRecord, names *Names, pods map[string]int32) (*Span, error) {
 	if rec.Depth < math.MinInt32 || rec.Depth > math.MaxInt32 {
 		return nil, fmt.Errorf("span %q: depth %d out of range", rec.Service, rec.Depth)
 	}
 	s := &Span{
 		Service:     rec.Service,
-		Instance:    rec.Instance,
 		Depth:       int32(rec.Depth),
 		Arrival:     time.Duration(rec.ArrivalNs),
 		Start:       time.Duration(rec.StartNs),
@@ -107,6 +109,16 @@ func fromRecord(rec SpanRecord) (*Span, error) {
 		Degraded:    rec.Degraded,
 		Abandoned:   rec.Abandoned,
 	}
+	pod := int32(-1)
+	if rec.Instance != "" {
+		id, ok := pods[rec.Instance]
+		if !ok {
+			id = names.AddInstance(rec.Instance)
+			pods[rec.Instance] = id
+		}
+		pod = id
+	}
+	s.SetIDs(names.service(rec.Service), pod)
 	if rec.legacy() {
 		s.Arrival = time.Duration(rec.ArrivalUs) * time.Microsecond
 		s.Start = time.Duration(rec.StartUs) * time.Microsecond
@@ -114,7 +126,7 @@ func fromRecord(rec SpanRecord) (*Span, error) {
 		s.Blocked = time.Duration(rec.BlockedUs) * time.Microsecond
 	}
 	for _, c := range rec.Children {
-		child, err := fromRecord(c)
+		child, err := fromRecord(c, names, pods)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +146,7 @@ func Export(w io.Writer, t *Trace) error {
 	if root == nil {
 		return fmt.Errorf("trace: cannot export empty trace")
 	}
-	rec := TraceRecord{ID: t.ID, Type: t.Type, Root: toRecord(root)}
+	rec := TraceRecord{ID: t.ID, Type: t.Type, Root: toRecord(root, t.Names)}
 	enc := json.NewEncoder(w)
 	return enc.Encode(rec)
 }
@@ -150,9 +162,12 @@ func ExportAll(w io.Writer, traces []*Trace) error {
 	return nil
 }
 
-// ImportAll reads JSON Lines until EOF.
+// ImportAll reads JSON Lines until EOF. The traces share one name
+// table.
 func ImportAll(r io.Reader) ([]*Trace, error) {
 	var out []*Trace
+	names := NewNames(nil)
+	pods := make(map[string]int32)
 	dec := json.NewDecoder(r)
 	for {
 		var rec TraceRecord
@@ -164,10 +179,10 @@ func ImportAll(r io.Reader) ([]*Trace, error) {
 		if rec.Root.Service == "" {
 			return nil, fmt.Errorf("trace: import %d: record has no root service", len(out))
 		}
-		root, err := fromRecord(rec.Root)
+		root, err := fromRecord(rec.Root, names, pods)
 		if err != nil {
 			return nil, fmt.Errorf("trace: import %d: %w", len(out), err)
 		}
-		out = append(out, &Trace{ID: rec.ID, Type: rec.Type, Root: root})
+		out = append(out, &Trace{ID: rec.ID, Type: rec.Type, Root: root, Names: names})
 	}
 }

@@ -41,8 +41,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if gSpan.ProcessingTime() != oSpan.ProcessingTime() {
 		t.Errorf("cart PT = %v, want %v", gSpan.ProcessingTime(), oSpan.ProcessingTime())
 	}
-	if gSpan.Instance != oSpan.Instance {
-		t.Errorf("instance = %q, want %q", gSpan.Instance, oSpan.Instance)
+	if gi, oi := gSpan.Instance(got.Names), oSpan.Instance(orig.Names); gi != oi || oi != "cart-0" {
+		t.Errorf("instance = %q, want %q", gi, oi)
 	}
 }
 

@@ -26,7 +26,7 @@ type Record struct {
 	BreakerWait time.Duration
 
 	Service  int32 // index into Names.Services
-	Instance int32 // index into Names.Instances
+	Instance int32 // index into the Names instances; -1 for a span with no pod
 	Size     int32 // records in the subtree rooted here, this one included
 
 	Failed    bool
@@ -64,18 +64,18 @@ func CriticalChildAt(recs []Record, i int) int {
 // Names is the append-only table of service and instance names that
 // Record ids index. An id never changes once handed out, so records
 // compacted earlier stay valid while the table grows. The cluster owns
-// one table for its run and every trace it completes points to it.
+// one table for its run, adds each pod as it creates it, and every
+// trace it completes points to it.
 type Names struct {
 	services  []string
 	instances []string
-	instID    map[string]int32
 }
 
 // NewNames returns a table whose first service ids are the positions of
 // services, which must be distinct.
 func NewNames(services []string) *Names {
 	//soravet:allow hotpath once per table: the cluster builds its table in New and every trace it compacts shares it; only a trace built without one gets its own
-	return &Names{services: slices.Clone(services), instID: make(map[string]int32)}
+	return &Names{services: slices.Clone(services)}
 }
 
 // Services returns the service names in id order. The result is a
@@ -85,8 +85,21 @@ func (n *Names) Services() []string { return n.services[:len(n.services):len(n.s
 // Service returns the name of service id.
 func (n *Names) Service(id int32) string { return n.services[id] }
 
-// Instance returns the name of instance id.
-func (n *Names) Instance(id int32) string { return n.instances[id] }
+// Instance returns the name of instance id, or "" for -1, the id of a
+// span with no pod.
+func (n *Names) Instance(id int32) string {
+	if id < 0 {
+		return ""
+	}
+	return n.instances[id]
+}
+
+// AddInstance appends a pod name and returns its id. Pod names are
+// unique within a run, so the table never looks one up.
+func (n *Names) AddInstance(name string) int32 {
+	n.instances = append(n.instances, name)
+	return int32(len(n.instances) - 1)
+}
 
 // service returns the id of service name, assigning the next one on
 // first use. A linear search: a table holds a few dozen services.
@@ -100,20 +113,9 @@ func (n *Names) service(name string) int32 {
 	return int32(len(n.services) - 1)
 }
 
-// instance returns the id of instance name, assigning the next one on
-// first use.
-func (n *Names) instance(name string) int32 {
-	id, ok := n.instID[name]
-	if !ok {
-		id = int32(len(n.instances))
-		n.instances = append(n.instances, name) //soravet:allow hotpath first use of an instance name only: one per pod the run starts
-		n.instID[name] = id
-	}
-	return id
-}
-
 // appendRecords appends the pre-order records of the tree under s to
-// dst, interning its names.
+// dst. A stamped span's ids are copied; a span built without them (see
+// Span.SetIDs) has its service interned by name and no instance.
 func (n *Names) appendRecords(dst []Record, s *Span) []Record {
 	i := len(dst)
 	// Write the fields in place: appending a Record literal builds it
@@ -123,7 +125,11 @@ func (n *Names) appendRecords(dst []Record, s *Span) []Record {
 	r.Arrival, r.Start, r.End = s.Arrival, s.Start, s.End
 	r.Blocked, r.Demand, r.CPU = s.Blocked, s.Demand, s.CPU
 	r.RetryWait, r.BreakerWait = s.RetryWait, s.BreakerWait
-	r.Service, r.Instance = n.service(s.Service), n.instance(s.Instance)
+	if s.hasIDs {
+		r.Service, r.Instance = s.service, s.instance
+	} else {
+		r.Service, r.Instance = n.service(s.Service), -1
+	}
 	r.Failed, r.Degraded, r.Abandoned = s.Failed, s.Degraded, s.Abandoned
 	for _, c := range s.Children {
 		dst = n.appendRecords(dst, c)
@@ -149,7 +155,6 @@ func (n *Names) fill(spans []Span, recs []Record, i int, depth int32) {
 	s := &spans[i]
 	*s = Span{
 		Service:     n.services[r.Service],
-		Instance:    n.instances[r.Instance],
 		Arrival:     r.Arrival,
 		Start:       r.Start,
 		End:         r.End,
@@ -161,7 +166,10 @@ func (n *Names) fill(spans []Span, recs []Record, i int, depth int32) {
 		Failed:      r.Failed,
 		Degraded:    r.Degraded,
 		Abandoned:   r.Abandoned,
+		hasIDs:      true,
 		Depth:       depth,
+		service:     r.Service,
+		instance:    r.Instance,
 	}
 	end := i + int(r.Size)
 	for c := i + 1; c < end; c += int(recs[c].Size) {

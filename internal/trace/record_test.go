@@ -32,7 +32,7 @@ const compactMaxSpans = 256
 // decodeTree turns bytes into a span tree with the coverage of
 // randomSpanTree and more: each span takes five bytes — service (four
 // names, so services repeat), instance (none, as for a refused visit, or
-// one of two replicas), timing (1–4 ms, so equal-duration siblings are
+// one of two replicas; stamped as ids of decodeNames), timing (1–4 ms, so equal-duration siblings are
 // common, and the arrival offset), flags (Abandoned on a child,
 // Failed or Degraded, and the blocked share) and children
 // (0–3, at most four levels deep). With the children byte's high bit
@@ -40,7 +40,7 @@ const compactMaxSpans = 256
 // then the attempt that answered.
 func decodeTree(r *compactReader, arrival sim.Time, depth int32) *Span {
 	r.spans++
-	services := []string{"a", "b", "c", "d"}
+	services := decodeNames.Services()
 	svc, inst, timing, flags, kids := r.next(), r.next(), r.next(), r.next(), r.next()
 	dur := time.Duration(1+timing%4) * time.Millisecond
 	s := &Span{
@@ -56,9 +56,12 @@ func decodeTree(r *compactReader, arrival sim.Time, depth int32) *Span {
 		Failed:      flags&6 == 4,
 		Degraded:    flags&6 == 6,
 	}
+	// Pods a-0, a-1, b-0, ... have ids 0, 1, 2, ... in decodeNames.
+	pod := int32(-1)
 	if k := inst % 3; k > 0 {
-		s.Instance = s.Service + "-" + string(rune('0'+k-1))
+		pod = int32(svc%len(services)*2 + k - 1)
 	}
+	s.SetIDs(int32(svc%len(services)), pod)
 	s.Start = s.Arrival + sim.Time(timing%2)*sim.Time(time.Millisecond)
 	s.End = s.Arrival + sim.Time(dur)
 	if depth < 4 {
@@ -78,6 +81,17 @@ func decodeTree(r *compactReader, arrival sim.Time, depth int32) *Span {
 	return s
 }
 
+// decodeNames is the table decodeTree's ids index: services a–d, each
+// with pods "-0" and "-1".
+var decodeNames = func() *Names {
+	n := NewNames([]string{"a", "b", "c", "d"})
+	for _, svc := range n.Services() {
+		n.AddInstance(svc + "-0")
+		n.AddInstance(svc + "-1")
+	}
+	return n
+}()
+
 // FuzzCompactTrace decodes bytes into a span tree and compacts it:
 // materializing the records must give back the original tree — same
 // child order, same Depth, nil leaf lists — and every Trace accessor
@@ -88,8 +102,8 @@ func FuzzCompactTrace(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		root := decodeTree(&compactReader{data: data}, 0, 0)
-		live := &Trace{ID: 7, Type: "t", Root: root}
-		compact := &Trace{ID: 7, Type: "t", Root: root}
+		live := &Trace{ID: 7, Type: "t", Root: root, Names: decodeNames}
+		compact := &Trace{ID: 7, Type: "t", Root: root, Names: decodeNames}
 		var scratch, chunk []Record
 		compact.Compact(&scratch, &chunk)
 		if compact.Root != nil {
@@ -153,7 +167,7 @@ func FuzzCompactTrace(f *testing.F) {
 // later append to the chunk can reach them.
 func TestCompactSharedChunk(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 25))
-	names := NewNames(nil)
+	names := decodeNames
 	var trees []*Span
 	for range 12 {
 		data := make([]byte, 5*rng.IntN(20))
@@ -162,9 +176,13 @@ func TestCompactSharedChunk(t *testing.T) {
 		}
 		trees = append(trees, decodeTree(&compactReader{data: data}, 0, 0))
 	}
+	// The wide root is left unstamped, as a span built outside the
+	// cluster is: compaction interns its service by name.
 	wide := &Span{Service: "a"}
 	for range chunkRecords {
-		wide.Children = append(wide.Children, &Span{Service: "b", Instance: "b-0", Depth: 1})
+		leaf := &Span{Service: "b", Depth: 1}
+		leaf.SetIDs(1, 2) // b-0
+		wide.Children = append(wide.Children, leaf)
 	}
 	trees = append(trees, wide, trees[0])
 
@@ -211,7 +229,7 @@ func TestCompactSharedChunk(t *testing.T) {
 // nothing.
 func TestCompactIntoChunkAllocFree(t *testing.T) {
 	root := decodeTree(&compactReader{data: []byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2}}, 0, 0)
-	tr := &Trace{Root: root, Names: NewNames(nil)}
+	tr := &Trace{Root: root, Names: decodeNames}
 	var scratch []Record
 	chunk := make([]Record, 0, chunkRecords)
 	tr.Compact(&scratch, &chunk)
@@ -226,8 +244,9 @@ func TestCompactIntoChunkAllocFree(t *testing.T) {
 }
 
 // TestNamesKeepIDs checks that a name's id never changes: the table
-// starts with the given services in order, appends names it has not
-// seen at first use, and hands the same id back on every later use.
+// starts with the given services in order, appends service names it has
+// not seen at first use and hands the same id back on every later use,
+// and gives each added pod the next instance id.
 func TestNamesKeepIDs(t *testing.T) {
 	n := NewNames([]string{"a", "b"})
 	for range 2 {
@@ -236,13 +255,34 @@ func TestNamesKeepIDs(t *testing.T) {
 				t.Fatalf("service %q = %d, want %d", name, got, want)
 			}
 		}
-		for i, name := range []string{"a-0", "a-1", "", "a-0"} {
-			if got, want := n.instance(name), []int32{0, 1, 2, 0}[i]; got != want {
-				t.Fatalf("instance %q = %d, want %d", name, got, want)
-			}
+	}
+	for i, name := range []string{"a-0", "a-1", "b-0"} {
+		if got := n.AddInstance(name); got != int32(i) {
+			t.Fatalf("AddInstance(%q) = %d, want %d", name, got, i)
+		}
+	}
+	for id, want := range map[int32]string{0: "a-0", 2: "b-0", -1: ""} {
+		if got := n.Instance(id); got != want {
+			t.Errorf("Instance(%d) = %q, want %q", id, got, want)
 		}
 	}
 	if got := n.Services(); !reflect.DeepEqual(got, []string{"a", "b", "x"}) {
 		t.Errorf("Services() = %v", got)
+	}
+}
+
+// TestUnstampedSpanRecords checks the records of a tree built without
+// ids: each service is interned by name and no span has a pod, so the
+// materialized tree reads back with services and no instances.
+func TestUnstampedSpanRecords(t *testing.T) {
+	root := &Span{Service: "a", End: 3, Children: []*Span{{Service: "y", Depth: 1, End: 2}}}
+	tr := &Trace{Root: root, Names: NewNames([]string{"a", "b"})}
+	recs := tr.Records(nil)
+	if len(recs) != 2 || recs[0].Service != 0 || recs[1].Service != 2 || recs[0].Instance != -1 || recs[1].Instance != -1 {
+		t.Fatalf("records = %+v, want services 0 and 2 with no instance", recs)
+	}
+	tree := tr.Names.tree(recs)
+	if tree.Children[0].Service != "y" || tree.Children[0].Instance(tr.Names) != "" {
+		t.Errorf("materialized child = %v on pod %q", tree.Children[0], tree.Children[0].Instance(tr.Names))
 	}
 }

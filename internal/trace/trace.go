@@ -24,8 +24,7 @@ type ID uint64
 //
 //soravet:pool Span invalidated-by none spans recycle through the cluster's free list: once a settled trace's OnComplete callbacks return, Trace.Compact copies its tree into records and Cluster.freeSpans hands every span back for a later visit to reissue, so a handle is valid only while its trace holds the live tree (an unsettled trace always does); the cluster keeps span handles in visits and attempts by design, so no invalidator is declared here
 type Span struct {
-	Service  string // logical service name (e.g. "cart")
-	Instance string // pod identity (e.g. "cart-0")
+	Service string // logical service name (e.g. "cart")
 
 	Arrival sim.Time // request arrived at the service (queued for admission)
 	Start   sim.Time // processing began (admitted past the soft resource)
@@ -81,11 +80,35 @@ type Span struct {
 	// archived for wasted-work analysis.
 	Abandoned bool
 
+	// hasIDs marks a span stamped by SetIDs: service and instance are
+	// its ids in the Names table of its trace, instance -1 for a visit
+	// refused before it reached a pod. A span built without them names
+	// only its service, and compaction interns that name.
+	hasIDs bool
+
 	// Depth is 0 for the front-end. It is an int32 packed beside the
-	// three flags so a Span is 128 B.
+	// four flags, so a Span stays within its 128 B size class.
 	Depth int32
 
+	service, instance int32
+
 	Children []*Span
+}
+
+// SetIDs stamps the span with the ids of its service and its pod (-1
+// for none) in the Names table its trace carries, so compaction copies
+// them instead of looking a name up.
+func (s *Span) SetIDs(service, instance int32) {
+	s.service, s.instance, s.hasIDs = service, instance, true
+}
+
+// Instance returns the name of the span's pod in names, the table of
+// the span's trace, or "" when the span has no pod.
+func (s *Span) Instance(names *Names) string {
+	if !s.hasIDs || names == nil {
+		return ""
+	}
+	return names.Instance(s.instance)
 }
 
 // Duration returns the service-visit wall time including queueing:
@@ -122,7 +145,7 @@ func (s *Span) Walk(fn func(*Span)) {
 }
 
 func (s *Span) String() string {
-	return fmt.Sprintf("%s@%s [%v,%v] pt=%v", s.Service, s.Instance, s.Arrival, s.End, s.ProcessingTime())
+	return fmt.Sprintf("%s [%v,%v] pt=%v", s.Service, s.Arrival, s.End, s.ProcessingTime())
 }
 
 // Trace is the complete execution record of one user request. It holds

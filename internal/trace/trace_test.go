@@ -8,27 +8,32 @@ import (
 	"sora/internal/sim"
 )
 
-// chainTrace builds frontend -> cart -> cartdb with simple timestamps.
+// chainTrace builds frontend -> cart -> cartdb with simple timestamps,
+// each span stamped with its service and a pod "<service>-0".
 //
 //	frontend: [0, 100ms], blocked 80ms on cart
 //	cart:     [5ms, 85ms], blocked 40ms on cartdb
 //	cartdb:   [20ms, 60ms]
 func chainTrace(id ID) *Trace {
 	ms := func(n int) sim.Time { return time.Duration(n) * time.Millisecond }
-	db := &Span{Service: "cart-db", Instance: "cart-db-0", Depth: 2, Arrival: ms(20), Start: ms(22), End: ms(60)}
+	db := &Span{Service: "cart-db", Depth: 2, Arrival: ms(20), Start: ms(22), End: ms(60)}
 	cart := &Span{
-		Service: "cart", Instance: "cart-0", Depth: 1,
+		Service: "cart", Depth: 1,
 		Arrival: ms(5), Start: ms(8), End: ms(85),
 		Blocked:  40 * time.Millisecond,
 		Children: []*Span{db},
 	}
 	fe := &Span{
-		Service: "front-end", Instance: "front-end-0", Depth: 0,
+		Service: "front-end", Depth: 0,
 		Arrival: 0, Start: ms(1), End: ms(100),
 		Blocked:  80 * time.Millisecond,
 		Children: []*Span{cart},
 	}
-	return &Trace{ID: id, Type: "getCart", Root: fe}
+	names := NewNames([]string{"front-end", "cart", "cart-db"})
+	for i, s := range []*Span{fe, cart, db} {
+		s.SetIDs(int32(i), names.AddInstance(s.Service+"-0"))
+	}
+	return &Trace{ID: id, Type: "getCart", Root: fe, Names: names}
 }
 
 // forkTrace builds frontend with two parallel children where catalogue
