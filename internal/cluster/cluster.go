@@ -221,16 +221,16 @@ type Cluster struct {
 
 	// Request-path scratch pools. visitFree recycles visit structs (the
 	// per-span execution state) and spanFree the spans of settled
-	// traces, each with its child list's capacity, once their records
+	// traces, each with its child list's capacity, once their traces
 	// are compacted (see rootCall.done). recScratch is the buffer a
-	// trace is compacted into before its records are copied onto the
-	// end of recChunk, the append-only record chunk settled traces
-	// share (see trace.Trace.Compact).
+	// trace is encoded into before its stream is copied onto the end of
+	// recChunk, the append-only byte chunk settled traces share (see
+	// trace.Trace.Compact).
 	visitFree  []*visit
 	rootFree   []*rootCall
 	spanFree   []*trace.Span
-	recScratch []trace.Record
-	recChunk   []trace.Record
+	recScratch []byte
+	recChunk   []byte
 
 	// names is the table the records of every trace this cluster
 	// completes index: services in declaration order, then instances as
@@ -351,9 +351,6 @@ const pruneInterval = 4096
 func (c *Cluster) housekeep() {
 	cutoff := c.k.Now() - trace.DefaultRetention
 	c.e2eLog.Prune(cutoff)
-	for _, p := range c.plans {
-		p.log.Prune(cutoff) // types that share a name share a log; a second prune is a no-op
-	}
 	for _, svc := range c.svcs {
 		svc.prune(cutoff)
 	}
@@ -394,7 +391,7 @@ func (c *Cluster) TraceNames() *trace.Names { return c.names }
 
 // OnComplete registers a callback invoked for every completed trace.
 // The trace's Root is valid only during the callback: once every
-// callback has returned, a settled trace is compacted into records and
+// callback has returned, a settled trace is compacted into a stream and
 // its spans are reused. A callback that keeps the trace must read it
 // later through Trace.Records or Trace.Tree, or export it.
 func (c *Cluster) OnComplete(fn func(*trace.Trace)) {
@@ -500,7 +497,7 @@ type rootCall struct {
 // done books the root visit's completion: the counters, the completion
 // logs and — unless it failed — the trace, added to the
 // warehouse as unsettled when a timed-out call under it left orphaned
-// work behind. A settled trace is compacted into records once the
+// work behind. A settled trace is compacted into a stream once the
 // OnComplete callbacks have run, and its spans go back on the free
 // list; so do those of a settled failed root, which is
 // never stored. An unsettled trace keeps its live tree, which orphaned
@@ -547,7 +544,6 @@ func (rc *rootCall) done(root *visit) {
 		c.flight.noteE2E(rtime, degraded)
 	}
 	c.e2eLog.AddFlagged(c.k.Now(), rtime, degraded)
-	p.log.AddFlagged(c.k.Now(), rtime, degraded)
 	for _, fn := range c.onComplete {
 		fn(tr)
 	}

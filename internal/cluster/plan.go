@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"sora/internal/dist"
-	"sora/internal/metrics"
 )
 
 // planNode is one service visit of a compiled request type: its
 // CallNode with every name resolved against the cluster, so the request
-// path indexes services, client pools, edges and the type's completion
-// log instead of looking a name up. A type compiles into one []planNode
-// in which every node's children are one contiguous range.
+// path indexes services, client pools and edges instead of looking a
+// name up. A type compiles into one []planNode in which every node's
+// children are one contiguous range.
 type planNode struct {
 	svc *Service
 	// sid is the service's id: its position in Cluster.svcs and in the
@@ -25,10 +24,8 @@ type planNode struct {
 	kids     []planNode
 	parallel bool
 
-	// rt and log are set at the root only: the request type and its
-	// completion log.
-	rt  *RequestType
-	log *metrics.CompletionLog
+	// rt is set at the root only: the request type.
+	rt *RequestType
 }
 
 // plan returns the root of rt's compiled plan, compiling rt on its
@@ -51,17 +48,6 @@ func (c *Cluster) plan(rt *RequestType) (*planNode, error) {
 	root := &nodes[0]
 	c.fillNode(root, rt.Root, -1, nodes[1:])
 	root.rt = rt
-	// Types sharing a name share a completion log, as they share the
-	// name in every trace.
-	for _, p := range c.plans {
-		if p.rt.Name == rt.Name {
-			root.log = p.log
-			break
-		}
-	}
-	if root.log == nil {
-		root.log = &metrics.CompletionLog{}
-	}
 	c.plans = append(c.plans, root)
 	return root, nil
 }

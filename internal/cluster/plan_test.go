@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"sora/internal/dist"
-	"sora/internal/metrics"
 	"sora/internal/node"
 	"sora/internal/sim"
 	"sora/internal/trace"
@@ -20,17 +19,6 @@ func edgeOf(c *Cluster, caller, callee string) *edgeState {
 		return nil
 	}
 	return c.edgeTab[int(c.services[caller].id)*len(c.svcs)+int(c.services[callee].id)]
-}
-
-// typeLog returns the completion log of the compiled request type
-// named name, or nil when the cluster has compiled none.
-func typeLog(c *Cluster, name string) *metrics.CompletionLog {
-	for _, p := range c.plans {
-		if p.rt.Name == name {
-			return p.log
-		}
-	}
-	return nil
 }
 
 // TestSpanSize pins a live span to its 128 B size class: the cluster

@@ -32,8 +32,8 @@ type windowScan struct {
 	// from off on (see sealedScans).
 	rows *rowStore
 	off  int
-	// buf receives the records of traces held as live trees, open the
-	// ancestors of the record being read.
+	// buf receives each trace's records as Trace.Records decodes them,
+	// open the ancestors of the record being read.
 	buf  []trace.Record
 	open []openSpan
 }

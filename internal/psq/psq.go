@@ -137,7 +137,7 @@ func (s *Server) totalRate(n int) float64 {
 		return 0
 	}
 	nf := float64(n)
-	raw := math.Min(nf, s.cores)
+	raw := min(nf, s.cores)
 	excess := nf - s.cores
 	if excess < 0 {
 		excess = 0
@@ -162,7 +162,7 @@ func (s *Server) advance() {
 	dt := (now - s.last).Seconds()
 	if n := len(s.runnable); n > 0 {
 		s.attained += s.perJobRate(n) * dt
-		s.busy += math.Min(float64(n), s.cores) * dt
+		s.busy += min(float64(n), s.cores) * dt
 	}
 	s.capacity += s.cores * dt
 	s.last = now

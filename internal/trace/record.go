@@ -7,13 +7,14 @@ import (
 	"sora/internal/sim"
 )
 
-// Record is one span of a retained trace in its pointer-free form. A
-// settled trace keeps its spans as one []Record in pre-order: the
-// record of a span is followed by the records of its subtree, children
-// in call order, so Size replaces the child list and the depth follows
-// from the walk. Service and Instance index the trace's Names table.
-// A Record holds no pointer, so the garbage collector never scans a
-// retained trace's spans.
+// Record is one span of a retained trace in its decoded form. A
+// settled trace stores its spans as an encoded stream (see Compact) that
+// Records decodes into pre-order records: the record of a span is
+// followed by the records of its subtree, children in call order, so
+// Size replaces the child list and the depth follows from the walk.
+// Service and Instance index the trace's Names table. A Record holds no
+// pointer, so a reader's buffer of them is never scanned by the garbage
+// collector.
 type Record struct {
 	Arrival sim.Time
 	Start   sim.Time
@@ -188,22 +189,27 @@ func (t *Trace) names() *Names {
 }
 
 // Records returns the trace's spans as pre-order records whose ids index
-// t.Names. This is how every reader after completion sees a trace. A
-// compacted trace returns its stored records, which the caller must not
-// modify. A trace still holding its live tree — one stored unsettled,
-// or built outside the cluster — is compacted afresh into *scratch,
-// which is grown as needed and kept for the next call (a nil scratch
-// allocates), interning any new names; a trace built without a table
-// gets one of its own.
+// t.Names. This is how every reader after completion sees a trace. The
+// records are written into *scratch, which is grown as needed and kept
+// for the next call (a nil scratch allocates), so they stay valid only
+// until the next call with the same scratch. A compacted trace decodes
+// its stream; a trace still holding its live tree — one stored
+// unsettled, or built outside the cluster — is read from the tree,
+// interning any new names, and a trace built without a table gets one
+// of its own.
 func (t *Trace) Records(scratch *[]Record) []Record {
-	if t.Root == nil {
-		return t.recs
-	}
 	var buf []Record
 	if scratch != nil {
-		buf = (*scratch)[:0]
+		buf = *scratch
 	}
-	buf = t.names().appendRecords(buf, t.Root)
+	switch {
+	case t.Root != nil:
+		buf = t.names().appendRecords(buf[:0], t.Root)
+	case len(t.enc) > 0:
+		buf = decodeRecords(buf, t.enc)
+	default:
+		return nil
+	}
 	if scratch != nil {
 		*scratch = buf
 	}
@@ -225,36 +231,41 @@ func Depths(recs []Record, fn func(i, depth int)) {
 	}
 }
 
-// chunkRecords is the record count of a fresh record chunk (see
-// Compact): 4096 records are 320 KiB, so one chunk holds the records of
-// a few hundred settled traces.
-const chunkRecords = 4096
+// chunkBytes is the size of a fresh stream chunk (see Compact): at
+// about 22 B a span, 64 KiB holds the streams of a hundred or so
+// settled Social Network traces.
+const chunkBytes = 64 << 10
 
-// Compact replaces the trace's live tree with its records: it compacts
-// the tree into *scratch (see Records), copies the records onto the end
+// Compact replaces the trace's live tree with its encoded stream (see
+// stream.go): it encodes the tree's spans into *scratch, copies them,
+// after the trace header and before streamPad zero bytes, onto the end
 // of *chunk and drops Root. The trace keeps a full-slice-capped view of
-// the chunk, so no later append to the chunk can reach its records.
-// When the chunk has no room for the trace, *chunk becomes a fresh
-// chunk of chunkRecords records, or of the trace's size if that is
-// larger; the old chunk is never written again and the garbage
-// collector frees it once no trace refers to it. The caller owns the
-// released spans; the trace no longer refers to any of them. Only a
-// trace that can no longer change may be compacted.
+// the chunk, so no later append to the chunk can reach its bytes. When
+// the chunk has no room for the stream, *chunk becomes a fresh chunk of
+// chunkBytes bytes, or of the stream's length if that is larger; the
+// old chunk is never written again and the garbage collector frees it
+// once no trace refers to it. The caller owns the released spans; the
+// trace no longer refers to any of them. Only a trace that can no
+// longer change may be compacted.
 //
 //soravet:hotpath TestCompactIntoChunkAllocFree once per settled request: compacting into a chunk with room allocates nothing once the scratch buffer has grown and the names are interned
-func (t *Trace) Compact(scratch, chunk *[]Record) {
+func (t *Trace) Compact(scratch, chunk *[]byte) {
 	if t.Root == nil {
 		return
 	}
-	recs := t.Records(scratch)
+	body, spans := t.names().appendSpans((*scratch)[:0], t.Root, t.Root.End)
+	*scratch = body
+	var head [1 + 2*8]byte // the codes byte and two values stored as words
+	h := head[:putHeader(head[:], t.Root.End, spans)]
+	need := len(h) + len(body) + streamPad
 	a := *chunk
-	if cap(a)-len(a) < len(recs) {
-		a = make([]Record, 0, max(chunkRecords, len(recs))) //soravet:allow hotpath chunk refill: once per chunkRecords records, never for a trace that fits the chunk (TestCompactIntoChunkAllocFree)
+	if cap(a)-len(a) < need {
+		a = make([]byte, 0, max(chunkBytes, need)) //soravet:allow hotpath chunk refill: once per chunkBytes bytes, never for a trace that fits the chunk (TestCompactIntoChunkAllocFree)
 	}
 	n := len(a)
-	a = a[:n+len(recs)]
-	copy(a[n:], recs)
-	t.recs = a[n:len(a):len(a)]
+	a = append(append(a, h...), body...) //soravet:allow hotpath fits: the chunk was checked or refilled for the stream's length above
+	a = a[:n+need]                       // the pad: bytes of the chunk never written, so zero
+	t.enc = a[n:len(a):len(a)]
 	*chunk = a
 	t.Root = nil
 }
@@ -266,8 +277,8 @@ func (t *Trace) Tree() *Span {
 	if t.Root != nil {
 		return t.Root
 	}
-	if len(t.recs) == 0 {
+	if len(t.enc) == 0 {
 		return nil
 	}
-	return t.Names.tree(t.recs)
+	return t.Names.tree(t.Records(nil))
 }

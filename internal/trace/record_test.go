@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -83,34 +85,146 @@ func decodeTree(r *compactReader, arrival sim.Time, depth int32) *Span {
 
 // decodeNames is the table decodeTree's ids index: services a–d, each
 // with pods "-0" and "-1".
-var decodeNames = func() *Names {
+var decodeNames = newDecodeNames()
+
+// newDecodeNames returns a fresh table holding decodeNames' names.
+func newDecodeNames() *Names {
 	n := NewNames([]string{"a", "b", "c", "d"})
 	for _, svc := range n.Services() {
 		n.AddInstance(svc + "-0")
 		n.AddInstance(svc + "-1")
 	}
 	return n
-}()
+}
 
-// FuzzCompactTrace decodes bytes into a span tree and compacts it:
-// materializing the records must give back the original tree — same
-// child order, same Depth, nil leaf lists — and every Trace accessor
-// and the export bytes must agree between the live and the compacted
-// form.
+// stretchTree applies the stretches mode selects to the tree under
+// root, reading what they need from r, and returns the tree's root and
+// its name table (a fresh one when spans are left unstamped, so that
+// interning never grows decodeNames). The stretches take the codec to
+// its edges:
+//
+//	1:  shift every time by MinInt64, MaxInt64 or an int64 read from r,
+//	    so differences wrap;
+//	2:  turn every duration negative or extreme: Start after End,
+//	    negative Blocked, Demand and waits, CPU − Demand overflowing;
+//	4:  unstamp every other span under a name the table lacks, so
+//	    compaction interns it with no instance;
+//	8:  hang the tree under a chain of 40 ancestors, deeper than the
+//	    decoder's fixed stack;
+//	16: give the root 300 more leaves, a child count of two bytes.
+func stretchTree(r *compactReader, root *Span, mode int) (*Span, *Names) {
+	names := decodeNames
+	if mode&1 != 0 {
+		var base int64
+		switch r.next() % 3 {
+		case 0:
+			base = math.MinInt64
+		case 1:
+			base = math.MaxInt64
+		default:
+			for range 8 {
+				base = base<<8 | int64(r.next())
+			}
+		}
+		root.Walk(func(s *Span) {
+			s.Arrival += sim.Time(base)
+			s.Start += sim.Time(base)
+			s.End += sim.Time(base)
+		})
+	}
+	if mode&2 != 0 {
+		root.Walk(func(s *Span) {
+			s.Start, s.End = s.End, s.Start
+			s.Blocked, s.Demand = -s.Blocked, -s.Demand-1
+			s.CPU = math.MaxInt64 - s.CPU
+			s.RetryWait, s.BreakerWait = -s.RetryWait, math.MinInt64
+		})
+	}
+	if mode&4 != 0 {
+		names = newDecodeNames()
+		i := 0
+		root.Walk(func(s *Span) {
+			if i%2 == 0 {
+				*s = Span{Service: "x" + s.Service, Arrival: s.Arrival, Start: s.Start, End: s.End,
+					Blocked: s.Blocked, Demand: s.Demand, CPU: s.CPU, Failed: s.Failed,
+					Degraded: s.Degraded, Abandoned: s.Abandoned, Children: s.Children}
+			}
+			i++
+		})
+	}
+	if mode&16 != 0 {
+		for i := range 300 {
+			leaf := &Span{Service: "b", Arrival: root.Arrival + sim.Time(i), End: root.Arrival + sim.Time(2*i)}
+			leaf.SetIDs(1, int32(i%3)-1)
+			root.Children = append(root.Children, leaf)
+		}
+	}
+	if mode&8 != 0 {
+		for i := range 40 {
+			up := &Span{Service: "c", Arrival: root.Arrival - sim.Time(i), End: root.End + sim.Time(i), Children: []*Span{root}}
+			up.SetIDs(2, 4)
+			root = up
+		}
+	}
+	var depth func(s *Span, d int32)
+	depth = func(s *Span, d int32) {
+		s.Depth = d
+		for _, c := range s.Children {
+			depth(c, d+1)
+		}
+	}
+	depth(root, 0)
+	return root, names
+}
+
+// FuzzCompactTrace decodes bytes into a span tree, stretches it with
+// the byte after the tree (see stretchTree) and compacts it: the
+// compacted trace must decode to exactly the live tree's records, into
+// a fresh buffer as into one holding another trace's; materializing
+// them must give back the original tree — same child order, same
+// Depth, nil leaf lists — when every span was stamped; and every Trace
+// accessor and the export bytes must agree between the live and the
+// compacted form.
 func FuzzCompactTrace(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2})
+	// A root with two leaves (15 bytes), then the stretch byte.
+	tree := []byte{0, 1, 5, 0x30, 2, 1, 2, 3, 0x51, 0, 2, 0, 7, 0x1c, 0}
+	for _, tail := range [][]byte{
+		{1, 0},                            // MinInt64 timestamps
+		{1, 1},                            // MaxInt64 timestamps
+		{3, 2, 0x80, 0, 0, 0, 0, 0, 0, 9}, // negative durations near MinInt64
+		{4},                               // unstamped spans, names interned on compaction
+		{8},                               // deep
+		{16},                              // wide
+		{31, 1},                           // all at once
+	} {
+		f.Add(append(slices.Clone(tree), tail...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		root := decodeTree(&compactReader{data: data}, 0, 0)
-		live := &Trace{ID: 7, Type: "t", Root: root, Names: decodeNames}
-		compact := &Trace{ID: 7, Type: "t", Root: root, Names: decodeNames}
-		var scratch, chunk []Record
+		r := &compactReader{data: data}
+		root := decodeTree(r, 0, 0)
+		root, names := stretchTree(r, root, r.next())
+		stamped := true
+		root.Walk(func(s *Span) { stamped = stamped && s.hasIDs })
+		live := &Trace{ID: 7, Type: "t", Root: root, Names: names}
+		compact := &Trace{ID: 7, Type: "t", Root: root, Names: names}
+		var scratch, chunk []byte
 		compact.Compact(&scratch, &chunk)
 		if compact.Root != nil {
 			t.Fatal("Compact kept the live tree")
 		}
-		if got := compact.Tree(); !reflect.DeepEqual(got, root) {
-			t.Fatalf("materialized tree differs from the original:\n got %+v\nwant %+v", got, root)
+		want := live.Records(nil)
+		if got := compact.Records(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded records differ from the live tree's:\n got %+v\nwant %+v", got, want)
+		}
+		dirty := make([]Record, len(want)+3)
+		for i := range dirty {
+			dirty[i] = Record{Arrival: -1, Start: 2, End: 3, Blocked: 4, Demand: 5, CPU: 6, RetryWait: 7, BreakerWait: 8,
+				Service: 9, Instance: 10, Size: 11, Failed: true, Degraded: true, Abandoned: true}
+		}
+		if got := compact.Records(&dirty); !reflect.DeepEqual(got, want) {
+			t.Fatalf("records decoded over another trace's differ from the live tree's:\n got %+v\nwant %+v", got, want)
 		}
 		if got, want := compact.SpanCount(), live.SpanCount(); got != want || len(compact.Records(nil)) != want {
 			t.Errorf("SpanCount = %d (%d records), live %d", got, len(compact.Records(nil)), want)
@@ -121,17 +235,11 @@ func FuzzCompactTrace(f *testing.F) {
 		if got, want := compact.CompletedAt(), live.CompletedAt(); got != want {
 			t.Errorf("CompletedAt = %v, live %v", got, want)
 		}
-		if got, want := compact.CriticalPath(), live.CriticalPath(); !reflect.DeepEqual(got, want) {
-			t.Errorf("CriticalPath = %v, live %v", got, want)
-		}
-		for _, svc := range []string{"a", "b", "c", "d", "absent"} {
+		for _, svc := range []string{"a", "b", "c", "d", "xa", "absent"} {
 			gotUp, gotOK := compact.UpstreamProcessing(svc)
 			wantUp, wantOK := live.UpstreamProcessing(svc)
 			if gotUp != wantUp || gotOK != wantOK {
 				t.Errorf("UpstreamProcessing(%q) = (%v, %v), live (%v, %v)", svc, gotUp, gotOK, wantUp, wantOK)
-			}
-			if got, want := compact.FindSpan(svc), live.FindSpan(svc); !reflect.DeepEqual(got, want) {
-				t.Errorf("FindSpan(%q) = %v, live %v", svc, got, want)
 			}
 		}
 		var a, b bytes.Buffer
@@ -144,11 +252,7 @@ func FuzzCompactTrace(f *testing.F) {
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Errorf("export differs:\n live    %s compact %s", a.Bytes(), b.Bytes())
 		}
-		// The live form read as records matches the stored ones, and the
-		// depths the walk derives are the spans' own.
-		if got, want := live.Records(&scratch), compact.Records(nil); !reflect.DeepEqual(got, want) {
-			t.Errorf("live records %v, stored %v", got, want)
-		}
+		// The depths the walk derives are the spans' own.
 		var depths []int32
 		root.Walk(func(s *Span) { depths = append(depths, s.Depth) })
 		Depths(compact.Records(nil), func(i, depth int) {
@@ -156,15 +260,38 @@ func FuzzCompactTrace(f *testing.F) {
 				t.Errorf("record %d at depth %d, span depth %d", i, depth, depths[i])
 			}
 		})
+		if !stamped {
+			return // materializing stamps every span, so only the records compare
+		}
+		if got := compact.Tree(); !reflect.DeepEqual(got, root) {
+			t.Fatalf("materialized tree differs from the original:\n got %+v\nwant %+v", got, root)
+		}
+		if got, want := compact.CriticalPath(), live.CriticalPath(); !reflect.DeepEqual(got, want) {
+			t.Errorf("CriticalPath = %v, live %v", got, want)
+		}
+		for _, svc := range []string{"a", "b", "c", "d", "absent"} {
+			if got, want := compact.FindSpan(svc), live.FindSpan(svc); !reflect.DeepEqual(got, want) {
+				t.Errorf("FindSpan(%q) = %v, live %v", svc, got, want)
+			}
+		}
 	})
+}
+
+// streamLen returns the length of the stream Compact stores for the
+// tree under root.
+func streamLen(root *Span, names *Names) int {
+	var scratch, chunk []byte
+	tr := &Trace{Root: root, Names: names}
+	tr.Compact(&scratch, &chunk)
+	return len(tr.enc)
 }
 
 // TestCompactSharedChunk compacts a run of trees into shared chunks,
 // starting short of a full chunk so the third tree crosses into a
 // fresh one, then compacts one tree larger than a chunk and one more
-// after it. After the last compaction every trace must still hold
-// exactly its own records, in a view capped at its length so that no
-// later append to the chunk can reach them.
+// after it. After the last compaction every trace must still decode to
+// exactly its own records, from a view capped at its stream's length so
+// that no later append to the chunk can reach it.
 func TestCompactSharedChunk(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 25))
 	names := decodeNames
@@ -179,22 +306,25 @@ func TestCompactSharedChunk(t *testing.T) {
 	// The wide root is left unstamped, as a span built outside the
 	// cluster is: compaction interns its service by name.
 	wide := &Span{Service: "a"}
-	for range chunkRecords {
-		leaf := &Span{Service: "b", Depth: 1}
+	for i := range chunkBytes / 4 {
+		leaf := &Span{Service: "b", Depth: 1, Arrival: sim.Time(i), End: sim.Time(2 * i), Demand: time.Duration(i)}
 		leaf.SetIDs(1, 2) // b-0
 		wide.Children = append(wide.Children, leaf)
 	}
+	if n := streamLen(wide, names); n <= chunkBytes {
+		t.Fatalf("the wide tree's stream is %d B, want more than a chunk (%d B)", n, chunkBytes)
+	}
 	trees = append(trees, wide, trees[0])
 
-	// Leave room for the first two trees and all but one record of the
+	// Leave room for the first two trees and all but one byte of the
 	// third, which then starts the second chunk.
 	room := -1
 	for _, root := range trees[:3] {
-		room += len((&Trace{Root: root, Names: names}).Records(nil))
+		room += streamLen(root, names)
 	}
-	var scratch []Record
-	chunk := make([]Record, chunkRecords-room, chunkRecords)
-	perChunk := map[*Record]int{}
+	var scratch []byte
+	chunk := make([]byte, chunkBytes-room, chunkBytes)
+	perChunk := map[*byte]int{}
 	traces := make([]*Trace, len(trees))
 	for i, root := range trees {
 		traces[i] = &Trace{Root: root, Names: names}
@@ -215,10 +345,10 @@ func TestCompactSharedChunk(t *testing.T) {
 		got := tr.Records(nil)
 		want := (&Trace{Root: trees[i], Names: names}).Records(nil)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("trace %d: stored records differ from a fresh compaction of its tree", i)
+			t.Errorf("trace %d: stored stream decodes differently from its tree", i)
 		}
-		if cap(got) != len(got) {
-			t.Errorf("trace %d: %d records with capacity %d; a later append could overwrite a neighbour", i, len(got), cap(got))
+		if cap(tr.enc) != len(tr.enc) {
+			t.Errorf("trace %d: %d B with capacity %d; a later append could overwrite a neighbour", i, len(tr.enc), cap(tr.enc))
 		}
 	}
 }
@@ -230,8 +360,8 @@ func TestCompactSharedChunk(t *testing.T) {
 func TestCompactIntoChunkAllocFree(t *testing.T) {
 	root := decodeTree(&compactReader{data: []byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2}}, 0, 0)
 	tr := &Trace{Root: root, Names: decodeNames}
-	var scratch []Record
-	chunk := make([]Record, 0, chunkRecords)
+	var scratch []byte
+	chunk := make([]byte, 0, chunkBytes)
 	tr.Compact(&scratch, &chunk)
 	avg := testing.AllocsPerRun(100, func() {
 		tr.Root = root
@@ -240,6 +370,23 @@ func TestCompactIntoChunkAllocFree(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Compact into a chunk with room allocates %.1f objects, want 0", avg)
+	}
+}
+
+// TestRecordsDecodeAllocFree pins decodeRecords on the SCG scan's read
+// path: once the caller's scratch has grown, decoding a compacted trace
+// allocates nothing.
+func TestRecordsDecodeAllocFree(t *testing.T) {
+	root := decodeTree(&compactReader{data: []byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2}}, 0, 0)
+	tr := &Trace{Root: root, Names: decodeNames}
+	var scratch []byte
+	var chunk []byte
+	tr.Compact(&scratch, &chunk)
+	var recs []Record
+	tr.Records(&recs)
+	avg := testing.AllocsPerRun(100, func() { tr.Records(&recs) })
+	if avg != 0 {
+		t.Fatalf("Records of a compacted trace into a warmed scratch allocates %.1f objects, want 0", avg)
 	}
 }
 

@@ -150,7 +150,7 @@ func (s *Span) String() string {
 
 // Trace is the complete execution record of one user request. It holds
 // its spans in one of two forms: the live tree under Root, or once
-// compacted (see Compact) the pre-order records that Records returns.
+// compacted (see Compact) an encoded stream that Records decodes.
 type Trace struct {
 	ID   ID
 	Type string // request type (e.g. "getCatalogue")
@@ -165,7 +165,7 @@ type Trace struct {
 	// Names is the table the records' service and instance ids index.
 	Names *Names
 
-	recs []Record // the compacted spans, a capped view of a shared chunk (see Compact); nil while Root is set
+	enc []byte // the compacted spans' stream, a capped view of a shared chunk (see Compact); nil while Root is set
 }
 
 // ResponseTime returns the end-to-end response time of the request.
@@ -173,8 +173,8 @@ func (t *Trace) ResponseTime() time.Duration {
 	if t.Root != nil {
 		return t.Root.Duration()
 	}
-	if len(t.recs) > 0 {
-		return t.recs[0].Duration()
+	if len(t.enc) > 0 {
+		return time.Duration(rootEnd(t.enc) - rootArrival(t.enc))
 	}
 	return 0
 }
@@ -184,8 +184,8 @@ func (t *Trace) CompletedAt() sim.Time {
 	if t.Root != nil {
 		return t.Root.End
 	}
-	if len(t.recs) > 0 {
-		return t.recs[0].End
+	if len(t.enc) > 0 {
+		return rootEnd(t.enc)
 	}
 	return 0
 }

@@ -59,7 +59,7 @@ func (w *Warehouse) Add(t *Trace) { w.add(t, false) }
 func (w *Warehouse) AddUnsettled(t *Trace) { w.add(t, true) }
 
 func (w *Warehouse) add(t *Trace, unsettled bool) {
-	if t == nil || (t.Root == nil && t.recs == nil) {
+	if t == nil || (t.Root == nil && t.enc == nil) {
 		return
 	}
 	if unsettled {
