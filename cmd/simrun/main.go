@@ -20,7 +20,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"sora/internal/compare"
@@ -398,17 +397,7 @@ func writeRunManifest(path, id string, seed int64, rec *telemetry.Recorder, para
 	if err != nil {
 		return err
 	}
-	var counters []compare.KV
-	for _, m := range rec.CounterTotals() {
-		if strings.Contains(m.Name, "_bucket{") {
-			// Histogram buckets live in the .metrics.prom artifact (and
-			// its digest); repeating hundreds of them here would bury the
-			// closing counters the manifest exists to surface.
-			continue
-		}
-		counters = append(counters, compare.Num(m.Name, m.Value))
-	}
-	m, err := compare.BuildManifest(dir, id, "simrun", seed, params, counters, abs)
+	m, err := compare.BuildManifest(dir, id, "simrun", seed, params, compare.ManifestCounters(rec), abs)
 	if err != nil {
 		return err
 	}

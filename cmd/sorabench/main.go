@@ -20,13 +20,6 @@
 // and event-throughput diagnostics go to stderr so they never perturb the
 // experiment output.
 //
-// -bench-json FILE runs the kernel hot-path micro-benchmark suite
-// (internal/bench) instead of experiments and records the results as an
-// entry in FILE — the BENCH_kernel.json performance trajectory; see
-// EXPERIMENTS.md. -bench-quick shrinks the measurement window to a
-// compile-and-run smoke check whose numbers are not meaningful (used by
-// verify.sh); -bench-label/-bench-note control the recorded entry.
-//
 // -telemetry-dir DIR enables the structured event log: every experiment
 // writes <id>.events.jsonl (controller decisions, reconfigs, faults),
 // <id>.metrics.prom (Prometheus text snapshot, including per-service
@@ -56,9 +49,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"testing"
 	"time"
 
 	"sora/internal/bench"
@@ -91,11 +82,6 @@ func run(args []string) error {
 		slo      = fs.Duration("slo", 0, "SLO for the profile artifacts' violation breakdown (0 = disabled)")
 		chaos    = fs.String("chaos", "", "run the chaos comparison under the named fault plan (see internal/fault.Names)")
 
-		benchJSON  = fs.String("bench-json", "", "run the kernel micro-benchmark suite and record the results into FILE")
-		benchQuick = fs.Bool("bench-quick", false, "shrink the bench measurement window to a smoke check (numbers not meaningful)")
-		benchLabel = fs.String("bench-label", "current", "label for the recorded bench entry (same label = refresh in place)")
-		benchNote  = fs.String("bench-note", "", "free-form note stored with the bench entry")
-
 		baseline       = fs.String("baseline", "", "replay the pinned regression-sentinel suite and check it against the baseline FILE (see scripts/regress.sh)")
 		baselineQuick  = fs.Bool("baseline-quick", false, "check only the deterministic sim metrics (skips the machine-sensitive bench numbers)")
 		baselineUpdate = fs.Bool("baseline-update", false, "regenerate the baseline FILE from the fresh run instead of checking")
@@ -104,9 +90,6 @@ func run(args []string) error {
 		return err
 	}
 
-	if *benchJSON != "" {
-		return runBenchSuite(*benchJSON, *benchLabel, *benchNote, *benchQuick)
-	}
 	if *baseline != "" {
 		return runBaselineCheck(*baseline, *parallel, *baselineQuick, *baselineUpdate)
 	}
@@ -292,45 +275,6 @@ func run(args []string) error {
 	return firstErr
 }
 
-// runBenchSuite executes the kernel micro-benchmark suite, prints the
-// results, and upserts them as an entry into the JSON report at path.
-// Quick mode shrinks the benchtime to a smoke run and skips the file
-// write, so verify.sh can exercise the whole path without committing
-// meaningless numbers.
-func runBenchSuite(path, label, note string, quick bool) error {
-	if quick {
-		testing.Init()
-		if err := flag.Set("test.benchtime", "10ms"); err != nil {
-			return err
-		}
-	}
-	results := bench.Run()
-	fmt.Printf("%-32s %12s %10s %8s %14s\n", "benchmark", "ns/op", "B/op", "allocs", "events/s")
-	for _, r := range results {
-		fmt.Printf("%-32s %12.1f %10d %8d %14s\n",
-			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp, fmtCount(uint64(r.EventsPerSec)))
-	}
-	if quick {
-		fmt.Println("(quick mode: smoke run only, results not recorded)")
-		return nil
-	}
-	report, err := bench.LoadReport(path)
-	if err != nil {
-		return err
-	}
-	report.Upsert(bench.Entry{
-		Label:   label,
-		Go:      runtime.Version(),
-		Note:    note,
-		Results: results,
-	})
-	if err := bench.WriteReport(path, report); err != nil {
-		return err
-	}
-	fmt.Printf("recorded entry %q in %s (%d entries)\n", label, path, len(report.Entries))
-	return nil
-}
-
 // manifestDir returns the directory the experiment manifests go to:
 // whichever of telDir and tlDir holds the other (telDir when they are
 // the same), or the one that is set. A manifest names its artifacts by
@@ -378,20 +322,11 @@ func writeExpManifest(dir, id string, seed uint64, scale float64, rec *telemetry
 		}
 		absFiles = append(absFiles, a)
 	}
-	var counters []compare.KV
-	for _, m := range rec.CounterTotals() {
-		if strings.Contains(m.Name, "_bucket{") {
-			// Histogram buckets live in the .metrics.prom artifact (and
-			// its digest); the manifest surfaces only the closing totals.
-			continue
-		}
-		counters = append(counters, compare.Num(m.Name, m.Value))
-	}
 	params := []compare.KV{
 		compare.Str("exp", id),
 		compare.Num("scale", scale),
 	}
-	m, err := compare.BuildManifest(abs, id, "sorabench", int64(seed), params, counters, absFiles)
+	m, err := compare.BuildManifest(abs, id, "sorabench", int64(seed), params, compare.ManifestCounters(rec), absFiles)
 	if err != nil {
 		return err
 	}

@@ -1,77 +1,58 @@
 package bench
 
 import (
-	"math/rand/v2"
-	"sync"
 	"testing"
 	"time"
 
 	"sora/internal/cluster"
-	"sora/internal/core"
 	"sora/internal/psq"
 	"sora/internal/sim"
 	"sora/internal/stats"
 	"sora/internal/telemetry"
 	"sora/internal/topology"
-	"sora/internal/workload"
 )
 
-// Result is one benchmark's outcome in machine-comparable form.
-// EventsPerSec is the headline throughput figure: simulation events
-// executed per wall-clock second (EventsPerOp is 1 for the pure
-// event-loop benchmarks and the kernel's measured events-per-request
-// for the end-to-end run).
+// Result is one benchmark's outcome as the regression sentinel gates
+// it: allocations per op, and EventsPerSec, simulation events executed
+// per wall-clock second (one event per op for the pure event-loop
+// benchmarks, the kernel's measured events-per-request for the
+// end-to-end runs).
 type Result struct {
-	Name         string  `json:"name"`
-	Iters        int     `json:"iters"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	BytesPerOp   int64   `json:"bytes_per_op"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	EventsPerOp  float64 `json:"events_per_op"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Name         string
+	AllocsPerOp  int64
+	EventsPerSec float64
 }
 
 // result converts a testing.BenchmarkResult, deriving events/s from the
 // per-op wall cost and the events/op metric reported by the benchmark
 // body (defaulting to one event per op).
 func result(name string, r testing.BenchmarkResult) Result {
-	res := Result{
-		Name:        name,
-		Iters:       r.N,
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-		EventsPerOp: 1,
-	}
-	if r.N > 0 {
-		res.NsPerOp = float64(r.T.Nanoseconds()) / float64(r.N)
-	}
-	if v, ok := r.Extra["events/op"]; ok {
-		res.EventsPerOp = v
-	}
-	if res.NsPerOp > 0 {
-		res.EventsPerSec = res.EventsPerOp * 1e9 / res.NsPerOp
+	res := Result{Name: name, AllocsPerOp: r.AllocsPerOp()}
+	if r.N > 0 && r.T > 0 {
+		perOp := 1.0
+		if v, ok := r.Extra["events/op"]; ok {
+			perOp = v
+		}
+		res.EventsPerSec = perOp * 1e9 * float64(r.N) / float64(r.T.Nanoseconds())
 	}
 	return res
 }
 
-// Run executes the whole suite and returns results in fixed order. Each
-// benchmark is timed by testing.Benchmark, so -test.benchtime (set via
-// testing.Init + flag.Set by callers that want a quick smoke run)
-// controls the measurement window.
+// Run executes the regression sentinel's suite — exactly the
+// benchmarks BASELINE.json gates as bench/<name>/… — and returns the
+// results in fixed order. Each benchmark is timed by testing.Benchmark,
+// so -test.benchtime (set via testing.Init + flag.Set by callers that
+// want a quick run) controls the measurement window.
 func Run() []Result {
 	return []Result{
 		result("kernel/eventloop", testing.Benchmark(BenchmarkEventLoop)),
 		result("kernel/eventloop/containerheap", testing.Benchmark(BenchmarkEventLoopContainerHeap)),
-		result("kernel/eventloop/closedloop", testing.Benchmark(BenchmarkEventLoopClosedLoop)),
-		result("kernel/eventloop/closedloop/containerheap", testing.Benchmark(BenchmarkEventLoopClosedLoopContainerHeap)),
 		result("kernel/reset", testing.Benchmark(BenchmarkTimerReset)),
 		result("kernel/cancel", testing.Benchmark(BenchmarkScheduleCancel)),
 		result("psq/submit", testing.Benchmark(BenchmarkPSQSubmit)),
 		result("cluster/socialnetwork", testing.Benchmark(BenchmarkSocialNetworkRequest)),
 		result("stats/sketch/observe", testing.Benchmark(BenchmarkSketchObserve)),
 		result("cluster/request/flight", testing.Benchmark(BenchmarkRequestWithFlightRecorder)),
-		result("core/scg/recommend", testing.Benchmark(BenchmarkSCGRecommend)),
-		result("core/scg/recommend/slide", testing.Benchmark(BenchmarkSCGRecommendSlide)),
 	}
 }
 
@@ -118,9 +99,8 @@ func BenchmarkEventLoop(b *testing.B) {
 }
 
 // BenchmarkEventLoopContainerHeap runs the identical workload on the
-// frozen container/heap kernel — the "before" of every
-// BENCH_kernel.json entry, regenerated on the same machine as the
-// "after".
+// frozen container/heap kernel: the same-machine reference that turns
+// BenchmarkEventLoop's figure into a host-independent ratio.
 func BenchmarkEventLoopContainerHeap(b *testing.B) {
 	k := NewRefKernel()
 	remaining := b.N
@@ -140,101 +120,6 @@ func BenchmarkEventLoopContainerHeap(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	k.Run()
-}
-
-// closedLoopUsers is the standing think-timer population of the
-// closed-loop benchmarks: the user count of the steady workload.
-const closedLoopUsers = 900
-
-// closedLoopHops is how many sub-millisecond hops each think timer sets
-// off before the user thinks again — about the ratio of sub-10 ms to
-// think-scale schedules measured on the closed-loop workloads.
-const closedLoopHops = 20
-
-// hopDelays is the hop pattern of the closed-loop benchmarks: network
-// hops and PS completions, all under a millisecond. Indexed with i&7.
-var hopDelays = [8]time.Duration{
-	17 * time.Microsecond, 450 * time.Nanosecond, 211 * time.Microsecond,
-	5 * time.Microsecond, 731 * time.Microsecond, 90 * time.Nanosecond,
-	66 * time.Microsecond, 329 * time.Microsecond,
-}
-
-// closedLoop drives the event queue the way a closed-loop user
-// population does: closedLoopUsers timers thinking exp(1 s) each, and
-// every think firing a chain of closedLoopHops sub-millisecond hops
-// whose last hop arms the next think. schedule abstracts over the live
-// kernel and the reference, so both pay the same indirection.
-type closedLoop struct {
-	schedule  func(time.Duration, func())
-	rng       *rand.Rand
-	remaining int
-	hop       int
-}
-
-// closedLoopUser is one user's chain state, with its callbacks bound
-// once so the loop allocates nothing beyond what the kernel does.
-type closedLoopUser struct {
-	l              *closedLoop
-	left           int
-	thinkFn, hopFn func()
-}
-
-// think ends a think period and sends the user's first hop.
-func (u *closedLoopUser) think() {
-	u.l.remaining--
-	u.left = closedLoopHops
-	u.l.schedule(hopDelays[u.l.hop&7], u.hopFn)
-	u.l.hop++
-}
-
-// next lands one hop and sends the following one, or starts the next
-// think period after the last.
-func (u *closedLoopUser) next() {
-	l := u.l
-	l.remaining--
-	if u.left--; u.left > 0 {
-		l.schedule(hopDelays[l.hop&7], u.hopFn)
-		l.hop++
-		return
-	}
-	l.schedule(l.thinkTime(), u.thinkFn)
-}
-
-// thinkTime draws one exponential think time with a 1 s mean.
-func (l *closedLoop) thinkTime() time.Duration {
-	return time.Duration(l.rng.ExpFloat64() * float64(time.Second))
-}
-
-// runClosedLoop seeds the user population and steps until b.N events
-// have fired. One op = one event.
-func runClosedLoop(b *testing.B, schedule func(time.Duration, func()), step func() bool) {
-	// The think times come from a throwaway kernel's split stream, so the
-	// live and reference runs see the same sequence.
-	l := &closedLoop{schedule: schedule, rng: sim.NewKernel(1).Split(0x7417), remaining: b.N}
-	for j := 0; j < closedLoopUsers; j++ {
-		u := &closedLoopUser{l: l}
-		u.thinkFn, u.hopFn = u.think, u.next
-		schedule(l.thinkTime(), u.thinkFn)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for l.remaining > 0 && step() {
-	}
-}
-
-// BenchmarkEventLoopClosedLoop measures the kernel on a queue shaped
-// like the closed-loop experiments': mostly far-future think timers,
-// with nearly every fired event a sub-millisecond hop.
-func BenchmarkEventLoopClosedLoop(b *testing.B) {
-	k := sim.NewKernel(1)
-	runClosedLoop(b, func(d time.Duration, fn func()) { k.Schedule(d, fn) }, k.Step)
-}
-
-// BenchmarkEventLoopClosedLoopContainerHeap runs the identical workload
-// on the frozen container/heap kernel.
-func BenchmarkEventLoopClosedLoopContainerHeap(b *testing.B) {
-	k := NewRefKernel()
-	runClosedLoop(b, func(d time.Duration, fn func()) { k.Schedule(d, fn) }, k.Step)
 }
 
 // BenchmarkTimerReset measures re-keying one pending timer in place
@@ -383,116 +268,5 @@ func BenchmarkSocialNetworkRequest(b *testing.B) {
 	b.StopTimer()
 	if b.N > 0 {
 		b.ReportMetric(float64(k.Processed())/float64(b.N), "events/op")
-	}
-}
-
-// scgWindow is the warmed deployment the decision benchmarks decide on:
-// Social Network home-timeline reads from 2000 closed-loop users, run
-// for scgWarm virtual seconds so the model's 45 s window is full. It is
-// built once per process, so repeated testing.Benchmark rounds and quick
-// runs time the decision, not the warm-up.
-var scgWindow struct {
-	once    sync.Once
-	err     error
-	c       *cluster.Cluster
-	mon     *core.Monitor
-	now     sim.Time
-	managed []core.ManagedResource
-}
-
-// scgConfig is the decision benchmarks' model configuration.
-var scgConfig = core.SCGConfig{SLA: 400 * time.Millisecond, Window: 45 * time.Second}
-
-// scgPeriod is the control period between the two decisions of
-// BenchmarkSCGRecommendSlide, the drift experiments' 15 s.
-const scgPeriod = 15 * time.Second
-
-// scgWarm is the virtual warm-up of the decision benchmark's deployment.
-const scgWarm = time.Minute
-
-// warmSCGWindow builds scgWindow: the deployment, the monitor sampling
-// its concurrency and utilization, and an SCG model over a 45 s window.
-func warmSCGWindow() {
-	w := &scgWindow
-	k := sim.NewKernel(1)
-	c, err := cluster.New(k, topology.SocialNetwork(topology.DefaultSocialNetwork()), cluster.Options{})
-	if err != nil {
-		w.err = err
-		return
-	}
-	if w.err = c.SetMix(topology.HomeTimelineOnlyMix(false)); w.err != nil {
-		return
-	}
-	conns := cluster.ResourceRef{Service: topology.HomeTimeline, Kind: cluster.PoolClientConns, Target: topology.PostStorage}
-	mon, err := core.NewMonitor(c, 0, []cluster.ResourceRef{conns}, c.ServiceNames())
-	if err != nil {
-		w.err = err
-		return
-	}
-	loop, err := workload.NewClosedLoop(k, workload.ClosedLoopConfig{
-		Target: workload.ConstantUsers(2000),
-		Submit: func(done func()) { c.SubmitMixWith(done) },
-	})
-	if err != nil {
-		w.err = err
-		return
-	}
-	mon.Start()
-	loop.Start()
-	k.RunUntil(sim.Time(scgWarm))
-	w.c, w.mon = c, mon
-	w.now = k.Now()
-	w.managed = []core.ManagedResource{{Ref: conns, Min: 4, Max: 300}}
-}
-
-// BenchmarkSCGRecommend measures one cold SCG decision — critical
-// service, deadline propagation, behind-pool check, scatter collection
-// and knee estimation — on a warmed 45 s Social Network window. Each op
-// decides on a fresh model, so the whole window is walked and sealed.
-// One op = one NewSCG and one Recommend.
-func BenchmarkSCGRecommend(b *testing.B) {
-	scgWindow.once.Do(warmSCGWindow)
-	if scgWindow.err != nil {
-		b.Fatal(scgWindow.err)
-	}
-	w := &scgWindow
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := core.NewSCG(w.c, w.mon, scgConfig)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.Recommend(w.now, w.managed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSCGRecommendSlide measures the steady-state decision of a
-// control loop: the window at now on a model that decided at
-// now−scgPeriod, so two thirds of it are merged from sealed blocks.
-// The earlier decision runs untimed. One op = one Recommend.
-func BenchmarkSCGRecommendSlide(b *testing.B) {
-	scgWindow.once.Do(warmSCGWindow)
-	if scgWindow.err != nil {
-		b.Fatal(scgWindow.err)
-	}
-	w := &scgWindow
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m, err := core.NewSCG(w.c, w.mon, scgConfig)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.Recommend(w.now-sim.Time(scgPeriod), w.managed); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := m.Recommend(w.now, w.managed); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

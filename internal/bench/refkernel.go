@@ -1,11 +1,11 @@
-// Package bench is the kernel hot-path micro-benchmark suite behind
-// `sorabench -bench-json` and the BENCH_kernel.json artifact. It holds
-// the benchmark workloads (event-loop churn, a closed-loop-shaped event
-// queue, timer reset/cancel churn, PS-server submit churn, a Social
-// Network end-to-end run), the reference implementation they are
-// compared against, and the JSON report format that records the
-// events/s, ns/op and allocs/op trajectory across PRs (see
-// EXPERIMENTS.md for the recording recipe).
+// Package bench is the hot-path micro-benchmark suite of the regression
+// sentinel (`sorabench -baseline`, which gates its allocs/op and
+// events/s against BASELINE.json) and of the benchmark/ module's probes.
+// It holds the benchmark workloads (event-loop churn, timer
+// reset/cancel churn, PS-server submit churn, a Social Network
+// end-to-end run with and without the flight recorder, sketch inserts)
+// and the reference kernel they are compared against. The speed record
+// is benchmark/ plus scripts/abpair.sh (see EXPERIMENTS.md).
 package bench
 
 import (
@@ -15,9 +15,9 @@ import (
 
 // RefKernel is the container/heap event queue the simulation kernel used
 // before the inlined 4-ary heaps, frozen verbatim. It exists for two
-// jobs: the `containerheap` twins of the event-loop benchmark entries
-// (so every BENCH_kernel.json records the before/after pair on the same
-// machine), and the ordering oracle for the heap-order test and
+// jobs: the `containerheap` twins of the event-loop benchmarks (the
+// same-machine reference of the benchmark's sim.ref_ratio), and the
+// ordering oracle for the heap-order test and
 // FuzzKernelOrder in internal/sim — the split-horizon kernel must pop
 // timers in exactly the (at, seq) order this single heap does, at any
 // near/far partition.

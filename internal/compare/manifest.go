@@ -22,6 +22,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"sora/internal/telemetry"
 )
 
 // ManifestSchema identifies the manifest encoding; bump on any
@@ -151,6 +153,21 @@ func DigestFiles(dir string, files []string) ([]Artifact, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
+}
+
+// ManifestCounters turns a recorder's counter totals into a manifest's
+// closing counters, in the recorder's deterministic walk order.
+// Histogram buckets live in the .metrics.prom artifact (and its
+// digest); repeating hundreds of them here would bury the closing
+// totals the manifest exists to surface.
+func ManifestCounters(rec *telemetry.Recorder) []KV {
+	var out []KV
+	for _, m := range rec.CounterTotals() {
+		if !strings.Contains(m.Name, "_bucket{") {
+			out = append(out, Num(m.Name, m.Value))
+		}
+	}
+	return out
 }
 
 // BuildManifest assembles a manifest for a finished run: params are

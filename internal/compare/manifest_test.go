@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"sora/internal/telemetry"
 )
 
 // TestParseManifestRejectsNonLocalArtifacts: Verify and LoadSide join
@@ -106,4 +108,19 @@ func FuzzParseManifest(f *testing.F) {
 			t.Fatal("encoding is not stable")
 		}
 	})
+}
+
+// TestManifestCountersDropBuckets: a manifest carries the recorder's
+// closing totals in walk order, without the histogram buckets the
+// .metrics.prom artifact already holds.
+func TestManifestCountersDropBuckets(t *testing.T) {
+	rec := telemetry.NewRecorder("run")
+	rec.AddCounter("sora_requests_total", 3)
+	rec.AddCounter(`sora_phase_ms_bucket{service="a",phase="cpu",le="1"}`, 2)
+	rec.AddCounter("sora_phase_ms_count", 2)
+	got := ManifestCounters(rec)
+	want := []KV{Num("sora_requests_total", 3), Num("sora_phase_ms_count", 2)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ManifestCounters = %v, want %v", got, want)
+	}
 }

@@ -44,13 +44,9 @@ func TestChaosManifestEquivalence(t *testing.T) {
 		if err := os.WriteFile(tlPath, []byte(tl.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var counters []compare.KV
-		for _, m := range rec.CounterTotals() {
-			counters = append(counters, compare.Num(m.Name, m.Value))
-		}
 		m, err := compare.BuildManifest(dir, "chaos-test", "sorabench", int64(p.Seed),
 			[]compare.KV{compare.Str("exp", "chaos"), compare.Str("plan", "clamp")},
-			counters,
+			compare.ManifestCounters(rec),
 			[]string{
 				"chaos-test.events.jsonl", "chaos-test.metrics.prom",
 				"chaos-test.trace.json", "chaos-test.timeline.jsonl",

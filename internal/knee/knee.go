@@ -24,12 +24,23 @@ var (
 	ErrTooFewPoints = errors.New("knee: need at least 5 distinct x values")
 )
 
+// sensitivity is Kneedle's S parameter: larger values demand a more
+// pronounced flattening before declaring a knee. 1.0 is the paper's.
+const sensitivity = 1.0
+
+// The smoothing degrees FindAuto tries, low to high: the paper's range.
+const (
+	minDegree = 5
+	maxDegree = 8
+)
+
+// maxRMSEFraction is FindAuto's underfit guard: a degree whose smoothed
+// curve deviates from the raw data by more than this fraction of the
+// data's range is rejected.
+const maxRMSEFraction = 0.25
+
 // Options configures knee detection.
 type Options struct {
-	// Sensitivity is Kneedle's S parameter: larger values demand a more
-	// pronounced flattening before declaring a knee. Zero selects the
-	// paper's default of 1.0.
-	Sensitivity float64
 	// Degree is the smoothing-polynomial degree. Zero disables smoothing
 	// (the raw curve is used, which only works on clean data). The Sora
 	// paper reports degrees 5-8 fit 1-minute profiles well.
@@ -60,11 +71,6 @@ func Find(x, y []float64, opts Options) (Result, error) {
 	xs, ys := dedupe(x, y)
 	if len(xs) < 5 {
 		return Result{}, fmt.Errorf("%w, have %d", ErrTooFewPoints, len(xs))
-	}
-
-	s := opts.Sensitivity
-	if s <= 0 {
-		s = 1.0
 	}
 
 	// Smooth: fit a polynomial and resample it at the observed x values.
@@ -127,7 +133,7 @@ func Find(x, y []float64, opts Options) (Result, error) {
 	// early-reset rule). Candidates are examined in x order; the first
 	// confirmed one wins.
 	for ci, i := range lmx {
-		threshold := diff[i] - s*meanDx
+		threshold := diff[i] - sensitivity*meanDx
 		end := len(diff)
 		if ci+1 < len(lmx) {
 			end = lmx[ci+1]
@@ -151,7 +157,7 @@ func Find(x, y []float64, opts Options) (Result, error) {
 					break
 				}
 			}
-			if flattening && diff[i]-diff[len(diff)-1] >= s*meanDx/2 {
+			if flattening && diff[i]-diff[len(diff)-1] >= sensitivity*meanDx/2 {
 				return Result{X: px[i], Y: py[i], Index: i, Degree: opts.Degree}, nil
 			}
 		}
@@ -159,41 +165,18 @@ func Find(x, y []float64, opts Options) (Result, error) {
 	return peak, nil
 }
 
-// AutoOptions configures FindAuto's incremental degree search.
-type AutoOptions struct {
-	// MinDegree and MaxDegree bound the smoothing degrees tried, low to
-	// high. Zero values select the paper's range of 5..8.
-	MinDegree int
-	MaxDegree int
-	// Sensitivity is passed through to Find.
-	Sensitivity float64
-	// MaxRMSEFraction rejects a degree whose smoothed curve deviates from
-	// the raw data by more than this fraction of the data's range
-	// (guarding against underfit). Zero selects 0.25.
-	MaxRMSEFraction float64
-}
+// AutoOptions is FindAuto's option set. It is empty: every caller used
+// the paper's degree range, sensitivity and underfit guard, so those are
+// constants now. The type stays only because the benchmark module's
+// probes name it; it goes when that module next changes.
+type AutoOptions struct{}
 
 // FindAuto implements the paper's incremental tuning strategy: it tries
 // smoothing degrees from low to high and returns the first degree that
 // yields a valid (non-fallback) knee whose fit matches the profiling data.
 // If no degree produces a confirmed knee, the lowest-degree fallback (the
 // curve maximum) is returned with Fallback set.
-func FindAuto(x, y []float64, opts AutoOptions) (Result, error) {
-	minDeg, maxDeg := opts.MinDegree, opts.MaxDegree
-	if minDeg <= 0 {
-		minDeg = 5
-	}
-	if maxDeg <= 0 {
-		maxDeg = 8
-	}
-	if maxDeg < minDeg {
-		maxDeg = minDeg
-	}
-	maxFrac := opts.MaxRMSEFraction
-	if maxFrac <= 0 {
-		maxFrac = 0.25
-	}
-
+func FindAuto(x, y []float64, _ AutoOptions) (Result, error) {
 	xs, ys := dedupe(x, y)
 	if len(xs) < 5 {
 		return Result{}, fmt.Errorf("%w, have %d", ErrTooFewPoints, len(xs))
@@ -202,11 +185,11 @@ func FindAuto(x, y []float64, opts AutoOptions) (Result, error) {
 
 	var firstErr error
 	var fallback *Result
-	for deg := minDeg; deg <= maxDeg; deg++ {
+	for deg := minDegree; deg <= maxDegree; deg++ {
 		if len(xs) < deg+1 {
 			break // not enough points for higher degrees
 		}
-		res, err := Find(xs, ys, Options{Sensitivity: opts.Sensitivity, Degree: deg})
+		res, err := Find(xs, ys, Options{Degree: deg})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -216,7 +199,7 @@ func FindAuto(x, y []float64, opts AutoOptions) (Result, error) {
 		// Check the smoothed curve actually matches the profiling data.
 		if yRange > 0 {
 			p, err := stats.PolyFit(xs, ys, deg)
-			if err == nil && stats.FitRMSE(p, xs, ys) > maxFrac*yRange {
+			if err == nil && stats.FitRMSE(p, xs, ys) > maxRMSEFraction*yRange {
 				continue
 			}
 		}
@@ -235,7 +218,7 @@ func FindAuto(x, y []float64, opts AutoOptions) (Result, error) {
 		return Result{}, firstErr
 	}
 	// Degrees all underfit: retry without the RMSE guard at min degree.
-	return Find(xs, ys, Options{Sensitivity: opts.Sensitivity, Degree: minDeg})
+	return Find(xs, ys, Options{Degree: minDegree})
 }
 
 // FindPlateauEnd locates the *end* of the curve's peak plateau: the

@@ -202,18 +202,6 @@ func TestFindAutoTooFewPoints(t *testing.T) {
 	}
 }
 
-func TestFindAutoDegreeBoundsNormalised(t *testing.T) {
-	xs := stats.Linspace(1, 40, 80)
-	ys := goodputShape(xs, 15, 1000)
-	res, err := FindAuto(xs, ys, AutoOptions{MinDegree: 6, MaxDegree: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degree != 6 {
-		t.Errorf("degree = %d, want clamped to 6", res.Degree)
-	}
-}
-
 // Property: the returned knee always lies within the x range of the input.
 func TestQuickKneeInRange(t *testing.T) {
 	f := func(seed uint32, kRaw uint8) bool {

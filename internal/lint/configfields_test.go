@@ -29,6 +29,8 @@ var configTypes = []string{
 	"core.ManagedResource",
 	"core.SCGConfig",
 	"core.UnifiedConfig",
+	"knee.AutoOptions",
+	"knee.Options",
 	"node.Config",
 	"topology.SocialNetworkConfig",
 	"topology.SockShopConfig",

@@ -18,9 +18,7 @@ import (
 // Timestamps are nanoseconds of virtual time: the latency-attribution
 // profiler requires an exported archive to reproduce the in-process
 // blame profile bit-for-bit, so the archive must not round the kernel's
-// native resolution. Archives written by the earlier microsecond format
-// (*_us fields) are still importable; Export always writes the
-// nanosecond form.
+// native resolution.
 
 // SpanRecord is the serialized form of one span.
 type SpanRecord struct {
@@ -39,13 +37,6 @@ type SpanRecord struct {
 	Degraded  bool         `json:"degraded,omitempty"`
 	Abandoned bool         `json:"abandoned,omitempty"`
 	Children  []SpanRecord `json:"children,omitempty"`
-
-	// Legacy microsecond fields: read by ImportAll for archives produced
-	// before the nanosecond format, never written by Export.
-	ArrivalUs int64 `json:"arrival_us,omitempty"`
-	StartUs   int64 `json:"start_us,omitempty"`
-	EndUs     int64 `json:"end_us,omitempty"`
-	BlockedUs int64 `json:"blocked_us,omitempty"`
 }
 
 // TraceRecord is the serialized form of one trace.
@@ -77,13 +68,6 @@ func toRecord(s *Span, names *Names) SpanRecord {
 		rec.Children = append(rec.Children, toRecord(c, names))
 	}
 	return rec
-}
-
-// legacy reports whether the record was written by the microsecond
-// format: no nanosecond timestamps but at least one microsecond field.
-func (rec *SpanRecord) legacy() bool {
-	return rec.ArrivalNs == 0 && rec.StartNs == 0 && rec.EndNs == 0 &&
-		(rec.ArrivalUs != 0 || rec.StartUs != 0 || rec.EndUs != 0)
 }
 
 // fromRecord rebuilds the span tree of rec, stamping each span with its
@@ -119,12 +103,6 @@ func fromRecord(rec SpanRecord, names *Names, pods map[string]int32) (*Span, err
 		pod = id
 	}
 	s.SetIDs(names.service(rec.Service), pod)
-	if rec.legacy() {
-		s.Arrival = time.Duration(rec.ArrivalUs) * time.Microsecond
-		s.Start = time.Duration(rec.StartUs) * time.Microsecond
-		s.End = time.Duration(rec.EndUs) * time.Microsecond
-		s.Blocked = time.Duration(rec.BlockedUs) * time.Microsecond
-	}
 	for _, c := range rec.Children {
 		child, err := fromRecord(c, names, pods)
 		if err != nil {

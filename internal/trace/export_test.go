@@ -290,28 +290,6 @@ func TestExportRoundTripsResilienceMarkers(t *testing.T) {
 	}
 }
 
-func TestImportLegacyMicrosecondArchive(t *testing.T) {
-	// Archives written before the nanosecond format carry *_us fields;
-	// ImportAll must still understand them.
-	legacy := `{"id":3,"type":"getCart","root":{"service":"front-end","depth":0,` +
-		`"arrival_us":0,"start_us":1000,"end_us":100000,"blocked_us":80000,` +
-		`"children":[{"service":"cart","depth":1,"arrival_us":5000,"start_us":8000,"end_us":85000}]}}`
-	got, err := importOne(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ResponseTime() != 100*time.Millisecond {
-		t.Errorf("legacy response time = %v, want 100ms", got.ResponseTime())
-	}
-	if got.Root.Blocked != 80*time.Millisecond {
-		t.Errorf("legacy blocked = %v, want 80ms", got.Root.Blocked)
-	}
-	cart := got.FindSpan("cart")
-	if cart == nil || cart.Arrival != 5*time.Millisecond {
-		t.Errorf("legacy child timestamps wrong: %+v", cart)
-	}
-}
-
 // importOne decodes a single-record archive through ImportAll.
 func importOne(r io.Reader) (*Trace, error) {
 	traces, err := ImportAll(r)

@@ -1,8 +1,8 @@
 #!/bin/sh
 # lintstat.sh — run soravet over the module and append a one-line JSON
 # scan summary (files scanned, findings per check, suppression count,
-# wall ms) so lint coverage and cost stay visible in the PR trajectory
-# alongside BENCH_kernel.json. verify.sh runs this as its soravet step;
+# wall ms) so lint coverage and cost stay visible in the verify log.
+# verify.sh runs this as its soravet step;
 # the exit code is soravet's (1 on findings, 2 on errors), so the gate
 # is unchanged — the summary line is purely additive.
 #

@@ -16,9 +16,6 @@
 # After a deliberate behavior change, refresh the baseline with
 #   go run ./cmd/sorabench -baseline BASELINE.json -baseline-update
 # and commit the diff — the review of that diff IS the regression review.
-#
-# SORABENCH can point at a pre-built binary to skip the go build
-# (verify.sh does this so its bench and regress steps share one build).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -29,11 +26,7 @@ if [ "${1:-}" = "-quick" ]; then
 fi
 BASELINE="${1:-BASELINE.json}"
 
-if [ -z "${SORABENCH:-}" ]; then
-	BIN_DIR="$(mktemp -d)"
-	trap 'rm -rf "$BIN_DIR"' EXIT
-	SORABENCH="$BIN_DIR/sorabench"
-	go build -o "$SORABENCH" ./cmd/sorabench
-fi
-
-"$SORABENCH" -baseline "$BASELINE" $QUICK
+BIN_DIR="$(mktemp -d)"
+trap 'rm -rf "$BIN_DIR"' EXIT
+go build -o "$BIN_DIR/sorabench" ./cmd/sorabench
+"$BIN_DIR/sorabench" -baseline "$BASELINE" $QUICK

@@ -22,11 +22,12 @@
 # benchmark module gets its own vet and test step. The soravet step
 # runs through scripts/lintstat.sh, which appends a one-line JSON scan
 # summary (files, findings per check, suppressions, wall ms) to the
-# output. The final smoke steps share one sorabench build: the kernel
-# bench suite in quick mode and the regression sentinel
-# (scripts/regress.sh -quick), which checks the deterministic
-# goodput/p99 metrics of a pinned chaos-scenario suite against the
-# checked-in BASELINE.json.
+# output. internal/bench's TestRunMatchesBaseline (in both test steps)
+# runs the sentinel's micro-benchmark suite once per benchmark and
+# checks it produces exactly the benchmarks BASELINE.json gates. The
+# final step is the regression sentinel (scripts/regress.sh -quick),
+# which checks the deterministic goodput/p99 metrics of a pinned
+# chaos-scenario suite against the checked-in BASELINE.json.
 set -eu
 cd "$(dirname "$0")"
 
@@ -61,18 +62,7 @@ go -C benchmark test .
 echo "== go test -race (concurrent packages)"
 go test -race -short ./internal/experiment ./internal/sim ./internal/telemetry ./internal/profile ./internal/cluster ./internal/trace ./internal/fault ./internal/metrics ./internal/stats ./internal/compare ./internal/lint ./internal/node ./internal/bench
 
-# The bench smoke and the regression sentinel both run sorabench; build
-# it once and share the binary instead of paying two `go run` compiles.
-echo "== build sorabench (shared by the smoke steps)"
-SORABENCH_DIR="$(mktemp -d)"
-trap 'rm -rf "$SORABENCH_DIR"' EXIT
-SORABENCH="$SORABENCH_DIR/sorabench"
-go build -o "$SORABENCH" ./cmd/sorabench
-
-echo "== bench smoke (compile + one quick iteration, not timing-gated)"
-"$SORABENCH" -bench-json "$SORABENCH_DIR/bench.json" -bench-quick
-
 echo "== regression sentinel (quick: deterministic sim metrics vs BASELINE.json)"
-SORABENCH="$SORABENCH" sh scripts/regress.sh -quick BASELINE.json
+sh scripts/regress.sh -quick BASELINE.json
 
 echo "verify: OK"
