@@ -452,11 +452,7 @@ func (in *Instance) visitDone() {
 	in.active--
 	in.meta.completed++
 	for len(in.queue) > 0 && in.hasThreadCapacity() {
-		next := in.queue[0]
-		copy(in.queue, in.queue[1:])
-		in.queue[len(in.queue)-1] = nil
-		in.queue = in.queue[:len(in.queue)-1]
-		in.admit(next)
+		in.admit(popFront(&in.queue))
 	}
 	if in.draining && in.idle() {
 		in.svc.reap()
@@ -468,11 +464,7 @@ func (in *Instance) visitDone() {
 func (in *Instance) setThreadCap(n int) {
 	in.threadCap = n
 	for len(in.queue) > 0 && in.hasThreadCapacity() {
-		next := in.queue[0]
-		copy(in.queue, in.queue[1:])
-		in.queue[len(in.queue)-1] = nil
-		in.queue = in.queue[:len(in.queue)-1]
-		in.admit(next)
+		in.admit(popFront(&in.queue))
 	}
 }
 
@@ -496,10 +488,7 @@ func (p *pool) acquire(cont func()) {
 func (p *pool) release() {
 	p.active--
 	if len(p.waiting) > 0 && (p.cap == 0 || p.active < p.cap) {
-		next := p.waiting[0]
-		copy(p.waiting, p.waiting[1:])
-		p.waiting[len(p.waiting)-1] = nil
-		p.waiting = p.waiting[:len(p.waiting)-1]
+		next := popFront(&p.waiting)
 		p.active++
 		next()
 	}
@@ -509,13 +498,24 @@ func (p *pool) release() {
 func (p *pool) setCap(n int) {
 	p.cap = n
 	for len(p.waiting) > 0 && (p.cap == 0 || p.active < p.cap) {
-		next := p.waiting[0]
-		copy(p.waiting, p.waiting[1:])
-		p.waiting[len(p.waiting)-1] = nil
-		p.waiting = p.waiting[:len(p.waiting)-1]
+		next := popFront(&p.waiting)
 		p.active++
 		next()
 	}
+}
+
+// popFront removes and returns the first element of the FIFO *q. The
+// rest shift down in order, and the vacated last slot is cleared so the
+// backing array, whose capacity the queue keeps, holds no stale
+// reference.
+func popFront[T any](q *[]T) T {
+	s := *q
+	v := s[0]
+	copy(s, s[1:])
+	var zero T
+	s[len(s)-1] = zero
+	*q = s[:len(s)-1]
+	return v
 }
 
 // releaseSlots frees one downstream call's connection slots: the

@@ -2,14 +2,14 @@ package metrics
 
 import "sort"
 
-// blockSize is the record count of one retention-log block. A
-// CompletionLog entry and a Point are both 16 B, so a block is 16 KiB,
-// under the runtime's 32 KiB large-object threshold: a block is an
-// ordinary size-classed allocation rather than a fresh, zeroed large
-// span. A power of two keeps the index split a shift and a mask.
+// blockSize is the record count of one Series block. A Point is 16 B,
+// so a block is 16 KiB, under the runtime's 32 KiB large-object
+// threshold: a block is an ordinary size-classed allocation rather than
+// a fresh, zeroed large span. A power of two keeps the index split a
+// shift and a mask.
 const blockSize = 1024
 
-// blockLog is the storage behind CompletionLog and Series: records in
+// blockLog is the storage behind Series: records in
 // append order, held in fixed-size blocks. An append writes into the
 // tail block and never moves a record. Dropping a prefix advances head
 // and retires whole dead blocks to a free list; the survivors are never
@@ -65,10 +65,10 @@ func (l *blockLog[T]) grow() {
 		l.free[k] = nil
 		l.free = l.free[:k]
 	} else {
-		b = new([blockSize]T) //soravet:allow hotpath block refill on a free-list miss: once per blockSize appends, and only while the log is growing past its largest live size
+		b = new([blockSize]T)
 	}
 	l.tail = b
-	l.blocks = append(l.blocks, b) //soravet:allow hotpath block directory append: the directory keeps its capacity across drops, so it grows only with the live block count
+	l.blocks = append(l.blocks, b)
 }
 
 // drop discards the k oldest records.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand/v2"
@@ -145,6 +146,52 @@ func checkBlocks[T any](t *testing.T, l *blockLog[T]) {
 	}
 }
 
+// checkCoded asserts the coded log's layout invariants.
+func checkCoded(t *testing.T, l *codedLog) {
+	t.Helper()
+	if l.n == 0 {
+		if len(l.blocks) != 0 || l.head != (codedPos{}) || l.tail != nil {
+			t.Fatalf("empty log keeps %d blocks, head %+v, tail %p", len(l.blocks), l.head, l.tail)
+		}
+		return
+	}
+	entries := -l.head.e
+	for i, b := range l.blocks {
+		if b.n <= 0 || b.used > codedBlockBytes || i > 0 && (b.start != l.blocks[i-1].start+int(l.blocks[i-1].n) || b.first < l.blocks[i-1].first) {
+			t.Fatalf("block %d of %d: n=%d used=%d start=%d first=%v", i, len(l.blocks), b.n, b.used, b.start, b.first)
+		}
+		entries += int(b.n)
+	}
+	if l.head.b != 0 || l.head.e < 0 || l.head.e >= int(l.blocks[0].n) || entries != l.n {
+		t.Fatalf("layout: head %+v, n=%d, blocks hold %d live", l.head, l.n, entries)
+	}
+	if len(l.free) > len(l.blocks) {
+		t.Fatalf("free list %d blocks exceeds the %d live", len(l.free), len(l.blocks))
+	}
+	if l.tail != &l.blocks[len(l.blocks)-1] {
+		t.Fatalf("cached tail is not the last of %d blocks", len(l.blocks))
+	}
+}
+
+// checkHead asserts that the coded log's head is the place decoding
+// block 0 from its start reaches after head.e entries. Only Prune and
+// the first append to an empty log move the head.
+func checkHead(t *testing.T, l *codedLog) {
+	t.Helper()
+	if l.n == 0 {
+		return
+	}
+	want := codedPos{at: l.blocks[0].first}
+	for ; want.e < l.head.e; want.e++ {
+		h := l.blocks[0].buf[want.p]
+		want.at += sim.Time(binary.LittleEndian.Uint64(l.blocks[0].buf[want.p+1:]) & codeValue[h&codeMask])
+		want.p += int(entryBytes[h])
+	}
+	if l.head != want {
+		t.Fatalf("head %+v, decoding block 0 reaches %+v", l.head, want)
+	}
+}
+
 // sameFloats compares exactly, NaN equal to NaN.
 func sameFloats(a, b []float64) bool {
 	if len(a) != len(b) || (a == nil) != (b == nil) {
@@ -194,6 +241,7 @@ func TestBlockLogMatchesSliceReference(t *testing.T) {
 				series.Prune(cut)
 				rl.prune(cut)
 				rs.prune(cut)
+				checkHead(t, &log.completions)
 				if len(rl.cs) == 0 {
 					drains++
 				}
@@ -252,7 +300,7 @@ func TestBlockLogMatchesSliceReference(t *testing.T) {
 			if n := len(rs.pts); ok != (n > 0) || ok && last != rs.pts[n-1] {
 				t.Fatalf("seed %d step %d: Last = %+v, %v", seed, step, last, ok)
 			}
-			checkBlocks(t, &log.completions)
+			checkCoded(t, &log.completions)
 			checkBlocks(t, &series.pts)
 			spread = max(spread, len(log.completions.blocks))
 		}
@@ -306,10 +354,14 @@ func TestSeriesBoundMemory(t *testing.T) {
 // TestCompletionLogRecycledAllocFree pins the retention logs' steady
 // state: once a log has retired a block and taken it back from its free
 // list, appends plus retention prunes allocate nothing. Each measured
-// run crosses four block boundaries, so a single refill allocation
-// shows.
+// run crosses four block boundaries of both logs, so a single refill
+// allocation shows.
 func TestCompletionLogRecycledAllocFree(t *testing.T) {
 	const retention = 3000
+	// A 1 ms gap and a 1 ms response time code in 3 B each, so a
+	// completion entry is 7 B; a block spans the larger of the two
+	// logs' block lengths.
+	span := max(blockSize, codedBlockBytes/7)
 	var l CompletionLog
 	var s Series
 	i := 0
@@ -322,16 +374,70 @@ func TestCompletionLogRecycledAllocFree(t *testing.T) {
 	}
 	// By the end of the warm-up the first two blocks have been retired
 	// and one of them has come back as the tail.
-	for i < retention+2*blockSize {
+	for i < retention+2*span {
 		step()
 	}
 	allocs := testing.AllocsPerRun(1, func() {
-		for j := 0; j < 4*blockSize; j++ {
+		for j := 0; j < 4*span; j++ {
 			step()
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("AddFlagged+Prune on a recycling log allocated %v times per %d records, want 0", allocs, 4*blockSize)
+		t.Fatalf("AddFlagged+Prune on a recycling log allocated %v times per %d records, want 0", allocs, 4*span)
+	}
+}
+
+// TestCompletionLogReadAllocFree pins the read side: Counts and
+// CountsByOutcome decode a window spanning several blocks into a buffer
+// on their own stack, so they allocate nothing.
+func TestCompletionLogReadAllocFree(t *testing.T) {
+	var l CompletionLog
+	for i := range 5000 {
+		l.AddFlagged(ms(i), time.Duration(i%97)*time.Millisecond, i%50 == 0)
+	}
+	if len(l.completions.blocks) < 4 {
+		t.Fatalf("log spans %d blocks, want at least 4", len(l.completions.blocks))
+	}
+	since, until := ms(100), ms(4900)
+	if g, b := l.Counts(since, until, time.Hour); g+b != 4800 {
+		t.Fatalf("window holds %d completions, want 4800", g+b)
+	}
+	var good, degraded int
+	allocs := testing.AllocsPerRun(10, func() {
+		good, _ = l.Counts(since, until, 50*time.Millisecond)
+		_, degraded, _ = l.CountsByOutcome(since, until, 50*time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Fatalf("Counts+CountsByOutcome over %d blocks allocated %v times, want 0", len(l.completions.blocks), allocs)
+	}
+	if good == 0 || degraded != 96 {
+		t.Fatalf("Counts found %d good and %d degraded, want some good and 96 degraded", good, degraded)
+	}
+}
+
+// TestCompletionLogBytesPerEntry pins the stored size of a steady-state
+// completion log, as TestSocialStreamSize pins the trace stream's: gaps
+// and response times of 0.1–10 ms with one completion in 50 degraded
+// must code in at most 8 B an entry, half the 16 B of the two-word
+// entries the coded stream replaced.
+func TestCompletionLogBytesPerEntry(t *testing.T) {
+	const entries = 100_000
+	rng := rand.New(rand.NewPCG(7, 30))
+	between := func() time.Duration { return time.Duration(100_000 + rng.Int64N(9_900_000)) }
+	var l CompletionLog
+	var now sim.Time
+	for range entries {
+		now += between()
+		l.AddFlagged(now, between(), rng.IntN(50) == 0)
+	}
+	used := 0
+	for _, b := range l.completions.blocks {
+		used += int(b.used)
+	}
+	perEntry := float64(used) / entries
+	t.Logf("%d entries in %d blocks, %d B: %.2f B an entry", entries, len(l.completions.blocks), used, perEntry)
+	if perEntry > 8 {
+		t.Fatalf("a steady completion takes %.2f B in the log, over the budget of 8 B", perEntry)
 	}
 }
 

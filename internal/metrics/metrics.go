@@ -115,12 +115,12 @@ type Completion struct {
 // counters) lets the SCG model re-derive goodput against any propagated
 // deadline after the fact — the crux of threshold-sensitive estimation.
 type CompletionLog struct {
-	completions blockLog[completion]
+	completions codedLog
 }
 
-// completion is the 16-B form a CompletionLog stores a Completion in:
-// rt holds RT for a full response and ^RT, which is negative, for a
-// degraded one, so the flag costs no third word.
+// completion is the form a CompletionLog's readers decode an entry
+// into: rt holds RT for a full response and ^RT, which is negative, for
+// a degraded one. The log stores entries delta-coded (see codedLog).
 type completion struct {
 	at sim.Time
 	rt time.Duration
@@ -150,16 +150,13 @@ func (l *CompletionLog) Add(at sim.Time, rt time.Duration) {
 //
 //soravet:hotpath TestCompletionLogRecycledAllocFree every completed request lands here; once the log has recycled a block, AddFlagged plus retention Prune allocate nothing
 func (l *CompletionLog) AddFlagged(at sim.Time, rt time.Duration, degraded bool) {
-	if last, ok := l.completions.last(); ok && at < last.at {
-		panic(fmt.Sprintf("metrics: out-of-order completion at %v after %v", at, last.at))
+	if l.completions.n > 0 && at < l.completions.newest {
+		panic(fmt.Sprintf("metrics: out-of-order completion at %v after %v", at, l.completions.newest))
 	}
 	if rt < 0 {
 		panic(fmt.Sprintf("metrics: negative response time %v at %v", rt, at))
 	}
-	if degraded {
-		rt = ^rt
-	}
-	l.completions.push(completion{at: at, rt: rt})
+	l.completions.push(at, rt, degraded)
 }
 
 // Len returns the number of recorded completions.
@@ -167,21 +164,22 @@ func (l *CompletionLog) Len() int { return l.completions.n }
 
 // Prune discards completions older than the cutoff.
 func (l *CompletionLog) Prune(before sim.Time) {
-	l.completions.drop(l.lowerBound(before))
+	l.completions.drop(l.completions.lowerBound(before))
 }
 
 // Window returns completions with At in [since, until).
 func (l *CompletionLog) Window(since, until sim.Time) []Completion {
-	lo, hi := l.span(since, until)
-	if lo >= hi {
+	var r codedReader
+	n := r.seek(&l.completions, since, until)
+	if n == 0 {
 		return nil
 	}
-	out := make([]Completion, 0, hi-lo)
-	l.completions.each(lo, hi, func(run []completion) {
+	out := make([]Completion, 0, n)
+	for run := r.next(); len(run) > 0; run = r.next() {
 		for _, c := range run {
 			out = append(out, Completion{At: c.at, RT: c.responseTime(), Degraded: c.rt < 0})
 		}
-	})
+	}
 	return out
 }
 
@@ -190,15 +188,16 @@ func (l *CompletionLog) Window(since, until sim.Time) []Completion {
 // badput whatever their latency: a fast partial answer does not meet
 // the SLA.
 func (l *CompletionLog) Counts(since, until sim.Time, threshold time.Duration) (good, bad int) {
-	lo, hi := l.span(since, until)
-	l.completions.each(lo, hi, func(run []completion) {
+	var r codedReader
+	n := r.seek(&l.completions, since, until)
+	for run := r.next(); len(run) > 0; run = r.next() {
 		for _, c := range run {
 			if c.good(threshold) {
 				good++
 			}
 		}
-	})
-	return good, hi - lo - good
+	}
+	return good, n - good
 }
 
 // CountsByOutcome splits the completions of [since, until) three ways
@@ -206,8 +205,9 @@ func (l *CompletionLog) Counts(since, until sim.Time, threshold time.Duration) (
 // (partial response, any latency), violated (full response over the
 // SLA). The chaos experiments report these fractions per fault window.
 func (l *CompletionLog) CountsByOutcome(since, until sim.Time, threshold time.Duration) (good, degraded, violated int) {
-	lo, hi := l.span(since, until)
-	l.completions.each(lo, hi, func(run []completion) {
+	var r codedReader
+	r.seek(&l.completions, since, until)
+	for run := r.next(); len(run) > 0; run = r.next() {
 		for _, c := range run {
 			switch {
 			case c.rt < 0:
@@ -218,7 +218,7 @@ func (l *CompletionLog) CountsByOutcome(since, until sim.Time, threshold time.Du
 				violated++
 			}
 		}
-	})
+	}
 	return good, degraded, violated
 }
 
@@ -253,8 +253,9 @@ func (l *CompletionLog) BucketRates(since, until sim.Time, bucket time.Duration,
 	goodput = make([]float64, n)
 	throughput = make([]float64, n)
 	perBucket := bucket.Seconds()
-	lo, hi := l.span(since, until)
-	l.completions.each(lo, hi, func(run []completion) {
+	var r codedReader
+	r.seek(&l.completions, since, until)
+	for run := r.next(); len(run) > 0; run = r.next() {
 		for _, c := range run {
 			idx := int((c.at - since) / bucket)
 			if idx < 0 || idx >= n {
@@ -265,7 +266,7 @@ func (l *CompletionLog) BucketRates(since, until sim.Time, bucket time.Duration,
 				goodput[idx]++
 			}
 		}
-	})
+	}
 	for i := range goodput {
 		goodput[i] /= perBucket
 		throughput[i] /= perBucket
@@ -276,13 +277,13 @@ func (l *CompletionLog) BucketRates(since, until sim.Time, bucket time.Duration,
 // ResponseTimes returns the response times of completions in [since, until)
 // as float64 milliseconds (the unit used throughout the paper's figures).
 func (l *CompletionLog) ResponseTimes(since, until sim.Time) []float64 {
-	lo, hi := l.span(since, until)
-	out := make([]float64, 0, hi-lo)
-	l.completions.each(lo, hi, func(run []completion) {
+	var r codedReader
+	out := make([]float64, 0, r.seek(&l.completions, since, until))
+	for run := r.next(); len(run) > 0; run = r.next() {
 		for _, c := range run {
 			out = append(out, float64(c.responseTime())/float64(time.Millisecond))
 		}
-	})
+	}
 	return out
 }
 
@@ -294,17 +295,6 @@ func (l *CompletionLog) Percentile(p float64, since, until sim.Time) (time.Durat
 		return 0, fmt.Errorf("metrics: percentile: %w", err)
 	}
 	return time.Duration(ms * float64(time.Millisecond)), nil
-}
-
-func (l *CompletionLog) lowerBound(t sim.Time) int {
-	return l.completions.search(func(c completion) bool { return c.at >= t })
-}
-
-// span returns the index range of the completions with At in
-// [since, until); an inverted window is empty.
-func (l *CompletionLog) span(since, until sim.Time) (lo, hi int) {
-	lo = l.lowerBound(since)
-	return lo, max(lo, l.lowerBound(until))
 }
 
 // Histogram is a fixed-bin latency histogram, used to regenerate the
