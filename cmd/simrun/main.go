@@ -212,7 +212,7 @@ func simulate(args []string, w io.Writer) (*scenario.Rig, error) {
 	}
 	var archived []*trace.Trace
 	if *archive != "" {
-		r.C.OnComplete(func(tr *trace.Trace) { archived = append(archived, tr) })
+		r.C.OnComplete(func(tr *trace.Trace) { archived = append(archived, tr.Retain()) })
 	}
 	start := time.Now() //soravet:allow wallclock CLI reports real elapsed wall time alongside virtual-time results
 	r.Run()

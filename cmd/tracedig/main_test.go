@@ -24,7 +24,7 @@ func simulate(t *testing.T, seed uint64, n int) []*trace.Trace {
 		t.Fatal(err)
 	}
 	var traces []*trace.Trace
-	c.OnComplete(func(tr *trace.Trace) { traces = append(traces, tr) })
+	c.OnComplete(func(tr *trace.Trace) { traces = append(traces, tr.Retain()) })
 	for i := 0; i < n; i++ {
 		k.Schedule(time.Duration(i/4)*time.Millisecond, c.SubmitMix)
 	}

@@ -251,7 +251,7 @@ func (s *HPAScaler) Step(now sim.Time) bool {
 		s.hasLow = false
 		return false
 	}
-	desired := int(float64(current)*ratio + 0.999999) // ceil
+	desired := int(float64(float64(current)*ratio) + 0.999999) // ceil
 	if desired < hpaMinReplicas {
 		desired = hpaMinReplicas
 	}

@@ -221,16 +221,11 @@ type Cluster struct {
 
 	// Request-path scratch pools. visitFree recycles visit structs (the
 	// per-span execution state) and spanFree the spans of settled
-	// traces, each with its child list's capacity, once their traces
-	// are compacted (see rootCall.done). recScratch is the buffer a
-	// trace is encoded into before its stream is copied onto the end of
-	// recChunk, the append-only byte chunk settled traces share (see
-	// trace.Trace.Compact).
-	visitFree  []*visit
-	rootFree   []*rootCall
-	spanFree   []*trace.Span
-	recScratch []byte
-	recChunk   []byte
+	// traces, each with its child list's capacity, once the warehouse
+	// has stored their traces (see rootCall.done).
+	visitFree []*visit
+	rootFree  []*rootCall
+	spanFree  []*trace.Span
 
 	// names is the table the records of every trace this cluster
 	// completes index: services in declaration order, then instances as
@@ -390,10 +385,10 @@ func (c *Cluster) ServiceNames() []string {
 func (c *Cluster) TraceNames() *trace.Names { return c.names }
 
 // OnComplete registers a callback invoked for every completed trace.
-// The trace's Root is valid only during the callback: once every
-// callback has returned, a settled trace is compacted into a stream and
-// its spans are reused. A callback that keeps the trace must read it
-// later through Trace.Records or Trace.Tree, or export it.
+// The *Trace is valid only during the callback: once every callback has
+// returned, the cluster releases it, reuses its header for a later
+// request and, for a settled trace, its spans. Reading it after that
+// panics. A callback that keeps the trace must keep tr.Retain().
 func (c *Cluster) OnComplete(fn func(*trace.Trace)) {
 	if fn != nil {
 		c.onComplete = append(c.onComplete, fn)
@@ -483,36 +478,37 @@ func (c *Cluster) submit(p *planNode, onDone func()) {
 // rootCall is one submitted request from its root visit's start until
 // its completion is booked. Its completion method is bound once per
 // struct, so submitting a request hands startVisit an existing func
-// value instead of a fresh closure.
+// value instead of a fresh closure, and tr is the trace header the
+// OnComplete callbacks get, so completing one allocates none.
 //
-//soravet:pool rootCall invalidated-by Cluster.freeRootCall record dead once freeRootCall returns; done copies its fields and recycles it before booking the completion, and a later SubmitWith may reissue it
+//soravet:pool rootCall invalidated-by Cluster.freeRootCall record dead once freeRootCall returns; done recycles it last, after the OnComplete callbacks have released its trace, and a later SubmitWith may reissue it
 type rootCall struct {
 	id     trace.ID
 	p      *planNode // the request type's root
 	onDone func()
 	c      *Cluster
 	doneFn func(*visit)
+	tr     trace.Trace
 }
 
 // done books the root visit's completion: the counters, the completion
 // logs and — unless it failed — the trace, added to the
 // warehouse as unsettled when a timed-out call under it left orphaned
-// work behind. A settled trace is compacted into a stream once the
-// OnComplete callbacks have run, and its spans go back on the free
-// list; so do those of a settled failed root, which is
-// never stored. An unsettled trace keeps its live tree, which orphaned
-// work may still change. The submitter's onDone runs last.
+// work behind. The warehouse encodes a settled trace's tree when it
+// stores it; once the OnComplete callbacks have run, the trace header is
+// released and the spans go back on the free list, as do those of a
+// settled failed root, which is never stored. An unsettled trace keeps
+// its live tree in the warehouse, as orphaned work may still change it.
+// The submitter's onDone runs last.
 func (rc *rootCall) done(root *visit) {
 	c := rc.c
-	id, p, onDone := rc.id, rc.p, rc.onDone
-	c.freeRootCall(rc)
 	c.inFlight--
 	// The root visit is dead once this callback returns; copy what the
 	// bookkeeping below needs and recycle the struct up front.
 	span := root.span
 	failed, degraded, unsettled := root.failed, root.degraded, root.unsettled
 	c.freeVisit(root)
-	if onDone != nil {
+	if onDone := rc.onDone; onDone != nil {
 		defer onDone()
 	}
 	if failed {
@@ -524,6 +520,7 @@ func (rc *rootCall) done(root *visit) {
 		if !unsettled {
 			c.freeSpans(span)
 		}
+		c.freeRootCall(rc)
 		return
 	}
 	c.completed++
@@ -533,7 +530,8 @@ func (rc *rootCall) done(root *visit) {
 	if c.completed%pruneInterval == 0 {
 		c.housekeep()
 	}
-	tr := &trace.Trace{ID: id, Type: p.rt.Name, Root: span, Names: c.names}
+	tr := &rc.tr
+	*tr = trace.Trace{ID: rc.id, Type: rc.p.rt.Name, Root: span, Names: c.names}
 	if unsettled {
 		c.warehouse.AddUnsettled(tr)
 	} else {
@@ -547,10 +545,11 @@ func (rc *rootCall) done(root *visit) {
 	for _, fn := range c.onComplete {
 		fn(tr)
 	}
+	tr.Release()
 	if !unsettled {
-		tr.Compact(&c.recScratch, &c.recChunk)
 		c.freeSpans(span)
 	}
+	c.freeRootCall(rc)
 }
 
 // newSpan hands out a recycled (or fresh) zeroed span. A recycled span
@@ -635,8 +634,8 @@ func (c *Cluster) newRootCall() *rootCall {
 	return rc
 }
 
-// freeRootCall recycles a root-completion record once done has copied
-// its fields out.
+// freeRootCall recycles a root-completion record once done has booked
+// its completion and released its trace.
 func (c *Cluster) freeRootCall(rc *rootCall) {
 	rc.id = 0
 	rc.p = nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -34,6 +35,11 @@ func twoTier(threadPool, dbPool int) App {
 	}
 }
 
+// allTraces returns every trace the cluster's warehouse retains.
+func allTraces(c *Cluster) trace.View {
+	return c.Warehouse().Window(math.MinInt64, math.MaxInt64)
+}
+
 func mustCluster(t *testing.T, k *sim.Kernel, app App) *Cluster {
 	t.Helper()
 	c, err := New(k, app, Options{})
@@ -47,7 +53,7 @@ func TestSingleRequestLifecycle(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := mustCluster(t, k, twoTier(0, 0))
 	var done *trace.Trace
-	c.OnComplete(func(tr *trace.Trace) { done = tr })
+	c.OnComplete(func(tr *trace.Trace) { done = tr.Retain() })
 	c.SubmitMix()
 	k.Run()
 	if done == nil {
@@ -91,8 +97,9 @@ func TestWarehouseAndLogsPopulated(t *testing.T) {
 		t.Errorf("e2e log has %d, want 10", c.Completions().Len())
 	}
 	gets := 0
-	for _, tr := range c.Warehouse().All() {
-		if tr.Type == "get" {
+	all := allTraces(c)
+	for i := range all.Len() {
+		if all.At(i).Type == "get" {
 			gets++
 		}
 	}
@@ -347,7 +354,7 @@ func TestBlockedTimeUnionForParallelCalls(t *testing.T) {
 	k := sim.NewKernel(10)
 	c := mustCluster(t, k, app)
 	var done *trace.Trace
-	c.OnComplete(func(tr *trace.Trace) { done = tr })
+	c.OnComplete(func(tr *trace.Trace) { done = tr.Retain() })
 	c.SubmitMix()
 	k.Run()
 	if done == nil {
@@ -451,6 +458,46 @@ func TestSetMixSwitchesAtRuntime(t *testing.T) {
 	}
 	if err := c.SetMix(nil); err == nil {
 		t.Error("empty mix: expected error")
+	}
+}
+
+// TestTraceReadAfterCallbackPanics checks that the *Trace an OnComplete
+// callback gets is valid only during the callback: reading a kept
+// pointer afterwards panics instead of returning a reused tree, while a
+// retained copy still reads back the same trace.
+func TestTraceReadAfterCallbackPanics(t *testing.T) {
+	k := sim.NewKernel(1)
+	c := mustCluster(t, k, twoTier(0, 0))
+	var kept, retained *trace.Trace
+	var rt time.Duration
+	c.OnComplete(func(tr *trace.Trace) {
+		kept, retained, rt = tr, tr.Retain(), tr.ResponseTime()
+	})
+	c.SubmitMix()
+	k.Run()
+	if kept == nil {
+		t.Fatal("request never completed")
+	}
+	if got := retained.ResponseTime(); got != rt || retained.SpanCount() != 2 {
+		t.Errorf("retained copy: response time %v with %d spans, want %v with 2", got, retained.SpanCount(), rt)
+	}
+	for _, read := range []struct {
+		name string
+		fn   func()
+	}{
+		{"ResponseTime", func() { kept.ResponseTime() }},
+		{"Records", func() { kept.Records(nil) }},
+		{"Tree", func() { kept.Tree() }},
+		{"Retain", func() { kept.Retain() }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of a trace kept past its callback did not panic", read.name)
+				}
+			}()
+			read.fn()
+		}()
 	}
 }
 

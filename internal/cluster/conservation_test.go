@@ -125,7 +125,7 @@ func TestCallRecordConservation(t *testing.T) {
 			k := sim.NewKernel(11)
 			c := tc.setup(t, k)
 			var done []*trace.Trace
-			c.OnComplete(func(tr *trace.Trace) { done = append(done, tr) })
+			c.OnComplete(func(tr *trace.Trace) { done = append(done, tr.Retain()) })
 			k.Run()
 			if c.InFlight() != 0 {
 				t.Fatalf("in-flight = %d after drain", c.InFlight())

@@ -40,7 +40,9 @@ func checkPodRecords(t *testing.T, c *Cluster) map[string]int {
 	names := c.TraceNames()
 	spans := map[string]uint64{}
 	types := map[string]int{}
-	for _, tr := range c.Warehouse().All() {
+	all := allTraces(c)
+	for i := range all.Len() {
+		tr := all.At(i)
 		types[tr.Type]++
 		for _, r := range tr.Records(nil) {
 			if r.Instance < 0 {

@@ -255,7 +255,7 @@ func TestRetryRecoversFromTransientCrash(t *testing.T) {
 	k := sim.NewKernel(3)
 	c := policyCluster(t, k, CallPolicy{MaxAttempts: 5})
 	var done *trace.Trace
-	c.OnComplete(func(tr *trace.Trace) { done = tr })
+	c.OnComplete(func(tr *trace.Trace) { done = tr.Retain() })
 	be, _ := c.Service("backend")
 	be.Instances()[0].Crash()
 	k.Schedule(30*time.Millisecond, func() { be.Instances()[0].Restore() })
@@ -302,7 +302,7 @@ func TestOptionalCallDegrades(t *testing.T) {
 	k := sim.NewKernel(5)
 	c := policyCluster(t, k, CallPolicy{Timeout: 5 * time.Millisecond, MaxAttempts: 1, Optional: true})
 	var done *trace.Trace
-	c.OnComplete(func(tr *trace.Trace) { done = tr })
+	c.OnComplete(func(tr *trace.Trace) { done = tr.Retain() })
 	c.SubmitMix()
 	k.Run()
 	if c.Completed() != 1 || c.Failed() != 0 {
@@ -388,14 +388,14 @@ func TestEdgeExtraDelayInflatesLatency(t *testing.T) {
 	if err := c.SetEdgeFault("frontend", "backend", EdgeFault{ExtraDelay: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	var done *trace.Trace
-	c.OnComplete(func(tr *trace.Trace) { done = tr })
+	rt := time.Duration(-1)
+	c.OnComplete(func(tr *trace.Trace) { rt = tr.ResponseTime() })
 	c.SubmitMix()
 	k.Run()
-	if done == nil {
+	if rt < 0 {
 		t.Fatal("request did not complete")
 	}
-	if rt := done.ResponseTime(); rt < 29*time.Millisecond || rt > 32*time.Millisecond {
+	if rt < 29*time.Millisecond || rt > 32*time.Millisecond {
 		t.Errorf("response time = %v, want ~30ms (10ms baseline + 2x10ms injected)", rt)
 	}
 }
@@ -429,20 +429,20 @@ func TestSetDegradeScalesServiceTime(t *testing.T) {
 	c := mustCluster(t, k, twoTier(0, 0))
 	be, _ := c.Service("backend")
 	be.Instances()[0].SetDegrade(0.25)
-	var done *trace.Trace
-	c.OnComplete(func(tr *trace.Trace) { done = tr })
+	rt := time.Duration(-1)
+	c.OnComplete(func(tr *trace.Trace) { rt = tr.ResponseTime() })
 	c.SubmitMix()
 	k.Run()
-	if done == nil {
+	if rt < 0 {
 		t.Fatal("request did not complete")
 	}
-	if rt := done.ResponseTime(); rt < 17*time.Millisecond || rt > 19*time.Millisecond {
+	if rt < 17*time.Millisecond || rt > 19*time.Millisecond {
 		t.Errorf("response time = %v, want ~18ms (backend work doubled)", rt)
 	}
 	be.Instances()[0].SetDegrade(0)
 	c.SubmitMix()
 	k.Run()
-	if rt := done.ResponseTime(); rt < 9*time.Millisecond || rt > 11*time.Millisecond {
+	if rt < 9*time.Millisecond || rt > 11*time.Millisecond {
 		t.Errorf("response time = %v after clearing degrade, want ~10ms", rt)
 	}
 }

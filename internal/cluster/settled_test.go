@@ -103,7 +103,7 @@ func checkSettledTraces(t *testing.T, mesh bool) {
 		if err := trace.Export(&buf, tr); err != nil {
 			t.Fatal(err)
 		}
-		snaps = append(snaps, snapshot{tr, len(wh.Unsettled(seq, seq+1)) == 0, buf.Bytes()})
+		snaps = append(snaps, snapshot{tr.Retain(), len(wh.Unsettled(seq, seq+1)) == 0, buf.Bytes()})
 	})
 	eng.Start()
 	loop.Start()

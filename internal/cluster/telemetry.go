@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"time"
 
 	"sora/internal/sim"
@@ -129,14 +130,14 @@ func (c *Cluster) FlushTelemetry() {
 		tel.SetGauge("sora_service_replicas"+label, float64(svc.Replicas()))
 		tel.SetGauge("sora_service_cores"+label, svc.Cores())
 	}
-	traces := c.warehouse.All()
+	traces := c.warehouse.Window(math.MinInt64, math.MaxInt64)
 	stride := 1
-	if len(traces) > chromeTraceSampleCap {
-		stride = (len(traces) + chromeTraceSampleCap - 1) / chromeTraceSampleCap
+	if n := traces.Len(); n > chromeTraceSampleCap {
+		stride = (n + chromeTraceSampleCap - 1) / chromeTraceSampleCap
 	}
 	var buf []trace.Record
-	for i := 0; i < len(traces); i += stride {
-		tr := traces[i]
+	for i := 0; i < traces.Len(); i += stride {
+		tr := traces.At(i)
 		recs := tr.Records(&buf)
 		trace.Depths(recs, func(j, depth int) {
 			r := &recs[j]

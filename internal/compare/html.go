@@ -99,7 +99,7 @@ func goodputPanel(r *Result) string {
 					svgCoord(x), svgCoord(yOff), svgCoord(sw), barH, seg.color)
 				b.WriteByte('\n')
 			}
-			x += sw
+			x += sw //fma:allow report-only: bar geometry of the HTML report, never fed back into a run
 		}
 		fmt.Fprintf(&b, `<text x="4" y="%s" class="lbl">%s %s</text>`,
 			svgCoord(yOff+barH-6), html.EscapeString(label), pct(g.GoodFrac))

@@ -82,7 +82,7 @@ func runAdapter(c *cluster.Cluster, now sim.Time, rec Recommendation, managed []
 		// Interior knee confirmed by samples beyond it: apply it, but
 		// never shrink below the recent demonstrated demand.
 		if target < current {
-			if floor := int(shrinkFloorFraction*rec.MaxQRetention + 0.999); target < floor {
+			if floor := int(float64(shrinkFloorFraction*rec.MaxQRetention) + 0.999); target < floor {
 				target = floor
 				reason = reasonShrinkFloor
 			}

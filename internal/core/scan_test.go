@@ -189,7 +189,7 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 		{"drift", scanDriftRig, func(*testing.T, *scanRig) {}},
 		{"chaos", func(t *testing.T) *scanRig { return scanChaosRig(t, dur) }, func(t *testing.T, r *scanRig) {
 			late := 0
-			for _, tr := range r.c.Warehouse().All() {
+			for _, tr := range viewTraces(r.c.Warehouse().Window(math.MinInt64, math.MaxInt64)) {
 				tr.Tree().Walk(func(s *trace.Span) {
 					for _, c := range s.Children {
 						if c.Abandoned && c.End > s.End {
@@ -226,7 +226,7 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 			for at := step; at <= dur; at += step {
 				r.k.RunUntil(sim.Time(at))
 				now := r.k.Now()
-				traces, _ := r.c.Warehouse().View(now-cfg.Window, now)
+				traces := viewTraces(r.c.Warehouse().Window(now-cfg.Window, now))
 				if d := scanDiff(scg.scan(now), scanWindow(traces, r.c.TraceNames())); d != "" {
 					t.Fatalf("at %v, merged scan differs from a fresh one: %s", at, d)
 				}
@@ -306,6 +306,17 @@ func scanDiff(got, want *windowScan) string {
 // bitsEqual reports whether a and b hold the same float64 bit patterns.
 func bitsEqual(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// viewTraces returns the traces of v as a slice, each a copy valid while
+// v is.
+func viewTraces(v trace.View) []*trace.Trace {
+	out := make([]*trace.Trace, v.Len())
+	for i := range out {
+		tr := v.At(i)
+		out[i] = &tr
+	}
+	return out
 }
 
 // scanWindow is the fresh scan of traces, whose records index names:

@@ -89,8 +89,9 @@ func (m *SCGModel) Config() SCGConfig { return m.cfg }
 // the model's next one.
 func (m *SCGModel) scan(now sim.Time) *windowScan {
 	wh := m.c.Warehouse()
-	traces, first := wh.View(now-m.cfg.Window, now)
-	return m.blocks.scan(traces, first, wh.Unsettled(first, first+uint64(len(traces))), m.c.TraceNames())
+	traces := wh.Window(now-m.cfg.Window, now)
+	first := traces.First()
+	return m.blocks.scan(traces, wh.Unsettled(first, first+uint64(traces.Len())), m.c.TraceNames())
 }
 
 // CriticalService identifies the critical service over the trailing

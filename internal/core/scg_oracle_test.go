@@ -30,7 +30,7 @@ import (
 // observation that the two steps agree most of the time.
 func oracleCriticalService(m *SCGModel, now sim.Time) (string, error) {
 	since := now - m.cfg.Window
-	traces := m.c.Warehouse().Window(since, now)
+	traces := viewTraces(m.c.Warehouse().Window(since, now))
 	if len(traces) < 2 {
 		return "", fmt.Errorf("core: only %d traces in window, need >= 2", len(traces))
 	}
@@ -110,7 +110,7 @@ func oracleCriticalService(m *SCGModel, now sim.Time) (string, error) {
 // (Eq. 3 of the paper). The result is floored at MinThreshold.
 func oraclePropagateDeadline(m *SCGModel, now sim.Time, service string) (time.Duration, error) {
 	since := now - m.cfg.Window
-	traces := m.c.Warehouse().Window(since, now)
+	traces := viewTraces(m.c.Warehouse().Window(since, now))
 	var sum time.Duration
 	n := 0
 	for _, tr := range traces {
@@ -199,7 +199,7 @@ func oracleBehindUtil(m *SCGModel, now sim.Time, measured string) float64 {
 	since := now - m.cfg.Window
 	best := m.mon.MeanUtil(measured, since, now)
 	children := make(map[string]bool)
-	for _, tr := range m.c.Warehouse().Window(since, now) {
+	for _, tr := range viewTraces(m.c.Warehouse().Window(since, now)) {
 		tr.Tree().Walk(func(s *trace.Span) {
 			if s.Service != measured {
 				return

@@ -57,25 +57,25 @@ type sealedService struct {
 	upN    int
 }
 
-// scan returns the scan of the window traces, where traces[i] has
-// warehouse sequence number first+i and unsettled lists the sequence
-// numbers of the window's unsettled traces in ascending order, and
-// every trace's records index names. The result is owned by s and valid
-// until its next scan.
-func (s *sealedScans) scan(traces []*trace.Trace, first uint64, unsettled []uint64, names *trace.Names) *windowScan {
+// scan returns the scan of the window traces, where unsettled lists the
+// sequence numbers of the window's unsettled traces in ascending order,
+// and every trace's records index names. The result is owned by s and
+// valid until its next scan.
+func (s *sealedScans) scan(traces trace.View, unsettled []uint64, names *trace.Names) *windowScan {
 	if s.names != names {
 		s.keep(0, 0)
 		s.rows = rowStore{}
 		s.names = names
 	}
 	size := uint64(1) << s.shift
-	end := first + uint64(len(traces))
+	first, n := traces.First(), traces.Len()
+	end := first + uint64(n)
 	lo, hi := (first+size-1)>>s.shift, end>>s.shift // the whole blocks: [lo, hi)
 	s.keep(lo, hi)
-	s.rows.slide(first, len(traces))
+	s.rows.slide(first, n)
 
 	w := &s.win
-	w.reset(names, &s.rows, 0, len(traces))
+	w.reset(names, &s.rows, 0, n)
 	next := 0 // first row not yet scanned
 	for b := lo; b < hi; b++ {
 		off := int(b<<s.shift - first)
@@ -89,43 +89,46 @@ func (s *sealedScans) scan(traces []*trace.Trace, first uint64, unsettled []uint
 		}
 		own := unsettled[:n]
 		unsettled = unsettled[n:]
-		s.merge(s.block(b, traces[off:off+int(size)], own, off))
+		s.merge(s.block(b, traces, own, off))
 		for _, seq := range own {
 			ti := int(seq - first)
 			s.live(traces, ti, ti+1)
 		}
 		next = off + int(size)
 	}
-	s.live(traces, next, len(traces))
+	s.live(traces, next, n)
 	return w
 }
 
 // live walks rows [from, to) of the window into the merged scan.
-func (s *sealedScans) live(traces []*trace.Trace, from, to int) {
+func (s *sealedScans) live(traces trace.View, from, to int) {
 	s.rows.zero(from, to)
 	for ti := from; ti < to; ti++ {
-		s.win.addTrace(traces[ti], ti)
+		tr := traces.At(ti)
+		s.win.addTrace(&tr, ti)
 	}
 }
 
-// block returns the summary of block b, whose traces blk sit at row off
-// and whose unsettled sequence numbers are unsettled, sealing it on
-// first use.
-func (s *sealedScans) block(b uint64, blk []*trace.Trace, unsettled []uint64, off int) *sealedBlock {
+// block returns the summary of block b, whose traces sit at row off of
+// the window traces and whose unsettled sequence numbers are
+// unsettled, sealing it on first use.
+func (s *sealedScans) block(b uint64, traces trace.View, unsettled []uint64, off int) *sealedBlock {
 	if i := int(b - s.base); i < len(s.blocks) {
 		s.reused++
 		return s.blocks[i]
 	}
+	size := 1 << s.shift
 	sw := &s.seal
-	sw.reset(s.names, &s.rows, off, len(blk))
-	s.rows.zero(off, off+len(blk))
+	sw.reset(s.names, &s.rows, off, size)
+	s.rows.zero(off, off+size)
 	first := b << s.shift
-	for ti, tr := range blk {
+	for ti := range size {
 		if len(unsettled) > 0 && unsettled[0] == first+uint64(ti) {
 			unsettled = unsettled[1:]
 			continue
 		}
-		sw.addTrace(tr, ti)
+		tr := traces.At(off + ti)
+		sw.addTrace(&tr, ti)
 	}
 
 	sb := &sealedBlock{

@@ -10,8 +10,9 @@ import (
 
 // scanView scans the warehouse window [since, until) through s.
 func scanView(s *sealedScans, wh *trace.Warehouse, since, until sim.Time, names *trace.Names) (*windowScan, []*trace.Trace) {
-	traces, first := wh.View(since, until)
-	return s.scan(traces, first, wh.Unsettled(first, first+uint64(len(traces))), names), traces
+	traces := wh.Window(since, until)
+	first := traces.First()
+	return s.scan(traces, wh.Unsettled(first, first+uint64(traces.Len())), names), viewTraces(traces)
 }
 
 // TestSealedScanRereadsUnsettled checks that a trace stored unsettled is

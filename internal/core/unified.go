@@ -239,7 +239,7 @@ func (u *UnifiedController) scalePoolBy(now sim.Time, rec Recommendation, ratio 
 	if rec.Resource == res.Ref && rec.OptimalConcurrency > base {
 		base = rec.OptimalConcurrency
 	}
-	target := res.Clamp(int(float64(base)*ratio + 0.5))
+	target := res.Clamp(int(float64(float64(base)*ratio) + 0.5))
 	if target == perPod {
 		return
 	}

@@ -96,7 +96,7 @@ func NewLogNormal(mean time.Duration, sigma float64) LogNormal {
 	d := LogNormal{MeanValue: mean, Sigma: sigma}
 	if mean > 0 {
 		// E[X] = exp(mu + sigma^2/2)  =>  mu = ln(mean) - sigma^2/2.
-		d.mu = math.Log(float64(mean)) - sigma*sigma/2
+		d.mu = math.Log(float64(mean)) - float64(sigma*sigma/2)
 	}
 	return d
 }
@@ -109,7 +109,7 @@ func (d LogNormal) Sample(rng *rand.Rand) time.Duration {
 	if d.Sigma == 0 {
 		return d.MeanValue
 	}
-	x := math.Exp(d.mu + d.Sigma*rng.NormFloat64())
+	x := math.Exp(d.mu + float64(d.Sigma*rng.NormFloat64()))
 	if x < 0 || math.IsNaN(x) {
 		return 0
 	}

@@ -302,17 +302,18 @@ func runAblationLocalize(p Params, w io.Writer) error {
 	// Report the PCC table for transparency.
 	fmt.Fprintf(w, "\n%-16s %10s %10s\n", "service", "meanUtil", "PCC(PT,RT)")
 	traces := r.C.Warehouse().Window(0, sim.Time(dur))
-	rts := make([]float64, len(traces))
+	rts := make([]float64, traces.Len())
 	// pts[id] holds service id's per-trace processing times; nil until
 	// a span of the service is seen.
 	pts := make([][]float64, len(r.C.ServiceNames()))
 	var buf []trace.Record
-	for ti, tr := range traces {
+	for ti := range traces.Len() {
+		tr := traces.At(ti)
 		rts[ti] = float64(tr.ResponseTime()) / float64(time.Millisecond)
 		for _, rec := range tr.Records(&buf) {
 			arr := pts[rec.Service]
 			if arr == nil {
-				arr = make([]float64, len(traces))
+				arr = make([]float64, traces.Len())
 				pts[rec.Service] = arr
 			}
 			arr[ti] += float64(rec.ProcessingTime()) / float64(time.Millisecond)

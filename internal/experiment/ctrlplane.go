@@ -55,7 +55,7 @@ var ctrlPlaneProfiles = []cpProfile{
 func ctrlPlaneFleet(app cluster.App, prof cpProfile) *node.Config {
 	total := 0.0
 	for _, s := range app.Services {
-		total += float64(s.Replicas) * s.Cores
+		total += float64(float64(s.Replicas) * s.Cores)
 	}
 	headroom := float64(scenario.PostStorageMaxReplicas-1) * 2 // HPA surge on the 2-core Post Storage
 	const nodes = 4

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/big"
 	"math/rand/v2"
 	"reflect"
 	"sort"
@@ -63,14 +64,30 @@ func (r *refLog) countsByOutcome(since, until sim.Time, th time.Duration) (good,
 	return good, degraded, violated
 }
 
+// refBucketCount is bucketCount in exact integer arithmetic.
+func refBucketCount(since, until sim.Time, bucket time.Duration) int {
+	if until <= since || bucket <= 0 {
+		return 0
+	}
+	w := new(big.Int).Sub(big.NewInt(int64(until)), big.NewInt(int64(since)))
+	w.Add(w, big.NewInt(int64(bucket-1)))
+	return int(w.Quo(w, big.NewInt(int64(bucket))).Int64())
+}
+
+// refBucketOf is bucketOf in exact integer arithmetic.
+func refBucketOf(t, since sim.Time, bucket time.Duration) int {
+	d := new(big.Int).Sub(big.NewInt(int64(t)), big.NewInt(int64(since)))
+	return int(d.Quo(d, big.NewInt(int64(bucket))).Int64())
+}
+
 func (r *refLog) bucketRates(since, until sim.Time, bucket, th time.Duration) (goodput, throughput []float64) {
-	n := bucketCount(since, until, bucket)
+	n := refBucketCount(since, until, bucket)
 	if n == 0 {
 		return nil, nil
 	}
 	goodput, throughput = make([]float64, n), make([]float64, n)
 	for _, c := range r.win(since, until) {
-		idx := int((c.At - since) / bucket)
+		idx := refBucketOf(c.At, since, bucket)
 		throughput[idx]++
 		if !c.Degraded && c.RT <= th {
 			goodput[idx]++
@@ -109,13 +126,13 @@ func (r *refSeries) win(since, until sim.Time) []Point {
 }
 
 func (r *refSeries) bucketMeans(since, until sim.Time, bucket time.Duration) []float64 {
-	n := bucketCount(since, until, bucket)
+	n := refBucketCount(since, until, bucket)
 	if n == 0 {
 		return nil
 	}
 	sums, counts := make([]float64, n), make([]int, n)
 	for _, p := range r.win(since, until) {
-		idx := int((p.T - since) / bucket)
+		idx := refBucketOf(p.T, since, bucket)
 		sums[idx] += p.V
 		counts[idx]++
 	}

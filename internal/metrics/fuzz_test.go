@@ -12,10 +12,6 @@ import (
 	"sora/internal/stats"
 )
 
-// maxFuzzAt bounds the fuzzed completion times, so that neither a
-// window's width nor bucketCount's rounding of it overflows.
-const maxFuzzAt = sim.Time(1 << 61)
-
 // FuzzCompletionLog runs a stream of appends, prunes and reads decoded
 // from the input through CompletionLog and through the plain-slice
 // refLog, and requires Len after every operation and every reader after
@@ -47,7 +43,7 @@ func FuzzCompletionLog(f *testing.F) {
 			now = -sim.Time(next()) * sim.Time(time.Second)
 		)
 		add := func(delta sim.Time, rt time.Duration, degraded bool) {
-			if delta > maxFuzzAt-now {
+			if now > 0 && delta > math.MaxInt64-now {
 				delta = 0
 			}
 			now += delta
@@ -106,8 +102,7 @@ func FuzzCompletionLog(f *testing.F) {
 					since, until = until, since
 				}
 				th := time.Duration((next64() & math.MaxInt64) >> (next() % 64))
-				width := max(until-since, 1)
-				bucket := width/time.Duration(1+next()%16) + 1
+				bucket := max(span(since, until)/time.Duration(1+next()%16), 1)
 				compareReaders(t, op, &log, &ref, since, until, th, bucket)
 			}
 			if log.Len() != len(ref.cs) {
@@ -117,9 +112,26 @@ func FuzzCompletionLog(f *testing.F) {
 			checkHead(t, &log.completions)
 		}
 		if n := len(ref.cs); n > 0 {
-			compareReaders(t, -1, &log, &ref, ref.cs[0].At, ref.cs[n-1].At+1, time.Millisecond, max(ref.cs[n-1].At-ref.cs[0].At, 1))
+			since, until := ref.cs[0].At, ref.cs[n-1].At
+			if until < math.MaxInt64 {
+				until++
+			}
+			compareReaders(t, -1, &log, &ref, since, until, time.Millisecond, max(span(since, until), 1))
 		}
 	})
+}
+
+// span returns the width of [since, until), 0 when the window is empty
+// and MaxInt64 when the width does not fit.
+func span(since, until sim.Time) time.Duration {
+	switch w := until - since; {
+	case until <= since:
+		return 0
+	case w < 0:
+		return math.MaxInt64
+	default:
+		return w
+	}
 }
 
 // compareReaders fails t unless every CompletionLog reader over

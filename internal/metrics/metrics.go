@@ -69,7 +69,7 @@ func (s *Series) BucketMeans(since, until sim.Time, bucket time.Duration) []floa
 	lo, hi := s.span(since, until)
 	s.pts.each(lo, hi, func(run []Point) {
 		for _, p := range run {
-			idx := int((p.T - since) / bucket)
+			idx := bucketOf(p.T, since, bucket)
 			if idx < 0 || idx >= n {
 				continue
 			}
@@ -257,7 +257,7 @@ func (l *CompletionLog) BucketRates(since, until sim.Time, bucket time.Duration,
 	r.seek(&l.completions, since, until)
 	for run := r.next(); len(run) > 0; run = r.next() {
 		for _, c := range run {
-			idx := int((c.at - since) / bucket)
+			idx := bucketOf(c.at, since, bucket)
 			if idx < 0 || idx >= n {
 				continue
 			}
@@ -399,9 +399,21 @@ func ConcurrencyThroughputPairs(conc *Series, log *CompletionLog, since, until s
 	return qs, tps
 }
 
+// bucketCount returns how many buckets of width bucket cover
+// [since, until): ⌈(until − since) / bucket⌉. It divides in unsigned
+// arithmetic, in which the width of any nonempty window is exact, so a
+// window wider than MaxInt64 does not wrap.
 func bucketCount(since, until sim.Time, bucket time.Duration) int {
 	if until <= since || bucket <= 0 {
 		return 0
 	}
-	return int((until - since + bucket - 1) / bucket)
+	w, b := uint64(until-since), uint64(bucket)
+	return int(w/b + min(w%b, 1))
+}
+
+// bucketOf returns the index of the bucket of width bucket, counted
+// from since, that t >= since falls in; like bucketCount it divides in
+// unsigned arithmetic.
+func bucketOf(t, since sim.Time, bucket time.Duration) int {
+	return int(uint64(t-since) / uint64(bucket))
 }

@@ -26,7 +26,7 @@ func runSockShop(t *testing.T, seed uint64, n int) []*trace.Trace {
 		t.Fatal(err)
 	}
 	var traces []*trace.Trace
-	c.OnComplete(func(tr *trace.Trace) { traces = append(traces, tr) })
+	c.OnComplete(func(tr *trace.Trace) { traces = append(traces, tr.Retain()) })
 	for i := 0; i < n; i++ {
 		// Bursty arrivals: four requests per millisecond tick.
 		k.Schedule(time.Duration(i/4)*time.Millisecond, c.SubmitMix)

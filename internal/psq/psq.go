@@ -142,7 +142,7 @@ func (s *Server) totalRate(n int) float64 {
 	if excess < 0 {
 		excess = 0
 	}
-	return raw / (1 + s.alpha*excess)
+	return raw / (1 + float64(s.alpha*excess))
 }
 
 // perJobRate returns the service rate each runnable job receives.
@@ -161,10 +161,10 @@ func (s *Server) advance() {
 	}
 	dt := (now - s.last).Seconds()
 	if n := len(s.runnable); n > 0 {
-		s.attained += s.perJobRate(n) * dt
-		s.busy += min(float64(n), s.cores) * dt
+		s.attained += float64(s.perJobRate(n) * dt)
+		s.busy += float64(min(float64(n), s.cores) * dt)
 	}
-	s.capacity += s.cores * dt
+	s.capacity += float64(s.cores * dt)
 	s.last = now
 }
 

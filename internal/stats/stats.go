@@ -74,9 +74,9 @@ func Pearson(x, y []float64) (float64, error) {
 	var sxy, sxx, syy float64
 	for i := range x {
 		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0, fmt.Errorf("pearson: %w", ErrDegenerate)
@@ -129,7 +129,7 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if p == 100 {
 		return sorted[len(sorted)-1], nil
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	// Guard against float rounding pushing the rank out of range (p just
@@ -144,7 +144,7 @@ func Percentile(xs []float64, p float64) (float64, error) {
 		return sorted[lo], nil
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac), nil
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.
@@ -160,7 +160,7 @@ func Linspace(lo, hi float64, n int) []float64 {
 	out := make([]float64, n)
 	step := (hi - lo) / float64(n-1)
 	for i := range out {
-		out[i] = lo + float64(i)*step
+		out[i] = lo + float64(float64(i)*step)
 	}
 	out[n-1] = hi
 	return out
@@ -205,7 +205,7 @@ type Poly struct {
 func (p Poly) Eval(x float64) float64 {
 	var y float64
 	for i := len(p.Coeffs) - 1; i >= 0; i-- {
-		y = y*x + p.Coeffs[i]
+		y = float64(y*x) + p.Coeffs[i]
 	}
 	return y
 }
@@ -260,7 +260,7 @@ func PolyFit(x, y []float64, degree int) (Poly, error) {
 	for i, v := range xn {
 		p := 1.0
 		for k := 0; k < n; k++ {
-			moments[k] += p * y[i]
+			moments[k] += float64(p * y[i])
 			p *= v
 		}
 	}
@@ -283,7 +283,7 @@ func PolyFit(x, y []float64, degree int) (Poly, error) {
 		scale := ck / math.Pow(span, float64(k))
 		// (x - xmin)^k = sum_j C(k,j) x^j (-xmin)^(k-j)
 		for j := 0; j <= k; j++ {
-			out[j] += scale * binomial(k, j) * math.Pow(-xmin, float64(k-j))
+			out[j] += float64(scale * binomial(k, j) * math.Pow(-xmin, float64(k-j)))
 		}
 	}
 	return Poly{Coeffs: out}, nil
@@ -298,7 +298,7 @@ func FitRMSE(p Poly, x, y []float64) float64 {
 	var sum float64
 	for i := range x {
 		d := p.Eval(x[i]) - y[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum / float64(len(x)))
 }
@@ -337,7 +337,7 @@ func solveGaussian(a [][]float64) ([]float64, error) {
 		for r := col + 1; r < n; r++ {
 			f := a[r][col] / a[col][col]
 			for c := col; c <= n; c++ {
-				a[r][c] -= f * a[col][c]
+				a[r][c] -= float64(f * a[col][c])
 			}
 		}
 	}
@@ -346,7 +346,7 @@ func solveGaussian(a [][]float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		sum := a[i][n]
 		for j := i + 1; j < n; j++ {
-			sum -= a[i][j] * x[j]
+			sum -= float64(a[i][j] * x[j])
 		}
 		x[i] = sum / a[i][i]
 	}

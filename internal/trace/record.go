@@ -8,13 +8,13 @@ import (
 )
 
 // Record is one span of a retained trace in its decoded form. A
-// settled trace stores its spans as an encoded stream (see Compact) that
-// Records decodes into pre-order records: the record of a span is
-// followed by the records of its subtree, children in call order, so
-// Size replaces the child list and the depth follows from the walk.
-// Service and Instance index the trace's Names table. A Record holds no
-// pointer, so a reader's buffer of them is never scanned by the garbage
-// collector.
+// settled trace stores its spans as an encoded stream (see
+// Warehouse.Add) that Records decodes into pre-order records: the
+// record of a span is followed by the records of its subtree, children
+// in call order, so Size replaces the child list and the depth follows
+// from the walk. Service and Instance index the trace's Names table. A
+// Record holds no pointer, so a reader's buffer of them is never
+// scanned by the garbage collector.
 type Record struct {
 	Arrival sim.Time
 	Start   sim.Time
@@ -208,6 +208,7 @@ func (t *Trace) Records(scratch *[]Record) []Record {
 	case len(t.enc) > 0:
 		buf = decodeRecords(buf, t.enc)
 	default:
+		t.checkReleased()
 		return nil
 	}
 	if scratch != nil {
@@ -231,45 +232,6 @@ func Depths(recs []Record, fn func(i, depth int)) {
 	}
 }
 
-// chunkBytes is the size of a fresh stream chunk (see Compact): at
-// about 22 B a span, 64 KiB holds the streams of a hundred or so
-// settled Social Network traces.
-const chunkBytes = 64 << 10
-
-// Compact replaces the trace's live tree with its encoded stream (see
-// stream.go): it encodes the tree's spans into *scratch, copies them,
-// after the trace header and before streamPad zero bytes, onto the end
-// of *chunk and drops Root. The trace keeps a full-slice-capped view of
-// the chunk, so no later append to the chunk can reach its bytes. When
-// the chunk has no room for the stream, *chunk becomes a fresh chunk of
-// chunkBytes bytes, or of the stream's length if that is larger; the
-// old chunk is never written again and the garbage collector frees it
-// once no trace refers to it. The caller owns the released spans; the
-// trace no longer refers to any of them. Only a trace that can no
-// longer change may be compacted.
-//
-//soravet:hotpath TestCompactIntoChunkAllocFree once per settled request: compacting into a chunk with room allocates nothing once the scratch buffer has grown and the names are interned
-func (t *Trace) Compact(scratch, chunk *[]byte) {
-	if t.Root == nil {
-		return
-	}
-	body, spans := t.names().appendSpans((*scratch)[:0], t.Root, t.Root.End)
-	*scratch = body
-	var head [1 + 2*8]byte // the codes byte and two values stored as words
-	h := head[:putHeader(head[:], t.Root.End, spans)]
-	need := len(h) + len(body) + streamPad
-	a := *chunk
-	if cap(a)-len(a) < need {
-		a = make([]byte, 0, max(chunkBytes, need)) //soravet:allow hotpath chunk refill: once per chunkBytes bytes, never for a trace that fits the chunk (TestCompactIntoChunkAllocFree)
-	}
-	n := len(a)
-	a = append(append(a, h...), body...) //soravet:allow hotpath fits: the chunk was checked or refilled for the stream's length above
-	a = a[:n+need]                       // the pad: bytes of the chunk never written, so zero
-	t.enc = a[n:len(a):len(a)]
-	*chunk = a
-	t.Root = nil
-}
-
 // Tree returns the trace's span tree: the live Root, or for a compacted
 // trace a tree materialized from its records, fresh on every call.
 // Depths in a materialized tree count from 0 at the root.
@@ -278,6 +240,7 @@ func (t *Trace) Tree() *Span {
 		return t.Root
 	}
 	if len(t.enc) == 0 {
+		t.checkReleased()
 		return nil
 	}
 	return t.Names.tree(t.Records(nil))

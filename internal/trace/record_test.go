@@ -208,11 +208,9 @@ func FuzzCompactTrace(f *testing.F) {
 		stamped := true
 		root.Walk(func(s *Span) { stamped = stamped && s.hasIDs })
 		live := &Trace{ID: 7, Type: "t", Root: root, Names: names}
-		compact := &Trace{ID: 7, Type: "t", Root: root, Names: names}
-		var scratch, chunk []byte
-		compact.Compact(&scratch, &chunk)
+		compact := stored(&Trace{ID: 7, Type: "t", Root: root, Names: names})
 		if compact.Root != nil {
-			t.Fatal("Compact kept the live tree")
+			t.Fatal("the stored trace kept the live tree")
 		}
 		want := live.Records(nil)
 		if got := compact.Records(nil); !reflect.DeepEqual(got, want) {
@@ -277,19 +275,29 @@ func FuzzCompactTrace(f *testing.F) {
 	})
 }
 
-// streamLen returns the length of the stream Compact stores for the
-// tree under root.
-func streamLen(root *Span, names *Names) int {
-	var scratch, chunk []byte
-	tr := &Trace{Root: root, Names: names}
-	tr.Compact(&scratch, &chunk)
-	return len(tr.enc)
+// stored returns the trace as a warehouse hands it back: its tree
+// encoded into a fresh warehouse's chunk, read through a view.
+func stored(tr *Trace) *Trace {
+	w := NewWarehouse(time.Hour)
+	w.Add(tr)
+	c := w.all().At(0)
+	return &c
 }
 
-// TestCompactSharedChunk compacts a run of trees into shared chunks,
-// starting short of a full chunk so the third tree crosses into a
-// fresh one, then compacts one tree larger than a chunk and one more
-// after it. After the last compaction every trace must still decode to
+// all returns the view of every retained trace, those completing at
+// MaxInt64 included.
+func (w *Warehouse) all() View { return View{w: w, first: w.evicted, n: w.n} }
+
+// streamLen returns the length of the stream a warehouse stores for the
+// tree under root.
+func streamLen(root *Span, names *Names) int {
+	return len(stored(&Trace{Root: root, Names: names}).enc)
+}
+
+// TestCompactSharedChunk stores a run of trees in one warehouse, whose
+// newest chunk starts short of full so the third tree crosses into a
+// fresh one, then stores one tree larger than a chunk and one more
+// after it. After the last store every trace must still decode to
 // exactly its own records, from a view capped at its stream's length so
 // that no later append to the chunk can reach it.
 func TestCompactSharedChunk(t *testing.T) {
@@ -304,7 +312,7 @@ func TestCompactSharedChunk(t *testing.T) {
 		trees = append(trees, decodeTree(&compactReader{data: data}, 0, 0))
 	}
 	// The wide root is left unstamped, as a span built outside the
-	// cluster is: compaction interns its service by name.
+	// cluster is: storing it interns its service by name.
 	wide := &Span{Service: "a"}
 	for i := range chunkBytes / 4 {
 		leaf := &Span{Service: "b", Depth: 1, Arrival: sim.Time(i), End: sim.Time(2 * i), Demand: time.Duration(i)}
@@ -322,14 +330,14 @@ func TestCompactSharedChunk(t *testing.T) {
 	for _, root := range trees[:3] {
 		room += streamLen(root, names)
 	}
-	var scratch []byte
-	chunk := make([]byte, chunkBytes-room, chunkBytes)
+	w := NewWarehouse(time.Hour)
+	w.names = names
+	w.chunks.push(chunk{buf: make([]byte, chunkBytes-room, chunkBytes)})
 	perChunk := map[*byte]int{}
-	traces := make([]*Trace, len(trees))
-	for i, root := range trees {
-		traces[i] = &Trace{Root: root, Names: names}
-		traces[i].Compact(&scratch, &chunk)
-		perChunk[unsafe.SliceData(chunk)]++
+	for _, root := range trees {
+		w.Add(&Trace{Root: root, Names: names})
+		live := w.chunks.live()
+		perChunk[unsafe.SliceData(live[len(live)-1].buf)]++
 	}
 	if len(perChunk) != 4 {
 		t.Fatalf("the run filled %d chunks, want 4 (the first, a fresh one, the oversized tree's, one after it)", len(perChunk))
@@ -341,7 +349,9 @@ func TestCompactSharedChunk(t *testing.T) {
 	if !shared {
 		t.Fatal("no chunk holds more than one trace")
 	}
-	for i, tr := range traces {
+	all := w.all()
+	for i := range all.Len() {
+		tr := all.At(i)
 		got := tr.Records(nil)
 		want := (&Trace{Root: trees[i], Names: names}).Records(nil)
 		if !reflect.DeepEqual(got, want) {
@@ -353,23 +363,37 @@ func TestCompactSharedChunk(t *testing.T) {
 	}
 }
 
-// TestCompactIntoChunkAllocFree pins Trace.Compact on the cluster's
-// completion path: once the scratch buffer has grown and the names are
-// interned, compacting a settled tree into a chunk with room allocates
-// nothing.
-func TestCompactIntoChunkAllocFree(t *testing.T) {
+// TestWarehouseAddAllocFree pins Warehouse.Add on the cluster's
+// completion path: once FIFO eviction recycles chunks and the scratch
+// buffer, the entry blocks and the name tables have grown, storing a
+// settled trace allocates nothing.
+func TestWarehouseAddAllocFree(t *testing.T) {
 	root := decodeTree(&compactReader{data: []byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2}}, 0, 0)
-	tr := &Trace{Root: root, Names: decodeNames}
-	var scratch []byte
-	chunk := make([]byte, 0, chunkBytes)
-	tr.Compact(&scratch, &chunk)
-	avg := testing.AllocsPerRun(100, func() {
-		tr.Root = root
-		chunk = chunk[:0] // keep room; the compacted copies are not read
-		tr.Compact(&scratch, &chunk)
-	})
+	w := NewWarehouse(time.Second)
+	tr := &Trace{Type: "t", Root: root, Names: decodeNames}
+	add := func() {
+		// Shift the tree one millisecond on, so that eviction keeps a
+		// second's worth of traces and recycles chunks as it goes.
+		root.Walk(func(s *Span) {
+			s.Arrival += sim.Time(time.Millisecond)
+			s.Start += sim.Time(time.Millisecond)
+			s.End += sim.Time(time.Millisecond)
+		})
+		w.Add(tr)
+	}
+	for range 5000 {
+		add()
+	}
+	if w.chunkBase == 0 {
+		t.Fatal("no chunk was retired; the warm-up is too short to recycle")
+	}
+	base := w.chunkBase
+	avg := testing.AllocsPerRun(5000, add)
 	if avg != 0 {
-		t.Fatalf("Compact into a chunk with room allocates %.1f objects, want 0", avg)
+		t.Fatalf("Add of a settled trace allocates %.3f objects, want 0", avg)
+	}
+	if w.chunkBase == base {
+		t.Fatal("no chunk was recycled while measuring")
 	}
 }
 
@@ -378,10 +402,7 @@ func TestCompactIntoChunkAllocFree(t *testing.T) {
 // allocates nothing.
 func TestRecordsDecodeAllocFree(t *testing.T) {
 	root := decodeTree(&compactReader{data: []byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2}}, 0, 0)
-	tr := &Trace{Root: root, Names: decodeNames}
-	var scratch []byte
-	var chunk []byte
-	tr.Compact(&scratch, &chunk)
+	tr := stored(&Trace{Root: root, Names: decodeNames})
 	var recs []Record
 	tr.Records(&recs)
 	avg := testing.AllocsPerRun(100, func() { tr.Records(&recs) })

@@ -71,12 +71,12 @@ const socialStreamBudget = 24
 func TestSocialStreamSize(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 28))
 	names := newDecodeNames()
-	var scratch, chunk []byte
+	w := NewWarehouse(time.Hour)
 	bytes, spans := 0, 0
 	for i := range 200 {
 		tr := &Trace{Root: socialTrace(rng, composePost, sim.Time(i)*sim.Time(time.Second), 0), Names: names}
 		spans += tr.SpanCount()
-		tr.Compact(&scratch, &chunk)
+		w.Add(tr)
 		bytes += len(tr.enc)
 	}
 	perSpan := float64(bytes) / float64(spans)
@@ -97,45 +97,50 @@ func socialTraces(n int) []*Trace {
 	return trs
 }
 
-// BenchmarkCompact measures compaction on the cluster's completion
-// path: encoding a settled compose-post trace and appending its stream
-// to a shared chunk. It reports the cost and the stream's size a span.
+// BenchmarkCompact measures storing on the cluster's completion path:
+// encoding a settled compose-post trace into the warehouse's chunks,
+// which recycle once eviction starts. It reports the cost and the
+// stream's size a span.
 func BenchmarkCompact(b *testing.B) {
 	trs := socialTraces(64)
-	roots := make([]*Span, len(trs))
-	for i, tr := range trs {
-		roots[i] = tr.Root
-	}
 	spans := trs[0].SpanCount()
-	var scratch, chunk []byte
+	w := NewWarehouse(time.Minute)
+	tr := &Trace{Names: trs[0].Names}
 	bytes := 0
 	b.ResetTimer()
 	for i := range b.N {
-		tr := trs[i%len(trs)]
-		tr.Root = roots[i%len(trs)]
-		tr.Compact(&scratch, &chunk)
+		// Every trace completes a second after the one before, in
+		// rounds of the same 64 trees.
+		root := trs[i%len(trs)].Root
+		shift := sim.Time(i/len(trs)*len(trs)) * sim.Time(time.Second)
+		root.Walk(func(s *Span) { s.Arrival, s.Start, s.End = s.Arrival+shift, s.Start+shift, s.End+shift })
+		tr.Root = root
+		w.Add(tr)
 		bytes += len(tr.enc)
+		root.Walk(func(s *Span) { s.Arrival, s.Start, s.End = s.Arrival-shift, s.Start-shift, s.End-shift })
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spans), "ns/span")
 	b.ReportMetric(float64(bytes)/float64(b.N*spans), "B/span")
 }
 
 // BenchmarkRecords measures the read path of the SCG scan: decoding a
-// compacted compose-post trace into a warmed scratch. It reports the
-// cost a span and the stream bytes a span it reads.
+// stored compose-post trace into a warmed scratch. It reports the cost
+// a span and the stream bytes a span it reads.
 func BenchmarkRecords(b *testing.B) {
 	trs := socialTraces(64)
 	spans := trs[0].SpanCount()
-	var scratch, chunk []byte
+	w := NewWarehouse(time.Hour)
 	bytes := 0
 	for _, tr := range trs {
-		tr.Compact(&scratch, &chunk)
+		w.Add(tr)
 		bytes += len(tr.enc)
 	}
+	v := w.all()
 	var recs []Record
 	b.ResetTimer()
 	for i := range b.N {
-		trs[i%len(trs)].Records(&recs)
+		tr := v.At(i % len(trs))
+		tr.Records(&recs)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spans), "ns/span")
 	b.ReportMetric(float64(bytes)/float64(len(trs)*spans), "B/span")

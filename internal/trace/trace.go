@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"sora/internal/sim"
@@ -22,7 +23,7 @@ type ID uint64
 // Span records one service visit within a request's execution tree. All
 // timestamps are virtual times.
 //
-//soravet:pool Span invalidated-by none spans recycle through the cluster's free list: once a settled trace's OnComplete callbacks return, Trace.Compact copies its tree into records and Cluster.freeSpans hands every span back for a later visit to reissue, so a handle is valid only while its trace holds the live tree (an unsettled trace always does); the cluster keeps span handles in visits and attempts by design, so no invalidator is declared here
+//soravet:pool Span invalidated-by none spans recycle through the cluster's free list: once a settled trace's OnComplete callbacks return (the warehouse encoded its tree when it stored it), Cluster.freeSpans hands every span back for a later visit to reissue, so a handle is valid only while its trace holds the live tree (an unsettled trace always does); the cluster keeps span handles in visits and attempts by design, so no invalidator is declared here
 type Span struct {
 	Service string // logical service name (e.g. "cart")
 
@@ -149,23 +150,63 @@ func (s *Span) String() string {
 }
 
 // Trace is the complete execution record of one user request. It holds
-// its spans in one of two forms: the live tree under Root, or once
-// compacted (see Compact) an encoded stream that Records decodes.
+// its spans in one of two forms: the live tree under Root, or once the
+// warehouse has stored it settled an encoded stream (see stream.go) that
+// Records decodes.
+//
+// A Trace is a short-lived value, not a handle to the stored trace. The
+// cluster hands its OnComplete callbacks a *Trace it reuses and releases
+// once they return; a Warehouse view's At returns one that is valid only
+// while the view is. To keep a trace past either, Retain it.
 type Trace struct {
 	ID   ID
 	Type string // request type (e.g. "getCatalogue")
 
 	// Root is the live span tree. For a trace the cluster stores as
 	// settled it is valid only during the cluster's OnComplete
-	// callbacks: the cluster then compacts the trace, Root becomes nil
-	// and its spans are reused by later requests. After the callbacks,
-	// read a trace through Records or Tree, or export it.
+	// callbacks: its spans are then reused by later requests. After the
+	// callbacks, read a trace through Records or Tree, or export it.
 	Root *Span
 
 	// Names is the table the records' service and instance ids index.
 	Names *Names
 
-	enc []byte // the compacted spans' stream, a capped view of a shared chunk (see Compact); nil while Root is set
+	enc      []byte // the stored spans' stream, a capped view of a warehouse chunk (see Warehouse.Add)
+	released bool   // see Release
+}
+
+// Release ends the trace's life: it drops the trace's spans, and every
+// later read through a method panics. The cluster releases the trace it
+// hands its OnComplete callbacks once they return, so that a callback
+// that kept the pointer fails loudly instead of reading a reused tree.
+func (t *Trace) Release() { *t = Trace{released: true} }
+
+// checkReleased panics if the trace has been released. The readers call
+// it only once they have found neither a tree nor a stream, so it costs
+// a valid trace nothing.
+func (t *Trace) checkReleased() {
+	if t.released {
+		panic("trace: read of a trace after its OnComplete callbacks returned; Retain it to keep it")
+	}
+}
+
+// Retain returns a copy of the trace that stays valid after the callback
+// or the warehouse view it was read from. A settled trace's stream is
+// copied out of the warehouse's chunk, which is recycled once its traces
+// are evicted; a trace with no stream — one stored unsettled, or built
+// outside the cluster — shares its live tree, which orphaned work may
+// still change.
+func (t *Trace) Retain() *Trace {
+	c := &Trace{ID: t.ID, Type: t.Type, Names: t.Names}
+	switch {
+	case len(t.enc) > 0:
+		c.enc = slices.Clone(t.enc)
+	case t.Root != nil:
+		c.Root = t.Root
+	default:
+		t.checkReleased()
+	}
+	return c
 }
 
 // ResponseTime returns the end-to-end response time of the request.
@@ -176,10 +217,13 @@ func (t *Trace) ResponseTime() time.Duration {
 	if len(t.enc) > 0 {
 		return time.Duration(rootEnd(t.enc) - rootArrival(t.enc))
 	}
+	t.checkReleased()
 	return 0
 }
 
 // CompletedAt returns the virtual time the response left the system.
+//
+//soravet:allow deadcode (b) cross-package observer: core's sealed-scan fuzz test picks its windows by completion time through it
 func (t *Trace) CompletedAt() sim.Time {
 	if t.Root != nil {
 		return t.Root.End
@@ -187,6 +231,7 @@ func (t *Trace) CompletedAt() sim.Time {
 	if len(t.enc) > 0 {
 		return rootEnd(t.enc)
 	}
+	t.checkReleased()
 	return 0
 }
 

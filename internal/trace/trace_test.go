@@ -239,11 +239,11 @@ func TestWarehouseAddAndWindow(t *testing.T) {
 		t.Fatalf("Len = %d, want 10", w.Len())
 	}
 	got := w.Window(sim.Time(3*time.Second), sim.Time(7*time.Second))
-	if len(got) != 4 {
-		t.Fatalf("window returned %d traces, want 4", len(got))
+	if got.Len() != 4 {
+		t.Fatalf("window returned %d traces, want 4", got.Len())
 	}
-	for i, tr := range got {
-		if want := ID(i + 3); tr.ID != want {
+	for i := range got.Len() {
+		if tr, want := got.At(i), ID(i+3); tr.ID != want {
 			t.Errorf("window[%d].ID = %d, want %d", i, tr.ID, want)
 		}
 	}
@@ -258,8 +258,9 @@ func TestWarehouseEviction(t *testing.T) {
 	if w.Len() >= 30 {
 		t.Fatalf("no eviction happened: Len = %d", w.Len())
 	}
-	for _, tr := range w.All() {
-		if tr.CompletedAt() < sim.Time(20*time.Second) {
+	all := w.all()
+	for i := range all.Len() {
+		if tr := all.At(i); tr.CompletedAt() < sim.Time(20*time.Second) {
 			t.Errorf("trace completing at %v survived eviction", tr.CompletedAt())
 		}
 	}
@@ -304,21 +305,23 @@ func TestWarehouseWindowExcludesOutside(t *testing.T) {
 	w := NewWarehouse(time.Hour)
 	w.Add(chainTrace(1))
 	w.Add(forkTrace(2))
-	if got := w.Window(0, sim.Time(time.Hour)); len(got) != 2 {
-		t.Fatalf("got %d traces in the full window, want 2", len(got))
+	if got := w.Window(0, sim.Time(time.Hour)); got.Len() != 2 {
+		t.Fatalf("got %d traces in the full window, want 2", got.Len())
 	}
-	if got := w.Window(sim.Time(200*time.Millisecond), sim.Time(time.Hour)); len(got) != 0 {
-		t.Errorf("got %d traces outside the window, want 0", len(got))
+	if got := w.Window(sim.Time(200*time.Millisecond), sim.Time(time.Hour)); got.Len() != 0 {
+		t.Errorf("got %d traces outside the window, want 0", got.Len())
 	}
 }
 
-func TestWarehouseAllIsCopy(t *testing.T) {
+// TestWarehouseAtIsCopy checks that a view hands out traces by value:
+// changing one does not change the stored trace.
+func TestWarehouseAtIsCopy(t *testing.T) {
 	w := NewWarehouse(time.Hour)
 	w.Add(chainTrace(1))
-	all := w.All()
-	all[0] = nil
-	if w.All()[0] == nil {
-		t.Error("All() aliases internal storage")
+	tr := w.all().At(0)
+	tr.ID, tr.Type, tr.enc = 9, "changed", nil
+	if got := w.all().At(0); got.ID != 1 || got.Type != "getCart" || len(got.enc) == 0 {
+		t.Errorf("At(0) = trace %d of type %q with %d stream bytes after its copy changed", got.ID, got.Type, len(got.enc))
 	}
 }
 

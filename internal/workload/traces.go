@@ -38,11 +38,11 @@ func QuickVaryingTrace() Trace {
 	// Eight fast cycles between 0.35 and alternating peaks.
 	peaks := []float64{0.85, 0.95, 0.80, 1.00, 0.90, 0.85, 1.00, 0.88}
 	for i, p := range peaks {
-		base := float64(i) / float64(len(peaks))
+		base := float64(float64(i) / float64(len(peaks)))
 		width := 1.0 / float64(len(peaks))
 		pts = append(pts,
-			TracePoint{base + 0.35*width, p},
-			TracePoint{base + 0.75*width, 0.38},
+			TracePoint{base + float64(0.35*width), p},
+			TracePoint{base + float64(0.75*width), 0.38},
 		)
 	}
 	pts = append(pts, TracePoint{1, 0.35})

@@ -48,5 +48,5 @@ func (tr Trace) Intensity(f float64) float64 {
 		return b.Intensity
 	}
 	w := (f - a.Frac) / span
-	return a.Intensity*(1-w) + b.Intensity*w
+	return float64(a.Intensity*(1-w)) + float64(b.Intensity*w)
 }

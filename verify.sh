@@ -18,7 +18,11 @@
 # flow-aware poolsafe/hotpath analyses, the racelist drift check
 # (which parses this script's -race line, so the package list below can
 # never silently lag a package gaining concurrency) and the deadcode
-# reachability check rooted at every binary. The separate
+# reachability check rooted at every binary. scripts/fmacheck.sh
+# cross-compiles internal/ for arm64 and fails on any fused
+# multiply-add the compiler emits there without an allow, since a
+# fused x*y + z rounds once and would make outputs depend on the
+# architecture. The separate
 # benchmark module gets its own vet and test step. The soravet step
 # runs through scripts/lintstat.sh, which appends a one-line JSON scan
 # summary (files, findings per check, suppressions, wall ms) to the
@@ -47,6 +51,9 @@ sh scripts/lintstat.sh
 
 echo "== go build ./..."
 go build ./...
+
+echo "== fused multiply-add guard (arm64 assembly, scripts/fmacheck.sh)"
+sh scripts/fmacheck.sh
 
 echo "== go test ./..."
 go test ./...
