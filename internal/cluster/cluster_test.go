@@ -63,15 +63,16 @@ func TestSingleRequestLifecycle(t *testing.T) {
 	if got := done.ResponseTime(); got < 9*time.Millisecond || got > 11*time.Millisecond {
 		t.Errorf("response time = %v, want ~10ms", got)
 	}
-	if done.SpanCount() != 2 {
-		t.Errorf("span count = %d, want 2", done.SpanCount())
+	recs := done.Records(nil)
+	if len(recs) != 2 {
+		t.Errorf("span count = %d, want 2", len(recs))
 	}
 	cp := done.CriticalPathServices()
 	if len(cp) != 2 || cp[0] != "frontend" || cp[1] != "backend" {
 		t.Errorf("critical path = %v", cp)
 	}
 	// Frontend blocked on the backend for ~8ms.
-	fe := done.Tree()
+	fe := &recs[0]
 	if fe.Blocked < 7*time.Millisecond || fe.Blocked > 9*time.Millisecond {
 		t.Errorf("frontend blocked = %v, want ~8ms", fe.Blocked)
 	}
@@ -360,7 +361,7 @@ func TestBlockedTimeUnionForParallelCalls(t *testing.T) {
 	if done == nil {
 		t.Fatal("no completion")
 	}
-	root := done.Tree()
+	root := done.Records(nil)[0]
 	if root.Blocked < 9*time.Millisecond || root.Blocked > 11*time.Millisecond {
 		t.Errorf("blocked = %v, want ~10ms (union)", root.Blocked)
 	}
@@ -478,8 +479,8 @@ func TestTraceReadAfterCallbackPanics(t *testing.T) {
 	if kept == nil {
 		t.Fatal("request never completed")
 	}
-	if got := retained.ResponseTime(); got != rt || retained.SpanCount() != 2 {
-		t.Errorf("retained copy: response time %v with %d spans, want %v with 2", got, retained.SpanCount(), rt)
+	if got, spans := retained.ResponseTime(), len(retained.Records(nil)); got != rt || spans != 2 {
+		t.Errorf("retained copy: response time %v with %d spans, want %v with 2", got, spans, rt)
 	}
 	for _, read := range []struct {
 		name string
@@ -487,7 +488,7 @@ func TestTraceReadAfterCallbackPanics(t *testing.T) {
 	}{
 		{"ResponseTime", func() { kept.ResponseTime() }},
 		{"Records", func() { kept.Records(nil) }},
-		{"Tree", func() { kept.Tree() }},
+		{"Degraded", func() { kept.Degraded() }},
 		{"Retain", func() { kept.Retain() }},
 	} {
 		func() {

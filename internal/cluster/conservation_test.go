@@ -73,11 +73,11 @@ func TestCallRecordConservation(t *testing.T) {
 				return c
 			},
 			check: func(t *testing.T, c *cluster.Cluster, _ []cluster.CallPool, done []*trace.Trace) {
-				if c.TimedOut() != 1 || len(done) != 1 || len(done[0].Tree().Children) != 1 {
+				if c.TimedOut() != 1 || len(done) != 1 || len(done[0].Records(nil)) != 2 {
 					t.Fatalf("timed out=%d completed traces=%d, want one degraded trace after one timeout", c.TimedOut(), len(done))
 				}
-				root := done[0].Tree()
-				if child := root.Children[0]; !child.Abandoned || child.End <= root.End {
+				recs := done[0].Records(nil)
+				if root, child := recs[0], recs[1]; !child.Abandoned || child.End <= root.End {
 					t.Errorf("child abandoned=%v end=%v, root end=%v: want an abandoned child answering after the root", child.Abandoned, child.End, root.End)
 				}
 			},

@@ -21,12 +21,12 @@ func edgeOf(c *Cluster, caller, callee string) *edgeState {
 	return c.edgeTab[int(c.services[caller].id)*len(c.svcs)+int(c.services[callee].id)]
 }
 
-// TestSpanSize pins a live span to its 128 B size class: the cluster
-// recycles spans, and a larger one would raise every traced request's
-// footprint by a size class.
+// TestSpanSize pins a live span to its 112 B size class (it is 104 B):
+// the cluster recycles spans, and a larger one would raise every traced
+// request's footprint by a size class.
 func TestSpanSize(t *testing.T) {
-	if got := unsafe.Sizeof(trace.Span{}); got > 128 {
-		t.Fatalf("trace.Span is %d B, want <= 128", got)
+	if got := unsafe.Sizeof(trace.Span{}); got > 112 {
+		t.Fatalf("trace.Span is %d B, want <= 112", got)
 	}
 }
 

@@ -102,7 +102,6 @@ func (c *Cluster) startVisit(node *planNode, parent *trace.Span, fanout int, dea
 	}
 	inst := svc.pick()
 	span := c.newSpan()
-	span.Service = svc.name
 	span.Arrival = c.k.Now()
 	v := c.newVisit()
 	v.inst = inst
@@ -111,7 +110,6 @@ func (c *Cluster) startVisit(node *planNode, parent *trace.Span, fanout int, dea
 	v.deadline = deadline
 	v.onDone = onDone
 	if parent != nil {
-		span.Depth = parent.Depth + 1
 		// A recycled span brings its old child list; only one too
 		// short for the fan-out is replaced.
 		if len(parent.Children) == 0 && cap(parent.Children) < fanout {

@@ -264,7 +264,7 @@ func TestRetryRecoversFromTransientCrash(t *testing.T) {
 	if done == nil {
 		t.Fatalf("request did not complete (failed=%d)", c.Failed())
 	}
-	root := done.Tree()
+	root := done.Records(nil)[0]
 	if root.Failed || root.Degraded {
 		t.Errorf("root failed=%v degraded=%v, want clean completion", root.Failed, root.Degraded)
 	}
@@ -311,10 +311,10 @@ func TestOptionalCallDegrades(t *testing.T) {
 	if c.Degraded() != 1 {
 		t.Errorf("degraded = %d, want 1", c.Degraded())
 	}
-	if done == nil || !done.Tree().Degraded {
+	if done == nil || !done.Degraded() {
 		t.Fatal("completion trace not marked degraded")
 	}
-	if root := done.Tree(); len(root.Children) != 1 || !root.Children[0].Abandoned {
+	if recs := done.Records(nil); len(recs) != 2 || recs[0].Size != 2 || !recs[1].Abandoned {
 		t.Error("timed-out child span not marked Abandoned")
 	}
 	for _, svc := range done.CriticalPathServices() {

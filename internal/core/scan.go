@@ -16,10 +16,10 @@ import (
 //
 // Services are indexed by their id in the name table the window's
 // traces share (for the cluster's traces, the order of
-// Cluster.ServiceNames). Every query ranges over indices, so results do
-// not depend on map iteration order.
+// Cluster.ServiceNames), whose services are fixed once traces index
+// it. Every query ranges over indices, so results do not depend on map
+// iteration order.
 type windowScan struct {
-	table *trace.Names
 	names []string
 	svc   []scanService
 	// rts holds each trace's end-to-end response time in ms, aligned
@@ -66,7 +66,6 @@ type scanService struct {
 // names, keeping its slices' arrays. Row ti of the scan is row off+ti
 // of rows, whose entries must be zero for the rows the scan walks.
 func (w *windowScan) reset(names *trace.Names, rows *rowStore, off, n int) {
-	w.table = names
 	w.names = names.Services()
 	w.svc = resize(w.svc, len(w.names))
 	clear(w.svc)
@@ -93,7 +92,6 @@ func resize[T any](s []T, n int) []T {
 // every service of the path in the same pass.
 func (w *windowScan) addTrace(tr *trace.Trace, ti int) {
 	recs := tr.Records(&w.buf)
-	w.grow()
 	w.rts[ti] = float64(recs[0].Duration()) / float64(time.Millisecond)
 	n := len(w.names)
 	path := 0 // the next record on the critical path
@@ -146,24 +144,6 @@ func (w *windowScan) find(name string) int {
 		}
 	}
 	return -1
-}
-
-// grow widens the scan to the services its name table has gained since
-// the scan last looked: reading a live tree interns the names it meets
-// for the first time.
-func (w *windowScan) grow() {
-	names := w.table.Services()
-	old, n := len(w.names), len(names)
-	if n == old {
-		return
-	}
-	calls := make([]bool, n*n)
-	for r := 0; r < old; r++ {
-		copy(calls[r*n:r*n+old], w.calls[r*old:(r+1)*old])
-	}
-	w.calls = calls
-	w.names = names
-	w.svc = append(w.svc, make([]scanService, n-old)...)
 }
 
 // calledBy reports whether a span of service caller had a child span of

@@ -190,13 +190,14 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 		{"chaos", func(t *testing.T) *scanRig { return scanChaosRig(t, dur) }, func(t *testing.T, r *scanRig) {
 			late := 0
 			for _, tr := range viewTraces(r.c.Warehouse().Window(math.MinInt64, math.MaxInt64)) {
-				tr.Tree().Walk(func(s *trace.Span) {
-					for _, c := range s.Children {
-						if c.Abandoned && c.End > s.End {
+				recs := tr.Records(nil)
+				for i, s := range recs {
+					for c := i + 1; c < i+int(s.Size); c += int(recs[c].Size) {
+						if recs[c].Abandoned && recs[c].End > s.End {
 							late++
 						}
 					}
-				})
+				}
 			}
 			if late == 0 || r.c.Retries() == 0 || r.c.BreakerRejections() == 0 || r.unsettled == 0 {
 				t.Errorf("chaos run lacks a feature: %d orphans outliving their parent, %d retries, %d breaker rejections, %d unsettled traces",
@@ -350,9 +351,7 @@ func same(t *testing.T, at time.Duration, what, got, want string) {
 	}
 }
 
-// fuzzServices are the names a decoded window draws its spans from: the
-// first four are the names the window's name table starts with, the
-// last two are unknown to it and must be appended on first visit.
+// fuzzServices are the names of a decoded window's table, in id order.
 var fuzzServices = []string{"a", "b", "c", "d", "x", "y"}
 
 // fuzzReader hands out bytes, then zeros once the input is exhausted.
@@ -395,12 +394,11 @@ func decodeSpan(r *fuzzReader, arrival sim.Time, depth int) *trace.Span {
 	svc, timing, blocked, kids := r.next(), r.next(), r.next(), r.next()
 	dur := time.Duration(1+timing%4) * time.Millisecond
 	s := &trace.Span{
-		Service:   fuzzServices[svc%len(fuzzServices)],
-		Depth:     int32(depth),
 		Arrival:   arrival + sim.Time(timing/4%3)*sim.Time(time.Millisecond),
 		Blocked:   dur * time.Duration(blocked%4) / 4,
 		Abandoned: depth > 0 && blocked >= 200,
 	}
+	s.SetIDs(int32(svc%len(fuzzServices)), -1)
 	s.Start = s.Arrival
 	s.End = s.Arrival + sim.Time(dur)
 	if depth < 4 {
@@ -414,13 +412,13 @@ func decodeSpan(r *fuzzReader, arrival sim.Time, depth int) *trace.Span {
 // FuzzWindowScan compares the scan's per-service statistics with the
 // ones the oracle passes derive, on synthetic windows: services visited
 // twice in one trace or twice on one critical path, sibling children of
-// equal duration, abandoned children, services the scan was not built
-// with, and one-trace and empty windows.
+// equal duration, abandoned children, services no trace visits, and
+// one-trace and empty windows.
 func FuzzWindowScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		names := trace.NewNames(fuzzServices[:4])
+		names := trace.NewNames(fuzzServices)
 		traces := decodeWindow(data, names)
 		w := scanWindow(traces, names)
 		o := oracleWindowStats(traces)
@@ -452,8 +450,8 @@ func FuzzWindowScan(f *testing.F) {
 				t.Errorf("scan never indexed visited service %q", name)
 			}
 		}
-		if len(w.names) < 4 || fmt.Sprint(w.names[:4]) != fmt.Sprint(fuzzServices[:4]) {
-			t.Errorf("scan reordered its base names: %v", w.names)
+		if fmt.Sprint(w.names) != fmt.Sprint(fuzzServices) {
+			t.Errorf("scan reordered its names: %v", w.names)
 		}
 	})
 }

@@ -45,16 +45,16 @@ func oracleCriticalService(m *SCGModel, now sim.Time) (string, error) {
 	rts := make([]float64, 0, len(traces))
 	for ti, tr := range traces {
 		rts = append(rts, float64(tr.ResponseTime())/float64(time.Millisecond))
-		tr.Tree().Walk(func(s *trace.Span) {
-			ss, ok := perSvc[s.Service]
+		for _, s := range tr.Records(nil) {
+			name := tr.Names.Service(s.Service)
+			ss, ok := perSvc[name]
 			if !ok {
 				ss = &svcSamples{pt: make([]float64, len(traces))}
-				perSvc[s.Service] = ss
+				perSvc[name] = ss
 			}
 			ss.pt[ti] += float64(s.ProcessingTime()) / float64(time.Millisecond)
 			ss.visited++
-		})
-		_ = ti
+		}
 	}
 
 	type candidate struct {
@@ -113,8 +113,9 @@ func oraclePropagateDeadline(m *SCGModel, now sim.Time, service string) (time.Du
 	traces := viewTraces(m.c.Warehouse().Window(since, now))
 	var sum time.Duration
 	n := 0
+	var scratch []trace.Record
 	for _, tr := range traces {
-		upstream, ok := tr.UpstreamProcessing(service)
+		upstream, ok := tr.UpstreamProcessing(service, &scratch)
 		if !ok {
 			continue
 		}
@@ -200,14 +201,15 @@ func oracleBehindUtil(m *SCGModel, now sim.Time, measured string) float64 {
 	best := m.mon.MeanUtil(measured, since, now)
 	children := make(map[string]bool)
 	for _, tr := range viewTraces(m.c.Warehouse().Window(since, now)) {
-		tr.Tree().Walk(func(s *trace.Span) {
-			if s.Service != measured {
-				return
+		recs := tr.Records(nil)
+		for i, s := range recs {
+			if tr.Names.Service(s.Service) != measured {
+				continue
 			}
-			for _, c := range s.Children {
-				children[c.Service] = true
+			for c := i + 1; c < i+int(s.Size); c += int(recs[c].Size) {
+				children[tr.Names.Service(recs[c].Service)] = true
 			}
-		})
+		}
 	}
 	for child := range children {
 		if u := m.mon.MeanUtil(child, since, now); u > best {
@@ -275,10 +277,11 @@ type oracleStats struct {
 }
 
 // oracleWindowStats gathers oracleStats the way the oracle passes do:
-// one closure Walk per trace for the processing-time vectors (as
-// oracleCriticalService), Trace.UpstreamProcessing per trace and service
-// for the deadline sums (as oraclePropagateDeadline), and a second Walk
-// for the caller→callee sets (as oracleBehindUtil).
+// one pass over each trace's records for the processing-time vectors
+// (as oracleCriticalService), Trace.UpstreamProcessing per trace and
+// service for the deadline sums (as oraclePropagateDeadline), and a
+// second pass for the caller→callee sets (as oracleBehindUtil). Every
+// pass keys services by name.
 func oracleWindowStats(traces []*trace.Trace) oracleStats {
 	o := oracleStats{
 		pt:       make(map[string][]float64),
@@ -289,31 +292,34 @@ func oracleWindowStats(traces []*trace.Trace) oracleStats {
 	}
 	for ti, tr := range traces {
 		o.rts = append(o.rts, float64(tr.ResponseTime())/float64(time.Millisecond))
-		tr.Tree().Walk(func(s *trace.Span) {
-			if o.pt[s.Service] == nil {
-				o.pt[s.Service] = make([]float64, len(traces))
+		for _, s := range tr.Records(nil) {
+			name := tr.Names.Service(s.Service)
+			if o.pt[name] == nil {
+				o.pt[name] = make([]float64, len(traces))
 			}
-			o.pt[s.Service][ti] += float64(s.ProcessingTime()) / float64(time.Millisecond)
-			o.visits[s.Service]++
-		})
+			o.pt[name][ti] += float64(s.ProcessingTime()) / float64(time.Millisecond)
+			o.visits[name]++
+		}
 	}
 	for name := range o.visits {
 		for _, tr := range traces {
-			if upstream, ok := tr.UpstreamProcessing(name); ok {
+			if upstream, ok := tr.UpstreamProcessing(name, nil); ok {
 				o.upSum[name] += upstream
 				o.upN[name]++
 			}
 		}
 	}
 	for _, tr := range traces {
-		tr.Tree().Walk(func(s *trace.Span) {
-			for _, c := range s.Children {
-				if o.children[s.Service] == nil {
-					o.children[s.Service] = make(map[string]bool)
+		recs := tr.Records(nil)
+		for i, s := range recs {
+			caller := tr.Names.Service(s.Service)
+			for c := i + 1; c < i+int(s.Size); c += int(recs[c].Size) {
+				if o.children[caller] == nil {
+					o.children[caller] = make(map[string]bool)
 				}
-				o.children[s.Service][c.Service] = true
+				o.children[caller][tr.Names.Service(recs[c].Service)] = true
 			}
-		})
+		}
 	}
 	return o
 }

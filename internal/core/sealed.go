@@ -42,9 +42,9 @@ type sealedScans struct {
 
 // sealedBlock summarizes one block's settled traces: the per-service
 // counts and sums and the edges a windowScan keeps, both indexed by
-// service id over the services the table held when the block was
-// sealed, without the per-trace columns (those stay in the row store)
-// and without the critical-path marks a walk needs.
+// service id as the scan's are, without the per-trace columns (those
+// stay in the row store) and without the critical-path marks a walk
+// needs.
 type sealedBlock struct {
 	svc   []sealedService
 	calls []bool
@@ -170,7 +170,6 @@ func (s *sealedScans) keep(lo, hi uint64) {
 // added, edges ORed. The block's rows are already in place.
 func (s *sealedScans) merge(sb *sealedBlock) {
 	w := &s.win
-	w.grow() // sealing the block may have interned names
 	for i := range sb.svc {
 		ss := &sb.svc[i]
 		if ss.visits == 0 {
@@ -184,12 +183,9 @@ func (s *sealedScans) merge(sb *sealedBlock) {
 		st.upSum += ss.upSum
 		st.upN += ss.upN
 	}
-	n, wn := len(sb.svc), len(w.names)
-	for caller := range n {
-		for callee, called := range sb.calls[caller*n : (caller+1)*n] {
-			if called {
-				w.calls[caller*wn+callee] = true
-			}
+	for i, called := range sb.calls {
+		if called {
+			w.calls[i] = true
 		}
 	}
 }

@@ -20,14 +20,16 @@ func scanView(s *sealedScans, wh *trace.Warehouse, since, until sim.Time, names 
 // orphan appended to it and finished later must show in the next scan,
 // which must again equal a fresh one.
 func TestSealedScanRereadsUnsettled(t *testing.T) {
-	names := trace.NewNames(fuzzServices[:4])
+	names := trace.NewNames(fuzzServices)
 	wh := trace.NewWarehouse(time.Hour)
 	var orphaned *trace.Trace
 	for i := 0; i < 8; i++ {
 		at := sim.Time(i) * sim.Time(10*time.Millisecond)
-		child := &trace.Span{Service: "b", Depth: 1, Arrival: at + sim.Time(time.Millisecond), End: at + sim.Time(3*time.Millisecond)}
+		child := &trace.Span{Arrival: at + sim.Time(time.Millisecond), End: at + sim.Time(3*time.Millisecond)}
 		child.Start = child.Arrival
-		root := &trace.Span{Service: "a", Arrival: at, Start: at, End: at + sim.Time(5*time.Millisecond), Blocked: 2 * time.Millisecond, Children: []*trace.Span{child}}
+		child.SetIDs(1, -1) // b
+		root := &trace.Span{Arrival: at, Start: at, End: at + sim.Time(5*time.Millisecond), Blocked: 2 * time.Millisecond, Children: []*trace.Span{child}}
+		root.SetIDs(0, -1) // a
 		tr := &trace.Trace{ID: trace.ID(i + 1), Root: root, Names: names}
 		if i == 5 {
 			wh.AddUnsettled(tr)
@@ -52,7 +54,8 @@ func TestSealedScanRereadsUnsettled(t *testing.T) {
 	// A timed-out call's request lands after the root completed: the
 	// callee runs it as an orphan under the root, and it finishes later.
 	root := orphaned.Root
-	orphan := &trace.Span{Service: "c", Depth: 1, Arrival: root.End, Start: root.End, End: root.End, Abandoned: true}
+	orphan := &trace.Span{Arrival: root.End, Start: root.End, End: root.End, Abandoned: true}
+	orphan.SetIDs(2, -1) // c
 	root.Children = append(root.Children, orphan)
 	check("after the orphan arrived")
 	orphan.End += sim.Time(4 * time.Millisecond)
@@ -78,7 +81,7 @@ func FuzzSealedScan(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 3, 0, 2, 1, 4, 7, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
-		names := trace.NewNames(fuzzServices[:4])
+		names := trace.NewNames(fuzzServices)
 		s := &sealedScans{shift: uint(1 + r.next()%3)}
 		wh := trace.NewWarehouse(time.Hour)
 		var all, unsettled []*trace.Trace
@@ -89,7 +92,7 @@ func FuzzSealedScan(f *testing.F) {
 				root := decodeSpan(r, 0, 0)
 				// Shift it so completions are in order.
 				d := end - root.Arrival + sim.Time(r.next()%3)*sim.Time(time.Millisecond)
-				root.Walk(func(s *trace.Span) { s.Arrival, s.Start, s.End = s.Arrival+d, s.Start+d, s.End+d })
+				walkSpans(root, 0, func(s *trace.Span, _ int) { s.Arrival, s.Start, s.End = s.Arrival+d, s.Start+d, s.End+d })
 				end = root.End
 				tr := &trace.Trace{ID: trace.ID(len(all) + 1), Root: root, Names: names}
 				all = append(all, tr)
@@ -105,11 +108,16 @@ func FuzzSealedScan(f *testing.F) {
 				}
 				tr := unsettled[r.next()%len(unsettled)]
 				var spans []*trace.Span
-				tr.Root.Walk(func(s *trace.Span) { spans = append(spans, s) })
-				if sp := spans[r.next()%len(spans)]; sp.Abandoned {
-					sp.End += sim.Time(1+r.next()%4) * sim.Time(time.Millisecond)
+				var depths []int
+				walkSpans(tr.Root, 0, func(s *trace.Span, depth int) {
+					spans = append(spans, s)
+					depths = append(depths, depth)
+				})
+				if i := r.next() % len(spans); spans[i].Abandoned {
+					spans[i].End += sim.Time(1+r.next()%4) * sim.Time(time.Millisecond)
 				} else {
-					orphan := decodeSpan(r, sp.End, int(sp.Depth)+1)
+					sp := spans[i]
+					orphan := decodeSpan(r, sp.End, depths[i]+1)
 					orphan.Abandoned = true
 					sp.Children = append(sp.Children, orphan)
 				}
@@ -126,4 +134,14 @@ func FuzzSealedScan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// walkSpans calls fn for the span tree under s, built at depth, in
+// pre-order, with each span's depth: the fuzz tests change live trees
+// the way orphaned work does.
+func walkSpans(s *trace.Span, depth int, fn func(*trace.Span, int)) {
+	fn(s, depth)
+	for _, c := range s.Children {
+		walkSpans(c, depth+1, fn)
+	}
 }

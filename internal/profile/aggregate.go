@@ -63,6 +63,7 @@ type Aggregator struct {
 	sumExcess      time.Duration
 	svcs           map[string]*svcAgg
 	folded         map[string]time.Duration
+	recs           []trace.Record // the records of the trace being added
 }
 
 // NewAggregator returns an empty aggregator. A positive slo enables the
@@ -81,16 +82,14 @@ func (a *Aggregator) Add(t *trace.Trace) {
 	if a == nil || t == nil {
 		return
 	}
-	path := t.CriticalPath()
-	if len(path) == 0 {
-		return
-	}
-	root := path[0]
-	rt := spanWall(root)
-	slow := a.slo > 0 && rt > a.slo
-
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	recs := t.Records(&a.recs)
+	if len(recs) == 0 {
+		return
+	}
+	rt := spanWall(&recs[0])
+	slow := a.slo > 0 && rt > a.slo
 	a.traces++
 	a.sumRT += rt
 	if slow {
@@ -98,24 +97,27 @@ func (a *Aggregator) Add(t *trace.Trace) {
 		a.sumExcess += rt - a.slo
 	}
 	stack := foldedFrame(t.Type)
-	for i, s := range path {
+	for i := 0; i >= 0; {
+		s := &recs[i]
+		next := trace.CriticalChildAt(recs, i)
 		ph := SpanPhases(s)
 		charges := [NumPhases]time.Duration{
 			ph.Queue, ph.CPU, ph.Contend, ph.ConnWait, ph.Blocked, ph.Retry, ph.Breaker,
 		}
-		if i+1 < len(path) {
-			charges[PhaseBlocked] -= spanWall(path[i+1])
+		if next >= 0 {
+			charges[PhaseBlocked] -= spanWall(&recs[next])
 			if charges[PhaseBlocked] < 0 {
 				charges[PhaseBlocked] = 0
 			}
 		}
-		svc, ok := a.svcs[s.Service]
+		name := t.Names.Service(s.Service)
+		svc, ok := a.svcs[name]
 		if !ok {
 			svc = newSvcAgg()
-			a.svcs[s.Service] = svc
+			a.svcs[name] = svc
 		}
 		svc.spans++
-		stack = stack + ";" + foldedFrame(s.Service)
+		stack = stack + ";" + foldedFrame(name)
 		for p, d := range charges {
 			if d == 0 {
 				continue
@@ -127,8 +129,10 @@ func (a *Aggregator) Add(t *trace.Trace) {
 			svc.hist[p].Observe(d)
 			a.folded[stack+";"+phaseNames[p]] += d
 		}
+		i = next
 	}
-	root.Walk(func(s *trace.Span) {
+	for i := range recs {
+		s := &recs[i]
 		if s.Failed {
 			a.failedSpans++
 		}
@@ -138,7 +142,7 @@ func (a *Aggregator) Add(t *trace.Trace) {
 		if s.Abandoned {
 			a.abandonedSpans++
 		}
-	})
+	}
 }
 
 // AddAll folds a batch of traces (e.g. an imported archive).

@@ -52,17 +52,17 @@ func TestBlameInvariantOnSimulatedTraces(t *testing.T) {
 			t.Fatalf("trace %d (%s): blame sums to %v, response time %v (diff %v)",
 				tr.ID, tr.Type, sum, tr.ResponseTime(), sum-tr.ResponseTime())
 		}
-		// And every span's five phases tile its wall time exactly.
-		tr.Tree().Walk(func(s *trace.Span) {
-			ph := profile.SpanPhases(s)
+		// And every span's seven phases tile its wall time exactly.
+		for _, s := range tr.Records(nil) {
+			ph := profile.SpanPhases(&s)
 			var got time.Duration
 			for i := 0; i < profile.NumPhases; i++ {
 				got += ph.Get(profile.Phase(i))
 			}
 			if want := s.Duration(); got != want {
-				t.Fatalf("trace %d span %s: phases sum to %v, wall %v", tr.ID, s.Service, got, want)
+				t.Fatalf("trace %d span %s: phases sum to %v, wall %v", tr.ID, tr.Names.Service(s.Service), got, want)
 			}
-		})
+		}
 	}
 }
 
@@ -74,25 +74,26 @@ func TestSimulatedPhasesAreConsistent(t *testing.T) {
 	traces := runSockShop(t, 11, 200)
 	spans, contended, connWaited := 0, 0, 0
 	for _, tr := range traces {
-		tr.Tree().Walk(func(s *trace.Span) {
+		for _, s := range tr.Records(nil) {
 			spans++
+			svc := tr.Names.Service(s.Service)
 			if s.Demand > s.CPU {
-				t.Fatalf("span %s: demand %v > cpu %v", s.Service, s.Demand, s.CPU)
+				t.Fatalf("span %s: demand %v > cpu %v", svc, s.Demand, s.CPU)
 			}
 			if s.CPU > s.ProcessingTime() {
-				t.Fatalf("span %s: cpu %v > processing %v", s.Service, s.CPU, s.ProcessingTime())
+				t.Fatalf("span %s: cpu %v > processing %v", svc, s.CPU, s.ProcessingTime())
 			}
 			if s.Blocked > time.Duration(s.End-s.Start) {
-				t.Fatalf("span %s: blocked %v > residence %v", s.Service, s.Blocked, time.Duration(s.End-s.Start))
+				t.Fatalf("span %s: blocked %v > residence %v", svc, s.Blocked, time.Duration(s.End-s.Start))
 			}
-			ph := profile.SpanPhases(s)
+			ph := profile.SpanPhases(&s)
 			if ph.Contend > 0 {
 				contended++
 			}
 			if ph.ConnWait > 0 {
 				connWaited++
 			}
-		})
+		}
 	}
 	// The workload is bursty enough that contention must show up
 	// somewhere; a workload with zero contention would make the phase

@@ -5,7 +5,8 @@
 //
 // # Phase taxonomy
 //
-// Every service visit (trace.Span) decomposes into seven phases:
+// Every service visit (a trace.Record, as Trace.Records reads a completed
+// trace) decomposes into seven phases:
 //
 //	queue    — admission-queue wait (Arrival → Start): the request sat
 //	           in front of an under-provisioned soft resource.
@@ -29,15 +30,17 @@
 //
 // # Critical-path blame
 //
-// Blame walks Trace.CriticalPath and charges every wall-clock interval
-// of the response time to exactly one (service, phase) pair: each span
-// on the path is charged its queue/cpu/contend/connwait phases, and its
+// Blame descends the critical path over the trace's records with
+// trace.CriticalChildAt and charges every wall-clock interval of the
+// response time to exactly one (service, phase) pair: each span on the
+// path is charged its queue/cpu/contend/connwait phases, and its
 // blocked time minus the on-path child's whole wall time (the child
 // accounts for its own interval recursively). Charges therefore sum
 // exactly to the trace's response time — the blame invariant the tests
-// enforce. All arithmetic is integer nanoseconds, so attribution is
-// deterministic and identical between in-process analysis and offline
-// analysis of an exported archive.
+// enforce. All arithmetic is integer nanoseconds, and a trace is read
+// only through its records, so attribution is deterministic and
+// identical between in-process analysis and offline analysis of an
+// exported archive.
 package profile
 
 import (
@@ -115,7 +118,7 @@ func (p Phases) Get(ph Phase) time.Duration {
 }
 
 // spanWall returns the span's wall time clamped to be non-negative.
-func spanWall(s *trace.Span) time.Duration {
+func spanWall(s *trace.Record) time.Duration {
 	d := time.Duration(s.End - s.Arrival)
 	if d < 0 {
 		d = 0
@@ -140,7 +143,7 @@ func clamp(v, hi time.Duration) time.Duration {
 // retry and breaker backoff, then on-CPU, then ideal demand), so
 // recording skew can shift time between adjacent phases but never
 // create or destroy it.
-func SpanPhases(s *trace.Span) Phases {
+func SpanPhases(s *trace.Record) Phases {
 	d := spanWall(s)
 	q := clamp(time.Duration(s.Start-s.Arrival), d)
 	rem := d - q
@@ -177,35 +180,36 @@ type Charge struct {
 //
 //soravet:allow deadcode (a) reference implementation: the aggregator tests compare the streaming Aggregator against this per-trace blame
 func Blame(t *trace.Trace) []Charge {
-	path := t.CriticalPath()
-	if len(path) == 0 {
-		return nil
-	}
-	charges := make([]Charge, 0, len(path)*3)
+	recs := t.Records(nil)
+	var charges []Charge
 	emit := func(svc string, ph Phase, d time.Duration) {
 		if d > 0 {
 			charges = append(charges, Charge{Service: svc, Phase: ph, Dur: d})
 		}
 	}
-	for i, s := range path {
+	for i := 0; i >= 0 && i < len(recs); {
+		s := &recs[i]
+		next := trace.CriticalChildAt(recs, i)
 		ph := SpanPhases(s)
 		blocked := ph.Blocked
-		if i+1 < len(path) {
+		if next >= 0 {
 			// The on-path child accounts for its own wall time; this
 			// span keeps only the residue (parallel siblings' tails,
 			// network hops, earlier sequential calls).
-			blocked -= spanWall(path[i+1])
+			blocked -= spanWall(&recs[next])
 			if blocked < 0 {
 				blocked = 0
 			}
 		}
-		emit(s.Service, PhaseQueue, ph.Queue)
-		emit(s.Service, PhaseCPU, ph.CPU)
-		emit(s.Service, PhaseContend, ph.Contend)
-		emit(s.Service, PhaseConnWait, ph.ConnWait)
-		emit(s.Service, PhaseBlocked, blocked)
-		emit(s.Service, PhaseRetry, ph.Retry)
-		emit(s.Service, PhaseBreaker, ph.Breaker)
+		svc := t.Names.Service(s.Service)
+		emit(svc, PhaseQueue, ph.Queue)
+		emit(svc, PhaseCPU, ph.CPU)
+		emit(svc, PhaseContend, ph.Contend)
+		emit(svc, PhaseConnWait, ph.ConnWait)
+		emit(svc, PhaseBlocked, blocked)
+		emit(svc, PhaseRetry, ph.Retry)
+		emit(svc, PhaseBreaker, ph.Breaker)
+		i = next
 	}
 	return charges
 }

@@ -28,7 +28,7 @@ func TestPhaseNamesRoundTrip(t *testing.T) {
 func TestSpanPhasesConsistentSpan(t *testing.T) {
 	// 2ms queue, 8ms blocked, 6ms on-CPU (4ms ideal + 2ms contention),
 	// 4ms connection wait: 20ms wall total.
-	s := &trace.Span{
+	s := &trace.Record{
 		Arrival: 0, Start: dms(2), End: dms(20),
 		Blocked: dms(8), CPU: dms(6), Demand: dms(4),
 	}
@@ -50,15 +50,15 @@ func TestSpanPhasesConsistentSpan(t *testing.T) {
 func TestSpanPhasesExactSumUnderSkew(t *testing.T) {
 	cases := []struct {
 		name string
-		s    trace.Span
+		s    trace.Record
 	}{
-		{"consistent", trace.Span{Start: dms(1), End: dms(10), Blocked: dms(4), CPU: dms(3), Demand: dms(2)}},
-		{"blocked exceeds wall", trace.Span{Start: dms(1), End: dms(10), Blocked: dms(50), CPU: dms(3), Demand: dms(1)}},
-		{"cpu exceeds processing", trace.Span{Start: dms(1), End: dms(10), Blocked: dms(4), CPU: dms(50), Demand: dms(1)}},
-		{"demand exceeds cpu", trace.Span{Start: dms(1), End: dms(10), Blocked: dms(4), CPU: dms(3), Demand: dms(50)}},
-		{"start after end", trace.Span{Start: dms(20), End: dms(10)}},
-		{"zero-width drop", trace.Span{Start: dms(5), End: dms(5), Failed: true}},
-		{"negative blocked", trace.Span{Start: dms(1), End: dms(10), Blocked: -dms(3)}},
+		{"consistent", trace.Record{Start: dms(1), End: dms(10), Blocked: dms(4), CPU: dms(3), Demand: dms(2)}},
+		{"blocked exceeds wall", trace.Record{Start: dms(1), End: dms(10), Blocked: dms(50), CPU: dms(3), Demand: dms(1)}},
+		{"cpu exceeds processing", trace.Record{Start: dms(1), End: dms(10), Blocked: dms(4), CPU: dms(50), Demand: dms(1)}},
+		{"demand exceeds cpu", trace.Record{Start: dms(1), End: dms(10), Blocked: dms(4), CPU: dms(3), Demand: dms(50)}},
+		{"start after end", trace.Record{Start: dms(20), End: dms(10)}},
+		{"zero-width drop", trace.Record{Start: dms(5), End: dms(5), Failed: true}},
+		{"negative blocked", trace.Record{Start: dms(1), End: dms(10), Blocked: -dms(3)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,21 +76,38 @@ func TestSpanPhasesExactSumUnderSkew(t *testing.T) {
 	}
 }
 
-// chain builds root -> mid -> leaf with the blocked windows covering each
-// on-path child's wall time, as the simulator records them.
+// stamped returns a trace of the tree under root whose spans are, in
+// pre-order, the services named, none on a pod.
+func stamped(id trace.ID, typ string, root *trace.Span, services ...string) *trace.Trace {
+	next := int32(0)
+	var stamp func(s *trace.Span)
+	stamp = func(s *trace.Span) {
+		s.SetIDs(next, -1)
+		next++
+		for _, c := range s.Children {
+			stamp(c)
+		}
+	}
+	stamp(root)
+	return &trace.Trace{ID: id, Type: typ, Root: root, Names: trace.NewNames(services)}
+}
+
+// chainedTrace builds root -> mid -> leaf with the blocked windows
+// covering each on-path child's wall time, as the simulator records
+// them.
 func chainedTrace() *trace.Trace {
-	leaf := &trace.Span{Service: "cart-db", Depth: 2,
+	leaf := &trace.Span{
 		Arrival: dms(4), Start: dms(5), End: dms(14),
 		CPU: dms(9), Demand: dms(7)}
-	mid := &trace.Span{Service: "cart", Depth: 1,
+	mid := &trace.Span{
 		Arrival: dms(2), Start: dms(3), End: dms(17),
 		Blocked: dms(11), CPU: dms(2), Demand: dms(2),
 		Children: []*trace.Span{leaf}}
-	root := &trace.Span{Service: "front-end", Depth: 0,
+	root := &trace.Span{
 		Arrival: 0, Start: 0, End: dms(20),
 		Blocked: dms(16), CPU: dms(4), Demand: dms(3),
 		Children: []*trace.Span{mid}}
-	return &trace.Trace{ID: 1, Type: "getCart", Root: root}
+	return stamped(1, "getCart", root, "front-end", "cart", "cart-db")
 }
 
 func sumCharges(charges []Charge) time.Duration {
@@ -124,9 +141,8 @@ func TestBlameSumsToResponseTime(t *testing.T) {
 }
 
 func TestBlameSingleSpan(t *testing.T) {
-	tr := &trace.Trace{ID: 2, Type: "ping", Root: &trace.Span{
-		Service: "front-end", Start: dms(1), End: dms(3),
-		CPU: dms(2), Demand: dms(2)}}
+	tr := stamped(2, "ping", &trace.Span{Start: dms(1), End: dms(3),
+		CPU: dms(2), Demand: dms(2)}, "front-end")
 	charges := Blame(tr)
 	if got, want := sumCharges(charges), tr.ResponseTime(); got != want {
 		t.Errorf("blame sums to %v, response time is %v", got, want)
@@ -138,13 +154,13 @@ func TestBlameNeverLosesTime(t *testing.T) {
 	// exceeds the parent's recorded blocked window (2ms). The parent's
 	// blocked charge clamps at zero; total blame can only exceed the
 	// response time, never fall short.
-	child := &trace.Span{Service: "cart", Depth: 1,
+	child := &trace.Span{
 		Arrival: dms(1), Start: dms(1), End: dms(13), CPU: dms(12), Demand: dms(12)}
-	root := &trace.Span{Service: "front-end",
+	root := &trace.Span{
 		Arrival: 0, Start: 0, End: dms(14),
 		Blocked: dms(2), CPU: dms(12), Demand: dms(12),
 		Children: []*trace.Span{child}}
-	tr := &trace.Trace{ID: 3, Type: "x", Root: root}
+	tr := stamped(3, "x", root, "front-end", "cart")
 	if got, want := sumCharges(Blame(tr)), tr.ResponseTime(); got < want {
 		t.Errorf("blame sums to %v, below response time %v", got, want)
 	}

@@ -185,7 +185,7 @@ func (s Scenario) Build() (*Rig, error) {
 	c.OnComplete(func(tr *trace.Trace) {
 		// Degraded completions must not count as goodput in the final
 		// report, exactly as in the cluster's own pruned logs.
-		r.E2E.AddFlagged(k.Now(), tr.ResponseTime(), tr.Root.Degraded)
+		r.E2E.AddFlagged(k.Now(), tr.ResponseTime(), tr.Degraded())
 	})
 	if s.Profile != nil {
 		c.OnComplete(s.Profile.Add)

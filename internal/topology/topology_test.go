@@ -131,10 +131,15 @@ func TestHeavyReadsBlockLongerOnPostStorage(t *testing.T) {
 		}
 		var totalBlocked time.Duration
 		var n int
+		var recs []trace.Record
 		c.OnComplete(func(tr *trace.Trace) {
-			if s := tr.FindSpan(PostStorage); s != nil {
-				totalBlocked += s.Blocked
-				n++
+			// The first post-storage visit, in pre-order.
+			for _, r := range tr.Records(&recs) {
+				if tr.Names.Service(r.Service) == PostStorage {
+					totalBlocked += r.Blocked
+					n++
+					break
+				}
 			}
 		})
 		runUsers(t, k, c, 50, 10*time.Second)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"time"
 )
 
@@ -46,41 +45,42 @@ type TraceRecord struct {
 	Root SpanRecord `json:"root"`
 }
 
-// toRecord serializes the tree under s, whose ids index names.
-func toRecord(s *Span, names *Names) SpanRecord {
+// spanRecord serializes recs[i], a record of a pre-order array whose
+// ids index names, and its subtree; depth is recs[i]'s nesting depth.
+func spanRecord(recs []Record, i, depth int, names *Names) SpanRecord {
+	r := &recs[i]
 	rec := SpanRecord{
-		Service:   s.Service,
-		Instance:  s.Instance(names),
-		Depth:     int(s.Depth),
-		ArrivalNs: int64(s.Arrival),
-		StartNs:   int64(s.Start),
-		EndNs:     int64(s.End),
-		BlockedNs: int64(s.Blocked),
-		DemandNs:  int64(s.Demand),
-		CPUNs:     int64(s.CPU),
-		RetryNs:   int64(s.RetryWait),
-		BreakerNs: int64(s.BreakerWait),
-		Failed:    s.Failed,
-		Degraded:  s.Degraded,
-		Abandoned: s.Abandoned,
+		Service:   names.Service(r.Service),
+		Instance:  names.Instance(r.Instance),
+		Depth:     depth,
+		ArrivalNs: int64(r.Arrival),
+		StartNs:   int64(r.Start),
+		EndNs:     int64(r.End),
+		BlockedNs: int64(r.Blocked),
+		DemandNs:  int64(r.Demand),
+		CPUNs:     int64(r.CPU),
+		RetryNs:   int64(r.RetryWait),
+		BreakerNs: int64(r.BreakerWait),
+		Failed:    r.Failed,
+		Degraded:  r.Degraded,
+		Abandoned: r.Abandoned,
 	}
-	for _, c := range s.Children {
-		rec.Children = append(rec.Children, toRecord(c, names))
+	for c, end := i+1, i+int(r.Size); c < end; c += int(recs[c].Size) {
+		rec.Children = append(rec.Children, spanRecord(recs, c, depth+1, names))
 	}
 	return rec
 }
 
-// fromRecord rebuilds the span tree of rec, stamping each span with its
-// ids in names; pods maps the pod names met so far to their ids.
-// Span.Depth is an int32, so a record whose depth does not fit is
-// rejected rather than truncated.
-func fromRecord(rec SpanRecord, names *Names, pods map[string]int32) (*Span, error) {
-	if rec.Depth < math.MinInt32 || rec.Depth > math.MaxInt32 {
-		return nil, fmt.Errorf("span %q: depth %d out of range", rec.Service, rec.Depth)
+// fromRecord rebuilds the span tree of rec, which must sit at nesting
+// depth depth, stamping each span with its ids in names; pods maps the
+// pod names met so far to their ids. A record whose depth is not its
+// nesting depth is rejected: the archive does not describe the tree it
+// holds.
+func fromRecord(rec SpanRecord, depth int, names *Names, pods map[string]int32) (*Span, error) {
+	if rec.Depth != depth {
+		return nil, fmt.Errorf("span %q: depth %d at nesting depth %d", rec.Service, rec.Depth, depth)
 	}
 	s := &Span{
-		Service:     rec.Service,
-		Depth:       int32(rec.Depth),
 		Arrival:     time.Duration(rec.ArrivalNs),
 		Start:       time.Duration(rec.StartNs),
 		End:         time.Duration(rec.EndNs),
@@ -104,7 +104,7 @@ func fromRecord(rec SpanRecord, names *Names, pods map[string]int32) (*Span, err
 	}
 	s.SetIDs(names.service(rec.Service), pod)
 	for _, c := range rec.Children {
-		child, err := fromRecord(c, names, pods)
+		child, err := fromRecord(c, depth+1, names, pods)
 		if err != nil {
 			return nil, err
 		}
@@ -114,17 +114,17 @@ func fromRecord(rec SpanRecord, names *Names, pods map[string]int32) (*Span, err
 }
 
 // Export writes the trace as one JSON object with nanosecond virtual-time
-// fields. A compacted trace is exported from the tree its records
-// materialize, so the bytes do not depend on the form the trace is in.
+// fields. It reads the trace's records, so the bytes do not depend on
+// the form the trace is in; depths are nesting depths, the root's 0.
 func Export(w io.Writer, t *Trace) error {
-	var root *Span
+	var recs []Record
 	if t != nil {
-		root = t.Tree()
+		recs = t.Records(nil)
 	}
-	if root == nil {
+	if len(recs) == 0 {
 		return fmt.Errorf("trace: cannot export empty trace")
 	}
-	rec := TraceRecord{ID: t.ID, Type: t.Type, Root: toRecord(root, t.Names)}
+	rec := TraceRecord{ID: t.ID, Type: t.Type, Root: spanRecord(recs, 0, 0, t.Names)}
 	enc := json.NewEncoder(w)
 	return enc.Encode(rec)
 }
@@ -157,7 +157,7 @@ func ImportAll(r io.Reader) ([]*Trace, error) {
 		if rec.Root.Service == "" {
 			return nil, fmt.Errorf("trace: import %d: record has no root service", len(out))
 		}
-		root, err := fromRecord(rec.Root, names, pods)
+		root, err := fromRecord(rec.Root, 0, names, pods)
 		if err != nil {
 			return nil, fmt.Errorf("trace: import %d: %w", len(out), err)
 		}

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -24,24 +24,24 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if got.ID != orig.ID || got.Type != orig.Type {
 		t.Errorf("id/type = %d/%q, want %d/%q", got.ID, got.Type, orig.ID, orig.Type)
 	}
-	if got.SpanCount() != orig.SpanCount() {
-		t.Fatalf("span count = %d, want %d", got.SpanCount(), orig.SpanCount())
+	gr, or := got.Records(nil), orig.Records(nil)
+	if len(gr) != len(or) {
+		t.Fatalf("%d spans, want %d", len(gr), len(or))
 	}
 	if got.ResponseTime() != orig.ResponseTime() {
 		t.Errorf("response time = %v, want %v", got.ResponseTime(), orig.ResponseTime())
 	}
 	// Critical path and processing times must survive the round trip.
-	gp, op := got.CriticalPathServices(), orig.CriticalPathServices()
-	for i := range op {
-		if gp[i] != op[i] {
-			t.Fatalf("critical path = %v, want %v", gp, op)
-		}
+	if gp, op := got.CriticalPathServices(), orig.CriticalPathServices(); !slices.Equal(gp, op) {
+		t.Fatalf("critical path = %v, want %v", gp, op)
 	}
-	gSpan, oSpan := got.FindSpan("cart"), orig.FindSpan("cart")
-	if gSpan.ProcessingTime() != oSpan.ProcessingTime() {
-		t.Errorf("cart PT = %v, want %v", gSpan.ProcessingTime(), oSpan.ProcessingTime())
+	if svc := got.Names.Service(gr[1].Service); svc != "cart" {
+		t.Fatalf("second span is %q, want cart", svc)
 	}
-	if gi, oi := gSpan.Instance(got.Names), oSpan.Instance(orig.Names); gi != oi || oi != "cart-0" {
+	if gr[1].ProcessingTime() != or[1].ProcessingTime() {
+		t.Errorf("cart PT = %v, want %v", gr[1].ProcessingTime(), or[1].ProcessingTime())
+	}
+	if gi, oi := got.Names.Instance(gr[1].Instance), orig.Names.Instance(or[1].Instance); gi != oi || oi != "cart-0" {
 		t.Errorf("instance = %q, want %q", gi, oi)
 	}
 }
@@ -92,29 +92,26 @@ func TestImportRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestImportRejectsOutOfRangeDepth checks that a span depth an int32
-// Span.Depth cannot hold is an import error, not a silent truncation,
-// in a root and in a nested child.
-func TestImportRejectsOutOfRangeDepth(t *testing.T) {
+// TestImportRejectsInconsistentDepth checks that a span whose depth is
+// not its nesting depth is an import error: a root at depth 1, a child
+// at depth 0 and a grandchild at depth 1.
+func TestImportRejectsInconsistentDepth(t *testing.T) {
 	for _, rec := range []string{
-		`{"id":1,"type":"x","root":{"service":"a","depth":2147483648}}`,
-		`{"id":1,"type":"x","root":{"service":"a","children":[{"service":"b","depth":-2147483649}]}}`,
+		`{"id":1,"type":"x","root":{"service":"a","depth":1}}`,
+		`{"id":1,"type":"x","root":{"service":"a","children":[{"service":"b","depth":0}]}}`,
+		`{"id":1,"type":"x","root":{"service":"a","children":[{"service":"b","depth":1,"children":[{"service":"c","depth":1}]}]}}`,
 	} {
-		if _, err := ImportAll(strings.NewReader(rec + "\n")); err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("ImportAll(%s): err = %v, want a depth out of range error", rec, err)
+		if _, err := ImportAll(strings.NewReader(rec + "\n")); err == nil || !strings.Contains(err.Error(), "nesting depth") {
+			t.Errorf("ImportAll(%s): err = %v, want a nesting depth error", rec, err)
 		}
-	}
-	got, err := importOne(strings.NewReader(`{"id":1,"type":"x","root":{"service":"a","depth":2147483647}}`))
-	if err != nil || got.Root.Depth != math.MaxInt32 {
-		t.Errorf("largest depth: got %v, %v; want depth %d", got, err, math.MaxInt32)
 	}
 }
 
 // FuzzImportTrace feeds arbitrary bytes to ImportAll: it may not panic,
 // and any archive it accepts must be a fixed point of Export∘ImportAll —
 // exporting it, importing the export and exporting again gives the same
-// bytes. Every accepted trace must also keep each span depth of its
-// record, so a truncated depth cannot pass.
+// bytes. Every accepted trace must also export each span at the depth
+// its record gave, so an import that does not check depths cannot pass.
 func FuzzImportTrace(f *testing.F) {
 	var buf bytes.Buffer
 	if err := ExportAll(&buf, []*Trace{chainTrace(1), forkTrace(2)}); err != nil {
@@ -130,24 +127,32 @@ func FuzzImportTrace(f *testing.F) {
 		checkFixedPoint(t, traces)
 		dec := json.NewDecoder(bytes.NewReader(data))
 		for i, tr := range traces {
-			var rec TraceRecord
+			var rec, out TraceRecord
 			if err := dec.Decode(&rec); err != nil {
 				t.Fatalf("ImportAll accepted what the decoder rejects: %v", err)
 			}
-			if !sameDepths(rec.Root, tr.Root) {
-				t.Fatalf("trace %d: depths changed on import: record %+v", i, rec.Root)
+			var b bytes.Buffer
+			if err := Export(&b, tr); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(b.Bytes(), &out); err != nil {
+				t.Fatal(err)
+			}
+			if !sameDepths(rec.Root, out.Root) {
+				t.Fatalf("trace %d: depths changed on import: record %+v, export %+v", i, rec.Root, out.Root)
 			}
 		}
 	})
 }
 
-// sameDepths reports whether span tree s has rec's shape and depths.
-func sameDepths(rec SpanRecord, s *Span) bool {
-	if int(s.Depth) != rec.Depth || len(s.Children) != len(rec.Children) {
+// sameDepths reports whether span records a and b have the same shape
+// and depths.
+func sameDepths(a, b SpanRecord) bool {
+	if a.Depth != b.Depth || len(a.Children) != len(b.Children) {
 		return false
 	}
-	for i, c := range rec.Children {
-		if !sameDepths(c, s.Children[i]) {
+	for i, c := range a.Children {
+		if !sameDepths(c, b.Children[i]) {
 			return false
 		}
 	}
@@ -188,17 +193,17 @@ func TestExportTimestampPrecision(t *testing.T) {
 	// The archive stores nanoseconds: the kernel's native resolution must
 	// round-trip exactly, or offline blame attribution could diverge from
 	// the in-process profile.
-	s := &Span{
-		Service: "svc",
+	names := NewNames(nil)
+	s := visit(names, "svc", Span{
 		Arrival: 1234567891 * time.Nanosecond,
 		Start:   1234567892 * time.Nanosecond,
 		End:     2234567893 * time.Nanosecond,
 		Blocked: 100001 * time.Nanosecond,
 		Demand:  50003 * time.Nanosecond,
 		CPU:     60007 * time.Nanosecond,
-	}
+	})
 	var buf bytes.Buffer
-	if err := Export(&buf, &Trace{ID: 9, Type: "t", Root: s}); err != nil {
+	if err := Export(&buf, &Trace{ID: 9, Type: "t", Root: s, Names: names}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := importOne(&buf)
@@ -214,12 +219,13 @@ func TestExportTimestampPrecision(t *testing.T) {
 }
 
 func TestExportRoundTripsPhaseMarkers(t *testing.T) {
-	refused := &Span{Service: "cart-db", Depth: 1, Arrival: 5 * time.Millisecond,
-		Start: 5 * time.Millisecond, End: 5 * time.Millisecond, Failed: true}
-	root := &Span{Service: "cart", Arrival: 0, Start: time.Millisecond,
-		End: 10 * time.Millisecond, Failed: true, Children: []*Span{refused}}
+	names := NewNames(nil)
+	root := visit(names, "cart", Span{Arrival: 0, Start: time.Millisecond,
+		End: 10 * time.Millisecond, Failed: true})
+	root.Children = []*Span{visit(names, "cart-db", Span{Arrival: 5 * time.Millisecond,
+		Start: 5 * time.Millisecond, End: 5 * time.Millisecond, Failed: true})}
 	var buf bytes.Buffer
-	if err := Export(&buf, &Trace{ID: 1, Type: "t", Root: root}); err != nil {
+	if err := Export(&buf, &Trace{ID: 1, Type: "t", Root: root, Names: names}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := importOne(&buf)
@@ -236,19 +242,19 @@ func TestExportRoundTripsPhaseMarkers(t *testing.T) {
 
 func TestExportRoundTripsResilienceMarkers(t *testing.T) {
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	abandoned := &Span{Service: "social-graph", Depth: 1,
-		Arrival: ms(5), Start: ms(6), End: ms(12), Abandoned: true}
-	retried := &Span{Service: "post-storage", Depth: 1,
-		Arrival: ms(14), Start: ms(15), End: ms(40)}
-	root := &Span{
-		Service: "home-timeline", Arrival: 0, Start: ms(1), End: ms(60),
+	names := NewNames(nil)
+	root := visit(names, "home-timeline", Span{
+		Arrival: 0, Start: ms(1), End: ms(60),
 		Blocked:     30 * time.Millisecond,
 		RetryWait:   7 * time.Millisecond,
 		BreakerWait: 3 * time.Millisecond,
 		Degraded:    true,
-		Children:    []*Span{abandoned, retried},
+	})
+	root.Children = []*Span{
+		visit(names, "social-graph", Span{Arrival: ms(5), Start: ms(6), End: ms(12), Abandoned: true}),
+		visit(names, "post-storage", Span{Arrival: ms(14), Start: ms(15), End: ms(40)}),
 	}
-	orig := &Trace{ID: 2, Type: "readHomeTimeline", Root: root}
+	orig := &Trace{ID: 2, Type: "readHomeTimeline", Root: root, Names: names}
 	var buf bytes.Buffer
 	if err := Export(&buf, orig); err != nil {
 		t.Fatal(err)
@@ -271,17 +277,12 @@ func TestExportRoundTripsResilienceMarkers(t *testing.T) {
 	// The derived views must agree exactly with the original: retry and
 	// breaker waits leave processing time, and abandoned children leave
 	// the critical path.
-	if got.Root.ProcessingTime() != orig.Root.ProcessingTime() {
-		t.Errorf("PT = %v, want %v", got.Root.ProcessingTime(), orig.Root.ProcessingTime())
+	if gpt, opt := got.Records(nil)[0].ProcessingTime(), orig.Records(nil)[0].ProcessingTime(); gpt != opt {
+		t.Errorf("PT = %v, want %v", gpt, opt)
 	}
 	gp, op := got.CriticalPathServices(), orig.CriticalPathServices()
-	if len(gp) != len(op) {
+	if !slices.Equal(gp, op) {
 		t.Fatalf("critical path = %v, want %v", gp, op)
-	}
-	for i := range op {
-		if gp[i] != op[i] {
-			t.Fatalf("critical path = %v, want %v", gp, op)
-		}
 	}
 	for _, svc := range gp {
 		if svc == "social-graph" {

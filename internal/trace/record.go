@@ -35,20 +35,39 @@ type Record struct {
 	Abandoned bool
 }
 
-// Duration is Span.Duration of the recorded span.
+// Duration returns the service-visit wall time including queueing:
+// departure minus arrival.
 func (r *Record) Duration() time.Duration {
 	return time.Duration(r.End - r.Arrival)
 }
 
-// ProcessingTime is Span.ProcessingTime of the recorded span.
+// ProcessingTime returns PT_s as defined in section 3.2 of the paper: the
+// time the service itself contributed to the request (request-side plus
+// response-side processing, including local queueing), excluding time
+// blocked on downstream services and time waiting out retry or breaker
+// backoff (which is downstream-recovery wait, not local work).
 func (r *Record) ProcessingTime() time.Duration {
 	return processingTime(r.Duration(), r.Blocked, r.RetryWait, r.BreakerWait)
 }
 
 // CriticalChildAt returns the index of the record the critical path
-// descends into from recs[i], a pre-order record array — the longest
-// non-abandoned child, earliest-dispatched on ties, as
-// Span.CriticalChild — or -1 when recs[i] is the path's last span.
+// descends into from recs[i], a pre-order record array, or -1 when
+// recs[i] is the path's last span. The critical path is the chain of
+// spans of maximal duration from the user request to the final response
+// (the paper's "path of maximal duration that starts with the user
+// request and ends with the final response"): from the root it descends
+// at each span into the child with the largest wall-time duration.
+//
+// Tie-breaking rule: when two children have exactly equal wall-time
+// durations, the earliest-dispatched child (the first in call order)
+// wins. Dispatch order is deterministic in the simulator, so the
+// critical path — and everything derived from it, such as blame
+// attribution — is stable across runs of the same seed.
+//
+// Abandoned children (attempts the caller timed out) are skipped: their
+// span can end after the parent's, so descending into one would break
+// the containment the blame telescoping relies on; the interval the
+// orphan occupied inside the parent is the parent's blocked residue.
 func CriticalChildAt(recs []Record, i int) int {
 	next, nextDur := -1, time.Duration(-1)
 	for c, end := i+1, i+int(recs[i].Size); c < end; c += int(recs[c].Size) {
@@ -75,7 +94,6 @@ type Names struct {
 // NewNames returns a table whose first service ids are the positions of
 // services, which must be distinct.
 func NewNames(services []string) *Names {
-	//soravet:allow hotpath once per table: the cluster builds its table in New and every trace it compacts shares it; only a trace built without one gets its own
 	return &Names{services: slices.Clone(services)}
 }
 
@@ -110,14 +128,13 @@ func (n *Names) service(name string) int32 {
 			return int32(id)
 		}
 	}
-	n.services = append(n.services, name) //soravet:allow hotpath first use of a service name only: the table holds a few dozen
+	n.services = append(n.services, name)
 	return int32(len(n.services) - 1)
 }
 
 // appendRecords appends the pre-order records of the tree under s to
-// dst. A stamped span's ids are copied; a span built without them (see
-// Span.SetIDs) has its service interned by name and no instance.
-func (n *Names) appendRecords(dst []Record, s *Span) []Record {
+// dst, copying each span's ids.
+func appendRecords(dst []Record, s *Span) []Record {
 	i := len(dst)
 	// Write the fields in place: appending a Record literal builds it
 	// on the stack and copies it over, which costs a third of the walk.
@@ -126,77 +143,23 @@ func (n *Names) appendRecords(dst []Record, s *Span) []Record {
 	r.Arrival, r.Start, r.End = s.Arrival, s.Start, s.End
 	r.Blocked, r.Demand, r.CPU = s.Blocked, s.Demand, s.CPU
 	r.RetryWait, r.BreakerWait = s.RetryWait, s.BreakerWait
-	if s.hasIDs {
-		r.Service, r.Instance = s.service, s.instance
-	} else {
-		r.Service, r.Instance = n.service(s.Service), -1
-	}
+	r.Service, r.Instance = s.service, s.instance
 	r.Failed, r.Degraded, r.Abandoned = s.Failed, s.Degraded, s.Abandoned
 	for _, c := range s.Children {
-		dst = n.appendRecords(dst, c)
+		dst = appendRecords(dst, c)
 	}
 	dst[i].Size = int32(len(dst) - i)
 	return dst
 }
 
-// tree materializes the span tree recs encode, its root at depth 0.
-// All spans share one allocation; a leaf keeps a nil child list.
-func (n *Names) tree(recs []Record) *Span {
-	if len(recs) == 0 {
-		return nil
-	}
-	spans := make([]Span, len(recs))
-	n.fill(spans, recs, 0, 0)
-	return &spans[0]
-}
-
-// fill materializes recs[i] and its subtree into spans[i:] at depth.
-func (n *Names) fill(spans []Span, recs []Record, i int, depth int32) {
-	r := &recs[i]
-	s := &spans[i]
-	*s = Span{
-		Service:     n.services[r.Service],
-		Arrival:     r.Arrival,
-		Start:       r.Start,
-		End:         r.End,
-		Blocked:     r.Blocked,
-		Demand:      r.Demand,
-		CPU:         r.CPU,
-		RetryWait:   r.RetryWait,
-		BreakerWait: r.BreakerWait,
-		Failed:      r.Failed,
-		Degraded:    r.Degraded,
-		Abandoned:   r.Abandoned,
-		hasIDs:      true,
-		Depth:       depth,
-		service:     r.Service,
-		instance:    r.Instance,
-	}
-	end := i + int(r.Size)
-	for c := i + 1; c < end; c += int(recs[c].Size) {
-		s.Children = append(s.Children, &spans[c])
-		n.fill(spans, recs, c, depth+1)
-	}
-}
-
-// names returns the trace's name table, giving a trace built without
-// one a table of its own.
-func (t *Trace) names() *Names {
-	if t.Names == nil {
-		t.Names = NewNames(nil)
-	}
-	return t.Names
-}
-
 // Records returns the trace's spans as pre-order records whose ids index
-// t.Names. This is how every reader after completion sees a trace. The
-// records are written into *scratch, which is grown as needed and kept
-// for the next call (a nil scratch allocates), so they stay valid only
-// until the next call with the same scratch. A compacted trace decodes
-// its stream; a trace still holding its live tree — one stored
-// unsettled, or built outside the cluster — is read from the tree,
-// interning any new names, and a trace built without a table gets one
-// of its own.
+// t.Names. This is the one way any reader after completion sees a
+// trace. The records are written into *scratch, which is grown as needed
+// and kept for the next call (a nil scratch allocates), so they stay
+// valid only until the next call with the same scratch. A compacted
+// trace decodes its stream; a trace still holding its live tree — one
+// stored unsettled, or built outside the cluster — is read from the
+// tree.
 func (t *Trace) Records(scratch *[]Record) []Record {
 	var buf []Record
 	if scratch != nil {
@@ -204,7 +167,7 @@ func (t *Trace) Records(scratch *[]Record) []Record {
 	}
 	switch {
 	case t.Root != nil:
-		buf = t.names().appendRecords(buf[:0], t.Root)
+		buf = appendRecords(buf[:0], t.Root)
 	case len(t.enc) > 0:
 		buf = decodeRecords(buf, t.enc)
 	default:
@@ -230,18 +193,4 @@ func Depths(recs []Record, fn func(i, depth int)) {
 			ends = append(ends, i+int(recs[i].Size))
 		}
 	}
-}
-
-// Tree returns the trace's span tree: the live Root, or for a compacted
-// trace a tree materialized from its records, fresh on every call.
-// Depths in a materialized tree count from 0 at the root.
-func (t *Trace) Tree() *Span {
-	if t.Root != nil {
-		return t.Root
-	}
-	if len(t.enc) == 0 {
-		t.checkReleased()
-		return nil
-	}
-	return t.Names.tree(t.Records(nil))
 }

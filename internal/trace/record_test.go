@@ -40,14 +40,12 @@ const compactMaxSpans = 256
 // (0–3, at most four levels deep). With the children byte's high bit
 // set the first call is retried: a failed attempt of the same service,
 // then the attempt that answered.
-func decodeTree(r *compactReader, arrival sim.Time, depth int32) *Span {
+func decodeTree(r *compactReader, arrival sim.Time, depth int) *Span {
 	r.spans++
 	services := decodeNames.Services()
 	svc, inst, timing, flags, kids := r.next(), r.next(), r.next(), r.next(), r.next()
 	dur := time.Duration(1+timing%4) * time.Millisecond
 	s := &Span{
-		Service:     services[svc%len(services)],
-		Depth:       depth,
 		Arrival:     arrival + sim.Time(timing/4%3)*sim.Time(time.Millisecond),
 		Blocked:     dur * time.Duration(flags>>4%4) / 4,
 		Demand:      time.Duration(timing) * time.Microsecond,
@@ -98,22 +96,19 @@ func newDecodeNames() *Names {
 }
 
 // stretchTree applies the stretches mode selects to the tree under
-// root, reading what they need from r, and returns the tree's root and
-// its name table (a fresh one when spans are left unstamped, so that
-// interning never grows decodeNames). The stretches take the codec to
-// its edges:
+// root, reading what they need from r, and returns the tree's root. The
+// stretches take the codec to its edges:
 //
 //	1:  shift every time by MinInt64, MaxInt64 or an int64 read from r,
 //	    so differences wrap;
 //	2:  turn every duration negative or extreme: Start after End,
 //	    negative Blocked, Demand and waits, CPU − Demand overflowing;
-//	4:  unstamp every other span under a name the table lacks, so
-//	    compaction interns it with no instance;
 //	8:  hang the tree under a chain of 40 ancestors, deeper than the
 //	    decoder's fixed stack;
 //	16: give the root 300 more leaves, a child count of two bytes.
-func stretchTree(r *compactReader, root *Span, mode int) (*Span, *Names) {
-	names := decodeNames
+//
+// Bit 4 selects nothing.
+func stretchTree(r *compactReader, root *Span, mode int) *Span {
 	if mode&1 != 0 {
 		var base int64
 		switch r.next() % 3 {
@@ -126,65 +121,58 @@ func stretchTree(r *compactReader, root *Span, mode int) (*Span, *Names) {
 				base = base<<8 | int64(r.next())
 			}
 		}
-		root.Walk(func(s *Span) {
+		walk(root, func(s *Span) {
 			s.Arrival += sim.Time(base)
 			s.Start += sim.Time(base)
 			s.End += sim.Time(base)
 		})
 	}
 	if mode&2 != 0 {
-		root.Walk(func(s *Span) {
+		walk(root, func(s *Span) {
 			s.Start, s.End = s.End, s.Start
 			s.Blocked, s.Demand = -s.Blocked, -s.Demand-1
 			s.CPU = math.MaxInt64 - s.CPU
 			s.RetryWait, s.BreakerWait = -s.RetryWait, math.MinInt64
 		})
 	}
-	if mode&4 != 0 {
-		names = newDecodeNames()
-		i := 0
-		root.Walk(func(s *Span) {
-			if i%2 == 0 {
-				*s = Span{Service: "x" + s.Service, Arrival: s.Arrival, Start: s.Start, End: s.End,
-					Blocked: s.Blocked, Demand: s.Demand, CPU: s.CPU, Failed: s.Failed,
-					Degraded: s.Degraded, Abandoned: s.Abandoned, Children: s.Children}
-			}
-			i++
-		})
-	}
 	if mode&16 != 0 {
 		for i := range 300 {
-			leaf := &Span{Service: "b", Arrival: root.Arrival + sim.Time(i), End: root.Arrival + sim.Time(2*i)}
+			leaf := &Span{Arrival: root.Arrival + sim.Time(i), End: root.Arrival + sim.Time(2*i)}
 			leaf.SetIDs(1, int32(i%3)-1)
 			root.Children = append(root.Children, leaf)
 		}
 	}
 	if mode&8 != 0 {
 		for i := range 40 {
-			up := &Span{Service: "c", Arrival: root.Arrival - sim.Time(i), End: root.End + sim.Time(i), Children: []*Span{root}}
+			up := &Span{Arrival: root.Arrival - sim.Time(i), End: root.End + sim.Time(i), Children: []*Span{root}}
 			up.SetIDs(2, 4)
 			root = up
 		}
 	}
-	var depth func(s *Span, d int32)
-	depth = func(s *Span, d int32) {
-		s.Depth = d
+	return root
+}
+
+// spanDepths returns the nesting depth of every span of the tree under
+// root, in pre-order.
+func spanDepths(root *Span) []int {
+	var depths []int
+	var descend func(s *Span, d int)
+	descend = func(s *Span, d int) {
+		depths = append(depths, d)
 		for _, c := range s.Children {
-			depth(c, d+1)
+			descend(c, d+1)
 		}
 	}
-	depth(root, 0)
-	return root, names
+	descend(root, 0)
+	return depths
 }
 
 // FuzzCompactTrace decodes bytes into a span tree, stretches it with
 // the byte after the tree (see stretchTree) and compacts it: the
 // compacted trace must decode to exactly the live tree's records, into
-// a fresh buffer as into one holding another trace's; materializing
-// them must give back the original tree — same child order, same
-// Depth, nil leaf lists — when every span was stamped; and every Trace
-// accessor and the export bytes must agree between the live and the
-// compacted form.
+// a fresh buffer as into one holding another trace's, with the depths
+// of the tree's own nesting; and every Trace accessor and the export
+// bytes must agree between the live and the compacted form.
 func FuzzCompactTrace(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2})
@@ -194,7 +182,7 @@ func FuzzCompactTrace(f *testing.F) {
 		{1, 0},                            // MinInt64 timestamps
 		{1, 1},                            // MaxInt64 timestamps
 		{3, 2, 0x80, 0, 0, 0, 0, 0, 0, 9}, // negative durations near MinInt64
-		{4},                               // unstamped spans, names interned on compaction
+		{24},                              // deep and wide
 		{8},                               // deep
 		{16},                              // wide
 		{31, 1},                           // all at once
@@ -203,12 +191,9 @@ func FuzzCompactTrace(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &compactReader{data: data}
-		root := decodeTree(r, 0, 0)
-		root, names := stretchTree(r, root, r.next())
-		stamped := true
-		root.Walk(func(s *Span) { stamped = stamped && s.hasIDs })
-		live := &Trace{ID: 7, Type: "t", Root: root, Names: names}
-		compact := stored(&Trace{ID: 7, Type: "t", Root: root, Names: names})
+		root := stretchTree(r, decodeTree(r, 0, 0), r.next())
+		live := &Trace{ID: 7, Type: "t", Root: root, Names: decodeNames}
+		compact := stored(&Trace{ID: 7, Type: "t", Root: root, Names: decodeNames})
 		if compact.Root != nil {
 			t.Fatal("the stored trace kept the live tree")
 		}
@@ -224,18 +209,21 @@ func FuzzCompactTrace(f *testing.F) {
 		if got := compact.Records(&dirty); !reflect.DeepEqual(got, want) {
 			t.Fatalf("records decoded over another trace's differ from the live tree's:\n got %+v\nwant %+v", got, want)
 		}
-		if got, want := compact.SpanCount(), live.SpanCount(); got != want || len(compact.Records(nil)) != want {
-			t.Errorf("SpanCount = %d (%d records), live %d", got, len(compact.Records(nil)), want)
-		}
 		if got, want := compact.ResponseTime(), live.ResponseTime(); got != want {
 			t.Errorf("ResponseTime = %v, live %v", got, want)
 		}
 		if got, want := compact.CompletedAt(), live.CompletedAt(); got != want {
 			t.Errorf("CompletedAt = %v, live %v", got, want)
 		}
-		for _, svc := range []string{"a", "b", "c", "d", "xa", "absent"} {
-			gotUp, gotOK := compact.UpstreamProcessing(svc)
-			wantUp, wantOK := live.UpstreamProcessing(svc)
+		if got, want := compact.Degraded(), live.Degraded(); got != want {
+			t.Errorf("Degraded = %v, live %v", got, want)
+		}
+		if got, want := compact.CriticalPathServices(), live.CriticalPathServices(); !slices.Equal(got, want) {
+			t.Errorf("CriticalPathServices = %v, live %v", got, want)
+		}
+		for _, svc := range []string{"a", "b", "c", "d", "absent"} {
+			gotUp, gotOK := compact.UpstreamProcessing(svc, nil)
+			wantUp, wantOK := live.UpstreamProcessing(svc, nil)
 			if gotUp != wantUp || gotOK != wantOK {
 				t.Errorf("UpstreamProcessing(%q) = (%v, %v), live (%v, %v)", svc, gotUp, gotOK, wantUp, wantOK)
 			}
@@ -250,28 +238,13 @@ func FuzzCompactTrace(f *testing.F) {
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Errorf("export differs:\n live    %s compact %s", a.Bytes(), b.Bytes())
 		}
-		// The depths the walk derives are the spans' own.
-		var depths []int32
-		root.Walk(func(s *Span) { depths = append(depths, s.Depth) })
+		// The depths the walk derives are the spans' nesting depths.
+		depths := spanDepths(root)
 		Depths(compact.Records(nil), func(i, depth int) {
-			if int32(depth) != depths[i] {
+			if depth != depths[i] {
 				t.Errorf("record %d at depth %d, span depth %d", i, depth, depths[i])
 			}
 		})
-		if !stamped {
-			return // materializing stamps every span, so only the records compare
-		}
-		if got := compact.Tree(); !reflect.DeepEqual(got, root) {
-			t.Fatalf("materialized tree differs from the original:\n got %+v\nwant %+v", got, root)
-		}
-		if got, want := compact.CriticalPath(), live.CriticalPath(); !reflect.DeepEqual(got, want) {
-			t.Errorf("CriticalPath = %v, live %v", got, want)
-		}
-		for _, svc := range []string{"a", "b", "c", "d", "absent"} {
-			if got, want := compact.FindSpan(svc), live.FindSpan(svc); !reflect.DeepEqual(got, want) {
-				t.Errorf("FindSpan(%q) = %v, live %v", svc, got, want)
-			}
-		}
 	})
 }
 
@@ -311,11 +284,10 @@ func TestCompactSharedChunk(t *testing.T) {
 		}
 		trees = append(trees, decodeTree(&compactReader{data: data}, 0, 0))
 	}
-	// The wide root is left unstamped, as a span built outside the
-	// cluster is: storing it interns its service by name.
-	wide := &Span{Service: "a"}
+	wide := &Span{}
+	wide.SetIDs(0, -1) // a, on no pod
 	for i := range chunkBytes / 4 {
-		leaf := &Span{Service: "b", Depth: 1, Arrival: sim.Time(i), End: sim.Time(2 * i), Demand: time.Duration(i)}
+		leaf := &Span{Arrival: sim.Time(i), End: sim.Time(2 * i), Demand: time.Duration(i)}
 		leaf.SetIDs(1, 2) // b-0
 		wide.Children = append(wide.Children, leaf)
 	}
@@ -374,7 +346,7 @@ func TestWarehouseAddAllocFree(t *testing.T) {
 	add := func() {
 		// Shift the tree one millisecond on, so that eviction keeps a
 		// second's worth of traces and recycles chunks as it goes.
-		root.Walk(func(s *Span) {
+		walk(root, func(s *Span) {
 			s.Arrival += sim.Time(time.Millisecond)
 			s.Start += sim.Time(time.Millisecond)
 			s.End += sim.Time(time.Millisecond)
@@ -436,21 +408,5 @@ func TestNamesKeepIDs(t *testing.T) {
 	}
 	if got := n.Services(); !reflect.DeepEqual(got, []string{"a", "b", "x"}) {
 		t.Errorf("Services() = %v", got)
-	}
-}
-
-// TestUnstampedSpanRecords checks the records of a tree built without
-// ids: each service is interned by name and no span has a pod, so the
-// materialized tree reads back with services and no instances.
-func TestUnstampedSpanRecords(t *testing.T) {
-	root := &Span{Service: "a", End: 3, Children: []*Span{{Service: "y", Depth: 1, End: 2}}}
-	tr := &Trace{Root: root, Names: NewNames([]string{"a", "b"})}
-	recs := tr.Records(nil)
-	if len(recs) != 2 || recs[0].Service != 0 || recs[1].Service != 2 || recs[0].Instance != -1 || recs[1].Instance != -1 {
-		t.Fatalf("records = %+v, want services 0 and 2 with no instance", recs)
-	}
-	tree := tr.Names.tree(recs)
-	if tree.Children[0].Service != "y" || tree.Children[0].Instance(tr.Names) != "" {
-		t.Errorf("materialized child = %v on pod %q", tree.Children[0], tree.Children[0].Instance(tr.Names))
 	}
 }

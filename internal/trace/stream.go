@@ -148,10 +148,8 @@ func rootArrival(enc []byte) sim.Time {
 
 // appendSpans appends the encoded spans of the tree under s, whose
 // parent arrived at parent, to dst and returns dst and the number of
-// spans written. A stamped span's ids are copied; a span built without
-// them (see Span.SetIDs) has its service interned by name and no
-// instance.
-func (n *Names) appendSpans(dst []byte, s *Span, parent sim.Time) ([]byte, int) {
+// spans written. Each span's ids are copied as SetIDs stamped them.
+func appendSpans(dst []byte, s *Span, parent sim.Time) ([]byte, int) {
 	i := len(dst)
 	dst = slices.Grow(dst, maxSpanBytes)[:i+maxSpanBytes]
 	b := dst[i:]
@@ -179,13 +177,9 @@ func (n *Names) appendSpans(dst []byte, s *Span, parent sim.Time) ([]byte, int) 
 	h |= c << shInflated
 	k, c = putValue(b, k, uint64(len(s.Children)))
 	h |= c << shKids
-	svc, inst := s.service, s.instance
-	if !s.hasIDs {
-		svc, inst = n.service(s.Service), -1
-	}
-	k, c = putValue(b, k, uint64(uint32(svc)))
+	k, c = putValue(b, k, uint64(uint32(s.service)))
 	h |= c << shSvc
-	k, c = putValue(b, k, uint64(uint32(inst+1)))
+	k, c = putValue(b, k, uint64(uint32(s.instance+1)))
 	h |= c << shInst
 	if s.RetryWait != 0 || s.BreakerWait != 0 {
 		h |= encBackoff
@@ -198,7 +192,7 @@ func (n *Names) appendSpans(dst []byte, s *Span, parent sim.Time) ([]byte, int) 
 	spans := 1
 	for _, c := range s.Children {
 		var m int
-		dst, m = n.appendSpans(dst, c, s.Arrival)
+		dst, m = appendSpans(dst, c, s.Arrival)
 		spans += m
 	}
 	return dst, spans

@@ -36,9 +36,9 @@ var composePost = socialCall{0, []socialCall{{1, []socialCall{
 // turn (each call crossing 20–100 µs of network), then does its response
 // work; PS contention stretches its CPU time by up to 30% over its
 // demand. Each service runs two pods.
-func socialTrace(rng *rand.Rand, c socialCall, arrival sim.Time, depth int32) *Span {
+func socialTrace(rng *rand.Rand, c socialCall, arrival sim.Time) *Span {
 	work := func() time.Duration { return time.Duration(50_000 + rng.IntN(950_000)) }
-	s := &Span{Service: "svc", Depth: depth, Arrival: arrival, Start: arrival}
+	s := &Span{Arrival: arrival, Start: arrival}
 	s.SetIDs(c.svc, 2*c.svc+int32(rng.IntN(2)))
 	if rng.IntN(2) == 0 {
 		s.Start += sim.Time(rng.IntN(200_000))
@@ -46,7 +46,7 @@ func socialTrace(rng *rand.Rand, c socialCall, arrival sim.Time, depth int32) *S
 	req, res := work(), work()
 	now := s.Start + req
 	for _, k := range c.kids {
-		child := socialTrace(rng, k, now+sim.Time(20_000+rng.IntN(80_000)), depth+1)
+		child := socialTrace(rng, k, now+sim.Time(20_000+rng.IntN(80_000)))
 		s.Children = append(s.Children, child)
 		back := child.End + sim.Time(20_000+rng.IntN(80_000))
 		s.Blocked += back - now
@@ -74,8 +74,8 @@ func TestSocialStreamSize(t *testing.T) {
 	w := NewWarehouse(time.Hour)
 	bytes, spans := 0, 0
 	for i := range 200 {
-		tr := &Trace{Root: socialTrace(rng, composePost, sim.Time(i)*sim.Time(time.Second), 0), Names: names}
-		spans += tr.SpanCount()
+		tr := &Trace{Root: socialTrace(rng, composePost, sim.Time(i)*sim.Time(time.Second)), Names: names}
+		spans += len(tr.Records(nil))
 		w.Add(tr)
 		bytes += len(tr.enc)
 	}
@@ -92,7 +92,7 @@ func socialTraces(n int) []*Trace {
 	names := newDecodeNames()
 	trs := make([]*Trace, n)
 	for i := range trs {
-		trs[i] = &Trace{Root: socialTrace(rng, composePost, sim.Time(i)*sim.Time(time.Second), 0), Names: names}
+		trs[i] = &Trace{Root: socialTrace(rng, composePost, sim.Time(i)*sim.Time(time.Second)), Names: names}
 	}
 	return trs
 }
@@ -103,7 +103,7 @@ func socialTraces(n int) []*Trace {
 // stream's size a span.
 func BenchmarkCompact(b *testing.B) {
 	trs := socialTraces(64)
-	spans := trs[0].SpanCount()
+	spans := len(trs[0].Records(nil))
 	w := NewWarehouse(time.Minute)
 	tr := &Trace{Names: trs[0].Names}
 	bytes := 0
@@ -113,11 +113,11 @@ func BenchmarkCompact(b *testing.B) {
 		// rounds of the same 64 trees.
 		root := trs[i%len(trs)].Root
 		shift := sim.Time(i/len(trs)*len(trs)) * sim.Time(time.Second)
-		root.Walk(func(s *Span) { s.Arrival, s.Start, s.End = s.Arrival+shift, s.Start+shift, s.End+shift })
+		walk(root, func(s *Span) { s.Arrival, s.Start, s.End = s.Arrival+shift, s.Start+shift, s.End+shift })
 		tr.Root = root
 		w.Add(tr)
 		bytes += len(tr.enc)
-		root.Walk(func(s *Span) { s.Arrival, s.Start, s.End = s.Arrival-shift, s.Start-shift, s.End-shift })
+		walk(root, func(s *Span) { s.Arrival, s.Start, s.End = s.Arrival-shift, s.Start-shift, s.End-shift })
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spans), "ns/span")
 	b.ReportMetric(float64(bytes)/float64(b.N*spans), "B/span")
@@ -128,7 +128,7 @@ func BenchmarkCompact(b *testing.B) {
 // a span and the stream bytes a span it reads.
 func BenchmarkRecords(b *testing.B) {
 	trs := socialTraces(64)
-	spans := trs[0].SpanCount()
+	spans := len(trs[0].Records(nil))
 	w := NewWarehouse(time.Hour)
 	bytes := 0
 	for _, tr := range trs {

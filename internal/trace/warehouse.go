@@ -47,9 +47,10 @@ type Warehouse struct {
 
 	// chunks holds the stream chunks oldest first; the last one takes
 	// the next settled trace, and chunks[0] has sequence number
-	// chunkBase. free holds retired chunks awaiting reuse, at most
-	// maxFreeChunks of them. scratch is the buffer a tree is encoded
-	// into before its stream is copied into a chunk.
+	// chunkBase. free holds retired chunks awaiting reuse, never more
+	// than are live, so the chunks held never exceed their earlier
+	// high-water mark. scratch is the buffer a tree is encoded into
+	// before its stream is copied into a chunk.
 	chunks    fifo[chunk]
 	chunkBase uint32
 	free      [][]byte
@@ -98,11 +99,6 @@ type chunk struct {
 // 64 KiB holds the streams of a hundred or so settled Social Network
 // traces. A stream longer than that gets a chunk of its own length.
 const chunkBytes = 64 << 10
-
-// maxFreeChunks caps the retired chunks kept for reuse. FIFO eviction
-// retires chunks at the rate new traces fill them, so one spare is
-// almost always enough; the second absorbs a burst.
-const maxFreeChunks = 2
 
 // fifo is a slice-backed queue: pop advances a head index and clears
 // the popped slots, and once the dead prefix passes half the slice the
@@ -157,7 +153,7 @@ func (w *Warehouse) Retention() time.Duration { return w.retention }
 // the warehouse's chunks and points t's stream at the stored bytes, so
 // Retain can copy them; t itself is not kept.
 //
-//soravet:hotpath TestWarehouseAddAllocFree once per settled request: once chunks recycle and the scratch buffer, the entry blocks and the name and type tables have grown, storing a trace allocates nothing
+//soravet:hotpath TestWarehouseAddAllocFree once per settled request: once chunks recycle and the scratch buffer, the entry blocks and the type table have grown, storing a trace allocates nothing
 func (w *Warehouse) Add(t *Trace) { w.add(t, false) }
 
 // AddUnsettled stores a completed trace that may still change: a call
@@ -171,9 +167,10 @@ func (w *Warehouse) add(t *Trace, unsettled bool) {
 	if t == nil || t.Root == nil {
 		return
 	}
+	if w.names == nil {
+		w.names = t.Names
+	}
 	switch {
-	case w.names == nil:
-		w.names = t.names()
 	case t.Names == nil:
 		t.Names = w.names
 	case t.Names != w.names:
@@ -235,7 +232,7 @@ func (w *Warehouse) typeID(name string) uint32 {
 // stream is. t's stream becomes a full-slice-capped view of the stored
 // bytes.
 func (w *Warehouse) store(t *Trace) (seq, off, n uint32) {
-	body, spans := w.names.appendSpans(w.scratch[:0], t.Root, t.Root.End)
+	body, spans := appendSpans(w.scratch[:0], t.Root, t.Root.End)
 	w.scratch = body
 	var head [1 + 2*8]byte // the codes byte and two values stored as words
 	h := head[:putHeader(head[:], t.Root.End, spans)]
@@ -305,10 +302,20 @@ func (w *Warehouse) evictBefore(cutoff sim.Time) {
 	live := w.chunks.live()
 	n = 0
 	for n < len(live)-1 && live[n].last < w.evicted {
-		if buf := live[n].buf; cap(buf) == chunkBytes && len(w.free) < maxFreeChunks {
-			w.free = append(w.free, buf[:0]) //soravet:allow hotpath the free list holds at most maxFreeChunks
-		}
 		n++
+	}
+	// Keep at most as many retired chunks as stay live: a burst
+	// eviction's chunks then serve the regrowth after it, and a store
+	// that shrinks hands the rest back to the heap.
+	keep := len(live) - n
+	for _, c := range live[:n] {
+		if cap(c.buf) == chunkBytes && len(w.free) < keep {
+			w.free = append(w.free, c.buf[:0]) //soravet:allow hotpath the free list holds at most as many chunks as are live, so it grows only with the live set's high-water mark
+		}
+	}
+	if len(w.free) > keep {
+		clear(w.free[keep:])
+		w.free = w.free[:keep]
 	}
 	w.chunks.pop(n)
 	w.chunkBase += uint32(n)

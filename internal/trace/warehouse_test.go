@@ -212,3 +212,59 @@ func TestWarehouseRecycledChunks(t *testing.T) {
 	}
 	t.Logf("%d chunks opened, %d reopened after recycling", len(seen), recycled)
 }
+
+// TestWarehouseBurstEvictionReusesChunks checks the free list's bound:
+// a burst eviction that retires more than two chunks while as many stay
+// live keeps every retired chunk, so that regrowing the store to its
+// earlier size allocates no chunk.
+func TestWarehouseBurstEvictionReusesChunks(t *testing.T) {
+	w := NewWarehouse(10 * time.Second)
+	w.names = decodeNames
+	add := func(at sim.Time) {
+		root := &Span{Arrival: at, End: at + 1}
+		root.SetIDs(0, 0)
+		for i := range 500 {
+			leaf := &Span{Arrival: at + sim.Time(i), End: at + sim.Time(2*i)}
+			leaf.SetIDs(1, 2)
+			root.Children = append(root.Children, leaf)
+		}
+		w.Add(&Trace{Root: root, Names: decodeNames})
+	}
+	seen := map[*byte]bool{}
+	note := func() (fresh int) {
+		for _, c := range w.chunks.live() {
+			if p := unsafe.SliceData(c.buf); !seen[p] {
+				seen[p] = true
+				fresh++
+			}
+		}
+		return fresh
+	}
+	// Fill ten chunks with traces a millisecond apart, all retained.
+	at := sim.Time(0)
+	for len(w.chunks.live()) < 10 {
+		add(at)
+		note()
+		at += sim.Time(time.Millisecond)
+	}
+	high := len(w.chunks.live())
+	// One trace a retention later than the first half of them evicts
+	// that half at once.
+	add(sim.Time(10*time.Second) + at/2)
+	note()
+	retired := high - len(w.chunks.live())
+	if retired <= 2 || len(w.chunks.live()) < retired {
+		t.Fatalf("the burst retired %d of %d chunks; want more than 2 and no more than stay live", retired, high)
+	}
+	// Regrow to the earlier size without evicting.
+	for at = sim.Time(10*time.Second) + at/2; len(w.chunks.live()) < high; {
+		at += sim.Time(time.Microsecond)
+		add(at)
+		if fresh := note(); fresh > 0 {
+			t.Fatalf("regrowing to %d chunks after a burst that retired %d allocated %d chunks", high, retired, fresh)
+		}
+	}
+	if len(w.free) > len(w.chunks.live()) {
+		t.Errorf("%d free chunks with %d live", len(w.free), len(w.chunks.live()))
+	}
+}

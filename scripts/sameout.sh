@@ -6,7 +6,13 @@
 #   scripts/sameout.sh [-keep DIR] PARENT_SORABENCH CHANGE_SORABENCH PARENT_SIMRUN CHANGE_SIMRUN
 #
 # The four binaries are sorabench and simrun built from the two trees
-# (go build -o BIN ./cmd/sorabench, go build -o BIN ./cmd/simrun). Each
+# (go build -o BIN ./cmd/sorabench, go build -o BIN ./cmd/simrun). The
+# two sides may also be one tree built for two architectures, which
+# checks that outputs do not depend on GOARCH: build the "parent" pair
+# as above (amd64) and the "change" pair with GOARCH=386 go build -o BIN
+# ./cmd/sorabench and GOARCH=386 go build -o BIN ./cmd/simrun (386
+# binaries run on an amd64 host; they use the pure-Go math library
+# instead of amd64's assembly). Each
 # sorabench runs three command sets with -quiet -telemetry-dir DIR
 # -timeline DIR/tl -out (timelines under the telemetry directory, so the
 # manifests there name every artifact):
