@@ -80,7 +80,7 @@ func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 func fAxis(v float64) string { return strconv.FormatFloat(v, 'g', 4, 64) }
 
 func (s scales) x(t float64) float64 {
-	return padL + t/s.maxT*(chartW-padL-padR)
+	return padL + t/s.maxT*(chartW-padL-padR) //fma:allow report-only: SVG geometry of the dashboard, never fed back into a run
 }
 
 func yOf(v, max float64) float64 {
@@ -90,7 +90,7 @@ func yOf(v, max float64) float64 {
 	if v > max {
 		v = max
 	}
-	return padT + (1-v/max)*(chartH-padT-padB)
+	return padT + (1-v/max)*(chartH-padT-padB) //fma:allow report-only: SVG geometry of the dashboard, never fed back into a run
 }
 
 // chart accumulates SVG body elements for one panel chart.

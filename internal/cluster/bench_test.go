@@ -46,25 +46,35 @@ func steadyAllocsPerRequest(k *sim.Kernel, c *Cluster) float64 {
 // allocations when no profiler is attached: recording Demand, on-CPU
 // time and drop/failure markers writes plain fields on spans the request
 // lifecycle allocates anyway. The budget below is the steady-state
-// allocation count of one two-tier request over a direct edge; if phase
-// recording or the pooled call path ever starts allocating, the count
-// rises and this fails.
+// allocation count of one two-tier request over a direct edge, once with
+// no span log declared and once with the backend's, so both branches of
+// visit.finish are pinned; if phase recording, the span log or the
+// pooled call path ever starts allocating per request, the count rises
+// and this fails.
 func TestPhaseRecordingAllocFree(t *testing.T) {
-	k := sim.NewKernel(1)
-	c, err := New(k, twoTier(8, 8), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := steadyAllocsPerRequest(k, c)
-	// With pooled visits, root and call records, timers, jobs and
-	// spans (child lists included), block-allocated completion logs and
-	// records copied into shared chunks, one two-tier request allocates
-	// only the Trace header (measured 1). AllocsPerRun truncates the
-	// mean, so a log block or record chunk refill every few hundred
-	// requests does not show; any per-request, per-visit, per-call,
-	// per-timer or per-quantum allocation does.
-	if avg > 1 {
-		t.Fatalf("steady-state allocations per request = %.1f, want <= 1 (visit hot path regressed)", avg)
+	for _, declared := range []bool{false, true} {
+		k := sim.NewKernel(1)
+		c, err := New(k, twoTier(8, 8), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if declared {
+			if err := c.RecordSpans("backend"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		avg := steadyAllocsPerRequest(k, c)
+		// With pooled visits, root and call records, timers, jobs and
+		// spans (child lists included), the Trace kept in the root call
+		// record, block-allocated completion logs and records copied
+		// into recycled chunks, a two-tier request allocates nothing
+		// (measured 0). AllocsPerRun truncates the mean, so a log block
+		// or record chunk refill every few hundred requests does not
+		// show; any per-request, per-visit, per-call, per-timer or
+		// per-quantum allocation does.
+		if avg != 0 {
+			t.Fatalf("steady-state allocations per request (backend span log declared: %v) = %.1f, want 0 (visit hot path regressed)", declared, avg)
+		}
 	}
 }
 
@@ -83,9 +93,9 @@ func TestPolicyEdgeAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	avg := steadyAllocsPerRequest(k, c)
-	// Same budget as the direct edge (measured 1): the call and attempt
+	// Same budget as the direct edge (measured 0): the call and attempt
 	// records and the timer all come from free lists.
-	if avg > 1 {
-		t.Fatalf("steady-state allocations per request = %.1f, want <= 1 (policy-edge call path regressed)", avg)
+	if avg != 0 {
+		t.Fatalf("steady-state allocations per request = %.1f, want 0 (policy-edge call path regressed)", avg)
 	}
 }

@@ -317,7 +317,7 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 	}
 	names := make([]string, len(app.Services))
 	for i, spec := range app.Services {
-		svc := &Service{c: c, id: int32(i), name: spec.Name, spec: spec, spanLog: &metrics.CompletionLog{}}
+		svc := &Service{c: c, id: int32(i), name: spec.Name, spec: spec}
 		c.services[spec.Name] = svc
 		c.svcs[i] = svc
 		names[i] = spec.Name
@@ -361,6 +361,27 @@ func (c *Cluster) Warehouse() *trace.Warehouse { return c.warehouse }
 // Completions returns the end-to-end completion log across all request
 // types.
 func (c *Cluster) Completions() *metrics.CompletionLog { return c.e2eLog }
+
+// RecordSpans declares a reader of the named service's span log: from
+// now on each of its visit completions is recorded, and SpanLog returns
+// the log. Only declared services pay for a log. A second declaration
+// is a no-op. Declaring a service that has already completed a visit
+// unrecorded is an error, since its log would silently lack that
+// history; declare before the run.
+func (c *Cluster) RecordSpans(service string) error {
+	svc, err := c.Service(service)
+	if err != nil {
+		return err
+	}
+	if svc.spanLog != nil {
+		return nil
+	}
+	if svc.unlogged {
+		return fmt.Errorf("cluster: span log of service %q declared after it completed unrecorded visits", service)
+	}
+	svc.spanLog = &metrics.CompletionLog{}
+	return nil
+}
 
 // Service returns the named service.
 func (c *Cluster) Service(name string) (*Service, error) {

@@ -87,6 +87,9 @@ func TestSingleRequestLifecycle(t *testing.T) {
 func TestWarehouseAndLogsPopulated(t *testing.T) {
 	k := sim.NewKernel(2)
 	c := mustCluster(t, k, twoTier(0, 0))
+	if err := c.RecordSpans("backend"); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 10; i++ {
 		k.Schedule(time.Duration(i)*20*time.Millisecond, c.SubmitMix)
 	}

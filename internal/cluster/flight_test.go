@@ -197,8 +197,9 @@ func TestFlightRecorderAllocFree(t *testing.T) {
 		c.SubmitMix()
 		k.RunUntil(k.Now() + step)
 	})
-	// Measured 1 (the Trace header), as on the unarmed path.
-	if avg > 1 {
-		t.Fatalf("steady-state allocations per request with flight recorder armed = %.1f, want <= 1", avg)
+	// Measured 0, as on the unarmed path: the window counters and the
+	// latency sketch are updated in place.
+	if avg != 0 {
+		t.Fatalf("steady-state allocations per request with flight recorder armed = %.1f, want 0", avg)
 	}
 }

@@ -610,8 +610,13 @@ func (v *visit) finish() {
 	} else if v.degraded {
 		v.span.Degraded = true
 	}
-	v.inst.svc.spanLog.AddFlagged(now, v.span.Duration(), v.span.Degraded)
-	if t := v.inst.svc.flight; t != nil {
+	svc := v.inst.svc
+	if svc.spanLog != nil {
+		svc.spanLog.AddFlagged(now, v.span.Duration(), v.span.Degraded)
+	} else {
+		svc.unlogged = true
+	}
+	if t := svc.flight; t != nil {
 		t.completions++
 		t.sketch.Observe(float64(v.span.Duration()) / float64(time.Millisecond))
 	}

@@ -21,9 +21,14 @@ type Service struct {
 	nextID    int // monotonic pod id counter for unique names
 	rr        int // round-robin cursor over endpoints
 
-	// spanLog records every service-visit completion (span departure,
-	// span duration) — the per-service MongoDB store of the paper.
-	spanLog *metrics.CompletionLog
+	// spanLog records the service's visit completions (span departure,
+	// span duration) — the per-service MongoDB store of the paper — once
+	// a reader has declared it through Cluster.RecordSpans; nil until
+	// then, and the visits of an undeclared service are not recorded.
+	// unlogged marks a visit completed while the log was undeclared, so
+	// a late declaration cannot hand out a log that lacks history.
+	spanLog  *metrics.CompletionLog
+	unlogged bool
 
 	// flight, when the cluster's flight recorder is armed, accumulates
 	// this service's window counters and latency sketch (see flight.go).
@@ -43,8 +48,16 @@ type Service struct {
 // Name returns the service name.
 func (s *Service) Name() string { return s.name }
 
-// SpanLog returns the per-service visit completion log.
-func (s *Service) SpanLog() *metrics.CompletionLog { return s.spanLog }
+// SpanLog returns the service's visit completion log. It panics unless
+// the log was declared through Cluster.RecordSpans before the service
+// completed a visit: an empty log would read as a service that served
+// nothing.
+func (s *Service) SpanLog() *metrics.CompletionLog {
+	if s.spanLog == nil {
+		panic(fmt.Sprintf("cluster: span log of service %q read but never declared (call Cluster.RecordSpans before the run)", s.name))
+	}
+	return s.spanLog
+}
 
 // Replicas returns the number of non-draining pods.
 func (s *Service) Replicas() int {
@@ -172,7 +185,9 @@ func (s *Service) reap() {
 }
 
 func (s *Service) prune(cutoff sim.Time) {
-	s.spanLog.Prune(cutoff)
+	if s.spanLog != nil {
+		s.spanLog.Prune(cutoff)
+	}
 }
 
 // Concurrency returns the number of requests currently inside the service

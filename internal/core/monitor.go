@@ -48,7 +48,9 @@ type Monitor struct {
 
 // NewMonitor returns a monitor sampling the given soft resources and the
 // CPU utilization of the given services every interval (zero selects
-// DefaultSampleInterval). Start must be called to begin sampling.
+// DefaultSampleInterval). It declares the span log of each resource's
+// measured service (Cluster.RecordSpans), so build it before the run.
+// Start must be called to begin sampling.
 func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.ResourceRef, utilServices []string) (*Monitor, error) {
 	if c == nil {
 		return nil, fmt.Errorf("core: nil cluster")
@@ -67,6 +69,12 @@ func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.Resou
 	}
 	for _, ref := range refs {
 		if _, err := c.PoolInUse(ref); err != nil {
+			return nil, fmt.Errorf("core: cannot monitor %v: %w", ref, err)
+		}
+		// The monitor is where a soft resource is registered for
+		// measurement, so it declares the one span log every reader of
+		// that resource (SCG, SCT, goodFraction) reads.
+		if err := c.RecordSpans(ManagedResource{Ref: ref}.MeasuredService()); err != nil {
 			return nil, fmt.Errorf("core: cannot monitor %v: %w", ref, err)
 		}
 		m.conc[ref] = &metrics.Series{}

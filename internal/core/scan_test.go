@@ -28,7 +28,8 @@ type scanRig struct {
 }
 
 // newScanRig wires a cluster, a monitor over refs and a closed loop of
-// users, as the experiment rigs do.
+// users, as the experiment rigs do, with every service's span log
+// declared.
 func newScanRig(t *testing.T, seed uint64, app cluster.App, mix []cluster.WeightedRequest, refs []cluster.ResourceRef, users int, cp *node.Config) *scanRig {
 	t.Helper()
 	k := sim.NewKernel(seed)
@@ -38,6 +39,13 @@ func newScanRig(t *testing.T, seed uint64, app cluster.App, mix []cluster.Weight
 	}
 	if err := c.SetMix(mix); err != nil {
 		t.Fatal(err)
+	}
+	// Declare every service's span log up front: the window-scan test
+	// also measures decisions through services no monitored ref names.
+	for _, name := range c.ServiceNames() {
+		if err := c.RecordSpans(name); err != nil {
+			t.Fatal(err)
+		}
 	}
 	mon, err := NewMonitor(c, 0, refs, c.ServiceNames())
 	if err != nil {

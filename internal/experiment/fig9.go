@@ -244,6 +244,7 @@ func fig9Validate(p Params, fc fig9Case, size, users int) (float64, error) {
 		Seed:     p.Seed + uint64(size)*17 + uint64(users),
 		App:      app,
 		Mix:      mix,
+		Refs:     []cluster.ResourceRef{fc.ref},
 		Target:   workload.ConstantUsers(users),
 		Duration: dur,
 	}))

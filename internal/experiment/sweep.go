@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sora/internal/cluster"
+	"sora/internal/core"
 	"sora/internal/scenario"
 	"sora/internal/sim"
 	"sora/internal/topology"
@@ -24,9 +25,10 @@ type sweepCase struct {
 	duration time.Duration
 	// warmup excluded from measurement.
 	warmup time.Duration
-	// measure reads goodput from the run; defaults to end-to-end
-	// completions against threshold.
-	service string // measured via service span log when non-empty
+	// ref, when set, is the soft resource whose measured service's span
+	// log gives the goodput; the zero ref measures end-to-end
+	// completions against each threshold.
+	ref cluster.ResourceRef
 }
 
 // sweepPoint is one measured sweep sample.
@@ -51,10 +53,15 @@ func runSweep(p Params, sc sweepCase, sizes []int, thresholds []time.Duration, u
 	return parMap(p, len(sizes), func(i int) (sweepPoint, error) {
 		size := sizes[i]
 		app, mix := sc.build(size)
+		var refs []cluster.ResourceRef
+		if sc.ref != (cluster.ResourceRef{}) {
+			refs = []cluster.ResourceRef{sc.ref}
+		}
 		r, err := simulate(p.unitParams(grp.Unit(i, fmt.Sprintf("size-%d", size))).observe(scenario.Scenario{
 			Seed:     p.Seed + uint64(size)*1000003,
 			App:      app,
 			Mix:      mix,
+			Refs:     refs,
 			Target:   workload.ConstantUsers(sc.users),
 			Duration: dur,
 		}))
@@ -64,8 +71,8 @@ func runSweep(p Params, sc sweepCase, sizes []int, thresholds []time.Duration, u
 		end := sim.Time(dur)
 		pt := sweepPoint{size: size, goodput: make(map[time.Duration]float64, len(thresholds))}
 		log := r.E2E
-		if sc.service != "" {
-			svc, err := r.C.Service(sc.service)
+		if refs != nil {
+			svc, err := r.C.Service(core.ManagedResource{Ref: sc.ref}.MeasuredService())
 			if err != nil {
 				return sweepPoint{}, err
 			}

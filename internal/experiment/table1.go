@@ -118,7 +118,7 @@ func table1GroundTruth(p Params, fc fig9Case) (int, error) {
 		users:    fc.estUsers,
 		duration: 100 * time.Second,
 		warmup:   10 * time.Second,
-		service:  fc.measured,
+		ref:      fc.ref,
 	}
 	points, err := runSweep(p, sc, sizes, []time.Duration{fc.threshold}, "")
 	if err != nil {

@@ -1,6 +1,7 @@
 #!/bin/sh
 # fmacheck.sh — fail if the compiler fuses a floating-point multiply and
-# add anywhere in the simulator's packages.
+# add anywhere in the simulator's packages or in the binaries built on
+# them.
 #
 # The Go spec lets the compiler compute x*y + z as one fused
 # multiply-add, rounding once instead of twice, so the result can differ
@@ -10,13 +11,13 @@
 # would depend on the architecture. An explicit conversion rounds and
 # stops the fusion: write float64(x*y) + z.
 #
-# The script cross-compiles ./internal/... for arm64 with -gcflags=-S
-# (no emulator needed; the build cache replays the assembly on warm
-# runs) and lists every FMADDD, FMSUBD, FNMADDD or FNMSUBD instruction
-# by the source line it came from. A line may carry a
-# `//fma:allow <reason>` comment, for report-only code whose numbers
-# never feed back into a run. Any other fused instruction fails the
-# check.
+# The script cross-compiles ./internal/..., ./cmd/... and ./examples/...
+# for arm64 with -gcflags=-S (no emulator needed; the build cache
+# replays the assembly on warm runs) and lists every FMADDD, FMSUBD,
+# FNMADDD or FNMSUBD instruction by the source line it came from. A
+# line may carry a `//fma:allow <reason>` comment, for report-only code
+# whose numbers never feed back into a run. Any other fused instruction
+# fails the check.
 #
 # Usage: sh scripts/fmacheck.sh
 set -eu
@@ -25,7 +26,7 @@ root=$(pwd)
 
 asm=$(mktemp "${TMPDIR:-/tmp}/fmacheck.XXXXXX")
 trap 'rm -f "$asm"' EXIT
-if ! GOARCH=arm64 go build -gcflags=-S ./internal/... >"$asm" 2>&1; then
+if ! GOARCH=arm64 go build -gcflags=-S ./internal/... ./cmd/... ./examples/... >"$asm" 2>&1; then
 	grep -v '^	0x' "$asm" >&2 || true
 	echo "fmacheck: arm64 build failed" >&2
 	exit 1

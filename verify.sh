@@ -19,10 +19,10 @@
 # (which parses this script's -race line, so the package list below can
 # never silently lag a package gaining concurrency) and the deadcode
 # reachability check rooted at every binary. scripts/fmacheck.sh
-# cross-compiles internal/ for arm64 and fails on any fused
-# multiply-add the compiler emits there without an allow, since a
-# fused x*y + z rounds once and would make outputs depend on the
-# architecture. The separate
+# cross-compiles internal/, cmd/ and examples/ for arm64 and fails on
+# any fused multiply-add the compiler emits there without an allow,
+# since a fused x*y + z rounds once and would make outputs depend on
+# the architecture. The separate
 # benchmark module gets its own vet and test step. The soravet step
 # runs through scripts/lintstat.sh, which appends a one-line JSON scan
 # summary (files, findings per check, suppressions, wall ms) to the
