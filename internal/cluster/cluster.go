@@ -179,13 +179,14 @@ func (a App) Validate() error {
 //
 // Messages between services take no time, the paper's "network latency
 // is negligible" assumption; only a fault's ExtraDelay delays one (see
-// withEdgeDelay). Completion and trace history is kept for
-// trace.DefaultRetention.
+// withEdgeDelay). Completion history, and trace history once declared
+// (see Cluster.RetainTraces), is kept for trace.DefaultRetention.
 type Options struct {
 	// Telemetry, when non-nil, receives structured events (reconfig,
 	// retries, breaker transitions) and end-of-run counters from this
 	// cluster. Nil disables telemetry at zero cost (every publish site
-	// is a nil check).
+	// is a nil check). A recorder declares trace retention: the
+	// end-of-run flush samples spans from the warehouse.
 	Telemetry *telemetry.Recorder
 	// ControlPlane, when non-nil, puts the deployment on a simulated
 	// multi-node control plane (see internal/node and ctrlplane.go):
@@ -198,15 +199,20 @@ type Options struct {
 	ControlPlane *node.Config
 }
 
-// Cluster is a running simulated deployment of an App.
+// Cluster is a running simulated deployment of an App. It stores the
+// traces it completes in a warehouse only once a reader has declared
+// one (RetainTraces): a run nothing reads traces from keeps none.
 type Cluster struct {
 	k        *sim.Kernel
 	app      App
 	services map[string]*Service
 	svcs     []*Service // in App order: a service's id is its position
 
-	warehouse *trace.Warehouse
-	e2eLog    *metrics.CompletionLog
+	// warehouse is nil until RetainTraces; unretained records that a
+	// trace completed before it, so that a late declaration fails.
+	warehouse  *trace.Warehouse
+	unretained bool
+	e2eLog     *metrics.CompletionLog
 
 	// plans holds every request type this cluster has compiled, in
 	// compile order (see plan.go), and mix the current workload mix
@@ -221,8 +227,8 @@ type Cluster struct {
 
 	// Request-path scratch pools. visitFree recycles visit structs (the
 	// per-span execution state) and spanFree the spans of settled
-	// traces, each with its child list's capacity, once the warehouse
-	// has stored their traces (see rootCall.done).
+	// traces, each with its child list's capacity, once their traces'
+	// OnComplete callbacks have returned (see rootCall.done).
 	visitFree []*visit
 	rootFree  []*rootCall
 	spanFree  []*trace.Span
@@ -294,16 +300,20 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		k:         k,
-		app:       app,
-		services:  make(map[string]*Service, len(app.Services)),
-		svcs:      make([]*Service, len(app.Services)),
-		warehouse: trace.NewWarehouse(trace.DefaultRetention),
-		e2eLog:    &metrics.CompletionLog{},
-		rng:       k.Split(0xc1),
-		resRNG:    k.Split(0x4e5),
-		lbRNG:     k.Split(lbLabel),
-		tel:       opts.Telemetry,
+		k:        k,
+		app:      app,
+		services: make(map[string]*Service, len(app.Services)),
+		svcs:     make([]*Service, len(app.Services)),
+		e2eLog:   &metrics.CompletionLog{},
+		rng:      k.Split(0xc1),
+		resRNG:   k.Split(0x4e5),
+		lbRNG:    k.Split(lbLabel),
+		tel:      opts.Telemetry,
+	}
+	if c.tel != nil {
+		// FlushTelemetry samples spans from the whole window at the
+		// end of the run. Nothing has completed yet, so this cannot fail.
+		_ = c.RetainTraces()
 	}
 	if opts.ControlPlane != nil {
 		// Build the control plane before the services: every initial pod
@@ -355,8 +365,26 @@ func (c *Cluster) housekeep() {
 func (c *Cluster) Kernel() *sim.Kernel { return c.k }
 
 // Warehouse returns the trace warehouse (the simulated Jaeger+Neo4j
-// backend).
+// backend), or nil until a reader declares it with RetainTraces. A nil
+// warehouse answers Len and Stats with zeros; its Window panics.
 func (c *Cluster) Warehouse() *trace.Warehouse { return c.warehouse }
+
+// RetainTraces declares a reader of the trace warehouse: from now on
+// every completed trace is stored for trace.DefaultRetention. A cluster
+// no reader declared stores none. A second declaration is a no-op.
+// Declaring after a trace has completed unretained is an error, since
+// the warehouse would silently lack that history; declare before the
+// run.
+func (c *Cluster) RetainTraces() error {
+	if c.warehouse != nil {
+		return nil
+	}
+	if c.unretained {
+		return fmt.Errorf("cluster: trace retention declared after traces completed unretained")
+	}
+	c.warehouse = trace.NewWarehouse(trace.DefaultRetention)
+	return nil
+}
 
 // Completions returns the end-to-end completion log across all request
 // types.
@@ -513,14 +541,15 @@ type rootCall struct {
 }
 
 // done books the root visit's completion: the counters, the completion
-// logs and — unless it failed — the trace, added to the
-// warehouse as unsettled when a timed-out call under it left orphaned
-// work behind. The warehouse encodes a settled trace's tree when it
-// stores it; once the OnComplete callbacks have run, the trace header is
-// released and the spans go back on the free list, as do those of a
-// settled failed root, which is never stored. An unsettled trace keeps
-// its live tree in the warehouse, as orphaned work may still change it.
-// The submitter's onDone runs last.
+// logs and — unless it failed, and once a reader declared the warehouse
+// — the trace, added to the warehouse as unsettled when a timed-out
+// call under it left orphaned work behind. The warehouse encodes a
+// settled trace's tree when it stores it; once the OnComplete callbacks
+// have run, the trace header is released and the spans go back on the
+// free list, as do those of a settled failed root, which is never
+// stored. An unsettled trace keeps its live tree in the warehouse, as
+// orphaned work may still change it; without a warehouse it is simply
+// dropped. The submitter's onDone runs last.
 func (rc *rootCall) done(root *visit) {
 	c := rc.c
 	c.inFlight--
@@ -552,10 +581,13 @@ func (rc *rootCall) done(root *visit) {
 		c.housekeep()
 	}
 	tr := &rc.tr
-	*tr = trace.Trace{ID: rc.id, Type: rc.p.rt.Name, Root: span, Names: c.names}
-	if unsettled {
+	*tr = trace.Trace{ID: rc.id, Type: rc.p.rt.Name, Root: span, Names: c.names, Settled: !unsettled}
+	switch {
+	case c.warehouse == nil:
+		c.unretained = true
+	case unsettled:
 		c.warehouse.AddUnsettled(tr)
-	} else {
+	default:
 		c.warehouse.Add(tr)
 	}
 	rtime := tr.ResponseTime()

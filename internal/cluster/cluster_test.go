@@ -40,6 +40,15 @@ func allTraces(c *Cluster) trace.View {
 	return c.Warehouse().Window(math.MinInt64, math.MaxInt64)
 }
 
+// retainTraces declares c's warehouse, for a test that reads it after
+// the run.
+func retainTraces(t *testing.T, c *Cluster) {
+	t.Helper()
+	if err := c.RetainTraces(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func mustCluster(t *testing.T, k *sim.Kernel, app App) *Cluster {
 	t.Helper()
 	c, err := New(k, app, Options{})
@@ -87,6 +96,7 @@ func TestSingleRequestLifecycle(t *testing.T) {
 func TestWarehouseAndLogsPopulated(t *testing.T) {
 	k := sim.NewKernel(2)
 	c := mustCluster(t, k, twoTier(0, 0))
+	retainTraces(t, c)
 	if err := c.RecordSpans("backend"); err != nil {
 		t.Fatal(err)
 	}

@@ -93,6 +93,7 @@ func TestLatePodsStampTheirOwnIDs(t *testing.T) {
 	t.Run("scale-out", func(t *testing.T) {
 		k := sim.NewKernel(3)
 		c := mustCluster(t, k, twoTier(0, 0))
+		retainTraces(t, c)
 		submit(k, c, 20)
 		if err := c.SetReplicas("backend", 3); err != nil {
 			t.Fatal(err)
@@ -115,6 +116,7 @@ func TestLatePodsStampTheirOwnIDs(t *testing.T) {
 	t.Run("node-crash replacement", func(t *testing.T) {
 		k := sim.NewKernel(4)
 		c := mustCPCluster(t, k, twoTier(0, 0), cpConfig(2, 6, time.Second, 200*time.Millisecond, node.LBRoundRobin))
+		retainTraces(t, c)
 		k.Run() // let the initial deployment settle
 		submit(k, c, 10)
 		svc, _ := c.Service("backend")

@@ -1,0 +1,227 @@
+package cluster_test
+
+import (
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"sora/internal/cluster"
+	"sora/internal/metrics"
+	"sora/internal/sim"
+	"sora/internal/telemetry"
+	"sora/internal/topology"
+	"sora/internal/trace"
+	"sora/internal/workload"
+)
+
+// cartRun is one run of the Sock Shop cart mix under 900 users with a
+// 10 ms timeout on cart→cart-db, so some traces complete unsettled.
+type cartRun struct {
+	k *sim.Kernel
+	c *cluster.Cluster
+}
+
+// newCartRun builds the run; retain declares the warehouse first.
+func newCartRun(t *testing.T, retain bool) cartRun {
+	t.Helper()
+	k := sim.NewKernel(5)
+	cfg := topology.DefaultSockShop()
+	cfg.CartCores = 2
+	cfg.CartThreads = 10
+	app := topology.SockShop(cfg)
+	c, err := cluster.New(k, app, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retain {
+		if err := c.RetainTraces(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SetMix(topology.CartOnlyMix(app)); err != nil {
+		t.Fatal(err)
+	}
+	var policies []topology.EdgePolicy
+	for _, p := range topology.SockShopResilience() {
+		if p.Callee == topology.CartDB {
+			p.Policy.Timeout = 10 * time.Millisecond
+			policies = append(policies, p)
+		}
+	}
+	if err := topology.ApplyResilience(c, policies); err != nil {
+		t.Fatal(err)
+	}
+	return cartRun{k: k, c: c}
+}
+
+// run drives the closed loop for dur and drains the kernel.
+func (r cartRun) run(t *testing.T, dur time.Duration) {
+	t.Helper()
+	loop, err := workload.NewClosedLoop(r.k, workload.ClosedLoopConfig{
+		Target: workload.ConstantUsers(900),
+		Submit: func(done func()) { r.c.SubmitMixWith(done) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop.Start()
+	r.k.RunUntil(sim.Time(dur))
+	loop.Stop()
+	r.k.Run()
+}
+
+// TestUndeclaredClusterStoresNoTraces: a cluster no reader declared
+// builds no warehouse and stores nothing, yet its OnComplete readers
+// see every completed trace in full; reading a window then panics with
+// a message naming RetainTraces instead of returning an empty one.
+func TestUndeclaredClusterStoresNoTraces(t *testing.T) {
+	r := newCartRun(t, false)
+	completions, spans, unsettled := 0, 0, 0
+	r.c.OnComplete(func(tr *trace.Trace) {
+		completions++
+		recs := tr.Records(nil)
+		if len(recs) < 2 || recs[0].Size != int32(len(recs)) {
+			t.Fatalf("trace %d: %d records, want a whole tree of at least 2", tr.ID, len(recs))
+		}
+		spans += len(recs)
+		if !tr.Settled {
+			unsettled++
+		}
+	})
+	r.run(t, 4*time.Second)
+	if completions == 0 || uint64(completions) != r.c.Completed() || spans <= completions {
+		t.Fatalf("callbacks saw %d traces with %d spans, cluster completed %d", completions, spans, r.c.Completed())
+	}
+	if unsettled == 0 {
+		t.Error("no trace completed unsettled; the run does not cover dropping one")
+	}
+	wh := r.c.Warehouse()
+	if wh != nil {
+		t.Fatalf("an undeclared cluster built a warehouse holding %d traces", wh.Len())
+	}
+	if n, st := wh.Len(), wh.Stats(); n != 0 || st != (trace.WarehouseStats{}) {
+		t.Errorf("nil warehouse: Len %d, Stats %+v, want zeros", n, st)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "RetainTraces") {
+			t.Errorf("undeclared Window panicked with %q, want a message naming RetainTraces", msg)
+		}
+	}()
+	wh.Window(0, sim.Time(time.Hour))
+	t.Error("Window on an undeclared cluster returned")
+}
+
+// TestRetainTracesDeclaration: a second declaration is a no-op that
+// keeps the warehouse, and declaring once a trace has completed
+// unretained fails.
+func TestRetainTracesDeclaration(t *testing.T) {
+	r := newCartRun(t, true)
+	wh := r.c.Warehouse()
+	if wh == nil {
+		t.Fatal("RetainTraces built no warehouse")
+	}
+	if err := r.c.RetainTraces(); err != nil || r.c.Warehouse() != wh {
+		t.Fatalf("second RetainTraces: %v, same warehouse %v", err, r.c.Warehouse() == wh)
+	}
+	r.run(t, time.Second)
+	if wh.Len() == 0 || wh.Stats().Added != r.c.Completed() {
+		t.Errorf("declared warehouse stored %d of %d completed traces", wh.Stats().Added, r.c.Completed())
+	}
+
+	late := newCartRun(t, false)
+	late.run(t, time.Second)
+	if err := late.c.RetainTraces(); err == nil || !strings.Contains(err.Error(), "unretained") {
+		t.Errorf("RetainTraces after unretained completions = %v, want an error", err)
+	}
+	if late.c.Warehouse() != nil {
+		t.Error("a refused declaration left a warehouse behind")
+	}
+}
+
+// TestTelemetryDeclaresRetention: a cluster with a telemetry recorder
+// keeps traces, since its end-of-run flush samples spans from the
+// warehouse; one without keeps none.
+func TestTelemetryDeclaresRetention(t *testing.T) {
+	app := topology.SockShop(topology.DefaultSockShop())
+	c, err := cluster.New(sim.NewKernel(1), app, cluster.Options{Telemetry: telemetry.NewRecorder("t")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Warehouse() == nil {
+		t.Error("a cluster with telemetry has no warehouse")
+	}
+	c, err = cluster.New(sim.NewKernel(1), app, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Warehouse() != nil {
+		t.Error("a cluster without telemetry or a declared reader has a warehouse")
+	}
+}
+
+// TestRetentionMovesNoOutcome: declaring the warehouse changes what the
+// cluster stores, not what it simulates. The same seed with and without
+// it processes the same events and completes, fails and times out the
+// same requests at the same times.
+func TestRetentionMovesNoOutcome(t *testing.T) {
+	type outcome struct {
+		processed, completed, failed, timedOut uint64
+		e2e                                    []metrics.Completion
+	}
+	var got [2]outcome
+	for i, retain := range []bool{false, true} {
+		r := newCartRun(t, retain)
+		r.run(t, 4*time.Second)
+		got[i] = outcome{
+			r.k.Processed(), r.c.Completed(), r.c.Failed(), r.c.TimedOut(),
+			r.c.Completions().Window(0, sim.Time(time.Hour)),
+		}
+	}
+	a, b := got[0], got[1]
+	if a.processed != b.processed || a.completed != b.completed || a.failed != b.failed || a.timedOut != b.timedOut {
+		t.Errorf("undeclared %+v, declared %+v: counts differ", a, b)
+	}
+	if a.timedOut == 0 || len(a.e2e) == 0 {
+		t.Errorf("the run timed out %d calls and logged %d completions; it covers nothing", a.timedOut, len(a.e2e))
+	}
+	if !slices.Equal(a.e2e, b.e2e) {
+		t.Error("the end-to-end completion logs differ")
+	}
+}
+
+// TestRetainedCopyOutlivesRecycledSpans: on an undeclared cluster, a
+// settled trace's spans go back to the free list once its callbacks
+// return and later requests reuse them. A copy Retain took in the
+// callback must still decode the records the callback read.
+func TestRetainedCopyOutlivesRecycledSpans(t *testing.T) {
+	r := newCartRun(t, false)
+	type kept struct {
+		tr   *trace.Trace
+		recs []trace.Record
+	}
+	var all []kept
+	completions := 0
+	r.c.OnComplete(func(tr *trace.Trace) {
+		completions++
+		// An unsettled trace's copy shares its live tree, which orphaned
+		// work may still change; only settled copies must stay as read.
+		if tr.Settled {
+			all = append(all, kept{tr.Retain(), tr.Records(nil)})
+		}
+	})
+	r.run(t, 2*time.Second)
+	if len(all) < 100 || len(all) == completions {
+		t.Fatalf("%d of %d traces settled; want many settled and some not", len(all), completions)
+	}
+	for _, k := range all {
+		if got := k.tr.Records(nil); !slices.Equal(got, k.recs) {
+			t.Fatalf("trace %d reads back %d records, the callback read %d: first %+v, was %+v",
+				k.tr.ID, len(got), len(k.recs), got[0], k.recs[0])
+		}
+		if rt, want := k.tr.ResponseTime(), k.recs[0].Duration(); rt != want {
+			t.Fatalf("trace %d: response time %v, root record %v", k.tr.ID, rt, want)
+		}
+	}
+}

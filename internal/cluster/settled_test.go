@@ -47,6 +47,9 @@ func checkSettledTraces(t *testing.T, mesh bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := c.RetainTraces(); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.SetMix(topology.CartOnlyMix(app)); err != nil {
 		t.Fatal(err)
 	}

@@ -98,6 +98,7 @@ func TestRecordSpansAfterVisitsFails(t *testing.T) {
 func TestDeclaredSpanLogCountsEveryVisit(t *testing.T) {
 	k := sim.NewKernel(3)
 	c := mustCluster(t, k, twoTier(2, 0))
+	retainTraces(t, c)
 	if err := c.RecordSpans("backend"); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,6 +114,58 @@ func TestMonitorErrors(t *testing.T) {
 	}
 	if _, err := mon.Concurrency(cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}); err == nil {
 		t.Error("untracked resource: expected error")
+	}
+}
+
+// TestMonitorAndSCGDeclareRetention: a monitor given resources and an
+// SCG model declare the cluster's warehouse; a monitor without
+// resources does not and samples without it. Once traces have completed
+// unretained, both constructors refuse to declare it late.
+func TestMonitorAndSCGDeclareRetention(t *testing.T) {
+	app := topology.SockShop(topology.DefaultSockShop())
+	app.Mix = topology.CartOnlyMix(app)
+	ref := cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}
+	build := func(refs []cluster.ResourceRef) (*sim.Kernel, *cluster.Cluster, *Monitor) {
+		k := sim.NewKernel(3)
+		c, err := cluster.New(k, app, cluster.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mon, err := NewMonitor(c, 0, refs, c.ServiceNames())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k, c, mon
+	}
+	if _, c, _ := build([]cluster.ResourceRef{ref}); c.Warehouse() == nil {
+		t.Error("a monitor with a resource did not declare the warehouse")
+	}
+	_, c, mon := build(nil)
+	if c.Warehouse() != nil {
+		t.Fatal("a monitor without resources declared the warehouse")
+	}
+	if _, err := NewSCG(c, mon, SCGConfig{SLA: time.Second}); err != nil || c.Warehouse() == nil {
+		t.Errorf("NewSCG before the run: %v, warehouse declared %v", err, c.Warehouse() != nil)
+	}
+
+	k, c, mon := build(nil)
+	mon.Start()
+	for i := range 50 {
+		k.Schedule(time.Duration(i)*10*time.Millisecond, c.SubmitMix)
+	}
+	k.RunUntil(sim.Time(2 * time.Second))
+	mon.Stop()
+	if c.Completed() == 0 || c.Warehouse() != nil {
+		t.Fatalf("completed %d with warehouse %v; want completions and none", c.Completed(), c.Warehouse())
+	}
+	if _, err := NewSCG(c, mon, SCGConfig{SLA: time.Second}); err == nil {
+		t.Error("NewSCG after traces completed unretained: expected an error")
+	}
+	// The cart mix never visits Catalogue, so only the trace
+	// declaration can fail.
+	idle := cluster.ResourceRef{Service: topology.Catalogue, Kind: cluster.PoolThreads}
+	if _, err := NewMonitor(c, 0, []cluster.ResourceRef{idle}, nil); err == nil || !strings.Contains(err.Error(), "unretained") {
+		t.Errorf("NewMonitor with a resource after traces completed unretained = %v, want the retention error", err)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"sora/internal/cluster"
 	"sora/internal/metrics"
 	"sora/internal/sim"
+	"sora/internal/trace"
 )
 
 // DefaultSampleInterval is the fine-grained metric sampling period. The
@@ -29,8 +30,9 @@ const DefaultSampleInterval = 100 * time.Millisecond
 // concurrency of tracked soft resources and per-service CPU utilization
 // at a fixed fine-grained interval, mirroring the cadvisor+Jaeger agents
 // of the paper's deployment. Trace data itself is recorded by the cluster
-// into its warehouse; the monitor only adds the gauge series the SCG
-// scatter plots need.
+// into its warehouse, which a monitor with resources to measure declares
+// (the Jaeger half of the agent); the monitor only adds the gauge series
+// the SCG scatter plots need.
 type Monitor struct {
 	c        *cluster.Cluster
 	interval time.Duration
@@ -49,8 +51,10 @@ type Monitor struct {
 // NewMonitor returns a monitor sampling the given soft resources and the
 // CPU utilization of the given services every interval (zero selects
 // DefaultSampleInterval). It declares the span log of each resource's
-// measured service (Cluster.RecordSpans), so build it before the run.
-// Start must be called to begin sampling.
+// measured service (Cluster.RecordSpans) and, given at least one
+// resource, the trace warehouse (Cluster.RetainTraces) the models
+// estimating those resources read, so build it before the run. Start
+// must be called to begin sampling.
 func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.ResourceRef, utilServices []string) (*Monitor, error) {
 	if c == nil {
 		return nil, fmt.Errorf("core: nil cluster")
@@ -78,6 +82,11 @@ func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.Resou
 			return nil, fmt.Errorf("core: cannot monitor %v: %w", ref, err)
 		}
 		m.conc[ref] = &metrics.Series{}
+	}
+	if len(refs) > 0 {
+		if err := c.RetainTraces(); err != nil {
+			return nil, fmt.Errorf("core: monitor: %w", err)
+		}
 	}
 	for _, name := range m.utilServices {
 		svc, err := c.Service(name)
@@ -133,9 +142,9 @@ func (m *Monitor) sample() {
 			m.util[name].Add(now, dw/dc)
 		}
 	}
-	// Bound memory: gauge history older than the warehouse retention is
-	// useless to every consumer.
-	cutoff := now - m.c.Warehouse().Retention()
+	// Bound memory: gauge history older than the retention window the
+	// cluster keeps its own history for is useless to every consumer.
+	cutoff := now - trace.DefaultRetention
 	for _, series := range m.conc {
 		series.Prune(cutoff)
 	}

@@ -66,13 +66,19 @@ type SCGModel struct {
 }
 
 // NewSCG returns an SCG model reading traces from the cluster's warehouse
-// and concurrency series from the monitor.
+// and concurrency series from the monitor. It declares the warehouse
+// (Cluster.RetainTraces), which fails once traces have completed
+// unretained: build the model, or a monitor with resources, before the
+// run.
 func NewSCG(c *cluster.Cluster, mon *Monitor, cfg SCGConfig) (*SCGModel, error) {
 	if c == nil || mon == nil {
 		return nil, fmt.Errorf("core: SCG needs a cluster and a monitor")
 	}
 	if cfg.SLA <= 0 {
 		return nil, fmt.Errorf("core: SCG needs a positive SLA, got %v", cfg.SLA)
+	}
+	if err := c.RetainTraces(); err != nil {
+		return nil, fmt.Errorf("core: SCG: %w", err)
 	}
 	cfg.fillDefaults()
 	return &SCGModel{cfg: cfg, c: c, mon: mon, blocks: sealedScans{shift: sealedBlockShift}}, nil

@@ -229,7 +229,7 @@ func runAblationDegree(p Params, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	svc, err := r.C.Service(fc.measured)
+	svc, err := r.C.Service(fc.measured())
 	if err != nil {
 		return err
 	}
@@ -273,16 +273,23 @@ func runAblationLocalize(p Params, w io.Writer) error {
 			mix = append(mix, cluster.WeightedRequest{Type: wr.Type, Weight: 1})
 		}
 	}
-	r, err := simulate(p.observe(scenario.Scenario{
+	r, err := p.observe(scenario.Scenario{
 		Seed:     p.Seed,
 		App:      app,
 		Mix:      mix,
 		Target:   workload.ConstantUsers(900),
 		Duration: dur,
-	}))
+	}).Build()
 	if err != nil {
 		return err
 	}
+	// The scenario measures no resource, so its monitor declares no
+	// trace reader; the localizer and the PCC table below read the
+	// whole run's traces after it.
+	if err := r.C.RetainTraces(); err != nil {
+		return err
+	}
+	execute(r)
 
 	scg, err := core.NewSCG(r.C, r.Mon, core.SCGConfig{SLA: goodputRTT, Window: dur})
 	if err != nil {

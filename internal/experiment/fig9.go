@@ -38,13 +38,18 @@ type fig9Case struct {
 	paperRec    int
 	threshold   time.Duration // service-level goodput threshold (paper: 10/10/15 ms)
 	ref         cluster.ResourceRef
-	measured    string
 	estUsers    int   // estimation-run population
 	estPool     int   // roomy pool for the estimation run
 	candidates  []int // validation pool sizes (paper's four lines)
 	sweepUsers  []int // validation workload levels
 	build       func(size int) (cluster.App, []cluster.WeightedRequest)
 	sloEndToEnd time.Duration
+}
+
+// measured is the service whose span log the case reads: its ref's
+// measured service, the one the rig's monitor declares.
+func (fc fig9Case) measured() string {
+	return core.ManagedResource{Ref: fc.ref}.MeasuredService()
 }
 
 func fig9Cases() []fig9Case {
@@ -74,7 +79,6 @@ func fig9Cases() []fig9Case {
 			paperRec:    5,
 			threshold:   30 * time.Millisecond,
 			ref:         cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads},
-			measured:    topology.Cart,
 			estUsers:    900,
 			estPool:     60,
 			candidates:  []int{3, 5, 15, 25},
@@ -87,7 +91,6 @@ func fig9Cases() []fig9Case {
 			paperRec:    15,
 			threshold:   15 * time.Millisecond,
 			ref:         cluster.ResourceRef{Service: topology.Catalogue, Kind: cluster.PoolDBConns},
-			measured:    topology.Catalogue,
 			estUsers:    2400,
 			estPool:     60,
 			candidates:  []int{10, 15, 20, 25},
@@ -100,7 +103,6 @@ func fig9Cases() []fig9Case {
 			paperRec:    10,
 			threshold:   15 * time.Millisecond,
 			ref:         cluster.ResourceRef{Service: topology.HomeTimeline, Kind: cluster.PoolClientConns, Target: topology.PostStorage},
-			measured:    topology.PostStorage,
 			estUsers:    2000,
 			estPool:     60,
 			candidates:  []int{5, 10, 15, 25},
@@ -220,7 +222,7 @@ func fig9Estimate(p Params, fc fig9Case) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	qs, gps, err := scg.CollectPairs(sim.Time(dur), fc.ref, fc.measured, fc.threshold)
+	qs, gps, err := scg.CollectPairs(sim.Time(dur), fc.ref, fc.measured(), fc.threshold)
 	if err != nil {
 		return 0, err
 	}
@@ -251,7 +253,7 @@ func fig9Validate(p Params, fc fig9Case, size, users int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	svc, err := r.C.Service(fc.measured)
+	svc, err := r.C.Service(fc.measured())
 	if err != nil {
 		return 0, err
 	}

@@ -58,7 +58,7 @@ func runTable1(p Params, w io.Writer) error {
 		// Every interval then re-buckets the same estimation histories.
 		// Telemetry sub-groups are created here, on the coordinating
 		// goroutine, so their creation order stays deterministic.
-		caseGrp := p.Telemetry.Group(fc.measured)
+		caseGrp := p.Telemetry.Group(fc.measured())
 		truthTel := caseGrp.Group("ground-truth")
 		runsTel := caseGrp.Group("runs")
 		var truth int
@@ -68,7 +68,7 @@ func runTable1(p Params, w io.Writer) error {
 				var err error
 				truth, err = table1GroundTruth(p.unitParams(truthTel), fc)
 				if err != nil {
-					return fmt.Errorf("table1 ground truth for %s: %w", fc.measured, err)
+					return fmt.Errorf("table1 ground truth for %s: %w", fc.measured(), err)
 				}
 				return nil
 			},
@@ -80,13 +80,13 @@ func runTable1(p Params, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-14s", fc.measured)
+		fmt.Fprintf(w, "%-14s", fc.measured())
 		row := []float64{float64(truth)}
 		bestMAPE, bestIV := 1e18, time.Duration(0)
 		for _, iv := range table1Intervals {
 			mape, err := table1MAPE(fc, iv, truth, runs)
 			if err != nil {
-				return fmt.Errorf("table1 %s @%v: %w", fc.measured, iv, err)
+				return fmt.Errorf("table1 %s @%v: %w", fc.measured(), iv, err)
 			}
 			fmt.Fprintf(w, " %9.2f", mape)
 			row = append(row, mape)
@@ -94,13 +94,13 @@ func runTable1(p Params, w io.Writer) error {
 				bestMAPE, bestIV = mape, iv
 			}
 		}
-		bestByService[fc.measured] = bestIV
+		bestByService[fc.measured()] = bestIV
 		fmt.Fprintf(w, "   (ground truth: %d)\n", truth)
 		rows = append(rows, row)
 	}
 	fmt.Fprintf(w, "\nbest interval per service (paper: 100ms for all three):\n")
 	for _, fc := range cases {
-		fmt.Fprintf(w, "  %-14s %v\n", fc.measured, bestByService[fc.measured])
+		fmt.Fprintf(w, "  %-14s %v\n", fc.measured(), bestByService[fc.measured()])
 	}
 	header := []string{"ground_truth"}
 	for _, iv := range table1Intervals {
@@ -186,7 +186,7 @@ func table1Runs(p Params, fc fig9Case) []*estimateRun {
 		if err != nil {
 			return nil, nil
 		}
-		svc, err := r.C.Service(fc.measured)
+		svc, err := r.C.Service(fc.measured())
 		if err != nil {
 			return nil, nil
 		}

@@ -432,6 +432,29 @@ func TestCompletionLogReadAllocFree(t *testing.T) {
 	}
 }
 
+// TestCompletionLogPercentileAllocatesOnce: Percentile copies its
+// window once, into the slice ResponseTimes returns, and sorts that in
+// place; its value is stats.Percentile's over the same window, bit for
+// bit, at the interpolated and the exact ranks.
+func TestCompletionLogPercentileAllocatesOnce(t *testing.T) {
+	var l CompletionLog
+	for i := range 5000 {
+		l.AddFlagged(ms(i), time.Duration(i*7919%997)*time.Microsecond, i%50 == 0)
+	}
+	since, until := ms(100), ms(4900)
+	for _, p := range []float64{0, 33.3, 50, 99, 99.9, 100} {
+		got, err := l.Percentile(p, since, until)
+		want, werr := stats.Percentile(l.ResponseTimes(since, until), p)
+		if err != nil || werr != nil || got != time.Duration(want*float64(time.Millisecond)) {
+			t.Errorf("Percentile(%g) = %v, %v; stats.Percentile gives %v ms, %v", p, got, err, want, werr)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() { _, _ = l.Percentile(99, since, until) })
+	if allocs != 1 {
+		t.Errorf("Percentile over 4800 completions allocated %v times, want 1", allocs)
+	}
+}
+
 // TestCompletionLogBytesPerEntry pins the stored size of a steady-state
 // completion log, as TestSocialStreamSize pins the trace stream's: gaps
 // and response times of 0.1–10 ms with one completion in 50 degraded

@@ -287,10 +287,10 @@ func (l *CompletionLog) ResponseTimes(since, until sim.Time) []float64 {
 	return out
 }
 
-// Percentile returns the p-th percentile response time over [since, until).
+// Percentile returns the p-th percentile response time over [since,
+// until). The window's one copy is sorted in place.
 func (l *CompletionLog) Percentile(p float64, since, until sim.Time) (time.Duration, error) {
-	rts := l.ResponseTimes(since, until)
-	ms, err := stats.Percentile(rts, p)
+	ms, err := stats.PercentileInPlace(l.ResponseTimes(since, until), p)
 	if err != nil {
 		return 0, fmt.Errorf("metrics: percentile: %w", err)
 	}

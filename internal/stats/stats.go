@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -112,39 +113,43 @@ func MAPE(actual, predicted []float64) (float64, error) {
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It does not modify xs.
 func Percentile(xs []float64, p float64) (float64, error) {
+	return PercentileInPlace(slices.Clone(xs), p)
+}
+
+// PercentileInPlace is Percentile for a caller that owns xs and has no
+// further use for its order: it sorts xs in place instead of a copy.
+func PercentileInPlace(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, fmt.Errorf("percentile: %w", ErrEmpty)
 	}
 	if p < 0 || p > 100 {
 		return 0, fmt.Errorf("percentile: p=%g out of [0,100]", p)
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
+	sort.Float64s(xs)
 	// Exact boundaries: p=0 and p=100 are the min and max by definition
 	// and must not go through interpolation arithmetic.
-	if p == 0 || len(sorted) == 1 {
-		return sorted[0], nil
+	if p == 0 || len(xs) == 1 {
+		return xs[0], nil
 	}
 	if p == 100 {
-		return sorted[len(sorted)-1], nil
+		return xs[len(xs)-1], nil
 	}
-	rank := float64(p / 100 * float64(len(sorted)-1))
+	rank := float64(p / 100 * float64(len(xs)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	// Guard against float rounding pushing the rank out of range (p just
 	// below 100 can round rank up to exactly len-1).
-	if hi > len(sorted)-1 {
-		hi = len(sorted) - 1
+	if hi > len(xs)-1 {
+		hi = len(xs) - 1
 	}
 	if lo > hi {
 		lo = hi
 	}
 	if lo == hi {
-		return sorted[lo], nil
+		return xs[lo], nil
 	}
 	frac := rank - float64(lo)
-	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac), nil
+	return float64(xs[lo]*(1-frac)) + float64(xs[hi]*frac), nil
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.

@@ -115,6 +115,22 @@ func zig(v time.Duration) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzig(u uint64) time.Duration { return time.Duration(int64(u>>1) ^ -int64(u&1)) }
 
+// headerBytes bounds a trace header: the codes byte and two values,
+// each stored as a whole word.
+const headerBytes = 1 + 2*8
+
+// newStream returns the stream of the tree under root in a fresh slice
+// of its own, byte for byte what Warehouse.store would store: the trace
+// header, the spans, then streamPad zero bytes.
+func newStream(root *Span) []byte {
+	body, spans := appendSpans(nil, root, root.End)
+	var head [headerBytes]byte
+	h := head[:putHeader(head[:], root.End, spans)]
+	enc := make([]byte, len(h)+len(body)+streamPad)
+	copy(enc[copy(enc, h):], body)
+	return enc
+}
+
 // putHeader writes the trace header for a root ending at end and a tree
 // of spans spans at b[0:] and returns its length.
 func putHeader(b []byte, end sim.Time, spans int) int {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -83,6 +84,27 @@ func TestSocialStreamSize(t *testing.T) {
 	t.Logf("%d spans in %d B: %.2f B a span", spans, bytes, perSpan)
 	if perSpan > socialStreamBudget {
 		t.Fatalf("a compose-post span takes %.2f B in the stream, over the budget of %d B", perSpan, socialStreamBudget)
+	}
+}
+
+// TestRetainEncodesLikeTheWarehouse: Retain of a Settled live trace no
+// warehouse stored writes the stream Add would store, byte for byte, and
+// the copy no longer shares the tree; an unsettled one shares it.
+func TestRetainEncodesLikeTheWarehouse(t *testing.T) {
+	w := NewWarehouse(time.Hour)
+	for _, tr := range socialTraces(20) {
+		tr.Settled = true
+		kept := tr.Retain()
+		w.Add(tr)
+		if kept.Root != nil || !bytes.Equal(kept.enc, tr.enc) {
+			t.Fatalf("trace of %d spans: Retain kept root %v and %d stream bytes, the warehouse stored %d",
+				len(tr.Records(nil)), kept.Root != nil, len(kept.enc), len(tr.enc))
+		}
+		tr.Settled = false
+		tr.enc = nil
+		if shared := tr.Retain(); shared.Root != tr.Root || shared.enc != nil {
+			t.Fatal("Retain of an unsettled live trace did not share its tree")
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ type ID uint64
 // which turn it into records, read a Span: every other reader sees a
 // trace through Trace.Records.
 //
-//soravet:pool Span invalidated-by none spans recycle through the cluster's free list: once a settled trace's OnComplete callbacks return (the warehouse encoded its tree when it stored it), Cluster.freeSpans hands every span back for a later visit to reissue, so a handle is valid only while its trace holds the live tree (an unsettled trace always does); the cluster keeps span handles in visits and attempts by design, so no invalidator is declared here
+//soravet:pool Span invalidated-by none spans recycle through the cluster's free list: once a settled trace's OnComplete callbacks return (the warehouse, if declared, encoded its tree when it stored it, and Retain encodes it otherwise), Cluster.freeSpans hands every span back for a later visit to reissue, so a handle is valid only while its trace holds the live tree (an unsettled trace always does); the cluster keeps span handles in visits and attempts by design, so no invalidator is declared here
 type Span struct {
 	Arrival sim.Time // request arrived at the service (queued for admission)
 	Start   sim.Time // processing began (admitted past the soft resource)
@@ -143,8 +143,15 @@ type Trace struct {
 	// Names is the table the records' service and instance ids index.
 	Names *Names
 
-	enc      []byte // the stored spans' stream, a capped view of a warehouse chunk (see Warehouse.Add)
-	released bool   // see Release
+	enc []byte // the stored spans' stream, a capped view of a warehouse chunk (see Warehouse.Add)
+
+	// Settled marks a live tree no orphaned work can change any more,
+	// whose spans its builder reuses once the trace's readers are done:
+	// Retain encodes such a tree instead of sharing it. The cluster
+	// sets it on every settled trace it hands its OnComplete callbacks.
+	// It sits beside released so that the two flags share a word.
+	Settled  bool
+	released bool // see Release
 }
 
 // Release ends the trace's life: it drops the trace's spans, and every
@@ -163,16 +170,19 @@ func (t *Trace) checkReleased() {
 }
 
 // Retain returns a copy of the trace that stays valid after the callback
-// or the warehouse view it was read from. A settled trace's stream is
+// or the warehouse view it was read from. A stored trace's stream is
 // copied out of the warehouse's chunk, which is recycled once its traces
-// are evicted; a trace with no stream — one stored unsettled, or built
-// outside the cluster — shares its live tree, which orphaned work may
-// still change.
+// are evicted; a Settled live tree the warehouse did not store is
+// encoded into a stream of its own, since its spans are reused. Any
+// other trace — one stored unsettled, or built outside the cluster —
+// shares its live tree, which orphaned work may still change.
 func (t *Trace) Retain() *Trace {
 	c := &Trace{ID: t.ID, Type: t.Type, Names: t.Names}
 	switch {
 	case len(t.enc) > 0:
 		c.enc = slices.Clone(t.enc)
+	case t.Root != nil && t.Settled:
+		c.enc = newStream(t.Root)
 	case t.Root != nil:
 		c.Root = t.Root
 	default:

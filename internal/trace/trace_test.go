@@ -351,10 +351,19 @@ func TestWarehouseIgnoresNil(t *testing.T) {
 	}
 }
 
+// TestWarehouseDefaultRetention checks that a non-positive retention
+// keeps traces for DefaultRetention: a trace exactly that old survives
+// an Add, one a nanosecond older is evicted.
 func TestWarehouseDefaultRetention(t *testing.T) {
 	w := NewWarehouse(0)
-	if w.Retention() != DefaultRetention {
-		t.Errorf("Retention = %v, want %v", w.Retention(), DefaultRetention)
+	w.Add(makeTraceAt(1, time.Second))
+	w.Add(makeTraceAt(2, time.Second+DefaultRetention))
+	if w.Len() != 2 {
+		t.Fatalf("Len = %d, want 2: a trace one retention old was evicted", w.Len())
+	}
+	w.Add(makeTraceAt(3, time.Second+DefaultRetention+1))
+	if w.Len() != 2 || w.Stats().Evicted != 1 {
+		t.Errorf("Len = %d, evicted %d, want 2 and 1", w.Len(), w.Stats().Evicted)
 	}
 }
 

@@ -12,7 +12,10 @@ import (
 // from. It keeps completed traces for a bounded retention window of
 // virtual time and evicts older ones lazily on Add. Traces are appended
 // in completion order, so eviction and range queries are simple
-// prefix/suffix operations on a deque.
+// prefix/suffix operations on a deque. A cluster builds its warehouse
+// only once a reader declares it (Cluster.RetainTraces, DESIGN.md §13
+// "Declared trace retention"); until then it has none, and a nil
+// Warehouse answers Len and Stats with zeros while Window panics.
 //
 // The warehouse holds no header object per trace (DESIGN.md §13
 // "Retained traces"). Each trace is one pointer-free entry in a block
@@ -141,9 +144,6 @@ func NewWarehouse(retention time.Duration) *Warehouse {
 	return &Warehouse{retention: retention}
 }
 
-// Retention returns the configured retention window.
-func (w *Warehouse) Retention() time.Duration { return w.retention }
-
 // Add stores a completed trace that can no longer change and evicts any
 // traces that have fallen out of the retention window relative to this
 // trace's completion time. Traces must be added in nondecreasing
@@ -234,7 +234,7 @@ func (w *Warehouse) typeID(name string) uint32 {
 func (w *Warehouse) store(t *Trace) (seq, off, n uint32) {
 	body, spans := appendSpans(w.scratch[:0], t.Root, t.Root.End)
 	w.scratch = body
-	var head [1 + 2*8]byte // the codes byte and two values stored as words
+	var head [headerBytes]byte
 	h := head[:putHeader(head[:], t.Root.End, spans)]
 	need := len(h) + len(body) + streamPad
 	c := w.room(need)
@@ -321,8 +321,14 @@ func (w *Warehouse) evictBefore(cutoff sim.Time) {
 	w.chunkBase += uint32(n)
 }
 
-// Len returns the number of retained traces.
-func (w *Warehouse) Len() int { return w.n }
+// Len returns the number of retained traces: none for a nil warehouse,
+// a cluster's before a reader declares it (Cluster.RetainTraces).
+func (w *Warehouse) Len() int {
+	if w == nil {
+		return 0
+	}
+	return w.n
+}
 
 // Added returns the total number of traces ever stored.
 //
@@ -337,8 +343,12 @@ type WarehouseStats struct {
 	Retained int    // traces currently held
 }
 
-// Stats returns the warehouse's churn counters and current size.
+// Stats returns the warehouse's churn counters and current size, all
+// zero for a nil warehouse.
 func (w *Warehouse) Stats() WarehouseStats {
+	if w == nil {
+		return WarehouseStats{}
+	}
 	return WarehouseStats{Added: w.added, Evicted: w.evicted, Retained: w.Len()}
 }
 
@@ -384,8 +394,13 @@ func (v View) At(i int) Trace {
 }
 
 // Window returns the retained traces whose completion time lies in
-// [since, until) as a view of the deque.
+// [since, until) as a view of the deque. On a nil warehouse it panics:
+// a cluster stores no trace until a reader declares one, and an empty
+// window would pass for a quiet one.
 func (w *Warehouse) Window(since, until sim.Time) View {
+	if w == nil {
+		panic("trace: window read from a cluster that keeps no traces; call Cluster.RetainTraces before the run")
+	}
 	lo := w.lowerBound(since)
 	hi := max(lo, w.lowerBound(until))
 	return View{w: w, first: w.evicted + uint64(lo), n: hi - lo}

@@ -35,6 +35,17 @@
 #           archive covers both the compacted and the live trace form,
 #           and the telemetry span sample reads both.
 #
+# A telemetry recorder declares trace retention (the flush samples
+# spans from the warehouse), so the sets above never run a cluster that
+# keeps no traces. The last set runs both binaries without telemetry:
+#
+#   bare:   sorabench -exp all -scale 0.1 -seed 1 -quiet (stdout only),
+#           then simrun -app sockshop -fault-plan combo -seed 5
+#           -duration 60s -trace-archive. Every experiment whose rig
+#           measures no resource stores no trace here. simrun's monitor
+#           measures the cart pool and so still declares retention; its
+#           archive checks the run without the recorder.
+#
 # The script compares stdout with cmp (simrun's wall-time figure and
 # output directory blanked) and the artifact trees with diff -r, and exits non-zero on
 # any difference. Diagnostics (wall time, events/s) go to stderr and
@@ -79,16 +90,35 @@ fi
 trap 'exit 1' INT TERM
 
 status=0
-for set in all ctrl decide simrun; do
+for set in all ctrl decide simrun bare; do
 	case $set in
 	all) args="-exp all -scale 0.1 -seed 1" trees="tel csv" ;;
 	ctrl) args="-exp fig12,chaos,ctrlplane -scale 0.5 -seed 5" trees="tel csv" ;;
 	decide) args="-exp table3,ablation-model,ext-unified -scale 0.3 -seed 5" trees="tel csv" ;;
 	simrun) args="-app sockshop -fault-plan combo -seed 5 -duration 60s -profile" trees="tel archive" ;;
+	bare) args="-exp all -scale 0.1 -seed 1 -quiet" trees="archive" ;;
 	esac
 	for side in parent change; do
 		d="$tmp/$set/$side"
 		mkdir -p "$d"
+		if [ "$set" = bare ]; then
+			if [ "$side" = parent ]; then
+				bin=$parent sim=$parent_simrun
+			else
+				bin=$change sim=$change_simrun
+			fi
+			mkdir -p "$d/archive"
+			# shellcheck disable=SC2086 # args is a word list on purpose
+			if ! "$bin" $args >"$d/stdout" 2>"$d/stderr" ||
+				! "$sim" -app sockshop -fault-plan combo -seed 5 -duration 60s \
+					-trace-archive "$d/archive/traces.jsonl" >"$d/raw" 2>>"$d/stderr"; then
+				echo "sameout: $side run of set $set failed:" >&2
+				cat "$d/stderr" >&2
+				exit 1
+			fi
+			sed -e 's/(wall [^,]*,/(wall -,/' -e "s|$d/||g" "$d/raw" >>"$d/stdout"
+			continue
+		fi
 		if [ "$set" = simrun ]; then
 			if [ "$side" = parent ]; then bin=$parent_simrun; else bin=$change_simrun; fi
 			mkdir -p "$d/archive"
