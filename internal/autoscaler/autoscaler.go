@@ -44,33 +44,18 @@ func publishScale(c *cluster.Cluster, now sim.Time, scaler, service, knob string
 		telemetry.Float("util", util))
 }
 
-// utilTracker derives per-window mean CPU utilization of one service
-// from the cluster's cumulative work counters.
-type utilTracker struct {
-	c        *cluster.Cluster
-	service  string
-	lastWork float64
-	lastCap  float64
-	primed   bool
-}
-
-func (u *utilTracker) utilization() (float64, error) {
-	svc, err := u.c.Service(u.service)
-	if err != nil {
-		return 0, err
+// stepUtil is the scalers' utilization rule. The first Step arms the
+// meter and reports 0; each later Step reports the utilization since the
+// previous one, or 0 when no capacity elapsed. Arming at the first Step
+// rather than at construction keeps a scaler from reading the service at
+// any instant its Step does not.
+func stepUtil(m **cluster.UtilMeter, svc *cluster.Service) float64 {
+	if *m == nil {
+		*m = cluster.NewUtilMeter(svc)
+		return 0
 	}
-	work := svc.CumulativeBusy()
-	capacity := svc.CumulativeCapacity()
-	dw, dc := work-u.lastWork, capacity-u.lastCap
-	u.lastWork, u.lastCap = work, capacity
-	if !u.primed {
-		u.primed = true
-		return 0, nil
-	}
-	if dc <= 0 {
-		return 0, nil
-	}
-	return dw / dc, nil
+	util, _ := (*m).Next()
+	return util
 }
 
 // FIRMConfig configures the FIRM-style vertical scaler.
@@ -106,7 +91,8 @@ const (
 type FIRMScaler struct {
 	cfg   FIRMConfig
 	c     *cluster.Cluster
-	util  utilTracker
+	svc   *cluster.Service
+	util  *cluster.UtilMeter // nil until the first Step
 	calm  int
 	level int // index into Ladder of the current limit
 }
@@ -131,7 +117,7 @@ func NewFIRM(c *cluster.Cluster, cfg FIRMConfig) (*FIRMScaler, error) {
 			return nil, fmt.Errorf("autoscaler: FIRM ladder must be strictly increasing, got %v", cfg.Ladder)
 		}
 	}
-	s := &FIRMScaler{cfg: cfg, c: c, util: utilTracker{c: c, service: cfg.Service}}
+	s := &FIRMScaler{cfg: cfg, c: c, svc: svc}
 	// Locate the current core limit on the ladder (closest entry).
 	cores := svc.Cores()
 	s.level = 0
@@ -148,10 +134,7 @@ func (s *FIRMScaler) Name() string { return "firm" }
 
 // Step implements core.HardwareScaler.
 func (s *FIRMScaler) Step(now sim.Time) bool {
-	util, err := s.util.utilization()
-	if err != nil {
-		return false
-	}
+	util := stepUtil(&s.util, s.svc)
 	p99, err := s.c.Completions().Percentile(99, now-sim.Time(firmWindow), now)
 	if err != nil {
 		return false // quiet window
@@ -213,7 +196,8 @@ const (
 type HPAScaler struct {
 	cfg      HPAConfig
 	c        *cluster.Cluster
-	util     utilTracker
+	svc      *cluster.Service
+	util     *cluster.UtilMeter // nil until the first Step
 	lowSince sim.Time
 	hasLow   bool
 }
@@ -223,13 +207,14 @@ func NewHPA(c *cluster.Cluster, cfg HPAConfig) (*HPAScaler, error) {
 	if c == nil {
 		return nil, fmt.Errorf("autoscaler: nil cluster")
 	}
-	if _, err := c.Service(cfg.Service); err != nil {
+	svc, err := c.Service(cfg.Service)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.MaxReplicas <= 0 {
 		cfg.MaxReplicas = 8
 	}
-	return &HPAScaler{cfg: cfg, c: c, util: utilTracker{c: c, service: cfg.Service}}, nil
+	return &HPAScaler{cfg: cfg, c: c, svc: svc}, nil
 }
 
 // Name implements core.HardwareScaler.
@@ -237,15 +222,8 @@ func (s *HPAScaler) Name() string { return "hpa" }
 
 // Step implements core.HardwareScaler.
 func (s *HPAScaler) Step(now sim.Time) bool {
-	util, err := s.util.utilization()
-	if err != nil {
-		return false
-	}
-	svc, err := s.c.Service(s.cfg.Service)
-	if err != nil {
-		return false
-	}
-	current := svc.Replicas()
+	util := stepUtil(&s.util, s.svc)
+	current := s.svc.Replicas()
 	ratio := util / hpaTargetUtil
 	if ratio > 1-hpaTolerance && ratio < 1+hpaTolerance {
 		s.hasLow = false
@@ -313,7 +291,8 @@ const (
 type VPAScaler struct {
 	cfg  VPAConfig
 	c    *cluster.Cluster
-	util utilTracker
+	svc  *cluster.Service
+	util *cluster.UtilMeter // nil until the first Step
 	calm int
 }
 
@@ -322,7 +301,8 @@ func NewVPA(c *cluster.Cluster, cfg VPAConfig) (*VPAScaler, error) {
 	if c == nil {
 		return nil, fmt.Errorf("autoscaler: nil cluster")
 	}
-	if _, err := c.Service(cfg.Service); err != nil {
+	svc, err := c.Service(cfg.Service)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.MinCores <= 0 {
@@ -334,7 +314,7 @@ func NewVPA(c *cluster.Cluster, cfg VPAConfig) (*VPAScaler, error) {
 	if cfg.MaxCores < cfg.MinCores {
 		return nil, fmt.Errorf("autoscaler: VPA max cores %g below min %g", cfg.MaxCores, cfg.MinCores)
 	}
-	return &VPAScaler{cfg: cfg, c: c, util: utilTracker{c: c, service: cfg.Service}}, nil
+	return &VPAScaler{cfg: cfg, c: c, svc: svc}, nil
 }
 
 // Name implements core.HardwareScaler.
@@ -342,15 +322,8 @@ func (s *VPAScaler) Name() string { return "vpa" }
 
 // Step implements core.HardwareScaler.
 func (s *VPAScaler) Step(now sim.Time) bool {
-	util, err := s.util.utilization()
-	if err != nil {
-		return false
-	}
-	svc, err := s.c.Service(s.cfg.Service)
-	if err != nil {
-		return false
-	}
-	cores := svc.Cores()
+	util := stepUtil(&s.util, s.svc)
+	cores := s.svc.Cores()
 	switch {
 	case util >= vpaUpUtil && cores < s.cfg.MaxCores:
 		s.calm = 0

@@ -7,6 +7,7 @@ import (
 	"sora/internal/cluster"
 	"sora/internal/core"
 	"sora/internal/sim"
+	"sora/internal/telemetry"
 	"sora/internal/topology"
 	"sora/internal/workload"
 )
@@ -20,13 +21,19 @@ type rig struct {
 
 func newRig(t *testing.T, seed uint64, users int, cores float64, threads int) *rig {
 	t.Helper()
+	return newRigWith(t, seed, users, cores, threads, cluster.Options{})
+}
+
+// newRigWith is newRig with the given cluster options.
+func newRigWith(t *testing.T, seed uint64, users int, cores float64, threads int, opts cluster.Options) *rig {
+	t.Helper()
 	k := sim.NewKernel(seed)
 	cfg := topology.DefaultSockShop()
 	cfg.CartCores = cores
 	cfg.CartThreads = threads
 	app := topology.SockShop(cfg)
 	app.Mix = topology.CartOnlyMix(app)
-	c, err := cluster.New(k, app, cluster.Options{})
+	c, err := cluster.New(k, app, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,6 +241,70 @@ func TestVPAConfigValidation(t *testing.T) {
 		t.Error("max < min: expected error")
 	}
 	r.shutdown()
+}
+
+// TestScalersPrimeOnFirstStep pins the utilization rule FIRM, the HPA
+// and the VPA share: the first Step arms the meter and reports 0, so on
+// a service saturated before it that Step makes no move; the second Step
+// reports the utilization since the first, which the scale event
+// carries.
+func TestScalersPrimeOnFirstStep(t *testing.T) {
+	type scaler interface{ Step(sim.Time) bool }
+	for _, tc := range []struct {
+		name  string
+		build func(c *cluster.Cluster) (scaler, error)
+	}{
+		{"firm", func(c *cluster.Cluster) (scaler, error) {
+			return NewFIRM(c, FIRMConfig{Service: topology.Cart, SLO: 250 * time.Millisecond})
+		}},
+		{"hpa", func(c *cluster.Cluster) (scaler, error) {
+			return NewHPA(c, HPAConfig{Service: topology.Cart, MaxReplicas: 4})
+		}},
+		{"vpa", func(c *cluster.Cluster) (scaler, error) {
+			return NewVPA(c, VPAConfig{Service: topology.Cart, MinCores: 2, MaxCores: 6})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tel := telemetry.NewRecorder("prime")
+			r := newRigWith(t, 1, 1800, 2, 40, cluster.Options{Telemetry: tel})
+			s, err := tc.build(r.c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			svc, err := r.c.Service(topology.Cart)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.k.RunUntil(sim.Time(15 * time.Second))
+			busy, capacity := svc.CumulativeBusy(), svc.CumulativeCapacity()
+			if util := busy / capacity; util < firmUpUtil || util < hpaTargetUtil || util < vpaUpUtil {
+				t.Fatalf("cart utilization %v before the first Step: not saturated", util)
+			}
+			if s.Step(r.k.Now()) || svc.Cores() != 2 || svc.Replicas() != 1 {
+				t.Fatalf("first Step moved: cores %g, replicas %d", svc.Cores(), svc.Replicas())
+			}
+			r.k.RunUntil(sim.Time(30 * time.Second))
+			want := (svc.CumulativeBusy() - busy) / (svc.CumulativeCapacity() - capacity)
+			if !s.Step(r.k.Now()) {
+				t.Fatalf("second Step at utilization %v made no move", want)
+			}
+			var utils []string
+			for _, ev := range tel.Events() {
+				if ev.Kind != "autoscaler.scale" {
+					continue
+				}
+				for _, a := range ev.Attrs {
+					if a.Key == "util" {
+						utils = append(utils, a.Value())
+					}
+				}
+			}
+			if w := telemetry.Float("util", want).Value(); len(utils) != 1 || utils[0] != w {
+				t.Errorf("scale events report util %v, want one at %s", utils, w)
+			}
+			r.shutdown()
+		})
+	}
 }
 
 // Interface compliance with the core controller.

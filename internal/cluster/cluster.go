@@ -234,8 +234,8 @@ type Cluster struct {
 	spanFree  []*trace.Span
 
 	// names is the table the records of every trace this cluster
-	// completes index: services in declaration order, then instances as
-	// compaction first meets them.
+	// completes index: services in declaration order, then each pod's
+	// instance as the pod is created.
 	names *trace.Names
 
 	// Call-record pools (see request.go): one directCall per call on a
@@ -619,8 +619,8 @@ func (c *Cluster) newSpan() *trace.Span {
 
 // freeSpans returns the tree under s to the span free list: every span
 // zeroed, its child list emptied but kept. The caller guarantees that
-// nothing refers to the tree any more: its trace was compacted or
-// never stored, and it is settled, so no orphaned call can reach it.
+// nothing refers to the tree any more: the warehouse encoded its trace
+// or stored none, and it is settled, so no orphaned call can reach it.
 func (c *Cluster) freeSpans(s *trace.Span) {
 	kids := s.Children
 	for _, k := range kids {

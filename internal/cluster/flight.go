@@ -88,9 +88,9 @@ type flightTrack struct {
 	arrivals    uint64
 	completions uint64
 
-	// prevBusy/prevCap are cumulative core-seconds at the previous window
-	// boundary; their deltas give the window's behind-pool utilization.
-	prevBusy, prevCap float64
+	// util gives the window's behind-pool utilization; armed with the
+	// recorder, it reads at every window boundary.
+	util *UtilMeter
 }
 
 // primaryRef selects the soft resource a service's timeline row reports:
@@ -139,12 +139,7 @@ func (c *Cluster) ArmFlightRecorder(window, sla time.Duration) (*FlightRecorder,
 		prev:     c.flightCounters(),
 	}
 	for _, svc := range c.svcs {
-		t := &flightTrack{
-			svc:      svc,
-			sketch:   stats.NewSketch(0),
-			prevBusy: svc.CumulativeBusy(),
-			prevCap:  svc.CumulativeCapacity(),
-		}
+		t := &flightTrack{svc: svc, sketch: stats.NewSketch(0), util: NewUtilMeter(svc)}
 		t.ref, t.hasRef = primaryRef(svc.spec)
 		svc.flight = t
 		f.tracks = append(f.tracks, t)
@@ -205,11 +200,7 @@ func (f *FlightRecorder) flush(now sim.Time) {
 			panic(err)
 		}
 		svc := t.svc
-		busy, capacity := svc.CumulativeBusy(), svc.CumulativeCapacity()
-		util := 0.0
-		if dc := capacity - t.prevCap; dc > 0 {
-			util = (busy - t.prevBusy) / dc
-		}
+		util, _ := t.util.Next()
 		poolName := ""
 		poolSize, poolUsed := 0, 0
 		if t.hasRef {
@@ -242,7 +233,6 @@ func (f *FlightRecorder) flush(now sim.Time) {
 		tel.Publish(now, "timeline.window", attrs...)
 		t.sketch.Reset()
 		t.arrivals, t.completions = 0, 0
-		t.prevBusy, t.prevCap = busy, capacity
 	}
 	cur := c.flightCounters()
 	open := 0

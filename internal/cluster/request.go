@@ -86,9 +86,10 @@ func (v *visit) reWait() {
 // the visit lifecycle. The parent span (if any) has already recorded the
 // dispatch; onDone fires when the response leaves this service. The
 // parent is identified by its span, not its visit: a span stays put
-// until its trace is compacted, which an unsettled trace never is,
-// while the parent visit may already be recycled when a timed-out
-// attempt's orphan call finally reaches the wire. fanout is the
+// until its trace completes settled and frees its spans, which an
+// unsettled trace never does, while the parent visit may already be
+// recycled when a timed-out attempt's orphan call finally reaches the
+// wire. fanout is the
 // caller's number of downstream calls, the capacity the parent's child
 // list needs at its first child. The deadline is the caller's
 // propagated deadline (0 = none); visits that find every pod of the

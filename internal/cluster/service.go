@@ -255,6 +255,35 @@ func (s *Service) CumulativeCapacity() float64 {
 	return w
 }
 
+// UtilMeter reads a service's windowed CPU utilization the cadvisor way:
+// the change in cumulative busy core-seconds over the change in
+// cumulative capacity since its previous read. It is the one windowed
+// utilization reader; every read integrates each pod's PS server up to
+// now, which splits the integration, so the holders of meters are the
+// observers that perturb a run. A meter made before the run reads at
+// t = 0, where nothing has been integrated yet.
+type UtilMeter struct {
+	svc            *Service
+	busy, capacity float64 // the cumulative marks at the previous read
+}
+
+// NewUtilMeter returns a meter whose marks are svc's counters now.
+func NewUtilMeter(svc *Service) *UtilMeter {
+	return &UtilMeter{svc: svc, busy: svc.CumulativeBusy(), capacity: svc.CumulativeCapacity()}
+}
+
+// Next returns the utilization since the previous read and whether any
+// capacity elapsed (0 and false when none did), then moves the marks.
+func (m *UtilMeter) Next() (util float64, ok bool) {
+	busy, capacity := m.svc.CumulativeBusy(), m.svc.CumulativeCapacity()
+	db, dc := busy-m.busy, capacity-m.capacity
+	m.busy, m.capacity = busy, capacity
+	if dc <= 0 {
+		return 0, false
+	}
+	return db / dc, true
+}
+
 // Cores returns the per-pod CPU limit.
 func (s *Service) Cores() float64 { return s.spec.Cores }
 

@@ -37,15 +37,24 @@ type Monitor struct {
 	c        *cluster.Cluster
 	interval time.Duration
 
-	conc map[cluster.ResourceRef]*metrics.Series
-
-	utilServices []string
-	util         map[string]*metrics.Series
-	lastWork     map[string]float64
-	lastCap      map[string]float64
+	conc []concSeries
+	util []utilSeries
 
 	ticker  *sim.Ticker
 	running bool
+}
+
+// concSeries is the sampled concurrency of one tracked soft resource.
+type concSeries struct {
+	ref    cluster.ResourceRef
+	series *metrics.Series
+}
+
+// utilSeries is the sampled CPU utilization of one service.
+type utilSeries struct {
+	name   string
+	meter  *cluster.UtilMeter
+	series *metrics.Series
 }
 
 // NewMonitor returns a monitor sampling the given soft resources and the
@@ -62,15 +71,7 @@ func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.Resou
 	if interval <= 0 {
 		interval = DefaultSampleInterval
 	}
-	m := &Monitor{
-		c:            c,
-		interval:     interval,
-		conc:         make(map[cluster.ResourceRef]*metrics.Series, len(refs)),
-		utilServices: append([]string(nil), utilServices...),
-		util:         make(map[string]*metrics.Series, len(utilServices)),
-		lastWork:     make(map[string]float64, len(utilServices)),
-		lastCap:      make(map[string]float64, len(utilServices)),
-	}
+	m := &Monitor{c: c, interval: interval}
 	for _, ref := range refs {
 		if _, err := c.PoolInUse(ref); err != nil {
 			return nil, fmt.Errorf("core: cannot monitor %v: %w", ref, err)
@@ -81,21 +82,19 @@ func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.Resou
 		if err := c.RecordSpans(ManagedResource{Ref: ref}.MeasuredService()); err != nil {
 			return nil, fmt.Errorf("core: cannot monitor %v: %w", ref, err)
 		}
-		m.conc[ref] = &metrics.Series{}
+		m.conc = append(m.conc, concSeries{ref: ref, series: &metrics.Series{}})
 	}
 	if len(refs) > 0 {
 		if err := c.RetainTraces(); err != nil {
 			return nil, fmt.Errorf("core: monitor: %w", err)
 		}
 	}
-	for _, name := range m.utilServices {
+	for _, name := range utilServices {
 		svc, err := c.Service(name)
 		if err != nil {
 			return nil, fmt.Errorf("core: cannot monitor utilization: %w", err)
 		}
-		m.util[name] = &metrics.Series{}
-		m.lastWork[name] = svc.CumulativeBusy()
-		m.lastCap[name] = svc.CumulativeCapacity()
+		m.util = append(m.util, utilSeries{name: name, meter: cluster.NewUtilMeter(svc), series: &metrics.Series{}})
 	}
 	return m, nil
 }
@@ -120,63 +119,50 @@ func (m *Monitor) Stop() {
 
 func (m *Monitor) sample() {
 	now := m.c.Kernel().Now()
-	for ref, series := range m.conc {
-		n, err := m.c.PoolInUse(ref)
-		if err != nil {
-			continue // service disappeared: skip, keep older samples
-		}
-		series.Add(now, float64(n))
-	}
-	for _, name := range m.utilServices {
-		svc, err := m.c.Service(name)
-		if err != nil {
-			continue
-		}
-		work := svc.CumulativeBusy()
-		capacity := svc.CumulativeCapacity()
-		dw := work - m.lastWork[name]
-		dc := capacity - m.lastCap[name]
-		m.lastWork[name] = work
-		m.lastCap[name] = capacity
-		if dc > 0 {
-			m.util[name].Add(now, dw/dc)
-		}
-	}
 	// Bound memory: gauge history older than the retention window the
 	// cluster keeps its own history for is useless to every consumer.
 	cutoff := now - trace.DefaultRetention
-	for _, series := range m.conc {
-		series.Prune(cutoff)
+	for _, cs := range m.conc {
+		if n, err := m.c.PoolInUse(cs.ref); err == nil {
+			cs.series.Add(now, float64(n))
+		}
+		cs.series.Prune(cutoff)
 	}
-	for _, series := range m.util {
-		series.Prune(cutoff)
+	for _, us := range m.util {
+		if util, ok := us.meter.Next(); ok {
+			us.series.Add(now, util)
+		}
+		us.series.Prune(cutoff)
 	}
 }
 
 // Concurrency returns the sampled concurrency series of a tracked
 // resource, or an error if the resource is not tracked.
 func (m *Monitor) Concurrency(ref cluster.ResourceRef) (*metrics.Series, error) {
-	s, ok := m.conc[ref]
-	if !ok {
-		return nil, fmt.Errorf("core: resource %v is not tracked", ref)
+	for _, cs := range m.conc {
+		if cs.ref == ref {
+			return cs.series, nil
+		}
 	}
-	return s, nil
+	return nil, fmt.Errorf("core: resource %v is not tracked", ref)
 }
 
 // MeanUtil returns the mean CPU utilization of a service over
 // [since, until), or 0 when no samples exist.
 func (m *Monitor) MeanUtil(service string, since, until sim.Time) float64 {
-	s, ok := m.util[service]
-	if !ok {
-		return 0
+	for _, us := range m.util {
+		if us.name != service {
+			continue
+		}
+		pts := us.series.Window(since, until)
+		if len(pts) == 0 {
+			return 0
+		}
+		var sum float64
+		for _, p := range pts {
+			sum += p.V
+		}
+		return sum / float64(len(pts))
 	}
-	pts := s.Window(since, until)
-	if len(pts) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range pts {
-		sum += p.V
-	}
-	return sum / float64(len(pts))
+	return 0
 }

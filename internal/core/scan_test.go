@@ -264,13 +264,17 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 					}
 					offRef := cluster.ResourceRef{Service: svc, Kind: cluster.PoolThreads}
 					off := []ManagedResource{{Ref: offRef}}
-					r.mon.conc[offRef] = r.mon.conc[r.managed[0].Ref]
+					series, err := r.mon.Concurrency(r.managed[0].Ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r.mon.conc = append(r.mon.conc, concSeries{ref: offRef, series: series})
 					rec, err := scg.Recommend(now, off)
 					if err == nil {
 						fallbacks++
 					}
 					same(t, at, "SCG recommendation measured off-path at "+svc, outcome(rec, err), outcome(oracleRecommend(scg, now, off)))
-					delete(r.mon.conc, offRef)
+					r.mon.conc = r.mon.conc[:len(r.mon.conc)-1]
 					break
 				}
 			}

@@ -114,56 +114,17 @@ func runCartStrategy(p Params, rc cartRunConfig) (*cartRunResult, error) {
 	// Timeline: response time (mean per tick), goodput, CPU util and
 	// limit, running threads — the four panes of Figures 10-11.
 	if rc.timelineInt > 0 {
-		tl := newTimeline(r.K, rc.timelineInt)
-		ws := newWindowStat(r.K)
 		cartSvc, err := r.C.Service(topology.Cart)
 		if err != nil {
 			return nil, err
 		}
-		var lastBusy float64
-		var lastCapacity float64
-		tl.column("rt_ms", func() float64 {
-			since, until := ws.window()
-			rts := r.C.Completions().ResponseTimes(since, until)
-			if len(rts) == 0 {
-				return 0
-			}
-			var sum float64
-			for _, v := range rts {
-				sum += v
-			}
-			return sum / float64(len(rts))
-		})
-		tl.column("goodput_rps", func() float64 {
-			now := r.K.Now()
-			return r.C.Completions().GoodputRate(now-sim.Time(rc.timelineInt), now, rc.gpThreshold)
-		})
-		tl.column("cart_cpu_util_pct", func() float64 {
-			busy := cartSvc.CumulativeBusy()
-			capacity := cartSvc.CumulativeCapacity()
-			db, dc := busy-lastBusy, capacity-lastCapacity
-			lastBusy, lastCapacity = busy, capacity
-			if dc <= 0 {
-				return 0
-			}
-			// Percent of one core, like the paper's "Pod CPU Util [%]".
-			return db / dc * cartSvc.TotalCores() * 100
-		})
+		tl := newTimeline(r.K, rc.timelineInt)
+		tl.meanRT("rt_ms", r.C.Completions())
+		tl.goodput("goodput_rps", r.C.Completions(), rc.gpThreshold)
+		tl.utilPct("cart_cpu_util_pct", cartSvc)
 		tl.column("cart_cpu_limit_pct", func() float64 { return cartSvc.TotalCores() * 100 })
-		tl.column("threads_limit", func() float64 {
-			size, err := r.C.PoolSize(ref)
-			if err != nil {
-				return 0
-			}
-			return float64(size)
-		})
-		tl.column("threads_running", func() float64 {
-			n, err := r.C.PoolInUse(ref)
-			if err != nil {
-				return 0
-			}
-			return float64(n)
-		})
+		tl.poolSize("threads_limit", r.C, ref)
+		tl.poolInUse("threads_running", r.C, ref)
 		r.Attach(tl)
 		res.timeline = tl
 	}

@@ -85,37 +85,9 @@ func runFig1(p Params, w io.Writer) error {
 			return nil, err
 		}
 		tl := newTimeline(r.K, time.Second)
-		ws := newWindowStat(r.K)
-		var lastBusy, lastCapacity float64
-		tl.column("rt_ms", func() float64 {
-			since, until := ws.window()
-			rts := r.C.Completions().ResponseTimes(since, until)
-			if len(rts) == 0 {
-				return 0
-			}
-			var sum float64
-			for _, v := range rts {
-				sum += v
-			}
-			return sum / float64(len(rts))
-		})
-		tl.column("catalogue_cpu_util_pct", func() float64 {
-			busy := catalogue.CumulativeBusy()
-			capacity := catalogue.CumulativeCapacity()
-			db, dc := busy-lastBusy, capacity-lastCapacity
-			lastBusy, lastCapacity = busy, capacity
-			if dc <= 0 {
-				return 0
-			}
-			return db / dc * catalogue.TotalCores() * 100
-		})
-		tl.column("established_db_conns", func() float64 {
-			n, err := r.C.PoolInUse(ref)
-			if err != nil {
-				return 0
-			}
-			return float64(n)
-		})
+		tl.meanRT("rt_ms", r.C.Completions())
+		tl.utilPct("catalogue_cpu_util_pct", catalogue)
+		tl.poolInUse("established_db_conns", r.C, ref)
 		tl.column("db_conn_pool_total", func() float64 {
 			size, err := r.C.PoolSize(ref)
 			if err != nil {
@@ -123,7 +95,7 @@ func runFig1(p Params, w io.Writer) error {
 			}
 			return float64(size * catalogue.Replicas())
 		})
-		tl.column("replicas", func() float64 { return float64(catalogue.Replicas()) })
+		tl.replicas("replicas", catalogue)
 		r.Attach(tl)
 		execute(r)
 

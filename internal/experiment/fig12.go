@@ -70,49 +70,12 @@ func runFig12(p Params, w io.Writer) error {
 			return nil, err
 		}
 		tl := newTimeline(r.K, time.Second)
-		ws := newWindowStat(r.K)
-		var lastBusy, lastCapacity float64
-		tl.column("rt_ms", func() float64 {
-			since, until := ws.window()
-			rts := r.C.Completions().ResponseTimes(since, until)
-			if len(rts) == 0 {
-				return 0
-			}
-			var sum float64
-			for _, v := range rts {
-				sum += v
-			}
-			return sum / float64(len(rts))
-		})
-		tl.column("goodput_rps", func() float64 {
-			now := r.K.Now()
-			return r.C.Completions().GoodputRate(now-sim.Time(time.Second), now, goodputRTT)
-		})
-		tl.column("ps_cpu_util_pct", func() float64 {
-			busy := ps.CumulativeBusy()
-			capacity := ps.CumulativeCapacity()
-			db, dc := busy-lastBusy, capacity-lastCapacity
-			lastBusy, lastCapacity = busy, capacity
-			if dc <= 0 {
-				return 0
-			}
-			return db / dc * ps.TotalCores() * 100
-		})
-		tl.column("connections_pool", func() float64 {
-			size, err := r.C.PoolSize(ref)
-			if err != nil {
-				return 0
-			}
-			return float64(size)
-		})
-		tl.column("connections_running", func() float64 {
-			n, err := r.C.PoolInUse(ref)
-			if err != nil {
-				return 0
-			}
-			return float64(n)
-		})
-		tl.column("ps_replicas", func() float64 { return float64(ps.Replicas()) })
+		tl.meanRT("rt_ms", r.C.Completions())
+		tl.goodput("goodput_rps", r.C.Completions(), goodputRTT)
+		tl.utilPct("ps_cpu_util_pct", ps)
+		tl.poolSize("connections_pool", r.C, ref)
+		tl.poolInUse("connections_running", r.C, ref)
+		tl.replicas("ps_replicas", ps)
 		r.Attach(tl)
 		execute(r)
 

@@ -3,6 +3,8 @@ package experiment
 import (
 	"time"
 
+	"sora/internal/cluster"
+	"sora/internal/metrics"
 	"sora/internal/scenario"
 	"sora/internal/sim"
 )
@@ -84,19 +86,73 @@ func (tl *timeline) series(name string) []float64 {
 	return out
 }
 
-// windowStat is a tiny helper computing a statistic over the trailing
-// timeline tick for completion logs: construct with the log and call per
-// tick.
-type windowStat struct {
-	k    *sim.Kernel
-	last sim.Time
+// The column readers the figure timelines share. Each is declared
+// before the run; a reader with state keeps its own marks from t = 0.
+
+// meanRT samples the mean response time (ms) of the completions logged
+// since the previous tick, or 0 when there were none.
+func (tl *timeline) meanRT(name string, log *metrics.CompletionLog) {
+	var last sim.Time
+	tl.column(name, func() float64 {
+		since, until := last, tl.k.Now()
+		last = until
+		rts := log.ResponseTimes(since, until)
+		if len(rts) == 0 {
+			return 0
+		}
+		var sum float64
+		for _, v := range rts {
+			sum += v
+		}
+		return sum / float64(len(rts))
+	})
 }
 
-func newWindowStat(k *sim.Kernel) *windowStat { return &windowStat{k: k} }
+// goodput samples the goodput rate (requests/s within threshold) over
+// the trailing tick.
+func (tl *timeline) goodput(name string, log *metrics.CompletionLog, threshold time.Duration) {
+	tl.column(name, func() float64 {
+		now := tl.k.Now()
+		return log.GoodputRate(now-sim.Time(tl.interval), now, threshold)
+	})
+}
 
-// window returns [last, now) and advances last.
-func (ws *windowStat) window() (since, until sim.Time) {
-	since, until = ws.last, ws.k.Now()
-	ws.last = until
-	return since, until
+// utilPct samples svc's CPU utilization since the previous tick as a
+// percent of one core (the paper's "Pod CPU Util [%]"), read through a
+// UtilMeter.
+func (tl *timeline) utilPct(name string, svc *cluster.Service) {
+	m := cluster.NewUtilMeter(svc)
+	tl.column(name, func() float64 {
+		util, _ := m.Next()
+		return util * svc.TotalCores() * 100
+	})
+}
+
+// poolSize samples the per-pod size of a soft resource, or 0 when it
+// cannot be read.
+func (tl *timeline) poolSize(name string, c *cluster.Cluster, ref cluster.ResourceRef) {
+	tl.column(name, func() float64 {
+		size, err := c.PoolSize(ref)
+		if err != nil {
+			return 0
+		}
+		return float64(size)
+	})
+}
+
+// poolInUse samples the busy slots of a soft resource across pods, or 0
+// when it cannot be read.
+func (tl *timeline) poolInUse(name string, c *cluster.Cluster, ref cluster.ResourceRef) {
+	tl.column(name, func() float64 {
+		n, err := c.PoolInUse(ref)
+		if err != nil {
+			return 0
+		}
+		return float64(n)
+	})
+}
+
+// replicas samples svc's pod count.
+func (tl *timeline) replicas(name string, svc *cluster.Service) {
+	tl.column(name, func() float64 { return float64(svc.Replicas()) })
 }

@@ -238,8 +238,8 @@ func (l *CompletionLog) ThroughputRate(since, until sim.Time) float64 {
 	if until <= since {
 		return 0
 	}
-	good, bad := l.Counts(since, until, time.Duration(math.MaxInt64))
-	return float64(good+bad) / (until - since).Seconds()
+	var r codedReader
+	return float64(r.seek(&l.completions, since, until)) / (until - since).Seconds()
 }
 
 // BucketRates partitions [since, until) into fixed buckets and returns the

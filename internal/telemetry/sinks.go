@@ -55,12 +55,21 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	return r.writeJSONL(w, nil)
+}
+
+// writeJSONL is the one JSONL line writer: WriteJSONL passes no filter,
+// WriteTimeline keeps the kinds timelineKind accepts.
+func (r *Recorder) writeJSONL(w io.Writer, keep func(kind string) bool) error {
 	bw := bufio.NewWriter(w)
 	r.walk("", func(path string, rec *Recorder) {
 		rec.mu.Lock()
 		events := rec.events
 		rec.mu.Unlock()
 		for _, ev := range events {
+			if keep != nil && !keep(ev.Kind) {
+				continue
+			}
 			bw.WriteString(`{"t_us":`)
 			bw.WriteString(strconv.FormatInt(ev.At.Microseconds(), 10))
 			bw.WriteString(`,"unit":`)
@@ -283,31 +292,7 @@ func (r *Recorder) WriteTimeline(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	r.walk("", func(path string, rec *Recorder) {
-		rec.mu.Lock()
-		events := rec.events
-		rec.mu.Unlock()
-		for _, ev := range events {
-			if !timelineKind(ev.Kind) {
-				continue
-			}
-			bw.WriteString(`{"t_us":`)
-			bw.WriteString(strconv.FormatInt(ev.At.Microseconds(), 10))
-			bw.WriteString(`,"unit":`)
-			bw.WriteString(quoteJSON(path))
-			bw.WriteString(`,"kind":`)
-			bw.WriteString(quoteJSON(ev.Kind))
-			for _, a := range ev.Attrs {
-				bw.WriteByte(',')
-				bw.WriteString(quoteJSON(a.Key))
-				bw.WriteByte(':')
-				bw.WriteString(a.Value())
-			}
-			bw.WriteString("}\n")
-		}
-	})
-	return bw.Flush()
+	return r.writeJSONL(w, timelineKind)
 }
 
 // WriteFiles writes all three artifacts for this tree under dir:

@@ -82,8 +82,8 @@ func CriticalChildAt(recs []Record, i int) int {
 }
 
 // Names is the append-only table of service and instance names that
-// Record ids index. An id never changes once handed out, so records
-// compacted earlier stay valid while the table grows. The cluster owns
+// Record ids index. An id never changes once handed out, so traces
+// stored earlier stay valid while the table grows. The cluster owns
 // one table for its run, adds each pod as it creates it, and every
 // trace it completes points to it.
 type Names struct {
@@ -98,7 +98,8 @@ func NewNames(services []string) *Names {
 }
 
 // Services returns the service names in id order. The result is a
-// read-only view; later interning appends to the table, never rewrites.
+// read-only view; the table only grows (ImportAll interns the services
+// it reads), it never rewrites.
 func (n *Names) Services() []string { return n.services[:len(n.services):len(n.services)] }
 
 // Service returns the name of service id.
@@ -156,8 +157,8 @@ func appendRecords(dst []Record, s *Span) []Record {
 // t.Names. This is the one way any reader after completion sees a
 // trace. The records are written into *scratch, which is grown as needed
 // and kept for the next call (a nil scratch allocates), so they stay
-// valid only until the next call with the same scratch. A compacted
-// trace decodes its stream; a trace still holding its live tree — one
+// valid only until the next call with the same scratch. A trace the
+// warehouse stored settled decodes its stream; a trace still holding its live tree — one
 // stored unsettled, or built outside the cluster — is read from the
 // tree.
 func (t *Trace) Records(scratch *[]Record) []Record {

@@ -9,7 +9,7 @@ import (
 	"sora/internal/sim"
 )
 
-// A compacted trace is one encoded stream (DESIGN.md §13 "Retained
+// A stored trace is one encoded stream (DESIGN.md §13 "Retained
 // traces"). Every value in it is stored in the fewest whole bytes that
 // hold it, little-endian, with a 3-bit length code kept apart from it:
 // code c means c bytes, except code 7, which means 8, and code 0 means
@@ -218,7 +218,7 @@ func appendSpans(dst []byte, s *Span, parent sim.Time) ([]byte, int) {
 // growing it if needed, and returns the records. Every field of every
 // record is written, so dst's old contents do not matter.
 //
-//soravet:hotpath TestRecordsDecodeAllocFree every read of a compacted trace: the SCG scan decodes each trace of its window into a buffer it keeps, so decoding allocates nothing once the buffer has grown
+//soravet:hotpath TestRecordsDecodeAllocFree every read of a stored trace: the SCG scan decodes each trace of its window into a buffer it keeps, so decoding allocates nothing once the buffer has grown
 func decodeRecords(dst []Record, enc []byte) []Record {
 	end, n, i := header(enc)
 	dst = slices.Grow(dst[:0], n)[:n]

@@ -3,16 +3,19 @@
 # (EXPERIMENTS.md § Byte-identity of two builds).
 #
 # Usage:
-#   scripts/sameout.sh [-keep DIR] PARENT_SORABENCH CHANGE_SORABENCH PARENT_SIMRUN CHANGE_SIMRUN
+#   scripts/sameout.sh [-keep DIR] PARENT_SORABENCH CHANGE_SORABENCH \
+#       PARENT_SIMRUN CHANGE_SIMRUN PARENT_EXAMPLES CHANGE_EXAMPLES
 #
 # The four binaries are sorabench and simrun built from the two trees
 # (go build -o BIN ./cmd/sorabench, go build -o BIN ./cmd/simrun). The
-# two sides may also be one tree built for two architectures, which
-# checks that outputs do not depend on GOARCH: build the "parent" pair
-# as above (amd64) and the "change" pair with GOARCH=386 go build -o BIN
-# ./cmd/sorabench and GOARCH=386 go build -o BIN ./cmd/simrun (386
-# binaries run on an amd64 host; they use the pure-Go math library
-# instead of amd64's assembly). Each
+# two example directories each hold the four examples/ programs of one
+# tree, built with go build -o DIR/NAME ./examples/NAME for NAME in
+# quickstart, customtopology, socialnetwork and sockshop. The two sides
+# may also be one tree built for two architectures, which checks that
+# outputs do not depend on GOARCH: build the "parent" side as above
+# (amd64) and the "change" side with GOARCH=386 go build (386 binaries
+# run on an amd64 host; they use the pure-Go math library instead of
+# amd64's assembly). Each
 # sorabench runs three command sets with -quiet -telemetry-dir DIR
 # -timeline DIR/tl -out (timelines under the telemetry directory, so the
 # manifests there name every artifact):
@@ -32,8 +35,8 @@
 #
 #   simrun: -app sockshop -fault-plan combo -seed 5 -duration 60s
 #           the combo plan's timeouts leave traces unsettled, so the
-#           archive covers both the compacted and the live trace form,
-#           and the telemetry span sample reads both.
+#           archive covers both the settled and the unsettled trace
+#           form, and the telemetry span sample reads both.
 #
 # A telemetry recorder declares trace retention (the flush samples
 # spans from the warehouse), so the sets above never run a cluster that
@@ -45,6 +48,13 @@
 #           measures no resource stores no trace here. simrun's monitor
 #           measures the cart pool and so still declares retention; its
 #           archive checks the run without the recorder.
+#
+# The examples set runs each example program with no arguments and
+# compares their stdout. They drive FIRM, the HPA, the monitor and the
+# SCG model through the public API alone (about 18 s in all on 2 vCPUs,
+# most of it socialnetwork):
+#
+#   examples: quickstart, customtopology, socialnetwork, sockshop
 #
 # The script compares stdout with cmp (simrun's wall-time figure and
 # output directory blanked) and the artifact trees with diff -r, and exits non-zero on
@@ -58,7 +68,7 @@
 # DIR must not exist or be empty.
 set -eu
 
-usage="usage: $0 [-keep DIR] PARENT_SORABENCH CHANGE_SORABENCH PARENT_SIMRUN CHANGE_SIMRUN"
+usage="usage: $0 [-keep DIR] PARENT_SORABENCH CHANGE_SORABENCH PARENT_SIMRUN CHANGE_SIMRUN PARENT_EXAMPLES CHANGE_EXAMPLES"
 keep=
 if [ $# -ge 1 ] && [ "$1" = -keep ]; then
 	if [ $# -lt 2 ]; then
@@ -68,7 +78,7 @@ if [ $# -ge 1 ] && [ "$1" = -keep ]; then
 	keep=$2
 	shift 2
 fi
-if [ $# -ne 4 ]; then
+if [ $# -ne 6 ]; then
 	echo "$usage" >&2
 	exit 2
 fi
@@ -76,6 +86,17 @@ parent=$1
 change=$2
 parent_simrun=$3
 change_simrun=$4
+parent_examples=$5
+change_examples=$6
+examples="quickstart customtopology socialnetwork sockshop"
+for dir in "$parent_examples" "$change_examples"; do
+	for ex in $examples; do
+		if [ ! -x "$dir/$ex" ]; then
+			echo "sameout: no example binary $dir/$ex" >&2
+			exit 2
+		fi
+	done
+done
 if [ -n "$keep" ]; then
 	mkdir -p "$keep"
 	if [ -n "$(ls -A "$keep")" ]; then
@@ -90,17 +111,30 @@ fi
 trap 'exit 1' INT TERM
 
 status=0
-for set in all ctrl decide simrun bare; do
+for set in all ctrl decide simrun bare examples; do
 	case $set in
 	all) args="-exp all -scale 0.1 -seed 1" trees="tel csv" ;;
 	ctrl) args="-exp fig12,chaos,ctrlplane -scale 0.5 -seed 5" trees="tel csv" ;;
 	decide) args="-exp table3,ablation-model,ext-unified -scale 0.3 -seed 5" trees="tel csv" ;;
 	simrun) args="-app sockshop -fault-plan combo -seed 5 -duration 60s -profile" trees="tel archive" ;;
 	bare) args="-exp all -scale 0.1 -seed 1 -quiet" trees="archive" ;;
+	examples) trees="" ;;
 	esac
 	for side in parent change; do
 		d="$tmp/$set/$side"
 		mkdir -p "$d"
+		if [ "$set" = examples ]; then
+			if [ "$side" = parent ]; then dir=$parent_examples; else dir=$change_examples; fi
+			for ex in $examples; do
+				echo "== $ex" >>"$d/stdout"
+				if ! "$dir/$ex" >>"$d/stdout" 2>>"$d/stderr"; then
+					echo "sameout: $side run of example $ex failed:" >&2
+					cat "$d/stderr" >&2
+					exit 1
+				fi
+			done
+			continue
+		fi
 		if [ "$set" = bare ]; then
 			if [ "$side" = parent ]; then
 				bin=$parent sim=$parent_simrun
