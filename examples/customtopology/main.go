@@ -90,8 +90,18 @@ func run() error {
 	}
 	mon.Start()
 
-	// Profile under a bursty 3-minute workload.
+	// The SCG model reads the whole profiling run after it, so build it
+	// first: it declares how far back the cluster keeps traces.
 	dur := 3 * time.Minute
+	scg, err := core.NewSCG(c, mon, core.SCGConfig{
+		SLA:    150 * time.Millisecond,
+		Window: dur,
+	})
+	if err != nil {
+		return err
+	}
+
+	// Profile under a bursty 3-minute workload.
 	loop, err := workload.NewClosedLoop(k, workload.ClosedLoopConfig{
 		Target: workload.TraceUsers(workload.QuickVaryingTrace(), dur, 1500),
 		Submit: func(done func()) { c.SubmitMixWith(done) },
@@ -107,13 +117,6 @@ func run() error {
 	fmt.Printf("profiling run: %d requests completed\n\n", c.Completed())
 
 	// SCG pipeline, step by step.
-	scg, err := core.NewSCG(c, mon, core.SCGConfig{
-		SLA:    150 * time.Millisecond,
-		Window: dur,
-	})
-	if err != nil {
-		return err
-	}
 	now := sim.Time(dur)
 
 	critical, err := scg.CriticalService(now)

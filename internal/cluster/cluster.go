@@ -179,14 +179,16 @@ func (a App) Validate() error {
 //
 // Messages between services take no time, the paper's "network latency
 // is negligible" assumption; only a fault's ExtraDelay delays one (see
-// withEdgeDelay). Completion history, and trace history once declared
-// (see Cluster.RetainTraces), is kept for trace.DefaultRetention.
+// withEdgeDelay). Completion history is kept for trace.DefaultRetention;
+// trace history, once declared, only as far back as its readers
+// declared they read (see Cluster.RetainTraces).
 type Options struct {
 	// Telemetry, when non-nil, receives structured events (reconfig,
 	// retries, breaker transitions) and end-of-run counters from this
 	// cluster. Nil disables telemetry at zero cost (every publish site
-	// is a nil check). A recorder declares trace retention: the
-	// end-of-run flush samples spans from the warehouse.
+	// is a nil check). A recorder declares trace retention with a reach
+	// of trace.DefaultRetention: the end-of-run flush samples spans
+	// from the whole warehouse.
 	Telemetry *telemetry.Recorder
 	// ControlPlane, when non-nil, puts the deployment on a simulated
 	// multi-node control plane (see internal/node and ctrlplane.go):
@@ -313,7 +315,7 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 	if c.tel != nil {
 		// FlushTelemetry samples spans from the whole window at the
 		// end of the run. Nothing has completed yet, so this cannot fail.
-		_ = c.RetainTraces()
+		_ = c.RetainTraces(trace.DefaultRetention)
 	}
 	if opts.ControlPlane != nil {
 		// Build the control plane before the services: every initial pod
@@ -369,20 +371,27 @@ func (c *Cluster) Kernel() *sim.Kernel { return c.k }
 // warehouse answers Len and Stats with zeros; its Window panics.
 func (c *Cluster) Warehouse() *trace.Warehouse { return c.warehouse }
 
-// RetainTraces declares a reader of the trace warehouse: from now on
-// every completed trace is stored for trace.DefaultRetention. A cluster
-// no reader declared stores none. A second declaration is a no-op.
-// Declaring after a trace has completed unretained is an error, since
-// the warehouse would silently lack that history; declare before the
-// run.
-func (c *Cluster) RetainTraces() error {
+// RetainTraces declares a reader of the trace warehouse that reads
+// traces completing up to reach before the newest one: from now on
+// every completed trace is stored, and kept while it lies within the
+// longest reach declared so far, capped at trace.DefaultRetention. A
+// cluster no reader declared stores none. A declaration no longer than
+// an earlier one is a no-op; a longer one widens the warehouse only
+// while it has evicted nothing. Declaring after a trace has completed
+// unretained, or widening after an eviction, is an error, since the
+// warehouse would silently lack that history; declare before the run.
+func (c *Cluster) RetainTraces(reach time.Duration) error {
+	if reach <= 0 {
+		return fmt.Errorf("cluster: trace reach must be positive, got %v", reach)
+	}
+	reach = min(reach, trace.DefaultRetention)
 	if c.warehouse != nil {
-		return nil
+		return c.warehouse.Widen(reach)
 	}
 	if c.unretained {
 		return fmt.Errorf("cluster: trace retention declared after traces completed unretained")
 	}
-	c.warehouse = trace.NewWarehouse(trace.DefaultRetention)
+	c.warehouse = trace.NewWarehouse(reach)
 	return nil
 }
 

@@ -44,7 +44,7 @@ func allTraces(c *Cluster) trace.View {
 // the run.
 func retainTraces(t *testing.T, c *Cluster) {
 	t.Helper()
-	if err := c.RetainTraces(); err != nil {
+	if err := c.RetainTraces(trace.DefaultRetention); err != nil {
 		t.Fatal(err)
 	}
 }

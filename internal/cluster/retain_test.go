@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func newCartRun(t *testing.T, retain bool) cartRun {
 		t.Fatal(err)
 	}
 	if retain {
-		if err := c.RetainTraces(); err != nil {
+		if err := c.RetainTraces(trace.DefaultRetention); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +123,7 @@ func TestRetainTracesDeclaration(t *testing.T) {
 	if wh == nil {
 		t.Fatal("RetainTraces built no warehouse")
 	}
-	if err := r.c.RetainTraces(); err != nil || r.c.Warehouse() != wh {
+	if err := r.c.RetainTraces(trace.DefaultRetention); err != nil || r.c.Warehouse() != wh {
 		t.Fatalf("second RetainTraces: %v, same warehouse %v", err, r.c.Warehouse() == wh)
 	}
 	r.run(t, time.Second)
@@ -132,7 +133,7 @@ func TestRetainTracesDeclaration(t *testing.T) {
 
 	late := newCartRun(t, false)
 	late.run(t, time.Second)
-	if err := late.c.RetainTraces(); err == nil || !strings.Contains(err.Error(), "unretained") {
+	if err := late.c.RetainTraces(trace.DefaultRetention); err == nil || !strings.Contains(err.Error(), "unretained") {
 		t.Errorf("RetainTraces after unretained completions = %v, want an error", err)
 	}
 	if late.c.Warehouse() != nil {
@@ -223,5 +224,62 @@ func TestRetainedCopyOutlivesRecycledSpans(t *testing.T) {
 		if rt, want := k.tr.ResponseTime(), k.recs[0].Duration(); rt != want {
 			t.Fatalf("trace %d: response time %v, root record %v", k.tr.ID, rt, want)
 		}
+	}
+}
+
+// TestDeclaredReachBoundsWarehouse: a warehouse keeps only the traces
+// completing within its declared reach of the newest one, and those read
+// the same as in a twin cluster that declared trace.DefaultRetention. A
+// longer reach widens it until its first eviction and is refused after
+// it; a reach beyond trace.DefaultRetention is capped.
+func TestDeclaredReachBoundsWarehouse(t *testing.T) {
+	const reach = 10 * time.Second
+	short, long := newCartRun(t, false), newCartRun(t, true)
+	for _, d := range []time.Duration{reach / 2, reach, time.Second} {
+		if err := short.c.RetainTraces(d); err != nil {
+			t.Fatalf("RetainTraces(%v) before any eviction: %v", d, err)
+		}
+	}
+	short.run(t, 40*time.Second)
+	long.run(t, 40*time.Second)
+
+	wh := short.c.Warehouse()
+	if wh.Stats().Evicted == 0 {
+		t.Fatalf("a %v reach over a 40s run evicted nothing: %+v", reach, wh.Stats())
+	}
+	if st := long.c.Warehouse().Stats(); st.Evicted != 0 || st.Added != wh.Stats().Added {
+		t.Fatalf("twin keeping %v: %+v, want every one of %d traces", trace.DefaultRetention, st, wh.Stats().Added)
+	}
+	all := wh.Window(math.MinInt64, math.MaxInt64)
+	last, first := all.At(all.Len()-1), all.At(0)
+	if newest, oldest := last.CompletedAt(), first.CompletedAt(); oldest < newest-sim.Time(reach) {
+		t.Errorf("oldest retained trace completed at %v, more than %v before the newest at %v", oldest, reach, newest)
+	}
+
+	now := short.k.Now()
+	got, want := wh.Window(now-sim.Time(reach), now), long.c.Warehouse().Window(now-sim.Time(reach), now)
+	if got.Len() == 0 || got.Len() != want.Len() {
+		t.Fatalf("window of the last %v: %d traces, twin %d", reach, got.Len(), want.Len())
+	}
+	var bufA, bufB []trace.Record
+	for i := range got.Len() {
+		a, b := got.At(i), want.At(i)
+		if a.ID != b.ID || !slices.Equal(a.Records(&bufA), b.Records(&bufB)) {
+			t.Fatalf("trace %d of the window: %d decodes differently from the twin's %d", i, a.ID, b.ID)
+		}
+	}
+
+	err := short.c.RetainTraces(time.Hour)
+	if err == nil || !strings.Contains(err.Error(), "evicted") {
+		t.Fatalf("widening after an eviction = %v, want an error", err)
+	}
+	if capped := trace.DefaultRetention.String(); !strings.Contains(err.Error(), "widened to "+capped) {
+		t.Errorf("widening to an hour = %v, want the reach capped at %s", err, capped)
+	}
+	if err := short.c.RetainTraces(reach); err != nil {
+		t.Errorf("redeclaring the reach after an eviction: %v", err)
+	}
+	if err := short.c.RetainTraces(0); err == nil {
+		t.Error("RetainTraces(0) declared no reach and succeeded")
 	}
 }

@@ -47,7 +47,7 @@ func checkSettledTraces(t *testing.T, mesh bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RetainTraces(); err != nil {
+	if err := c.RetainTraces(trace.DefaultRetention); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SetMix(topology.CartOnlyMix(app)); err != nil {

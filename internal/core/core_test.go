@@ -244,11 +244,11 @@ func TestSCGCollectAndEstimate(t *testing.T) {
 	// (the simulated Cart's span is roughly Q milliseconds at high
 	// concurrency), so the estimate must land well below the pool size.
 	r := newCartRig(t, 6, 60, 800, 2)
-	r.runFor(3 * time.Minute)
 	scg, err := NewSCG(r.c, r.mon, SCGConfig{SLA: 60 * time.Millisecond, Window: 3 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.runFor(3 * time.Minute)
 	threshold, err := scg.PropagateDeadline(r.k.Now(), topology.Cart)
 	if err != nil {
 		t.Fatal(err)
@@ -274,11 +274,11 @@ func TestSCGEstimateThresholdSensitive(t *testing.T) {
 	// The paper's Figure 7 property: a tighter deadline moves the
 	// optimal concurrency down.
 	r := newCartRig(t, 61, 60, 800, 2)
-	r.runFor(3 * time.Minute)
 	scg, err := NewSCG(r.c, r.mon, SCGConfig{SLA: time.Second, Window: 3 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.runFor(3 * time.Minute)
 	estimate := func(threshold time.Duration) float64 {
 		qs, gps, err := scg.CollectPairs(r.k.Now(), r.ref, topology.Cart, threshold)
 		if err != nil {
@@ -300,11 +300,11 @@ func TestSCGEstimateThresholdSensitive(t *testing.T) {
 
 func TestSCGRecommendPipeline(t *testing.T) {
 	r := newCartRig(t, 7, 60, 800, 2)
-	r.runFor(2 * time.Minute)
 	scg, err := NewSCG(r.c, r.mon, SCGConfig{SLA: 250 * time.Millisecond, Window: 2 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.runFor(2 * time.Minute)
 	rec, err := scg.Recommend(r.k.Now(), []ManagedResource{{Ref: r.ref, Min: 2, Max: 200}})
 	if err != nil {
 		t.Fatal(err)
@@ -326,11 +326,11 @@ func TestSCGRecommendPipeline(t *testing.T) {
 
 func TestSCTRecommendIgnoresLatency(t *testing.T) {
 	r := newCartRig(t, 8, 60, 800, 2)
-	r.runFor(2 * time.Minute)
 	sct, err := NewSCT(r.c, r.mon, SCGConfig{SLA: 250 * time.Millisecond, Window: 2 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.runFor(2 * time.Minute)
 	rec, err := sct.Recommend(r.k.Now(), []ManagedResource{{Ref: r.ref, Min: 2, Max: 200}})
 	if err != nil {
 		t.Fatal(err)
@@ -348,13 +348,19 @@ func TestSCTIsThresholdInsensitive(t *testing.T) {
 	// The latency-agnostic SCT baseline produces the same allocation no
 	// matter the SLA — the defect the SCG model exists to fix.
 	r := newCartRig(t, 9, 60, 800, 2)
-	r.runFor(3 * time.Minute)
 	managed := []ManagedResource{{Ref: r.ref, Min: 2, Max: 300}}
-	recommend := func(sla time.Duration) int {
+	// Both models read 3 minutes back, so both declare that reach
+	// before the run.
+	model := func(sla time.Duration) *SCTModel {
 		sct, err := NewSCT(r.c, r.mon, SCGConfig{SLA: sla, Window: 3 * time.Minute})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return sct
+	}
+	tightModel, looseModel := model(30*time.Millisecond), model(500*time.Millisecond)
+	r.runFor(3 * time.Minute)
+	recommend := func(sct *SCTModel) int {
 		rec, err := sct.Recommend(r.k.Now(), managed)
 		if err != nil {
 			t.Fatal(err)
@@ -364,8 +370,8 @@ func TestSCTIsThresholdInsensitive(t *testing.T) {
 		}
 		return rec.OptimalConcurrency
 	}
-	tight := recommend(30 * time.Millisecond)
-	loose := recommend(500 * time.Millisecond)
+	tight := recommend(tightModel)
+	loose := recommend(looseModel)
 	if tight != loose {
 		t.Errorf("SCT recommendation changed with SLA: %d vs %d", tight, loose)
 	}

@@ -26,6 +26,12 @@ import (
 // error across all three studied services.
 const DefaultSampleInterval = 100 * time.Millisecond
 
+// DefaultWindow is the metrics-collection window the paper chooses: 600
+// samples at 100 ms cover the knee while staying agile. SCGConfig.Window
+// defaults to it, and a monitor with resources to measure declares it as
+// the reach of the trace warehouse.
+const DefaultWindow = 60 * time.Second
+
 // Monitor is the Monitoring Module: it samples the instantaneous
 // concurrency of tracked soft resources and per-service CPU utilization
 // at a fixed fine-grained interval, mirroring the cadvisor+Jaeger agents
@@ -62,7 +68,9 @@ type utilSeries struct {
 // DefaultSampleInterval). It declares the span log of each resource's
 // measured service (Cluster.RecordSpans) and, given at least one
 // resource, the trace warehouse (Cluster.RetainTraces) the models
-// estimating those resources read, so build it before the run. Start
+// estimating those resources read, with a reach of DefaultWindow, so
+// build it before the run. A model with a longer window must also be
+// built before the run, or before the warehouse first evicts. Start
 // must be called to begin sampling.
 func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.ResourceRef, utilServices []string) (*Monitor, error) {
 	if c == nil {
@@ -85,7 +93,7 @@ func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.Resou
 		m.conc = append(m.conc, concSeries{ref: ref, series: &metrics.Series{}})
 	}
 	if len(refs) > 0 {
-		if err := c.RetainTraces(); err != nil {
+		if err := c.RetainTraces(DefaultWindow); err != nil {
 			return nil, fmt.Errorf("core: monitor: %w", err)
 		}
 	}

@@ -23,9 +23,8 @@ type SCGConfig struct {
 	// SLA is the end-to-end response-time objective deadlines are
 	// propagated from (required).
 	SLA time.Duration
-	// Window is the metrics-collection window; zero selects 60 s (the
-	// paper's choice: 600 samples at 100 ms cover the knee while staying
-	// agile).
+	// Window is the metrics-collection window; zero selects
+	// DefaultWindow.
 	Window time.Duration
 	// PlateauTolerance is how far below peak goodput the plateau may sag
 	// before the optimal concurrency is declared (phase 4); zero selects
@@ -35,7 +34,7 @@ type SCGConfig struct {
 
 func (cfg *SCGConfig) fillDefaults() {
 	if cfg.Window <= 0 {
-		cfg.Window = 60 * time.Second
+		cfg.Window = DefaultWindow
 	}
 	if cfg.PlateauTolerance <= 0 {
 		cfg.PlateauTolerance = defaultPlateauTolerance
@@ -67,9 +66,9 @@ type SCGModel struct {
 
 // NewSCG returns an SCG model reading traces from the cluster's warehouse
 // and concurrency series from the monitor. It declares the warehouse
-// (Cluster.RetainTraces), which fails once traces have completed
-// unretained: build the model, or a monitor with resources, before the
-// run.
+// with a reach of its window (Cluster.RetainTraces), which fails once
+// traces have completed unretained, or have been evicted from a
+// narrower warehouse than the window: build the model before the run.
 func NewSCG(c *cluster.Cluster, mon *Monitor, cfg SCGConfig) (*SCGModel, error) {
 	if c == nil || mon == nil {
 		return nil, fmt.Errorf("core: SCG needs a cluster and a monitor")
@@ -77,10 +76,10 @@ func NewSCG(c *cluster.Cluster, mon *Monitor, cfg SCGConfig) (*SCGModel, error) 
 	if cfg.SLA <= 0 {
 		return nil, fmt.Errorf("core: SCG needs a positive SLA, got %v", cfg.SLA)
 	}
-	if err := c.RetainTraces(); err != nil {
+	cfg.fillDefaults()
+	if err := c.RetainTraces(cfg.Window); err != nil {
 		return nil, fmt.Errorf("core: SCG: %w", err)
 	}
-	cfg.fillDefaults()
 	return &SCGModel{cfg: cfg, c: c, mon: mon, blocks: sealedScans{shift: sealedBlockShift}}, nil
 }
 

@@ -127,20 +127,23 @@ func runAblationDeadline(p Params, w io.Writer) error {
 	ref := cluster.ResourceRef{Service: "worker", Kind: cluster.PoolThreads}
 
 	dur := p.scale(3 * time.Minute)
-	r, err := simulate(p.unitParams(p.Telemetry.Group("profile")).observe(scenario.Scenario{
+	r, err := p.unitParams(p.Telemetry.Group("profile")).observe(scenario.Scenario{
 		Seed:     p.Seed,
 		App:      buildChain(60),
 		Refs:     []cluster.ResourceRef{ref},
 		Target:   workload.TraceUsers(workload.LargeVariationTrace(), dur, 1250),
 		Duration: dur,
-	}))
+	}).Build()
 	if err != nil {
 		return err
 	}
+	// The model reads the whole run after it, so it declares its reach
+	// before the run.
 	scg, err := core.NewSCG(r.C, r.Mon, core.SCGConfig{SLA: sla, Window: dur, PlateauTolerance: 0.05})
 	if err != nil {
 		return err
 	}
+	execute(r)
 	propagated, err := scg.PropagateDeadline(sim.Time(dur), "worker")
 	if err != nil {
 		return err
@@ -286,7 +289,7 @@ func runAblationLocalize(p Params, w io.Writer) error {
 	// The scenario measures no resource, so its monitor declares no
 	// trace reader; the localizer and the PCC table below read the
 	// whole run's traces after it.
-	if err := r.C.RetainTraces(); err != nil {
+	if err := r.C.RetainTraces(trace.DefaultRetention); err != nil {
 		return err
 	}
 	execute(r)

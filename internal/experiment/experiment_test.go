@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sora/internal/core"
+	"sora/internal/telemetry"
+	"sora/internal/trace"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -164,5 +168,35 @@ func TestKneeSizeSelectsPlateauStart(t *testing.T) {
 	}
 	if got := maxGoodput(points, th); got != 1000 {
 		t.Errorf("maxGoodput = %g, want 1000", got)
+	}
+}
+
+// TestPostRunReaderDeclaresReach: ablation-deadline's model reads its
+// whole profiling run after it. At a scale whose run outlasts the
+// monitor's DefaultWindow, the warehouse would evict under the monitor's
+// reach alone and refuse the model's longer one after the run, so the
+// model must be built first; the output must then equal a run whose
+// cluster keeps trace.DefaultRetention because a telemetry recorder
+// declared it.
+func TestPostRunReaderDeclaresReach(t *testing.T) {
+	e, err := ByID("ablation-deadline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Seed: 5, DurationScale: 0.5, Quiet: true, Parallelism: 1}
+	if d := p.scale(3 * time.Minute); d <= core.DefaultWindow {
+		t.Fatalf("the profiling run lasts %v, not past the monitor's %v reach", d, core.DefaultWindow)
+	}
+	render := func(p Params) string {
+		var sb strings.Builder
+		if err := e.Run(p, &sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	got := render(p)
+	p.Telemetry = telemetry.NewRecorder("ablation-deadline")
+	if want := render(p); got != want {
+		t.Fatalf("output with the model's reach differs from keeping %v:\n--- reach ---\n%s\n--- retention ---\n%s", trace.DefaultRetention, got, want)
 	}
 }

@@ -203,17 +203,19 @@ func runFig9(p Params, w io.Writer) error {
 func fig9Estimate(p Params, fc fig9Case) (int, error) {
 	dur := p.scale(3 * time.Minute)
 	app, mix := fc.build(fc.estPool)
-	r, err := simulate(p.observe(scenario.Scenario{
+	r, err := p.observe(scenario.Scenario{
 		Seed:     p.Seed,
 		App:      app,
 		Mix:      mix,
 		Refs:     []cluster.ResourceRef{fc.ref},
 		Target:   workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
 		Duration: dur,
-	}))
+	}).Build()
 	if err != nil {
 		return 0, err
 	}
+	// The model reads the whole run after it, so it declares its reach
+	// before the run.
 	scg, err := core.NewSCG(r.C, r.Mon, core.SCGConfig{
 		SLA:              fc.sloEndToEnd,
 		Window:           dur,
@@ -222,6 +224,7 @@ func fig9Estimate(p Params, fc fig9Case) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	execute(r)
 	qs, gps, err := scg.CollectPairs(sim.Time(dur), fc.ref, fc.measured(), fc.threshold)
 	if err != nil {
 		return 0, err

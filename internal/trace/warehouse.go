@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -129,8 +130,9 @@ func (q *fifo[T]) pop(n int) {
 }
 
 // DefaultRetention bounds warehouse memory when the caller does not
-// specify a window. Three minutes matches the longest metrics-collection
-// window used by the SCG model.
+// specify a window, and caps the reach a cluster's readers declare
+// (Cluster.RetainTraces). Three minutes matches the longest
+// metrics-collection window used by the SCG model.
 const DefaultRetention = 3 * time.Minute
 
 // NewWarehouse returns a warehouse retaining traces whose completion time
@@ -142,6 +144,20 @@ func NewWarehouse(retention time.Duration) *Warehouse {
 		retention = DefaultRetention
 	}
 	return &Warehouse{retention: retention}
+}
+
+// Widen raises the retention to d; a d no longer than the retention
+// leaves it as it is. Widening once a trace has been evicted is an
+// error, since the wider window would silently lack that history.
+func (w *Warehouse) Widen(d time.Duration) error {
+	if d <= w.retention {
+		return nil
+	}
+	if w.evicted > 0 {
+		return fmt.Errorf("trace: retention widened to %v after traces were evicted at %v", d, w.retention)
+	}
+	w.retention = d
+	return nil
 }
 
 // Add stores a completed trace that can no longer change and evicts any

@@ -49,6 +49,16 @@
 #           measures the cart pool and so still declares retention; its
 #           archive checks the run without the recorder.
 #
+# A recorder also widens the warehouse to trace.DefaultRetention, the
+# cap on declared reach, and no set above both runs without one and
+# runs long enough to evict. The reach set does:
+#
+#   reach:  sorabench -exp fig9,ablation-deadline,fig12,chaos,ctrlplane
+#           -scale 0.5 -seed 5 -quiet (stdout only). The controllers'
+#           warehouses keep only their monitor's and model's reach and
+#           evict within these runs, and fig9's and ablation-deadline's
+#           models read their whole 90 s profiling runs after them.
+#
 # The examples set runs each example program with no arguments and
 # compares their stdout. They drive FIRM, the HPA, the monitor and the
 # SCG model through the public API alone (about 18 s in all on 2 vCPUs,
@@ -111,13 +121,14 @@ fi
 trap 'exit 1' INT TERM
 
 status=0
-for set in all ctrl decide simrun bare examples; do
+for set in all ctrl decide simrun bare reach examples; do
 	case $set in
 	all) args="-exp all -scale 0.1 -seed 1" trees="tel csv" ;;
 	ctrl) args="-exp fig12,chaos,ctrlplane -scale 0.5 -seed 5" trees="tel csv" ;;
 	decide) args="-exp table3,ablation-model,ext-unified -scale 0.3 -seed 5" trees="tel csv" ;;
 	simrun) args="-app sockshop -fault-plan combo -seed 5 -duration 60s -profile" trees="tel archive" ;;
 	bare) args="-exp all -scale 0.1 -seed 1 -quiet" trees="archive" ;;
+	reach) args="-exp fig9,ablation-deadline,fig12,chaos,ctrlplane -scale 0.5 -seed 5 -quiet" trees="" ;;
 	examples) trees="" ;;
 	esac
 	for side in parent change; do
@@ -151,6 +162,16 @@ for set in all ctrl decide simrun bare examples; do
 				exit 1
 			fi
 			sed -e 's/(wall [^,]*,/(wall -,/' -e "s|$d/||g" "$d/raw" >>"$d/stdout"
+			continue
+		fi
+		if [ "$set" = reach ]; then
+			if [ "$side" = parent ]; then bin=$parent; else bin=$change; fi
+			# shellcheck disable=SC2086 # args is a word list on purpose
+			if ! "$bin" $args >"$d/stdout" 2>"$d/stderr"; then
+				echo "sameout: $side run of set $set failed:" >&2
+				cat "$d/stderr" >&2
+				exit 1
+			fi
 			continue
 		fi
 		if [ "$set" = simrun ]; then
