@@ -203,15 +203,17 @@ type Options struct {
 
 // Cluster is a running simulated deployment of an App. It stores the
 // traces it completes in a warehouse only once a reader has declared
-// one (RetainTraces): a run nothing reads traces from keeps none.
+// one (RetainTraces, RetainScans): a run nothing reads traces from keeps
+// none.
 type Cluster struct {
 	k        *sim.Kernel
 	app      App
 	services map[string]*Service
 	svcs     []*Service // in App order: a service's id is its position
 
-	// warehouse is nil until RetainTraces; unretained records that a
-	// trace completed before it, so that a late declaration fails.
+	// warehouse is nil until a reader declares it; unretained records
+	// that a trace completed before it, so that a late declaration
+	// fails.
 	warehouse  *trace.Warehouse
 	unretained bool
 	e2eLog     *metrics.CompletionLog
@@ -367,31 +369,56 @@ func (c *Cluster) housekeep() {
 func (c *Cluster) Kernel() *sim.Kernel { return c.k }
 
 // Warehouse returns the trace warehouse (the simulated Jaeger+Neo4j
-// backend), or nil until a reader declares it with RetainTraces. A nil
-// warehouse answers Len and Stats with zeros; its Window panics.
+// backend), or nil until a reader declares it with RetainTraces or
+// RetainScans. A nil warehouse answers Len and Stats with zeros; its
+// Window panics.
 func (c *Cluster) Warehouse() *trace.Warehouse { return c.warehouse }
 
-// RetainTraces declares a reader of the trace warehouse that reads
-// traces completing up to reach before the newest one: from now on
-// every completed trace is stored, and kept while it lies within the
-// longest reach declared so far, capped at trace.DefaultRetention. A
-// cluster no reader declared stores none. A declaration no longer than
-// an earlier one is a no-op; a longer one widens the warehouse only
-// while it has evicted nothing. Declaring after a trace has completed
-// unretained, or widening after an eviction, is an error, since the
-// warehouse would silently lack that history; declare before the run.
-func (c *Cluster) RetainTraces(reach time.Duration) error {
+// RetainTraces declares a reader of whole traces (Trace.Records) that
+// reads traces completing up to reach before the newest one: from now
+// on every completed trace is stored whole, and kept while it lies
+// within the longest reach declared so far, capped at
+// trace.DefaultRetention. A cluster no reader declared stores none. A
+// declaration no longer than an earlier one is a no-op; a longer one
+// widens the warehouse only while it has evicted nothing. Declaring
+// after a trace has completed unretained, widening after an eviction,
+// or declaring whole traces once a trace was stored in its scan form
+// (see RetainScans) is an error, since the warehouse would silently
+// lack that history; declare before the run.
+func (c *Cluster) RetainTraces(reach time.Duration) error { return c.retain(reach, true) }
+
+// RetainScans declares a reader that reads only the scan records of the
+// traces (Trace.Scan) completing up to reach before the newest one, as
+// the SCG and SCT models do. Reach and errors follow RetainTraces. A
+// warehouse only scan readers declared before its first trace stores
+// each settled trace in its scan form, a third of the whole stream's
+// size (DESIGN.md §13 "Declared trace form"); one a whole-trace reader
+// declared stores the whole stream, which Scan reads as well.
+func (c *Cluster) RetainScans(reach time.Duration) error { return c.retain(reach, false) }
+
+// retain declares a reader of traces up to reach back, of whole traces
+// or of their scan records.
+func (c *Cluster) retain(reach time.Duration, whole bool) error {
 	if reach <= 0 {
 		return fmt.Errorf("cluster: trace reach must be positive, got %v", reach)
 	}
 	reach = min(reach, trace.DefaultRetention)
 	if c.warehouse != nil {
+		if whole {
+			if err := c.warehouse.KeepWhole(); err != nil {
+				return err
+			}
+		}
 		return c.warehouse.Widen(reach)
 	}
 	if c.unretained {
 		return fmt.Errorf("cluster: trace retention declared after traces completed unretained")
 	}
-	c.warehouse = trace.NewWarehouse(reach)
+	if whole {
+		c.warehouse = trace.NewWarehouse(reach)
+	} else {
+		c.warehouse = trace.NewScanWarehouse(reach)
+	}
 	return nil
 }
 

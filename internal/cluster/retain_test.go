@@ -116,7 +116,9 @@ func TestUndeclaredClusterStoresNoTraces(t *testing.T) {
 
 // TestRetainTracesDeclaration: a second declaration is a no-op that
 // keeps the warehouse, and declaring once a trace has completed
-// unretained fails.
+// unretained fails. A cluster only scan readers declared stores the
+// scan form; a whole-trace declaration before the first completion
+// makes it store whole traces, and one after it fails.
 func TestRetainTracesDeclaration(t *testing.T) {
 	r := newCartRun(t, true)
 	wh := r.c.Warehouse()
@@ -139,6 +141,53 @@ func TestRetainTracesDeclaration(t *testing.T) {
 	if late.c.Warehouse() != nil {
 		t.Error("a refused declaration left a warehouse behind")
 	}
+
+	scans := newCartRun(t, false)
+	if err := scans.c.RetainScans(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	scans.run(t, time.Second)
+	tr := firstSettled(t, scans.c.Warehouse())
+	if recs := tr.Scan(nil); len(recs) < 2 || !recs[0].OnPath {
+		t.Errorf("a scan-form trace reads %d scan records, want a whole tree from an on-path root", len(recs))
+	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "RetainTraces") {
+				t.Errorf("Records of a scan-form trace panicked with %q, want a message naming RetainTraces", msg)
+			}
+		}()
+		tr.Records(nil)
+		t.Error("Records of a trace only scan readers declared returned")
+	}()
+	if err := scans.c.RetainTraces(time.Minute); err == nil || !strings.Contains(err.Error(), "scan form") {
+		t.Errorf("RetainTraces after scan-form traces were stored = %v, want an error", err)
+	}
+
+	up := newCartRun(t, false)
+	for _, declare := range []func(time.Duration) error{up.c.RetainScans, up.c.RetainTraces, up.c.RetainScans} {
+		if err := declare(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	up.run(t, time.Second)
+	tr = firstSettled(t, up.c.Warehouse())
+	if recs := tr.Records(nil); len(recs) < 2 {
+		t.Errorf("a trace of an upgraded warehouse decodes %d records", len(recs))
+	}
+}
+
+// firstSettled returns the oldest trace wh stored settled, as a stream.
+func firstSettled(t *testing.T, wh *trace.Warehouse) trace.Trace {
+	t.Helper()
+	all := wh.Window(math.MinInt64, math.MaxInt64)
+	for i := range all.Len() {
+		if seq := all.First() + uint64(i); len(wh.Unsettled(seq, seq+1)) == 0 {
+			return all.At(i)
+		}
+	}
+	t.Fatal("the warehouse holds no settled trace")
+	return trace.Trace{}
 }
 
 // TestTelemetryDeclaresRetention: a cluster with a telemetry recorder

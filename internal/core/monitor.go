@@ -67,8 +67,9 @@ type utilSeries struct {
 // CPU utilization of the given services every interval (zero selects
 // DefaultSampleInterval). It declares the span log of each resource's
 // measured service (Cluster.RecordSpans) and, given at least one
-// resource, the trace warehouse (Cluster.RetainTraces) the models
-// estimating those resources read, with a reach of DefaultWindow, so
+// resource, the scan records of the trace warehouse
+// (Cluster.RetainScans) the models estimating those resources read,
+// with a reach of DefaultWindow, so
 // build it before the run. A model with a longer window must also be
 // built before the run, or before the warehouse first evicts. Start
 // must be called to begin sampling.
@@ -93,7 +94,7 @@ func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.Resou
 		m.conc = append(m.conc, concSeries{ref: ref, series: &metrics.Series{}})
 	}
 	if len(refs) > 0 {
-		if err := c.RetainTraces(DefaultWindow); err != nil {
+		if err := c.RetainScans(DefaultWindow); err != nil {
 			return nil, fmt.Errorf("core: monitor: %w", err)
 		}
 	}

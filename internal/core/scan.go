@@ -11,8 +11,8 @@ import (
 // response times and per-service processing times phase 1 correlates,
 // the Eq. (3) upstream sums phase 2 averages, and the caller→callee
 // edges the behind-pool check follows. Each trace is read as its
-// pre-order records in one linear pass, following its critical path
-// on the way.
+// pre-order scan records (Trace.Scan) in one linear pass, following the
+// critical path its records mark on the way.
 //
 // Services are indexed by their id in the name table the window's
 // traces share (for the cluster's traces, the order of
@@ -32,9 +32,9 @@ type windowScan struct {
 	// from off on (see sealedScans).
 	rows *rowStore
 	off  int
-	// buf receives each trace's records as Trace.Records decodes them,
-	// open the ancestors of the record being read.
-	buf  []trace.Record
+	// buf receives each trace's records as Trace.Scan reads them, open
+	// the ancestors of the record being read.
+	buf  []trace.ScanRecord
 	open []openSpan
 }
 
@@ -91,10 +91,9 @@ func resize[T any](s []T, n int) []T {
 // processing time above it on the path — Trace.UpstreamProcessing for
 // every service of the path in the same pass.
 func (w *windowScan) addTrace(tr *trace.Trace, ti int) {
-	recs := tr.Records(&w.buf)
-	w.rts[ti] = float64(recs[0].Duration()) / float64(time.Millisecond)
+	recs := tr.Scan(&w.buf)
+	w.rts[ti] = float64(tr.ResponseTime()) / float64(time.Millisecond)
 	n := len(w.names)
-	path := 0 // the next record on the critical path
 	var up time.Duration
 	open := w.open[:0]
 	for i := range recs {
@@ -110,17 +109,16 @@ func (w *windowScan) addTrace(tr *trace.Trace, ti int) {
 		if st.pt == nil {
 			w.column(si)
 		}
-		pt := r.ProcessingTime()
+		pt := r.PT
 		st.pt[ti] += float64(pt) / float64(time.Millisecond)
 		st.visits++
-		if i == path {
+		if r.OnPath {
 			if st.onPath != ti+1 {
 				st.onPath = ti + 1
 				st.upSum += up
 				st.upN++
 			}
 			up += pt
-			path = trace.CriticalChildAt(recs, i)
 		}
 		if r.Size > 1 {
 			open = append(open, openSpan{svc: si, end: i + int(r.Size)})

@@ -25,11 +25,17 @@ type scanRig struct {
 	managed []ManagedResource
 	// unsettled counts the traces the warehouse stored as unsettled.
 	unsettled int
+	// scans stores every completed trace again in its scan form, and
+	// blocks merges its windows, so that the scan form is checked on
+	// the same windows as the cluster's whole-form warehouse.
+	scans  *trace.Warehouse
+	blocks sealedScans
 }
 
 // newScanRig wires a cluster, a monitor over refs and a closed loop of
 // users, as the experiment rigs do, with every service's span log
-// declared.
+// declared. The cluster keeps whole traces, which the oracles read; a
+// second warehouse keeps the same traces in their scan form.
 func newScanRig(t *testing.T, seed uint64, app cluster.App, mix []cluster.WeightedRequest, refs []cluster.ResourceRef, users int, cp *node.Config) *scanRig {
 	t.Helper()
 	k := sim.NewKernel(seed)
@@ -47,6 +53,9 @@ func newScanRig(t *testing.T, seed uint64, app cluster.App, mix []cluster.Weight
 			t.Fatal(err)
 		}
 	}
+	if err := c.RetainTraces(DefaultWindow); err != nil {
+		t.Fatal(err)
+	}
 	mon, err := NewMonitor(c, 0, refs, c.ServiceNames())
 	if err != nil {
 		t.Fatal(err)
@@ -58,11 +67,14 @@ func newScanRig(t *testing.T, seed uint64, app cluster.App, mix []cluster.Weight
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &scanRig{k: k, c: c, mon: mon}
+	r := &scanRig{k: k, c: c, mon: mon, scans: trace.NewScanWarehouse(trace.DefaultRetention), blocks: sealedScans{shift: sealedBlockShift}}
 	wh := c.Warehouse()
-	c.OnComplete(func(*trace.Trace) {
+	c.OnComplete(func(tr *trace.Trace) {
 		if seq := wh.Added() - 1; len(wh.Unsettled(seq, seq+1)) > 0 {
 			r.unsettled++
+			r.scans.AddUnsettled(tr)
+		} else {
+			r.scans.Add(tr)
 		}
 	})
 	mon.Start()
@@ -175,12 +187,14 @@ func scanCtrlPlaneRig(t *testing.T, dur time.Duration) *scanRig {
 // compute, on live windows from three deployments. The model decides
 // every 500 ms over a 10 s window, so consecutive windows overlap and
 // most of each scan is merged from sealed blocks; every merged scan
-// must equal a fresh scanWindow of the same traces. At each decision
-// the critical service and the whole SCG and SCT recommendations are
-// compared with the oracle's; every 12 s so are the propagated deadline
-// of every service and of an unknown one, the behind-pool utilization
-// of every service, and an SCG decision measured through an off-path
-// service, so the deadline falls back to the critical service's.
+// must equal a fresh scanWindow of the same traces, and so must the
+// merged scan of the same window of the rig's scan-form twin warehouse.
+// At each decision the critical service and the whole SCG and SCT
+// recommendations are compared with the oracle's; every 12 s so are
+// the propagated deadline of every service and of an unknown one, the
+// behind-pool utilization of every service, and an SCG decision
+// measured through an off-path service, so the deadline falls back to
+// the critical service's.
 func TestWindowScanMatchesOracle(t *testing.T) {
 	const (
 		dur   = 48 * time.Second
@@ -236,8 +250,13 @@ func TestWindowScanMatchesOracle(t *testing.T) {
 				r.k.RunUntil(sim.Time(at))
 				now := r.k.Now()
 				traces := viewTraces(r.c.Warehouse().Window(now-cfg.Window, now))
-				if d := scanDiff(scg.scan(now), scanWindow(traces, r.c.TraceNames())); d != "" {
+				fresh := scanWindow(traces, r.c.TraceNames())
+				if d := scanDiff(scg.scan(now), fresh); d != "" {
 					t.Fatalf("at %v, merged scan differs from a fresh one: %s", at, d)
+				}
+				w, _ := scanView(&r.blocks, r.scans, now-cfg.Window, now, r.c.TraceNames())
+				if d := scanDiff(w, fresh); d != "" {
+					t.Fatalf("at %v, the scan-form warehouse's merged scan differs from a fresh whole-form one: %s", at, d)
 				}
 				same(t, at, "critical service", outcome(scg.CriticalService(now)), outcome(oracleCriticalService(scg, now)))
 				rec, err := scg.Recommend(now, r.managed)

@@ -65,10 +65,11 @@ type SCGModel struct {
 }
 
 // NewSCG returns an SCG model reading traces from the cluster's warehouse
-// and concurrency series from the monitor. It declares the warehouse
-// with a reach of its window (Cluster.RetainTraces), which fails once
-// traces have completed unretained, or have been evicted from a
-// narrower warehouse than the window: build the model before the run.
+// and concurrency series from the monitor. It declares the warehouse's
+// scan records with a reach of its window (Cluster.RetainScans), which
+// fails once traces have completed unretained, or have been evicted
+// from a narrower warehouse than the window: build the model before the
+// run.
 func NewSCG(c *cluster.Cluster, mon *Monitor, cfg SCGConfig) (*SCGModel, error) {
 	if c == nil || mon == nil {
 		return nil, fmt.Errorf("core: SCG needs a cluster and a monitor")
@@ -77,7 +78,7 @@ func NewSCG(c *cluster.Cluster, mon *Monitor, cfg SCGConfig) (*SCGModel, error) 
 		return nil, fmt.Errorf("core: SCG needs a positive SLA, got %v", cfg.SLA)
 	}
 	cfg.fillDefaults()
-	if err := c.RetainTraces(cfg.Window); err != nil {
+	if err := c.RetainScans(cfg.Window); err != nil {
 		return nil, fmt.Errorf("core: SCG: %w", err)
 	}
 	return &SCGModel{cfg: cfg, c: c, mon: mon, blocks: sealedScans{shift: sealedBlockShift}}, nil

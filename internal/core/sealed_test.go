@@ -75,7 +75,9 @@ func TestSealedScanRereadsUnsettled(t *testing.T) {
 // work does, and checks that every scan merged from sealed blocks is
 // exactly the fresh scan of its window. Windows start and end anywhere,
 // so blocks are merged whole, cut at the edges, retired and re-sealed,
-// also after either end of the window moves back.
+// also after either end of the window moves back. A second warehouse
+// stores the same traces in their scan form, and its merged scans must
+// equal the fresh scans of the whole-form warehouse's windows.
 func FuzzSealedScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 3, 0, 2, 1, 4, 7, 3, 1})
@@ -83,7 +85,8 @@ func FuzzSealedScan(f *testing.F) {
 		r := &fuzzReader{data: data}
 		names := trace.NewNames(fuzzServices)
 		s := &sealedScans{shift: uint(1 + r.next()%3)}
-		wh := trace.NewWarehouse(time.Hour)
+		ss := &sealedScans{shift: s.shift}
+		wh, whs := trace.NewWarehouse(time.Hour), trace.NewScanWarehouse(time.Hour)
 		var all, unsettled []*trace.Trace
 		end := sim.Time(0)
 		for op := 0; len(r.data) > 0 && op < 64; op++ {
@@ -98,9 +101,11 @@ func FuzzSealedScan(f *testing.F) {
 				all = append(all, tr)
 				if r.next()%2 == 1 {
 					wh.AddUnsettled(tr)
+					whs.AddUnsettled(tr)
 					unsettled = append(unsettled, tr)
 				} else {
 					wh.Add(tr)
+					whs.Add(tr)
 				}
 			case 2: // orphaned work changes an unsettled trace
 				if len(unsettled) == 0 {
@@ -128,8 +133,13 @@ func FuzzSealedScan(f *testing.F) {
 				since := all[r.next()%len(all)].CompletedAt()
 				until := all[len(all)-1-r.next()%len(all)].CompletedAt() + 1
 				w, traces := scanView(s, wh, since, until, names)
-				if d := scanDiff(w, scanWindow(traces, names)); d != "" {
+				fresh := scanWindow(traces, names)
+				if d := scanDiff(w, fresh); d != "" {
 					t.Fatalf("op %d: window of %d traces in [%v, %v): merged scan differs from a fresh one: %s", op, len(traces), since, until, d)
+				}
+				w, _ = scanView(ss, whs, since, until, names)
+				if d := scanDiff(w, fresh); d != "" {
+					t.Fatalf("op %d: window of %d traces in [%v, %v): the scan form's merged scan differs from a fresh whole-form one: %s", op, len(traces), since, until, d)
 				}
 			}
 		}

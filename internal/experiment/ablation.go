@@ -288,8 +288,8 @@ func runAblationLocalize(p Params, w io.Writer) error {
 	}
 	// The scenario measures no resource, so its monitor declares no
 	// trace reader; the localizer and the PCC table below read the
-	// whole run's traces after it.
-	if err := r.C.RetainTraces(trace.DefaultRetention); err != nil {
+	// whole run's scan records after it.
+	if err := r.C.RetainScans(trace.DefaultRetention); err != nil {
 		return err
 	}
 	execute(r)
@@ -316,17 +316,17 @@ func runAblationLocalize(p Params, w io.Writer) error {
 	// pts[id] holds service id's per-trace processing times; nil until
 	// a span of the service is seen.
 	pts := make([][]float64, len(r.C.ServiceNames()))
-	var buf []trace.Record
+	var buf []trace.ScanRecord
 	for ti := range traces.Len() {
 		tr := traces.At(ti)
 		rts[ti] = float64(tr.ResponseTime()) / float64(time.Millisecond)
-		for _, rec := range tr.Records(&buf) {
+		for _, rec := range tr.Scan(&buf) {
 			arr := pts[rec.Service]
 			if arr == nil {
 				arr = make([]float64, traces.Len())
 				pts[rec.Service] = arr
 			}
-			arr[ti] += float64(rec.ProcessingTime()) / float64(time.Millisecond)
+			arr[ti] += float64(rec.PT) / float64(time.Millisecond)
 		}
 	}
 	for id, name := range r.C.ServiceNames() {

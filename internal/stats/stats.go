@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -117,7 +118,12 @@ func Percentile(xs []float64, p float64) (float64, error) {
 }
 
 // PercentileInPlace is Percentile for a caller that owns xs and has no
-// further use for its order: it sorts xs in place instead of a copy.
+// further use for its order: it reorders xs in place instead of a copy.
+// It selects the two closest ranks rather than sorting, in
+// sort.Float64s' order (NaN before every number), so it returns the
+// value a sort would give, bit for bit; only values that order holds
+// equal (two NaNs, or −0 and +0) may trade places, as they may in a
+// sort.
 func PercentileInPlace(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, fmt.Errorf("percentile: %w", ErrEmpty)
@@ -125,14 +131,13 @@ func PercentileInPlace(xs []float64, p float64) (float64, error) {
 	if p < 0 || p > 100 {
 		return 0, fmt.Errorf("percentile: p=%g out of [0,100]", p)
 	}
-	sort.Float64s(xs)
 	// Exact boundaries: p=0 and p=100 are the min and max by definition
 	// and must not go through interpolation arithmetic.
 	if p == 0 || len(xs) == 1 {
-		return xs[0], nil
+		return extreme(xs, false), nil
 	}
 	if p == 100 {
-		return xs[len(xs)-1], nil
+		return extreme(xs, true), nil
 	}
 	rank := float64(p / 100 * float64(len(xs)-1))
 	lo := int(math.Floor(rank))
@@ -145,11 +150,81 @@ func PercentileInPlace(xs []float64, p float64) (float64, error) {
 	if lo > hi {
 		lo = hi
 	}
+	selectRank(xs, lo)
 	if lo == hi {
 		return xs[lo], nil
 	}
+	// Every value after rank lo is ordered no earlier than it, so rank
+	// hi = lo+1 is the first of them in the order.
+	next := extreme(xs[hi:], false)
 	frac := rank - float64(lo)
-	return float64(xs[lo]*(1-frac)) + float64(xs[hi]*frac), nil
+	return float64(xs[lo]*(1-frac)) + float64(next*frac), nil
+}
+
+// before is sort.Float64s' order: a NaN before every number, numbers
+// ascending.
+func before(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// extreme returns the first value of xs in sort.Float64s' order, or the
+// last if last is set.
+func extreme(xs []float64, last bool) float64 {
+	m := xs[0]
+	for _, x := range xs[1:] {
+		if last && before(m, x) || !last && before(x, m) {
+			m = x
+		}
+	}
+	return m
+}
+
+// selectRank reorders xs so that xs[k] holds the value sort.Float64s
+// would put there, with every value before it ordered no later and every
+// value after it no earlier. It partitions around a median-of-three
+// pivot, narrowing to the side that holds k; after 2·log2(n) rounds it
+// sorts what is left, so it never takes longer than a sort.
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for rounds := 2 * bits.Len(uint(len(xs))); hi > lo; rounds-- {
+		if rounds == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			return
+		}
+		mid := int(uint(lo+hi) >> 1)
+		if before(xs[mid], xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if before(xs[hi], xs[lo]) {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if before(xs[hi], xs[mid]) {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for before(xs[i], pivot) {
+				i++
+			}
+			for before(pivot, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] are ordered no later than the pivot, xs[i..hi]
+		// no earlier, and any value between is the pivot's equal.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.

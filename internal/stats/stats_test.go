@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -433,6 +434,70 @@ func BenchmarkPearson(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Pearson(x, y); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// sortedPercentile is the reference PercentileInPlace must match: the
+// percentile read off a sorted copy of xs.
+func sortedPercentile(xs []float64, p float64) float64 {
+	xs = append([]float64(nil), xs...)
+	sort.Float64s(xs)
+	if p == 0 || len(xs) == 1 {
+		return xs[0]
+	}
+	if p == 100 {
+		return xs[len(xs)-1]
+	}
+	rank := float64(p / 100 * float64(len(xs)-1))
+	lo, hi := int(math.Floor(rank)), min(int(math.Ceil(rank)), len(xs)-1)
+	lo = min(lo, hi)
+	if lo == hi {
+		return xs[lo]
+	}
+	frac := rank - float64(lo)
+	return float64(xs[lo]*(1-frac)) + float64(xs[hi]*frac)
+}
+
+// TestPercentileInPlaceMatchesSort checks the rank selection against
+// the sorted reference, bit for bit, over random inputs of every size to
+// 300: distinct values, heavy duplicates, NaNs, sorted and reversed
+// runs, at p = 0, 100, the edges next to them and random ranks.
+func TestPercentileInPlaceMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 37))
+	gens := []struct {
+		name string
+		gen  func(i, n int) float64
+	}{
+		{"distinct", func(int, int) float64 { return rng.NormFloat64() * 100 }},
+		{"duplicates", func(int, int) float64 { return float64(rng.IntN(4)) }},
+		{"nans", func(int, int) float64 {
+			if rng.IntN(5) == 0 {
+				return math.NaN()
+			}
+			return float64(rng.IntN(50)) - 10
+		}},
+		{"sorted", func(i, _ int) float64 { return float64(i) }},
+		{"reversed", func(i, n int) float64 { return float64(n - i) }},
+		{"constant", func(int, int) float64 { return 7 }},
+		{"infinities", func(int, int) float64 { return []float64{math.Inf(-1), math.Inf(1), 1, -1}[rng.IntN(4)] }},
+	}
+	for _, g := range gens {
+		for n := 1; n <= 300; n++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = g.gen(i, n)
+			}
+			for _, p := range []float64{0, 100, math.Nextafter(0, 1), math.Nextafter(100, 0), 50, 99, rng.Float64() * 100, rng.Float64() * 100} {
+				want := sortedPercentile(xs, p)
+				got, err := PercentileInPlace(append([]float64(nil), xs...), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s, n=%d, p=%v: PercentileInPlace = %v, sorted reference %v", g.name, n, p, got, want)
+				}
+			}
 		}
 	}
 }

@@ -115,7 +115,9 @@ func fromRecord(rec SpanRecord, depth int, names *Names, pods map[string]int32) 
 
 // Export writes the trace as one JSON object with nanosecond virtual-time
 // fields. It reads the trace's records, so the bytes do not depend on
-// the form the trace is in; depths are nesting depths, the root's 0.
+// the form the trace is in; depths are nesting depths, the root's 0. A
+// trace stored in its scan form has no records to export, and Export
+// panics on it as Records does.
 func Export(w io.Writer, t *Trace) error {
 	var recs []Record
 	if t != nil {

@@ -46,6 +46,8 @@ func (r *Record) Duration() time.Duration {
 // response-side processing, including local queueing), excluding time
 // blocked on downstream services and time waiting out retry or breaker
 // backoff (which is downstream-recovery wait, not local work).
+//
+//soravet:allow deadcode (a) reference implementation: the SCG oracle tests and FuzzCompactTrace compute PT_s from whole records with it, which the scan records' stored PT must match
 func (r *Record) ProcessingTime() time.Duration {
 	return processingTime(r.Duration(), r.Blocked, r.RetryWait, r.BreakerWait)
 }
@@ -160,7 +162,8 @@ func appendRecords(dst []Record, s *Span) []Record {
 // valid only until the next call with the same scratch. A trace the
 // warehouse stored settled decodes its stream; a trace still holding its live tree — one
 // stored unsettled, or built outside the cluster — is read from the
-// tree.
+// tree. A trace stored in its scan form has no whole records, and
+// Records panics on it with a message naming Cluster.RetainTraces.
 func (t *Trace) Records(scratch *[]Record) []Record {
 	var buf []Record
 	if scratch != nil {
@@ -169,6 +172,8 @@ func (t *Trace) Records(scratch *[]Record) []Record {
 	switch {
 	case t.Root != nil:
 		buf = appendRecords(buf[:0], t.Root)
+	case len(t.enc) > 0 && t.scanForm:
+		panic(errScanForm)
 	case len(t.enc) > 0:
 		buf = decodeRecords(buf, t.enc)
 	default:

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -172,7 +174,12 @@ func spanDepths(root *Span) []int {
 // compacted trace must decode to exactly the live tree's records, into
 // a fresh buffer as into one holding another trace's, with the depths
 // of the tree's own nesting; and every Trace accessor and the export
-// bytes must agree between the live and the compacted form.
+// bytes must agree between the live and the compacted form. The tree is
+// also stored in its scan form: Scan of the live tree, of the whole
+// stream and of the scan stream must be the projection of the live
+// records onto the scan fields, with CriticalChildAt's path marked, and
+// every accessor of the scan form must answer as the live tree does or
+// panic with a message naming RetainTraces.
 func FuzzCompactTrace(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2})
@@ -245,13 +252,88 @@ func FuzzCompactTrace(f *testing.F) {
 				t.Errorf("record %d at depth %d, span depth %d", i, depth, depths[i])
 			}
 		})
+
+		onPath := make([]bool, len(want))
+		for i := 0; i >= 0; i = CriticalChildAt(want, i) {
+			onPath[i] = true
+		}
+		wantScan := make([]ScanRecord, len(want))
+		for i := range want {
+			r := &want[i]
+			wantScan[i] = ScanRecord{PT: r.ProcessingTime(), Service: r.Service, Size: r.Size, OnPath: onPath[i]}
+		}
+		scan := storedScan(&Trace{ID: 7, Type: "t", Root: root, Names: decodeNames})
+		if scan.Root != nil || !scan.scanForm {
+			t.Fatal("the scan-form store kept the live tree or stored the whole form")
+		}
+		dirtyScan := func() *[]ScanRecord {
+			d := make([]ScanRecord, len(want)+3)
+			for i := range d {
+				d[i] = ScanRecord{PT: -1, Service: 9, Size: 11, OnPath: true}
+			}
+			return &d
+		}
+		for _, c := range []struct {
+			form string
+			got  []ScanRecord
+		}{
+			{"live tree", live.Scan(nil)},
+			{"live tree over another trace's", live.Scan(dirtyScan())},
+			{"whole stream", compact.Scan(nil)},
+			{"whole stream over another trace's", compact.Scan(dirtyScan())},
+			{"scan stream", scan.Scan(nil)},
+			{"scan stream over another trace's", scan.Scan(dirtyScan())},
+			{"retained scan stream", scan.Retain().Scan(nil)},
+		} {
+			if !reflect.DeepEqual(c.got, wantScan) {
+				t.Fatalf("Scan of the %s differs from the live records' projection:\n got %+v\nwant %+v", c.form, c.got, wantScan)
+			}
+		}
+		if got, want := scan.ResponseTime(), live.ResponseTime(); got != want {
+			t.Errorf("scan form: ResponseTime = %v, live %v", got, want)
+		}
+		if got, want := scan.CompletedAt(), live.CompletedAt(); got != want {
+			t.Errorf("scan form: CompletedAt = %v, live %v", got, want)
+		}
+		if got, want := scan.Degraded(), live.Degraded(); got != want {
+			t.Errorf("scan form: Degraded = %v, live %v", got, want)
+		}
+		if got, want := scan.CriticalPathServices(), live.CriticalPathServices(); !slices.Equal(got, want) {
+			t.Errorf("scan form: CriticalPathServices = %v, live %v", got, want)
+		}
+		for _, c := range []struct {
+			read string
+			fn   func()
+		}{
+			{"Records", func() { scan.Records(nil) }},
+			{"UpstreamProcessing", func() { scan.UpstreamProcessing("a", nil) }},
+			{"Export", func() { _ = Export(io.Discard, scan) }},
+			{"Records of a retained copy", func() { scan.Retain().Records(nil) }},
+		} {
+			if msg := panicOf(c.fn); !strings.Contains(msg, "RetainTraces") {
+				t.Errorf("%s of a scan-form trace: panic %q, want one naming RetainTraces", c.read, msg)
+			}
+		}
 	})
+}
+
+// panicOf runs fn and returns the string it panicked with, or "".
+func panicOf(fn func()) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	fn()
+	return ""
 }
 
 // stored returns the trace as a warehouse hands it back: its tree
 // encoded into a fresh warehouse's chunk, read through a view.
-func stored(tr *Trace) *Trace {
-	w := NewWarehouse(time.Hour)
+func stored(tr *Trace) *Trace { return storedIn(NewWarehouse(time.Hour), tr) }
+
+// storedScan returns the trace as a scan-form warehouse hands it back.
+func storedScan(tr *Trace) *Trace { return storedIn(NewScanWarehouse(time.Hour), tr) }
+
+// storedIn stores the trace in w, which must be empty, and returns it
+// as w hands it back.
+func storedIn(w *Warehouse, tr *Trace) *Trace {
 	w.Add(tr)
 	c := w.all().At(0)
 	return &c
@@ -336,42 +418,49 @@ func TestCompactSharedChunk(t *testing.T) {
 }
 
 // TestWarehouseAddAllocFree pins Warehouse.Add on the cluster's
-// completion path: once FIFO eviction recycles chunks and the scratch
-// buffer, the entry blocks and the name tables have grown, storing a
-// settled trace allocates nothing.
+// completion path, in the whole and in the scan form: once FIFO
+// eviction recycles chunks and the scratch buffer, the entry blocks and
+// the name tables have grown, storing a settled trace allocates
+// nothing.
 func TestWarehouseAddAllocFree(t *testing.T) {
-	root := decodeTree(&compactReader{data: []byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2}}, 0, 0)
-	w := NewWarehouse(time.Second)
-	tr := &Trace{Type: "t", Root: root, Names: decodeNames}
-	add := func() {
-		// Shift the tree one millisecond on, so that eviction keeps a
-		// second's worth of traces and recycles chunks as it goes.
-		walk(root, func(s *Span) {
-			s.Arrival += sim.Time(time.Millisecond)
-			s.Start += sim.Time(time.Millisecond)
-			s.End += sim.Time(time.Millisecond)
-		})
-		w.Add(tr)
-	}
-	for range 5000 {
-		add()
-	}
-	if w.chunkBase == 0 {
-		t.Fatal("no chunk was retired; the warm-up is too short to recycle")
-	}
-	base := w.chunkBase
-	avg := testing.AllocsPerRun(5000, add)
-	if avg != 0 {
-		t.Fatalf("Add of a settled trace allocates %.3f objects, want 0", avg)
-	}
-	if w.chunkBase == base {
-		t.Fatal("no chunk was recycled while measuring")
+	for _, c := range []struct {
+		form string
+		w    *Warehouse
+	}{{"whole", NewWarehouse(time.Second)}, {"scan", NewScanWarehouse(time.Second)}} {
+		w := c.w
+		root := decodeTree(&compactReader{data: []byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2}}, 0, 0)
+		tr := &Trace{Type: "t", Root: root, Names: decodeNames}
+		add := func() {
+			// Shift the tree one millisecond on, so that eviction keeps a
+			// second's worth of traces and recycles chunks as it goes.
+			walk(root, func(s *Span) {
+				s.Arrival += sim.Time(time.Millisecond)
+				s.Start += sim.Time(time.Millisecond)
+				s.End += sim.Time(time.Millisecond)
+			})
+			w.Add(tr)
+		}
+		for range 5000 {
+			add()
+		}
+		if w.chunkBase == 0 {
+			t.Fatalf("%s form: no chunk was retired; the warm-up is too short to recycle", c.form)
+		}
+		base := w.chunkBase
+		avg := testing.AllocsPerRun(5000, add)
+		if avg != 0 {
+			t.Fatalf("%s form: Add of a settled trace allocates %.3f objects, want 0", c.form, avg)
+		}
+		if w.chunkBase == base {
+			t.Fatalf("%s form: no chunk was recycled while measuring", c.form)
+		}
 	}
 }
 
-// TestRecordsDecodeAllocFree pins decodeRecords on the SCG scan's read
-// path: once the caller's scratch has grown, decoding a compacted trace
-// allocates nothing.
+// TestRecordsDecodeAllocFree pins the read paths of a stored trace:
+// once the caller's scratch has grown, decoding a compacted trace's
+// records, and reading the scan records of its whole and of its scan
+// form, allocate nothing.
 func TestRecordsDecodeAllocFree(t *testing.T) {
 	root := decodeTree(&compactReader{data: []byte{0, 1, 0, 0, 0x83, 1, 2, 3, 0x11, 0, 2, 0, 3, 1, 2}}, 0, 0)
 	tr := stored(&Trace{Root: root, Names: decodeNames})
@@ -380,6 +469,17 @@ func TestRecordsDecodeAllocFree(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() { tr.Records(&recs) })
 	if avg != 0 {
 		t.Fatalf("Records of a compacted trace into a warmed scratch allocates %.1f objects, want 0", avg)
+	}
+	for _, c := range []struct {
+		form string
+		tr   *Trace
+	}{{"whole", tr}, {"scan", storedScan(&Trace{Root: root, Names: decodeNames})}} {
+		var recs []ScanRecord
+		c.tr.Scan(&recs)
+		avg := testing.AllocsPerRun(100, func() { c.tr.Scan(&recs) })
+		if avg != 0 {
+			t.Fatalf("Scan of a %s-form trace into a warmed scratch allocates %.1f objects, want 0", c.form, avg)
+		}
 	}
 }
 

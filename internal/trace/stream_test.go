@@ -60,40 +60,55 @@ func socialTrace(rng *rand.Rand, c socialCall, arrival sim.Time) *Span {
 }
 
 // socialStreamBudget is the most bytes a span of a Social Network trace
-// may take in the retained stream. A span's Record is 80 B; the stream
-// spends about 22.1 on socialTrace's spans.
-const socialStreamBudget = 24
+// may take in the retained whole stream, and socialScanBudget in the
+// scan form. A span's Record is 80 B; the whole stream spends about 22.1
+// on socialTrace's spans.
+const (
+	socialStreamBudget = 24
+	socialScanBudget   = 8
+)
 
 // TestSocialStreamSize pins the retained size of settled traces:
 // compacting compose-post traces with millisecond-scale times must stay
-// within socialStreamBudget bytes a span, so that a format change that
+// within socialStreamBudget bytes a span in the whole form and
+// socialScanBudget in the scan form, so that a format change that
 // bloats retained history fails here before it shows in the
 // benchmark's peak heap.
 func TestSocialStreamSize(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 28))
-	names := newDecodeNames()
-	w := NewWarehouse(time.Hour)
-	bytes, spans := 0, 0
-	for i := range 200 {
-		tr := &Trace{Root: socialTrace(rng, composePost, sim.Time(i)*sim.Time(time.Second)), Names: names}
-		spans += len(tr.Records(nil))
-		w.Add(tr)
-		bytes += len(tr.enc)
-	}
-	perSpan := float64(bytes) / float64(spans)
-	t.Logf("%d spans in %d B: %.2f B a span", spans, bytes, perSpan)
-	if perSpan > socialStreamBudget {
-		t.Fatalf("a compose-post span takes %.2f B in the stream, over the budget of %d B", perSpan, socialStreamBudget)
+	for _, c := range []struct {
+		form   string
+		w      *Warehouse
+		budget int
+	}{
+		{"whole", NewWarehouse(time.Hour), socialStreamBudget},
+		{"scan", NewScanWarehouse(time.Hour), socialScanBudget},
+	} {
+		rng := rand.New(rand.NewPCG(3, 28))
+		names := newDecodeNames()
+		bytes, spans := 0, 0
+		for i := range 200 {
+			tr := &Trace{Root: socialTrace(rng, composePost, sim.Time(i)*sim.Time(time.Second)), Names: names}
+			spans += len(tr.Records(nil))
+			c.w.Add(tr)
+			bytes += len(tr.enc)
+		}
+		perSpan := float64(bytes) / float64(spans)
+		t.Logf("%s form: %d spans in %d B: %.2f B a span", c.form, spans, bytes, perSpan)
+		if perSpan > float64(c.budget) {
+			t.Fatalf("a compose-post span takes %.2f B in the %s form, over the budget of %d B", perSpan, c.form, c.budget)
+		}
 	}
 }
 
 // TestRetainEncodesLikeTheWarehouse: Retain of a Settled live trace no
-// warehouse stored writes the stream Add would store, byte for byte, and
-// the copy no longer shares the tree; an unsettled one shares it.
+// warehouse stored whole — here one a scan-form warehouse stored —
+// writes the stream Add would store, byte for byte, and the copy no
+// longer shares the tree; an unsettled one shares it.
 func TestRetainEncodesLikeTheWarehouse(t *testing.T) {
-	w := NewWarehouse(time.Hour)
+	w, sw := NewWarehouse(time.Hour), NewScanWarehouse(time.Hour)
 	for _, tr := range socialTraces(20) {
 		tr.Settled = true
+		sw.Add(tr)
 		kept := tr.Retain()
 		w.Add(tr)
 		if kept.Root != nil || !bytes.Equal(kept.enc, tr.enc) {
@@ -166,4 +181,35 @@ func BenchmarkRecords(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spans), "ns/span")
 	b.ReportMetric(float64(bytes)/float64(len(trs)*spans), "B/span")
+}
+
+// BenchmarkScan measures what the SCG scan reads of a stored trace:
+// Scan of a compose-post trace a whole-form and a scan-form warehouse
+// stored, into a warmed scratch. It reports the cost and the stream
+// bytes a span.
+func BenchmarkScan(b *testing.B) {
+	for _, c := range []struct {
+		form  string
+		build func(time.Duration) *Warehouse
+	}{{"whole", NewWarehouse}, {"scan", NewScanWarehouse}} {
+		b.Run(c.form, func(b *testing.B) {
+			trs := socialTraces(64)
+			spans := len(trs[0].Records(nil))
+			w := c.build(time.Hour)
+			bytes := 0
+			for _, tr := range trs {
+				w.Add(tr)
+				bytes += len(tr.enc)
+			}
+			v := w.all()
+			var recs []ScanRecord
+			b.ResetTimer()
+			for i := range b.N {
+				tr := v.At(i % len(trs))
+				tr.Scan(&recs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spans), "ns/span")
+			b.ReportMetric(float64(bytes)/float64(len(trs)*spans), "B/span")
+		})
+	}
 }

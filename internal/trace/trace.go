@@ -8,11 +8,14 @@
 // information directly. A Trace is the tree of Spans produced by one user
 // request; each Span covers one service visit.
 //
-// A completed trace has one read form: Trace.Records, the spans as
-// pre-order Records whose ids index the trace's Names table. The
+// A completed trace has two read forms. Trace.Records returns the spans
+// as pre-order Records whose ids index the trace's Names table; the
 // critical path is a descent over them with CriticalChildAt, and a
-// span's depth follows from the walk (Depths). Only the cluster, which
-// builds the live tree, and the encoders read a Span.
+// span's depth follows from the walk (Depths). Trace.Scan returns only
+// what the SCG and SCT scans read, with the critical path marked, and
+// is the one form a trace stored by a warehouse no whole-trace reader
+// declared still holds (see scan.go). Only the cluster, which builds
+// the live tree, and the encoders read a Span.
 package trace
 
 import (
@@ -122,9 +125,10 @@ func processingTime(d, blocked, retry, breaker time.Duration) time.Duration {
 }
 
 // Trace is the complete execution record of one user request. It holds
-// its spans in one of two forms: the live tree under Root, or once the
-// warehouse has stored it settled an encoded stream (see stream.go) that
-// Records decodes.
+// its spans in one of three forms: the live tree under Root, or once the
+// warehouse has stored it settled an encoded stream, either the whole
+// one (see stream.go) that Records decodes or the scan form (see
+// scan.go) that only Scan reads.
 //
 // A Trace is a short-lived value, not a handle to the stored trace. The
 // cluster hands its OnComplete callbacks a *Trace it reuses and releases
@@ -137,7 +141,7 @@ type Trace struct {
 	// Root is the live span tree. For a trace the cluster stores as
 	// settled it is valid only during the cluster's OnComplete
 	// callbacks: its spans are then reused by later requests. After the
-	// callbacks, read a trace through Records, or export it.
+	// callbacks, read a trace through Records or Scan, or export it.
 	Root *Span
 
 	// Names is the table the records' service and instance ids index.
@@ -149,9 +153,10 @@ type Trace struct {
 	// whose spans its builder reuses once the trace's readers are done:
 	// Retain encodes such a tree instead of sharing it. The cluster
 	// sets it on every settled trace it hands its OnComplete callbacks.
-	// It sits beside released so that the two flags share a word.
+	// It sits beside the other flags so that they share a word.
 	Settled  bool
 	released bool // see Release
+	scanForm bool // enc is a scan-form stream (see scan.go)
 }
 
 // Release ends the trace's life: it drops the trace's spans, and every
@@ -170,21 +175,25 @@ func (t *Trace) checkReleased() {
 }
 
 // Retain returns a copy of the trace that stays valid after the callback
-// or the warehouse view it was read from. A stored trace's stream is
+// or the warehouse view it was read from. A stored whole stream is
 // copied out of the warehouse's chunk, which is recycled once its traces
-// are evicted; a Settled live tree the warehouse did not store is
-// encoded into a stream of its own, since its spans are reused. Any
-// other trace — one stored unsettled, or built outside the cluster —
-// shares its live tree, which orphaned work may still change.
+// are evicted; a Settled live tree the warehouse did not store whole is
+// encoded into a whole stream of its own, since its spans are reused.
+// Any other live trace — one stored unsettled, or built outside the
+// cluster — shares its live tree, which orphaned work may still change.
+// A scan-form trace read from a view, which has no tree left, is copied
+// in its scan form.
 func (t *Trace) Retain() *Trace {
 	c := &Trace{ID: t.ID, Type: t.Type, Names: t.Names}
 	switch {
-	case len(t.enc) > 0:
+	case len(t.enc) > 0 && !t.scanForm:
 		c.enc = slices.Clone(t.enc)
 	case t.Root != nil && t.Settled:
 		c.enc = newStream(t.Root)
 	case t.Root != nil:
 		c.Root = t.Root
+	case len(t.enc) > 0:
+		c.enc, c.scanForm = slices.Clone(t.enc), true
 	default:
 		t.checkReleased()
 	}
@@ -195,6 +204,10 @@ func (t *Trace) Retain() *Trace {
 func (t *Trace) ResponseTime() time.Duration {
 	if t.Root != nil {
 		return t.Root.Duration()
+	}
+	if len(t.enc) > 0 && t.scanForm {
+		_, rt, _, _, _ := scanHeader(t.enc)
+		return rt
 	}
 	if len(t.enc) > 0 {
 		return time.Duration(rootEnd(t.enc) - rootArrival(t.enc))
@@ -210,6 +223,10 @@ func (t *Trace) CompletedAt() sim.Time {
 	if t.Root != nil {
 		return t.Root.End
 	}
+	if len(t.enc) > 0 && t.scanForm {
+		end, _, _, _, _ := scanHeader(t.enc)
+		return end
+	}
 	if len(t.enc) > 0 {
 		return rootEnd(t.enc)
 	}
@@ -223,6 +240,10 @@ func (t *Trace) Degraded() bool {
 	if t.Root != nil {
 		return t.Root.Degraded
 	}
+	if len(t.enc) > 0 && t.scanForm {
+		_, _, _, degraded, _ := scanHeader(t.enc)
+		return degraded
+	}
 	if len(t.enc) > 0 {
 		_, _, i := header(t.enc)
 		return t.enc[i]&encDegraded != 0
@@ -232,14 +253,16 @@ func (t *Trace) Degraded() bool {
 }
 
 // CriticalPathServices returns the service names along the critical
-// path (see CriticalChildAt), front-end first.
+// path (see CriticalChildAt), front-end first. It reads the trace's
+// scan records, so it answers in every form.
 //
 //soravet:allow deadcode (b) cross-package observer: cluster and topology tests observe critical paths through it
 func (t *Trace) CriticalPathServices() []string {
-	recs := t.Records(nil)
 	var names []string
-	for i := 0; i >= 0 && i < len(recs); i = CriticalChildAt(recs, i) {
-		names = append(names, t.Names.Service(recs[i].Service))
+	for _, r := range t.Scan(nil) {
+		if r.OnPath {
+			names = append(names, t.Names.Service(r.Service))
+		}
 	}
 	return names
 }
@@ -249,7 +272,7 @@ func (t *Trace) CriticalPathServices() []string {
 // Σ_{k<i} PT_sk from Eq. (3) of the paper. The second return value reports
 // whether the service appears on the critical path at all. The records
 // are read into *scratch as Records does, so with a warmed scratch a
-// call allocates nothing.
+// call allocates nothing; like Records, it panics on a scan-form trace.
 //
 //soravet:allow deadcode (a) reference implementation: the SCG oracle tests compare the scan's per-span upstream time against it
 func (t *Trace) UpstreamProcessing(service string, scratch *[]Record) (time.Duration, bool) {

@@ -23,8 +23,11 @@ import (
 // deque: its ID, type id, completion time and where its spans are. A
 // settled trace's spans are an encoded stream in one of the warehouse's
 // chunks, which it fills and retires in FIFO order and recycles once
-// their last trace is evicted. An unsettled trace keeps its live tree in
-// a small side table, because orphaned work may still change it.
+// their last trace is evicted. The stream is the whole one (stream.go),
+// or in a warehouse built by NewScanWarehouse the scan form (scan.go),
+// which keeps only what Trace.Scan reads (DESIGN.md §13 "Declared trace
+// form"). An unsettled trace keeps its live tree in a small side table,
+// because orphaned work may still change it.
 //
 // The paper offloads this role to a Neo4j graph database plus per-service
 // MongoDB stores; an indexed in-process deque answers the one query the
@@ -34,6 +37,8 @@ type Warehouse struct {
 	retention time.Duration
 	added     uint64
 	evicted   uint64
+	// scan selects the scan form for the settled traces' streams.
+	scan bool
 
 	// names is the table every stored trace's ids index, adopted from
 	// the first trace stored; types the request-type names entries
@@ -99,9 +104,10 @@ type chunk struct {
 	last uint64
 }
 
-// chunkBytes is the size of a stream chunk: at about 22 B a span,
-// 64 KiB holds the streams of a hundred or so settled Social Network
-// traces. A stream longer than that gets a chunk of its own length.
+// chunkBytes is the size of a stream chunk: at about 22 B a span in the
+// whole form, 64 KiB holds the streams of a hundred or so settled Social
+// Network traces, and more than three times as many in the scan form. A
+// stream longer than that gets a chunk of its own length.
 const chunkBytes = 64 << 10
 
 // fifo is a slice-backed queue: pop advances a head index and clears
@@ -144,6 +150,30 @@ func NewWarehouse(retention time.Duration) *Warehouse {
 		retention = DefaultRetention
 	}
 	return &Warehouse{retention: retention}
+}
+
+// NewScanWarehouse returns a warehouse like NewWarehouse's that stores
+// each settled trace in its scan form: the traces it hands out answer
+// Scan, ResponseTime, CompletedAt and Degraded, and their Records panic.
+func NewScanWarehouse(retention time.Duration) *Warehouse {
+	w := NewWarehouse(retention)
+	w.scan = true
+	return w
+}
+
+// KeepWhole makes the warehouse store whole traces, which Records reads.
+// On a warehouse that already does it does nothing. A scan-form
+// warehouse that has stored a trace cannot switch: its history would
+// lack what a whole-trace reader reads, so that is an error.
+func (w *Warehouse) KeepWhole() error {
+	if !w.scan {
+		return nil
+	}
+	if w.added > 0 {
+		return fmt.Errorf("trace: whole traces declared after %d were stored in their scan form", w.added)
+	}
+	w.scan = false
+	return nil
 }
 
 // Widen raises the retention to d; a d no longer than the retention
@@ -242,25 +272,34 @@ func (w *Warehouse) typeID(name string) uint32 {
 	return uint32(len(w.types) - 1)
 }
 
-// store encodes t's live tree (see stream.go), copies the stream —
-// trace header, spans, then streamPad zero bytes — onto the end of the
-// newest chunk, opening one if it has no room, and returns where the
-// stream is. t's stream becomes a full-slice-capped view of the stored
-// bytes.
+// store encodes t's live tree in the warehouse's form (see stream.go
+// and scan.go), copies the stream — trace header, spans, then for the
+// whole form streamPad zero bytes — onto the end of the newest chunk,
+// opening one if it has no room, and returns where the stream is. t's
+// stream becomes a full-slice-capped view of the stored bytes.
 func (w *Warehouse) store(t *Trace) (seq, off, n uint32) {
-	body, spans := appendSpans(w.scratch[:0], t.Root, t.Root.End)
+	var head [scanHeaderBytes]byte // holds either form's header
+	var h, body []byte
+	var spans int
+	pad := 0
+	if w.scan {
+		body, spans = appendScanSpans(w.scratch[:0], t.Root, true)
+		h = head[:putScanHeader(head[:], t.Root, spans)]
+	} else {
+		body, spans = appendSpans(w.scratch[:0], t.Root, t.Root.End)
+		h = head[:putHeader(head[:], t.Root.End, spans)]
+		pad = streamPad
+	}
 	w.scratch = body
-	var head [headerBytes]byte
-	h := head[:putHeader(head[:], t.Root.End, spans)]
-	need := len(h) + len(body) + streamPad
+	need := len(h) + len(body) + pad
 	c := w.room(need)
 	k := len(c.buf)
 	a := append(append(c.buf, h...), body...) //soravet:allow hotpath fits: room returned a chunk with need bytes free
 	a = a[:k+need]
-	clear(a[k+need-streamPad:]) // a recycled chunk holds old bytes
+	clear(a[k+need-pad:]) // a recycled chunk holds old bytes
 	c.buf = a
 	c.last = w.added
-	t.enc = a[k:len(a):len(a)]
+	t.enc, t.scanForm = a[k:len(a):len(a)], w.scan
 	return w.chunkBase + uint32(len(w.chunks.live())-1), uint32(k), uint32(need)
 }
 
@@ -405,7 +444,7 @@ func (v View) At(i int) Trace {
 		return t
 	}
 	buf := w.chunks.live()[e.chunk-w.chunkBase].buf
-	t.enc = buf[e.off : e.off+e.n : e.off+e.n]
+	t.enc, t.scanForm = buf[e.off:e.off+e.n:e.off+e.n], w.scan
 	return t
 }
 

@@ -66,6 +66,15 @@
 #
 #   examples: quickstart, customtopology, socialnetwork, sockshop
 #
+# The sets also cover both forms a warehouse stores its traces in
+# (DESIGN.md §13 "Declared trace form"), which follows from its
+# declared readers. A recorder declares whole traces, so the all,
+# ctrl, decide and simrun sets run whole-form warehouses. In the bare,
+# reach and examples sets only monitors and models declare, so their
+# warehouses keep the scan form; bare's simrun archive is then written
+# by Trace.Retain's encode of the live trees, not copied from the
+# warehouse.
+#
 # The script compares stdout with cmp (simrun's wall-time figure and
 # output directory blanked) and the artifact trees with diff -r, and exits non-zero on
 # any difference. Diagnostics (wall time, events/s) go to stderr and
