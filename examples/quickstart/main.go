@@ -85,6 +85,11 @@ func run() error {
 	}
 	ctl.Start()
 
+	// The report below reads the last 30s of end-to-end completions.
+	if err := c.RecordCompletions(30 * time.Second); err != nil {
+		return err
+	}
+
 	// 5. Drive a closed-loop population that doubles halfway through.
 	loop, err := workload.NewClosedLoop(k, workload.ClosedLoopConfig{
 		Target: func(t sim.Time) int {

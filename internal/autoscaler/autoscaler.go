@@ -97,7 +97,9 @@ type FIRMScaler struct {
 	level int // index into Ladder of the current limit
 }
 
-// NewFIRM returns a FIRM-style scaler for the given service.
+// NewFIRM returns a FIRM-style scaler for the given service. It
+// declares the end-to-end completion log over the window of its p99
+// (Cluster.RecordCompletions), so build it before the run.
 func NewFIRM(c *cluster.Cluster, cfg FIRMConfig) (*FIRMScaler, error) {
 	if c == nil {
 		return nil, fmt.Errorf("autoscaler: nil cluster")
@@ -116,6 +118,9 @@ func NewFIRM(c *cluster.Cluster, cfg FIRMConfig) (*FIRMScaler, error) {
 		if cfg.Ladder[i] <= cfg.Ladder[i-1] {
 			return nil, fmt.Errorf("autoscaler: FIRM ladder must be strictly increasing, got %v", cfg.Ladder)
 		}
+	}
+	if err := c.RecordCompletions(firmWindow); err != nil {
+		return nil, fmt.Errorf("autoscaler: FIRM: %w", err)
 	}
 	s := &FIRMScaler{cfg: cfg, c: c, svc: svc}
 	// Locate the current core limit on the ladder (closest entry).

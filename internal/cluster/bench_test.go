@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sora/internal/sim"
+	"sora/internal/trace"
 )
 
 // BenchmarkRequestVisit measures the full per-request cost of the visit
@@ -47,8 +48,9 @@ func steadyAllocsPerRequest(k *sim.Kernel, c *Cluster) float64 {
 // time and drop/failure markers writes plain fields on spans the request
 // lifecycle allocates anyway. The budget below is the steady-state
 // allocation count of one two-tier request over a direct edge, once with
-// no span log declared and once with the backend's, so both branches of
-// visit.finish are pinned; if phase recording, the span log or the
+// no completion log declared and once with the end-to-end log and the
+// backend's span log, so both branches of visit.finish and of
+// rootCall.done are pinned; if phase recording, a completion log or the
 // pooled call path ever starts allocating per request, the count rises
 // and this fails.
 func TestPhaseRecordingAllocFree(t *testing.T) {
@@ -59,7 +61,10 @@ func TestPhaseRecordingAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if declared {
-			if err := c.RecordSpans("backend"); err != nil {
+			if err := c.RecordCompletions(trace.DefaultRetention); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RecordSpans("backend", trace.DefaultRetention); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -73,7 +78,7 @@ func TestPhaseRecordingAllocFree(t *testing.T) {
 		// show; any per-request, per-visit, per-call, per-timer or
 		// per-quantum allocation does.
 		if avg != 0 {
-			t.Fatalf("steady-state allocations per request (backend span log declared: %v) = %.1f, want 0 (visit hot path regressed)", declared, avg)
+			t.Fatalf("steady-state allocations per request (end-to-end and backend span logs declared: %v) = %.1f, want 0 (visit hot path regressed)", declared, avg)
 		}
 	}
 }

@@ -179,9 +179,10 @@ func (a App) Validate() error {
 //
 // Messages between services take no time, the paper's "network latency
 // is negligible" assumption; only a fault's ExtraDelay delays one (see
-// withEdgeDelay). Completion history is kept for trace.DefaultRetention;
-// trace history, once declared, only as far back as its readers
-// declared they read (see Cluster.RetainTraces).
+// withEdgeDelay). Completion and trace history, once declared, are kept
+// only as far back as their readers declared they read (see
+// Cluster.RecordCompletions, Cluster.RecordSpans and
+// Cluster.RetainTraces).
 type Options struct {
 	// Telemetry, when non-nil, receives structured events (reconfig,
 	// retries, breaker transitions) and end-of-run counters from this
@@ -202,8 +203,9 @@ type Options struct {
 }
 
 // Cluster is a running simulated deployment of an App. It stores the
-// traces it completes in a warehouse only once a reader has declared
-// one (RetainTraces, RetainScans): a run nothing reads traces from keeps
+// traces it completes in a warehouse, and their end-to-end completions
+// in a log, only once a reader has declared one (RetainTraces,
+// RetainScans, RecordCompletions): a run nothing reads them from keeps
 // none.
 type Cluster struct {
 	k        *sim.Kernel
@@ -216,7 +218,10 @@ type Cluster struct {
 	// fails.
 	warehouse  *trace.Warehouse
 	unretained bool
-	e2eLog     *metrics.CompletionLog
+	// e2eLog is nil until a reader declares it; unrecorded records that
+	// a request completed before it, so that a late declaration fails.
+	e2eLog     *declaredLog
+	unrecorded bool
 
 	// plans holds every request type this cluster has compiled, in
 	// compile order (see plan.go), and mix the current workload mix
@@ -308,7 +313,6 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 		app:      app,
 		services: make(map[string]*Service, len(app.Services)),
 		svcs:     make([]*Service, len(app.Services)),
-		e2eLog:   &metrics.CompletionLog{},
 		rng:      k.Split(0xc1),
 		resRNG:   k.Split(0x4e5),
 		lbRNG:    k.Split(lbLabel),
@@ -356,13 +360,60 @@ func New(k *sim.Kernel, app App, opts Options) (*Cluster, error) {
 // the workload does.
 const pruneInterval = 4096
 
-// housekeep drops metric history beyond the retention window.
+// housekeep drops the history of each declared completion log beyond
+// its reach.
 func (c *Cluster) housekeep() {
-	cutoff := c.k.Now() - trace.DefaultRetention
-	c.e2eLog.Prune(cutoff)
+	now := c.k.Now()
+	c.e2eLog.prune(now)
 	for _, svc := range c.svcs {
-		svc.prune(cutoff)
+		svc.spanLog.prune(now)
 	}
+}
+
+// declaredLog is a completion log a reader declared (RecordCompletions,
+// RecordSpans). It keeps the entries completing within reach of now,
+// and notes whether a prune has dropped one: a longer reach declared
+// after that would read a history with a hole.
+type declaredLog struct {
+	log    metrics.CompletionLog
+	reach  time.Duration
+	pruned bool
+}
+
+// declareLog declares a reader of *l that reads reach back, capped at
+// trace.DefaultRetention: the first declaration creates the log, and a
+// longer one widens it while it has pruned nothing. missed reports
+// that an entry completed before the first declaration. what names
+// the log in errors.
+func declareLog(l **declaredLog, reach time.Duration, missed bool, what string) error {
+	if reach <= 0 {
+		return fmt.Errorf("cluster: %s reach must be positive, got %v", what, reach)
+	}
+	reach = min(reach, trace.DefaultRetention)
+	d := *l
+	switch {
+	case d == nil && missed:
+		return fmt.Errorf("cluster: %s declared after completions went unrecorded", what)
+	case d == nil:
+		*l = &declaredLog{reach: reach}
+	case reach <= d.reach:
+	case d.pruned:
+		return fmt.Errorf("cluster: %s reach widened to %v after entries were pruned at %v", what, reach, d.reach)
+	default:
+		d.reach = reach
+	}
+	return nil
+}
+
+// prune drops the entries completing more than the reach before now. A
+// nil log, which no reader declared, has nothing to prune.
+func (d *declaredLog) prune(now sim.Time) {
+	if d == nil {
+		return
+	}
+	n := d.log.Len()
+	d.log.Prune(now - sim.Time(d.reach))
+	d.pruned = d.pruned || d.log.Len() < n
 }
 
 // Kernel returns the simulation kernel driving this cluster.
@@ -423,28 +474,41 @@ func (c *Cluster) retain(reach time.Duration, whole bool) error {
 }
 
 // Completions returns the end-to-end completion log across all request
-// types.
-func (c *Cluster) Completions() *metrics.CompletionLog { return c.e2eLog }
+// types. It panics unless the log was declared through
+// RecordCompletions before the first request completed: an empty log
+// would read as a cluster that served nothing.
+func (c *Cluster) Completions() *metrics.CompletionLog {
+	if c.e2eLog == nil {
+		panic("cluster: end-to-end completion log read but never declared (call Cluster.RecordCompletions before the run)")
+	}
+	return &c.e2eLog.log
+}
 
-// RecordSpans declares a reader of the named service's span log: from
-// now on each of its visit completions is recorded, and SpanLog returns
-// the log. Only declared services pay for a log. A second declaration
-// is a no-op. Declaring a service that has already completed a visit
-// unrecorded is an error, since its log would silently lack that
-// history; declare before the run.
-func (c *Cluster) RecordSpans(service string) error {
+// RecordCompletions declares a reader of the end-to-end completion log
+// (Completions) that reads completions up to reach before now: from now
+// on every completed request is recorded, and kept while it lies within
+// the longest reach declared so far, capped at trace.DefaultRetention.
+// A cluster no reader declared records none. A declaration no longer
+// than an earlier one is a no-op; a longer one widens the log only
+// while it has pruned nothing. A non-positive reach, declaring after a
+// request has completed unrecorded, or widening after a prune is an
+// error, since the log would silently lack that history; declare
+// before the run.
+func (c *Cluster) RecordCompletions(reach time.Duration) error {
+	return declareLog(&c.e2eLog, reach, c.unrecorded, "end-to-end completion log")
+}
+
+// RecordSpans declares a reader of the named service's span log that
+// reads visits up to reach before now: from now on each of its visit
+// completions is recorded, and SpanLog returns the log. Only declared
+// services pay for a log. Reach and errors follow RecordCompletions; an
+// unknown service is an error too.
+func (c *Cluster) RecordSpans(service string, reach time.Duration) error {
 	svc, err := c.Service(service)
 	if err != nil {
 		return err
 	}
-	if svc.spanLog != nil {
-		return nil
-	}
-	if svc.unlogged {
-		return fmt.Errorf("cluster: span log of service %q declared after it completed unrecorded visits", service)
-	}
-	svc.spanLog = &metrics.CompletionLog{}
-	return nil
+	return declareLog(&svc.spanLog, reach, svc.unlogged, fmt.Sprintf("span log of service %q", service))
 }
 
 // Service returns the named service.
@@ -630,7 +694,11 @@ func (rc *rootCall) done(root *visit) {
 	if c.flight != nil {
 		c.flight.noteE2E(rtime, degraded)
 	}
-	c.e2eLog.AddFlagged(c.k.Now(), rtime, degraded)
+	if c.e2eLog != nil {
+		c.e2eLog.log.AddFlagged(c.k.Now(), rtime, degraded)
+	} else {
+		c.unrecorded = true
+	}
 	for _, fn := range c.onComplete {
 		fn(tr)
 	}

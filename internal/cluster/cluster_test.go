@@ -49,6 +49,15 @@ func retainTraces(t *testing.T, c *Cluster) {
 	}
 }
 
+// recordCompletions declares c's end-to-end completion log with the
+// longest reach, for tests that read Completions.
+func recordCompletions(t *testing.T, c *Cluster) {
+	t.Helper()
+	if err := c.RecordCompletions(trace.DefaultRetention); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func mustCluster(t *testing.T, k *sim.Kernel, app App) *Cluster {
 	t.Helper()
 	c, err := New(k, app, Options{})
@@ -97,7 +106,8 @@ func TestWarehouseAndLogsPopulated(t *testing.T) {
 	k := sim.NewKernel(2)
 	c := mustCluster(t, k, twoTier(0, 0))
 	retainTraces(t, c)
-	if err := c.RecordSpans("backend"); err != nil {
+	recordCompletions(t, c)
+	if err := c.RecordSpans("backend", trace.DefaultRetention); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {

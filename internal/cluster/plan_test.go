@@ -148,6 +148,7 @@ func TestLatePodsStampTheirOwnIDs(t *testing.T) {
 func TestMidRunEdgeAndClientPool(t *testing.T) {
 	k := sim.NewKernel(5)
 	c := mustCluster(t, k, twoTier(0, 0))
+	recordCompletions(t, c)
 	rts := func() []time.Duration {
 		var out []time.Duration
 		for _, cp := range c.Completions().Window(0, k.Now()+1) {

@@ -613,7 +613,7 @@ func (v *visit) finish() {
 	}
 	svc := v.inst.svc
 	if svc.spanLog != nil {
-		svc.spanLog.AddFlagged(now, v.span.Duration(), v.span.Degraded)
+		svc.spanLog.log.AddFlagged(now, v.span.Duration(), v.span.Degraded)
 	} else {
 		svc.unlogged = true
 	}

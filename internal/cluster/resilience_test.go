@@ -301,6 +301,7 @@ func TestTimeoutExhaustionFailsEssentialCall(t *testing.T) {
 func TestOptionalCallDegrades(t *testing.T) {
 	k := sim.NewKernel(5)
 	c := policyCluster(t, k, CallPolicy{Timeout: 5 * time.Millisecond, MaxAttempts: 1, Optional: true})
+	recordCompletions(t, c)
 	var done *trace.Trace
 	c.OnComplete(func(tr *trace.Trace) { done = tr.Retain() })
 	c.SubmitMix()

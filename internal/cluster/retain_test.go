@@ -223,6 +223,9 @@ func TestRetentionMovesNoOutcome(t *testing.T) {
 	var got [2]outcome
 	for i, retain := range []bool{false, true} {
 		r := newCartRun(t, retain)
+		if err := r.c.RecordCompletions(trace.DefaultRetention); err != nil {
+			t.Fatal(err)
+		}
 		r.run(t, 4*time.Second)
 		got[i] = outcome{
 			r.k.Processed(), r.c.Completed(), r.c.Failed(), r.c.TimedOut(),
@@ -331,4 +334,104 @@ func TestDeclaredReachBoundsWarehouse(t *testing.T) {
 	if err := short.c.RetainTraces(0); err == nil {
 		t.Error("RetainTraces(0) declared no reach and succeeded")
 	}
+}
+
+// TestDeclaredReachBoundsCompletionLogs: the end-to-end log and a span
+// log keep only the completions within their declared reach of now, and
+// those are the twin's newest entries, entry for entry, in a cluster
+// that declared trace.DefaultRetention. A longer reach widens a log
+// until its first prune and is refused after it. A cluster nothing
+// declared records no end-to-end completion, and refuses a late
+// declaration.
+func TestDeclaredReachBoundsCompletionLogs(t *testing.T) {
+	const reach = 10 * time.Second
+	short, long := newCartRun(t, false), newCartRun(t, false)
+	declare := func(r cartRun, d time.Duration) {
+		t.Helper()
+		if err := r.c.RecordCompletions(d); err != nil {
+			t.Fatalf("RecordCompletions(%v) before any prune: %v", d, err)
+		}
+		if err := r.c.RecordSpans(topology.Cart, d); err != nil {
+			t.Fatalf("RecordSpans(%v) before any prune: %v", d, err)
+		}
+	}
+	for _, d := range []time.Duration{reach / 2, reach, time.Second} {
+		declare(short, d)
+	}
+	declare(long, trace.DefaultRetention)
+	short.run(t, 40*time.Second)
+	long.run(t, 40*time.Second)
+
+	shortCart, err := short.c.Service(topology.Cart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	longCart, err := long.c.Service(topology.Cart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := short.k.Now()
+	for _, l := range []struct {
+		name      string
+		got, want *metrics.CompletionLog
+	}{
+		{"end-to-end", short.c.Completions(), long.c.Completions()},
+		{"cart span", shortCart.SpanLog(), longCart.SpanLog()},
+	} {
+		got, want := l.got.Window(math.MinInt64, math.MaxInt64), l.want.Window(math.MinInt64, math.MaxInt64)
+		if len(got) == 0 || len(got) >= len(want) || want[0].At >= now-sim.Time(reach) {
+			t.Fatalf("%s log: a %v reach over a 40s run kept %d of the twin's %d entries; it pruned nothing", l.name, reach, len(got), len(want))
+		}
+		if !slices.Equal(got, want[len(want)-len(got):]) {
+			t.Errorf("%s log: the %d kept entries are not the twin's newest", l.name, len(got))
+		}
+		last, lastWant := l.got.Window(now-sim.Time(reach), now), l.want.Window(now-sim.Time(reach), now)
+		if len(last) == 0 || !slices.Equal(last, lastWant) {
+			t.Errorf("%s log: the last %v hold %d entries, the twin's %d", l.name, reach, len(last), len(lastWant))
+		}
+	}
+
+	for _, err := range []error{short.c.RecordCompletions(time.Hour), short.c.RecordSpans(topology.Cart, time.Hour)} {
+		if err == nil || !strings.Contains(err.Error(), "pruned") {
+			t.Fatalf("widening after a prune = %v, want an error", err)
+		}
+		if capped := trace.DefaultRetention.String(); !strings.Contains(err.Error(), "widened to "+capped) {
+			t.Errorf("widening to an hour = %v, want the reach capped at %s", err, capped)
+		}
+	}
+	if err := short.c.RecordCompletions(reach); err != nil {
+		t.Errorf("redeclaring the end-to-end reach after a prune: %v", err)
+	}
+	if err := short.c.RecordSpans(topology.Cart, reach); err != nil {
+		t.Errorf("redeclaring the span reach after a prune: %v", err)
+	}
+	if err := short.c.RecordCompletions(0); err == nil {
+		t.Error("RecordCompletions(0) declared no reach and succeeded")
+	}
+	if err := short.c.RecordSpans(topology.Cart, -time.Second); err == nil {
+		t.Error("RecordSpans(-1s) declared no reach and succeeded")
+	}
+
+	bare := newCartRun(t, false)
+	bare.run(t, time.Second)
+	if bare.c.Completed() == 0 {
+		t.Fatal("the undeclared run completed nothing")
+	}
+	if msg := readPanic(func() { bare.c.Completions() }); !strings.Contains(msg, "RecordCompletions") {
+		t.Errorf("undeclared Completions panicked with %q, want a message naming RecordCompletions", msg)
+	}
+	if err := bare.c.RecordCompletions(reach); err == nil {
+		t.Error("RecordCompletions after requests completed unrecorded succeeded")
+	}
+	if err := bare.c.RecordSpans(topology.Cart, reach); err == nil {
+		t.Error("RecordSpans after visits completed unrecorded succeeded")
+	}
+}
+
+// readPanic calls fn and returns the string it panicked with, or "" if
+// it returned.
+func readPanic(fn func()) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	fn()
+	return ""
 }

@@ -7,7 +7,6 @@ import (
 	"sora/internal/metrics"
 	"sora/internal/node"
 	"sora/internal/psq"
-	"sora/internal/sim"
 )
 
 // Service is a logical microservice with one or more pod instances.
@@ -27,7 +26,7 @@ type Service struct {
 	// then, and the visits of an undeclared service are not recorded.
 	// unlogged marks a visit completed while the log was undeclared, so
 	// a late declaration cannot hand out a log that lacks history.
-	spanLog  *metrics.CompletionLog
+	spanLog  *declaredLog
 	unlogged bool
 
 	// flight, when the cluster's flight recorder is armed, accumulates
@@ -56,7 +55,7 @@ func (s *Service) SpanLog() *metrics.CompletionLog {
 	if s.spanLog == nil {
 		panic(fmt.Sprintf("cluster: span log of service %q read but never declared (call Cluster.RecordSpans before the run)", s.name))
 	}
-	return s.spanLog
+	return &s.spanLog.log
 }
 
 // Replicas returns the number of non-draining pods.
@@ -182,12 +181,6 @@ func (s *Service) reap() {
 		}
 		return true
 	})
-}
-
-func (s *Service) prune(cutoff sim.Time) {
-	if s.spanLog != nil {
-		s.spanLog.Prune(cutoff)
-	}
 }
 
 // Concurrency returns the number of requests currently inside the service

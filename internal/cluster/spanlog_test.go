@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sora/internal/sim"
+	"sora/internal/trace"
 )
 
 // runTwoTier submits n requests 5 ms apart on c and drains the kernel.
@@ -45,7 +46,7 @@ func TestUndeclaredSpanLogPanics(t *testing.T) {
 
 func TestRecordSpansUnknownService(t *testing.T) {
 	c := mustCluster(t, sim.NewKernel(1), twoTier(0, 0))
-	if err := c.RecordSpans("ghost"); err == nil {
+	if err := c.RecordSpans("ghost", trace.DefaultRetention); err == nil {
 		t.Error("RecordSpans(ghost) succeeded")
 	}
 }
@@ -55,13 +56,13 @@ func TestRecordSpansUnknownService(t *testing.T) {
 func TestRecordSpansTwiceIsNoOp(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := mustCluster(t, k, twoTier(0, 0))
-	if err := c.RecordSpans("backend"); err != nil {
+	if err := c.RecordSpans("backend", trace.DefaultRetention); err != nil {
 		t.Fatal(err)
 	}
 	be, _ := c.Service("backend")
 	log := be.SpanLog()
 	runTwoTier(k, c, 10)
-	if err := c.RecordSpans("backend"); err != nil {
+	if err := c.RecordSpans("backend", trace.DefaultRetention); err != nil {
 		t.Fatalf("second RecordSpans: %v", err)
 	}
 	if be.SpanLog() != log || log.Len() != 10 {
@@ -79,7 +80,7 @@ func TestRecordSpansAfterVisitsFails(t *testing.T) {
 	app.Services = append(app.Services, ServiceSpec{Name: "idle", Replicas: 1, Cores: 1})
 	c := mustCluster(t, k, app)
 	runTwoTier(k, c, 3)
-	err := c.RecordSpans("backend")
+	err := c.RecordSpans("backend", trace.DefaultRetention)
 	if err == nil || !strings.Contains(err.Error(), `"backend"`) {
 		t.Errorf("RecordSpans after unrecorded visits = %v, want an error naming \"backend\"", err)
 	}
@@ -87,7 +88,7 @@ func TestRecordSpansAfterVisitsFails(t *testing.T) {
 	if be.spanLog != nil {
 		t.Error("a refused declaration left a span log behind")
 	}
-	if err := c.RecordSpans("idle"); err != nil {
+	if err := c.RecordSpans("idle", trace.DefaultRetention); err != nil {
 		t.Errorf("RecordSpans on a service with no visits yet: %v", err)
 	}
 }
@@ -99,7 +100,7 @@ func TestDeclaredSpanLogCountsEveryVisit(t *testing.T) {
 	k := sim.NewKernel(3)
 	c := mustCluster(t, k, twoTier(2, 0))
 	retainTraces(t, c)
-	if err := c.RecordSpans("backend"); err != nil {
+	if err := c.RecordSpans("backend", trace.DefaultRetention); err != nil {
 		t.Fatal(err)
 	}
 	runTwoTier(k, c, 40)
@@ -121,5 +122,48 @@ func TestDeclaredSpanLogCountsEveryVisit(t *testing.T) {
 	}
 	if fe, _ := c.Service("frontend"); fe.spanLog != nil {
 		t.Error("undeclared frontend recorded spans")
+	}
+}
+
+// TestRecordSpansReach: a span log keeps the longest reach declared,
+// capped at trace.DefaultRetention, and a non-positive reach is an
+// error that declares nothing. Pruning at the reach is pinned by
+// TestDeclaredReachBoundsCompletionLogs.
+func TestRecordSpansReach(t *testing.T) {
+	c := mustCluster(t, sim.NewKernel(1), twoTier(0, 0))
+	for _, d := range []time.Duration{0, -time.Second} {
+		if err := c.RecordSpans("backend", d); err == nil {
+			t.Errorf("RecordSpans(backend, %v) succeeded", d)
+		}
+	}
+	be, _ := c.Service("backend")
+	if be.spanLog != nil {
+		t.Fatal("a refused declaration left a span log behind")
+	}
+	for _, step := range []struct{ d, want time.Duration }{
+		{5 * time.Second, 5 * time.Second},
+		{time.Second, 5 * time.Second},
+		{time.Hour, trace.DefaultRetention},
+	} {
+		if err := c.RecordSpans("backend", step.d); err != nil {
+			t.Fatalf("RecordSpans(backend, %v): %v", step.d, err)
+		}
+		if got := be.spanLog.reach; got != step.want {
+			t.Errorf("after declaring %v the reach is %v, want %v", step.d, got, step.want)
+		}
+	}
+}
+
+// TestUndeclaredCompletionLog: New creates no end-to-end log and a run
+// records none, so a declaration after it fails and leaves none behind.
+func TestUndeclaredCompletionLog(t *testing.T) {
+	k := sim.NewKernel(1)
+	c := mustCluster(t, k, twoTier(0, 0))
+	runTwoTier(k, c, 10)
+	if c.e2eLog != nil || !c.unrecorded {
+		t.Fatalf("undeclared run: end-to-end log %v, unrecorded %v; want none, and the miss noted", c.e2eLog != nil, c.unrecorded)
+	}
+	if err := c.RecordCompletions(time.Minute); err == nil || c.e2eLog != nil {
+		t.Errorf("RecordCompletions after unrecorded completions = %v, log created %v; want an error and no log", err, c.e2eLog != nil)
 	}
 }

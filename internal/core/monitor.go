@@ -68,11 +68,12 @@ type utilSeries struct {
 // DefaultSampleInterval). It declares the span log of each resource's
 // measured service (Cluster.RecordSpans) and, given at least one
 // resource, the scan records of the trace warehouse
-// (Cluster.RetainScans) the models estimating those resources read,
-// with a reach of DefaultWindow, so
-// build it before the run. A model with a longer window must also be
-// built before the run, or before the warehouse first evicts. Start
-// must be called to begin sampling.
+// (Cluster.RetainScans) the models estimating those resources read and
+// the end-to-end completion log (Cluster.RecordCompletions), each with
+// a reach of DefaultWindow, so build it before the run. A model with a
+// longer window must also be built before the run, or before the
+// warehouse or a span log is first pruned. Start must be called to
+// begin sampling.
 func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.ResourceRef, utilServices []string) (*Monitor, error) {
 	if c == nil {
 		return nil, fmt.Errorf("core: nil cluster")
@@ -88,13 +89,19 @@ func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.Resou
 		// The monitor is where a soft resource is registered for
 		// measurement, so it declares the one span log every reader of
 		// that resource (SCG, SCT, goodFraction) reads.
-		if err := c.RecordSpans(ManagedResource{Ref: ref}.MeasuredService()); err != nil {
+		if err := c.RecordSpans(ManagedResource{Ref: ref}.MeasuredService(), DefaultWindow); err != nil {
 			return nil, fmt.Errorf("core: cannot monitor %v: %w", ref, err)
 		}
 		m.conc = append(m.conc, concSeries{ref: ref, series: &metrics.Series{}})
 	}
 	if len(refs) > 0 {
 		if err := c.RetainScans(DefaultWindow); err != nil {
+			return nil, fmt.Errorf("core: monitor: %w", err)
+		}
+		// Nothing in this module reads the end-to-end log through the
+		// monitor; the benchmark's window probe does, on a rig whose only
+		// declarer is its monitor.
+		if err := c.RecordCompletions(DefaultWindow); err != nil {
 			return nil, fmt.Errorf("core: monitor: %w", err)
 		}
 	}
@@ -128,8 +135,10 @@ func (m *Monitor) Stop() {
 
 func (m *Monitor) sample() {
 	now := m.c.Kernel().Now()
-	// Bound memory: gauge history older than the retention window the
-	// cluster keeps its own history for is useless to every consumer.
+	// Bound memory: gauge history older than trace.DefaultRetention, the
+	// cap on every history a reader can declare, is useless to every
+	// consumer. The series keep the cap, not the monitor's window:
+	// observedConcurrency and MeanUtil read back further.
 	cutoff := now - trace.DefaultRetention
 	for _, cs := range m.conc {
 		if n, err := m.c.PoolInUse(cs.ref); err == nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"sora/internal/core"
 	"sora/internal/scenario"
 	"sora/internal/telemetry"
 	"sora/internal/topology"
@@ -14,12 +15,13 @@ import (
 )
 
 // TestModelReachMovesNoDecision: the chaos rig (Sock Shop cart, combo
-// faults, FIRM plus SCG over a 45 s window) keeps traces only as far
-// back as its monitor and model read, and over a run long enough to
-// evict it decides exactly as a rig whose cluster declared
-// trace.DefaultRetention first (through its telemetry recorder):
-// the same adaptation events, thresholds included, and the same
-// completion log.
+// faults, FIRM plus SCG over a 45 s window) keeps traces and completion
+// logs only as far back as its monitor, model and scaler read, and over
+// a run long enough to evict and prune it decides exactly as a rig
+// whose cluster declared trace.DefaultRetention first for all three
+// (the warehouse through its telemetry recorder): the same adaptation
+// events, thresholds included, and the same completions, of which the
+// short rig's end-to-end log keeps the newest.
 func TestModelReachMovesNoDecision(t *testing.T) {
 	const dur = 100 * time.Second
 	run := func(tel *telemetry.Recorder) *scenario.Rig {
@@ -35,6 +37,16 @@ func TestModelReachMovesNoDecision(t *testing.T) {
 		r, err := s.Build()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tel != nil {
+			if err := r.C.RecordCompletions(trace.DefaultRetention); err != nil {
+				t.Fatal(err)
+			}
+			for _, ref := range s.Refs {
+				if err := r.C.RecordSpans(core.ManagedResource{Ref: ref}.MeasuredService(), trace.DefaultRetention); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		r.Run()
 		return r
@@ -53,8 +65,15 @@ func TestModelReachMovesNoDecision(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("adaptation events with the model's reach:\n%v\nwith %v retention:\n%v", got, trace.DefaultRetention, want)
 	}
-	a, b := reach.C.Completions().Window(math.MinInt64, math.MaxInt64), kept.C.Completions().Window(math.MinInt64, math.MaxInt64)
+	a, b := reach.E2E.Window(math.MinInt64, math.MaxInt64), kept.E2E.Window(math.MinInt64, math.MaxInt64)
 	if len(a) == 0 || !slices.Equal(a, b) {
-		t.Errorf("completion logs differ: %d entries with the model's reach, %d with %v retention", len(a), len(b), trace.DefaultRetention)
+		t.Errorf("run completions differ: %d entries with the model's reach, %d with %v retention", len(a), len(b), trace.DefaultRetention)
+	}
+	a, b = reach.C.Completions().Window(math.MinInt64, math.MaxInt64), kept.C.Completions().Window(math.MinInt64, math.MaxInt64)
+	if len(a) == 0 || len(a) >= len(b) {
+		t.Fatalf("the end-to-end log kept %d entries with the readers' reach, %d with %v: it pruned nothing", len(a), len(b), trace.DefaultRetention)
+	}
+	if !slices.Equal(a, b[len(b)-len(a):]) {
+		t.Errorf("the %d entries the end-to-end log kept are not the newest of the %v log's", len(a), trace.DefaultRetention)
 	}
 }

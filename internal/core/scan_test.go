@@ -49,7 +49,7 @@ func newScanRig(t *testing.T, seed uint64, app cluster.App, mix []cluster.Weight
 	// Declare every service's span log up front: the window-scan test
 	// also measures decisions through services no monitored ref names.
 	for _, name := range c.ServiceNames() {
-		if err := c.RecordSpans(name); err != nil {
+		if err := c.RecordSpans(name, trace.DefaultRetention); err != nil {
 			t.Fatal(err)
 		}
 	}

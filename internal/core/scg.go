@@ -66,10 +66,11 @@ type SCGModel struct {
 
 // NewSCG returns an SCG model reading traces from the cluster's warehouse
 // and concurrency series from the monitor. It declares the warehouse's
-// scan records with a reach of its window (Cluster.RetainScans), which
-// fails once traces have completed unretained, or have been evicted
-// from a narrower warehouse than the window: build the model before the
-// run.
+// scan records (Cluster.RetainScans) and the span logs of its monitor's
+// measured services (Cluster.RecordSpans) with a reach of its window,
+// which fails once traces have completed unretained, or have been
+// evicted from a narrower warehouse or pruned from a narrower span log
+// than the window: build the model before the run.
 func NewSCG(c *cluster.Cluster, mon *Monitor, cfg SCGConfig) (*SCGModel, error) {
 	if c == nil || mon == nil {
 		return nil, fmt.Errorf("core: SCG needs a cluster and a monitor")
@@ -80,6 +81,11 @@ func NewSCG(c *cluster.Cluster, mon *Monitor, cfg SCGConfig) (*SCGModel, error) 
 	cfg.fillDefaults()
 	if err := c.RetainScans(cfg.Window); err != nil {
 		return nil, fmt.Errorf("core: SCG: %w", err)
+	}
+	for _, cs := range mon.conc {
+		if err := c.RecordSpans(ManagedResource{Ref: cs.ref}.MeasuredService(), cfg.Window); err != nil {
+			return nil, fmt.Errorf("core: SCG: %w", err)
+		}
 	}
 	return &SCGModel{cfg: cfg, c: c, mon: mon, blocks: sealedScans{shift: sealedBlockShift}}, nil
 }

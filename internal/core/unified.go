@@ -72,7 +72,10 @@ const (
 	unifiedDownAfter = 4
 )
 
-// NewUnified wires a unified controller to the cluster.
+// NewUnified wires a unified controller to the cluster. It declares the
+// end-to-end completion log over one control period
+// (Cluster.RecordCompletions), the window of its p99, so build it
+// before the run.
 func NewUnified(c *cluster.Cluster, cfg UnifiedConfig) (*UnifiedController, error) {
 	if c == nil {
 		return nil, fmt.Errorf("core: nil cluster")
@@ -100,6 +103,9 @@ func NewUnified(c *cluster.Cluster, cfg UnifiedConfig) (*UnifiedController, erro
 	}
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = 60 * time.Second
+	}
+	if err := c.RecordCompletions(DefaultControlPeriod); err != nil {
+		return nil, fmt.Errorf("core: unified controller: %w", err)
 	}
 	u := &UnifiedController{c: c, cfg: cfg}
 	cores := svc.Cores()

@@ -127,18 +127,21 @@ func runAblationDeadline(p Params, w io.Writer) error {
 	ref := cluster.ResourceRef{Service: "worker", Kind: cluster.PoolThreads}
 
 	dur := p.scale(3 * time.Minute)
-	r, err := p.unitParams(p.Telemetry.Group("profile")).observe(scenario.Scenario{
+	r, err := buildPostRun(p.unitParams(p.Telemetry.Group("profile")).observe(scenario.Scenario{
 		Seed:     p.Seed,
 		App:      buildChain(60),
 		Refs:     []cluster.ResourceRef{ref},
 		Target:   workload.TraceUsers(workload.LargeVariationTrace(), dur, 1250),
 		Duration: dur,
-	}).Build()
+	}))
 	if err != nil {
 		return err
 	}
-	// The model reads the whole run after it, so it declares its reach
-	// before the run.
+	// The model reads the whole run's traces after it and the drain, so
+	// they are declared at the cap, as its span log is, before the run.
+	if err := r.C.RetainScans(trace.DefaultRetention); err != nil {
+		return err
+	}
 	scg, err := core.NewSCG(r.C, r.Mon, core.SCGConfig{SLA: sla, Window: dur, PlateauTolerance: 0.05})
 	if err != nil {
 		return err
@@ -217,7 +220,7 @@ func runAblationDegree(p Params, w io.Writer) error {
 	fc := fig9Cases()[0]
 	dur := p.scale(3 * time.Minute)
 	app, mix := fc.build(fc.estPool)
-	r, err := simulate(p.observe(scenario.Scenario{
+	r, err := simulatePostRun(p.observe(scenario.Scenario{
 		Seed:     p.Seed,
 		App:      app,
 		Mix:      mix,

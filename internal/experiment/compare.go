@@ -119,8 +119,8 @@ func runCartStrategy(p Params, rc cartRunConfig) (*cartRunResult, error) {
 			return nil, err
 		}
 		tl := newTimeline(r.K, rc.timelineInt)
-		tl.meanRT("rt_ms", r.C.Completions())
-		tl.goodput("goodput_rps", r.C.Completions(), rc.gpThreshold)
+		tl.meanRT("rt_ms", r.E2E)
+		tl.goodput("goodput_rps", r.E2E, rc.gpThreshold)
 		tl.utilPct("cart_cpu_util_pct", cartSvc)
 		tl.column("cart_cpu_limit_pct", func() float64 { return cartSvc.TotalCores() * 100 })
 		tl.poolSize("threads_limit", r.C, ref)

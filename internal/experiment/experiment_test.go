@@ -172,12 +172,13 @@ func TestKneeSizeSelectsPlateauStart(t *testing.T) {
 }
 
 // TestPostRunReaderDeclaresReach: ablation-deadline's model reads its
-// whole profiling run after it. At a scale whose run outlasts the
-// monitor's DefaultWindow, the warehouse would evict under the monitor's
-// reach alone and refuse the model's longer one after the run, so the
-// model must be built first; the output must then equal a run whose
-// cluster keeps trace.DefaultRetention because a telemetry recorder
-// declared it.
+// whole profiling run after it and its drain. At a scale whose run
+// outlasts the monitor's DefaultWindow, the warehouse and the worker's
+// span log would be pruned under the monitor's reach alone and refuse a
+// longer one after the run, so the run declares both at
+// trace.DefaultRetention, and builds the model, before it; the output
+// must then equal a run whose warehouse keeps trace.DefaultRetention
+// because a telemetry recorder declared it.
 func TestPostRunReaderDeclaresReach(t *testing.T) {
 	e, err := ByID("ablation-deadline")
 	if err != nil {

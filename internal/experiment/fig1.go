@@ -85,7 +85,7 @@ func runFig1(p Params, w io.Writer) error {
 			return nil, err
 		}
 		tl := newTimeline(r.K, time.Second)
-		tl.meanRT("rt_ms", r.C.Completions())
+		tl.meanRT("rt_ms", r.E2E)
 		tl.utilPct("catalogue_cpu_util_pct", catalogue)
 		tl.poolInUse("established_db_conns", r.C, ref)
 		tl.column("db_conn_pool_total", func() float64 {

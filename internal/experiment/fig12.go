@@ -70,8 +70,8 @@ func runFig12(p Params, w io.Writer) error {
 			return nil, err
 		}
 		tl := newTimeline(r.K, time.Second)
-		tl.meanRT("rt_ms", r.C.Completions())
-		tl.goodput("goodput_rps", r.C.Completions(), goodputRTT)
+		tl.meanRT("rt_ms", r.E2E)
+		tl.goodput("goodput_rps", r.E2E, goodputRTT)
 		tl.utilPct("ps_cpu_util_pct", ps)
 		tl.poolSize("connections_pool", r.C, ref)
 		tl.poolInUse("connections_running", r.C, ref)

@@ -38,7 +38,7 @@ func runFig7(p Params, w io.Writer) error {
 	cfg.CartThreads = 40 // roomy pool so concurrency roams across the range
 	app := topology.SockShop(cfg)
 	ref := cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}
-	r, err := simulate(p.observe(scenario.Scenario{
+	r, err := simulatePostRun(p.observe(scenario.Scenario{
 		Seed:     p.Seed,
 		App:      app,
 		Mix:      topology.CartOnlyMix(app),

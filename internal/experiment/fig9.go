@@ -203,14 +203,14 @@ func runFig9(p Params, w io.Writer) error {
 func fig9Estimate(p Params, fc fig9Case) (int, error) {
 	dur := p.scale(3 * time.Minute)
 	app, mix := fc.build(fc.estPool)
-	r, err := p.observe(scenario.Scenario{
+	r, err := buildPostRun(p.observe(scenario.Scenario{
 		Seed:     p.Seed,
 		App:      app,
 		Mix:      mix,
 		Refs:     []cluster.ResourceRef{fc.ref},
 		Target:   workload.TraceUsers(workload.LargeVariationTrace(), dur, fc.estUsers),
 		Duration: dur,
-	}).Build()
+	}))
 	if err != nil {
 		return 0, err
 	}
@@ -245,7 +245,7 @@ func fig9Estimate(p Params, fc fig9Case) (int, error) {
 func fig9Validate(p Params, fc fig9Case, size, users int) (float64, error) {
 	dur := p.scale(100 * time.Second)
 	app, mix := fc.build(size)
-	r, err := simulate(p.observe(scenario.Scenario{
+	r, err := simulatePostRun(p.observe(scenario.Scenario{
 		Seed:     p.Seed + uint64(size)*17 + uint64(users),
 		App:      app,
 		Mix:      mix,

@@ -57,7 +57,7 @@ func runSweep(p Params, sc sweepCase, sizes []int, thresholds []time.Duration, u
 		if sc.ref != (cluster.ResourceRef{}) {
 			refs = []cluster.ResourceRef{sc.ref}
 		}
-		r, err := simulate(p.unitParams(grp.Unit(i, fmt.Sprintf("size-%d", size))).observe(scenario.Scenario{
+		r, err := simulatePostRun(p.unitParams(grp.Unit(i, fmt.Sprintf("size-%d", size))).observe(scenario.Scenario{
 			Seed:     p.Seed + uint64(size)*1000003,
 			App:      app,
 			Mix:      mix,

@@ -170,7 +170,7 @@ func table1Runs(p Params, fc fig9Case) []*estimateRun {
 		seed := p.Seed + uint64(rep)*7919
 		dur := p.scale(3 * time.Minute)
 		app, mix := fc.build(fc.estPool)
-		r, err := simulate(p.unitParams(p.Telemetry.Unit(rep, fmt.Sprintf("rep-%d", rep))).observe(scenario.Scenario{
+		r, err := simulatePostRun(p.unitParams(p.Telemetry.Unit(rep, fmt.Sprintf("rep-%d", rep))).observe(scenario.Scenario{
 			Seed:           seed,
 			App:            app,
 			Mix:            mix,

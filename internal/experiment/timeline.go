@@ -4,14 +4,45 @@ import (
 	"time"
 
 	"sora/internal/cluster"
+	"sora/internal/core"
 	"sora/internal/metrics"
 	"sora/internal/scenario"
 	"sora/internal/sim"
+	"sora/internal/trace"
 )
 
 // simulate builds the scenario and executes it.
 func simulate(s scenario.Scenario) (*scenario.Rig, error) {
 	r, err := s.Build()
+	if err != nil {
+		return nil, err
+	}
+	execute(r)
+	return r, nil
+}
+
+// buildPostRun builds s for an experiment that reads the span logs of
+// its refs' measured services after the run. It declares them at
+// trace.DefaultRetention, not at the run's length: the drain after the
+// run completes more work, and each prune is taken relative to the
+// completion that triggers it, so a log declared at the run's length
+// would lose its first drain-length.
+func buildPostRun(s scenario.Scenario) (*scenario.Rig, error) {
+	r, err := s.Build()
+	if err != nil {
+		return nil, err
+	}
+	for _, ref := range s.Refs {
+		if err := r.C.RecordSpans(core.ManagedResource{Ref: ref}.MeasuredService(), trace.DefaultRetention); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
+}
+
+// simulatePostRun builds the scenario with buildPostRun and executes it.
+func simulatePostRun(s scenario.Scenario) (*scenario.Rig, error) {
+	r, err := buildPostRun(s)
 	if err != nil {
 		return nil, err
 	}

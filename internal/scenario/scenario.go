@@ -135,8 +135,9 @@ type Rig struct {
 	// Faults is the fault engine; nil without a FaultPlan.
 	Faults *fault.Engine
 	// E2E records every end-to-end completion of the run. The cluster's
-	// own completion log is pruned to its retention window (it feeds the
-	// online models); final reports must read this one.
+	// own completion log exists only where an online reader declared it
+	// and keeps only that reader's reach; timelines and final reports
+	// read this one.
 	E2E *metrics.CompletionLog
 
 	duration time.Duration

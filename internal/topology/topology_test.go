@@ -48,6 +48,9 @@ func TestSockShopRequestsComplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := c.RecordCompletions(trace.DefaultRetention); err != nil {
+		t.Fatal(err)
+	}
 	types := map[string]int{}
 	c.OnComplete(func(tr *trace.Trace) { types[tr.Type]++ })
 	runUsers(t, k, c, 200, 10*time.Second)

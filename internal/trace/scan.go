@@ -207,44 +207,25 @@ func appendScanTree(dst []ScanRecord, s *Span, on bool) []ScanRecord {
 func decodeScan(dst []ScanRecord, enc []byte) []ScanRecord {
 	_, _, n, _, i := scanHeader(enc)
 	dst = slices.Grow(dst[:0], n)[:n]
-	// open holds the records whose subtrees are still being read, as
-	// in decodeRecords: an open record's Size counts the children not
-	// yet begun.
-	var stack [16]int32
+	var stack [16]openTree[struct{}]
 	open := stack[:0]
 	for j := range dst {
 		r := &dst[j]
-		if len(open) > 0 {
-			dst[open[len(open)-1]].Size--
-		}
+		beginRecord(open)
 		h := uint32(enc[i])
 		svc, k := scanValue(enc, i+1, shortCodes[h>>shScanSvc&3])
 		kids, k := scanValue(enc, k, shortCodes[h>>shScanKids&3])
 		pt, k := scanValue(enc, k, h)
 		i = k
 		r.Service, r.PT, r.OnPath = int32(uint32(svc)), time.Duration(pt), h&scanOnPath != 0
-		if kids != 0 {
-			r.Size = int32(kids)
-			open = append(open, int32(j)) //soravet:allow hotpath grows past the array only for a trace more than 16 levels deep
-			continue
-		}
-		r.Size = 1
-		for len(open) > 0 {
-			p := open[len(open)-1]
-			if dst[p].Size != 0 {
-				break
-			}
-			dst[p].Size = int32(j + 1 - int(p))
-			open = open[:len(open)-1]
-		}
+		open = endRecord(open, j, kids, &r.Size, struct{}{})
 	}
 	return dst
 }
 
-// openScan is a record whose subtree projectStream is still reading,
-// and the child the critical path descends into so far.
-type openScan struct {
-	j       int32
+// pathChild is projectStream's state for an open subtree: the child the
+// critical path descends into so far, and that child's duration.
+type pathChild struct {
 	best    int32
 	bestDur time.Duration
 }
@@ -260,7 +241,7 @@ type openScan struct {
 func projectStream(dst []ScanRecord, enc []byte) []ScanRecord {
 	_, n, i := header(enc)
 	dst = slices.Grow(dst[:0], n)[:n]
-	var stack [16]openScan
+	var stack [16]openTree[pathChild]
 	open := stack[:0]
 	for j := range dst {
 		r := &dst[j]
@@ -284,31 +265,15 @@ func projectStream(dst []ScanRecord, enc []byte) []ScanRecord {
 		// End − Arrival, wrapping as the Record's times do.
 		d := time.Duration(queued) + time.Duration(service)
 		r.PT, r.Service = processingTime(d, time.Duration(blocked), retry, breaker), int32(uint32(svc))
-		r.OnPath = len(open) == 0
-		if len(open) > 0 {
-			p := &open[len(open)-1]
-			dst[p.j].Size--
-			if h&encAbandoned == 0 && d > p.bestDur {
-				if p.best >= 0 {
-					dst[p.best].OnPath = false
-				}
-				p.best, p.bestDur, r.OnPath = int32(j), d, true
+		p := beginRecord(open)
+		r.OnPath = p == nil
+		if p != nil && h&encAbandoned == 0 && d > p.e.bestDur {
+			if p.e.best >= 0 {
+				dst[p.e.best].OnPath = false
 			}
+			p.e.best, p.e.bestDur, r.OnPath = int32(j), d, true
 		}
-		if kids != 0 {
-			r.Size = int32(kids)
-			open = append(open, openScan{j: int32(j), best: -1, bestDur: -1}) //soravet:allow hotpath grows past the array only for a trace more than 16 levels deep
-			continue
-		}
-		r.Size = 1
-		for len(open) > 0 {
-			p := open[len(open)-1].j
-			if dst[p].Size != 0 {
-				break
-			}
-			dst[p].Size = int32(j + 1 - int(p))
-			open = open[:len(open)-1]
-		}
+		open = endRecord(open, j, kids, &r.Size, pathChild{best: -1, bestDur: -1})
 	}
 	markPath(dst)
 	return dst

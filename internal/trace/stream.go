@@ -214,6 +214,50 @@ func appendSpans(dst []byte, s *Span, parent sim.Time) ([]byte, int) {
 	return dst, spans
 }
 
+// openTree is a record whose subtree a decoder is still reading: its
+// Size, which counts its children not yet begun until the subtree
+// closes, its index and e, the decoder's own state for the subtree.
+type openTree[E any] struct {
+	size *int32
+	j    int32
+	e    E
+}
+
+// beginRecord begins the next record of a pre-order stream: it returns
+// the innermost open subtree's record, the new record's parent, with one
+// child fewer left to begin, or nil when the new record is the root.
+func beginRecord[E any](open []openTree[E]) *openTree[E] {
+	if len(open) == 0 {
+		return nil
+	}
+	p := &open[len(open)-1]
+	*p.size--
+	return p
+}
+
+// endRecord sets size, the Size of record j with kids children, by the
+// rule every decoder rebuilds subtree sizes from the child counts a
+// stream stores: a record with children opens a subtree, with e as the
+// decoder's state for it, and a leaf sizes 1 and closes every open
+// subtree it is the last record of, sizing it. It returns the subtrees
+// still open, innermost last.
+func endRecord[E any](open []openTree[E], j int, kids uint64, size *int32, e E) []openTree[E] {
+	if kids != 0 {
+		*size = int32(kids)
+		return append(open, openTree[E]{size: size, j: int32(j), e: e}) //soravet:allow hotpath grows past the array only for a trace more than 16 levels deep
+	}
+	*size = 1
+	for len(open) > 0 {
+		p := &open[len(open)-1]
+		if *p.size != 0 {
+			break
+		}
+		*p.size = int32(j + 1 - int(p.j))
+		open = open[:len(open)-1]
+	}
+	return open
+}
+
 // decodeRecords decodes enc, one encoded trace, into dst's array,
 // growing it if needed, and returns the records. Every field of every
 // record is written, so dst's old contents do not matter.
@@ -222,18 +266,13 @@ func appendSpans(dst []byte, s *Span, parent sim.Time) ([]byte, int) {
 func decodeRecords(dst []Record, enc []byte) []Record {
 	end, n, i := header(enc)
 	dst = slices.Grow(dst[:0], n)[:n]
-	// open holds the indices of the records whose subtrees are still
-	// being read, innermost last; while a record is open its Size counts
-	// the children not yet begun.
-	var stack [16]int32
+	var stack [16]openTree[struct{}]
 	open := stack[:0]
 	parent := end // the root's Arrival is stored against its End
 	for j := range dst {
 		r := &dst[j]
-		if len(open) > 0 {
-			p := &dst[open[len(open)-1]]
-			parent = p.Arrival
-			p.Size--
+		if p := beginRecord(open); p != nil {
+			parent = dst[p.j].Arrival
 		}
 		h := binary.LittleEndian.Uint32(enc[i:])
 		u, k := value(enc, i+4, h>>shArrival)
@@ -263,22 +302,7 @@ func decodeRecords(dst []Record, enc []byte) []Record {
 		r.Failed = h&encFailed != 0
 		r.Degraded = h&encDegraded != 0
 		r.Abandoned = h&encAbandoned != 0
-		if kids != 0 {
-			r.Size = int32(kids)
-			open = append(open, int32(j)) //soravet:allow hotpath grows past the array only for a trace more than 16 levels deep
-			continue
-		}
-		r.Size = 1
-		// A leaf may end its ancestors' subtrees: close every open
-		// record whose last child this leaf completes.
-		for len(open) > 0 {
-			p := open[len(open)-1]
-			if dst[p].Size != 0 {
-				break
-			}
-			dst[p].Size = int32(j + 1 - int(p))
-			open = open[:len(open)-1]
-		}
+		open = endRecord(open, j, kids, &r.Size, struct{}{})
 	}
 	return dst
 }

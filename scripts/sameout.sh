@@ -53,11 +53,19 @@
 # cap on declared reach, and no set above both runs without one and
 # runs long enough to evict. The reach set does:
 #
-#   reach:  sorabench -exp fig9,ablation-deadline,fig12,chaos,ctrlplane
-#           -scale 0.5 -seed 5 -quiet (stdout only). The controllers'
-#           warehouses keep only their monitor's and model's reach and
-#           evict within these runs, and fig9's and ablation-deadline's
-#           models read their whole 90 s profiling runs after them.
+#   reach:  sorabench -exp fig9,ablation-deadline,fig12,chaos,ctrlplane,
+#           fig7,table1 -scale 0.5 -seed 5 -quiet (stdout only). The
+#           controllers' warehouses keep only their monitor's and
+#           model's reach and evict within these runs, and fig9's and
+#           ablation-deadline's models read their whole 90 s profiling
+#           runs after them. fig7 and table1 read span logs after runs
+#           that outlast the monitor's 60 s reach, so a post-run reader
+#           that does not declare the cap before its run diffs here.
+#
+# A recorder declares no completion log, so the end-to-end and span
+# logs keep their readers' declared reach in every set, and every set
+# whose runs outlast the monitor's 60 s prunes them: all, ctrl, decide,
+# bare, reach and examples.
 #
 # The examples set runs each example program with no arguments and
 # compares their stdout. They drive FIRM, the HPA, the monitor and the
@@ -137,7 +145,7 @@ for set in all ctrl decide simrun bare reach examples; do
 	decide) args="-exp table3,ablation-model,ext-unified -scale 0.3 -seed 5" trees="tel csv" ;;
 	simrun) args="-app sockshop -fault-plan combo -seed 5 -duration 60s -profile" trees="tel archive" ;;
 	bare) args="-exp all -scale 0.1 -seed 1 -quiet" trees="archive" ;;
-	reach) args="-exp fig9,ablation-deadline,fig12,chaos,ctrlplane -scale 0.5 -seed 5 -quiet" trees="" ;;
+	reach) args="-exp fig9,ablation-deadline,fig12,chaos,ctrlplane,fig7,table1 -scale 0.5 -seed 5 -quiet" trees="" ;;
 	examples) trees="" ;;
 	esac
 	for side in parent change; do
