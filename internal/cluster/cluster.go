@@ -179,10 +179,9 @@ func (a App) Validate() error {
 //
 // Messages between services take no time, the paper's "network latency
 // is negligible" assumption; only a fault's ExtraDelay delays one (see
-// withEdgeDelay). Completion and trace history, once declared, are kept
-// only as far back as their readers declared they read (see
-// Cluster.RecordCompletions, Cluster.RecordSpans and
-// Cluster.RetainTraces).
+// withEdgeDelay). Completion and trace history is kept only where and
+// as far back as readers declared before the first request (see
+// Cluster).
 type Options struct {
 	// Telemetry, when non-nil, receives structured events (reconfig,
 	// retries, breaker transitions) and end-of-run counters from this
@@ -202,26 +201,30 @@ type Options struct {
 	ControlPlane *node.Config
 }
 
-// Cluster is a running simulated deployment of an App. It stores the
-// traces it completes in a warehouse, and their end-to-end completions
-// in a log, only once a reader has declared one (RetainTraces,
-// RetainScans, RecordCompletions): a run nothing reads them from keeps
-// none.
+// Cluster is a running simulated deployment of an App. It keeps the
+// history of its completed requests (traces in a warehouse, end-to-end
+// completions in a log, each service's visits in a span log) only once
+// a reader has declared it with RetainTraces, RetainScans,
+// RecordCompletions or RecordSpans, and only as far back as the longest
+// reach declared, capped at trace.DefaultRetention: a run nothing reads
+// them from keeps none. Readers declare before the cluster's first
+// request. After it, a declaration the history already covers (a reach
+// no longer than the one declared and, for traces, a form the
+// warehouse stores) is a no-op, and any other is an error, since the
+// history would lack what it missed. A non-positive reach is an error.
 type Cluster struct {
 	k        *sim.Kernel
 	app      App
 	services map[string]*Service
 	svcs     []*Service // in App order: a service's id is its position
 
-	// warehouse is nil until a reader declares it; unretained records
-	// that a trace completed before it, so that a late declaration
-	// fails.
-	warehouse  *trace.Warehouse
-	unretained bool
-	// e2eLog is nil until a reader declares it; unrecorded records that
-	// a request completed before it, so that a late declaration fails.
-	e2eLog     *declaredLog
-	unrecorded bool
+	// warehouse is nil until a reader declares it, then built to the
+	// declared traceReach, storing whole traces if wholeTraces; e2eLog
+	// is nil until a reader declares it.
+	warehouse   *trace.Warehouse
+	traceReach  time.Duration
+	wholeTraces bool
+	e2eLog      *declaredLog
 
 	// plans holds every request type this cluster has compiled, in
 	// compile order (see plan.go), and mix the current workload mix
@@ -371,49 +374,18 @@ func (c *Cluster) housekeep() {
 }
 
 // declaredLog is a completion log a reader declared (RecordCompletions,
-// RecordSpans). It keeps the entries completing within reach of now,
-// and notes whether a prune has dropped one: a longer reach declared
-// after that would read a history with a hole.
+// RecordSpans). It keeps the entries completing within reach of now.
 type declaredLog struct {
-	log    metrics.CompletionLog
-	reach  time.Duration
-	pruned bool
-}
-
-// declareLog declares a reader of *l that reads reach back, capped at
-// trace.DefaultRetention: the first declaration creates the log, and a
-// longer one widens it while it has pruned nothing. missed reports
-// that an entry completed before the first declaration. what names
-// the log in errors.
-func declareLog(l **declaredLog, reach time.Duration, missed bool, what string) error {
-	if reach <= 0 {
-		return fmt.Errorf("cluster: %s reach must be positive, got %v", what, reach)
-	}
-	reach = min(reach, trace.DefaultRetention)
-	d := *l
-	switch {
-	case d == nil && missed:
-		return fmt.Errorf("cluster: %s declared after completions went unrecorded", what)
-	case d == nil:
-		*l = &declaredLog{reach: reach}
-	case reach <= d.reach:
-	case d.pruned:
-		return fmt.Errorf("cluster: %s reach widened to %v after entries were pruned at %v", what, reach, d.reach)
-	default:
-		d.reach = reach
-	}
-	return nil
+	log   metrics.CompletionLog
+	reach time.Duration
 }
 
 // prune drops the entries completing more than the reach before now. A
 // nil log, which no reader declared, has nothing to prune.
 func (d *declaredLog) prune(now sim.Time) {
-	if d == nil {
-		return
+	if d != nil {
+		d.log.Prune(now - sim.Time(d.reach))
 	}
-	n := d.log.Len()
-	d.log.Prune(now - sim.Time(d.reach))
-	d.pruned = d.pruned || d.log.Len() < n
 }
 
 // Kernel returns the simulation kernel driving this cluster.
@@ -421,62 +393,83 @@ func (c *Cluster) Kernel() *sim.Kernel { return c.k }
 
 // Warehouse returns the trace warehouse (the simulated Jaeger+Neo4j
 // backend), or nil until a reader declares it with RetainTraces or
-// RetainScans. A nil warehouse answers Len and Stats with zeros; its
-// Window panics.
+// RetainScans; a declaration before the first request may replace it.
+// A nil warehouse answers Len and Stats with zeros; its Window panics.
 func (c *Cluster) Warehouse() *trace.Warehouse { return c.warehouse }
 
 // RetainTraces declares a reader of whole traces (Trace.Records) that
-// reads traces completing up to reach before the newest one: from now
-// on every completed trace is stored whole, and kept while it lies
-// within the longest reach declared so far, capped at
-// trace.DefaultRetention. A cluster no reader declared stores none. A
-// declaration no longer than an earlier one is a no-op; a longer one
-// widens the warehouse only while it has evicted nothing. Declaring
-// after a trace has completed unretained, widening after an eviction,
-// or declaring whole traces once a trace was stored in its scan form
-// (see RetainScans) is an error, since the warehouse would silently
-// lack that history; declare before the run.
+// reads traces completing up to reach before the newest one: every
+// completed trace is stored whole, and kept while it lies within the
+// reach. Declarations follow the rule in Cluster's doc.
 func (c *Cluster) RetainTraces(reach time.Duration) error { return c.retain(reach, true) }
 
 // RetainScans declares a reader that reads only the scan records of the
 // traces (Trace.Scan) completing up to reach before the newest one, as
-// the SCG and SCT models do. Reach and errors follow RetainTraces. A
-// warehouse only scan readers declared before its first trace stores
-// each settled trace in its scan form, a third of the whole stream's
-// size (DESIGN.md §13 "Declared trace form"); one a whole-trace reader
-// declared stores the whole stream, which Scan reads as well.
+// the SCG and SCT models do. A warehouse only scan readers declared
+// stores each settled trace in its scan form, a third of the whole
+// stream's size (DESIGN.md §13 "Declared trace form"); one a
+// whole-trace reader declared stores the whole stream, which Scan reads
+// as well.
 func (c *Cluster) RetainScans(reach time.Duration) error { return c.retain(reach, false) }
 
 // retain declares a reader of traces up to reach back, of whole traces
-// or of their scan records.
+// or of their scan records. The warehouse is empty before the first
+// request, so widening or upgrading it builds a new one.
 func (c *Cluster) retain(reach time.Duration, whole bool) error {
-	if reach <= 0 {
-		return fmt.Errorf("cluster: trace reach must be positive, got %v", reach)
-	}
-	reach = min(reach, trace.DefaultRetention)
-	if c.warehouse != nil {
-		if whole {
-			if err := c.warehouse.KeepWhole(); err != nil {
-				return err
-			}
-		}
-		return c.warehouse.Widen(reach)
-	}
-	if c.unretained {
-		return fmt.Errorf("cluster: trace retention declared after traces completed unretained")
-	}
+	what := "trace warehouse (scans)"
 	if whole {
-		c.warehouse = trace.NewWarehouse(reach)
+		what = "trace warehouse (whole traces)"
+	}
+	grow, err := c.declare(what, &c.traceReach, reach, c.wholeTraces || !whole)
+	if !grow {
+		return err
+	}
+	c.wholeTraces = c.wholeTraces || whole
+	if c.wholeTraces {
+		c.warehouse = trace.NewWarehouse(c.traceReach)
 	} else {
-		c.warehouse = trace.NewScanWarehouse(reach)
+		c.warehouse = trace.NewScanWarehouse(c.traceReach)
 	}
 	return nil
 }
 
+// declare applies the declaration rule in Cluster's doc to the history
+// what, declared so far to the reach *have (zero if never), whose stored
+// form serves the reader when kept. It reports whether the history must
+// grow to the raised *have or change form, which the caller does.
+func (c *Cluster) declare(what string, have *time.Duration, reach time.Duration, kept bool) (bool, error) {
+	if reach <= 0 {
+		return false, fmt.Errorf("cluster: %s reach must be positive (it is capped at %v), got %v", what, trace.DefaultRetention, reach)
+	}
+	reach = min(reach, trace.DefaultRetention)
+	switch {
+	case kept && reach <= *have:
+		return false, nil
+	case c.nextTraceID > 0:
+		return false, fmt.Errorf("cluster: %s declared with reach %v after the first request; declare before the run", what, reach)
+	}
+	*have = max(*have, reach)
+	return true, nil
+}
+
+// declareLog declares a reader of the completion log *l, building the
+// log on its first declaration.
+func (c *Cluster) declareLog(l **declaredLog, reach time.Duration, what string) error {
+	d := *l
+	if d == nil {
+		d = new(declaredLog)
+	}
+	grow, err := c.declare(what, &d.reach, reach, true)
+	if grow {
+		*l = d
+	}
+	return err
+}
+
 // Completions returns the end-to-end completion log across all request
 // types. It panics unless the log was declared through
-// RecordCompletions before the first request completed: an empty log
-// would read as a cluster that served nothing.
+// RecordCompletions: an empty log would read as a cluster that served
+// nothing.
 func (c *Cluster) Completions() *metrics.CompletionLog {
 	if c.e2eLog == nil {
 		panic("cluster: end-to-end completion log read but never declared (call Cluster.RecordCompletions before the run)")
@@ -485,30 +478,24 @@ func (c *Cluster) Completions() *metrics.CompletionLog {
 }
 
 // RecordCompletions declares a reader of the end-to-end completion log
-// (Completions) that reads completions up to reach before now: from now
-// on every completed request is recorded, and kept while it lies within
-// the longest reach declared so far, capped at trace.DefaultRetention.
-// A cluster no reader declared records none. A declaration no longer
-// than an earlier one is a no-op; a longer one widens the log only
-// while it has pruned nothing. A non-positive reach, declaring after a
-// request has completed unrecorded, or widening after a prune is an
-// error, since the log would silently lack that history; declare
-// before the run.
+// (Completions) that reads completions up to reach before now: every
+// completed request is recorded, and kept while it lies within the
+// reach. Declarations follow the rule in Cluster's doc.
 func (c *Cluster) RecordCompletions(reach time.Duration) error {
-	return declareLog(&c.e2eLog, reach, c.unrecorded, "end-to-end completion log")
+	return c.declareLog(&c.e2eLog, reach, "end-to-end completion log")
 }
 
 // RecordSpans declares a reader of the named service's span log that
-// reads visits up to reach before now: from now on each of its visit
-// completions is recorded, and SpanLog returns the log. Only declared
-// services pay for a log. Reach and errors follow RecordCompletions; an
-// unknown service is an error too.
+// reads visits up to reach before now: each of its visit completions is
+// recorded, and SpanLog returns the log. Only declared services pay for
+// a log. Declarations follow the rule in Cluster's doc; an unknown
+// service is an error too.
 func (c *Cluster) RecordSpans(service string, reach time.Duration) error {
 	svc, err := c.Service(service)
 	if err != nil {
 		return err
 	}
-	return declareLog(&svc.spanLog, reach, svc.unlogged, fmt.Sprintf("span log of service %q", service))
+	return c.declareLog(&svc.spanLog, reach, fmt.Sprintf("span log of service %q", service))
 }
 
 // Service returns the named service.
@@ -683,8 +670,7 @@ func (rc *rootCall) done(root *visit) {
 	tr := &rc.tr
 	*tr = trace.Trace{ID: rc.id, Type: rc.p.rt.Name, Root: span, Names: c.names, Settled: !unsettled}
 	switch {
-	case c.warehouse == nil:
-		c.unretained = true
+	case c.warehouse == nil: // no reader declared it
 	case unsettled:
 		c.warehouse.AddUnsettled(tr)
 	default:
@@ -696,8 +682,6 @@ func (rc *rootCall) done(root *visit) {
 	}
 	if c.e2eLog != nil {
 		c.e2eLog.log.AddFlagged(c.k.Now(), rtime, degraded)
-	} else {
-		c.unrecorded = true
 	}
 	for _, fn := range c.onComplete {
 		fn(tr)

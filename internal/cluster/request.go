@@ -614,8 +614,6 @@ func (v *visit) finish() {
 	svc := v.inst.svc
 	if svc.spanLog != nil {
 		svc.spanLog.log.AddFlagged(now, v.span.Duration(), v.span.Degraded)
-	} else {
-		svc.unlogged = true
 	}
 	if t := svc.flight; t != nil {
 		t.completions++

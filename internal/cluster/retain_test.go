@@ -114,66 +114,170 @@ func TestUndeclaredClusterStoresNoTraces(t *testing.T) {
 	t.Error("Window on an undeclared cluster returned")
 }
 
-// TestRetainTracesDeclaration: a second declaration is a no-op that
-// keeps the warehouse, and declaring once a trace has completed
-// unretained fails. A cluster only scan readers declared stores the
-// scan form; a whole-trace declaration before the first completion
-// makes it store whole traces, and one after it fails.
-func TestRetainTracesDeclaration(t *testing.T) {
-	r := newCartRun(t, true)
-	wh := r.c.Warehouse()
-	if wh == nil {
-		t.Fatal("RetainTraces built no warehouse")
-	}
-	if err := r.c.RetainTraces(trace.DefaultRetention); err != nil || r.c.Warehouse() != wh {
-		t.Fatalf("second RetainTraces: %v, same warehouse %v", err, r.c.Warehouse() == wh)
-	}
-	r.run(t, time.Second)
-	if wh.Len() == 0 || wh.Stats().Added != r.c.Completed() {
-		t.Errorf("declared warehouse stored %d of %d completed traces", wh.Stats().Added, r.c.Completed())
-	}
+// history is one history a reader declares on a cluster, as
+// TestDeclarationRule drives it: RetainScans' scan-form warehouse,
+// RetainTraces' whole-form one, RecordCompletions' end-to-end log and
+// RecordSpans' span log of cart.
+type history struct {
+	test    string // subtest name
+	name    string // how a refused declaration names it
+	method  string // how an undeclared read's panic names the declaring method
+	declare func(c *cluster.Cluster, reach time.Duration) error
+	// under, if set, is the declaration the history upgrades from: a run
+	// declaring only it leaves the history undeclared.
+	under func(c *cluster.Cluster, reach time.Duration) error
+	// read reads the history after a run and returns it with the number
+	// of entries it holds; it panics when the history is undeclared.
+	read func(t *testing.T, c *cluster.Cluster) (id any, n int)
+}
 
-	late := newCartRun(t, false)
-	late.run(t, time.Second)
-	if err := late.c.RetainTraces(trace.DefaultRetention); err == nil || !strings.Contains(err.Error(), "unretained") {
-		t.Errorf("RetainTraces after unretained completions = %v, want an error", err)
-	}
-	if late.c.Warehouse() != nil {
-		t.Error("a refused declaration left a warehouse behind")
-	}
-
-	scans := newCartRun(t, false)
-	if err := scans.c.RetainScans(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	scans.run(t, time.Second)
-	tr := firstSettled(t, scans.c.Warehouse())
-	if recs := tr.Scan(nil); len(recs) < 2 || !recs[0].OnPath {
-		t.Errorf("a scan-form trace reads %d scan records, want a whole tree from an on-path root", len(recs))
-	}
-	func() {
-		defer func() {
-			if msg, _ := recover().(string); !strings.Contains(msg, "RetainTraces") {
-				t.Errorf("Records of a scan-form trace panicked with %q, want a message naming RetainTraces", msg)
+var histories = []history{
+	{
+		test: "scan_warehouse", name: "trace warehouse (scans)", method: "RetainScans",
+		declare: (*cluster.Cluster).RetainScans,
+		read: func(t *testing.T, c *cluster.Cluster) (any, int) {
+			tr := firstSettled(t, c.Warehouse())
+			if recs := tr.Scan(nil); len(recs) < 2 || !recs[0].OnPath {
+				t.Errorf("a stored trace reads %d scan records, want a whole tree from an on-path root", len(recs))
 			}
-		}()
-		tr.Records(nil)
-		t.Error("Records of a trace only scan readers declared returned")
-	}()
-	if err := scans.c.RetainTraces(time.Minute); err == nil || !strings.Contains(err.Error(), "scan form") {
-		t.Errorf("RetainTraces after scan-form traces were stored = %v, want an error", err)
-	}
+			return c.Warehouse(), storedAll(t, c)
+		},
+	},
+	{
+		test: "whole_warehouse", name: "trace warehouse (whole traces)", method: "RetainTraces",
+		declare: (*cluster.Cluster).RetainTraces,
+		under:   (*cluster.Cluster).RetainScans,
+		read: func(t *testing.T, c *cluster.Cluster) (any, int) {
+			tr := firstSettled(t, c.Warehouse())
+			if recs := tr.Records(nil); len(recs) < 2 {
+				t.Errorf("a stored trace decodes %d records, want a whole tree", len(recs))
+			}
+			return c.Warehouse(), storedAll(t, c)
+		},
+	},
+	{
+		test: "end-to-end_log", name: "end-to-end completion log", method: "RecordCompletions",
+		declare: (*cluster.Cluster).RecordCompletions,
+		read: func(t *testing.T, c *cluster.Cluster) (any, int) {
+			if n := c.Completions().Len(); uint64(n) != c.Completed() {
+				t.Errorf("the log holds %d of %d completed requests", n, c.Completed())
+			}
+			return c.Completions(), c.Completions().Len()
+		},
+	},
+	{
+		test: "span_log", name: `span log of service "cart"`, method: "RecordSpans",
+		declare: func(c *cluster.Cluster, reach time.Duration) error { return c.RecordSpans(topology.Cart, reach) },
+		read: func(t *testing.T, c *cluster.Cluster) (any, int) {
+			cart, err := c.Service(topology.Cart)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cart.SpanLog(), cart.SpanLog().Len()
+		},
+	},
+}
 
-	up := newCartRun(t, false)
-	for _, declare := range []func(time.Duration) error{up.c.RetainScans, up.c.RetainTraces, up.c.RetainScans} {
-		if err := declare(time.Minute); err != nil {
-			t.Fatal(err)
-		}
+// storedAll checks that c's warehouse stored every completed trace and
+// returns how many it holds.
+func storedAll(t *testing.T, c *cluster.Cluster) int {
+	t.Helper()
+	if added := c.Warehouse().Stats().Added; added != c.Completed() {
+		t.Errorf("the warehouse stored %d of %d completed traces", added, c.Completed())
 	}
-	up.run(t, time.Second)
-	tr = firstSettled(t, up.c.Warehouse())
-	if recs := tr.Records(nil); len(recs) < 2 {
-		t.Errorf("a trace of an upgraded warehouse decodes %d records", len(recs))
+	return c.Warehouse().Len()
+}
+
+// TestDeclarationRule pins the one declaration rule every history
+// follows: a non-positive reach is an error that shows the cap and
+// declares nothing; an undeclared history is neither kept nor readable,
+// and a read panics naming the declaring method; before the first
+// request a longer reach widens the history, an upgrade changes its
+// form, and the reach is capped at trace.DefaultRetention; after it, a
+// declaration the history covers is a no-op that keeps the history and
+// its entries, and any other is refused, naming the history and
+// declaring nothing.
+func TestDeclarationRule(t *testing.T) {
+	const reach = 10 * time.Second
+	capped := trace.DefaultRetention.String()
+	for _, h := range histories {
+		t.Run(h.test, func(t *testing.T) {
+			read := func(c *cluster.Cluster) (any, int) { return h.read(t, c) }
+			mustDeclare := func(declare func(*cluster.Cluster, time.Duration) error, c *cluster.Cluster, d time.Duration) {
+				t.Helper()
+				if err := declare(c, d); err != nil {
+					t.Fatalf("declaring %v: %v", d, err)
+				}
+			}
+
+			bare := newCartRun(t, false)
+			if h.under != nil {
+				mustDeclare(h.under, bare.c, reach)
+			}
+			for _, d := range []time.Duration{0, -time.Second} {
+				if err := h.declare(bare.c, d); err == nil || !strings.Contains(err.Error(), h.name) || !strings.Contains(err.Error(), capped) {
+					t.Errorf("declaring %v = %v, want an error naming the %s and its cap %s", d, err, h.name, capped)
+				}
+			}
+			bare.run(t, time.Second)
+			if bare.c.Completed() == 0 {
+				t.Fatal("the run completed nothing")
+			}
+			if msg := readPanic(func() { read(bare.c) }); !strings.Contains(msg, h.method) {
+				t.Errorf("undeclared read panicked with %q, want a message naming %s", msg, h.method)
+			}
+			if err := h.declare(bare.c, reach); err == nil || !strings.Contains(err.Error(), h.name) || !strings.Contains(err.Error(), "first request") {
+				t.Errorf("declaring after the first request = %v, want an error naming the %s", err, h.name)
+			}
+			if msg := readPanic(func() { read(bare.c) }); msg == "" {
+				t.Error("a refused declaration left a readable history behind")
+			}
+
+			// Widening (and upgrading) before the first request.
+			c := newCartRun(t, false)
+			if h.under != nil {
+				mustDeclare(h.under, c.c, reach/2)
+			}
+			for _, d := range []time.Duration{reach / 2, reach, time.Second} {
+				mustDeclare(h.declare, c.c, d)
+			}
+			if h.under != nil {
+				mustDeclare(h.under, c.c, time.Second) // no downgrade
+			}
+			c.run(t, time.Second)
+			id, n := read(c.c)
+			if n == 0 {
+				t.Fatal("the declared history holds nothing after the run")
+			}
+			covered := []func(*cluster.Cluster, time.Duration) error{h.declare}
+			if h.under != nil {
+				covered = append(covered, h.under)
+			}
+			for _, declare := range covered {
+				for _, d := range []time.Duration{reach, time.Second} {
+					if err := declare(c.c, d); err != nil {
+						t.Errorf("a covered %v declaration after the first request: %v", d, err)
+					}
+				}
+			}
+			if gotID, gotN := read(c.c); gotID != id || gotN != n {
+				t.Errorf("covered declarations replaced the history (%v) or changed its %d entries to %d", gotID != id, n, gotN)
+			}
+			if err := h.declare(c.c, reach+time.Second); err == nil || !strings.Contains(err.Error(), h.name) {
+				t.Errorf("widening past the declared %v after the first request = %v, want an error naming the %s", reach, err, h.name)
+			}
+
+			// The cap: a reach beyond it declares the cap, which a later
+			// declaration of any longer reach is covered by.
+			long := newCartRun(t, false)
+			mustDeclare(h.declare, long.c, time.Hour)
+			long.run(t, time.Second)
+			for _, d := range []time.Duration{trace.DefaultRetention, 2 * time.Hour} {
+				if err := h.declare(long.c, d); err != nil {
+					t.Errorf("declaring %v after the first request on a history declared past the cap: %v", d, err)
+				}
+			}
+		})
 	}
 }
 
@@ -280,16 +384,16 @@ func TestRetainedCopyOutlivesRecycledSpans(t *testing.T) {
 }
 
 // TestDeclaredReachBoundsWarehouse: a warehouse keeps only the traces
-// completing within its declared reach of the newest one, and those read
-// the same as in a twin cluster that declared trace.DefaultRetention. A
-// longer reach widens it until its first eviction and is refused after
-// it; a reach beyond trace.DefaultRetention is capped.
+// completing within its declared reach of the newest one, the longest
+// declared before the run, and those read the same as in a twin cluster
+// that declared trace.DefaultRetention. TestDeclarationRule pins the
+// declarations themselves.
 func TestDeclaredReachBoundsWarehouse(t *testing.T) {
 	const reach = 10 * time.Second
 	short, long := newCartRun(t, false), newCartRun(t, true)
 	for _, d := range []time.Duration{reach / 2, reach, time.Second} {
 		if err := short.c.RetainTraces(d); err != nil {
-			t.Fatalf("RetainTraces(%v) before any eviction: %v", d, err)
+			t.Fatalf("RetainTraces(%v) before the run: %v", d, err)
 		}
 	}
 	short.run(t, 40*time.Second)
@@ -321,38 +425,23 @@ func TestDeclaredReachBoundsWarehouse(t *testing.T) {
 		}
 	}
 
-	err := short.c.RetainTraces(time.Hour)
-	if err == nil || !strings.Contains(err.Error(), "evicted") {
-		t.Fatalf("widening after an eviction = %v, want an error", err)
-	}
-	if capped := trace.DefaultRetention.String(); !strings.Contains(err.Error(), "widened to "+capped) {
-		t.Errorf("widening to an hour = %v, want the reach capped at %s", err, capped)
-	}
-	if err := short.c.RetainTraces(reach); err != nil {
-		t.Errorf("redeclaring the reach after an eviction: %v", err)
-	}
-	if err := short.c.RetainTraces(0); err == nil {
-		t.Error("RetainTraces(0) declared no reach and succeeded")
-	}
 }
 
 // TestDeclaredReachBoundsCompletionLogs: the end-to-end log and a span
-// log keep only the completions within their declared reach of now, and
-// those are the twin's newest entries, entry for entry, in a cluster
-// that declared trace.DefaultRetention. A longer reach widens a log
-// until its first prune and is refused after it. A cluster nothing
-// declared records no end-to-end completion, and refuses a late
-// declaration.
+// log keep only the completions within their declared reach of now, the
+// longest declared before the run, and those are the twin's newest
+// entries, entry for entry, in a cluster that declared
+// trace.DefaultRetention.
 func TestDeclaredReachBoundsCompletionLogs(t *testing.T) {
 	const reach = 10 * time.Second
 	short, long := newCartRun(t, false), newCartRun(t, false)
 	declare := func(r cartRun, d time.Duration) {
 		t.Helper()
 		if err := r.c.RecordCompletions(d); err != nil {
-			t.Fatalf("RecordCompletions(%v) before any prune: %v", d, err)
+			t.Fatalf("RecordCompletions(%v) before the run: %v", d, err)
 		}
 		if err := r.c.RecordSpans(topology.Cart, d); err != nil {
-			t.Fatalf("RecordSpans(%v) before any prune: %v", d, err)
+			t.Fatalf("RecordSpans(%v) before the run: %v", d, err)
 		}
 	}
 	for _, d := range []time.Duration{reach / 2, reach, time.Second} {
@@ -391,41 +480,6 @@ func TestDeclaredReachBoundsCompletionLogs(t *testing.T) {
 		}
 	}
 
-	for _, err := range []error{short.c.RecordCompletions(time.Hour), short.c.RecordSpans(topology.Cart, time.Hour)} {
-		if err == nil || !strings.Contains(err.Error(), "pruned") {
-			t.Fatalf("widening after a prune = %v, want an error", err)
-		}
-		if capped := trace.DefaultRetention.String(); !strings.Contains(err.Error(), "widened to "+capped) {
-			t.Errorf("widening to an hour = %v, want the reach capped at %s", err, capped)
-		}
-	}
-	if err := short.c.RecordCompletions(reach); err != nil {
-		t.Errorf("redeclaring the end-to-end reach after a prune: %v", err)
-	}
-	if err := short.c.RecordSpans(topology.Cart, reach); err != nil {
-		t.Errorf("redeclaring the span reach after a prune: %v", err)
-	}
-	if err := short.c.RecordCompletions(0); err == nil {
-		t.Error("RecordCompletions(0) declared no reach and succeeded")
-	}
-	if err := short.c.RecordSpans(topology.Cart, -time.Second); err == nil {
-		t.Error("RecordSpans(-1s) declared no reach and succeeded")
-	}
-
-	bare := newCartRun(t, false)
-	bare.run(t, time.Second)
-	if bare.c.Completed() == 0 {
-		t.Fatal("the undeclared run completed nothing")
-	}
-	if msg := readPanic(func() { bare.c.Completions() }); !strings.Contains(msg, "RecordCompletions") {
-		t.Errorf("undeclared Completions panicked with %q, want a message naming RecordCompletions", msg)
-	}
-	if err := bare.c.RecordCompletions(reach); err == nil {
-		t.Error("RecordCompletions after requests completed unrecorded succeeded")
-	}
-	if err := bare.c.RecordSpans(topology.Cart, reach); err == nil {
-		t.Error("RecordSpans after visits completed unrecorded succeeded")
-	}
 }
 
 // readPanic calls fn and returns the string it panicked with, or "" if

@@ -24,10 +24,7 @@ type Service struct {
 	// span duration) — the per-service MongoDB store of the paper — once
 	// a reader has declared it through Cluster.RecordSpans; nil until
 	// then, and the visits of an undeclared service are not recorded.
-	// unlogged marks a visit completed while the log was undeclared, so
-	// a late declaration cannot hand out a log that lacks history.
-	spanLog  *declaredLog
-	unlogged bool
+	spanLog *declaredLog
 
 	// flight, when the cluster's flight recorder is armed, accumulates
 	// this service's window counters and latency sketch (see flight.go).
@@ -48,9 +45,8 @@ type Service struct {
 func (s *Service) Name() string { return s.name }
 
 // SpanLog returns the service's visit completion log. It panics unless
-// the log was declared through Cluster.RecordSpans before the service
-// completed a visit: an empty log would read as a service that served
-// nothing.
+// the log was declared through Cluster.RecordSpans: an empty log would
+// read as a service that served nothing.
 func (s *Service) SpanLog() *metrics.CompletionLog {
 	if s.spanLog == nil {
 		panic(fmt.Sprintf("cluster: span log of service %q read but never declared (call Cluster.RecordSpans before the run)", s.name))

@@ -119,8 +119,8 @@ func TestMonitorErrors(t *testing.T) {
 
 // TestMonitorAndSCGDeclareRetention: a monitor given resources and an
 // SCG model declare the cluster's warehouse; a monitor without
-// resources does not and samples without it. Once traces have completed
-// unretained, both constructors refuse to declare it late.
+// resources does not and samples without it. After the cluster's first
+// request, both constructors refuse to declare it late.
 func TestMonitorAndSCGDeclareRetention(t *testing.T) {
 	app := topology.SockShop(topology.DefaultSockShop())
 	app.Mix = topology.CartOnlyMix(app)
@@ -159,13 +159,13 @@ func TestMonitorAndSCGDeclareRetention(t *testing.T) {
 		t.Fatalf("completed %d with warehouse %v; want completions and none", c.Completed(), c.Warehouse())
 	}
 	if _, err := NewSCG(c, mon, SCGConfig{SLA: time.Second}); err == nil {
-		t.Error("NewSCG after traces completed unretained: expected an error")
+		t.Error("NewSCG after the first request: expected an error")
 	}
-	// The cart mix never visits Catalogue, so only the trace
-	// declaration can fail.
+	// The cart mix never visits Catalogue, yet its span log, too, is
+	// declared after the first request.
 	idle := cluster.ResourceRef{Service: topology.Catalogue, Kind: cluster.PoolThreads}
-	if _, err := NewMonitor(c, 0, []cluster.ResourceRef{idle}, nil); err == nil || !strings.Contains(err.Error(), "unretained") {
-		t.Errorf("NewMonitor with a resource after traces completed unretained = %v, want the retention error", err)
+	if _, err := NewMonitor(c, 0, []cluster.ResourceRef{idle}, nil); err == nil || !strings.Contains(err.Error(), "after the first request") {
+		t.Errorf("NewMonitor with a resource after the first request = %v, want the declaration error", err)
 	}
 }
 

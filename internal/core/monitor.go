@@ -70,10 +70,9 @@ type utilSeries struct {
 // resource, the scan records of the trace warehouse
 // (Cluster.RetainScans) the models estimating those resources read and
 // the end-to-end completion log (Cluster.RecordCompletions), each with
-// a reach of DefaultWindow, so build it before the run. A model with a
-// longer window must also be built before the run, or before the
-// warehouse or a span log is first pruned. Start must be called to
-// begin sampling.
+// a reach of DefaultWindow, so build it before the run, and a model
+// with a longer window too (Cluster documents the declaration rule).
+// Start must be called to begin sampling.
 func NewMonitor(c *cluster.Cluster, interval time.Duration, refs []cluster.ResourceRef, utilServices []string) (*Monitor, error) {
 	if c == nil {
 		return nil, fmt.Errorf("core: nil cluster")

@@ -67,10 +67,9 @@ type SCGModel struct {
 // NewSCG returns an SCG model reading traces from the cluster's warehouse
 // and concurrency series from the monitor. It declares the warehouse's
 // scan records (Cluster.RetainScans) and the span logs of its monitor's
-// measured services (Cluster.RecordSpans) with a reach of its window,
-// which fails once traces have completed unretained, or have been
-// evicted from a narrower warehouse or pruned from a narrower span log
-// than the window: build the model before the run.
+// measured services (Cluster.RecordSpans) with a reach of its window.
+// After the cluster's first request that fails unless the histories
+// already reach that far: build the model before the run.
 func NewSCG(c *cluster.Cluster, mon *Monitor, cfg SCGConfig) (*SCGModel, error) {
 	if c == nil || mon == nil {
 		return nil, fmt.Errorf("core: SCG needs a cluster and a monitor")

@@ -8,9 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"sora/internal/cluster"
 	"sora/internal/core"
+	"sora/internal/scenario"
 	"sora/internal/telemetry"
+	"sora/internal/topology"
 	"sora/internal/trace"
+	"sora/internal/workload"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -168,6 +172,32 @@ func TestKneeSizeSelectsPlateauStart(t *testing.T) {
 	}
 	if got := maxGoodput(points, th); got != 1000 {
 		t.Errorf("maxGoodput = %g, want 1000", got)
+	}
+}
+
+// TestPostRunDeclaresTheCap: buildPostRun declares its refs' span logs
+// at trace.DefaultRetention, not at the run's length, which would lose
+// the first drain-length of a run the readers read whole. After the run
+// a declaration at the cap is then covered, a no-op, where it would be
+// refused if the run had declared less.
+func TestPostRunDeclaresTheCap(t *testing.T) {
+	app := topology.SockShop(topology.DefaultSockShop())
+	ref := cluster.ResourceRef{Service: topology.Cart, Kind: cluster.PoolThreads}
+	dur := 5 * time.Second
+	r, err := buildPostRun(scenario.Scenario{
+		Seed: 1, App: app, Mix: topology.CartOnlyMix(app), Refs: []cluster.ResourceRef{ref},
+		Target: workload.ConstantUsers(100), Duration: dur,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	execute(r)
+	if r.C.Completed() == 0 {
+		t.Fatal("the run completed nothing")
+	}
+	measured := core.ManagedResource{Ref: ref}.MeasuredService()
+	if err := r.C.RecordSpans(measured, trace.DefaultRetention); err != nil {
+		t.Errorf("declaring %s's span log at the cap after a %v post-run build: %v", measured, dur, err)
 	}
 }
 

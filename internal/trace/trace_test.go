@@ -351,11 +351,11 @@ func TestWarehouseIgnoresNil(t *testing.T) {
 	}
 }
 
-// TestWarehouseDefaultRetention checks that a non-positive retention
-// keeps traces for DefaultRetention: a trace exactly that old survives
-// an Add, one a nanosecond older is evicted.
+// TestWarehouseDefaultRetention checks that a warehouse retaining
+// DefaultRetention keeps a trace exactly that old across an Add, and
+// evicts one a nanosecond older.
 func TestWarehouseDefaultRetention(t *testing.T) {
-	w := NewWarehouse(0)
+	w := NewWarehouse(DefaultRetention)
 	w.Add(makeTraceAt(1, time.Second))
 	w.Add(makeTraceAt(2, time.Second+DefaultRetention))
 	if w.Len() != 2 {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -13,10 +12,12 @@ import (
 // from. It keeps completed traces for a bounded retention window of
 // virtual time and evicts older ones lazily on Add. Traces are appended
 // in completion order, so eviction and range queries are simple
-// prefix/suffix operations on a deque. A cluster builds its warehouse
-// only once a reader declares it (Cluster.RetainTraces, DESIGN.md §13
-// "Declared trace retention"); until then it has none, and a nil
-// Warehouse answers Len and Stats with zeros while Window panics.
+// prefix/suffix operations on a deque. The warehouse keeps no
+// declaration policy: a cluster builds one only once a reader declares
+// it, with the reach and form its readers declared before the first
+// request (Cluster.RetainTraces, DESIGN.md §13 "Declared history");
+// until then it has none, and a nil Warehouse answers Len and Stats
+// with zeros while Window panics.
 //
 // The warehouse holds no header object per trace (DESIGN.md §13
 // "Retained traces"). Each trace is one pointer-free entry in a block
@@ -135,20 +136,15 @@ func (q *fifo[T]) pop(n int) {
 	}
 }
 
-// DefaultRetention bounds warehouse memory when the caller does not
-// specify a window, and caps the reach a cluster's readers declare
+// DefaultRetention caps the reach a cluster's readers declare
 // (Cluster.RetainTraces). Three minutes matches the longest
 // metrics-collection window used by the SCG model.
 const DefaultRetention = 3 * time.Minute
 
 // NewWarehouse returns a warehouse retaining traces whose completion time
-// is within the given window of the most recent Add. A non-positive
-// retention selects DefaultRetention. No block or chunk is allocated
-// until the first trace is stored.
+// is within the given positive window of the most recent Add. No block
+// or chunk is allocated until the first trace is stored.
 func NewWarehouse(retention time.Duration) *Warehouse {
-	if retention <= 0 {
-		retention = DefaultRetention
-	}
 	return &Warehouse{retention: retention}
 }
 
@@ -159,35 +155,6 @@ func NewScanWarehouse(retention time.Duration) *Warehouse {
 	w := NewWarehouse(retention)
 	w.scan = true
 	return w
-}
-
-// KeepWhole makes the warehouse store whole traces, which Records reads.
-// On a warehouse that already does it does nothing. A scan-form
-// warehouse that has stored a trace cannot switch: its history would
-// lack what a whole-trace reader reads, so that is an error.
-func (w *Warehouse) KeepWhole() error {
-	if !w.scan {
-		return nil
-	}
-	if w.added > 0 {
-		return fmt.Errorf("trace: whole traces declared after %d were stored in their scan form", w.added)
-	}
-	w.scan = false
-	return nil
-}
-
-// Widen raises the retention to d; a d no longer than the retention
-// leaves it as it is. Widening once a trace has been evicted is an
-// error, since the wider window would silently lack that history.
-func (w *Warehouse) Widen(d time.Duration) error {
-	if d <= w.retention {
-		return nil
-	}
-	if w.evicted > 0 {
-		return fmt.Errorf("trace: retention widened to %v after traces were evicted at %v", d, w.retention)
-	}
-	w.retention = d
-	return nil
 }
 
 // Add stores a completed trace that can no longer change and evicts any
@@ -454,7 +421,7 @@ func (v View) At(i int) Trace {
 // window would pass for a quiet one.
 func (w *Warehouse) Window(since, until sim.Time) View {
 	if w == nil {
-		panic("trace: window read from a cluster that keeps no traces; call Cluster.RetainTraces before the run")
+		panic("trace: window read from a cluster that keeps no traces; call Cluster.RetainScans or Cluster.RetainTraces before the run")
 	}
 	lo := w.lowerBound(since)
 	hi := max(lo, w.lowerBound(until))
