@@ -281,6 +281,69 @@ func TestDeclarationRule(t *testing.T) {
 	}
 }
 
+// TestRetainTracesDeclaration: a second declaration is a no-op that
+// keeps the warehouse, and declaring once a request has run unretained
+// fails. A cluster only scan readers declared stores the scan form; a
+// whole-trace declaration before the first request makes it store whole
+// traces, and one after it fails.
+func TestRetainTracesDeclaration(t *testing.T) {
+	r := newCartRun(t, true)
+	wh := r.c.Warehouse()
+	if wh == nil {
+		t.Fatal("RetainTraces built no warehouse")
+	}
+	if err := r.c.RetainTraces(trace.DefaultRetention); err != nil || r.c.Warehouse() != wh {
+		t.Fatalf("second RetainTraces: %v, same warehouse %v", err, r.c.Warehouse() == wh)
+	}
+	r.run(t, time.Second)
+	if wh.Len() == 0 || wh.Stats().Added != r.c.Completed() {
+		t.Errorf("declared warehouse stored %d of %d completed traces", wh.Stats().Added, r.c.Completed())
+	}
+
+	late := newCartRun(t, false)
+	late.run(t, time.Second)
+	if err := late.c.RetainTraces(trace.DefaultRetention); err == nil || !strings.Contains(err.Error(), "first request") {
+		t.Errorf("RetainTraces after the first request = %v, want an error", err)
+	}
+	if late.c.Warehouse() != nil {
+		t.Error("a refused declaration left a warehouse behind")
+	}
+
+	scans := newCartRun(t, false)
+	if err := scans.c.RetainScans(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	scans.run(t, time.Second)
+	tr := firstSettled(t, scans.c.Warehouse())
+	if recs := tr.Scan(nil); len(recs) < 2 || !recs[0].OnPath {
+		t.Errorf("a scan-form trace reads %d scan records, want a whole tree from an on-path root", len(recs))
+	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "RetainTraces") {
+				t.Errorf("Records of a scan-form trace panicked with %q, want a message naming RetainTraces", msg)
+			}
+		}()
+		tr.Records(nil)
+		t.Error("Records of a trace only scan readers declared returned")
+	}()
+	if err := scans.c.RetainTraces(time.Minute); err == nil || !strings.Contains(err.Error(), "whole traces") {
+		t.Errorf("RetainTraces after scan-form traces were stored = %v, want an error", err)
+	}
+
+	up := newCartRun(t, false)
+	for _, declare := range []func(time.Duration) error{up.c.RetainScans, up.c.RetainTraces, up.c.RetainScans} {
+		if err := declare(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	up.run(t, time.Second)
+	tr = firstSettled(t, up.c.Warehouse())
+	if recs := tr.Records(nil); len(recs) < 2 {
+		t.Errorf("a trace of an upgraded warehouse decodes %d records", len(recs))
+	}
+}
+
 // firstSettled returns the oldest trace wh stored settled, as a stream.
 func firstSettled(t *testing.T, wh *trace.Warehouse) trace.Trace {
 	t.Helper()
